@@ -71,6 +71,7 @@ from .submersion import (
     CoordinateBasisField,
     ExpressionVectorField,
     HorizontalLiftField,
+    OneillArrays,
     OneillTensors,
     ProjectedField,
     StructureImageField,
@@ -85,6 +86,7 @@ from .submersion import (
     induced_fiber_manifold,
     isometric_fibers_residual,
     lie_bracket_at,
+    oneill_arrays,
     oneill_tensors_at,
     projectors_at,
     verify_submersion_theorems,

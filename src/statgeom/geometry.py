@@ -21,6 +21,7 @@ fields can be shared and evaluated concurrently; point loops reduce with
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -398,7 +399,11 @@ class CheckResult:
 
 
 class ResidualTracker:
-    """Accumulates the max scaled residual over sampled points."""
+    """Accumulates the max scaled residual over sampled points.
+
+    A NaN or infinite scaled residual counts as an infinite one, so it can
+    never pass a tolerance; the point that produced it becomes the worst point.
+    """
 
     def __init__(self):
         self.residual = 0.0
@@ -407,6 +412,8 @@ class ResidualTracker:
 
     def update(self, raw: float, scale: float, point) -> None:
         scaled = raw / scale
+        if not math.isfinite(scaled):
+            scaled = math.inf
         if scaled >= self.residual:
             self.residual = scaled
             self.raw_residual = raw

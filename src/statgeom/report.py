@@ -2,13 +2,16 @@
 
 The emitted file is JSON with sorted keys, floats formatted as ``%.12e``, LF
 line endings and a trailing newline, so two runs with the same inputs produce
-byte-identical files.  Wall time is kept on the in-memory report for console
-display but deliberately left out of the canonical bytes.
+byte-identical files.  A non-finite float is written as the string ``"inf"``,
+``"-inf"`` or ``"nan"``, so the file stays valid JSON.  Wall time is kept on
+the in-memory report for console display but deliberately left out of the
+canonical bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +97,8 @@ def canonical_json(value) -> str:
         if isinstance(node, int):
             return str(node)
         if isinstance(node, float):
+            if not math.isfinite(node):
+                return json.dumps(str(node))  # "inf", "-inf" or "nan"
             return f"{node:.12e}"
         if isinstance(node, str):
             return json.dumps(node, ensure_ascii=False)

@@ -6,11 +6,18 @@ is exact.  Horizontality is metric-dependent and computed, not assumed: the
 vertical projector at a point is v = E (G_vv)⁻¹ G[vert, :], where E selects
 the trailing directions and G_vv is the fiber block of the metric.
 
-Vector-field arguments are field objects that expose ``vector(p)`` and
-``jet(p) -> (values, jacobian)`` with ``jacobian[i, k] = ∂_i X^k``; the
-fundamental tensors differentiate projected fields through these exact jets.
-Tensoriality of T and A in both slots is a tested property, not an input
-assumption.
+T and A are tensorial in both slots, so the checks never evaluate them one
+field pair at a time: :func:`oneill_arrays` builds the whole coordinate
+arrays ``T[k, i, j] = T(∂_i, ∂_j)^k`` (and A, T*, A*) from the metric jets
+and the connection coefficients, batched over the sample points, and every
+submersion check reduces contractions of those arrays.
+
+The field-pair path stays as the independent test oracle: vector-field
+arguments are field objects that expose ``vector(p)`` and
+``jet(p) -> (values, jacobian)`` with ``jacobian[i, k] = ∂_i X^k``, and
+:func:`oneill_tensors_at` differentiates projected fields through these
+exact jets.  Tensoriality of T and A in both slots is a tested property, not
+an input assumption.
 """
 
 from __future__ import annotations
@@ -95,13 +102,30 @@ class SubmersionSpec:
 # --------------------------------------------------------------------------
 
 def _fiber_blocks(spec: SubmersionSpec, g: np.ndarray):
+    """(G_vv, G[vert, :]) of one metric matrix or a stack of them.
+
+    Raises :class:`SubmersionError` at the first matrix whose fiber block is
+    degenerate.
+    """
     nb = spec.base_dim
-    gvv = g[nb:, nb:]
-    det = float(np.linalg.det(gvv))
-    scale = max(1.0, float(np.max(np.abs(gvv))))
-    if abs(det) <= 1e-10 * scale ** gvv.shape[0]:
+    gvv = g[..., nb:, nb:]
+    dets = np.atleast_1d(np.linalg.det(gvv))
+    scales = np.maximum(1.0, np.abs(gvv).reshape(dets.shape[0], -1).max(axis=1))
+    degenerate = np.abs(dets) <= 1e-10 * scales ** gvv.shape[-1]
+    if degenerate.any():
+        det = float(dets[np.argmax(degenerate)])
         raise SubmersionError(f"degenerate fiber metric block (det {det:.3e})")
-    return gvv, g[nb:, :]
+    return gvv, g[..., nb:, :]
+
+
+def _check_conditioning(gvv: np.ndarray) -> None:
+    """Reject a fiber block (or a stack of them) too ill-conditioned to lift through."""
+    conds = np.atleast_1d(np.linalg.cond(gvv))
+    bad = conds > _CONDITION_LIMIT
+    if bad.any():
+        raise SubmersionError(
+            f"horizontal solve is ill-conditioned (cond {float(conds[np.argmax(bad)]):.3e})"
+        )
 
 
 def projectors_at(spec: SubmersionSpec, point) -> tuple[np.ndarray, np.ndarray]:
@@ -139,10 +163,7 @@ def horizontal_lift_at(spec: SubmersionSpec, base_vector, point) -> np.ndarray:
         raise ValueError(f"base vector of shape {bv.shape}, expected ({spec.base_dim},)")
     g = spec.total.metric.matrix(point)
     gvv, _ = _fiber_blocks(spec, g)
-    if np.linalg.cond(gvv) > _CONDITION_LIMIT:
-        raise SubmersionError(
-            f"horizontal solve is ill-conditioned (cond {np.linalg.cond(gvv):.3e})"
-        )
+    _check_conditioning(gvv)
     nb = spec.base_dim
     w = -np.linalg.solve(gvv, g[nb:, :nb] @ bv)
     return np.concatenate([bv, w])
@@ -326,13 +347,105 @@ def oneill_tensors_at(spec: SubmersionSpec, e_field, f_field, point,
     return OneillTensors(t=t, a=a, t_star=t_star, a_star=a_star)
 
 
-def _vertical_fields(spec: SubmersionSpec):
-    return [CoordinateBasisField(spec.total_dim, i)
-            for i in range(spec.base_dim, spec.total_dim)]
+@dataclass(frozen=True)
+class OneillArrays:
+    """The splitting and the fundamental tensors as coordinate arrays over sample points.
+
+    Every array has a leading point axis ``p``.  ``t[p, k, i, j]`` is
+    ``T(∂_i, ∂_j)^k``, and likewise ``a``, ``t_star`` and ``a_star``;
+    ``L[p, k, a]`` is the basic lift of the base field ``∂_a`` with Jacobian
+    ``dL[p, i, k, a] = ∂_i L^k_a``; ``gamma`` holds the coefficients of the
+    total connection the unstarred tensors use.
+    """
+
+    points: np.ndarray
+    g: np.ndarray
+    gamma: np.ndarray
+    v: np.ndarray
+    h: np.ndarray
+    L: np.ndarray
+    dL: np.ndarray
+    t: np.ndarray
+    a: np.ndarray
+    t_star: np.ndarray
+    a_star: np.ndarray
 
 
-def _basic_lifts(spec: SubmersionSpec):
-    return [HorizontalLiftField(spec, np.eye(spec.base_dim)[a]) for a in range(spec.base_dim)]
+def _covariant_derivatives(gamma, x, y, dy):
+    """(∇_{X_i} Y_j)^a for the columns X_i of x and Y_j of y, with dy[p, b] = ∂_b y."""
+    return (np.einsum("pbi,pbaj->paij", x, dy)
+            + np.einsum("pabm,pbi,pmj->paij", gamma, x, y))
+
+
+def _split_tensors(v, h, dv, gamma):
+    """(T, A) for one connection, from the projectors and dv[p, i] = ∂_i v.
+
+    T(E, F) = h ∇_{vE} vF + v ∇_{vE} hF and A(E, F) = v ∇_{hE} hF + h ∇_{hE} vF
+    on the coordinate fields E = ∂_i, F = ∂_j, with ∂h = −∂v.  h∘v = v∘h = 0
+    keeps both tensorial for any connection.
+    """
+    def project(proj, vectors):
+        return np.einsum("pka,paij->pkij", proj, vectors)
+
+    t = (project(h, _covariant_derivatives(gamma, v, v, dv))
+         + project(v, _covariant_derivatives(gamma, v, h, -dv)))
+    a = (project(v, _covariant_derivatives(gamma, h, h, -dv))
+         + project(h, _covariant_derivatives(gamma, h, v, dv)))
+    return t, a
+
+
+def oneill_arrays(spec: SubmersionSpec, points, dual_connection=None) -> OneillArrays:
+    """T, A, T*, A*, projectors and basic lifts at every point, as whole coordinate arrays.
+
+    The starred tensors use the conjugate of the total connection, or
+    ``dual_connection`` when one is given.  Raises :class:`SubmersionError`
+    when a fiber block is degenerate or too ill-conditioned for the lifts.
+    """
+    pts = _as_points(points)
+    metric = spec.total.metric
+    connection = spec.total.connection_or_levi_civita()
+    dual = dual_connection if dual_connection is not None else conjugate_connection(metric, connection)
+    jets = [metric.jet(p) for p in pts]
+    g = np.array([jet[0] for jet in jets])
+    dg = np.array([jet[1] for jet in jets])
+    gvv, gv_rows = _fiber_blocks(spec, g)
+    _check_conditioning(gvv)
+    gamma = np.array([connection.coefficients(p) for p in pts])
+    gamma_star = np.array([dual.coefficients(p) for p in pts])
+
+    nb, n = spec.base_dim, spec.total_dim
+    gvv_inv = np.linalg.inv(gvv)
+    s = gvv_inv @ gv_rows  # fiber components of the vertical projection
+    ds = gvv_inv[:, None] @ (dg[:, :, nb:, :] - dg[:, :, nb:, nb:] @ s[:, None])
+    v = np.zeros_like(g)
+    v[:, nb:, :] = s
+    dv = np.zeros_like(dg)
+    dv[:, :, nb:, :] = ds
+    h = np.eye(n) - v
+
+    t, a = _split_tensors(v, h, dv, gamma)
+    t_star, a_star = _split_tensors(v, h, dv, gamma_star)
+    return OneillArrays(points=pts, g=g, gamma=gamma, v=v, h=h,
+                        L=h[:, :, :nb], dL=-dv[:, :, :, :nb],
+                        t=t, a=a, t_star=t_star, a_star=a_star)
+
+
+def _track(raw, scales, points, tol: float, details: dict | None = None) -> CheckResult:
+    """Feed per-point raw residuals and scales through a :class:`ResidualTracker`."""
+    tracker = ResidualTracker()
+    for value, scale, p in zip(raw, scales, points):
+        tracker.update(float(value), scale, p)
+    return tracker.result(tol, details=details)
+
+
+def _max_abs(arr: np.ndarray) -> np.ndarray:
+    """Per-point max |component| of an array with a leading point axis."""
+    return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
+
+
+def _pair_lifts(tensor: np.ndarray, lifts: np.ndarray) -> np.ndarray:
+    """tensor(X_a, X_b)[p, k, a, b] for the basic lifts X_a."""
+    return np.einsum("pkij,pia,pjb->pkab", tensor, lifts, lifts)
 
 
 # --------------------------------------------------------------------------
@@ -354,27 +467,25 @@ def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEF
     return tracker.result(tol)
 
 
-def check_statistical_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
-    """dπ(h ∇_X Y) matches ∇'_{X'} Y' for basic lifts of base coordinate fields."""
+def _require_connections(spec: SubmersionSpec) -> None:
     if spec.total.connection is None or spec.base.connection is None:
         raise SubmersionError("statistical-submersion check needs connections on both sides")
-    points = _as_points(pts)
-    connection = spec.total.connection
-    base_connection = spec.base.connection
-    lifts = _basic_lifts(spec)
+
+
+def _statistical_submersion(spec: SubmersionSpec, arrays: OneillArrays, tol: float) -> CheckResult:
     nb = spec.base_dim
-    tracker = ResidualTracker()
-    for p in points:
-        _, h = projectors_at(spec, p)
-        base_gamma = base_connection.coefficients(spec.project(p))
-        worst = 0.0
-        for a in range(nb):
-            xa = lifts[a].vector(p)
-            for b in range(nb):
-                total_side = (h @ covariant_derivative_field(connection, xa, lifts[b], p))[:nb]
-                worst = max(worst, float(np.max(np.abs(total_side - base_gamma[:, a, b]))))
-        tracker.update(worst, _scale_of(base_gamma), p)
-    return tracker.result(tol)
+    nabla = _covariant_derivatives(arrays.gamma, arrays.L, arrays.L, arrays.dL)
+    total_side = np.einsum("pkl,plab->pkab", arrays.h, nabla)[:, :nb]
+    base_gamma = np.array([spec.base.connection.coefficients(spec.project(p))
+                           for p in arrays.points])
+    return _track(_max_abs(total_side - base_gamma), [_scale_of(bg) for bg in base_gamma],
+                  arrays.points, tol)
+
+
+def check_statistical_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+    """dπ(h ∇_X Y) matches ∇'_{X'} Y' for basic lifts of base coordinate fields."""
+    _require_connections(spec)
+    return _statistical_submersion(spec, oneill_arrays(spec, pts), tol)
 
 
 def check_para_holomorphic(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -393,19 +504,22 @@ def check_para_holomorphic(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLER
     return tracker.result(tol)
 
 
+def _isometric_fibers(spec: SubmersionSpec, arrays: OneillArrays, tol: float) -> CheckResult:
+    nb = spec.base_dim
+    return _track(_max_abs(arrays.t[:, :, nb:, nb:]), [_scale_of(gm) for gm in arrays.gamma],
+                  arrays.points, tol)
+
+
 def isometric_fibers_residual(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """max |T(U, V)| over vertical coordinate fields; zero means isometric fibers."""
-    points = _as_points(pts)
-    verticals = _vertical_fields(spec)
-    tracker = ResidualTracker()
-    for p in points:
-        gamma = spec.total.connection_or_levi_civita().coefficients(p)
-        worst = 0.0
-        for u in verticals:
-            for w in verticals:
-                worst = max(worst, float(np.max(np.abs(oneill_tensors_at(spec, u, w, p).t))))
-        tracker.update(worst, _scale_of(gamma), p)
-    return tracker.result(tol)
+    return _isometric_fibers(spec, oneill_arrays(spec, pts), tol)
+
+
+def _lift_brackets(arrays: OneillArrays) -> np.ndarray:
+    """v[X_a, X_b][p, k, a, b] for the basic lifts, from their exact Jacobians."""
+    lifts, dlifts = arrays.L, arrays.dL
+    flow = np.einsum("pia,pikb->pkab", lifts, dlifts)
+    return np.einsum("pkl,plab->pkab", arrays.v, flow - flow.transpose(0, 1, 3, 2))
 
 
 def check_fundamental_tensor_identities(
@@ -418,77 +532,48 @@ def check_fundamental_tensor_identities(
     g(T_U V, X) = −g(V, T*_U X) and g(A_X Y, U) = −g(Y, A*_X U); projector
     algebra (idempotency, complementarity, g-orthogonality) is checked as
     well since the splitting decompositions hold by construction through it.
+    The residual at each point is the worst item over that point and every
+    point before it.
     """
-    points = _as_points(pts)
-    verticals = _vertical_fields(spec)
-    lifts = _basic_lifts(spec)
-    tracker = ResidualTracker()
-    worst = {"symmetry_t": 0.0, "alternation_a": 0.0, "skew_exchange": 0.0,
-             "pairing_t": 0.0, "pairing_a": 0.0, "projectors": 0.0}
-    for p in points:
-        g = spec.total.metric.matrix(p)
-        v, h = projectors_at(spec, p)
-        proj_res = max(
-            float(np.max(np.abs(v @ v - v))),
-            float(np.max(np.abs(v @ h))),
-            float(np.max(np.abs(h.T @ g @ v))),
-            float(np.max(np.abs(v + h - np.eye(spec.total_dim)))),
-        )
-        worst["projectors"] = max(worst["projectors"], proj_res)
+    arrays = oneill_arrays(spec, pts, dual_connection)
+    nb = spec.base_dim
+    g, v, h, lifts = arrays.g, arrays.v, arrays.h, arrays.L
+    t_vv = arrays.t[:, :, nb:, nb:]
+    t_star_vv = arrays.t_star[:, :, nb:, nb:]
+    a_xy = _pair_lifts(arrays.a, lifts)
+    a_star_xy = _pair_lifts(arrays.a_star, lifts)
+    bracket = _lift_brackets(arrays)
 
-        uv_tensors = {}
-        for i, u in enumerate(verticals):
-            for j, w in enumerate(verticals):
-                uv_tensors[(i, j)] = oneill_tensors_at(spec, u, w, p, dual_connection)
-        for i in range(len(verticals)):
-            for j in range(len(verticals)):
-                forward, backward = uv_tensors[(i, j)], uv_tensors[(j, i)]
-                worst["symmetry_t"] = max(
-                    worst["symmetry_t"],
-                    float(np.max(np.abs(forward.t - backward.t))),
-                    float(np.max(np.abs(forward.t_star - backward.t_star))),
-                )
+    def swapped(arr):
+        return arr.transpose(0, 1, 3, 2)
 
-        xy_tensors = {}
-        for a in range(len(lifts)):
-            for b in range(len(lifts)):
-                xy_tensors[(a, b)] = oneill_tensors_at(spec, lifts[a], lifts[b], p, dual_connection)
-        for a in range(len(lifts)):
-            for b in range(len(lifts)):
-                forward, backward = xy_tensors[(a, b)], xy_tensors[(b, a)]
-                bracket = v @ lie_bracket_at(lifts[a], lifts[b], p)
-                worst["alternation_a"] = max(
-                    worst["alternation_a"],
-                    float(np.max(np.abs(forward.a - backward.a - bracket))),
-                    float(np.max(np.abs(forward.a_star - backward.a_star - bracket))),
-                )
-                worst["skew_exchange"] = max(
-                    worst["skew_exchange"],
-                    float(np.max(np.abs(forward.a + backward.a_star))),
-                )
-
-        for i, u in enumerate(verticals):
-            for j, w in enumerate(verticals):
-                t_uv = uv_tensors[(i, j)].t
-                for x in lifts:
-                    x0 = x.vector(p)
-                    t_star_ux = oneill_tensors_at(spec, u, x, p, dual_connection).t_star
-                    w0 = w.vector(p)
-                    defect = float(abs(t_uv @ g @ x0 + w0 @ g @ t_star_ux))
-                    worst["pairing_t"] = max(worst["pairing_t"], defect)
-
-        for a, x in enumerate(lifts):
-            for b, y in enumerate(lifts):
-                a_xy = xy_tensors[(a, b)].a
-                for u in verticals:
-                    u0 = u.vector(p)
-                    a_star_xu = oneill_tensors_at(spec, x, u, p, dual_connection).a_star
-                    y0 = y.vector(p)
-                    defect = float(abs(a_xy @ g @ u0 + y0 @ g @ a_star_xu))
-                    worst["pairing_a"] = max(worst["pairing_a"], defect)
-
-        tracker.update(max(worst.values()), _scale_of(g), p)
-    return tracker.result(tol, details=worst)
+    # pairing_t[p, i, j, a] = g(T(U_i, U_j), X_a) + g(U_j, T*(U_i, X_a))
+    pairing_t = (np.einsum("pkij,pkl,pla->pija", t_vv, g, lifts)
+                 + np.einsum("pjk,pkim,pma->pija", g[:, nb:, :],
+                             arrays.t_star[:, :, nb:, :], lifts))
+    # pairing_a[p, a, b, u] = g(A(X_a, X_b), U_u) + g(X_b, A*(X_a, U_u))
+    pairing_a = (np.einsum("pkab,pku->pabu", a_xy, g[:, :, nb:])
+                 + np.einsum("plb,plk,pkmu,pma->pabu", lifts, g,
+                             arrays.a_star[:, :, :, nb:], lifts))
+    per_point = {
+        "symmetry_t": np.maximum(_max_abs(t_vv - swapped(t_vv)),
+                                 _max_abs(t_star_vv - swapped(t_star_vv))),
+        "alternation_a": np.maximum(_max_abs(a_xy - swapped(a_xy) - bracket),
+                                    _max_abs(a_star_xy - swapped(a_star_xy) - bracket)),
+        "skew_exchange": _max_abs(a_xy + swapped(a_star_xy)),
+        "pairing_t": _max_abs(pairing_t),
+        "pairing_a": _max_abs(pairing_a),
+        "projectors": np.maximum.reduce([
+            _max_abs(v @ v - v),
+            _max_abs(v @ h),
+            _max_abs(h.transpose(0, 2, 1) @ g @ v),
+            _max_abs(v + h - np.eye(spec.total_dim)),
+        ]),
+    }
+    running = np.maximum.accumulate(np.array(list(per_point.values())), axis=1)
+    worst = {name: float(running[row, -1]) for row, name in enumerate(per_point)}
+    return _track(running.max(axis=0), [_scale_of(gm) for gm in g], arrays.points, tol,
+                  details=worst)
 
 
 # --------------------------------------------------------------------------
@@ -681,7 +766,9 @@ def verify_submersion_theorems(
     total_cert = check_para_kahler_like(
         spec.total.metric, connection, spec.total.product, points, tol
     )
-    statistical_sub = check_statistical_submersion(spec, points, tol)
+    _require_connections(spec)
+    arrays = oneill_arrays(spec, points)
+    statistical_sub = _statistical_submersion(spec, arrays, tol)
     holomorphic = check_para_holomorphic(spec, points, tol)
     if total_cert.passed and statistical_sub.passed and holomorphic.passed:
         base_points = np.array([spec.project(p) for p in points])
@@ -702,23 +789,12 @@ def verify_submersion_theorems(
             reason="total space is not a certified para-product statistical submersion",
         )
 
-    verticals = _vertical_fields(spec)
-    tracker = ResidualTracker()
-    for p in points:
-        m = spec.total.product.matrix(p)
-        worst = 0.0
-        for u in verticals:
-            for w in verticals:
-                plain = oneill_tensors_at(spec, u, w, p).t
-                twisted = oneill_tensors_at(
-                    spec,
-                    StructureImageField(spec.total.product, u),
-                    StructureImageField(spec.total.product, w),
-                    p,
-                ).t
-                worst = max(worst, float(np.max(np.abs(twisted - plain))))
-        tracker.update(worst, _scale_of(m), p)
-    vertical_symmetry = tracker.result(tol)
+    nb = spec.base_dim
+    structure = np.array([spec.total.product.matrix(p) for p in points])
+    vertical_images = structure[:, :, nb:]
+    twisted = np.einsum("pkij,piu,pjw->pkuw", arrays.t, vertical_images, vertical_images)
+    vertical_symmetry = _track(_max_abs(twisted - arrays.t[:, :, nb:, nb:]),
+                               [_scale_of(m) for m in structure], points, tol)
     items["vertical_symmetry"] = TheoremOutcome(
         STATUS_PASS if vertical_symmetry.passed else STATUS_FAIL,
         residual=vertical_symmetry.residual,
@@ -734,28 +810,13 @@ def verify_submersion_theorems(
         parity_gap = max(parity_gap, float(np.max(np.abs(m_hat - m_hat_star))))
     min_rank = min(ranks)
 
-    lifts = _basic_lifts(spec)
-    a_tracker = ResidualTracker()
-    bracket_tracker = ResidualTracker()
-    for p in points:
-        worst_a = 0.0
-        worst_bracket = 0.0
-        v, _ = projectors_at(spec, p)
-        for x in lifts:
-            for y in lifts:
-                tensors = oneill_tensors_at(spec, x, y, p)
-                worst_a = max(worst_a, float(np.max(np.abs(tensors.a))),
-                              float(np.max(np.abs(tensors.a_star))))
-                worst_bracket = max(
-                    worst_bracket,
-                    float(np.max(np.abs(v @ lie_bracket_at(x, y, p)))),
-                )
-        scale = _scale_of(spec.total.metric.matrix(p))
-        a_tracker.update(worst_a, scale, p)
-        bracket_tracker.update(worst_bracket, scale, p)
+    metric_scales = [_scale_of(g) for g in arrays.g]
+    a_worst = np.maximum(_max_abs(_pair_lifts(arrays.a, arrays.L)),
+                         _max_abs(_pair_lifts(arrays.a_star, arrays.L)))
+    a_result = _track(a_worst, metric_scales, points, tol)
+    bracket_result = _track(_max_abs(_lift_brackets(arrays)), metric_scales, points, tol)
 
     if min_rank == spec.fiber_dim:
-        a_result = a_tracker.result(tol)
         items["horizontal_vanishing"] = TheoremOutcome(
             STATUS_PASS if a_result.passed else STATUS_FAIL,
             residual=a_result.residual,
@@ -769,7 +830,6 @@ def verify_submersion_theorems(
         )
 
     if parity_gap <= tol:
-        bracket_result = bracket_tracker.result(tol)
         items["horizontal_integrability"] = TheoremOutcome(
             STATUS_PASS if bracket_result.passed else STATUS_FAIL,
             residual=bracket_result.residual,
@@ -780,7 +840,7 @@ def verify_submersion_theorems(
             reason=f"fiber structure is not self-adjoint (gap {parity_gap:.3e})",
         )
 
-    isometric = isometric_fibers_residual(spec, points, tol)
+    isometric = _isometric_fibers(spec, arrays, tol)
     space_constant = fit_space_form_constant(
         spec.total.metric, connection, spec.total.product, points
     )

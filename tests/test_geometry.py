@@ -17,6 +17,7 @@ from statgeom.geometry import (
     ExpressionConnection,
     MetricError,
     MetricField,
+    ResidualTracker,
     check_dual_curvature_identity,
     check_statistical_structure,
     conjugate_connection,
@@ -172,6 +173,30 @@ class TestStatisticalStructure:
         result = check_statistical_structure(g, torsion, sample_points(chart, 5))
         assert not result.passed
         assert result.details["torsion"] == 1.0
+
+
+class TestResidualTracker:
+    @pytest.mark.parametrize("raw, scale", [(float("nan"), 1.0), (float("inf"), float("inf")),
+                                            (float("inf"), 1.0), (1.0, float("nan"))])
+    def test_non_finite_residual_fails_at_its_point(self, raw, scale):
+        tracker = ResidualTracker()
+        tracker.update(1e-12, 1.0, [0.0, 0.0])
+        tracker.update(raw, scale, [0.5, 0.5])
+        tracker.update(1e-12, 1.0, [1.0, 1.0])
+        result = tracker.result(1e-8)
+        assert not result.passed
+        assert result.residual == float("inf")
+        np.testing.assert_array_equal(result.worst_point, [0.5, 0.5])
+
+    def test_finite_residuals_keep_the_last_worst_point(self):
+        tracker = ResidualTracker()
+        tracker.update(2.0, 2.0, [0.0])
+        tracker.update(3.0, 3.0, [1.0])
+        tracker.update(0.5, 1.0, [2.0])
+        result = tracker.result(10.0)
+        assert result.passed
+        assert result.residual == 1.0
+        np.testing.assert_array_equal(result.worst_point, [1.0])
 
 
 class TestCurvature:

@@ -14,7 +14,13 @@ from statgeom.fixtures import (
 )
 from statgeom.geometry import STATUS_ERROR, STATUS_FAIL
 from statgeom.manifest import ManifestError, load_manifest, parse_manifest
-from statgeom.report import emit_report, render_report
+from statgeom.report import (
+    CheckOutcome,
+    VerificationReport,
+    canonical_json,
+    emit_report,
+    render_report,
+)
 from statgeom.suite import CHECKS, run_suite
 
 
@@ -222,6 +228,19 @@ class TestReports:
         path = tmp_path / "report.json"
         emit_report(run_suite(load_fixture("example_5_2_n1")), path)
         assert "1.000000000000e-08" in path.read_text(encoding="utf-8")
+
+    def test_non_finite_floats_render_as_strings(self):
+        text = canonical_json({"values": [float("inf"), float("-inf"), float("nan"), 1.5]})
+        assert text == '{"values": ["inf", "-inf", "nan", 1.500000000000e+00]}'
+        assert json.loads(text) == {"values": ["inf", "-inf", "nan", 1.5]}
+
+    def test_report_with_non_finite_residual_stays_valid_json(self):
+        outcome = CheckOutcome(name="flatness", status=STATUS_FAIL, residual=float("inf"),
+                               raw_residual=float("nan"), tolerance=1e-8)
+        report = VerificationReport(fixture="f", seed=0, points=1, checks=(outcome,))
+        parsed = json.loads(render_report(report))
+        assert parsed["checks"][0]["residual"] == "inf"
+        assert parsed["checks"][0]["raw_residual"] == "nan"
 
     def test_wall_time_not_serialized(self):
         report = run_suite(load_fixture("example_5_2_n1"))

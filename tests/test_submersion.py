@@ -35,6 +35,7 @@ from statgeom.submersion import (
     induced_fiber_manifold,
     isometric_fibers_residual,
     lie_bracket_at,
+    oneill_arrays,
     oneill_tensors_at,
     projectors_at,
     verify_submersion_theorems,
@@ -330,6 +331,109 @@ class TestFundamentalTensors:
                                    [0.0, -1.0], atol=1e-15)
 
 
+ORACLE_SPECS = {
+    "curved_k_eq_l": lambda: curved_submersion(k=1.0, l=1.0),
+    "curved_k_ne_l": lambda: curved_submersion(k=1.0, l=2.0),
+    "flat": flat_submersion,
+    "warped": warped_submersion,
+    "curved_3_to_1": lambda: curved_submersion(total_pairs=3, base_pairs=1, k=1.0, l=2.0,
+                                               epsilons=(1.0, 1.0, 1.0)),
+}
+
+
+ORACLE_ATOL = 1e-12
+TENSOR_NAMES = ("t", "a", "t_star", "a_star")
+
+
+def _assert_matches_oracle(arrays, index, oracle, contract=lambda arr: arr):
+    for name in TENSOR_NAMES:
+        np.testing.assert_allclose(contract(getattr(arrays, name)[index]), getattr(oracle, name),
+                                   rtol=0.0, atol=ORACLE_ATOL, err_msg=name)
+
+
+class TestOneillArraysAgainstFieldPairs:
+    """The batched coordinate arrays agree with the independent field-pair path."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_coordinate_pairs(self, name):
+        spec = ORACLE_SPECS[name]()
+        pts = sample_points(spec.total.chart, 3)
+        arrays = oneill_arrays(spec, pts)
+        n = spec.total_dim
+        for index, p in enumerate(pts):
+            v, h = projectors_at(spec, p)
+            np.testing.assert_allclose(arrays.v[index], v, rtol=0.0, atol=ORACLE_ATOL)
+            np.testing.assert_allclose(arrays.h[index], h, rtol=0.0, atol=ORACLE_ATOL)
+            for i in range(n):
+                for j in range(n):
+                    oracle = oneill_tensors_at(
+                        spec, CoordinateBasisField(n, i), CoordinateBasisField(n, j), p)
+                    _assert_matches_oracle(arrays, (index, slice(None), i, j), oracle)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_basic_lift_pairs(self, name):
+        spec = ORACLE_SPECS[name]()
+        pts = sample_points(spec.total.chart, 3)
+        arrays = oneill_arrays(spec, pts)
+        nb = spec.base_dim
+        lifts = [HorizontalLiftField(spec, np.eye(nb)[a]) for a in range(nb)]
+        for index, p in enumerate(pts):
+            lift_matrix = arrays.L[index]
+            for a, x in enumerate(lifts):
+                values, jacobian = x.jet(p)
+                np.testing.assert_allclose(lift_matrix[:, a], values, rtol=0.0, atol=ORACLE_ATOL)
+                np.testing.assert_allclose(arrays.dL[index, :, :, a], jacobian,
+                                           rtol=0.0, atol=ORACLE_ATOL)
+                for b, y in enumerate(lifts):
+                    oracle = oneill_tensors_at(spec, x, y, p)
+                    _assert_matches_oracle(
+                        arrays, index, oracle,
+                        lambda arr, a=a, b=b: arr @ lift_matrix[:, b] @ lift_matrix[:, a])
+
+    def test_structure_image_pair(self):
+        spec = curved_submersion(k=1.0, l=2.0)
+        p = sample_points(spec.total.chart, 1)[0]
+        arrays = oneill_arrays(spec, [p])
+        m = spec.total.product.matrix(p)
+        u, w = 2, 3
+        oracle = oneill_tensors_at(
+            spec,
+            StructureImageField(spec.total.product, CoordinateBasisField(4, u)),
+            StructureImageField(spec.total.product, CoordinateBasisField(4, w)),
+            p,
+        )
+        _assert_matches_oracle(arrays, 0, oracle, lambda arr: arr @ m[:, w] @ m[:, u])
+
+    def test_dual_connection_override(self):
+        spec = warped_submersion()
+        wrong_dual = ExpressionConnection.zero(("b", "u"))
+        pts = sample_points(spec.total.chart, 3)
+        arrays = oneill_arrays(spec, pts, dual_connection=wrong_dual)
+        default = oneill_arrays(spec, pts)
+        assert np.max(np.abs(arrays.t_star - default.t_star)) > 1e-3
+        for index, p in enumerate(pts):
+            for i in range(2):
+                for j in range(2):
+                    oracle = oneill_tensors_at(spec, CoordinateBasisField(2, i),
+                                               CoordinateBasisField(2, j), p, wrong_dual)
+                    _assert_matches_oracle(arrays, (index, slice(None), i, j), oracle)
+
+    @pytest.mark.parametrize("fiber, match", [(("1e-12", "1e-12"), "degenerate"),
+                                              (("1e4", "1e-5"), "ill-conditioned")])
+    def test_bad_fiber_metric_rejected(self, fiber, match):
+        spec = _submersion_from({
+            "chart": {"coords": ["b", "u1", "u2"], "box": [[-1.0, 1.0]] * 3, "seed": 3},
+            "metric": [["1", "0", "0"], ["0", fiber[0], "0"], ["0", "0", fiber[1]]],
+            "submersion": {"base": {
+                "chart": {"coords": ["b"], "box": [[-1.0, 1.0]]},
+                "metric": [["1"]],
+            }},
+            "checks": ["semi_riemannian_submersion"],
+        })
+        with pytest.raises(SubmersionError, match=match):
+            oneill_arrays(spec, [np.full(3, 0.5), np.zeros(3)])
+
+
 class TestInducedFiber:
     def test_curved_fiber_certifies(self):
         spec = curved_submersion(k=1.0, l=2.0)
@@ -412,6 +516,35 @@ class TestTheoremReport:
         assert report.items["horizontal_vanishing"].data["rank"] == 2.0
         assert report.items["horizontal_integrability"].status == STATUS_NOT_APPLICABLE
         assert report.items["vertical_symmetry"].status == STATUS_PASS
+
+    def test_vertical_symmetry_matches_field_pair_oracle(self):
+        """On the warped fixture with P = diag(5, 2), T(P̂U, P̂V) − T(U, V) is
+        not zero, and its residual is scaled by the whole structure matrix."""
+        spec = _submersion_from({
+            "chart": {"coords": ["b", "u"], "box": [[-1.0, 1.0], [-1.0, 1.0]], "seed": 17},
+            "metric": [["1", "0"], ["0", "exp(2*b)"]],
+            "connection": [[["0", "0"], ["0", "-exp(2*b)"]], [["0", "1"], ["1", "0"]]],
+            "product": [["5", "0"], ["0", "2"]],
+            "submersion": {"base": {
+                "chart": {"coords": ["b"], "box": [[-1.0, 1.0]]},
+                "metric": [["1"]],
+                "connection": [[["0"]]],
+                "product": [["5"]],
+            }},
+            "checks": ["semi_riemannian_submersion"],
+        })
+        pts = sample_points(spec.total.chart, 5)
+        u = CoordinateBasisField(2, 1)
+        twisted_u = StructureImageField(spec.total.product, u)
+        expected = max(
+            np.max(np.abs(oneill_tensors_at(spec, twisted_u, twisted_u, p).t
+                          - oneill_tensors_at(spec, u, u, p).t))
+            / (1.0 + np.max(np.abs(spec.total.product.matrix(p))))
+            for p in pts
+        )
+        report = verify_submersion_theorems(spec, pts)
+        assert report.items["vertical_symmetry"].status == "FAIL"
+        assert report.items["vertical_symmetry"].residual == pytest.approx(expected, rel=1e-12)
 
     def test_flat_product_report_all_pass(self):
         spec = flat_submersion(k=1.0)
