@@ -401,8 +401,9 @@ class CheckResult:
 class ResidualTracker:
     """Accumulates the max scaled residual over sampled points.
 
-    A NaN or infinite scaled residual counts as an infinite one, so it can
-    never pass a tolerance; the point that produced it becomes the worst point.
+    A NaN or infinite residual or scale counts as an infinite residual, so it
+    can never pass a tolerance; the point that produced it becomes the worst
+    point.
     """
 
     def __init__(self):
@@ -412,7 +413,7 @@ class ResidualTracker:
 
     def update(self, raw: float, scale: float, point) -> None:
         scaled = raw / scale
-        if not math.isfinite(scaled):
+        if not (math.isfinite(scaled) and math.isfinite(scale)):
             scaled = math.inf
         if scaled >= self.residual:
             self.residual = scaled

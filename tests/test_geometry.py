@@ -177,7 +177,8 @@ class TestStatisticalStructure:
 
 class TestResidualTracker:
     @pytest.mark.parametrize("raw, scale", [(float("nan"), 1.0), (float("inf"), float("inf")),
-                                            (float("inf"), 1.0), (1.0, float("nan"))])
+                                            (float("inf"), 1.0), (1.0, float("nan")),
+                                            (1.0, float("inf"))])
     def test_non_finite_residual_fails_at_its_point(self, raw, scale):
         tracker = ResidualTracker()
         tracker.update(1e-12, 1.0, [0.0, 0.0])
