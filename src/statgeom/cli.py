@@ -2,7 +2,8 @@
 
 Exit codes of ``verify``: 0 when every check is PASS or NOT-APPLICABLE,
 1 when any check FAILs, 2 when any check ERRORs (or the manifest cannot be
-loaded at all).
+loaded at all).  Every other failure exits with 2 as well, so 1 always means
+that a check FAILed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .fixtures import fixture_ids, fixture_text, load_fixture
 from .manifest import ManifestError, load_manifest, parse_manifest
@@ -64,27 +66,29 @@ def _summarize(report) -> str:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ManifestError as err:
+        print(f"error: {err}", file=sys.stderr)
+    except Exception as err:  # noqa: BLE001 - exit code 1 is reserved for a FAILed check
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+    return 2
 
+
+def _run(args) -> int:
     if args.command == "list-fixtures":
         for fixture_id in fixture_ids():
             print(fixture_id)
         return 0
 
     if args.command == "describe":
-        try:
-            text = fixture_text(args.fixture)
-        except ManifestError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+        text = fixture_text(args.fixture)
         manifest = parse_manifest(json.loads(text), name=args.fixture, known_checks=set(CHECKS))
         print(canonical_json(manifest.data))
         return 0
 
-    try:
-        manifest = _load(args.manifest)
-    except ManifestError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    manifest = _load(args.manifest)
     report = run_suite(manifest, seed=args.seed, points=args.points, tol=args.tol)
     print(_summarize(report))
     if args.report:

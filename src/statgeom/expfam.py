@@ -21,11 +21,11 @@ import numpy as np
 from . import expr as ex
 from .geometry import (
     ChartSpec,
-    cached_by_point,
     DEFAULT_POINT_COUNT,
+    DerivedJets,
     MetricField,
     MetricError,
-    _inverse_jet,
+    _inverse_derivative,
     sample_points,
 )
 
@@ -100,8 +100,9 @@ def fisher_metric(model: ExpFamilyModel, validation_points: int = DEFAULT_POINT_
     first = [model.psi.differentiate(i) for i in range(n)]
     components = [[first[min(i, j)].differentiate(max(i, j)) for j in range(n)] for i in range(n)]
     metric = MetricField(components)
-    for p in sample_points(model.chart, validation_points):
-        values = np.linalg.eigvalsh(metric.matrix(p))
+    points = sample_points(model.chart, validation_points)
+    for p, mat in zip(points, metric.values(points)):
+        values = np.linalg.eigvalsh(mat)
         if not np.all(values > 0.0):
             raise MetricError(
                 f"Fisher metric of {model.name!r} is not positive definite at {p.tolist()} "
@@ -110,38 +111,38 @@ def fisher_metric(model: ExpFamilyModel, validation_points: int = DEFAULT_POINT_
     return metric
 
 
-class AlphaConnection:
-    """The α-connection of a model, computed from the metric's exact jets."""
+class AlphaConnection(DerivedJets):
+    """The α-connection of a model, computed from the metric's exact jets; jets are (Γ, ∂Γ)."""
 
     def __init__(self, metric: MetricField, alpha: float):
         self._metric = metric
+        self._bases = (metric,)
         self.alpha = float(alpha)
 
     @property
     def dim(self) -> int:
         return self._metric.dim
 
-    @cached_by_point
     def coefficients(self, point) -> np.ndarray:
-        factor = 0.5 * (1.0 - self.alpha)
-        if factor == 0.0:
-            n = self._metric.dim
-            return np.zeros((n, n, n))
-        g, dg, _ = self._metric.jet(point)
-        ginv = np.linalg.inv(g)
-        return factor * np.einsum("sij,st->tij", dg, ginv)
+        return self._row(point, False)[0]
 
-    @cached_by_point
     def coefficients_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
+        return self._row(point)
+
+    def _derive(self, full, metric_jets):
         factor = 0.5 * (1.0 - self.alpha)
-        n = self._metric.dim
+        g, dg, d2g = metric_jets
+        count, n = g.shape[0], self._metric.dim
         if factor == 0.0:
-            return np.zeros((n, n, n)), np.zeros((n, n, n, n))
-        g, dg, d2g = self._metric.jet(point)
-        ginv, dginv = _inverse_jet(g, dg)
-        gamma = factor * np.einsum("sij,st->tij", dg, ginv)
-        dgamma = factor * (np.einsum("lsij,st->ltij", d2g, ginv)
-                           + np.einsum("sij,lst->ltij", dg, dginv))
+            gamma = np.zeros((count, n, n, n))
+            return (gamma, np.zeros((count, n, n, n, n))) if full else (gamma,)
+        ginv = np.linalg.inv(g)
+        gamma = factor * np.einsum("psij,pst->ptij", dg, ginv)
+        if not full:
+            return (gamma,)
+        dginv = _inverse_derivative(ginv, dg)
+        dgamma = factor * (np.einsum("plsij,pst->pltij", d2g, ginv)
+                           + np.einsum("psij,plst->pltij", dg, dginv))
         return gamma, dgamma
 
 
@@ -152,34 +153,38 @@ def alpha_connection(model: ExpFamilyModel, alpha: float) -> AlphaConnection:
     return AlphaConnection(fisher_metric(model), alpha)
 
 
-class MetricTwistedStructure:
+class MetricTwistedStructure(DerivedJets):
     """The companion structure of a constant involution ``a``: components −a_s^k g_ki g^sj.
 
     In matrix form (acting on component columns) this is −G⁻¹ aᵀ G pointwise;
     its relation to the negative adjoint of the constant structure is pinned
-    by the regression suite rather than assumed.
+    by the regression suite rather than assumed.  Jets are (M, dM).
     """
 
     def __init__(self, metric: MetricField, a: np.ndarray):
         self._metric = metric
+        self._bases = (metric,)
         self._a = np.array(a, dtype=float)
 
     @property
     def dim(self) -> int:
         return self._metric.dim
 
-    @cached_by_point
     def matrix(self, point) -> np.ndarray:
-        g = self._metric.matrix(point)
-        return -np.linalg.inv(g) @ self._a.T @ g
+        return self._row(point, False)[0]
 
-    @cached_by_point
     def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        g, dg, _ = self._metric.jet(point)
-        ginv, dginv = _inverse_jet(g, dg)
+        return self._row(point)
+
+    def _derive(self, full, metric_jets):
+        g, dg, _ = metric_jets
+        ginv = np.linalg.inv(g)
         m = -ginv @ self._a.T @ g
-        dm = -(np.einsum("kab,cb,cd->kad", dginv, self._a, g)
-               + np.einsum("ab,cb,kcd->kad", ginv, self._a, dg))
+        if not full:
+            return (m,)
+        dginv = _inverse_derivative(ginv, dg)
+        dm = -(np.einsum("pkab,cb,pcd->pkad", dginv, self._a, g)
+               + np.einsum("pab,cb,pkcd->pkad", ginv, self._a, dg))
         return m, dm
 
 

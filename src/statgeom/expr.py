@@ -4,8 +4,10 @@ An expression is parsed once into a small immutable tree; named parameters
 are substituted by their numeric values at parse time, so evaluation never
 touches a symbol table.  ``eval2`` propagates (value, gradient, Hessian)
 triples through the tree, giving machine-precision derivatives up to second
-order.  Higher derivatives are obtained by building the derivative tree with
-``ScalarField.differentiate`` and evaluating that.
+order; ``eval2_points`` does the same for many points in one walk of the
+tree, with the same bits at every point.  Higher derivatives are obtained by
+building the derivative tree with ``ScalarField.differentiate`` and
+evaluating that.
 
 Grammar (``^`` binds tighter than unary minus and associates to the right)::
 
@@ -262,7 +264,11 @@ def parse_expression(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate coordinate names in {names}")
     parser = _Parser(text, names, params or {})
-    return ScalarField(parser.parse(), len(names), names)
+    try:
+        root = parser.parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.peek()[2]) from None
+    return ScalarField(root, len(names), names)
 
 
 def _constant_value(node: object) -> float | None:
@@ -628,6 +634,246 @@ def eval2(field: ScalarField, point: Sequence[float]) -> Dual2:
             and np.all(np.isfinite(result.hess))):
         raise EvaluationError(f"non-finite derivative data at point {p.tolist()}")
     return result
+
+
+# --------------------------------------------------------------------------
+# Evaluation batched over points
+# --------------------------------------------------------------------------
+#
+# A batched jet is a triple (value, grad, hess) over P points.  The value of
+# a subtree without coordinates is a float, otherwise a (P,) array.  Such a
+# subtree carries no gradient (None), and a linear subtree carries no Hessian
+# (None): these are the structural zeros.  A gradient is (n,) or (P, n) and a
+# Hessian (n, n) or (P, n, n); both broadcast against the point axis.  Each
+# rule below is the scalar rule above with the absent terms left out, and
+# the transcendental functions run through ``math`` element by element, so
+# every row equals ``eval2`` at that point.
+
+def _col(value):
+    """A value shaped to scale gradients: (P, 1) for an array, as is for a float."""
+    return value[:, None] if isinstance(value, np.ndarray) else value
+
+
+def _mat(value):
+    """A value shaped to scale Hessians: (P, 1, 1) for an array, as is for a float."""
+    return value[:, None, None] if isinstance(value, np.ndarray) else value
+
+
+def _scaled(arr, factor):
+    return None if arr is None else arr * factor
+
+
+def _plus(a, b):
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _minus(a, b):
+    if b is None:
+        return a
+    return -b if a is None else a - b
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _swap(m):
+    return np.swapaxes(m, -1, -2)
+
+
+def _map(func, u):
+    """``func`` applied to a float, or to each entry of a (P,) array."""
+    if isinstance(u, np.ndarray):
+        return np.array([func(x) for x in u.tolist()])
+    return func(u)
+
+
+def _domain(bad, u, message: str) -> None:
+    """Raise EvaluationError where ``bad`` holds; ``{}`` in the message is the first bad value."""
+    if np.any(bad):
+        first = u[np.argmax(bad)] if isinstance(u, np.ndarray) else u
+        raise EvaluationError(message.format(float(first)))
+
+
+def _batch_chain(u, f0, f1, f2):
+    _, grad, hess = u
+    if grad is None:
+        return f0, None, None
+    return f0, grad * _col(f1), _plus(_scaled(hess, _mat(f1)), _outer(grad, grad) * _mat(f2))
+
+
+def _batch_pow(u, c: float):
+    """``u**c`` for a float or a (P,) array, with the domain checks of ``_pow_value``."""
+    if c != round(c):
+        _domain(u < 0.0, u, f"negative base {{}} with non-integer exponent {c}")
+    try:
+        return _map(lambda x: x**c, u)
+    except (ZeroDivisionError, OverflowError) as err:
+        raise EvaluationError(f"pow domain failure: exponent {c}") from err
+
+
+def _batch_unary(op: str, u):
+    value = u[0]
+    if op == "neg":
+        return -value, None if u[1] is None else -u[1], None if u[2] is None else -u[2]
+    if op == "exp":
+        try:
+            f0 = _map(math.exp, value)
+        except OverflowError as err:
+            raise EvaluationError("exp overflow") from err
+        return _batch_chain(u, f0, f0, f0)
+    if op == "log":
+        _domain(value <= 0.0, value, "log of non-positive value {}")
+        inv = 1.0 / value
+        return _batch_chain(u, _map(math.log, value), inv, -inv * inv)
+    if op == "sqrt":
+        _domain(value < 0.0, value, "sqrt of negative value {}")
+        _domain(value == 0.0, value, "sqrt has unbounded derivative at zero")
+        f0 = _map(math.sqrt, value)
+        f1 = 0.5 / f0
+        return _batch_chain(u, f0, f1, -0.5 * f1 / value)
+    if op == "sin":
+        s, c = _map(math.sin, value), _map(math.cos, value)
+        return _batch_chain(u, s, c, -s)
+    if op == "cos":
+        s, c = _map(math.sin, value), _map(math.cos, value)
+        return _batch_chain(u, c, -s, -c)
+    if op == "lgamma":
+        _domain(value <= 0.0, value, "lgamma of non-positive value {}")
+        return _batch_chain(u, _map(log_gamma, value), _map(lambda x: polygamma(0, x), value),
+                            _map(lambda x: polygamma(1, x), value))
+    raise TypeError(f"unknown unary op {op!r}")
+
+
+def _batch_binary(op: str, a, b):
+    (va, ga, ha), (vb, gb, hb) = a, b
+    if op == "add":
+        return va + vb, _plus(ga, gb), _plus(ha, hb)
+    if op == "sub":
+        return va - vb, _minus(ga, gb), _minus(ha, hb)
+    if op == "mul":
+        grad = _plus(_scaled(ga, _col(vb)), _scaled(gb, _col(va)))
+        hess = _plus(_scaled(ha, _mat(vb)), _scaled(hb, _mat(va)))
+        if ga is not None and gb is not None:
+            cross = _outer(ga, gb)
+            hess = _plus(_plus(hess, cross), _swap(cross))
+        return va * vb, grad, hess
+    if op == "div":
+        _domain(vb == 0.0, vb, "division by zero")
+        value = va / vb
+        grad = _minus(ga, _scaled(gb, _col(value)))
+        if grad is not None:
+            grad = grad / _col(vb)
+        hess = _minus(ha, _scaled(hb, _mat(value)))
+        if grad is not None and gb is not None:
+            cross = _outer(grad, gb)
+            hess = _minus(_minus(hess, cross), _swap(cross))
+        return value, grad, None if hess is None else hess / _mat(vb)
+    raise TypeError(f"unknown binary op {op!r}")
+
+
+def _children(node: object) -> tuple:
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, (Unary, Psi)):
+        return (node.arg,)
+    if isinstance(node, Power):
+        return (node.base,)
+    return ()
+
+
+def _batch_node(node: object, args: list, pts: np.ndarray, unit: np.ndarray):
+    if isinstance(node, Const):
+        return node.value, None, None
+    if isinstance(node, Var):
+        return pts[:, node.index], unit[node.index], None
+    if isinstance(node, Unary):
+        return _batch_unary(node.op, args[0])
+    if isinstance(node, Binary):
+        return _batch_binary(node.op, args[0], args[1])
+    if isinstance(node, Power):
+        u, c = args[0][0], node.exponent
+        f0 = _batch_pow(u, c)
+        f1 = c * _batch_pow(u, c - 1.0) if c != 0.0 else 0.0
+        f2 = c * (c - 1.0) * _batch_pow(u, c - 2.0) if c not in (0.0, 1.0) else 0.0
+        return _batch_chain(args[0], f0, f1, f2)
+    if isinstance(node, Psi):
+        u, order = args[0][0], node.order
+        _domain(u <= 0.0, u, "polygamma of non-positive value {}")
+        return _batch_chain(args[0], _map(lambda x: polygamma(order, x), u),
+                            _map(lambda x: polygamma(order + 1, x), u),
+                            _map(lambda x: polygamma(order + 2, x), u))
+    raise TypeError(f"unknown node type {type(node)!r}")
+
+
+def _post_order(root: object) -> tuple[list, dict]:
+    """Distinct nodes children-first, and how many parent edges use each node."""
+    order: list = []
+    uses: dict[int, int] = {}
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for child in reversed(_children(node)):
+            uses[id(child)] = uses.get(id(child), 0) + 1
+            stack.append((child, False))
+    return order, uses
+
+
+def _batch_jet(field: ScalarField, pts: np.ndarray):
+    """The structured batched jet of ``field``, from one walk that evaluates each node once."""
+    order, uses = _post_order(field.root)
+    unit = np.eye(field.arity)
+    results: dict[int, tuple] = {}
+    for node in order:
+        children = _children(node)
+        args = [results[id(child)] for child in children]
+        for child in children:
+            uses[id(child)] -= 1
+            if not uses[id(child)]:
+                del results[id(child)]
+        results[id(node)] = _batch_node(node, args, pts, unit)
+    return results[id(field.root)]
+
+
+def eval2_points(field: ScalarField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact values ``(P,)``, gradients ``(P, n)`` and Hessians ``(P, n, n)`` at P points.
+
+    Row ``p`` equals ``eval2(field, points[p])``.  The tree is walked once,
+    without recursion, so arbitrarily deep expressions evaluate.  A domain
+    failure raises :class:`EvaluationError` naming the first failing point in
+    sample order.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != field.arity or pts.shape[0] == 0:
+        raise ValueError(f"points of shape {pts.shape} do not match arity {field.arity}")
+    count, n = pts.shape
+    try:
+        with np.errstate(all="ignore"):  # a non-finite result is reported below
+            value, grad, hess = _batch_jet(field, pts)
+        value = np.array(np.broadcast_to(value, (count,)))
+        grad = np.zeros((count, n)) if grad is None else np.array(np.broadcast_to(grad, (count, n)))
+        hess = (np.zeros((count, n, n)) if hess is None
+                else np.array(np.broadcast_to(hess, (count, n, n))))
+        if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
+                and np.all(np.isfinite(hess))):
+            raise EvaluationError("non-finite derivative data")
+    except EvaluationError as err:
+        if count == 1:
+            raise EvaluationError(f"{err} at point {pts[0].tolist()}") from None
+        for row in range(count):  # find the first failing point in sample order
+            eval2_points(field, pts[row:row + 1])
+        raise
+    return value, grad, hess
 
 
 # --------------------------------------------------------------------------

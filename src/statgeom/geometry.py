@@ -13,8 +13,11 @@ defect, ``residual`` is the raw value divided by one plus the largest
 magnitude among the arrays entering the formula.  The scaled value is the one
 compared against tolerances, which separates method error from conditioning.
 
-Every field object is immutable and evaluation allocates fresh arrays, so
-fields can be shared and evaluated concurrently; point loops reduce with
+Every field evaluates at all sample points at once (``jets(points)``, with a
+leading point axis ``p`` on every array) and keeps the results, read-only, in
+one point-keyed store (:class:`PointJets`); the per-point accessors return
+rows of it.  The geometric definitions are written once, over stacks of
+points, and a single point is a stack of one.  Point loops reduce with
 ``max``, which is order-independent.
 """
 
@@ -40,30 +43,8 @@ STATUS_ERROR = "ERROR"
 
 _DEGENERACY_CUTOFF = 1e-10
 _INTERIOR_MARGIN = 0.01
-
-
-def cached_by_point(method):
-    """Memoize a pure point-evaluation method on the instance, keyed by point bytes.
-
-    Results are copied on the way out, so callers can never corrupt the cache
-    and the observable behaviour stays pure; a racing recompute under threads
-    just produces the same value twice.
-    """
-    store_name = f"_cache_{method.__name__}"
-
-    @functools.wraps(method)
-    def wrapper(self, point):
-        arr = np.asarray(point, dtype=float)
-        store = self.__dict__.setdefault(store_name, {})
-        key = arr.tobytes()
-        hit = store.get(key)
-        if hit is None:
-            hit = store[key] = method(self, arr)
-        if isinstance(hit, tuple):
-            return tuple(part.copy() for part in hit)
-        return hit.copy()
-
-    return wrapper
+# Entries of one 5-index array (such as ∂Γ) per block of a derived batch: 64 KiB.
+_BLOCK_ENTRIES = 1 << 13
 
 
 class ChartError(ValueError):
@@ -132,11 +113,128 @@ def _as_points(pts) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
+# Jets at sample points
+# --------------------------------------------------------------------------
+
+def _read_only(arrays: tuple) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+class PointJets:
+    """A field whose jet at a point is a tuple of arrays, kept in one point-keyed store.
+
+    ``jets(points)`` computes the jets of a whole batch through
+    ``_batch_jets`` (arrays with a leading point axis, values first) and
+    stores a row view of each array under every point's bytes, so the store
+    holds no copies.  The arrays are read-only, so rows go out as they are.
+    A single point that no batch covers is computed alone through
+    ``_point_jet`` and stored the same way.
+
+    ``values(points)`` asks for the values alone.  An expression field
+    evaluates whole jets anyway; a derived field then skips its derivative
+    arrays and stores a one-array entry, which a later request for jets
+    replaces.  A racing recompute under threads stores the same values
+    twice, so sharing a field stays safe.
+    """
+
+    def jets(self, points) -> tuple[np.ndarray, ...]:
+        """The jets at every point, as arrays with a leading point axis."""
+        return self._lookup(_as_points(points), True)
+
+    def values(self, points) -> np.ndarray:
+        """The values at every point, with a leading point axis."""
+        return self._lookup(_as_points(points), False)[0]
+
+    def _lookup(self, pts: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
+        batches = self.__dict__.setdefault("_batches", {})
+        whole = pts.tobytes()
+        hit = batches.get(whole)
+        if hit is not None and (len(hit) > 1 or not full):
+            return hit
+        rows = self.__dict__.setdefault("_rows", {})
+        keys = [p.tobytes() for p in pts]
+        missing = {}
+        for index, key in enumerate(keys):
+            entry = rows.get(key)
+            if entry is None or (full and len(entry) == 1):
+                missing.setdefault(key, index)
+        if len(missing) == len(keys) > 1:
+            batch = batches[whole] = _read_only(self._batch_jets(pts, full))
+            for index, key in enumerate(keys):
+                rows[key] = tuple(part[index] for part in batch)
+            return batch
+        if len(missing) > 1:
+            fresh = _read_only(self._batch_jets(pts[list(missing.values())], full))
+            for index, key in enumerate(missing):
+                rows[key] = tuple(part[index] for part in fresh)
+        else:
+            for index in missing.values():
+                self._row(pts[index], full)
+        # Entries may mix values alone with whole jets; zip keeps the slots all of them have.
+        return _read_only(tuple(np.stack(parts) for parts in zip(*(rows[key] for key in keys))))
+
+    def _row(self, point, full: bool = True) -> tuple[np.ndarray, ...]:
+        arr = np.asarray(point, dtype=float)
+        rows = self.__dict__.setdefault("_rows", {})
+        key = arr.tobytes()
+        hit = rows.get(key)
+        if hit is None or (full and len(hit) == 1):
+            hit = rows[key] = _read_only(self._point_jet(arr, full))
+        return hit
+
+    def _batch_jets(self, points: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+    def _point_jet(self, point: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+
+class DerivedJets(PointJets):
+    """A field whose jets follow from the jets of ``_bases`` at the same points.
+
+    ``_derive(full, *batches)`` maps the bases' batches to this field's
+    batch, or to its values alone when ``full`` is false.  A batch is derived
+    in blocks of points, so no 5-index temporary spans all points; a single
+    point is derived from the bases' rows.
+    """
+
+    _bases: tuple = ()
+
+    def _derive(self, full: bool, *batches) -> tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+    def _batch_jets(self, points, full):
+        inputs = [base._lookup(points, full) for base in self._bases]
+        count = points.shape[0]
+        step = max(1, _BLOCK_ENTRIES // self.dim ** 4)
+        out = None
+        for start in range(0, count, step):
+            block = self._derive(full, *(tuple(part[start:start + step] for part in batch)
+                                         for batch in inputs))
+            if out is None:
+                out = tuple(np.empty((count,) + part.shape[1:]) for part in block)
+            for whole, part in zip(out, block):
+                whole[start:start + step] = part
+        return out
+
+    def _point_jet(self, point, full):
+        block = self._derive(full, *(tuple(part[None] for part in base._row(point, full))
+                                     for base in self._bases))
+        return tuple(part[0] for part in block)
+
+
+# --------------------------------------------------------------------------
 # Metric fields
 # --------------------------------------------------------------------------
 
-class MetricField:
-    """Symmetric grid of component fields g_ij; only i ≤ j is stored."""
+class MetricField(PointJets):
+    """Symmetric grid of component fields g_ij; only i ≤ j is stored.
+
+    Jets are ``(G, dG, d2G)`` with ``dG[k,i,j] = ∂_k g_ij`` and
+    ``d2G[k,l,i,j] = ∂_k ∂_l g_ij``.
+    """
 
     def __init__(self, components: Sequence[Sequence[ex.ScalarField]]):
         n = len(components)
@@ -170,28 +268,35 @@ class MetricField:
     def component(self, i: int, j: int) -> ex.ScalarField:
         return self._components[(i, j) if i <= j else (j, i)]
 
-    @cached_by_point
     def matrix(self, point) -> np.ndarray:
-        n = self._dim
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = ex.eval_value(self.component(i, j), point)
-        return g
+        return self._row(point, False)[0]
 
-    @cached_by_point
     def jet(self, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G, dG, d2G) with dG[k,i,j] = ∂_k g_ij and d2G[k,l,i,j] = ∂_k ∂_l g_ij."""
+        """(G, dG, d2G) at one point."""
+        return self._row(point)
+
+    def _batch_jets(self, points, full):
+        count, n = points.shape[0], self._dim
+        g = np.empty((count, n, n))
+        dg = np.empty((count, n, n, n))
+        d2g = np.empty((count, n, n, n, n))
+        for (i, j), f in self._components.items():
+            value, grad, hess = ex.eval2_points(f, points)
+            g[:, i, j] = g[:, j, i] = value
+            dg[:, :, i, j] = dg[:, :, j, i] = grad
+            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
+        return g, dg, d2g
+
+    def _point_jet(self, point, full):
         n = self._dim
         g = np.empty((n, n))
         dg = np.empty((n, n, n))
         d2g = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                data = ex.eval2(self.component(i, j), point)
-                g[i, j] = g[j, i] = data.value
-                dg[:, i, j] = dg[:, j, i] = data.grad
-                d2g[:, :, i, j] = d2g[:, :, j, i] = data.hess
+        for (i, j), f in self._components.items():
+            data = ex.eval2(f, point)
+            g[i, j] = g[j, i] = data.value
+            dg[:, i, j] = dg[:, j, i] = data.grad
+            d2g[:, :, i, j] = d2g[:, :, j, i] = data.hess
         return g, dg, d2g
 
 
@@ -220,6 +325,7 @@ def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tupl
     """Check nondegeneracy at the samples and signature constancy against the box center."""
     points = _as_points(pts if pts is not None else sample_points(chart, DEFAULT_POINT_COUNT))
     reference = metric_signature(g, chart.center)
+    g.values(points)  # one batch serves the per-point lookups below
     for p in points:
         metric_matrices_at(g, p)
         if metric_signature(g, p) != reference:
@@ -234,8 +340,8 @@ def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tupl
 # Connection fields
 # --------------------------------------------------------------------------
 
-class ExpressionConnection:
-    """Connection with explicitly given coefficient fields Γ^k_ij."""
+class ExpressionConnection(PointJets):
+    """Connection with explicitly given coefficient fields Γ^k_ij; jets are (Γ, ∂Γ)."""
 
     def __init__(self, coefficients: Sequence[Sequence[Sequence[ex.ScalarField]]]):
         n = len(coefficients)
@@ -271,100 +377,120 @@ class ExpressionConnection:
     def dim(self) -> int:
         return self._dim
 
-    @cached_by_point
     def coefficients(self, point) -> np.ndarray:
+        return self._row(point, False)[0]
+
+    def coefficients_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
+        return self._row(point)
+
+    def _indexed_fields(self):
         n = self._dim
-        gamma = np.empty((n, n, n))
         for k in range(n):
             for i in range(n):
                 for j in range(n):
-                    gamma[k, i, j] = ex.eval_value(self._fields[k][i][j], point)
-        return gamma
+                    yield (k, i, j), self._fields[k][i][j]
 
-    @cached_by_point
-    def coefficients_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
+    def _batch_jets(self, points, full):
+        count, n = points.shape[0], self._dim
+        gamma = np.empty((count, n, n, n))
+        dgamma = np.empty((count, n, n, n, n))
+        for (k, i, j), f in self._indexed_fields():
+            value, grad, _ = ex.eval2_points(f, points)
+            gamma[:, k, i, j] = value
+            dgamma[:, :, k, i, j] = grad
+        return gamma, dgamma
+
+    def _point_jet(self, point, full):
         n = self._dim
         gamma = np.empty((n, n, n))
         dgamma = np.empty((n, n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    data = ex.eval2(self._fields[k][i][j], point)
-                    gamma[k, i, j] = data.value
-                    dgamma[:, k, i, j] = data.grad
+        for (k, i, j), f in self._indexed_fields():
+            data = ex.eval2(f, point)
+            gamma[k, i, j] = data.value
+            dgamma[:, k, i, j] = data.grad
         return gamma, dgamma
 
 
-def _inverse_jet(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G⁻¹, ∂G⁻¹) from (G, ∂G) via ∂(G⁻¹) = −G⁻¹ (∂G) G⁻¹."""
-    ginv = np.linalg.inv(g)
-    dginv = -np.einsum("ia,kab,bj->kij", ginv, dg, ginv)
-    return ginv, dginv
+def _inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """∂(G⁻¹) = −G⁻¹ (∂G) G⁻¹ over stacks of G⁻¹ and ∂G."""
+    return -np.einsum("pia,pkab,pbj->pkij", ginv, dg, ginv)
 
 
-class LeviCivitaConnection:
-    """Metric connection Γ⁰^k_ij = ½ g^km (∂_i g_mj + ∂_j g_mi − ∂_m g_ij)."""
+class LeviCivitaConnection(DerivedJets):
+    """Metric connection Γ⁰^k_ij = ½ g^km (∂_i g_mj + ∂_j g_mi − ∂_m g_ij); jets are (Γ, ∂Γ)."""
 
     def __init__(self, metric: MetricField):
         self._metric = metric
+        self._bases = (metric,)
 
     @property
     def dim(self) -> int:
         return self._metric.dim
 
     def coefficients(self, point) -> np.ndarray:
-        return self.coefficients_jet(point)[0]
+        return self._row(point, False)[0]
 
-    @cached_by_point
     def coefficients_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        g, dg, d2g = self._metric.jet(point)
-        det = float(np.linalg.det(g))
-        if abs(det) <= _det_threshold(g):
-            raise MetricError(f"singular metric (det {det:.3e}) while forming the Levi-Civita connection")
-        ginv, dginv = _inverse_jet(g, dg)
+        return self._row(point)
+
+    def _derive(self, full, metric_jets):
+        g, dg, d2g = metric_jets
+        for det, mat in zip(np.linalg.det(g), g):
+            if abs(det) <= _det_threshold(mat):
+                raise MetricError(
+                    f"singular metric (det {det:.3e}) while forming the Levi-Civita connection")
+        ginv = np.linalg.inv(g)
         # a[m,i,j] = ∂_i g_mj + ∂_j g_mi − ∂_m g_ij
-        a = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
-        gamma = 0.5 * np.einsum("km,mij->kij", ginv, a)
-        da = (np.einsum("limj->lmij", d2g) + np.einsum("ljmi->lmij", d2g)
-              - np.einsum("lmij->lmij", d2g))
-        dgamma = 0.5 * (np.einsum("lkm,mij->lkij", dginv, a)
-                        + np.einsum("km,lmij->lkij", ginv, da))
+        a = np.einsum("pimj->pmij", dg) + np.einsum("pjmi->pmij", dg) - dg
+        gamma = 0.5 * np.einsum("pkm,pmij->pkij", ginv, a)
+        if not full:
+            return (gamma,)
+        dginv = _inverse_derivative(ginv, dg)
+        da = (np.einsum("plimj->plmij", d2g) + np.einsum("pljmi->plmij", d2g)
+              - np.einsum("plmij->plmij", d2g))
+        dgamma = 0.5 * (np.einsum("plkm,pmij->plkij", dginv, a)
+                        + np.einsum("pkm,plmij->plkij", ginv, da))
         return gamma, dgamma
 
 
-class ConjugateConnection:
-    """Conjugate of a base connection: g(∂_k, ∇*_{∂_i} ∂_j) = ∂_i g_kj − Γ^m_ik g_mj."""
+class ConjugateConnection(DerivedJets):
+    """Conjugate of a base connection: g(∂_k, ∇*_{∂_i} ∂_j) = ∂_i g_kj − Γ^m_ik g_mj.
+
+    Jets are (Γ*, ∂Γ*).
+    """
 
     def __init__(self, metric: MetricField, base):
         if metric.dim != base.dim:
             raise ValueError("metric and connection disagree on dimension")
         self._metric = metric
         self._base = base
+        self._bases = (metric, base)
 
     @property
     def dim(self) -> int:
         return self._metric.dim
 
-    @cached_by_point
     def coefficients(self, point) -> np.ndarray:
-        g, dg, _ = self._metric.jet(point)
-        gamma = self._base.coefficients(point)
-        ginv = np.linalg.inv(g)
-        rhs = np.einsum("ikj->kij", dg) - np.einsum("mik,mj->kij", gamma, g)
-        return np.einsum("tk,kij->tij", ginv, rhs)
+        return self._row(point, False)[0]
 
-    @cached_by_point
     def coefficients_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        g, dg, d2g = self._metric.jet(point)
-        gamma, dgamma = self._base.coefficients_jet(point)
-        ginv, dginv = _inverse_jet(g, dg)
-        rhs = np.einsum("ikj->kij", dg) - np.einsum("mik,mj->kij", gamma, g)
-        star = np.einsum("tk,kij->tij", ginv, rhs)
-        drhs = (np.einsum("likj->lkij", d2g)
-                - np.einsum("lmik,mj->lkij", dgamma, g)
-                - np.einsum("mik,lmj->lkij", gamma, dg))
-        dstar = (np.einsum("ltk,kij->ltij", dginv, rhs)
-                 + np.einsum("tk,lkij->ltij", ginv, drhs))
+        return self._row(point)
+
+    def _derive(self, full, metric_jets, base_jets):
+        g, dg, d2g = metric_jets
+        gamma = base_jets[0]
+        ginv = np.linalg.inv(g)
+        rhs = np.einsum("pikj->pkij", dg) - np.einsum("pmik,pmj->pkij", gamma, g)
+        star = np.einsum("ptk,pkij->ptij", ginv, rhs)
+        if not full:
+            return (star,)
+        dgamma = base_jets[1]
+        dginv = _inverse_derivative(ginv, dg)
+        drhs = (np.einsum("plikj->plkij", d2g)
+                - np.einsum("plmik,pmj->plkij", dgamma, g)
+                - np.einsum("pmik,plmj->plkij", gamma, dg))
+        dstar = (np.einsum("pltk,pkij->pltij", dginv, rhs)
+                 + np.einsum("ptk,plkij->pltij", ginv, drhs))
         return star, dstar
 
 
@@ -446,11 +572,10 @@ def _scale_of(*arrays) -> float:
 def check_statistical_structure(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Torsion-freeness of the connection together with symmetry of ∇g (Codazzi)."""
     points = _as_points(pts)
+    metrics, metric_grads, _ = g.jets(points)
     tracker = ResidualTracker()
     worst = {"torsion": 0.0, "codazzi": 0.0}
-    for p in points:
-        gm, dg, _ = g.jet(p)
-        gamma = connection.coefficients(p)
+    for p, gm, dg, gamma in zip(points, metrics, metric_grads, connection.values(points)):
         torsion = gamma - np.einsum("kij->kji", gamma)
         # C[i,j,k] = (∇_{∂_i} g)(∂_j, ∂_k)
         cov = dg - np.einsum("mij,mk->ijk", gamma, gm) - np.einsum("mik,jm->ijk", gamma, gm)
@@ -546,17 +671,17 @@ def fit_kurose_constant(g: MetricField, connection, pts, tol: float = DEFAULT_TO
     contracting both sides of the constant-curvature form with the metric.
     """
     points = _as_points(pts)
-    first = points[0]
-    gm = g.matrix(first)
+    metric = g.values(points)
+    gammas, dgammas = connection.jets(points)
+    gm = metric[0]
     i, j, disc = _best_coordinate_plane(gm)
-    r = curvature_at(connection, first).components
+    r = curvature_tensor(gammas[0], dgammas[0])
     # g(R(e_i, e_j) e_j, e_i) = k (g_jj g_ii − g_ij g_ij)
     k_hat = float(np.einsum("l,lm->m", r[:, i, j, j], gm)[i]) / disc
     tracker = ResidualTracker()
     eye = np.eye(g.dim)
-    for p in points:
-        gp = g.matrix(p)
-        rp = curvature_at(connection, p).components
+    for p, gp, gamma, dgamma in zip(points, metric, gammas, dgammas):
+        rp = curvature_tensor(gamma, dgamma)
         model = k_hat * (np.einsum("jk,li->lijk", gp, eye) - np.einsum("ik,lj->lijk", gp, eye))
         raw = float(np.max(np.abs(rp - model)))
         tracker.update(raw, _scale_of(rp, gp), p)
@@ -573,12 +698,13 @@ def fit_kurose_constant(g: MetricField, connection, pts, tol: float = DEFAULT_TO
 def check_dual_curvature_identity(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """g(R(∂_i,∂_j)∂_k, ∂_l) + g(R*(∂_i,∂_j)∂_l, ∂_k) = 0 at the samples."""
     points = _as_points(pts)
-    dual = conjugate_connection(g, connection)
+    metric = g.values(points)
+    primal = zip(*connection.jets(points))
+    dual = zip(*conjugate_connection(g, connection).jets(points))
     tracker = ResidualTracker()
-    for p in points:
-        gm = g.matrix(p)
-        r_cov = np.einsum("lm,mijk->ijkl", gm, curvature_at(connection, p).components)
-        rs_cov = np.einsum("lm,mijk->ijkl", gm, curvature_at(dual, p).components)
+    for p, gm, (gamma, dgamma), (star, dstar) in zip(points, metric, primal, dual):
+        r_cov = np.einsum("lm,mijk->ijkl", gm, curvature_tensor(gamma, dgamma))
+        rs_cov = np.einsum("lm,mijk->ijkl", gm, curvature_tensor(star, dstar))
         defect = r_cov + np.einsum("ijlk->ijkl", rs_cov)
         tracker.update(float(np.max(np.abs(defect))), _scale_of(r_cov, rs_cov), p)
     return tracker.result(tol)
@@ -602,7 +728,12 @@ class ManifoldSpec:
     connection: object | None = None
     product: object | None = None
 
+    @functools.cached_property
+    def levi_civita_connection(self) -> LeviCivitaConnection:
+        """The metric's Levi-Civita connection, built once so its stored jets serve every check."""
+        return levi_civita(self.metric)
+
     def connection_or_levi_civita(self):
         if self.connection is not None:
             return self.connection
-        return levi_civita(self.metric)
+        return self.levi_civita_connection

@@ -10,6 +10,7 @@ validated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -65,6 +66,20 @@ class VerificationContext:
     space_form_c: float | None = None
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; booleans and floats are rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ManifestError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number; booleans are rejected rather than read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ManifestError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_manifest(path, known_checks=None) -> Manifest:
     """Read and fully validate a manifest file."""
     try:
@@ -107,8 +122,8 @@ def parse_manifest(data, name: str = "manifest", known_checks=None) -> Manifest:
         if bad:
             raise ManifestError(f"unknown checks: {bad}; known: {sorted(known_checks)}")
 
-    points = data.get("points", 25)
-    if not isinstance(points, int) or points < 1:
+    points = _integer(data.get("points", 25), "'points'")
+    if points < 1:
         raise ManifestError(f"'points' must be a positive integer, got {points!r}")
 
     tolerances = data.get("tolerances", {})
@@ -117,7 +132,7 @@ def parse_manifest(data, name: str = "manifest", known_checks=None) -> Manifest:
     for key, value in tolerances.items():
         if key not in checks:
             raise ManifestError(f"tolerance override for undeclared check {key!r}")
-        if not isinstance(value, (int, float)) or value <= 0:
+        if _number(value, f"tolerance for {key!r}") <= 0:
             raise ManifestError(f"tolerance for {key!r} must be a positive number")
 
     manifest = Manifest(
@@ -133,9 +148,9 @@ def parse_manifest(data, name: str = "manifest", known_checks=None) -> Manifest:
 
 
 def _declared_seed(data: dict) -> int:
-    if "chart" in data:
-        return int(data["chart"].get("seed", 0))
-    return int(data.get("seed", 0))
+    if isinstance(data.get("chart"), dict):
+        return _integer(data["chart"].get("seed", 0), "chart 'seed'")
+    return _integer(data.get("seed", 0), "'seed'")
 
 
 def _parse_chart(data, where: str, seed_override=None) -> ChartSpec:
@@ -150,7 +165,8 @@ def _parse_chart(data, where: str, seed_override=None) -> ChartSpec:
         raise ManifestError(f"{where}: 'box' must list one [low, high] pair per coordinate")
     if "dim" in data and data["dim"] != len(coords):
         raise ManifestError(f"{where}: declared dim {data['dim']} != {len(coords)} coordinates")
-    seed = seed_override if seed_override is not None else data.get("seed", 0)
+    seed = seed_override if seed_override is not None else _integer(
+        data.get("seed", 0), f"{where}: chart 'seed'")
     try:
         return ChartSpec(
             coord_names=tuple(coords),
@@ -203,8 +219,17 @@ def _parse_manifold(data, where: str, seed_override=None) -> ManifoldSpec:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ManifestError(f"{where}: 'params' must be an object")
+    params = {key: _number(value, f"{where}: parameter {key!r}") for key, value in params.items()}
     coords = chart.coord_names
-    metric = MetricField(_parse_field_grid(data["metric"], coords, params, f"{where}.metric", 2))
+    entries = data["metric"]
+    metric = MetricField(_parse_field_grid(entries, coords, params, f"{where}.metric", 2))
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            if entries[i][j] != entries[j][i]:
+                raise ManifestError(
+                    f"{where}.metric must be symmetric: [{i}][{j}] is {entries[i][j]!r} "
+                    f"but [{j}][{i}] is {entries[j][i]!r}"
+                )
     connection = None
     if "connection" in data:
         connection = ExpressionConnection(
@@ -223,7 +248,7 @@ def build_context(manifest: Manifest, seed=None, _points=None) -> VerificationCo
     data = manifest.data
     space_form_c = data.get("space_form_c")
     if space_form_c is not None:
-        space_form_c = float(space_form_c)
+        space_form_c = _number(space_form_c, "'space_form_c'")
 
     if manifest.is_model:
         block = data["model"]

@@ -17,27 +17,31 @@ import numpy as np
 from . import expr as ex
 from .geometry import (
     DEFAULT_TOLERANCE,
-    cached_by_point,
     STATUS_FAIL,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
     CheckResult,
+    DerivedJets,
     MetricField,
+    PointJets,
     ResidualTracker,
     _as_points,
-    _inverse_jet,
+    _inverse_derivative,
     _scale_of,
     check_statistical_structure,
     conjugate_connection,
-    curvature_at,
+    curvature_tensor,
     fit_kurose_constant,
 )
 
 _IDENTITY_WITNESS_MARGIN = 1e-6
 
 
-class ExpressionProductStructure:
-    """Product structure with explicitly given component fields P^i_j."""
+class ExpressionProductStructure(PointJets):
+    """Product structure with explicitly given component fields P^i_j.
+
+    Jets are ``(M, dM)`` with ``dM[k,i,j] = ∂_k P^i_j``.
+    """
 
     def __init__(self, components: Sequence[Sequence[ex.ScalarField]]):
         n = len(components)
@@ -72,18 +76,25 @@ class ExpressionProductStructure:
     def dim(self) -> int:
         return self._dim
 
-    @cached_by_point
     def matrix(self, point) -> np.ndarray:
-        n = self._dim
-        m = np.empty((n, n))
+        return self._row(point, False)[0]
+
+    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
+        """(M, dM) at one point."""
+        return self._row(point)
+
+    def _batch_jets(self, points, full):
+        count, n = points.shape[0], self._dim
+        m = np.empty((count, n, n))
+        dm = np.empty((count, n, n, n))
         for i in range(n):
             for j in range(n):
-                m[i, j] = ex.eval_value(self._fields[i][j], point)
-        return m
+                value, grad, _ = ex.eval2_points(self._fields[i][j], points)
+                m[:, i, j] = value
+                dm[:, :, i, j] = grad
+        return m, dm
 
-    @cached_by_point
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        """(M, dM) with dM[k,i,j] = ∂_k P^i_j."""
+    def _point_jet(self, point, full):
         n = self._dim
         m = np.empty((n, n))
         dm = np.empty((n, n, n))
@@ -95,34 +106,38 @@ class ExpressionProductStructure:
         return m, dm
 
 
-class AdjointStructure:
-    """Negative adjoint of a base structure: P* = −G⁻¹ Pᵀ G pointwise."""
+class AdjointStructure(DerivedJets):
+    """Negative adjoint of a base structure: P* = −G⁻¹ Pᵀ G pointwise; jets are (P*, ∂P*)."""
 
     def __init__(self, metric: MetricField, base):
         if metric.dim != base.dim:
             raise ValueError("metric and structure disagree on dimension")
         self._metric = metric
         self._base = base
+        self._bases = (metric, base)
 
     @property
     def dim(self) -> int:
         return self._metric.dim
 
-    @cached_by_point
     def matrix(self, point) -> np.ndarray:
-        g = self._metric.matrix(point)
-        m = self._base.matrix(point)
-        return -np.linalg.inv(g) @ m.T @ g
+        return self._row(point, False)[0]
 
-    @cached_by_point
     def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        g, dg, _ = self._metric.jet(point)
-        m, dm = self._base.jet(point)
-        ginv, dginv = _inverse_jet(g, dg)
-        star = -ginv @ m.T @ g
-        dstar = -(np.einsum("kab,cb,cd->kad", dginv, m, g)
-                  + np.einsum("ab,kcb,cd->kad", ginv, dm, g)
-                  + np.einsum("ab,cb,kcd->kad", ginv, m, dg))
+        return self._row(point)
+
+    def _derive(self, full, metric_jets, base_jets):
+        g, dg, _ = metric_jets
+        m = base_jets[0]
+        ginv = np.linalg.inv(g)
+        star = -ginv @ np.swapaxes(m, 1, 2) @ g
+        if not full:
+            return (star,)
+        dm = base_jets[1]
+        dginv = _inverse_derivative(ginv, dg)
+        dstar = -(np.einsum("pkab,pcb,pcd->pkad", dginv, m, g)
+                  + np.einsum("pab,pkcb,pcd->pkad", ginv, dm, g)
+                  + np.einsum("pab,pcb,pkcd->pkad", ginv, m, dg))
         return star, dstar
 
 
@@ -142,8 +157,7 @@ def check_almost_product(structure, pts, tol: float = DEFAULT_TOLERANCE) -> Chec
     tracker = ResidualTracker()
     plus_witness = 0.0
     minus_witness = 0.0
-    for p in points:
-        m = structure.matrix(p)
+    for p, m in zip(points, structure.values(points)):
         tracker.update(float(np.max(np.abs(m @ m - eye))), _scale_of(m), p)
         plus_witness = max(plus_witness, float(np.max(np.abs(m - eye))))
         minus_witness = max(minus_witness, float(np.max(np.abs(m + eye))))
@@ -170,14 +184,13 @@ def check_pairing_identities(g: MetricField, structure, pts, tol: float = 1e-10)
     eye = np.eye(structure.dim)
     tracker = ResidualTracker()
     worst = {"square": 0.0, "pairing": 0.0, "double_adjoint": 0.0}
-    for p in points:
-        gm = g.matrix(p)
-        m = structure.matrix(p)
-        ms = star.matrix(p)
+    matrices = zip(g.values(points), structure.values(points), star.values(points),
+                   double.values(points))
+    for p, (gm, m, ms, back_m) in zip(points, matrices):
         square = float(np.max(np.abs(ms @ ms - eye)))
         # g(P ∂_i, P* ∂_j) + g(∂_i, ∂_j)
         pairing = float(np.max(np.abs(m.T @ gm @ ms + gm)))
-        back = float(np.max(np.abs(double.matrix(p) - m)))
+        back = float(np.max(np.abs(back_m - m)))
         worst["square"] = max(worst["square"], square)
         worst["pairing"] = max(worst["pairing"], pairing)
         worst["double_adjoint"] = max(worst["double_adjoint"], back)
@@ -185,21 +198,22 @@ def check_pairing_identities(g: MetricField, structure, pts, tol: float = 1e-10)
     return tracker.result(tol, details=worst)
 
 
-def covariant_derivative_P_at(connection, structure, point) -> np.ndarray:
-    """(∇_{∂_i} P)^k_j = ∂_i P^k_j + Γ^k_im P^m_j − Γ^m_ij P^k_m, indexed [i, k, j]."""
-    gamma = connection.coefficients(point)
-    m, dm = structure.jet(point)
+def _covariant_derivative_P(gamma, m, dm) -> np.ndarray:
     return (np.einsum("ikj->ikj", dm)
             + np.einsum("kim,mj->ikj", gamma, m)
             - np.einsum("mij,km->ikj", gamma, m))
 
 
+def covariant_derivative_P_at(connection, structure, point) -> np.ndarray:
+    """(∇_{∂_i} P)^k_j = ∂_i P^k_j + Γ^k_im P^m_j − Γ^m_ij P^k_m, indexed [i, k, j]."""
+    return _covariant_derivative_P(connection.coefficients(point), *structure.jet(point))
+
+
 def product_parallelism_residual(connection, structure, pts) -> ResidualTracker:
+    points = _as_points(pts)
     tracker = ResidualTracker()
-    for p in _as_points(pts):
-        gamma = connection.coefficients(p)
-        m, _ = structure.jet(p)
-        nabla_p = covariant_derivative_P_at(connection, structure, p)
+    for p, gamma, (m, dm) in zip(points, connection.values(points), zip(*structure.jets(points))):
+        nabla_p = _covariant_derivative_P(gamma, m, dm)
         tracker.update(float(np.max(np.abs(nabla_p))), _scale_of(gamma, m), p)
     return tracker
 
@@ -278,13 +292,13 @@ def check_space_form(
     dual_structure = adjoint_structure(g, structure)
     tracker = ResidualTracker()
     worst = {"primal": 0.0, "dual": 0.0}
-    for p in points:
-        gm = g.matrix(p)
-        m = structure.matrix(p)
-        r = curvature_at(connection, p).components
+    samples = zip(points, g.values(points), structure.values(points),
+                  zip(*connection.jets(points)), dual_structure.values(points),
+                  zip(*dual_connection.jets(points)))
+    for p, gm, m, (gamma, dgamma), ms, (star, dstar) in samples:
+        r = curvature_tensor(gamma, dgamma)
         primal = float(np.max(np.abs(r - _space_form_model(gm, m, c))))
-        ms = dual_structure.matrix(p)
-        r_star = curvature_at(dual_connection, p).components
+        r_star = curvature_tensor(star, dstar)
         dual = float(np.max(np.abs(r_star - _space_form_model(gm, ms, c))))
         worst["primal"] = max(worst["primal"], primal)
         worst["dual"] = max(worst["dual"], dual)
@@ -300,9 +314,7 @@ def fit_space_form_constant(g: MetricField, connection, structure, pts) -> float
     """
     points = _as_points(pts)
     best = None
-    for p in points:
-        gm = g.matrix(p)
-        m = structure.matrix(p)
+    for p, gm, m in zip(points, g.values(points), structure.values(points)):
         basis = _space_form_model(gm, m, 4.0)  # model is linear in c; c=4 gives the raw bracket
         weight = float(np.einsum("lijk,lijk->", basis, basis))
         if best is None or weight > best[0]:
@@ -310,7 +322,7 @@ def fit_space_form_constant(g: MetricField, connection, structure, pts) -> float
     weight, p, basis = best
     if weight == 0.0:
         return 0.0
-    r = curvature_at(connection, p).components
+    r = curvature_tensor(*connection.coefficients_jet(p))
     return 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / weight
 
 
@@ -351,9 +363,9 @@ def verify_flatness_theorem(
             data={"constant": fit.constant, "fit_residual": fit.residual},
         )
     tracker = ResidualTracker()
-    for p in points:
-        r = curvature_at(connection, p).components
-        tracker.update(float(np.max(np.abs(r))), _scale_of(g.matrix(p)), p)
+    for p, gm, (gamma, dgamma) in zip(points, g.values(points), zip(*connection.jets(points))):
+        r = curvature_tensor(gamma, dgamma)
+        tracker.update(float(np.max(np.abs(r))), _scale_of(gm), p)
     flat = tracker.result(tol)
     status = STATUS_PASS if flat.passed else STATUS_FAIL
     return TheoremOutcome(

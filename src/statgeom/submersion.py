@@ -30,7 +30,6 @@ import numpy as np
 from . import expr as ex
 from .geometry import (
     DEFAULT_TOLERANCE,
-    cached_by_point,
     DEFAULT_POINT_COUNT,
     STATUS_FAIL,
     STATUS_NOT_APPLICABLE,
@@ -39,12 +38,13 @@ from .geometry import (
     CheckResult,
     ManifoldSpec,
     MetricField,
+    PointJets,
     ResidualTracker,
     _as_points,
     _scale_of,
     check_statistical_structure,
     conjugate_connection,
-    curvature_at,
+    curvature_tensor,
     sample_points,
 )
 from .product import (
@@ -405,13 +405,11 @@ def oneill_arrays(spec: SubmersionSpec, points, dual_connection=None) -> OneillA
     metric = spec.total.metric
     connection = spec.total.connection_or_levi_civita()
     dual = dual_connection if dual_connection is not None else conjugate_connection(metric, connection)
-    jets = [metric.jet(p) for p in pts]
-    g = np.array([jet[0] for jet in jets])
-    dg = np.array([jet[1] for jet in jets])
+    g, dg, _ = metric.jets(pts)
     gvv, gv_rows = _fiber_blocks(spec, g)
     _check_conditioning(gvv)
-    gamma = np.array([connection.coefficients(p) for p in pts])
-    gamma_star = np.array([dual.coefficients(p) for p in pts])
+    gamma = connection.values(pts)
+    gamma_star = dual.values(pts)
 
     nb, n = spec.base_dim, spec.total_dim
     gvv_inv = np.linalg.inv(gvv)
@@ -457,11 +455,10 @@ def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEF
     points = _as_points(pts)
     tracker = ResidualTracker()
     nb = spec.base_dim
-    for p in points:
-        g = spec.total.metric.matrix(p)
+    metrics = zip(spec.total.metric.values(points), spec.base.metric.values(points[:, :nb]))
+    for p, (g, base_products) in zip(points, metrics):
         lifts = np.column_stack([horizontal_lift_at(spec, np.eye(nb)[a], p) for a in range(nb)])
         total_products = lifts.T @ g @ lifts
-        base_products = spec.base.metric.matrix(spec.project(p))
         raw = float(np.max(np.abs(total_products - base_products)))
         tracker.update(raw, _scale_of(total_products, base_products), p)
     return tracker.result(tol)
@@ -476,8 +473,7 @@ def _statistical_submersion(spec: SubmersionSpec, arrays: OneillArrays, tol: flo
     nb = spec.base_dim
     nabla = _covariant_derivatives(arrays.gamma, arrays.L, arrays.L, arrays.dL)
     total_side = np.einsum("pkl,plab->pkab", arrays.h, nabla)[:, :nb]
-    base_gamma = np.array([spec.base.connection.coefficients(spec.project(p))
-                           for p in arrays.points])
+    base_gamma = spec.base.connection.values(arrays.points[:, :nb])
     return _track(_max_abs(total_side - base_gamma), [_scale_of(bg) for bg in base_gamma],
                   arrays.points, tol)
 
@@ -495,9 +491,8 @@ def check_para_holomorphic(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLER
     points = _as_points(pts)
     nb = spec.base_dim
     tracker = ResidualTracker()
-    for p in points:
-        m = spec.total.product.matrix(p)
-        m_base = spec.base.product.matrix(spec.project(p))
+    structures = zip(spec.total.product.values(points), spec.base.product.values(points[:, :nb]))
+    for p, (m, m_base) in zip(points, structures):
         base_block = float(np.max(np.abs(m[:nb, :nb] - m_base)))
         leak = float(np.max(np.abs(m[:nb, nb:])))
         tracker.update(max(base_block, leak), _scale_of(m, m_base), p)
@@ -590,8 +585,13 @@ def _freeze_metric(metric: MetricField, values) -> MetricField:
     return MetricField(components)
 
 
-class FiberConnection:
-    """Connection induced on a fiber: the vertical projection of ∇ (or ∇*)."""
+def _on_fiber(base_point: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Total-space points over ``base_point`` whose fiber coordinates are the rows of ``points``."""
+    return np.hstack([np.broadcast_to(base_point, (len(points), len(base_point))), points])
+
+
+class FiberConnection(PointJets):
+    """Connection induced on a fiber: the vertical projection of ∇ (or ∇*); jets are (Γ̂, ∂Γ̂)."""
 
     def __init__(self, spec: SubmersionSpec, base_point, dual: bool = False):
         self._spec = spec
@@ -605,38 +605,44 @@ class FiberConnection:
     def dim(self) -> int:
         return self._spec.fiber_dim
 
-    def _embed(self, u) -> np.ndarray:
-        return np.concatenate([self._base_point, np.asarray(u, dtype=float)])
-
-    @cached_by_point
     def coefficients(self, u) -> np.ndarray:
-        spec = self._spec
-        nb, f = spec.base_dim, spec.fiber_dim
-        q = self._embed(u)
-        g = spec.total.metric.matrix(q)
-        gvv, gv_rows = _fiber_blocks(spec, g)
-        extractor = np.linalg.solve(gvv, gv_rows)  # f x n
-        gamma = self._connection.coefficients(q)
-        return np.einsum("ck,kab->cab", extractor, gamma[:, nb:, nb:])
+        return self._row(u, False)[0]
 
-    @cached_by_point
     def coefficients_jet(self, u) -> tuple[np.ndarray, np.ndarray]:
+        return self._row(u)
+
+    def _batch_jets(self, points, full):
+        embedded = _on_fiber(self._base_point, points)
+        g, dg, _ = self._spec.total.metric.jets(embedded)
+        return self._derive(full, g, dg, self._connection._lookup(embedded, full))
+
+    def _point_jet(self, u, full):
+        q = np.concatenate([self._base_point, u])
+        g, dg, _ = self._spec.total.metric.jet(q)
+        connection = tuple(part[None] for part in self._connection._row(q, full))
+        return tuple(part[0] for part in self._derive(full, g[None], dg[None], connection))
+
+    def _derive(self, full, g, dg, connection_jets):
+        """Γ̂ (and ∂Γ̂ when ``full``) over stacks.
+
+        The value solves against the fiber block; ∂Γ̂ uses its inverse.
+        """
         spec = self._spec
         nb, f = spec.base_dim, spec.fiber_dim
-        q = self._embed(u)
-        g, dg, _ = spec.total.metric.jet(q)
         gvv, gv_rows = _fiber_blocks(spec, g)
+        block = connection_jets[0][:, :, nb:, nb:]
+        hat = np.einsum("pck,pkab->pcab", np.linalg.solve(gvv, gv_rows), block)
+        if not full:
+            return (hat,)
+        dgamma = connection_jets[1]
         gvv_inv = np.linalg.inv(gvv)
         extractor = gvv_inv @ gv_rows
-        gamma, dgamma = self._connection.coefficients_jet(q)
-        block = gamma[:, nb:, nb:]
-        hat = np.einsum("ck,kab->cab", extractor, block)
-        dhat = np.empty((f, f, f, f))
+        dhat = np.empty((g.shape[0], f, f, f, f))
         for d in range(f):
             i = nb + d
-            dext = gvv_inv @ (dg[i][nb:, :] - dg[i][nb:, nb:] @ extractor)
-            dhat[d] = (np.einsum("ck,kab->cab", dext, block)
-                       + np.einsum("ck,kab->cab", extractor, dgamma[i][:, nb:, nb:]))
+            dext = gvv_inv @ (dg[:, i, nb:, :] - dg[:, i, nb:, nb:] @ extractor)
+            dhat[:, d] = (np.einsum("pck,pkab->pcab", dext, block)
+                          + np.einsum("pck,pkab->pcab", extractor, dgamma[:, i, :, nb:, nb:]))
         return hat, dhat
 
 
@@ -667,9 +673,8 @@ def induced_fiber_manifold(
         structure = spec.total.product
         if not isinstance(structure, ExpressionProductStructure):
             raise TypeError("fiber restriction needs an expression-backed product structure")
-        for u in sample_points(fiber_chart, DEFAULT_POINT_COUNT):
-            q = np.concatenate([frozen, u])
-            m = structure.matrix(q)
+        embedded = _on_fiber(frozen, sample_points(fiber_chart, DEFAULT_POINT_COUNT))
+        for q, m in zip(embedded, structure.values(embedded)):
             leak = float(np.max(np.abs(m[:nb, nb:])))
             if leak > tol:
                 raise SubmersionError(
@@ -790,7 +795,7 @@ def verify_submersion_theorems(
         )
 
     nb = spec.base_dim
-    structure = np.array([spec.total.product.matrix(p) for p in points])
+    structure = spec.total.product.values(points)
     vertical_images = structure[:, :, nb:]
     twisted = np.einsum("pkij,piu,pjw->pkuw", arrays.t, vertical_images, vertical_images)
     vertical_symmetry = _track(_max_abs(twisted - arrays.t[:, :, nb:, nb:]),
@@ -803,9 +808,8 @@ def verify_submersion_theorems(
     fiber_adjoint = adjoint_structure(fiber.metric, fiber.product)
     ranks = []
     parity_gap = 0.0
-    for u in fiber_points:
-        m_hat = fiber.product.matrix(u)
-        m_hat_star = fiber_adjoint.matrix(u)
+    for m_hat, m_hat_star in zip(fiber.product.values(fiber_points),
+                                 fiber_adjoint.values(fiber_points)):
         ranks.append(_rank(m_hat + m_hat_star))
         parity_gap = max(parity_gap, float(np.max(np.abs(m_hat - m_hat_star))))
     min_rank = min(ranks)
@@ -849,15 +853,13 @@ def verify_submersion_theorems(
     )
     if space_form.passed and isometric.passed and min_rank == spec.fiber_dim:
         flat_tracker = ResidualTracker()
-        base_connection = spec.base.connection_or_levi_civita()
-        for p in points:
-            r_base = curvature_at(base_connection, spec.project(p)).components
-            flat_tracker.update(float(np.max(np.abs(r_base))),
-                                _scale_of(spec.base.metric.matrix(spec.project(p))), p)
-        for u in fiber_points:
-            r_fiber = curvature_at(fiber.connection, u).components
-            flat_tracker.update(float(np.max(np.abs(r_fiber))),
-                                _scale_of(fiber.metric.matrix(u)), u)
+        for manifold, samples, reported in ((spec.base, points[:, :nb], points),
+                                            (fiber, fiber_points, fiber_points)):
+            metrics = manifold.metric.values(samples)
+            jets = zip(*manifold.connection_or_levi_civita().jets(samples))
+            for p, gm, (gamma, dgamma) in zip(reported, metrics, jets):
+                flat_tracker.update(float(np.max(np.abs(curvature_tensor(gamma, dgamma)))),
+                                    _scale_of(gm), p)
         flat = flat_tracker.result(tol)
         items["flat_decomposition"] = TheoremOutcome(
             STATUS_PASS if flat.passed else STATUS_FAIL,

@@ -57,9 +57,7 @@ def _check_conjugate_involution(ctx, pts, tol):
     connection = m.connection_or_levi_civita()
     double = geo.conjugate_connection(m.metric, geo.conjugate_connection(m.metric, connection))
     tracker = geo.ResidualTracker()
-    for p in pts:
-        gamma = connection.coefficients(p)
-        back = double.coefficients(p)
+    for p, gamma, back in zip(pts, connection.values(pts), double.values(pts)):
         tracker.update(float(np.max(np.abs(back - gamma))), geo._scale_of(gamma), p)
     return [_residual_outcome("conjugate_involution", tracker, tol, len(pts))]
 
@@ -68,11 +66,11 @@ def _check_levi_civita_average(ctx, pts, tol):
     m = ctx.manifold
     connection = m.connection_or_levi_civita()
     dual = geo.conjugate_connection(m.metric, connection)
-    mid = geo.levi_civita(m.metric)
     tracker = geo.ResidualTracker()
-    for p in pts:
-        gamma = connection.coefficients(p)
-        defect = gamma + dual.coefficients(p) - 2.0 * mid.coefficients(p)
+    coefficients = zip(connection.values(pts), dual.values(pts),
+                       m.levi_civita_connection.values(pts))
+    for p, (gamma, star, mid) in zip(pts, coefficients):
+        defect = gamma + star - 2.0 * mid
         tracker.update(float(np.max(np.abs(defect))), geo._scale_of(gamma), p)
     return [_residual_outcome("levi_civita_average", tracker, tol, len(pts))]
 
@@ -87,9 +85,9 @@ def _check_flatness(ctx, pts, tol):
     m = ctx.manifold
     connection = m.connection_or_levi_civita()
     tracker = geo.ResidualTracker()
-    for p in pts:
-        r = geo.curvature_at(connection, p).components
-        tracker.update(float(np.max(np.abs(r))), geo._scale_of(m.metric.matrix(p)), p)
+    for p, gm, (gamma, dgamma) in zip(pts, m.metric.values(pts), zip(*connection.jets(pts))):
+        r = geo.curvature_tensor(gamma, dgamma)
+        tracker.update(float(np.max(np.abs(r))), geo._scale_of(gm), p)
     return [_residual_outcome("flatness", tracker, tol, len(pts))]
 
 
@@ -211,25 +209,23 @@ def _check_alpha_family(ctx, pts, tol):
         dual = geo.conjugate_connection(metric, connection)
         mirror = AlphaConnection(metric, -alpha)
         tracker = geo.ResidualTracker()
-        for p in pts:
-            defect = dual.coefficients(p) - mirror.coefficients(p)
-            tracker.update(float(np.max(np.abs(defect))),
-                           geo._scale_of(connection.coefficients(p)), p)
+        coefficients = zip(dual.values(pts), mirror.values(pts), connection.values(pts))
+        for p, (star, reflected, gamma) in zip(pts, coefficients):
+            tracker.update(float(np.max(np.abs(star - reflected))), geo._scale_of(gamma), p)
         outcomes.append(
             _residual_outcome(f"alpha_family[{alpha:g}].conjugate_duality", tracker, tol, len(pts))
         )
     mid = geo.levi_civita(metric)
     zero = AlphaConnection(metric, 0.0)
     tracker = geo.ResidualTracker()
-    for p in pts:
-        defect = zero.coefficients(p) - mid.coefficients(p)
-        tracker.update(float(np.max(np.abs(defect))), geo._scale_of(mid.coefficients(p)), p)
+    for p, gamma, lc in zip(pts, zero.values(pts), mid.values(pts)):
+        tracker.update(float(np.max(np.abs(gamma - lc))), geo._scale_of(lc), p)
     outcomes.append(_residual_outcome("alpha_family.levi_civita_match", tracker, tol, len(pts)))
     one = AlphaConnection(metric, 1.0)
     tracker = geo.ResidualTracker()
-    for p in pts:
-        r = geo.curvature_at(one, p).components
-        tracker.update(float(np.max(np.abs(r))), geo._scale_of(metric.matrix(p)), p)
+    for p, gm, (gamma, dgamma) in zip(pts, metric.values(pts), zip(*one.jets(pts))):
+        r = geo.curvature_tensor(gamma, dgamma)
+        tracker.update(float(np.max(np.abs(r))), geo._scale_of(gm), p)
     outcomes.append(_residual_outcome("alpha_family.exponential_flatness", tracker, tol, len(pts)))
     return outcomes
 

@@ -5,14 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from statgeom import build_context, parse_manifest, sample_points
+from statgeom.expfam import fisher_metric
 from statgeom.expr import (
     EvaluationError,
     ParseError,
     eval2,
+    eval2_points,
     eval_value,
     fd_check,
     format_expression,
     parse_expression,
+)
+from statgeom.fixtures import (
+    curved_product_manifest,
+    fixture_ids,
+    load_fixture,
+    model_manifest,
+    submersion_manifest,
 )
 
 
@@ -80,6 +90,10 @@ class TestParsing:
     def test_two_argument_call_rejected(self):
         with pytest.raises(ParseError):
             parse_expression("exp(x, y)", ("x", "y"))
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_expression("(" * 2000 + "x" + ")" * 2000, ("x",))
 
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -222,3 +236,147 @@ class TestRoundTrip:
             reparsed = parse_expression(format_expression(derived), ("x", "y"))
             for p in points:
                 assert eval_value(derived, p) == eval_value(reparsed, p)
+
+
+def _manifold_fields(manifold):
+    n = manifold.metric.dim
+    fields = [manifold.metric.component(i, j) for i in range(n) for j in range(i, n)]
+    if manifold.connection is not None:
+        fields += [f for plane in manifold.connection._fields for row in plane for f in row]
+    if manifold.product is not None:
+        fields += [f for row in manifold.product._fields for f in row]
+    return fields
+
+
+def _component_cases():
+    """(label, field, points) for every expression component the suite evaluates."""
+    manifests = {fixture_id: load_fixture(fixture_id) for fixture_id in fixture_ids()}
+    for pairs in (1, 2, 3, 4):
+        manifests[f"curvature_{pairs}"] = parse_manifest(
+            curved_product_manifest(pairs, 1.0, 2.0, [1.0] * pairs, seed=pairs))
+    manifests["submersion_3to1"] = parse_manifest(
+        submersion_manifest(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0), seed=5))
+    for name, hyper in (("poisson", {}), ("multinomial", {"categories": 5}),
+                        ("dirichlet", {"dim": 4})):
+        manifests[f"model_{name}"] = parse_manifest(model_manifest(name, hyper, seed=3))
+    for label, manifest in manifests.items():
+        ctx = build_context(manifest)
+        points = sample_points(ctx.chart, 6)
+        if ctx.model is not None:
+            metric = fisher_metric(ctx.model)
+            n = metric.dim
+            for i in range(n):
+                for j in range(i, n):
+                    yield label, metric.component(i, j), points
+            continue
+        for field in _manifold_fields(ctx.manifold):
+            yield label, field, points
+        if ctx.submersion is not None:
+            base_points = points[:, :ctx.submersion.base_dim]
+            for field in _manifold_fields(ctx.submersion.base):
+                yield label, field, base_points
+
+
+def _assert_rows_equal_eval2(field, points):
+    values, grads, hessians = eval2_points(field, points)
+    assert values.shape == (len(points),)
+    assert grads.shape == (len(points), field.arity)
+    assert hessians.shape == (len(points), field.arity, field.arity)
+    for row, point in enumerate(points):
+        reference = eval2(field, point)
+        assert values[row] == reference.value
+        assert np.all(grads[row] == reference.grad)
+        assert np.all(hessians[row] == reference.hess)
+
+
+class TestEval2Points:
+    def test_rows_equal_eval2_on_every_suite_component(self):
+        count = 0
+        for _, field, points in _component_cases():
+            _assert_rows_equal_eval2(field, points)
+            count += 1
+        assert count > 1000
+
+    def test_every_function(self):
+        f = parse_expression(
+            "exp(x)*sin(y) - cos(x*y)/sqrt(1 + x*x) + log(1 + y)^1.5 + lgamma(y)"
+            " + digamma(x + y) + polygamma2(y) + x^-2 + 3^x", ("x", "y"))
+        _assert_rows_equal_eval2(f, [[0.3, 1.2], [1.7, 0.4], [-0.9, 2.5]])
+
+    def test_constant_and_linear_fields(self):
+        _assert_rows_equal_eval2(parse_expression("2*k - 1", ("x",), {"k": 3.0}), [[0.0], [1.0]])
+        _assert_rows_equal_eval2(parse_expression("3*x - y/2 + 1", ("x", "y")), [[1.0, 2.0]])
+
+    def test_shared_subtrees_evaluate_once_and_match(self):
+        psi = parse_expression("lgamma(x) + lgamma(y) - lgamma(x + y)", ("x", "y"))
+        third = psi.differentiate(0).differentiate(1).differentiate(0)
+        _assert_rows_equal_eval2(third, [[0.7, 1.1], [2.5, 0.6]])
+
+    def test_deep_sum_needs_no_recursion(self):
+        f = parse_expression(" + ".join(["x"] * 3000), ("x",))
+        values, grads, hessians = eval2_points(f, [[1.0], [2.0]])
+        assert values.tolist() == [3000.0, 6000.0]
+        assert grads.tolist() == [[3000.0], [3000.0]]
+        assert not hessians.any()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="arity"):
+            eval2_points(parse_expression("x", ("x", "y")), [[1.0]])
+
+    @pytest.mark.parametrize("text, points, bad_row, message", [
+        ("log(x)", [[1.0], [-1.0], [-2.0]], 1, "log of non-positive value -1.0"),
+        ("1/x", [[1.0], [2.0], [0.0]], 2, "division by zero"),
+        ("exp(x)", [[1.0], [800.0]], 1, "exp overflow"),
+        ("exp(x)*1e308", [[0.0], [1.0]], 1, "non-finite derivative data"),
+        # point 1 fails in the division, point 2 earlier in the walk, in the log
+        ("log(x) + 1/y", [[1.0, 1.0], [1.0, 0.0], [-1.0, 1.0]], 1, "division by zero"),
+    ])
+    def test_domain_failure_names_first_failing_point(self, text, points, bad_row, message):
+        f = parse_expression(text, ("x", "y")[:len(points[0])])
+        with pytest.raises(EvaluationError) as err:
+            eval2_points(f, points)
+        assert message in str(err.value)
+        assert f"at point {points[bad_row]}" in str(err.value)
+        with pytest.raises(EvaluationError), np.errstate(all="ignore"):
+            eval2(f, points[bad_row])
+
+
+def _random_trees():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    leaves = st.one_of(
+        st.sampled_from(["x", "y", "z"]),
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(repr),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(inner, inner).map(lambda t: f"({t[0]}) / (1.5 + ({t[1]})^2)"),
+            st.tuples(st.sampled_from(["sin", "cos", "-"]), inner).map(
+                lambda t: f"{t[0]}({t[1]})"),
+            inner.map(lambda t: f"exp(sin({t}))"),
+            inner.map(lambda t: f"log(1 + ({t})^2)"),
+            inner.map(lambda t: f"sqrt(2 + cos({t}))"),
+            inner.map(lambda t: f"lgamma(2 + sin({t}))"),
+            st.tuples(inner, st.sampled_from([2.0, 3.0, -1.0, 0.5])).map(
+                lambda t: f"(1.25 + sin({t[0]}))^{t[1]}"),
+        )
+
+    return hypothesis, st.recursive(leaves, extend, max_leaves=12)
+
+
+def test_eval2_points_matches_eval2_on_random_trees():
+    hypothesis, trees = _random_trees()
+    st = hypothesis.strategies
+    coordinate = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    points = st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=5)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(trees, points)
+    def check(text, pts):
+        field = parse_expression(text, ("x", "y", "z"))
+        _assert_rows_equal_eval2(field, np.array(pts))
+
+    check()

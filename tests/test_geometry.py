@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     curved_manifold,
+    curved_submersion,
     fd_curvature,
     fd_levi_civita,
     flat_manifold,
@@ -32,6 +33,10 @@ from statgeom.geometry import (
     statistical_curvature_at,
     validate_metric_on_chart,
 )
+from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures, fisher_metric
+from statgeom.expr import parse_expression
+from statgeom.product import adjoint_structure
+from statgeom.submersion import induced_fiber_connections
 
 
 class TestSampling:
@@ -420,3 +425,89 @@ class TestDuality:
                    + np.einsum("jki->ijk", dg)
                    - np.einsum("kij->ijk", dg))
             assert np.max(np.abs(lhs - rhs)) <= 1e-8
+
+
+def _model_metric():
+    return fisher_metric(builtin_model("dirichlet", dim=3, seed=4))
+
+
+# (label, builder of fresh base objects, field from those objects, chart of the samples)
+_DERIVED_CASES = [
+    ("levi_civita", lambda: curved_manifold(pairs=2, epsilons=(1.0, -1.0)),
+     lambda m: levi_civita(m.metric), lambda m: m.chart),
+    ("conjugate", lambda: curved_manifold(pairs=2, epsilons=(1.0, -1.0)),
+     lambda m: conjugate_connection(m.metric, m.connection), lambda m: m.chart),
+    ("double_conjugate", lambda: curved_manifold(pairs=1, l=2.0),
+     lambda m: conjugate_connection(m.metric, conjugate_connection(m.metric, m.connection)),
+     lambda m: m.chart),
+    ("adjoint", lambda: curved_manifold(pairs=2, epsilons=(1.0, -1.0)),
+     lambda m: adjoint_structure(m.metric, m.product), lambda m: m.chart),
+    ("alpha", lambda: builtin_model("dirichlet", dim=3, seed=4),
+     lambda model: AlphaConnection(fisher_metric(model), 0.5), lambda model: model.chart),
+    ("twisted", lambda: builtin_model("multinomial", categories=3, seed=4),
+     lambda model: exp_para_structures(model, [[1.0, 0.0], [0.0, -1.0]])[1],
+     lambda model: model.chart),
+    ("fiber", curved_submersion, lambda spec: induced_fiber_connections(spec)[0],
+     lambda spec: spec.total.chart),
+    ("fiber_dual", curved_submersion, lambda spec: induced_fiber_connections(spec)[1],
+     lambda spec: spec.total.chart),
+]
+
+
+def _point_jet(field, point):
+    accessor = field.coefficients_jet if hasattr(field, "coefficients_jet") else field.jet
+    return accessor(point)
+
+
+class TestPointJets:
+    @pytest.mark.parametrize("label, build, make, chart", _DERIVED_CASES,
+                             ids=[case[0] for case in _DERIVED_CASES])
+    def test_derived_batch_equals_per_point_jets(self, label, build, make, chart):
+        source = build()
+        field = make(source)
+        points = sample_points(chart(source), 12)[:, -field.dim:]
+        batch = field.jets(points)
+        single = make(build())  # fresh bases, so every row is computed alone
+        for row, point in enumerate(points):
+            for part, reference in zip(batch, _point_jet(single, point)):
+                assert np.array_equal(part[row], reference)
+        values_only = make(build())
+        assert np.array_equal(values_only.values(points), batch[0])
+        assert np.array_equal(values_only.jets(points)[1], batch[1])
+
+    def test_batch_rows_are_read_only_views(self):
+        m = curved_manifold(pairs=2, epsilons=(1.0, 1.0))
+        points = sample_points(m.chart, 5)
+        g, dg, d2g = m.metric.jets(points)
+        row = m.metric.jet(points[3])
+        assert np.shares_memory(row[2], d2g)
+        assert np.array_equal(row[0], g[3])
+        assert not row[0].flags.writeable
+        assert m.metric.jets(points)[0] is g
+
+    def test_partly_covered_batch(self):
+        m = curved_manifold(pairs=1)
+        points = sample_points(m.chart, 6)
+        first = m.connection.jets(points[:4])
+        both = m.connection.jets(points[2:])
+        assert np.array_equal(both[0][:2], first[0][2:])
+        fresh = curved_manifold(pairs=1).connection.jets(points)
+        assert np.array_equal(both[1], fresh[1][2:])
+
+    def test_deep_sum_metric_evaluates_through_jets(self):
+        chart = ChartSpec(("x", "y"), ((0.5, 1.0), (0.5, 1.0)), seed=2)
+        g = MetricField([[parse_expression(" + ".join(["x*x"] * 3000), chart.coord_names),
+                          parse_expression("0", chart.coord_names)],
+                         [parse_expression("0", chart.coord_names),
+                          parse_expression("y", chart.coord_names)]])
+        points = sample_points(chart, 4)
+        matrices, grads, _ = g.jets(points)
+        np.testing.assert_allclose(matrices[:, 0, 0], 3000.0 * points[:, 0] ** 2, rtol=1e-12)
+        np.testing.assert_allclose(grads[:, 0, 0, 0], 6000.0 * points[:, 0], rtol=1e-12)
+
+    def test_one_levi_civita_connection_per_manifold(self):
+        m = flat_manifold()
+        bare = type(m)(chart=m.chart, metric=m.metric)
+        assert bare.connection_or_levi_civita() is bare.connection_or_levi_civita()
+        assert bare.connection_or_levi_civita() is bare.levi_civita_connection
+        assert m.connection_or_levi_civita() is m.connection

@@ -1,9 +1,15 @@
 """Manifest validation, fixture registry, suite execution, reports, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import statgeom
+from statgeom import cli
 from statgeom.cli import main
 from statgeom.fixtures import (
     fixture_ids,
@@ -107,6 +113,54 @@ class TestManifestValidation:
         path.write_text(json.dumps(flat_product_manifest(1, 2.0, (1.0,))), encoding="utf-8")
         manifest = load_manifest(path, known_checks=set(CHECKS))
         assert len(manifest.checks) == 4
+
+
+def _flat(**changes):
+    data = flat_product_manifest(1, 2.0, (1.0,))
+    data.update(changes)
+    return data
+
+
+def _verify_exit_code(tmp_path, data) -> int:
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return main(["verify", str(path)])
+
+
+class TestManifestRobustness:
+    """Malformed manifests raise ManifestError, and ``verify`` exits 2 on them, never 1."""
+
+    def _rejects(self, tmp_path, data, match):
+        with pytest.raises(ManifestError, match=match):
+            parse_manifest(data)
+        assert _verify_exit_code(tmp_path, data) == 2
+
+    def test_non_numeric_parameter(self, tmp_path):
+        data = _flat()
+        data["params"]["k"] = "two"
+        self._rejects(tmp_path, data, "parameter 'k' must be a finite number")
+
+    def test_non_numeric_chart_seed(self, tmp_path):
+        data = _flat()
+        data["chart"]["seed"] = "seven"
+        self._rejects(tmp_path, data, "'seed' must be an integer")
+
+    def test_boolean_tolerance(self, tmp_path):
+        data = _flat(checks=["almost_product"], tolerances={"almost_product": True})
+        self._rejects(tmp_path, data, "tolerance for 'almost_product' must be a finite number")
+
+    def test_boolean_point_count(self, tmp_path):
+        self._rejects(tmp_path, _flat(points=True), "'points' must be an integer")
+
+    def test_asymmetric_metric(self, tmp_path):
+        data = _flat()
+        data["metric"][0][1] = "0.5"
+        self._rejects(tmp_path, data, r"metric must be symmetric: \[0\]\[1\]")
+
+    def test_deeply_nested_expression(self, tmp_path):
+        data = _flat()
+        data["metric"][0][0] = "(" * 2000 + "e1*k" + ")" * 2000
+        self._rejects(tmp_path, data, "nests too deeply")
 
 
 class TestFixtureRegistry:
@@ -286,3 +340,19 @@ class TestCli:
         assert first.read_bytes() == second.read_bytes()
         parsed = json.loads(first.read_text(encoding="utf-8"))
         assert parsed["seed"] == 5 and parsed["points"] == 7
+
+    def test_unexpected_error_exits_two(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_suite", broken)
+        assert main(["verify", "example_5_2_n1"]) == 2
+        assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_python_dash_m(self):
+        src = str(Path(statgeom.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-m", "statgeom", "list-fixtures"],
+                                capture_output=True, text=True, timeout=120,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert "example_5_6_k1_l2" in result.stdout.splitlines()
