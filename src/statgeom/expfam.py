@@ -117,6 +117,7 @@ class AlphaConnection(DerivedJets):
     def __init__(self, metric: MetricField, alpha: float):
         self._metric = metric
         self._bases = (metric,)
+        self._value_needs = (True,)
         self.alpha = float(alpha)
 
     @property
@@ -164,6 +165,7 @@ class MetricTwistedStructure(DerivedJets):
     def __init__(self, metric: MetricField, a: np.ndarray):
         self._metric = metric
         self._bases = (metric,)
+        self._value_needs = (False,)
         self._a = np.array(a, dtype=float)
 
     @property
@@ -177,11 +179,12 @@ class MetricTwistedStructure(DerivedJets):
         return self._row(point)
 
     def _derive(self, full, metric_jets):
-        g, dg, _ = metric_jets
+        g = metric_jets[0]
         ginv = np.linalg.inv(g)
         m = -ginv @ self._a.T @ g
         if not full:
             return (m,)
+        dg = metric_jets[1]
         dginv = _inverse_derivative(ginv, dg)
         dm = -(np.einsum("pkab,cb,pcd->pkad", dginv, self._a, g)
                + np.einsum("pab,cb,pkcd->pkad", ginv, self._a, dg))

@@ -5,7 +5,8 @@ are substituted by their numeric values at parse time, so evaluation never
 touches a symbol table.  ``eval2`` propagates (value, gradient, Hessian)
 triples through the tree, giving machine-precision derivatives up to second
 order; ``eval2_points`` does the same for many points in one walk of the
-tree, with the same bits at every point.  Higher derivatives are obtained by
+tree, with the same bits at every point, and ``eval_points`` gives the
+values alone in the same way.  Higher derivatives are obtained by
 building the derivative tree with ``ScalarField.differentiate`` and
 evaluating that.
 
@@ -28,6 +29,7 @@ and evaluated from any number of threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -829,11 +831,33 @@ def _post_order(root: object) -> tuple[list, dict]:
     return order, uses
 
 
-def _batch_jet(field: ScalarField, pts: np.ndarray):
-    """The structured batched jet of ``field``, from one walk that evaluates each node once."""
+def _batch_value(node: object, args: list, pts: np.ndarray):
+    """The value rule of ``node`` over a batch, with the domain checks of ``_value`` alone."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return pts[:, node.index]
+    if isinstance(node, Unary):
+        if node.op == "neg":
+            return -args[0]
+        return _map(functools.partial(_apply_unary_value, node.op), args[0])
+    if isinstance(node, Binary):
+        a, b = args
+        if node.op == "div":
+            _domain(b == 0.0, b, "division by zero")
+            return a / b
+        return _batch_binary(node.op, (a, None, None), (b, None, None))[0]
+    if isinstance(node, Power):
+        return _batch_pow(args[0], node.exponent)
+    if isinstance(node, Psi):
+        return _map(functools.partial(_psi_value, node.order), args[0])
+    raise TypeError(f"unknown node type {type(node)!r}")
+
+
+def _batch_walk(field: ScalarField, pts: np.ndarray, rule, *context):
+    """The root's result of ``rule`` from one walk that evaluates each node once."""
     order, uses = _post_order(field.root)
-    unit = np.eye(field.arity)
-    results: dict[int, tuple] = {}
+    results: dict[int, object] = {}
     for node in order:
         children = _children(node)
         args = [results[id(child)] for child in children]
@@ -841,8 +865,57 @@ def _batch_jet(field: ScalarField, pts: np.ndarray):
             uses[id(child)] -= 1
             if not uses[id(child)]:
                 del results[id(child)]
-        results[id(node)] = _batch_node(node, args, pts, unit)
+        results[id(node)] = rule(node, args, pts, *context)
     return results[id(field.root)]
+
+
+def _filled(part, shape: tuple) -> np.ndarray:
+    """A part of a structured batched jet as a fresh array of ``shape``; zeros for None."""
+    if part is None:
+        return np.zeros(shape)
+    if np.ndim(part) == 0:
+        return np.full(shape, part)
+    return np.array(np.broadcast_to(part, shape))
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_vectors(n: int) -> np.ndarray:
+    """The gradients of the n coordinates, shared and read-only."""
+    unit = np.eye(n)
+    unit.flags.writeable = False
+    return unit
+
+
+def _full_batch(field: ScalarField, pts: np.ndarray):
+    count, n = pts.shape
+    parts = _batch_walk(field, pts, _batch_node, _unit_vectors(n))
+    if not all(np.isfinite(part).all() for part in parts if part is not None):
+        raise EvaluationError("non-finite derivative data")
+    return tuple(_filled(part, shape)
+                 for part, shape in zip(parts, ((count,), (count, n), (count, n, n))))
+
+
+def _value_batch(field: ScalarField, pts: np.ndarray):
+    value = _batch_walk(field, pts, _batch_value)
+    if not np.isfinite(value).all():
+        raise EvaluationError("non-finite value")
+    return _filled(value, (pts.shape[0],))
+
+
+def _over_points(field: ScalarField, points, batch):
+    """``batch(field, pts)`` with the points checked; a failure names its first point."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != field.arity or pts.shape[0] == 0:
+        raise ValueError(f"points of shape {pts.shape} do not match arity {field.arity}")
+    try:
+        with np.errstate(all="ignore"):  # a non-finite result is reported by ``batch``
+            return batch(field, pts)
+    except EvaluationError as err:
+        if pts.shape[0] == 1:
+            raise EvaluationError(f"{err} at point {pts[0].tolist()}") from None
+        for row in range(pts.shape[0]):  # find the first failing point in sample order
+            _over_points(field, pts[row:row + 1], batch)
+        raise
 
 
 def eval2_points(field: ScalarField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -853,27 +926,18 @@ def eval2_points(field: ScalarField, points) -> tuple[np.ndarray, np.ndarray, np
     failure raises :class:`EvaluationError` naming the first failing point in
     sample order.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != field.arity or pts.shape[0] == 0:
-        raise ValueError(f"points of shape {pts.shape} do not match arity {field.arity}")
-    count, n = pts.shape
-    try:
-        with np.errstate(all="ignore"):  # a non-finite result is reported below
-            value, grad, hess = _batch_jet(field, pts)
-        value = np.array(np.broadcast_to(value, (count,)))
-        grad = np.zeros((count, n)) if grad is None else np.array(np.broadcast_to(grad, (count, n)))
-        hess = (np.zeros((count, n, n)) if hess is None
-                else np.array(np.broadcast_to(hess, (count, n, n))))
-        if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
-                and np.all(np.isfinite(hess))):
-            raise EvaluationError("non-finite derivative data")
-    except EvaluationError as err:
-        if count == 1:
-            raise EvaluationError(f"{err} at point {pts[0].tolist()}") from None
-        for row in range(count):  # find the first failing point in sample order
-            eval2_points(field, pts[row:row + 1])
-        raise
-    return value, grad, hess
+    return _over_points(field, points, _full_batch)
+
+
+def eval_points(field: ScalarField, points) -> np.ndarray:
+    """Values ``(P,)`` at P points, with no derivatives.
+
+    Entry ``p`` equals ``eval_value(field, points[p])``, and only a failure
+    of the value itself raises: a derivative that is singular where the
+    value is finite (``sqrt(x*x)`` at 0) does not.  The walk and the error
+    reporting are those of :func:`eval2_points`.
+    """
+    return _over_points(field, points, _value_batch)
 
 
 # --------------------------------------------------------------------------

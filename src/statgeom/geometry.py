@@ -129,14 +129,14 @@ class PointJets:
     ``_batch_jets`` (arrays with a leading point axis, values first) and
     stores a row view of each array under every point's bytes, so the store
     holds no copies.  The arrays are read-only, so rows go out as they are.
-    A single point that no batch covers is computed alone through
-    ``_point_jet`` and stored the same way.
+    A single point that no batch covers is a batch of one.
 
-    ``values(points)`` asks for the values alone.  An expression field
-    evaluates whole jets anyway; a derived field then skips its derivative
-    arrays and stores a one-array entry, which a later request for jets
-    replaces.  A racing recompute under threads stores the same values
-    twice, so sharing a field stays safe.
+    ``values(points)`` asks for the values alone.  An expression field then
+    evaluates no derivatives, so a derivative that is singular where the
+    value is finite raises only when jets are asked for; a derived field
+    skips its derivative arrays.  Either stores a one-array entry, which a
+    later request for jets replaces.  A racing recompute under threads
+    stores the same values twice, so sharing a field stays safe.
     """
 
     def jets(self, points) -> tuple[np.ndarray, ...]:
@@ -181,13 +181,12 @@ class PointJets:
         key = arr.tobytes()
         hit = rows.get(key)
         if hit is None or (full and len(hit) == 1):
-            hit = rows[key] = _read_only(self._point_jet(arr, full))
+            hit = rows[key] = _read_only(tuple(
+                part[0] for part in self._batch_jets(arr[None], full)))
         return hit
 
     def _batch_jets(self, points: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
-        raise NotImplementedError
-
-    def _point_jet(self, point: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
+        """The jets at ``points``, or a one-tuple of the values when ``full`` is false."""
         raise NotImplementedError
 
 
@@ -195,18 +194,21 @@ class DerivedJets(PointJets):
     """A field whose jets follow from the jets of ``_bases`` at the same points.
 
     ``_derive(full, *batches)`` maps the bases' batches to this field's
-    batch, or to its values alone when ``full`` is false.  A batch is derived
-    in blocks of points, so no 5-index temporary spans all points; a single
-    point is derived from the bases' rows.
+    batch, or to its values alone when ``full`` is false.  For the values,
+    a base flagged in ``_value_needs`` still supplies its jets; the others
+    supply their values.  A batch is derived in blocks of points, so no
+    5-index temporary spans all points.
     """
 
     _bases: tuple = ()
+    _value_needs: tuple = ()
 
     def _derive(self, full: bool, *batches) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
     def _batch_jets(self, points, full):
-        inputs = [base._lookup(points, full) for base in self._bases]
+        inputs = [base._lookup(points, full or need)
+                  for base, need in zip(self._bases, self._value_needs, strict=True)]
         count = points.shape[0]
         step = max(1, _BLOCK_ENTRIES // self.dim ** 4)
         out = None
@@ -218,11 +220,6 @@ class DerivedJets(PointJets):
             for whole, part in zip(out, block):
                 whole[start:start + step] = part
         return out
-
-    def _point_jet(self, point, full):
-        block = self._derive(full, *(tuple(part[None] for part in base._row(point, full))
-                                     for base in self._bases))
-        return tuple(part[0] for part in block)
 
 
 # --------------------------------------------------------------------------
@@ -278,6 +275,10 @@ class MetricField(PointJets):
     def _batch_jets(self, points, full):
         count, n = points.shape[0], self._dim
         g = np.empty((count, n, n))
+        if not full:
+            for (i, j), f in self._components.items():
+                g[:, i, j] = g[:, j, i] = ex.eval_points(f, points)
+            return (g,)
         dg = np.empty((count, n, n, n))
         d2g = np.empty((count, n, n, n, n))
         for (i, j), f in self._components.items():
@@ -285,18 +286,6 @@ class MetricField(PointJets):
             g[:, i, j] = g[:, j, i] = value
             dg[:, :, i, j] = dg[:, :, j, i] = grad
             d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
-        return g, dg, d2g
-
-    def _point_jet(self, point, full):
-        n = self._dim
-        g = np.empty((n, n))
-        dg = np.empty((n, n, n))
-        d2g = np.empty((n, n, n, n))
-        for (i, j), f in self._components.items():
-            data = ex.eval2(f, point)
-            g[i, j] = g[j, i] = data.value
-            dg[:, i, j] = dg[:, j, i] = data.grad
-            d2g[:, :, i, j] = d2g[:, :, j, i] = data.hess
         return g, dg, d2g
 
 
@@ -393,21 +382,15 @@ class ExpressionConnection(PointJets):
     def _batch_jets(self, points, full):
         count, n = points.shape[0], self._dim
         gamma = np.empty((count, n, n, n))
+        if not full:
+            for (k, i, j), f in self._indexed_fields():
+                gamma[:, k, i, j] = ex.eval_points(f, points)
+            return (gamma,)
         dgamma = np.empty((count, n, n, n, n))
         for (k, i, j), f in self._indexed_fields():
             value, grad, _ = ex.eval2_points(f, points)
             gamma[:, k, i, j] = value
             dgamma[:, :, k, i, j] = grad
-        return gamma, dgamma
-
-    def _point_jet(self, point, full):
-        n = self._dim
-        gamma = np.empty((n, n, n))
-        dgamma = np.empty((n, n, n, n))
-        for (k, i, j), f in self._indexed_fields():
-            data = ex.eval2(f, point)
-            gamma[k, i, j] = data.value
-            dgamma[:, k, i, j] = data.grad
         return gamma, dgamma
 
 
@@ -422,6 +405,7 @@ class LeviCivitaConnection(DerivedJets):
     def __init__(self, metric: MetricField):
         self._metric = metric
         self._bases = (metric,)
+        self._value_needs = (True,)
 
     @property
     def dim(self) -> int:
@@ -465,6 +449,7 @@ class ConjugateConnection(DerivedJets):
         self._metric = metric
         self._base = base
         self._bases = (metric, base)
+        self._value_needs = (True, False)
 
     @property
     def dim(self) -> int:

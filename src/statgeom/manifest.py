@@ -16,7 +16,15 @@ import numpy as np
 
 from . import expr as ex
 from .expfam import ExpFamilyModel, builtin_model
-from .geometry import ChartSpec, ManifoldSpec, MetricField, ExpressionConnection
+from .geometry import (
+    DEFAULT_POINT_COUNT,
+    DEFAULT_TOLERANCE,
+    ChartSpec,
+    ExpressionConnection,
+    ManifoldSpec,
+    MetricField,
+    sample_points,
+)
 from .product import ExpressionProductStructure
 from .submersion import SubmersionSpec
 
@@ -210,6 +218,44 @@ def _parse_field_grid(entries, coords, params, where: str, depth: int):
     return grid
 
 
+def _defined_values(field: ex.ScalarField, points: np.ndarray) -> np.ndarray:
+    """Values of ``field`` at ``points``, NaN where it cannot be evaluated."""
+    try:
+        return ex.eval_points(field, points)
+    except ex.EvaluationError:
+        if len(points) == 1:
+            return np.array([np.nan])
+        return np.concatenate([_defined_values(field, p[None]) for p in points])
+
+
+def _check_symmetric(grid, entries, chart: ChartSpec, where: str) -> None:
+    """Refuse a grid whose two triangles differ as functions.
+
+    Only the upper triangle is read, so the lower one must agree with it.
+    Entries written alike agree; others are compared by value at the box
+    center and the sample points, within the default tolerance scaled by
+    one plus their magnitude, and must fail to evaluate at the same points.
+    """
+    points = None
+    for i in range(len(grid)):
+        for j in range(i + 1, len(grid)):
+            if entries[i][j] == entries[j][i]:
+                continue
+            if points is None:
+                points = np.vstack([chart.center, sample_points(chart, DEFAULT_POINT_COUNT)])
+            upper = _defined_values(grid[i][j], points)
+            lower = _defined_values(grid[j][i], points)
+            scale = 1.0 + np.maximum(np.abs(upper), np.abs(lower))
+            agree = (np.isnan(upper) & np.isnan(lower)) | (
+                np.abs(upper - lower) <= DEFAULT_TOLERANCE * scale)
+            if not np.all(agree):
+                raise ManifestError(
+                    f"{where} must be symmetric: [{i}][{j}] is {entries[i][j]!r} but "
+                    f"[{j}][{i}] is {entries[j][i]!r}, which differ at "
+                    f"{points[np.argmin(agree)].tolist()}"
+                )
+
+
 def _parse_manifold(data, where: str, seed_override=None) -> ManifoldSpec:
     if "chart" not in data:
         raise ManifestError(f"{where}: missing 'chart'")
@@ -222,14 +268,9 @@ def _parse_manifold(data, where: str, seed_override=None) -> ManifoldSpec:
     params = {key: _number(value, f"{where}: parameter {key!r}") for key, value in params.items()}
     coords = chart.coord_names
     entries = data["metric"]
-    metric = MetricField(_parse_field_grid(entries, coords, params, f"{where}.metric", 2))
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            if entries[i][j] != entries[j][i]:
-                raise ManifestError(
-                    f"{where}.metric must be symmetric: [{i}][{j}] is {entries[i][j]!r} "
-                    f"but [{j}][{i}] is {entries[j][i]!r}"
-                )
+    grid = _parse_field_grid(entries, coords, params, f"{where}.metric", 2)
+    _check_symmetric(grid, entries, chart, f"{where}.metric")
+    metric = MetricField(grid)
     connection = None
     if "connection" in data:
         connection = ExpressionConnection(

@@ -86,23 +86,17 @@ class ExpressionProductStructure(PointJets):
     def _batch_jets(self, points, full):
         count, n = points.shape[0], self._dim
         m = np.empty((count, n, n))
+        if not full:
+            for i in range(n):
+                for j in range(n):
+                    m[:, i, j] = ex.eval_points(self._fields[i][j], points)
+            return (m,)
         dm = np.empty((count, n, n, n))
         for i in range(n):
             for j in range(n):
                 value, grad, _ = ex.eval2_points(self._fields[i][j], points)
                 m[:, i, j] = value
                 dm[:, :, i, j] = grad
-        return m, dm
-
-    def _point_jet(self, point, full):
-        n = self._dim
-        m = np.empty((n, n))
-        dm = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                data = ex.eval2(self._fields[i][j], point)
-                m[i, j] = data.value
-                dm[:, i, j] = data.grad
         return m, dm
 
 
@@ -115,6 +109,7 @@ class AdjointStructure(DerivedJets):
         self._metric = metric
         self._base = base
         self._bases = (metric, base)
+        self._value_needs = (False, False)
 
     @property
     def dim(self) -> int:
@@ -127,13 +122,12 @@ class AdjointStructure(DerivedJets):
         return self._row(point)
 
     def _derive(self, full, metric_jets, base_jets):
-        g, dg, _ = metric_jets
-        m = base_jets[0]
+        g, m = metric_jets[0], base_jets[0]
         ginv = np.linalg.inv(g)
         star = -ginv @ np.swapaxes(m, 1, 2) @ g
         if not full:
             return (star,)
-        dm = base_jets[1]
+        dg, dm = metric_jets[1], base_jets[1]
         dginv = _inverse_derivative(ginv, dg)
         dstar = -(np.einsum("pkab,pcb,pcd->pkad", dginv, m, g)
                   + np.einsum("pab,pkcb,pcd->pkad", ginv, dm, g)

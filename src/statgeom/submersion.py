@@ -613,28 +613,23 @@ class FiberConnection(PointJets):
 
     def _batch_jets(self, points, full):
         embedded = _on_fiber(self._base_point, points)
-        g, dg, _ = self._spec.total.metric.jets(embedded)
-        return self._derive(full, g, dg, self._connection._lookup(embedded, full))
+        return self._derive(full, self._spec.total.metric._lookup(embedded, full),
+                            self._connection._lookup(embedded, full))
 
-    def _point_jet(self, u, full):
-        q = np.concatenate([self._base_point, u])
-        g, dg, _ = self._spec.total.metric.jet(q)
-        connection = tuple(part[None] for part in self._connection._row(q, full))
-        return tuple(part[0] for part in self._derive(full, g[None], dg[None], connection))
-
-    def _derive(self, full, g, dg, connection_jets):
+    def _derive(self, full, metric_jets, connection_jets):
         """Γ̂ (and ∂Γ̂ when ``full``) over stacks.
 
         The value solves against the fiber block; ∂Γ̂ uses its inverse.
         """
         spec = self._spec
         nb, f = spec.base_dim, spec.fiber_dim
+        g = metric_jets[0]
         gvv, gv_rows = _fiber_blocks(spec, g)
         block = connection_jets[0][:, :, nb:, nb:]
         hat = np.einsum("pck,pkab->pcab", np.linalg.solve(gvv, gv_rows), block)
         if not full:
             return (hat,)
-        dgamma = connection_jets[1]
+        dg, dgamma = metric_jets[1], connection_jets[1]
         gvv_inv = np.linalg.inv(gvv)
         extractor = gvv_inv @ gv_rows
         dhat = np.empty((g.shape[0], f, f, f, f))

@@ -12,6 +12,7 @@ from statgeom.expr import (
     ParseError,
     eval2,
     eval2_points,
+    eval_points,
     eval_value,
     fd_check,
     format_expression,
@@ -278,8 +279,10 @@ def _component_cases():
 
 
 def _assert_rows_equal_eval2(field, points):
+    """Rows of ``eval2_points`` equal ``eval2``, and entries of ``eval_points`` ``eval_value``."""
     values, grads, hessians = eval2_points(field, points)
-    assert values.shape == (len(points),)
+    plain = eval_points(field, points)
+    assert values.shape == plain.shape == (len(points),)
     assert grads.shape == (len(points), field.arity)
     assert hessians.shape == (len(points), field.arity, field.arity)
     for row, point in enumerate(points):
@@ -287,6 +290,7 @@ def _assert_rows_equal_eval2(field, points):
         assert values[row] == reference.value
         assert np.all(grads[row] == reference.grad)
         assert np.all(hessians[row] == reference.hess)
+        assert plain[row] == eval_value(field, point)
 
 
 class TestEval2Points:
@@ -322,6 +326,34 @@ class TestEval2Points:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
             eval2_points(parse_expression("x", ("x", "y")), [[1.0]])
+        with pytest.raises(ValueError, match="arity"):
+            eval_points(parse_expression("x", ("x", "y")), [[1.0]])
+
+    def test_values_alone_ignore_singular_derivatives(self):
+        for text in ("sqrt(x*x)", "x^1.5"):
+            f = parse_expression(text, ("x",))
+            with pytest.raises(EvaluationError, match=r"at point \[0.0\]"):
+                eval2_points(f, [[1.0], [0.0]])
+            assert eval_points(f, [[1.0], [0.0]])[1] == eval_value(f, [0.0]) == 0.0
+
+    def test_deep_sum_values_need_no_recursion(self):
+        f = parse_expression(" + ".join(["x"] * 3000), ("x",))
+        assert eval_points(f, [[1.0], [2.0]]).tolist() == [3000.0, 6000.0]
+
+    @pytest.mark.parametrize("text, points, bad_row, message", [
+        ("log(x)", [[1.0], [-1.0], [-2.0]], 1, "log of non-positive value -1.0"),
+        ("1/x", [[1.0], [2.0], [0.0]], 2, "division by zero"),
+        ("x^-0.5", [[1.0], [0.0]], 1, "pow domain failure"),
+        ("exp(x)*1e308", [[0.0], [1.0]], 1, "non-finite value"),
+    ])
+    def test_value_failure_names_first_failing_point(self, text, points, bad_row, message):
+        f = parse_expression(text, ("x",))
+        with pytest.raises(EvaluationError) as err:
+            eval_points(f, points)
+        assert message in str(err.value)
+        assert f"at point {points[bad_row]}" in str(err.value)
+        with pytest.raises(EvaluationError):
+            eval_value(f, points[bad_row])
 
     @pytest.mark.parametrize("text, points, bad_row, message", [
         ("log(x)", [[1.0], [-1.0], [-2.0]], 1, "log of non-positive value -1.0"),

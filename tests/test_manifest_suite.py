@@ -157,10 +157,46 @@ class TestManifestRobustness:
         data["metric"][0][1] = "0.5"
         self._rejects(tmp_path, data, r"metric must be symmetric: \[0\]\[1\]")
 
+    def test_lower_triangle_undefined_where_upper_is_defined(self, tmp_path):
+        data = _flat()
+        data["metric"][1][0] = "0*log(x1)"
+        self._rejects(tmp_path, data, r"metric must be symmetric: \[0\]\[1\]")
+
+    def test_symmetric_metric_written_differently_is_accepted(self, tmp_path):
+        data = _flat(checks=["flatness"])
+        data["metric"][0][1] = "k*x1*y1/4"
+        data["metric"][1][0] = "y1*(x1*k)/4"
+        assert parse_manifest(data).checks == ("flatness",)
+        assert _verify_exit_code(tmp_path, data) == 0
+
     def test_deeply_nested_expression(self, tmp_path):
         data = _flat()
         data["metric"][0][0] = "(" * 2000 + "e1*k" + ")" * 2000
         self._rejects(tmp_path, data, "nests too deeply")
+
+
+class TestExpressionLimits:
+    """Whole manifests whose expressions strain the evaluator, run through the suite."""
+
+    def test_deep_metric_component(self, tmp_path):
+        data = _flat(checks=["statistical_structure", "conjugate_involution",
+                             "levi_civita_average", "dual_curvature_identity", "flatness",
+                             "kurose_constant_curvature", "almost_product",
+                             "pairing_identities", "space_form"])
+        del data["connection"]
+        data["metric"][0][0] = " + ".join(["x1*x1/1000"] * 3000) + " + e1*k"
+        report = run_suite(parse_manifest(data))
+        assert {check.status for check in report.checks} == {"PASS"}
+        assert _verify_exit_code(tmp_path, data) == 0
+
+    def test_values_read_past_singular_derivatives(self):
+        # the metric's derivatives blow up at the box center, the structure's everywhere
+        data = _flat(checks=["almost_product", "pairing_identities", "para_kahler_like"])
+        data["metric"][0][0] = "e1*k + sqrt(x1*x1)"
+        data["product"][0][1] = "1 + sqrt(y1*y1 - y1*y1)"
+        statuses = {check.name: check.status for check in run_suite(parse_manifest(data)).checks}
+        assert statuses == {"almost_product": "PASS", "pairing_identities": "PASS",
+                            "para_kahler_like": STATUS_ERROR}
 
 
 class TestFixtureRegistry:
