@@ -28,6 +28,7 @@ from .geometry import (
     DEFAULT_TOLERANCE,
     DegeneratePlaneError,
     ExpressionConnection,
+    ExpressionField,
     ManifoldSpec,
     MetricError,
     MetricField,

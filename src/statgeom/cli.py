@@ -3,7 +3,8 @@
 Exit codes of ``verify``: 0 when every check is PASS or NOT-APPLICABLE,
 1 when any check FAILs, 2 when any check ERRORs (or the manifest cannot be
 loaded at all).  Every other failure exits with 2 as well, so 1 always means
-that a check FAILed.
+that a check FAILed; a closed stdout (``statgeom verify ... | head -1``)
+exits with 2 and no message.
 """
 
 from __future__ import annotations
@@ -67,7 +68,15 @@ def _summarize(report) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe fails here, inside the guard, not at exit
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more.  Python flushes it again at exit, so
+        # point it at devnull, where that flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except ManifestError as err:
         print(f"error: {err}", file=sys.stderr)
     except Exception as err:  # noqa: BLE001 - exit code 1 is reserved for a FAILed check

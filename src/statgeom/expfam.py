@@ -13,6 +13,7 @@ torsion-free by the total symmetry of ∂∂∂ψ, with ∇^(−α) conjugate to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .geometry import (
     _inverse_derivative,
     sample_points,
 )
+from .product import ExpressionProductStructure, adjoint_structure
 
 BUILTIN_MODEL_NAMES = ("poisson", "normal", "multinomial", "dirichlet")
 
@@ -43,6 +45,11 @@ class ExpFamilyModel:
     @property
     def dim(self) -> int:
         return self.chart.dim
+
+    @functools.cached_property
+    def fisher(self) -> MetricField:
+        """The Fisher metric, built and validated once so its stored jets serve every check."""
+        return fisher_metric(self)
 
 
 def builtin_model(name: str, **hyperparams) -> ExpFamilyModel:
@@ -94,13 +101,16 @@ def _reject_extras(name: str, extras: dict) -> None:
         raise ValueError(f"unexpected hyperparameters for {name!r}: {sorted(extras)}")
 
 
-def fisher_metric(model: ExpFamilyModel, validation_points: int = DEFAULT_POINT_COUNT) -> MetricField:
-    """Hessian-of-potential metric, validated positive definite on the sampling box."""
+def fisher_metric(model: ExpFamilyModel) -> MetricField:
+    """Hessian-of-potential metric, validated positive definite on the sampling box.
+
+    Each call builds a new metric; ``model.fisher`` keeps one per model.
+    """
     n = model.dim
     first = [model.psi.differentiate(i) for i in range(n)]
     components = [[first[min(i, j)].differentiate(max(i, j)) for j in range(n)] for i in range(n)]
     metric = MetricField(components)
-    points = sample_points(model.chart, validation_points)
+    points = sample_points(model.chart, DEFAULT_POINT_COUNT)
     for p, mat in zip(points, metric.values(points)):
         values = np.linalg.eigvalsh(mat)
         if not np.all(values > 0.0):
@@ -115,25 +125,14 @@ class AlphaConnection(DerivedJets):
     """The α-connection of a model, computed from the metric's exact jets; jets are (Γ, ∂Γ)."""
 
     def __init__(self, metric: MetricField, alpha: float):
-        self._metric = metric
         self._bases = (metric,)
         self._value_needs = (True,)
         self.alpha = float(alpha)
 
-    @property
-    def dim(self) -> int:
-        return self._metric.dim
-
-    def coefficients(self, point) -> np.ndarray:
-        return self._row(point, False)[0]
-
-    def coefficients_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return self._row(point)
-
     def _derive(self, full, metric_jets):
         factor = 0.5 * (1.0 - self.alpha)
         g, dg, d2g = metric_jets
-        count, n = g.shape[0], self._metric.dim
+        count, n = g.shape[0], self.dim
         if factor == 0.0:
             gamma = np.zeros((count, n, n, n))
             return (gamma, np.zeros((count, n, n, n, n))) if full else (gamma,)
@@ -151,48 +150,11 @@ def alpha_connection(model: ExpFamilyModel, alpha: float) -> AlphaConnection:
     """Γ^(α)t_ij = ((1 − α)/2) (∂_s g_ij) g^st for the model's Fisher metric."""
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    return AlphaConnection(fisher_metric(model), alpha)
-
-
-class MetricTwistedStructure(DerivedJets):
-    """The companion structure of a constant involution ``a``: components −a_s^k g_ki g^sj.
-
-    In matrix form (acting on component columns) this is −G⁻¹ aᵀ G pointwise;
-    its relation to the negative adjoint of the constant structure is pinned
-    by the regression suite rather than assumed.  Jets are (M, dM).
-    """
-
-    def __init__(self, metric: MetricField, a: np.ndarray):
-        self._metric = metric
-        self._bases = (metric,)
-        self._value_needs = (False,)
-        self._a = np.array(a, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self._metric.dim
-
-    def matrix(self, point) -> np.ndarray:
-        return self._row(point, False)[0]
-
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return self._row(point)
-
-    def _derive(self, full, metric_jets):
-        g = metric_jets[0]
-        ginv = np.linalg.inv(g)
-        m = -ginv @ self._a.T @ g
-        if not full:
-            return (m,)
-        dg = metric_jets[1]
-        dginv = _inverse_derivative(ginv, dg)
-        dm = -(np.einsum("pkab,cb,pcd->pkad", dginv, self._a, g)
-               + np.einsum("pab,cb,pkcd->pkad", ginv, self._a, dg))
-        return m, dm
+    return AlphaConnection(model.fisher, alpha)
 
 
 def exp_para_structures(model: ExpFamilyModel, a) -> tuple:
-    """The constant structure with components ``a`` and its metric-twisted companion.
+    """The constant structure with components ``a`` and its negative adjoint under the Fisher metric.
 
     ``a`` must be an involutive matrix other than ±Id (which rules out
     one-dimensional models).  The first structure pairs with the exponential
@@ -209,8 +171,5 @@ def exp_para_structures(model: ExpFamilyModel, a) -> tuple:
         raise ValueError("matrix is not an involution (a @ a != identity)")
     if np.allclose(mat, eye, atol=1e-12) or np.allclose(mat, -eye, atol=1e-12):
         raise ValueError("involution must differ from plus or minus the identity")
-    from .product import ExpressionProductStructure
-
     constant = ExpressionProductStructure.from_constant(mat, model.chart.coord_names)
-    twisted = MetricTwistedStructure(fisher_metric(model), mat)
-    return constant, twisted
+    return constant, adjoint_structure(model.fisher, constant)

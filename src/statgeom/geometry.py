@@ -15,10 +15,14 @@ compared against tolerances, which separates method error from conditioning.
 
 Every field evaluates at all sample points at once (``jets(points)``, with a
 leading point axis ``p`` on every array) and keeps the results, read-only, in
-one point-keyed store (:class:`PointJets`); the per-point accessors return
-rows of it.  The geometric definitions are written once, over stacks of
-points, and a single point is a stack of one.  Point loops reduce with
-``max``, which is order-independent.
+one point-keyed store (:class:`PointJets`); the per-point accessors
+(``value`` and ``jet``, with the aliases ``matrix``, ``coefficients`` and
+``coefficients_jet``) return rows of it.  Every field given by coordinate
+expressions is an :class:`ExpressionField` over a grid of components; the
+metric, connection, product-structure and vector-field classes only set its
+derivative order and symmetry.  The geometric definitions are written once,
+over stacks of points, and a single point is a stack of one.  Point loops
+reduce with ``max``, which is order-independent.
 """
 
 from __future__ import annotations
@@ -175,6 +179,17 @@ class PointJets:
         # Entries may mix values alone with whole jets; zip keeps the slots all of them have.
         return _read_only(tuple(np.stack(parts) for parts in zip(*(rows[key] for key in keys))))
 
+    def value(self, point) -> np.ndarray:
+        """The value at one point."""
+        return self._row(point, False)[0]
+
+    def jet(self, point) -> tuple[np.ndarray, ...]:
+        """The jet at one point: the value, then its derivatives."""
+        return self._row(point)
+
+    matrix = coefficients = value
+    coefficients_jet = jet
+
     def _row(self, point, full: bool = True) -> tuple[np.ndarray, ...]:
         arr = np.asarray(point, dtype=float)
         rows = self.__dict__.setdefault("_rows", {})
@@ -203,6 +218,10 @@ class DerivedJets(PointJets):
     _bases: tuple = ()
     _value_needs: tuple = ()
 
+    @property
+    def dim(self) -> int:
+        return self._bases[0].dim
+
     def _derive(self, full: bool, *batches) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
@@ -223,70 +242,87 @@ class DerivedJets(PointJets):
 
 
 # --------------------------------------------------------------------------
-# Metric fields
+# Expression-backed fields
 # --------------------------------------------------------------------------
 
-class MetricField(PointJets):
-    """Symmetric grid of component fields g_ij; only i ≤ j is stored.
+class ExpressionField(PointJets):
+    """A tensor field whose components are expression fields, held in an object grid.
 
-    Jets are ``(G, dG, d2G)`` with ``dG[k,i,j] = ∂_k g_ij`` and
-    ``d2G[k,l,i,j] = ∂_k ∂_l g_ij``.
+    The grid's shape is the value shape; it is square, every axis as long as
+    the chart dimension.  Jets carry derivatives up to ``order``, the derivative
+    indices right after the point axis: ``(X, dX, d2X)`` with
+    ``dX[k, a...] = ∂_k X[a...]`` and ``d2X[k, l, a...] = ∂_k ∂_l X[a...]``.
+    A ``symmetric`` grid is read from its upper triangle (i ≤ j) and
+    mirrored.
     """
 
-    def __init__(self, components: Sequence[Sequence[ex.ScalarField]]):
-        n = len(components)
-        dim = components[0][0].arity
-        store = {}
-        for i in range(n):
-            if len(components[i]) != n:
-                raise ValueError("metric component grid must be square")
-            for j in range(i, n):
-                f = components[i][j]
-                if f.arity != dim:
-                    raise ValueError("metric components disagree on chart arity")
-                store[(i, j)] = f
-        self._components = store
-        self._dim = n
+    order = 1
+    symmetric = False
+
+    def __init__(self, components):
+        grid = np.array(components, dtype=object)
+        if not all(isinstance(f, ex.ScalarField) for f in grid.flat):
+            raise ValueError("component grid is ragged or holds non-field entries")
+        if grid.size == 0 or len(set(grid.shape)) != 1:
+            raise ValueError(f"component grid of shape {grid.shape} is not square")
+        n = grid.shape[0]
+        if any(f.arity != n for f in grid.flat):
+            raise ValueError(f"components must all have chart arity {n}, the grid's dimension")
+        if self.symmetric:
+            grid = np.where(np.tri(n, dtype=bool), grid.T, grid)
+        grid.flags.writeable = False
+        self.grid = grid
+        # (component, the trailing-axis slots its jets fill), each component evaluated once
+        self._entries = []
+        for index in np.ndindex(grid.shape):
+            if not self.symmetric:
+                self._entries.append((grid[index], ((...,) + index,)))
+            elif index[0] <= index[1]:
+                self._entries.append((grid[index], ((...,) + index, (...,) + index[::-1])))
 
     @classmethod
     def from_strings(
         cls,
         coords: Sequence[str],
-        entries: Sequence[Sequence[str]],
+        entries: Sequence,
         params: Mapping[str, float] | None = None,
-    ) -> "MetricField":
-        fields = [[ex.parse_expression(text, coords, params) for text in row] for row in entries]
-        return cls(fields)
+    ) -> "ExpressionField":
+        """The field whose components parse from the nested lists of strings ``entries``."""
+        def parse(entry):
+            if isinstance(entry, str):
+                return ex.parse_expression(entry, coords, params)
+            return [parse(item) for item in entry]
+
+        return cls(parse(entries))
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self.grid.shape[0]
 
-    def component(self, i: int, j: int) -> ex.ScalarField:
-        return self._components[(i, j) if i <= j else (j, i)]
-
-    def matrix(self, point) -> np.ndarray:
-        return self._row(point, False)[0]
-
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G, dG, d2G) at one point."""
-        return self._row(point)
+    def component(self, *index: int) -> ex.ScalarField:
+        return self.grid[index]
 
     def _batch_jets(self, points, full):
-        count, n = points.shape[0], self._dim
-        g = np.empty((count, n, n))
-        if not full:
-            for (i, j), f in self._components.items():
-                g[:, i, j] = g[:, j, i] = ex.eval_points(f, points)
-            return (g,)
-        dg = np.empty((count, n, n, n))
-        d2g = np.empty((count, n, n, n, n))
-        for (i, j), f in self._components.items():
-            value, grad, hess = ex.eval2_points(f, points)
-            g[:, i, j] = g[:, j, i] = value
-            dg[:, :, i, j] = dg[:, :, j, i] = grad
-            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = hess
-        return g, dg, d2g
+        count, n = points.shape[0], self.dim
+        parts = tuple(np.empty((count,) + (n,) * derivatives + self.grid.shape)
+                      for derivatives in range(self.order + 1 if full else 1))
+        for f, targets in self._entries:
+            jets = ex.eval2_points(f, points) if full else (ex.eval_points(f, points),)
+            for target in targets:
+                for part, jet in zip(parts, jets):
+                    part[target] = jet
+        return parts
+
+
+class MetricField(ExpressionField):
+    """Symmetric grid of component fields g_ij.
+
+    Jets are ``(G, dG, d2G)`` with ``dG[k,i,j] = ∂_k g_ij`` and
+    ``d2G[k,l,i,j] = ∂_k ∂_l g_ij``.
+    """
+
+    order = 2
+    symmetric = True
 
 
 def _det_threshold(g: np.ndarray) -> float:
@@ -329,69 +365,14 @@ def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tupl
 # Connection fields
 # --------------------------------------------------------------------------
 
-class ExpressionConnection(PointJets):
+class ExpressionConnection(ExpressionField):
     """Connection with explicitly given coefficient fields Γ^k_ij; jets are (Γ, ∂Γ)."""
-
-    def __init__(self, coefficients: Sequence[Sequence[Sequence[ex.ScalarField]]]):
-        n = len(coefficients)
-        dim = coefficients[0][0][0].arity
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if coefficients[k][i][j].arity != dim:
-                        raise ValueError("connection coefficients disagree on chart arity")
-        self._fields = tuple(tuple(tuple(row) for row in plane) for plane in coefficients)
-        self._dim = n
-
-    @classmethod
-    def from_strings(
-        cls,
-        coords: Sequence[str],
-        entries: Sequence[Sequence[Sequence[str]]],
-        params: Mapping[str, float] | None = None,
-    ) -> "ExpressionConnection":
-        fields = [
-            [[ex.parse_expression(text, coords, params) for text in row] for row in plane]
-            for plane in entries
-        ]
-        return cls(fields)
 
     @classmethod
     def zero(cls, coords: Sequence[str]) -> "ExpressionConnection":
         n = len(coords)
         zero = ex.constant_field(0.0, coords)
         return cls([[[zero] * n for _ in range(n)] for _ in range(n)])
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def coefficients(self, point) -> np.ndarray:
-        return self._row(point, False)[0]
-
-    def coefficients_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return self._row(point)
-
-    def _indexed_fields(self):
-        n = self._dim
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    yield (k, i, j), self._fields[k][i][j]
-
-    def _batch_jets(self, points, full):
-        count, n = points.shape[0], self._dim
-        gamma = np.empty((count, n, n, n))
-        if not full:
-            for (k, i, j), f in self._indexed_fields():
-                gamma[:, k, i, j] = ex.eval_points(f, points)
-            return (gamma,)
-        dgamma = np.empty((count, n, n, n, n))
-        for (k, i, j), f in self._indexed_fields():
-            value, grad, _ = ex.eval2_points(f, points)
-            gamma[:, k, i, j] = value
-            dgamma[:, :, k, i, j] = grad
-        return gamma, dgamma
 
 
 def _inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -403,19 +384,8 @@ class LeviCivitaConnection(DerivedJets):
     """Metric connection Γ⁰^k_ij = ½ g^km (∂_i g_mj + ∂_j g_mi − ∂_m g_ij); jets are (Γ, ∂Γ)."""
 
     def __init__(self, metric: MetricField):
-        self._metric = metric
         self._bases = (metric,)
         self._value_needs = (True,)
-
-    @property
-    def dim(self) -> int:
-        return self._metric.dim
-
-    def coefficients(self, point) -> np.ndarray:
-        return self._row(point, False)[0]
-
-    def coefficients_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return self._row(point)
 
     def _derive(self, full, metric_jets):
         g, dg, d2g = metric_jets
@@ -446,20 +416,8 @@ class ConjugateConnection(DerivedJets):
     def __init__(self, metric: MetricField, base):
         if metric.dim != base.dim:
             raise ValueError("metric and connection disagree on dimension")
-        self._metric = metric
-        self._base = base
         self._bases = (metric, base)
         self._value_needs = (True, False)
-
-    @property
-    def dim(self) -> int:
-        return self._metric.dim
-
-    def coefficients(self, point) -> np.ndarray:
-        return self._row(point, False)[0]
-
-    def coefficients_jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return self._row(point)
 
     def _derive(self, full, metric_jets, base_jets):
         g, dg, d2g = metric_jets

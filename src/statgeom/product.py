@@ -10,7 +10,7 @@ derived field so that structures of structures (P** and friends) compose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .geometry import (
     STATUS_PASS,
     CheckResult,
     DerivedJets,
+    ExpressionField,
     MetricField,
-    PointJets,
     ResidualTracker,
     _as_points,
     _inverse_derivative,
@@ -37,33 +37,11 @@ from .geometry import (
 _IDENTITY_WITNESS_MARGIN = 1e-6
 
 
-class ExpressionProductStructure(PointJets):
+class ExpressionProductStructure(ExpressionField):
     """Product structure with explicitly given component fields P^i_j.
 
     Jets are ``(M, dM)`` with ``dM[k,i,j] = ∂_k P^i_j``.
     """
-
-    def __init__(self, components: Sequence[Sequence[ex.ScalarField]]):
-        n = len(components)
-        dim = components[0][0].arity
-        for row in components:
-            if len(row) != n:
-                raise ValueError("component grid must be square")
-            for f in row:
-                if f.arity != dim:
-                    raise ValueError("components disagree on chart arity")
-        self._fields = tuple(tuple(row) for row in components)
-        self._dim = n
-
-    @classmethod
-    def from_strings(
-        cls,
-        coords: Sequence[str],
-        entries: Sequence[Sequence[str]],
-        params: Mapping[str, float] | None = None,
-    ) -> "ExpressionProductStructure":
-        fields = [[ex.parse_expression(text, coords, params) for text in row] for row in entries]
-        return cls(fields)
 
     @classmethod
     def from_constant(cls, matrix, coords: Sequence[str]) -> "ExpressionProductStructure":
@@ -72,33 +50,6 @@ class ExpressionProductStructure(PointJets):
                   for i in range(mat.shape[0])]
         return cls(fields)
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def matrix(self, point) -> np.ndarray:
-        return self._row(point, False)[0]
-
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        """(M, dM) at one point."""
-        return self._row(point)
-
-    def _batch_jets(self, points, full):
-        count, n = points.shape[0], self._dim
-        m = np.empty((count, n, n))
-        if not full:
-            for i in range(n):
-                for j in range(n):
-                    m[:, i, j] = ex.eval_points(self._fields[i][j], points)
-            return (m,)
-        dm = np.empty((count, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                value, grad, _ = ex.eval2_points(self._fields[i][j], points)
-                m[:, i, j] = value
-                dm[:, :, i, j] = grad
-        return m, dm
-
 
 class AdjointStructure(DerivedJets):
     """Negative adjoint of a base structure: P* = −G⁻¹ Pᵀ G pointwise; jets are (P*, ∂P*)."""
@@ -106,20 +57,8 @@ class AdjointStructure(DerivedJets):
     def __init__(self, metric: MetricField, base):
         if metric.dim != base.dim:
             raise ValueError("metric and structure disagree on dimension")
-        self._metric = metric
-        self._base = base
         self._bases = (metric, base)
         self._value_needs = (False, False)
-
-    @property
-    def dim(self) -> int:
-        return self._metric.dim
-
-    def matrix(self, point) -> np.ndarray:
-        return self._row(point, False)[0]
-
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return self._row(point)
 
     def _derive(self, full, metric_jets, base_jets):
         g, m = metric_jets[0], base_jets[0]

@@ -23,7 +23,6 @@ an input assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +35,8 @@ from .geometry import (
     STATUS_PASS,
     ChartSpec,
     CheckResult,
+    ExpressionField,
     ManifoldSpec,
-    MetricField,
     PointJets,
     ResidualTracker,
     _as_points,
@@ -48,7 +47,6 @@ from .geometry import (
     sample_points,
 )
 from .product import (
-    ExpressionProductStructure,
     TheoremOutcome,
     adjoint_structure,
     check_almost_product,
@@ -191,27 +189,12 @@ class CoordinateBasisField:
         return self.vector(point), np.zeros((self.dim, self.dim))
 
 
-class ExpressionVectorField:
-    """A vector field whose components are expression fields."""
-
-    def __init__(self, components: Sequence[ex.ScalarField]):
-        self._components = tuple(components)
-        self.dim = len(self._components)
-        for f in self._components:
-            if f.arity != self.dim:
-                raise ValueError("component arity must equal the chart dimension")
+class ExpressionVectorField(ExpressionField):
+    """A vector field whose components are expression fields; jets are (X, ∂X)."""
 
     def vector(self, point) -> np.ndarray:
-        return np.array([ex.eval_value(f, point) for f in self._components])
-
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        values = np.empty(self.dim)
-        jac = np.empty((self.dim, self.dim))
-        for k, f in enumerate(self._components):
-            data = ex.eval2(f, point)
-            values[k] = data.value
-            jac[:, k] = data.grad
-        return values, jac
+        """The components at one point, under the name the field-pair oracle calls."""
+        return self.value(point)
 
 
 class HorizontalLiftField:
@@ -575,14 +558,13 @@ def check_fundamental_tensor_identities(
 # Induced fiber geometry
 # --------------------------------------------------------------------------
 
-def _freeze_metric(metric: MetricField, values) -> MetricField:
-    n = metric.dim
-    components = [
-        [ex.freeze_leading_coordinates(metric.component(i, j), values)
-         for j in range(len(values), n)]
-        for i in range(len(values), n)
-    ]
-    return MetricField(components)
+def _restrict(field: ExpressionField, frozen: np.ndarray) -> ExpressionField:
+    """The fiber block of ``field`` with the base coordinates pinned to ``frozen``."""
+    block = field.grid[(slice(len(frozen), None),) * field.grid.ndim]
+    restricted = np.empty(block.shape, dtype=object)
+    for index, f in np.ndenumerate(block):
+        restricted[index] = ex.freeze_leading_coordinates(f, frozen)
+    return type(field)(restricted)
 
 
 def _on_fiber(base_point: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -604,12 +586,6 @@ class FiberConnection(PointJets):
     @property
     def dim(self) -> int:
         return self._spec.fiber_dim
-
-    def coefficients(self, u) -> np.ndarray:
-        return self._row(u, False)[0]
-
-    def coefficients_jet(self, u) -> tuple[np.ndarray, np.ndarray]:
-        return self._row(u)
 
     def _batch_jets(self, points, full):
         embedded = _on_fiber(self._base_point, points)
@@ -661,12 +637,11 @@ def induced_fiber_manifold(
         domain=total_chart.domain[nb:],
         seed=total_chart.seed,
     )
-    fiber_metric = _freeze_metric(spec.total.metric, frozen)
     fiber_connection = FiberConnection(spec, frozen)
     fiber_product = None
     if spec.total.product is not None:
         structure = spec.total.product
-        if not isinstance(structure, ExpressionProductStructure):
+        if not isinstance(structure, ExpressionField):
             raise TypeError("fiber restriction needs an expression-backed product structure")
         embedded = _on_fiber(frozen, sample_points(fiber_chart, DEFAULT_POINT_COUNT))
         for q, m in zip(embedded, structure.values(embedded)):
@@ -676,15 +651,10 @@ def induced_fiber_manifold(
                     f"product structure does not preserve the vertical space "
                     f"(leak {leak:.3e} at {q.tolist()})"
                 )
-        components = [
-            [ex.freeze_leading_coordinates(structure._fields[i][j], frozen)
-             for j in range(nb, spec.total_dim)]
-            for i in range(nb, spec.total_dim)
-        ]
-        fiber_product = ExpressionProductStructure(components)
+        fiber_product = _restrict(structure, frozen)
     return ManifoldSpec(
         chart=fiber_chart,
-        metric=fiber_metric,
+        metric=_restrict(spec.total.metric, frozen),
         connection=fiber_connection,
         product=fiber_product,
     )

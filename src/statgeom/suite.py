@@ -8,6 +8,7 @@ the run continues.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import geometry as geo
 from . import product as prod
 from . import submersion as sub
-from .expfam import AlphaConnection, exp_para_structures, fisher_metric
+from .expfam import AlphaConnection, exp_para_structures
 from .geometry import (
     STATUS_ERROR,
     STATUS_FAIL,
@@ -40,6 +41,32 @@ def _outcome(name, result, points_used, data=None) -> CheckOutcome:
 
 def _residual_outcome(name, tracker, tol, points_used, data=None) -> CheckOutcome:
     return _outcome(name, tracker.result(tol), points_used, data)
+
+
+def _certification_outcome(name, cert, tol, points_used) -> CheckOutcome:
+    """A para-Kähler-like certification: the worst residual of its three parts."""
+    parts = (cert.statistical, cert.almost_product, cert.parallelism)
+    return CheckOutcome(
+        name=name,
+        status=STATUS_PASS if cert.passed else STATUS_FAIL,
+        residual=float(max(part.residual for part in parts)),
+        tolerance=float(tol),
+        points_used=points_used,
+        data={"parallelism_residual": float(cert.parallelism.residual)},
+    )
+
+
+def _theorem_outcome(name, outcome, tol, points_used) -> CheckOutcome:
+    """A :class:`~statgeom.product.TheoremOutcome` as a report outcome."""
+    return CheckOutcome(
+        name=name,
+        status=outcome.status,
+        residual=None if outcome.residual is None else float(outcome.residual),
+        tolerance=float(tol),
+        points_used=points_used,
+        reason=outcome.reason,
+        data={k: float(v) for k, v in outcome.data.items()},
+    )
 
 
 # --------------------------------------------------------------------------
@@ -136,18 +163,12 @@ def _check_product_parallelism(ctx, pts, tol):
 def _check_para_kahler_like(ctx, pts, tol):
     m = _require_product(ctx)
     cert = prod.check_para_kahler_like(m.metric, m.connection_or_levi_civita(), m.product, pts, tol)
-    residual = max(cert.statistical.residual, cert.almost_product.residual,
-                   cert.parallelism.residual)
-    return [CheckOutcome(
-        name="para_kahler_like",
-        status=STATUS_PASS if cert.passed else STATUS_FAIL,
-        residual=float(residual),
-        raw_residual=float(max(cert.statistical.raw_residual, cert.almost_product.raw_residual,
-                               cert.parallelism.raw_residual)),
-        tolerance=float(tol),
-        worst_point=None if cert.parallelism.worst_point is None
-        else [float(x) for x in cert.parallelism.worst_point],
-        points_used=len(pts),
+    parts = (cert.statistical, cert.almost_product, cert.parallelism)
+    worst_point = cert.parallelism.worst_point
+    return [dataclasses.replace(
+        _certification_outcome("para_kahler_like", cert, tol, len(pts)),
+        raw_residual=float(max(part.raw_residual for part in parts)),
+        worst_point=None if worst_point is None else [float(x) for x in worst_point],
         data={
             "statistical_residual": float(cert.statistical.residual),
             "almost_product_residual": float(cert.almost_product.residual),
@@ -177,15 +198,7 @@ def _check_space_form(ctx, pts, tol):
 def _check_flatness_theorem(ctx, pts, tol):
     m = _require_product(ctx)
     outcome = prod.verify_flatness_theorem(m.metric, m.connection_or_levi_civita(), m.product, pts, tol)
-    return [CheckOutcome(
-        name="flatness_theorem",
-        status=outcome.status,
-        residual=None if outcome.residual is None else float(outcome.residual),
-        tolerance=float(tol),
-        points_used=len(pts),
-        reason=outcome.reason,
-        data={k: float(v) for k, v in outcome.data.items()},
-    )]
+    return [_theorem_outcome("flatness_theorem", outcome, tol, len(pts))]
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +213,7 @@ def _require_model(ctx):
 
 def _check_alpha_family(ctx, pts, tol):
     model = _require_model(ctx)
-    metric = fisher_metric(model)
+    metric = model.fisher
     outcomes = []
     for alpha in ctx.alphas:
         connection = AlphaConnection(metric, alpha)
@@ -235,23 +248,14 @@ def _check_exp_para_certifications(ctx, pts, tol):
     if ctx.involution is None:
         raise ManifestError("exp_para_certifications needs an 'involution' matrix in the model block")
     structure_one, structure_minus = exp_para_structures(model, ctx.involution)
-    metric = fisher_metric(model)
+    metric = model.fisher
     outcomes = []
     for label, alpha, structure in (
         ("exponential", 1.0, structure_one),
         ("mixture", -1.0, structure_minus),
     ):
         cert = prod.check_para_kahler_like(metric, AlphaConnection(metric, alpha), structure, pts, tol)
-        residual = max(cert.statistical.residual, cert.almost_product.residual,
-                       cert.parallelism.residual)
-        outcomes.append(CheckOutcome(
-            name=f"exp_para_certifications.{label}",
-            status=STATUS_PASS if cert.passed else STATUS_FAIL,
-            residual=float(residual),
-            tolerance=float(tol),
-            points_used=len(pts),
-            data={"parallelism_residual": float(cert.parallelism.residual)},
-        ))
+        outcomes.append(_certification_outcome(f"exp_para_certifications.{label}", cert, tol, len(pts)))
     return outcomes
 
 
@@ -301,33 +305,14 @@ def _check_fiber_para_kahler_like(ctx, pts, tol):
     fiber_points = geo.sample_points(fiber.chart, len(pts))
     cert = prod.check_para_kahler_like(fiber.metric, fiber.connection, fiber.product,
                                        fiber_points, tol)
-    residual = max(cert.statistical.residual, cert.almost_product.residual,
-                   cert.parallelism.residual)
-    return [CheckOutcome(
-        name="fiber_para_kahler_like",
-        status=STATUS_PASS if cert.passed else STATUS_FAIL,
-        residual=float(residual),
-        tolerance=float(tol),
-        points_used=len(fiber_points),
-        data={"parallelism_residual": float(cert.parallelism.residual)},
-    )]
+    return [_certification_outcome("fiber_para_kahler_like", cert, tol, len(fiber_points))]
 
 
 def _check_submersion_theorems(ctx, pts, tol):
     spec = _require_submersion(ctx)
     report = sub.verify_submersion_theorems(spec, pts, tol)
-    outcomes = []
-    for name, item in report.items.items():
-        outcomes.append(CheckOutcome(
-            name=f"submersion_theorems.{name}",
-            status=item.status,
-            residual=None if item.residual is None else float(item.residual),
-            tolerance=float(tol),
-            points_used=len(pts),
-            reason=item.reason,
-            data={k: float(v) for k, v in item.data.items()},
-        ))
-    return outcomes
+    return [_theorem_outcome(f"submersion_theorems.{name}", item, tol, len(pts))
+            for name, item in report.items.items()]
 
 
 # --------------------------------------------------------------------------

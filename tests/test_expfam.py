@@ -73,6 +73,22 @@ class TestBuiltinModels:
                 np.testing.assert_allclose(metric.matrix(p), eval2(model.psi, p).hess,
                                            rtol=1e-12, atol=1e-12)
 
+    def test_fisher_metric_built_once_per_model_run(self, monkeypatch):
+        from statgeom import expfam, load_fixture, run_suite
+
+        builds = []
+
+        class CountedMetric(expfam.MetricField):
+            def __init__(self, components):
+                builds.append(len(components))
+                super().__init__(components)
+
+        monkeypatch.setattr(expfam, "MetricField", CountedMetric)
+        report = run_suite(load_fixture("example_5_5_normal"))
+        assert {check.name.split(".")[0].split("[")[0] for check in report.checks} == {
+            "alpha_family", "exp_para_certifications"}
+        assert builds == [2]
+
     def test_invalid_models_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             builtin_model("cauchy")

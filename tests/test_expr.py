@@ -242,10 +242,9 @@ class TestRoundTrip:
 def _manifold_fields(manifold):
     n = manifold.metric.dim
     fields = [manifold.metric.component(i, j) for i in range(n) for j in range(i, n)]
-    if manifold.connection is not None:
-        fields += [f for plane in manifold.connection._fields for row in plane for f in row]
-    if manifold.product is not None:
-        fields += [f for row in manifold.product._fields for f in row]
+    for field in (manifold.connection, manifold.product):
+        if field is not None:
+            fields += list(field.grid.flat)
     return fields
 
 

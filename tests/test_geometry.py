@@ -35,7 +35,7 @@ from statgeom.geometry import (
 )
 from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures, fisher_metric
 from statgeom.expr import parse_expression
-from statgeom.product import adjoint_structure
+from statgeom.product import ExpressionProductStructure, adjoint_structure
 from statgeom.submersion import induced_fiber_connections
 
 
@@ -105,6 +105,31 @@ class TestMetric:
     def test_symmetric_storage(self):
         g = MetricField.from_strings(("x", "y"), [["1", "x"], ["x", "1"]])
         assert g.component(0, 1) is g.component(1, 0)
+
+
+def _xy(text):
+    return parse_expression(text, ("x", "y"))
+
+
+class TestExpressionField:
+    @pytest.mark.parametrize("build", [
+        lambda: MetricField([[_xy("1"), _xy("x")]]),
+        lambda: ExpressionProductStructure([[_xy("1"), _xy("0")], [_xy("0"), _xy("1")],
+                                            [_xy("0"), _xy("0")]]),
+        lambda: ExpressionConnection([[[_xy("x"), _xy("0")], [_xy("0"), _xy("y")]],
+                                      [[_xy("x"), _xy("0")], [_xy("0")]]]),
+        lambda: MetricField([[_xy("1"), _xy("0")], [_xy("0"), parse_expression("x", ("x",))]]),
+        lambda: ExpressionConnection([[[_xy("x")]]]),
+    ], ids=["non_square_metric", "non_square_product", "ragged_connection_plane",
+            "mixed_arity", "arity_differs_from_dimension"])
+    def test_malformed_grid_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_symmetric_grid_reads_the_upper_triangle(self):
+        g = MetricField([[_xy("1"), _xy("x*y")], [_xy("7"), _xy("2")]])
+        assert g.component(1, 0) is g.component(0, 1)
+        np.testing.assert_array_equal(g.matrix([2.0, 3.0]), [[1.0, 6.0], [6.0, 2.0]])
 
 
 class TestLeviCivita:

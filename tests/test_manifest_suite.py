@@ -385,6 +385,40 @@ class TestCli:
         assert main(["verify", "example_5_2_n1"]) == 2
         assert "RuntimeError: boom" in capsys.readouterr().err
 
+    def test_closed_stdout_exits_two_without_traceback(self, tmp_path, monkeypatch, capsys):
+        class ClosedPipe:
+            """A stdout whose reader has gone away."""
+
+            def __init__(self, fd):
+                self.fd = fd
+
+            def fileno(self):
+                return self.fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+            assert main(["verify", "example_5_2_n1"]) == 2
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_exits_quietly(self):
+        src = str(Path(statgeom.__file__).resolve().parents[1])
+        process = subprocess.Popen([sys.executable, "-m", "statgeom", "list-fixtures"],
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                   env={**os.environ, "PYTHONPATH": src})
+        process.stdout.close()  # before the interpreter has started, so every write fails
+        _, err = process.communicate(timeout=120)
+        assert process.returncode == 2
+        assert err == b""
+
     def test_python_dash_m(self):
         src = str(Path(statgeom.__file__).resolve().parents[1])
         result = subprocess.run([sys.executable, "-m", "statgeom", "list-fixtures"],

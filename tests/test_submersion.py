@@ -8,7 +8,7 @@ import pytest
 
 from conftest import curved_submersion
 from statgeom import build_context, parse_manifest
-from statgeom.expr import parse_expression
+from statgeom.expr import eval2, eval_value, parse_expression
 from statgeom.fixtures import flat_product_manifest, submersion_manifest
 from statgeom.geometry import (
     STATUS_NOT_APPLICABLE,
@@ -283,6 +283,21 @@ class TestFundamentalTensors:
             varied = oneill_tensors_at(spec, e_field, f_field, point)
             assert np.max(np.abs(varied.t - baseline.t)) <= 1e-8
             assert np.max(np.abs(varied.a - baseline.a)) <= 1e-8
+
+    def test_expression_vector_field_jet_equals_eval2(self):
+        coords = ("b", "u")
+        field = ExpressionVectorField([parse_expression(text, coords)
+                                       for text in ("b*u + exp(u)", "log(1 + b*b) - u/b")])
+        points = sample_points(warped_submersion().total.chart, 5)
+        for point in points:
+            values, jacobian = field.jet(point)
+            for k in range(2):
+                reference = eval2(field.component(k), point)
+                assert values[k] == reference.value
+                assert np.array_equal(jacobian[:, k], reference.grad)
+        fresh = ExpressionVectorField(field.grid)
+        for point in points:
+            assert list(fresh.vector(point)) == [eval_value(f, point) for f in field.grid]
 
     def test_identities_hold_on_fixtures(self):
         for spec in (curved_submersion(k=1.0, l=2.0), flat_submersion(), warped_submersion()):
