@@ -485,31 +485,9 @@ def _psi_value(order: int, u: float) -> float:
     return polygamma(order, u)
 
 
-def _value(node: object, point: np.ndarray) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return float(point[node.index])
-    if isinstance(node, Unary):
-        return _apply_unary_value(node.op, _value(node.arg, point))
-    if isinstance(node, Binary):
-        return _apply_binary_value(node.op, _value(node.left, point), _value(node.right, point))
-    if isinstance(node, Power):
-        return _pow_value(_value(node.base, point), node.exponent)
-    if isinstance(node, Psi):
-        return _psi_value(node.order, _value(node.arg, point))
-    raise TypeError(f"unknown node type {type(node)!r}")
-
-
 def eval_value(field: ScalarField, point: Sequence[float]) -> float:
-    """Evaluate just the value of a field (no derivatives)."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (field.arity,):
-        raise ValueError(f"point of shape {p.shape} does not match arity {field.arity}")
-    result = _value(field.root, p)
-    if not math.isfinite(result):
-        raise EvaluationError(f"non-finite value {result} at point {p.tolist()}")
-    return result
+    """The value of ``field`` at one point: :func:`eval_points` at a batch of one."""
+    return float(eval_points(field, np.asarray(point, dtype=float)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -932,7 +910,7 @@ def eval2_points(field: ScalarField, points) -> tuple[np.ndarray, np.ndarray, np
 def eval_points(field: ScalarField, points) -> np.ndarray:
     """Values ``(P,)`` at P points, with no derivatives.
 
-    Entry ``p`` equals ``eval_value(field, points[p])``, and only a failure
+    Entry ``p`` equals ``eval2(field, points[p]).value``, but only a failure
     of the value itself raises: a derivative that is singular where the
     value is finite (``sqrt(x*x)`` at 0) does not.  The walk and the error
     reporting are those of :func:`eval2_points`.
@@ -966,37 +944,35 @@ def fd_check(field: ScalarField, point: Sequence[float], h: float = 1e-4) -> FdC
     p = np.asarray(point, dtype=float)
     exact = eval2(field, p)
     n = field.arity
+    steps = np.eye(n) * h
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # The stencil in the order the differences read it: p, p ± e_i, then p ± e_i ± e_j.
+    stencil = [p]
+    for i in range(n):
+        stencil += [p + steps[i], p - steps[i]]
+    for i, j in pairs:
+        stencil += [p + steps[i] + steps[j], p + steps[i] - steps[j],
+                    p - steps[i] + steps[j], p - steps[i] - steps[j]]
+    try:
+        values = iter(eval_points(field, np.array(stencil)).tolist())
+    except EvaluationError as err:
+        raise EvaluationError(
+            f"finite-difference stencil left the domain near {p.tolist()}: {err}"
+        ) from err
 
-    def f(q: np.ndarray) -> float:
-        try:
-            return eval_value(field, q)
-        except EvaluationError as err:
-            raise EvaluationError(
-                f"finite-difference stencil left the domain near {p.tolist()}: {err}"
-            ) from err
-
-    center = f(p)
+    center = next(values)
     grad_dev = 0.0
     hess_dev = 0.0
-    shifted = {}
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        shifted[i] = (f(p + e), f(p - e))
-    for i in range(n):
-        plus, minus = shifted[i]
+        plus, minus = next(values), next(values)
         fd_grad = (plus - minus) / (2.0 * h)
         grad_dev = max(grad_dev, abs(fd_grad - exact.grad[i]) / (1.0 + abs(exact.grad[i])))
         fd_diag = (plus - 2.0 * center + minus) / (h * h)
         hess_dev = max(hess_dev, abs(fd_diag - exact.hess[i, i]) / (1.0 + abs(exact.hess[i, i])))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            fd_cross = (f(p + ei + ej) - f(p + ei - ej) - f(p - ei + ej) + f(p - ei - ej)) / (4.0 * h * h)
-            hess_dev = max(hess_dev, abs(fd_cross - exact.hess[i, j]) / (1.0 + abs(exact.hess[i, j])))
+    for i, j in pairs:
+        pp, pm, mp, mm = next(values), next(values), next(values), next(values)
+        fd_cross = (pp - pm - mp + mm) / (4.0 * h * h)
+        hess_dev = max(hess_dev, abs(fd_cross - exact.hess[i, j]) / (1.0 + abs(exact.hess[i, j])))
     return FdCheckReport(grad_residual=grad_dev, hess_residual=hess_dev)
 
 

@@ -15,12 +15,13 @@ compared against tolerances, which separates method error from conditioning.
 
 Every field evaluates at all sample points at once (``jets(points)``, with a
 leading point axis ``p`` on every array) and keeps the results, read-only, in
-one point-keyed store (:class:`PointJets`); the per-point accessors
-(``value`` and ``jet``, with the aliases ``matrix``, ``coefficients`` and
-``coefficients_jet``) return rows of it.  Every field given by coordinate
-expressions is an :class:`ExpressionField` over a grid of components; the
-metric, connection, product-structure and vector-field classes only set its
-derivative order and symmetry.  The geometric definitions are written once,
+one store keyed by the whole batch (:class:`PointJets`).  A single point is a
+batch of one: the per-point accessors (``value`` and ``jet``, with the
+aliases ``matrix``, ``coefficients`` and ``coefficients_jet``) return its
+row 0.  Every field given by coordinate expressions is an
+:class:`ExpressionField` over a grid of components; the metric, connection,
+product-structure and vector-field classes only set its derivative order and
+symmetry.  The geometric definitions are written once,
 over stacks of points, and a single point is a stack of one.  Point loops
 reduce with ``max``, which is order-independent.
 """
@@ -127,13 +128,13 @@ def _read_only(arrays: tuple) -> tuple:
 
 
 class PointJets:
-    """A field whose jet at a point is a tuple of arrays, kept in one point-keyed store.
+    """A field whose jets are kept in one store, keyed by the whole batch of points.
 
-    ``jets(points)`` computes the jets of a whole batch through
-    ``_batch_jets`` (arrays with a leading point axis, values first) and
-    stores a row view of each array under every point's bytes, so the store
-    holds no copies.  The arrays are read-only, so rows go out as they are.
-    A single point that no batch covers is a batch of one.
+    ``jets(points)`` computes the jets of a batch through ``_batch_jets``
+    (arrays with a leading point axis, values first) and stores them,
+    read-only, under the batch's shape and bytes, so the same batch asked
+    again is served from the store.  A single point is a batch of one:
+    ``value`` and ``jet`` return row 0 of it.
 
     ``values(points)`` asks for the values alone.  An expression field then
     evaluates no derivatives, so a derivative that is singular where the
@@ -152,53 +153,23 @@ class PointJets:
         return self._lookup(_as_points(points), False)[0]
 
     def _lookup(self, pts: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
-        batches = self.__dict__.setdefault("_batches", {})
-        whole = pts.tobytes()
-        hit = batches.get(whole)
-        if hit is not None and (len(hit) > 1 or not full):
-            return hit
-        rows = self.__dict__.setdefault("_rows", {})
-        keys = [p.tobytes() for p in pts]
-        missing = {}
-        for index, key in enumerate(keys):
-            entry = rows.get(key)
-            if entry is None or (full and len(entry) == 1):
-                missing.setdefault(key, index)
-        if len(missing) == len(keys) > 1:
-            batch = batches[whole] = _read_only(self._batch_jets(pts, full))
-            for index, key in enumerate(keys):
-                rows[key] = tuple(part[index] for part in batch)
-            return batch
-        if len(missing) > 1:
-            fresh = _read_only(self._batch_jets(pts[list(missing.values())], full))
-            for index, key in enumerate(missing):
-                rows[key] = tuple(part[index] for part in fresh)
-        else:
-            for index in missing.values():
-                self._row(pts[index], full)
-        # Entries may mix values alone with whole jets; zip keeps the slots all of them have.
-        return _read_only(tuple(np.stack(parts) for parts in zip(*(rows[key] for key in keys))))
+        store = self.__dict__.setdefault("_batches", {})
+        key = (pts.shape, pts.tobytes())
+        hit = store.get(key)
+        if hit is None or (full and len(hit) == 1):
+            hit = store[key] = _read_only(self._batch_jets(pts, full))
+        return hit
 
     def value(self, point) -> np.ndarray:
         """The value at one point."""
-        return self._row(point, False)[0]
+        return self.values(point)[0]
 
     def jet(self, point) -> tuple[np.ndarray, ...]:
         """The jet at one point: the value, then its derivatives."""
-        return self._row(point)
+        return tuple(part[0] for part in self.jets(point))
 
     matrix = coefficients = value
     coefficients_jet = jet
-
-    def _row(self, point, full: bool = True) -> tuple[np.ndarray, ...]:
-        arr = np.asarray(point, dtype=float)
-        rows = self.__dict__.setdefault("_rows", {})
-        key = arr.tobytes()
-        hit = rows.get(key)
-        if hit is None or (full and len(hit) == 1):
-            hit = rows[key] = _read_only(tuple(
-                part[0] for part in self._batch_jets(arr[None], full)))
-        return hit
 
     def _batch_jets(self, points: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
         """The jets at ``points``, or a one-tuple of the values when ``full`` is false."""
@@ -340,22 +311,32 @@ def metric_matrices_at(g: MetricField, point) -> tuple[np.ndarray, np.ndarray]:
     return mat, inverse
 
 
+def _signature(eigenvalues: np.ndarray) -> tuple[int, int]:
+    return int(np.sum(eigenvalues > 0.0)), int(np.sum(eigenvalues < 0.0))
+
+
 def metric_signature(g: MetricField, point) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of G at a point."""
-    values = np.linalg.eigvalsh(g.matrix(point))
-    return int(np.sum(values > 0.0)), int(np.sum(values < 0.0))
+    return _signature(np.linalg.eigvalsh(g.matrix(point)))
 
 
 def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tuple[int, int]:
-    """Check nondegeneracy at the samples and signature constancy against the box center."""
+    """Check nondegeneracy at the samples and signature constancy against the box center.
+
+    Raises :class:`MetricError` at the first failing sample, checking the
+    determinant before the signature at each one.
+    """
     points = _as_points(pts if pts is not None else sample_points(chart, DEFAULT_POINT_COUNT))
     reference = metric_signature(g, chart.center)
-    g.values(points)  # one batch serves the per-point lookups below
-    for p in points:
-        metric_matrices_at(g, p)
-        if metric_signature(g, p) != reference:
+    matrices = g.values(points)
+    checks = zip(points, matrices, np.linalg.det(matrices), np.linalg.eigvalsh(matrices))
+    for p, mat, det, eigenvalues in checks:
+        if abs(det) <= _det_threshold(mat):
+            raise MetricError(f"singular metric (det {det:.3e}) at point {p.tolist()}")
+        signature = _signature(eigenvalues)
+        if signature != reference:
             raise MetricError(
-                f"metric signature {metric_signature(g, p)} at {p.tolist()} differs from "
+                f"metric signature {signature} at {p.tolist()} differs from "
                 f"{reference} at the box center"
             )
     return reference

@@ -247,15 +247,16 @@ def fit_space_form_constant(g: MetricField, connection, structure, pts) -> float
     """
     points = _as_points(pts)
     best = None
-    for p, gm, m in zip(points, g.values(points), structure.values(points)):
+    for index, (gm, m) in enumerate(zip(g.values(points), structure.values(points))):
         basis = _space_form_model(gm, m, 4.0)  # model is linear in c; c=4 gives the raw bracket
         weight = float(np.einsum("lijk,lijk->", basis, basis))
         if best is None or weight > best[0]:
-            best = (weight, p, basis)
-    weight, p, basis = best
+            best = (weight, index, basis)
+    weight, index, basis = best
     if weight == 0.0:
         return 0.0
-    r = curvature_tensor(*connection.coefficients_jet(p))
+    gammas, dgammas = connection.jets(points)
+    r = curvature_tensor(gammas[index], dgammas[index])
     return 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / weight
 
 

@@ -438,10 +438,18 @@ def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEF
     points = _as_points(pts)
     tracker = ResidualTracker()
     nb = spec.base_dim
-    metrics = zip(spec.total.metric.values(points), spec.base.metric.values(points[:, :nb]))
-    for p, (g, base_products) in zip(points, metrics):
-        lifts = np.column_stack([horizontal_lift_at(spec, np.eye(nb)[a], p) for a in range(nb)])
-        total_products = lifts.T @ g @ lifts
+    g = spec.total.metric.values(points)
+    base_metric = spec.base.metric.values(points[:, :nb])
+    gvv, _ = _fiber_blocks(spec, g)
+    _check_conditioning(gvv)
+    # lifts[p, :, a] lifts e_a; one vector right-hand side per e_a keeps horizontal_lift_at's bits
+    eye = np.eye(nb)
+    lifts = np.zeros(points.shape + (nb,))
+    lifts[:, :nb, :] = eye
+    for a in range(nb):
+        lifts[:, nb:, a] = -np.linalg.solve(gvv, (g[:, nb:, :nb] @ eye[a])[..., None])[..., 0]
+    for p, gm, base_products, lift in zip(points, g, base_metric, lifts):
+        total_products = lift.T @ gm @ lift
         raw = float(np.max(np.abs(total_products - base_products)))
         tracker.update(raw, _scale_of(total_products, base_products), p)
     return tracker.result(tol)
@@ -741,7 +749,7 @@ def verify_submersion_theorems(
     statistical_sub = _statistical_submersion(spec, arrays, tol)
     holomorphic = check_para_holomorphic(spec, points, tol)
     if total_cert.passed and statistical_sub.passed and holomorphic.passed:
-        base_points = np.array([spec.project(p) for p in points])
+        base_points = points[:, :spec.base_dim]
         base_cert = check_para_kahler_like(
             spec.base.metric, spec.base.connection_or_levi_civita(),
             spec.base.product, base_points, tol,

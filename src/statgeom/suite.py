@@ -386,7 +386,7 @@ def run_suite(manifest: Manifest, seed=None, points=None, tol=None) -> Verificat
         if ctx.manifold is not None:
             geo.validate_metric_on_chart(ctx.manifold.metric, ctx.chart, pts)
         if ctx.submersion is not None:
-            base_pts = np.array([ctx.submersion.project(p) for p in pts])
+            base_pts = pts[:, :ctx.submersion.base_dim]
             geo.validate_metric_on_chart(ctx.submersion.base.metric,
                                          ctx.submersion.base.chart, base_pts)
     except Exception as err:  # noqa: BLE001 - every failure must land in the report

@@ -278,7 +278,7 @@ def _component_cases():
 
 
 def _assert_rows_equal_eval2(field, points):
-    """Rows of ``eval2_points`` equal ``eval2``, and entries of ``eval_points`` ``eval_value``."""
+    """Rows of ``eval2_points`` equal ``eval2``, and entries of ``eval_points`` its value."""
     values, grads, hessians = eval2_points(field, points)
     plain = eval_points(field, points)
     assert values.shape == plain.shape == (len(points),)
@@ -289,7 +289,7 @@ def _assert_rows_equal_eval2(field, points):
         assert values[row] == reference.value
         assert np.all(grads[row] == reference.grad)
         assert np.all(hessians[row] == reference.hess)
-        assert plain[row] == eval_value(field, point)
+        assert plain[row] == reference.value
 
 
 class TestEval2Points:
@@ -409,5 +409,19 @@ def test_eval2_points_matches_eval2_on_random_trees():
     def check(text, pts):
         field = parse_expression(text, ("x", "y", "z"))
         _assert_rows_equal_eval2(field, np.array(pts))
+
+    check()
+
+
+def test_fd_check_meets_eval2_on_random_trees():
+    """Every random tree is defined on all of R³, so the stencil never leaves the domain."""
+    hypothesis, trees = _random_trees()
+    st = hypothesis.strategies
+    coordinate = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(trees, st.tuples(coordinate, coordinate, coordinate))
+    def check(text, point):
+        assert fd_check(parse_expression(text, ("x", "y", "z")), point).residual <= 1e-5
 
     check()

@@ -33,6 +33,7 @@ from statgeom.geometry import (
     statistical_curvature_at,
     validate_metric_on_chart,
 )
+from statgeom import expr as ex
 from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures, fisher_metric
 from statgeom.expr import parse_expression
 from statgeom.product import ExpressionProductStructure, adjoint_structure
@@ -101,6 +102,18 @@ class TestMetric:
         chart = ChartSpec(("x",), ((-1.0, 1.0),), seed=3)
         with pytest.raises(MetricError):
             validate_metric_on_chart(g, chart)
+
+    @pytest.mark.parametrize("points, message", [
+        ([[2.0], [0.0], [-0.5]], "singular metric (det 0.000e+00) at point [0.0]"),
+        ([[2.0], [-0.5], [-1.0]], "metric signature (0, 1) at [-0.5] differs from (1, 0)"),
+        ([[2.0], [-0.5], [0.0]], "metric signature (0, 1) at [-0.5] differs from (1, 0)"),
+    ])
+    def test_validation_names_first_failing_point(self, points, message):
+        g = MetricField.from_strings(("x",), [["x"]])
+        chart = ChartSpec(("x",), ((-1.0, 3.0),))
+        with pytest.raises(MetricError) as err:
+            validate_metric_on_chart(g, chart, points)
+        assert message in str(err.value)
 
     def test_symmetric_storage(self):
         g = MetricField.from_strings(("x", "y"), [["1", "x"], ["x", "1"]])
@@ -505,10 +518,19 @@ class TestPointJets:
         points = sample_points(m.chart, 5)
         g, dg, d2g = m.metric.jets(points)
         row = m.metric.jet(points[3])
-        assert np.shares_memory(row[2], d2g)
         assert np.array_equal(row[0], g[3])
         assert not row[0].flags.writeable
         assert m.metric.jets(points)[0] is g
+
+    def test_repeated_point_is_served_from_the_store(self, monkeypatch):
+        m = curved_manifold(pairs=1)
+        p = sample_points(m.chart, 1)[0]
+        first = m.metric.jets(p)
+        calls = []
+        monkeypatch.setattr(ex, "eval2_points", lambda *args: calls.append(args))
+        assert m.metric.jets(p) is first
+        assert np.array_equal(m.metric.jet(p)[1], first[1][0])
+        assert not calls
 
     def test_partly_covered_batch(self):
         m = curved_manifold(pairs=1)

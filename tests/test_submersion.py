@@ -168,6 +168,8 @@ class TestHorizontalLifts:
         })
         with pytest.raises(SubmersionError, match="ill-conditioned"):
             horizontal_lift_at(spec, [1.0], np.zeros(3))
+        with pytest.raises(SubmersionError, match="ill-conditioned"):
+            check_semi_riemannian_submersion(spec, [np.full(3, 0.5), np.zeros(3)])
 
 
 class TestSubmersionChecks:
