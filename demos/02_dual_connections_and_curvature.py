@@ -52,7 +52,7 @@ print("dual curvature identity:",
 # With k = l the connection has constant-curvature form; the fit recovers the
 # constant and the sectional curvature of S agrees with it on any plane.
 fit = fit_kurose_constant(g, nabla, points)
-print("\nconstant-curvature fit: constant =", fit.constant, " residual =", fit.residual)
+print("\nconstant-curvature fit: constant =", fit.details["constant"], " residual =", fit.residual)
 section = sectional_curvature(g, nabla, point, [1.0, 0.2], [-0.3, 1.0])
 print("sectional curvature of a sample plane:", section)
 s = statistical_curvature_at(g, nabla, point)

@@ -22,7 +22,6 @@ from .expr import (
 from .geometry import (
     ChartSpec,
     CheckResult,
-    ConstantCurvatureFit,
     CurvatureAtPoint,
     DEFAULT_POINT_COUNT,
     DEFAULT_TOLERANCE,

@@ -111,13 +111,14 @@ def fisher_metric(model: ExpFamilyModel) -> MetricField:
     components = [[first[min(i, j)].differentiate(max(i, j)) for j in range(n)] for i in range(n)]
     metric = MetricField(components)
     points = sample_points(model.chart, DEFAULT_POINT_COUNT)
-    for p, mat in zip(points, metric.values(points)):
-        values = np.linalg.eigvalsh(mat)
-        if not np.all(values > 0.0):
-            raise MetricError(
-                f"Fisher metric of {model.name!r} is not positive definite at {p.tolist()} "
-                f"(eigenvalues {values.tolist()})"
-            )
+    eigenvalues = np.linalg.eigvalsh(metric.values(points))
+    indefinite = np.flatnonzero(~np.all(eigenvalues > 0.0, axis=1))
+    if indefinite.size:
+        first = indefinite[0]
+        raise MetricError(
+            f"Fisher metric of {model.name!r} is not positive definite at {points[first].tolist()} "
+            f"(eigenvalues {eigenvalues[first].tolist()})"
+        )
     return metric
 
 

@@ -21,9 +21,11 @@ aliases ``matrix``, ``coefficients`` and ``coefficients_jet``) return its
 row 0.  Every field given by coordinate expressions is an
 :class:`ExpressionField` over a grid of components; the metric, connection,
 product-structure and vector-field classes only set its derivative order and
-symmetry.  The geometric definitions are written once,
-over stacks of points, and a single point is a stack of one.  Point loops
-reduce with ``max``, which is order-independent.
+symmetry.  The geometric definitions are written once, over stacks of
+points, and a single point is a stack of one.  Every check reduces its
+per-point arrays in one :func:`residual_check`: the per-point defects
+(:func:`max_abs`) over the per-point scales (:func:`scale_of`).  A check
+that builds a 4-index tensor per point does so :func:`in_blocks` of points.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ STATUS_ERROR = "ERROR"
 
 _DEGENERACY_CUTOFF = 1e-10
 _INTERIOR_MARGIN = 0.01
-# Entries of one 5-index array (such as ∂Γ) per block of a derived batch: 64 KiB.
+# Entries of one 4-index per-point tensor (such as R) per block of points: 64 KiB.
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -199,17 +201,32 @@ class DerivedJets(PointJets):
     def _batch_jets(self, points, full):
         inputs = [base._lookup(points, full or need)
                   for base, need in zip(self._bases, self._value_needs, strict=True)]
-        count = points.shape[0]
-        step = max(1, _BLOCK_ENTRIES // self.dim ** 4)
-        out = None
-        for start in range(0, count, step):
-            block = self._derive(full, *(tuple(part[start:start + step] for part in batch)
-                                         for batch in inputs))
-            if out is None:
-                out = tuple(np.empty((count,) + part.shape[1:]) for part in block)
-            for whole, part in zip(out, block):
-                whole[start:start + step] = part
-        return out
+        return in_blocks(functools.partial(self._derive, full), self.dim, *inputs)
+
+
+def in_blocks(fn, dim: int, *batches) -> tuple[np.ndarray, ...]:
+    """``fn(*batches)`` computed block by block of points and stacked.
+
+    Each batch is an array with a leading point axis, or a tuple of such
+    arrays; ``fn`` receives their rows for one block and returns a tuple of
+    arrays with a leading point axis.  A block holds about ``_BLOCK_ENTRIES``
+    entries of a 4-index tensor in dimension ``dim``, so no temporary of
+    ``fn`` spans all points.  Every point is computed alone, so the block
+    size never changes a bit of the result.
+    """
+    first = batches[0]
+    count = len(first[0] if isinstance(first, tuple) else first)
+    step = max(1, _BLOCK_ENTRIES // dim ** 4)
+    out = None
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        block = fn(*(tuple(part[rows] for part in batch) if isinstance(batch, tuple) else batch[rows]
+                     for batch in batches))
+        if out is None:
+            out = tuple(np.empty((count,) + part.shape[1:]) for part in block)
+        for whole, part in zip(out, block):
+            whole[rows] = part
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -296,9 +313,10 @@ class MetricField(ExpressionField):
     symmetric = True
 
 
-def _det_threshold(g: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(g))))
-    return _DEGENERACY_CUTOFF * scale ** g.shape[0]
+def _det_threshold(g: np.ndarray) -> np.ndarray:
+    """The |det| at or below which each metric matrix in ``g`` counts as singular."""
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+    return _DEGENERACY_CUTOFF * np.power(scale, g.shape[-1])
 
 
 def metric_matrices_at(g: MetricField, point) -> tuple[np.ndarray, np.ndarray]:
@@ -311,13 +329,15 @@ def metric_matrices_at(g: MetricField, point) -> tuple[np.ndarray, np.ndarray]:
     return mat, inverse
 
 
-def _signature(eigenvalues: np.ndarray) -> tuple[int, int]:
-    return int(np.sum(eigenvalues > 0.0)), int(np.sum(eigenvalues < 0.0))
+def _signatures(eigenvalues: np.ndarray) -> np.ndarray:
+    """(positive, negative) counts of the eigenvalues on the last axis."""
+    return np.stack([np.sum(eigenvalues > 0.0, axis=-1), np.sum(eigenvalues < 0.0, axis=-1)], -1)
 
 
 def metric_signature(g: MetricField, point) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of G at a point."""
-    return _signature(np.linalg.eigvalsh(g.matrix(point)))
+    positive, negative = _signatures(np.linalg.eigvalsh(g.matrix(point)))
+    return int(positive), int(negative)
 
 
 def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tuple[int, int]:
@@ -329,16 +349,19 @@ def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tupl
     points = _as_points(pts if pts is not None else sample_points(chart, DEFAULT_POINT_COUNT))
     reference = metric_signature(g, chart.center)
     matrices = g.values(points)
-    checks = zip(points, matrices, np.linalg.det(matrices), np.linalg.eigvalsh(matrices))
-    for p, mat, det, eigenvalues in checks:
-        if abs(det) <= _det_threshold(mat):
-            raise MetricError(f"singular metric (det {det:.3e}) at point {p.tolist()}")
-        signature = _signature(eigenvalues)
-        if signature != reference:
-            raise MetricError(
-                f"metric signature {signature} at {p.tolist()} differs from "
-                f"{reference} at the box center"
-            )
+    dets = np.linalg.det(matrices)
+    singular = np.abs(dets) <= _det_threshold(matrices)
+    signatures = _signatures(np.linalg.eigvalsh(matrices))
+    failing = np.flatnonzero(singular | (signatures != reference).any(axis=1))
+    if failing.size:
+        first = failing[0]
+        p = points[first].tolist()
+        if singular[first]:
+            raise MetricError(f"singular metric (det {dets[first]:.3e}) at point {p}")
+        raise MetricError(
+            f"metric signature {tuple(signatures[first].tolist())} at {p} differs from "
+            f"{reference} at the box center"
+        )
     return reference
 
 
@@ -370,10 +393,11 @@ class LeviCivitaConnection(DerivedJets):
 
     def _derive(self, full, metric_jets):
         g, dg, d2g = metric_jets
-        for det, mat in zip(np.linalg.det(g), g):
-            if abs(det) <= _det_threshold(mat):
-                raise MetricError(
-                    f"singular metric (det {det:.3e}) while forming the Levi-Civita connection")
+        dets = np.linalg.det(g)
+        singular = np.abs(dets) <= _det_threshold(g)
+        if singular.any():
+            raise MetricError(f"singular metric (det {dets[np.argmax(singular)]:.3e}) "
+                              "while forming the Levi-Civita connection")
         ginv = np.linalg.inv(g)
         # a[m,i,j] = ∂_i g_mj + ∂_j g_mi − ∂_m g_ij
         a = np.einsum("pimj->pmij", dg) + np.einsum("pjmi->pmij", dg) - dg
@@ -448,45 +472,37 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-class ResidualTracker:
-    """Accumulates the max scaled residual over sampled points.
+def max_abs(arr: np.ndarray) -> np.ndarray:
+    """Per-point max |component| of an array with a leading point axis; 0 without components."""
+    return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1, initial=0.0)
+
+
+def scale_of(*arrays) -> np.ndarray:
+    """Per point, 1 + the largest |component| over all ``arrays`` (each with a leading point axis)."""
+    return 1.0 + np.maximum.reduce([max_abs(arr) for arr in arrays])
+
+
+def residual_check(raw, scale, points, tol: float, details: dict | None = None) -> CheckResult:
+    """The worst of the per-point defects ``raw`` (each ≥ 0) scaled by ``scale``.
 
     A NaN or infinite residual or scale counts as an infinite residual, so it
-    can never pass a tolerance; the point that produced it becomes the worst
-    point.
+    can never pass a tolerance.  Among equal worst residuals the last point
+    wins, the point a sequential ``>=`` scan would keep.
     """
-
-    def __init__(self):
-        self.residual = 0.0
-        self.raw_residual = 0.0
-        self.worst_point = None
-
-    def update(self, raw: float, scale: float, point) -> None:
+    raw = np.asarray(raw, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
         scaled = raw / scale
-        if not (math.isfinite(scaled) and math.isfinite(scale)):
-            scaled = math.inf
-        if scaled >= self.residual:
-            self.residual = scaled
-            self.raw_residual = raw
-            self.worst_point = np.array(point, dtype=float)
-
-    def result(self, tolerance: float, details: dict | None = None) -> CheckResult:
-        return CheckResult(
-            passed=self.residual <= tolerance,
-            residual=self.residual,
-            raw_residual=self.raw_residual,
-            tolerance=tolerance,
-            worst_point=self.worst_point,
-            details=details or {},
-        )
-
-
-def _scale_of(*arrays) -> float:
-    top = 0.0
-    for arr in arrays:
-        if arr.size:
-            top = max(top, float(np.max(np.abs(arr))))
-    return 1.0 + top
+    scaled[~(np.isfinite(scaled) & np.isfinite(scale))] = math.inf
+    worst = len(scaled) - 1 - int(np.argmax(scaled[::-1]))
+    return CheckResult(
+        passed=bool(scaled[worst] <= tol),
+        residual=float(scaled[worst]),
+        raw_residual=float(raw[worst]),
+        tolerance=tol,
+        worst_point=np.array(points[worst], dtype=float),
+        details=details or {},
+    )
 
 
 # --------------------------------------------------------------------------
@@ -496,19 +512,14 @@ def _scale_of(*arrays) -> float:
 def check_statistical_structure(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Torsion-freeness of the connection together with symmetry of ∇g (Codazzi)."""
     points = _as_points(pts)
-    metrics, metric_grads, _ = g.jets(points)
-    tracker = ResidualTracker()
-    worst = {"torsion": 0.0, "codazzi": 0.0}
-    for p, gm, dg, gamma in zip(points, metrics, metric_grads, connection.values(points)):
-        torsion = gamma - np.einsum("kij->kji", gamma)
-        # C[i,j,k] = (∇_{∂_i} g)(∂_j, ∂_k)
-        cov = dg - np.einsum("mij,mk->ijk", gamma, gm) - np.einsum("mik,jm->ijk", gamma, gm)
-        codazzi = cov - np.einsum("ijk->jik", cov)
-        raw = max(float(np.max(np.abs(torsion))), float(np.max(np.abs(codazzi))))
-        worst["torsion"] = max(worst["torsion"], float(np.max(np.abs(torsion))))
-        worst["codazzi"] = max(worst["codazzi"], float(np.max(np.abs(codazzi))))
-        tracker.update(raw, _scale_of(gamma, gm, dg), p)
-    return tracker.result(tol, details=worst)
+    gm, dg, _ = g.jets(points)
+    gamma = connection.values(points)
+    torsion = max_abs(gamma - np.einsum("pkij->pkji", gamma))
+    # C[i,j,k] = (∇_{∂_i} g)(∂_j, ∂_k)
+    cov = dg - np.einsum("pmij,pmk->pijk", gamma, gm) - np.einsum("pmik,pjm->pijk", gamma, gm)
+    codazzi = max_abs(cov - np.einsum("pijk->pjik", cov))
+    return residual_check(np.maximum(torsion, codazzi), scale_of(gamma, gm, dg), points, tol,
+                          details={"torsion": float(torsion.max()), "codazzi": float(codazzi.max())})
 
 
 @dataclass(frozen=True)
@@ -524,9 +535,23 @@ class CurvatureAtPoint:
 
 
 def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """R[l,i,j,k] = ∂_i Γ^l_jk − ∂_j Γ^l_ik + Γ^m_jk Γ^l_im − Γ^m_ik Γ^l_jm."""
-    b = np.einsum("iljk->lijk", dgamma) + np.einsum("mjk,lim->lijk", gamma, gamma)
-    return b - np.einsum("lijk->ljik", b)
+    """R[l,i,j,k] = ∂_i Γ^l_jk − ∂_j Γ^l_ik + Γ^m_jk Γ^l_im − Γ^m_ik Γ^l_jm.
+
+    Leading axes (such as a point axis) carry through.
+    """
+    b = np.einsum("...iljk->...lijk", dgamma) + np.einsum("...mjk,...lim->...lijk", gamma, gamma)
+    return b - np.einsum("...lijk->...ljik", b)
+
+
+def curvature_residual(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+    """R = 0 at the samples: max |R| scaled by 1 + max |g|."""
+    points = _as_points(pts)
+
+    def reduce(gm, jets):
+        return max_abs(curvature_tensor(*jets)), scale_of(gm)
+
+    return residual_check(*in_blocks(reduce, g.dim, g.values(points), connection.jets(points)),
+                          points, tol)
 
 
 def curvature_at(connection, point) -> CurvatureAtPoint:
@@ -561,18 +586,6 @@ def sectional_curvature(g: MetricField, connection, point, v, w) -> float:
     return numerator / disc
 
 
-@dataclass(frozen=True)
-class ConstantCurvatureFit:
-    """Result of fitting R = k (g_jk δ^l_i − g_ik δ^l_j) over the samples."""
-
-    constant: float
-    passed: bool
-    residual: float
-    raw_residual: float
-    tolerance: float
-    worst_point: np.ndarray | None
-
-
 def _best_coordinate_plane(gm: np.ndarray) -> tuple[int, int, float]:
     n = gm.shape[0]
     best = None
@@ -587,51 +600,45 @@ def _best_coordinate_plane(gm: np.ndarray) -> tuple[int, int, float]:
     return best
 
 
-def fit_kurose_constant(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> ConstantCurvatureFit:
+def fit_kurose_constant(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Estimate the constant of the constant-curvature form of R and verify it globally.
 
     The constant is estimated at the first sample point from the coordinate
     plane with the largest |g_ii g_jj − g_ij²| (ties to the lowest indices) by
     contracting both sides of the constant-curvature form with the metric.
+    The result carries it as ``details["constant"]``.
     """
     points = _as_points(pts)
     metric = g.values(points)
-    gammas, dgammas = connection.jets(points)
+    jets = connection.jets(points)
     gm = metric[0]
     i, j, disc = _best_coordinate_plane(gm)
-    r = curvature_tensor(gammas[0], dgammas[0])
+    r = curvature_tensor(jets[0][0], jets[1][0])
     # g(R(e_i, e_j) e_j, e_i) = k (g_jj g_ii − g_ij g_ij)
     k_hat = float(np.einsum("l,lm->m", r[:, i, j, j], gm)[i]) / disc
-    tracker = ResidualTracker()
     eye = np.eye(g.dim)
-    for p, gp, gamma, dgamma in zip(points, metric, gammas, dgammas):
-        rp = curvature_tensor(gamma, dgamma)
-        model = k_hat * (np.einsum("jk,li->lijk", gp, eye) - np.einsum("ik,lj->lijk", gp, eye))
-        raw = float(np.max(np.abs(rp - model)))
-        tracker.update(raw, _scale_of(rp, gp), p)
-    return ConstantCurvatureFit(
-        constant=k_hat,
-        passed=tracker.residual <= tol,
-        residual=tracker.residual,
-        raw_residual=tracker.raw_residual,
-        tolerance=tol,
-        worst_point=tracker.worst_point,
-    )
+
+    def reduce(gp, jets):
+        rp = curvature_tensor(*jets)
+        model = k_hat * (np.einsum("pjk,li->plijk", gp, eye) - np.einsum("pik,lj->plijk", gp, eye))
+        return max_abs(rp - model), scale_of(rp, gp)
+
+    return residual_check(*in_blocks(reduce, g.dim, metric, jets), points, tol,
+                          details={"constant": k_hat})
 
 
 def check_dual_curvature_identity(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """g(R(∂_i,∂_j)∂_k, ∂_l) + g(R*(∂_i,∂_j)∂_l, ∂_k) = 0 at the samples."""
     points = _as_points(pts)
-    metric = g.values(points)
-    primal = zip(*connection.jets(points))
-    dual = zip(*conjugate_connection(g, connection).jets(points))
-    tracker = ResidualTracker()
-    for p, gm, (gamma, dgamma), (star, dstar) in zip(points, metric, primal, dual):
-        r_cov = np.einsum("lm,mijk->ijkl", gm, curvature_tensor(gamma, dgamma))
-        rs_cov = np.einsum("lm,mijk->ijkl", gm, curvature_tensor(star, dstar))
-        defect = r_cov + np.einsum("ijlk->ijkl", rs_cov)
-        tracker.update(float(np.max(np.abs(defect))), _scale_of(r_cov, rs_cov), p)
-    return tracker.result(tol)
+
+    def reduce(gm, primal, dual):
+        r_cov = np.einsum("plm,pmijk->pijkl", gm, curvature_tensor(*primal))
+        rs_cov = np.einsum("plm,pmijk->pijkl", gm, curvature_tensor(*dual))
+        return max_abs(r_cov + np.einsum("pijlk->pijkl", rs_cov)), scale_of(r_cov, rs_cov)
+
+    batches = (g.values(points), connection.jets(points),
+               conjugate_connection(g, connection).jets(points))
+    return residual_check(*in_blocks(reduce, g.dim, *batches), points, tol)
 
 
 def difference_tensor_at(connection, dual_connection, point) -> np.ndarray:

@@ -9,6 +9,8 @@ derived field so that structures of structures (P** and friends) compose.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,14 +26,17 @@ from .geometry import (
     DerivedJets,
     ExpressionField,
     MetricField,
-    ResidualTracker,
     _as_points,
     _inverse_derivative,
-    _scale_of,
     check_statistical_structure,
     conjugate_connection,
+    curvature_residual,
     curvature_tensor,
     fit_kurose_constant,
+    in_blocks,
+    max_abs,
+    residual_check,
+    scale_of,
 )
 
 _IDENTITY_WITNESS_MARGIN = 1e-6
@@ -87,26 +92,13 @@ def check_almost_product(structure, pts, tol: float = DEFAULT_TOLERANCE) -> Chec
     """P² = Id at every sample, plus a witness that P is not ±Id anywhere."""
     points = _as_points(pts)
     eye = np.eye(structure.dim)
-    tracker = ResidualTracker()
-    plus_witness = 0.0
-    minus_witness = 0.0
-    for p, m in zip(points, structure.values(points)):
-        tracker.update(float(np.max(np.abs(m @ m - eye))), _scale_of(m), p)
-        plus_witness = max(plus_witness, float(np.max(np.abs(m - eye))))
-        minus_witness = max(minus_witness, float(np.max(np.abs(m + eye))))
-    details = {"identity_distance": plus_witness, "negated_identity_distance": minus_witness}
-    result = tracker.result(tol, details=details)
-    has_witness = plus_witness > _IDENTITY_WITNESS_MARGIN and minus_witness > _IDENTITY_WITNESS_MARGIN
-    if not has_witness:
-        return CheckResult(
-            passed=False,
-            residual=result.residual,
-            raw_residual=result.raw_residual,
-            tolerance=tol,
-            worst_point=result.worst_point,
-            details={**details, "witness_missing": 1.0},
-        )
-    return result
+    m = structure.values(points)
+    plus, minus = float(max_abs(m - eye).max()), float(max_abs(m + eye).max())
+    details = {"identity_distance": plus, "negated_identity_distance": minus}
+    result = residual_check(max_abs(m @ m - eye), scale_of(m), points, tol, details)
+    if plus > _IDENTITY_WITNESS_MARGIN and minus > _IDENTITY_WITNESS_MARGIN:
+        return result
+    return dataclasses.replace(result, passed=False, details={**details, "witness_missing": 1.0})
 
 
 def check_pairing_identities(g: MetricField, structure, pts, tol: float = 1e-10) -> CheckResult:
@@ -115,26 +107,21 @@ def check_pairing_identities(g: MetricField, structure, pts, tol: float = 1e-10)
     star = adjoint_structure(g, structure)
     double = adjoint_structure(g, star)
     eye = np.eye(structure.dim)
-    tracker = ResidualTracker()
-    worst = {"square": 0.0, "pairing": 0.0, "double_adjoint": 0.0}
-    matrices = zip(g.values(points), structure.values(points), star.values(points),
-                   double.values(points))
-    for p, (gm, m, ms, back_m) in zip(points, matrices):
-        square = float(np.max(np.abs(ms @ ms - eye)))
-        # g(P ∂_i, P* ∂_j) + g(∂_i, ∂_j)
-        pairing = float(np.max(np.abs(m.T @ gm @ ms + gm)))
-        back = float(np.max(np.abs(back_m - m)))
-        worst["square"] = max(worst["square"], square)
-        worst["pairing"] = max(worst["pairing"], pairing)
-        worst["double_adjoint"] = max(worst["double_adjoint"], back)
-        tracker.update(max(square, pairing, back), _scale_of(m, ms, gm), p)
-    return tracker.result(tol, details=worst)
+    gm, m, ms = g.values(points), structure.values(points), star.values(points)
+    square = max_abs(ms @ ms - eye)
+    # g(P ∂_i, P* ∂_j) + g(∂_i, ∂_j)
+    pairing = max_abs(np.swapaxes(m, 1, 2) @ gm @ ms + gm)
+    back = max_abs(double.values(points) - m)
+    details = {"square": float(square.max()), "pairing": float(pairing.max()),
+               "double_adjoint": float(back.max())}
+    return residual_check(np.maximum.reduce([square, pairing, back]), scale_of(m, ms, gm),
+                          points, tol, details)
 
 
 def _covariant_derivative_P(gamma, m, dm) -> np.ndarray:
-    return (np.einsum("ikj->ikj", dm)
-            + np.einsum("kim,mj->ikj", gamma, m)
-            - np.einsum("mij,km->ikj", gamma, m))
+    return (np.einsum("...ikj->...ikj", dm)
+            + np.einsum("...kim,...mj->...ikj", gamma, m)
+            - np.einsum("...mij,...km->...ikj", gamma, m))
 
 
 def covariant_derivative_P_at(connection, structure, point) -> np.ndarray:
@@ -142,13 +129,13 @@ def covariant_derivative_P_at(connection, structure, point) -> np.ndarray:
     return _covariant_derivative_P(connection.coefficients(point), *structure.jet(point))
 
 
-def product_parallelism_residual(connection, structure, pts) -> ResidualTracker:
+def check_product_parallelism(connection, structure, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+    """∇P = 0 at the samples, scaled by 1 + max |Γ|, |P|."""
     points = _as_points(pts)
-    tracker = ResidualTracker()
-    for p, gamma, (m, dm) in zip(points, connection.values(points), zip(*structure.jets(points))):
-        nabla_p = _covariant_derivative_P(gamma, m, dm)
-        tracker.update(float(np.max(np.abs(nabla_p))), _scale_of(gamma, m), p)
-    return tracker
+    gamma = connection.values(points)
+    m, dm = structure.jets(points)
+    return residual_check(max_abs(_covariant_derivative_P(gamma, m, dm)), scale_of(gamma, m),
+                          points, tol)
 
 
 @dataclass(frozen=True)
@@ -168,7 +155,7 @@ def check_para_kahler_like(
     points = _as_points(pts)
     statistical = check_statistical_structure(g, connection, points, tol)
     almost = check_almost_product(structure, points, tol)
-    parallel = product_parallelism_residual(connection, structure, points).result(tol)
+    parallel = check_product_parallelism(connection, structure, points, tol)
     return Certification(
         passed=statistical.passed and almost.passed and parallel.passed,
         statistical=statistical,
@@ -180,35 +167,32 @@ def check_para_kahler_like(
 def conjugate_parallelism_check(
     g: MetricField, connection, structure, pts, tol: float = DEFAULT_TOLERANCE
 ) -> CheckResult:
-    """∇P = 0 and ∇*P* = 0 vanish together: PASS when both do or neither does."""
+    """∇P = 0 and ∇*P* = 0 vanish together: PASS when both do or neither does.
+
+    A non-finite residual on either side FAILs.
+    """
     points = _as_points(pts)
-    primal = product_parallelism_residual(connection, structure, points)
-    dual = product_parallelism_residual(
-        conjugate_connection(g, connection), adjoint_structure(g, structure), points
+    primal = check_product_parallelism(connection, structure, points, tol)
+    dual = check_product_parallelism(
+        conjugate_connection(g, connection), adjoint_structure(g, structure), points, tol
     )
     both_zero = primal.residual <= tol and dual.residual <= tol
-    both_nonzero = primal.residual > tol and dual.residual > tol
+    both_nonzero = tol < primal.residual < math.inf and tol < dual.residual < math.inf
     worst = primal if primal.residual >= dual.residual else dual
-    return CheckResult(
-        passed=both_zero or both_nonzero,
-        residual=worst.residual,
-        raw_residual=worst.raw_residual,
-        tolerance=tol,
-        worst_point=worst.worst_point,
-        details={"primal": primal.residual, "dual": dual.residual},
-    )
+    return dataclasses.replace(worst, passed=both_zero or both_nonzero,
+                               details={"primal": primal.residual, "dual": dual.residual})
 
 
 def _space_form_model(gm: np.ndarray, m: np.ndarray, c: float) -> np.ndarray:
     """(c/4){g_jk δ^l_i − g_ik δ^l_j + g(P∂_j,∂_k) P∂_i − g(P∂_i,∂_k) P∂_j
-    + [g(∂_i,P∂_j) − g(P∂_i,∂_j)] P∂_k} as an [l,i,j,k] array."""
-    eye = np.eye(gm.shape[0])
+    + [g(∂_i,P∂_j) − g(P∂_i,∂_j)] P∂_k} as an [l,i,j,k] array, over leading axes."""
+    eye = np.eye(gm.shape[-1])
     q = gm @ m  # q[i, j] = g(∂_i, P ∂_j)
-    model = (np.einsum("jk,li->lijk", gm, eye)
-             - np.einsum("ik,lj->lijk", gm, eye)
-             + np.einsum("kj,li->lijk", q, m)
-             - np.einsum("ki,lj->lijk", q, m)
-             + np.einsum("ij,lk->lijk", q - q.T, m))
+    model = (np.einsum("...jk,li->...lijk", gm, eye)
+             - np.einsum("...ik,lj->...lijk", gm, eye)
+             + np.einsum("...kj,...li->...lijk", q, m)
+             - np.einsum("...ki,...lj->...lijk", q, m)
+             + np.einsum("...ij,...lk->...lijk", q - np.swapaxes(q, -1, -2), m))
     return (c / 4.0) * model
 
 
@@ -221,22 +205,19 @@ def check_space_form(
     replaced by P*.
     """
     points = _as_points(pts)
-    dual_connection = conjugate_connection(g, connection)
-    dual_structure = adjoint_structure(g, structure)
-    tracker = ResidualTracker()
-    worst = {"primal": 0.0, "dual": 0.0}
-    samples = zip(points, g.values(points), structure.values(points),
-                  zip(*connection.jets(points)), dual_structure.values(points),
-                  zip(*dual_connection.jets(points)))
-    for p, gm, m, (gamma, dgamma), ms, (star, dstar) in samples:
-        r = curvature_tensor(gamma, dgamma)
-        primal = float(np.max(np.abs(r - _space_form_model(gm, m, c))))
-        r_star = curvature_tensor(star, dstar)
-        dual = float(np.max(np.abs(r_star - _space_form_model(gm, ms, c))))
-        worst["primal"] = max(worst["primal"], primal)
-        worst["dual"] = max(worst["dual"], dual)
-        tracker.update(max(primal, dual), _scale_of(r, r_star, gm, m), p)
-    return tracker.result(tol, details=worst)
+
+    def reduce(gm, m, jets, ms, dual_jets):
+        r = curvature_tensor(*jets)
+        r_star = curvature_tensor(*dual_jets)
+        return (max_abs(r - _space_form_model(gm, m, c)),
+                max_abs(r_star - _space_form_model(gm, ms, c)), scale_of(r, r_star, gm, m))
+
+    batches = (g.values(points), structure.values(points), connection.jets(points),
+               adjoint_structure(g, structure).values(points),
+               conjugate_connection(g, connection).jets(points))
+    primal, dual, scale = in_blocks(reduce, g.dim, *batches)
+    return residual_check(np.maximum(primal, dual), scale, points, tol,
+                          details={"primal": float(primal.max()), "dual": float(dual.max())})
 
 
 def fit_space_form_constant(g: MetricField, connection, structure, pts) -> float:
@@ -246,18 +227,19 @@ def fit_space_form_constant(g: MetricField, connection, structure, pts) -> float
     with the fitted value.
     """
     points = _as_points(pts)
-    best = None
-    for index, (gm, m) in enumerate(zip(g.values(points), structure.values(points))):
+
+    def weights(gm, m):
         basis = _space_form_model(gm, m, 4.0)  # model is linear in c; c=4 gives the raw bracket
-        weight = float(np.einsum("lijk,lijk->", basis, basis))
-        if best is None or weight > best[0]:
-            best = (weight, index, basis)
-    weight, index, basis = best
-    if weight == 0.0:
+        return (np.einsum("plijk,plijk->p", basis, basis),)
+
+    gm, m = g.values(points), structure.values(points)
+    (weight,) = in_blocks(weights, g.dim, gm, m)
+    index = int(np.argmax(weight))
+    if weight[index] == 0.0:
         return 0.0
-    gammas, dgammas = connection.jets(points)
-    r = curvature_tensor(gammas[index], dgammas[index])
-    return 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / weight
+    basis = _space_form_model(gm[index], m[index], 4.0)
+    r = curvature_tensor(*(part[index] for part in connection.jets(points)))
+    return 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / float(weight[index])
 
 
 @dataclass(frozen=True)
@@ -290,21 +272,18 @@ def verify_flatness_theorem(
             STATUS_NOT_APPLICABLE, reason="para-Kähler-like certification failed"
         )
     fit = fit_kurose_constant(g, connection, points, tol)
+    constant = fit.details["constant"]
     if not fit.passed:
         return TheoremOutcome(
             STATUS_NOT_APPLICABLE,
             reason="curvature is not of constant-curvature form",
-            data={"constant": fit.constant, "fit_residual": fit.residual},
+            data={"constant": constant, "fit_residual": fit.residual},
         )
-    tracker = ResidualTracker()
-    for p, gm, (gamma, dgamma) in zip(points, g.values(points), zip(*connection.jets(points))):
-        r = curvature_tensor(gamma, dgamma)
-        tracker.update(float(np.max(np.abs(r))), _scale_of(gm), p)
-    flat = tracker.result(tol)
+    flat = curvature_residual(g, connection, points, tol)
     status = STATUS_PASS if flat.passed else STATUS_FAIL
     return TheoremOutcome(
         status,
         reason=None if flat.passed else "hypotheses hold but curvature does not vanish",
         residual=flat.residual,
-        data={"constant": fit.constant, "max_curvature": flat.raw_residual},
+        data={"constant": constant, "max_curvature": flat.raw_residual},
     )

@@ -38,13 +38,14 @@ from .geometry import (
     ExpressionField,
     ManifoldSpec,
     PointJets,
-    ResidualTracker,
     _as_points,
-    _scale_of,
     check_statistical_structure,
     conjugate_connection,
-    curvature_tensor,
+    curvature_residual,
+    max_abs,
+    residual_check,
     sample_points,
+    scale_of,
 )
 from .product import (
     TheoremOutcome,
@@ -411,19 +412,6 @@ def oneill_arrays(spec: SubmersionSpec, points, dual_connection=None) -> OneillA
                         t=t, a=a, t_star=t_star, a_star=a_star)
 
 
-def _track(raw, scales, points, tol: float, details: dict | None = None) -> CheckResult:
-    """Feed per-point raw residuals and scales through a :class:`ResidualTracker`."""
-    tracker = ResidualTracker()
-    for value, scale, p in zip(raw, scales, points):
-        tracker.update(float(value), scale, p)
-    return tracker.result(tol, details=details)
-
-
-def _max_abs(arr: np.ndarray) -> np.ndarray:
-    """Per-point max |component| of an array with a leading point axis."""
-    return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
-
-
 def _pair_lifts(tensor: np.ndarray, lifts: np.ndarray) -> np.ndarray:
     """tensor(X_a, X_b)[p, k, a, b] for the basic lifts X_a."""
     return np.einsum("pkij,pia,pjb->pkab", tensor, lifts, lifts)
@@ -436,7 +424,6 @@ def _pair_lifts(tensor: np.ndarray, lifts: np.ndarray) -> np.ndarray:
 def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Horizontal lifts of base frames have the base scalar products: g(X̃, Ỹ) = g'(X', Y')∘π."""
     points = _as_points(pts)
-    tracker = ResidualTracker()
     nb = spec.base_dim
     g = spec.total.metric.values(points)
     base_metric = spec.base.metric.values(points[:, :nb])
@@ -448,11 +435,9 @@ def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEF
     lifts[:, :nb, :] = eye
     for a in range(nb):
         lifts[:, nb:, a] = -np.linalg.solve(gvv, (g[:, nb:, :nb] @ eye[a])[..., None])[..., 0]
-    for p, gm, base_products, lift in zip(points, g, base_metric, lifts):
-        total_products = lift.T @ gm @ lift
-        raw = float(np.max(np.abs(total_products - base_products)))
-        tracker.update(raw, _scale_of(total_products, base_products), p)
-    return tracker.result(tol)
+    total_products = np.swapaxes(lifts, 1, 2) @ g @ lifts
+    return residual_check(max_abs(total_products - base_metric),
+                          scale_of(total_products, base_metric), points, tol)
 
 
 def _require_connections(spec: SubmersionSpec) -> None:
@@ -465,8 +450,7 @@ def _statistical_submersion(spec: SubmersionSpec, arrays: OneillArrays, tol: flo
     nabla = _covariant_derivatives(arrays.gamma, arrays.L, arrays.L, arrays.dL)
     total_side = np.einsum("pkl,plab->pkab", arrays.h, nabla)[:, :nb]
     base_gamma = spec.base.connection.values(arrays.points[:, :nb])
-    return _track(_max_abs(total_side - base_gamma), [_scale_of(bg) for bg in base_gamma],
-                  arrays.points, tol)
+    return residual_check(max_abs(total_side - base_gamma), scale_of(base_gamma), arrays.points, tol)
 
 
 def check_statistical_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -481,19 +465,15 @@ def check_para_holomorphic(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLER
         raise SubmersionError("para-holomorphic check needs product structures on both sides")
     points = _as_points(pts)
     nb = spec.base_dim
-    tracker = ResidualTracker()
-    structures = zip(spec.total.product.values(points), spec.base.product.values(points[:, :nb]))
-    for p, (m, m_base) in zip(points, structures):
-        base_block = float(np.max(np.abs(m[:nb, :nb] - m_base)))
-        leak = float(np.max(np.abs(m[:nb, nb:])))
-        tracker.update(max(base_block, leak), _scale_of(m, m_base), p)
-    return tracker.result(tol)
+    m = spec.total.product.values(points)
+    m_base = spec.base.product.values(points[:, :nb])
+    raw = np.maximum(max_abs(m[:, :nb, :nb] - m_base), max_abs(m[:, :nb, nb:]))
+    return residual_check(raw, scale_of(m, m_base), points, tol)
 
 
 def _isometric_fibers(spec: SubmersionSpec, arrays: OneillArrays, tol: float) -> CheckResult:
     nb = spec.base_dim
-    return _track(_max_abs(arrays.t[:, :, nb:, nb:]), [_scale_of(gm) for gm in arrays.gamma],
-                  arrays.points, tol)
+    return residual_check(max_abs(arrays.t[:, :, nb:, nb:]), scale_of(arrays.gamma), arrays.points, tol)
 
 
 def isometric_fibers_residual(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -542,24 +522,23 @@ def check_fundamental_tensor_identities(
                  + np.einsum("plb,plk,pkmu,pma->pabu", lifts, g,
                              arrays.a_star[:, :, :, nb:], lifts))
     per_point = {
-        "symmetry_t": np.maximum(_max_abs(t_vv - swapped(t_vv)),
-                                 _max_abs(t_star_vv - swapped(t_star_vv))),
-        "alternation_a": np.maximum(_max_abs(a_xy - swapped(a_xy) - bracket),
-                                    _max_abs(a_star_xy - swapped(a_star_xy) - bracket)),
-        "skew_exchange": _max_abs(a_xy + swapped(a_star_xy)),
-        "pairing_t": _max_abs(pairing_t),
-        "pairing_a": _max_abs(pairing_a),
+        "symmetry_t": np.maximum(max_abs(t_vv - swapped(t_vv)),
+                                 max_abs(t_star_vv - swapped(t_star_vv))),
+        "alternation_a": np.maximum(max_abs(a_xy - swapped(a_xy) - bracket),
+                                    max_abs(a_star_xy - swapped(a_star_xy) - bracket)),
+        "skew_exchange": max_abs(a_xy + swapped(a_star_xy)),
+        "pairing_t": max_abs(pairing_t),
+        "pairing_a": max_abs(pairing_a),
         "projectors": np.maximum.reduce([
-            _max_abs(v @ v - v),
-            _max_abs(v @ h),
-            _max_abs(h.transpose(0, 2, 1) @ g @ v),
-            _max_abs(v + h - np.eye(spec.total_dim)),
+            max_abs(v @ v - v),
+            max_abs(v @ h),
+            max_abs(h.transpose(0, 2, 1) @ g @ v),
+            max_abs(v + h - np.eye(spec.total_dim)),
         ]),
     }
     running = np.maximum.accumulate(np.array(list(per_point.values())), axis=1)
     worst = {name: float(running[row, -1]) for row, name in enumerate(per_point)}
-    return _track(running.max(axis=0), [_scale_of(gm) for gm in g], arrays.points, tol,
-                  details=worst)
+    return residual_check(running.max(axis=0), scale_of(g), arrays.points, tol, details=worst)
 
 
 # --------------------------------------------------------------------------
@@ -652,13 +631,14 @@ def induced_fiber_manifold(
         if not isinstance(structure, ExpressionField):
             raise TypeError("fiber restriction needs an expression-backed product structure")
         embedded = _on_fiber(frozen, sample_points(fiber_chart, DEFAULT_POINT_COUNT))
-        for q, m in zip(embedded, structure.values(embedded)):
-            leak = float(np.max(np.abs(m[:nb, nb:])))
-            if leak > tol:
-                raise SubmersionError(
-                    f"product structure does not preserve the vertical space "
-                    f"(leak {leak:.3e} at {q.tolist()})"
-                )
+        leaks = max_abs(structure.values(embedded)[:, :nb, nb:])
+        leaking = np.flatnonzero(leaks > tol)
+        if leaking.size:
+            first = leaking[0]
+            raise SubmersionError(
+                f"product structure does not preserve the vertical space "
+                f"(leak {leaks[first]:.3e} at {embedded[first].tolist()})"
+            )
         fiber_product = _restrict(structure, frozen)
     return ManifoldSpec(
         chart=fiber_chart,
@@ -679,12 +659,11 @@ def induced_fiber_connections(spec: SubmersionSpec, base_point=None) -> tuple[Fi
 # Theorem-level report
 # --------------------------------------------------------------------------
 
-def _rank(matrix: np.ndarray) -> int:
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular.size == 0:
-        return 0
-    cutoff = _RANK_CUTOFF * max(1.0, float(singular[0]))
-    return int(np.sum(singular > cutoff))
+def _ranks(matrices: np.ndarray) -> np.ndarray:
+    """The numerical rank of each matrix in a stack."""
+    singular = np.linalg.svd(matrices, compute_uv=False)
+    cutoff = _RANK_CUTOFF * np.maximum(1.0, singular[:, :1])
+    return np.sum(singular > cutoff, axis=1)
 
 
 @dataclass(frozen=True)
@@ -771,27 +750,23 @@ def verify_submersion_theorems(
     structure = spec.total.product.values(points)
     vertical_images = structure[:, :, nb:]
     twisted = np.einsum("pkij,piu,pjw->pkuw", arrays.t, vertical_images, vertical_images)
-    vertical_symmetry = _track(_max_abs(twisted - arrays.t[:, :, nb:, nb:]),
-                               [_scale_of(m) for m in structure], points, tol)
+    vertical_symmetry = residual_check(max_abs(twisted - arrays.t[:, :, nb:, nb:]),
+                                       scale_of(structure), points, tol)
     items["vertical_symmetry"] = TheoremOutcome(
         STATUS_PASS if vertical_symmetry.passed else STATUS_FAIL,
         residual=vertical_symmetry.residual,
     )
 
-    fiber_adjoint = adjoint_structure(fiber.metric, fiber.product)
-    ranks = []
-    parity_gap = 0.0
-    for m_hat, m_hat_star in zip(fiber.product.values(fiber_points),
-                                 fiber_adjoint.values(fiber_points)):
-        ranks.append(_rank(m_hat + m_hat_star))
-        parity_gap = max(parity_gap, float(np.max(np.abs(m_hat - m_hat_star))))
-    min_rank = min(ranks)
+    m_hat = fiber.product.values(fiber_points)
+    m_hat_star = adjoint_structure(fiber.metric, fiber.product).values(fiber_points)
+    min_rank = int(_ranks(m_hat + m_hat_star).min())
+    parity_gap = float(max_abs(m_hat - m_hat_star).max())
 
-    metric_scales = [_scale_of(g) for g in arrays.g]
-    a_worst = np.maximum(_max_abs(_pair_lifts(arrays.a, arrays.L)),
-                         _max_abs(_pair_lifts(arrays.a_star, arrays.L)))
-    a_result = _track(a_worst, metric_scales, points, tol)
-    bracket_result = _track(_max_abs(_lift_brackets(arrays)), metric_scales, points, tol)
+    metric_scales = scale_of(arrays.g)
+    a_worst = np.maximum(max_abs(_pair_lifts(arrays.a, arrays.L)),
+                         max_abs(_pair_lifts(arrays.a_star, arrays.L)))
+    a_result = residual_check(a_worst, metric_scales, points, tol)
+    bracket_result = residual_check(max_abs(_lift_brackets(arrays)), metric_scales, points, tol)
 
     if min_rank == spec.fiber_dim:
         items["horizontal_vanishing"] = TheoremOutcome(
@@ -825,18 +800,12 @@ def verify_submersion_theorems(
         spec.total.metric, connection, spec.total.product, space_constant, points, tol
     )
     if space_form.passed and isometric.passed and min_rank == spec.fiber_dim:
-        flat_tracker = ResidualTracker()
-        for manifold, samples, reported in ((spec.base, points[:, :nb], points),
-                                            (fiber, fiber_points, fiber_points)):
-            metrics = manifold.metric.values(samples)
-            jets = zip(*manifold.connection_or_levi_civita().jets(samples))
-            for p, gm, (gamma, dgamma) in zip(reported, metrics, jets):
-                flat_tracker.update(float(np.max(np.abs(curvature_tensor(gamma, dgamma)))),
-                                    _scale_of(gm), p)
-        flat = flat_tracker.result(tol)
+        flat = max(curvature_residual(manifold.metric, manifold.connection_or_levi_civita(),
+                                      samples, tol).residual
+                   for manifold, samples in ((spec.base, points[:, :nb]), (fiber, fiber_points)))
         items["flat_decomposition"] = TheoremOutcome(
-            STATUS_PASS if flat.passed else STATUS_FAIL,
-            residual=flat.residual,
+            STATUS_PASS if flat <= tol else STATUS_FAIL,
+            residual=flat,
             data={"space_form_constant": space_constant},
         )
     else:

@@ -1,17 +1,16 @@
 """Suite execution: the check registry and the manifest-driven runner.
 
-Checks run in declaration order; each one reduces its sampled residuals with
-``max``, so results are independent of evaluation order and a fixed seed
-yields byte-identical reports.  A check that raises is recorded as ERROR and
-the run continues.
+Checks run in declaration order.  Each one evaluates its fields over the
+whole batch of sample points and ends in one :func:`geometry.residual_check`
+of per-point arrays (the last worst point wins ties), so a fixed seed yields
+byte-identical reports.  A check that raises is recorded as ERROR and the run
+continues.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-
-import numpy as np
 
 from . import geometry as geo
 from . import product as prod
@@ -37,10 +36,6 @@ def _outcome(name, result, points_used, data=None) -> CheckOutcome:
         points_used=points_used,
         data=dict(data or {}, **{k: float(v) for k, v in result.details.items()}),
     )
-
-
-def _residual_outcome(name, tracker, tol, points_used, data=None) -> CheckOutcome:
-    return _outcome(name, tracker.result(tol), points_used, data)
 
 
 def _certification_outcome(name, cert, tol, points_used) -> CheckOutcome:
@@ -83,23 +78,19 @@ def _check_conjugate_involution(ctx, pts, tol):
     m = ctx.manifold
     connection = m.connection_or_levi_civita()
     double = geo.conjugate_connection(m.metric, geo.conjugate_connection(m.metric, connection))
-    tracker = geo.ResidualTracker()
-    for p, gamma, back in zip(pts, connection.values(pts), double.values(pts)):
-        tracker.update(float(np.max(np.abs(back - gamma))), geo._scale_of(gamma), p)
-    return [_residual_outcome("conjugate_involution", tracker, tol, len(pts))]
+    gamma = connection.values(pts)
+    result = geo.residual_check(geo.max_abs(double.values(pts) - gamma), geo.scale_of(gamma), pts, tol)
+    return [_outcome("conjugate_involution", result, len(pts))]
 
 
 def _check_levi_civita_average(ctx, pts, tol):
     m = ctx.manifold
     connection = m.connection_or_levi_civita()
-    dual = geo.conjugate_connection(m.metric, connection)
-    tracker = geo.ResidualTracker()
-    coefficients = zip(connection.values(pts), dual.values(pts),
-                       m.levi_civita_connection.values(pts))
-    for p, (gamma, star, mid) in zip(pts, coefficients):
-        defect = gamma + star - 2.0 * mid
-        tracker.update(float(np.max(np.abs(defect))), geo._scale_of(gamma), p)
-    return [_residual_outcome("levi_civita_average", tracker, tol, len(pts))]
+    gamma = connection.values(pts)
+    star = geo.conjugate_connection(m.metric, connection).values(pts)
+    defect = gamma + star - 2.0 * m.levi_civita_connection.values(pts)
+    result = geo.residual_check(geo.max_abs(defect), geo.scale_of(gamma), pts, tol)
+    return [_outcome("levi_civita_average", result, len(pts))]
 
 
 def _check_dual_curvature_identity(ctx, pts, tol):
@@ -110,27 +101,14 @@ def _check_dual_curvature_identity(ctx, pts, tol):
 
 def _check_flatness(ctx, pts, tol):
     m = ctx.manifold
-    connection = m.connection_or_levi_civita()
-    tracker = geo.ResidualTracker()
-    for p, gm, (gamma, dgamma) in zip(pts, m.metric.values(pts), zip(*connection.jets(pts))):
-        r = geo.curvature_tensor(gamma, dgamma)
-        tracker.update(float(np.max(np.abs(r))), geo._scale_of(gm), p)
-    return [_residual_outcome("flatness", tracker, tol, len(pts))]
+    result = geo.curvature_residual(m.metric, m.connection_or_levi_civita(), pts, tol)
+    return [_outcome("flatness", result, len(pts))]
 
 
 def _check_kurose(ctx, pts, tol):
     m = ctx.manifold
     fit = geo.fit_kurose_constant(m.metric, m.connection_or_levi_civita(), pts, tol)
-    return [CheckOutcome(
-        name="kurose_constant_curvature",
-        status=STATUS_PASS if fit.passed else STATUS_FAIL,
-        residual=float(fit.residual),
-        raw_residual=float(fit.raw_residual),
-        tolerance=float(fit.tolerance),
-        worst_point=None if fit.worst_point is None else [float(x) for x in fit.worst_point],
-        points_used=len(pts),
-        data={"constant": float(fit.constant)},
-    )]
+    return [_outcome("kurose_constant_curvature", fit, len(pts))]
 
 
 # --------------------------------------------------------------------------
@@ -156,8 +134,8 @@ def _check_pairing_identities(ctx, pts, tol):
 
 def _check_product_parallelism(ctx, pts, tol):
     m = _require_product(ctx)
-    tracker = prod.product_parallelism_residual(m.connection_or_levi_civita(), m.product, pts)
-    return [_residual_outcome("product_parallelism", tracker, tol, len(pts))]
+    result = prod.check_product_parallelism(m.connection_or_levi_civita(), m.product, pts, tol)
+    return [_outcome("product_parallelism", result, len(pts))]
 
 
 def _check_para_kahler_like(ctx, pts, tol):
@@ -219,27 +197,16 @@ def _check_alpha_family(ctx, pts, tol):
         connection = AlphaConnection(metric, alpha)
         stat = geo.check_statistical_structure(metric, connection, pts, tol)
         outcomes.append(_outcome(f"alpha_family[{alpha:g}].statistical_structure", stat, len(pts)))
-        dual = geo.conjugate_connection(metric, connection)
-        mirror = AlphaConnection(metric, -alpha)
-        tracker = geo.ResidualTracker()
-        coefficients = zip(dual.values(pts), mirror.values(pts), connection.values(pts))
-        for p, (star, reflected, gamma) in zip(pts, coefficients):
-            tracker.update(float(np.max(np.abs(star - reflected))), geo._scale_of(gamma), p)
-        outcomes.append(
-            _residual_outcome(f"alpha_family[{alpha:g}].conjugate_duality", tracker, tol, len(pts))
-        )
-    mid = geo.levi_civita(metric)
-    zero = AlphaConnection(metric, 0.0)
-    tracker = geo.ResidualTracker()
-    for p, gamma, lc in zip(pts, zero.values(pts), mid.values(pts)):
-        tracker.update(float(np.max(np.abs(gamma - lc))), geo._scale_of(lc), p)
-    outcomes.append(_residual_outcome("alpha_family.levi_civita_match", tracker, tol, len(pts)))
-    one = AlphaConnection(metric, 1.0)
-    tracker = geo.ResidualTracker()
-    for p, gm, (gamma, dgamma) in zip(pts, metric.values(pts), zip(*one.jets(pts))):
-        r = geo.curvature_tensor(gamma, dgamma)
-        tracker.update(float(np.max(np.abs(r))), geo._scale_of(gm), p)
-    outcomes.append(_residual_outcome("alpha_family.exponential_flatness", tracker, tol, len(pts)))
+        star = geo.conjugate_connection(metric, connection).values(pts)
+        reflected = AlphaConnection(metric, -alpha).values(pts)
+        duality = geo.residual_check(geo.max_abs(star - reflected),
+                                     geo.scale_of(connection.values(pts)), pts, tol)
+        outcomes.append(_outcome(f"alpha_family[{alpha:g}].conjugate_duality", duality, len(pts)))
+    gamma, lc = AlphaConnection(metric, 0.0).values(pts), geo.levi_civita(metric).values(pts)
+    match = geo.residual_check(geo.max_abs(gamma - lc), geo.scale_of(lc), pts, tol)
+    outcomes.append(_outcome("alpha_family.levi_civita_match", match, len(pts)))
+    flat = geo.curvature_residual(metric, AlphaConnection(metric, 1.0), pts, tol)
+    outcomes.append(_outcome("alpha_family.exponential_flatness", flat, len(pts)))
     return outcomes
 
 

@@ -114,7 +114,7 @@ def test_criterion_1_flat_certification():
                        for p in pts) > 1e-9:
                     failures.append(f"{tag}: curvature")
                 fit = fit_kurose_constant(m.metric, m.connection, pts)
-                if not fit.passed or abs(fit.constant) > 1e-9:
+                if not fit.passed or abs(fit.details["constant"]) > 1e-9:
                     failures.append(f"{tag}: constant-curvature fit")
                 if pairs >= 2:
                     outcome = verify_flatness_theorem(m.metric, m.connection, m.product, pts)

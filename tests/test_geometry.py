@@ -1,5 +1,7 @@
 """Charts, metrics, connections, conjugation, and curvature checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from statgeom.geometry import (
     ExpressionConnection,
     MetricError,
     MetricField,
-    ResidualTracker,
     check_dual_curvature_identity,
     check_statistical_structure,
     conjugate_connection,
@@ -28,6 +29,7 @@ from statgeom.geometry import (
     levi_civita,
     metric_matrices_at,
     metric_signature,
+    residual_check,
     sample_points,
     sectional_curvature,
     statistical_curvature_at,
@@ -218,29 +220,56 @@ class TestStatisticalStructure:
         assert result.details["torsion"] == 1.0
 
 
-class TestResidualTracker:
+def _sequential_residual(raw, scale, points):
+    """The reference reduction: a running ``>=`` scan from 0, non-finite counting as inf."""
+    residual, raw_residual, worst_point = 0.0, 0.0, None
+    for value, factor, point in zip(raw, scale, points):
+        scaled = value / factor
+        if not (math.isfinite(scaled) and math.isfinite(factor)):
+            scaled = math.inf
+        if scaled >= residual:
+            residual, raw_residual, worst_point = scaled, value, point
+    return residual, raw_residual, worst_point
+
+
+class TestResidualCheck:
     @pytest.mark.parametrize("raw, scale", [(float("nan"), 1.0), (float("inf"), float("inf")),
                                             (float("inf"), 1.0), (1.0, float("nan")),
                                             (1.0, float("inf"))])
     def test_non_finite_residual_fails_at_its_point(self, raw, scale):
-        tracker = ResidualTracker()
-        tracker.update(1e-12, 1.0, [0.0, 0.0])
-        tracker.update(raw, scale, [0.5, 0.5])
-        tracker.update(1e-12, 1.0, [1.0, 1.0])
-        result = tracker.result(1e-8)
+        result = residual_check([1e-12, raw, 1e-12], [1.0, scale, 1.0],
+                                [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]], 1e-8)
         assert not result.passed
         assert result.residual == float("inf")
         np.testing.assert_array_equal(result.worst_point, [0.5, 0.5])
 
     def test_finite_residuals_keep_the_last_worst_point(self):
-        tracker = ResidualTracker()
-        tracker.update(2.0, 2.0, [0.0])
-        tracker.update(3.0, 3.0, [1.0])
-        tracker.update(0.5, 1.0, [2.0])
-        result = tracker.result(10.0)
+        result = residual_check([2.0, 3.0, 0.5], [2.0, 3.0, 1.0], [[0.0], [1.0], [2.0]], 10.0)
         assert result.passed
         assert result.residual == 1.0
         np.testing.assert_array_equal(result.worst_point, [1.0])
+
+    def test_matches_the_sequential_scan(self):
+        """Random raw/scale arrays with ties, NaN and inf reduce as the sequential scan does."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        raws = st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e-300, math.inf, math.nan])
+        scales = st.sampled_from([1.0, 2.0, 4.0, 1e300, math.inf, math.nan])
+        rows = st.lists(st.tuples(raws, scales), min_size=1, max_size=12)
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(rows, st.floats(0.0, 3.0))
+        def check(pairs, tol):
+            raw, scale = [r for r, _ in pairs], [s for _, s in pairs]
+            points = [[float(i)] for i in range(len(pairs))]
+            residual, raw_residual, worst_point = _sequential_residual(raw, scale, points)
+            result = residual_check(raw, scale, points, tol)
+            assert result.residual == residual
+            assert result.passed == (residual <= tol)
+            np.testing.assert_array_equal(result.raw_residual, raw_residual)
+            np.testing.assert_array_equal(result.worst_point, worst_point)
+
+        check()
 
 
 class TestCurvature:
@@ -346,7 +375,7 @@ class TestConstantCurvature:
         m = flat_manifold(pairs=1, k=1.0, epsilons=(1.0,))
         fit = fit_kurose_constant(m.metric, m.connection, sample_points(m.chart, 25))
         assert fit.passed
-        assert fit.constant == pytest.approx(0.0, abs=1e-12)
+        assert fit.details["constant"] == pytest.approx(0.0, abs=1e-12)
         assert fit.residual <= 1e-9
 
     def test_curved_pair_equal_parameters_is_constant(self):
@@ -356,7 +385,7 @@ class TestConstantCurvature:
             m = curved_manifold(pairs=1, k=k, l=k, epsilons=(eps,))
             fit = fit_kurose_constant(m.metric, m.connection, sample_points(m.chart, 25))
             assert fit.passed, (k, eps)
-            assert fit.constant == pytest.approx(2.0 / (eps * 2.0 * k), rel=1e-10)
+            assert fit.details["constant"] == pytest.approx(2.0 / (eps * 2.0 * k), rel=1e-10)
 
     def test_curved_pair_distinct_parameters_not_constant(self):
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
@@ -399,7 +428,7 @@ class TestConstantCurvature:
                 value = sectional_curvature(m.metric, m.connection, p, v, w)
             except DegeneratePlaneError:
                 continue
-            assert value == pytest.approx(fit.constant, abs=1e-6)
+            assert value == pytest.approx(fit.details["constant"], abs=1e-6)
             found += 1
 
 

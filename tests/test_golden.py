@@ -11,9 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from statgeom.fixtures import fixture_ids, load_fixture
+from statgeom import geometry
+from statgeom.fixtures import (
+    curved_product_manifest,
+    fixture_ids,
+    load_fixture,
+    submersion_manifest,
+)
+from statgeom.manifest import parse_manifest
 from statgeom.report import render_report
-from statgeom.suite import run_suite
+from statgeom.suite import CHECKS, run_suite
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -27,3 +34,28 @@ def test_report_matches_golden(fixture_id):
     expected = (GOLDEN_DIR / f"{fixture_id}.json").read_bytes()
     actual = render_report(run_suite(load_fixture(fixture_id))).encode("utf-8")
     assert actual == expected
+
+
+# The checks of the benchmark's curvature workload: every check that builds a
+# 4-index tensor per point in blocks.
+CURVATURE_CHECKS = (
+    "statistical_structure", "conjugate_involution", "levi_civita_average",
+    "dual_curvature_identity", "flatness", "kurose_constant_curvature", "almost_product",
+    "pairing_identities", "product_parallelism", "para_kahler_like", "conjugate_parallelism",
+    "space_form", "flatness_theorem",
+)
+
+
+@pytest.mark.parametrize("data", [
+    curved_product_manifest(3, 1.0, 2.0, [1.0] * 3, seed=3, checks=CURVATURE_CHECKS),
+    curved_product_manifest(4, 1.0, 2.0, [1.0] * 4, seed=4, checks=CURVATURE_CHECKS),
+    submersion_manifest(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0), seed=5),
+], ids=["curved_6d", "curved_8d", "submersion_3to1"])
+def test_block_size_is_bit_neutral(data, monkeypatch):
+    """One point per block, the default blocks and one block for all points render the same bytes."""
+    reports = []
+    for entries in (geometry._BLOCK_ENTRIES, 1, 1 << 30):
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)
+        reports.append(render_report(run_suite(parse_manifest(data, known_checks=set(CHECKS)))))
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]

@@ -9,6 +9,7 @@ from statgeom.fixtures import flat_product_manifest
 from statgeom.geometry import (
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
+    PointJets,
     curvature_at,
     levi_civita,
     sample_points,
@@ -174,6 +175,21 @@ class TestConjugateParallelism:
         assert result.details["primal"] > result.tolerance
         assert result.details["dual"] > result.tolerance
         assert result.passed  # the equivalence itself still holds
+
+    def test_nan_connection_fails(self):
+        """NaN coefficients make both residuals infinite, which must FAIL, not count as nonzero."""
+        class NaNConnection(PointJets):
+            dim = 2
+
+            def _batch_jets(self, points, full):
+                gamma = np.full((len(points), 2, 2, 2), np.nan)
+                return (gamma, np.full((len(points), 2, 2, 2, 2), np.nan)) if full else (gamma,)
+
+        m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
+        result = conjugate_parallelism_check(m.metric, NaNConnection(), m.product,
+                                             sample_points(m.chart, 5))
+        assert result.residual == float("inf")
+        assert not result.passed
 
 
 class TestSpaceForm:
