@@ -317,6 +317,18 @@ class TestFundamentalTensors:
         assert not result.passed
         assert result.details["pairing_t"] > 10.0 * result.tolerance
 
+    def test_residual_is_reduced_point_by_point(self):
+        """The residual is the max over points of each point's own worst item over
+        its own scale, and the raw residual is the worst point's own worst item."""
+        spec = curved_submersion(seed=61)
+        pts = sample_points(spec.total.chart, 25)
+        alone = [check_fundamental_tensor_identities(spec, p[None]) for p in pts]
+        result = check_fundamental_tensor_identities(spec, pts)
+        worst = max(range(len(pts)), key=lambda i: (alone[i].residual, i))
+        assert result.residual == alone[worst].residual
+        assert result.raw_residual == alone[worst].raw_residual
+        np.testing.assert_array_equal(result.worst_point, pts[worst])
+
     def test_structure_twisted_vertical_tensor(self):
         """T(U, P̂V) = P T(U, V) on the certified curved submersion."""
         spec = curved_submersion(k=1.0, l=2.0)
