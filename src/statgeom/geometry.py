@@ -25,7 +25,8 @@ symmetry.  The geometric definitions are written once, over stacks of
 points, and a single point is a stack of one.  Every check reduces its
 per-point arrays in one :func:`residual_check`: the per-point defects
 (:func:`max_abs`) over the per-point scales (:func:`scale_of`).  A check
-that builds a 4-index tensor per point does so :func:`in_blocks` of points.
+that builds a 4-index tensor per point works in blocks of points
+(:func:`in_blocks`).
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ def in_blocks(fn, dim: int, *batches) -> tuple[np.ndarray, ...]:
     arrays; ``fn`` receives their rows for one block and returns a tuple of
     arrays with a leading point axis.  A block holds about ``_BLOCK_ENTRIES``
     entries of a 4-index tensor in dimension ``dim``, so no temporary of
-    ``fn`` spans all points.  Every point is computed alone, so the block
-    size never changes a bit of the result.
+    ``fn`` spans all points.  ``fn`` treats every point on its own, so the
+    block size changes no bit of the result.
     """
     first = batches[0]
     count = len(first[0] if isinstance(first, tuple) else first)

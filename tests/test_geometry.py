@@ -232,7 +232,10 @@ def _sequential_residual(raw, scale, points):
     return residual, raw_residual, worst_point
 
 
-class TestResidualCheck:
+class TestResidualTracker:
+    """The cases of the sequential tracker that ``residual_check`` replaced, kept under
+    their names, plus the tracker's scan itself as the reference."""
+
     @pytest.mark.parametrize("raw, scale", [(float("nan"), 1.0), (float("inf"), float("inf")),
                                             (float("inf"), 1.0), (1.0, float("nan")),
                                             (1.0, float("inf"))])
