@@ -2,13 +2,14 @@
 
 An expression is parsed once into a small immutable tree; named parameters
 are substituted by their numeric values at parse time, so evaluation never
-touches a symbol table.  ``eval2`` propagates (value, gradient, Hessian)
-triples through the tree, giving machine-precision derivatives up to second
-order; ``eval2_points`` does the same for many points in one walk of the
-tree, with the same bits at every point, and ``eval_points`` gives the
-values alone in the same way.  Higher derivatives are obtained by
-building the derivative tree with ``ScalarField.differentiate`` and
-evaluating that.
+touches a symbol table.  Every pass over a tree is one non-recursive walk
+that applies a per-node rule to each distinct node, children first:
+``eval2_points`` propagates (value, gradient, Hessian) triples at many points,
+``eval_points`` the values alone, and ``ScalarField.differentiate`` (for
+higher derivatives), ``freeze_leading_coordinates``, constant exponents and
+``format_expression`` build trees, numbers or text, so any tree the parser
+builds goes through all of them.  ``eval2`` evaluates one point by plain
+recursion, apart from the walk, as the oracle that tests and ``fd_check`` use.
 
 Grammar (``^`` binds tighter than unary minus and associates to the right)::
 
@@ -111,12 +112,60 @@ class ScalarField:
         """Exact partial derivative with respect to coordinate ``index``, as a new field."""
         if not 0 <= index < self.arity:
             raise IndexError(f"coordinate index {index} out of range for arity {self.arity}")
-        return ScalarField(_derivative(self.root, index), self.arity, self.coord_names)
+        return ScalarField(_walk(self.root, _derivative, index), self.arity, self.coord_names)
 
 
 def constant_field(value: float, coords: Sequence[str]) -> ScalarField:
     names = tuple(coords)
     return ScalarField(Const(float(value)), len(names), names)
+
+
+# --------------------------------------------------------------------------
+# Tree walk (evaluation and every transform below are rules on it)
+# --------------------------------------------------------------------------
+
+def _children(node: object) -> tuple:
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, (Unary, Psi)):
+        return (node.arg,)
+    if isinstance(node, Power):
+        return (node.base,)
+    return ()
+
+
+def _walk(root: object, rule, *context):
+    """The root's result of ``rule(node, child_results, *context)``, applied children first.
+
+    Each distinct node is visited once, without recursion, and a child's
+    result is dropped after its last parent reads it.
+    """
+    order: list = []  # distinct nodes, children first
+    uses: dict[int, int] = {}  # parent edges into each node
+    seen: set[int] = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for child in reversed(_children(node)):
+            uses[id(child)] = uses.get(id(child), 0) + 1
+            stack.append((child, False))
+    results: dict[int, object] = {}
+    for node in order:
+        children = _children(node)
+        args = [results[id(child)] for child in children]
+        for child in children:
+            uses[id(child)] -= 1
+            if not uses[id(child)]:
+                del results[id(child)]
+        results[id(node)] = rule(node, args, *context)
+    return results[id(root)]
 
 
 # --------------------------------------------------------------------------
@@ -214,7 +263,10 @@ class _Parser:
         if kind == "op" and text == "^":
             self.advance()
             exponent = self.factor()
-            const = _constant_value(exponent)
+            try:
+                const = _constant_value(exponent)
+            except EvaluationError as err:
+                raise ParseError(f"constant exponent is undefined: {err}", offset) from None
             if const is not None:
                 return _pow(base, const)
             # Non-constant exponent: a^b -> exp(b*log(a)).
@@ -274,29 +326,16 @@ def parse_expression(
 
 
 def _constant_value(node: object) -> float | None:
-    """Value of a variable-free subtree, or None if the subtree contains a coordinate."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
+    """Value of a variable-free subtree, or None, unevaluated, if it contains a coordinate.
+
+    An undefined or non-finite value raises :class:`EvaluationError`.
+    """
+    if _walk(node, lambda n, has_var: isinstance(n, Var) or any(has_var)):
         return None
-    if isinstance(node, Unary):
-        inner = _constant_value(node.arg)
-        if inner is None:
-            return None
-        return _apply_unary_value(node.op, inner)
-    if isinstance(node, Binary):
-        left = _constant_value(node.left)
-        right = _constant_value(node.right) if left is not None else None
-        if left is None or right is None:
-            return None
-        return _apply_binary_value(node.op, left, right)
-    if isinstance(node, Power):
-        base = _constant_value(node.base)
-        return None if base is None else _pow_value(base, node.exponent)
-    if isinstance(node, Psi):
-        inner = _constant_value(node.arg)
-        return None if inner is None else _psi_value(node.order, inner)
-    raise TypeError(f"unknown node type {type(node)!r}")
+    value = _walk(node, _batch_value, None)
+    if not math.isfinite(value):
+        raise EvaluationError(f"non-finite value {value}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -353,14 +392,14 @@ def _pow(base: object, exponent: float) -> object:
     return Power(base, float(exponent))
 
 
-def _derivative(node: object, index: int) -> object:
+def _derivative(node: object, derivatives: list, index: int) -> object:
+    """The walk rule of d/d(coordinate ``index``), over the children's derivatives."""
     if isinstance(node, Const):
         return Const(0.0)
     if isinstance(node, Var):
         return Const(1.0 if node.index == index else 0.0)
     if isinstance(node, Binary):
-        da = _derivative(node.left, index)
-        db = _derivative(node.right, index)
+        da, db = derivatives
         if node.op == "add":
             return _add(da, db)
         if node.op == "sub":
@@ -371,12 +410,11 @@ def _derivative(node: object, index: int) -> object:
             return _sub(_div(da, node.right),
                         _div(_mul(node.left, db), _mul(node.right, node.right)))
         raise TypeError(f"unknown binary op {node.op!r}")
+    du = derivatives[0]
     if isinstance(node, Power):
-        du = _derivative(node.base, index)
         scale = _mul(Const(node.exponent), _pow(node.base, node.exponent - 1.0))
         return _mul(scale, du)
     if isinstance(node, Unary):
-        du = _derivative(node.arg, index)
         if node.op == "neg":
             return Unary("neg", du) if not _is_zero(du) else du
         if node.op == "exp":
@@ -393,9 +431,22 @@ def _derivative(node: object, index: int) -> object:
             return _mul(Psi(0, node.arg), du)
         raise TypeError(f"unknown unary op {node.op!r}")
     if isinstance(node, Psi):
-        du = _derivative(node.arg, index)
         return _mul(Psi(node.order + 1, node.arg), du)
     raise TypeError(f"unknown node type {type(node)!r}")
+
+
+def _frozen(node: object, children: list, frozen: tuple[float, ...]) -> object:
+    """The walk rule of :func:`freeze_leading_coordinates`."""
+    if isinstance(node, Var):
+        count = len(frozen)
+        return Const(frozen[node.index]) if node.index < count else Var(node.index - count)
+    if isinstance(node, (Binary, Unary)):
+        return type(node)(node.op, *children)
+    if isinstance(node, Power):
+        return Power(*children, node.exponent)
+    if isinstance(node, Psi):
+        return Psi(node.order, *children)
+    return node
 
 
 def freeze_leading_coordinates(field: ScalarField, values: Sequence[float]) -> ScalarField:
@@ -404,25 +455,8 @@ def freeze_leading_coordinates(field: ScalarField, values: Sequence[float]) -> S
     count = len(frozen)
     if count >= field.arity:
         raise ValueError(f"cannot freeze {count} of {field.arity} coordinates")
-
-    def walk(node: object) -> object:
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Var):
-            if node.index < count:
-                return Const(frozen[node.index])
-            return Var(node.index - count)
-        if isinstance(node, Unary):
-            return Unary(node.op, walk(node.arg))
-        if isinstance(node, Binary):
-            return Binary(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, Power):
-            return Power(walk(node.base), node.exponent)
-        if isinstance(node, Psi):
-            return Psi(node.order, walk(node.arg))
-        raise TypeError(f"unknown node type {type(node)!r}")
-
-    return ScalarField(walk(field.root), field.arity - count, field.coord_names[count:])
+    return ScalarField(_walk(field.root, _frozen, frozen), field.arity - count,
+                       field.coord_names[count:])
 
 
 # --------------------------------------------------------------------------
@@ -454,20 +488,6 @@ def _apply_unary_value(op: str, u: float) -> float:
             raise EvaluationError(f"lgamma of non-positive value {u}")
         return log_gamma(u)
     raise TypeError(f"unknown unary op {op!r}")
-
-
-def _apply_binary_value(op: str, a: float, b: float) -> float:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0.0:
-            raise EvaluationError("division by zero")
-        return a / b
-    raise TypeError(f"unknown binary op {op!r}")
 
 
 def _pow_value(u: float, c: float) -> float:
@@ -665,9 +685,12 @@ def _swap(m):
 
 def _map(func, u):
     """``func`` applied to a float, or to each entry of a (P,) array."""
-    if isinstance(u, np.ndarray):
-        return np.array([func(x) for x in u.tolist()])
-    return func(u)
+    try:
+        if isinstance(u, np.ndarray):
+            return np.array([func(x) for x in u.tolist()])
+        return func(u)
+    except ValueError as err:  # a math function outside its domain, as sin(inf)
+        raise EvaluationError(str(err)) from None
 
 
 def _domain(bad, u, message: str) -> None:
@@ -754,16 +777,6 @@ def _batch_binary(op: str, a, b):
     raise TypeError(f"unknown binary op {op!r}")
 
 
-def _children(node: object) -> tuple:
-    if isinstance(node, Binary):
-        return (node.left, node.right)
-    if isinstance(node, (Unary, Psi)):
-        return (node.arg,)
-    if isinstance(node, Power):
-        return (node.base,)
-    return ()
-
-
 def _batch_node(node: object, args: list, pts: np.ndarray, unit: np.ndarray):
     if isinstance(node, Const):
         return node.value, None, None
@@ -788,29 +801,8 @@ def _batch_node(node: object, args: list, pts: np.ndarray, unit: np.ndarray):
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
-def _post_order(root: object) -> tuple[list, dict]:
-    """Distinct nodes children-first, and how many parent edges use each node."""
-    order: list = []
-    uses: dict[int, int] = {}
-    seen: set[int] = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for child in reversed(_children(node)):
-            uses[id(child)] = uses.get(id(child), 0) + 1
-            stack.append((child, False))
-    return order, uses
-
-
 def _batch_value(node: object, args: list, pts: np.ndarray):
-    """The value rule of ``node`` over a batch, with the domain checks of ``_value`` alone."""
+    """The value rule of ``node`` over a batch, with the domain checks of the value alone."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -832,21 +824,6 @@ def _batch_value(node: object, args: list, pts: np.ndarray):
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
-def _batch_walk(field: ScalarField, pts: np.ndarray, rule, *context):
-    """The root's result of ``rule`` from one walk that evaluates each node once."""
-    order, uses = _post_order(field.root)
-    results: dict[int, object] = {}
-    for node in order:
-        children = _children(node)
-        args = [results[id(child)] for child in children]
-        for child in children:
-            uses[id(child)] -= 1
-            if not uses[id(child)]:
-                del results[id(child)]
-        results[id(node)] = rule(node, args, pts, *context)
-    return results[id(field.root)]
-
-
 def _filled(part, shape: tuple) -> np.ndarray:
     """A part of a structured batched jet as a fresh array of ``shape``; zeros for None."""
     if part is None:
@@ -866,7 +843,7 @@ def _unit_vectors(n: int) -> np.ndarray:
 
 def _full_batch(field: ScalarField, pts: np.ndarray):
     count, n = pts.shape
-    parts = _batch_walk(field, pts, _batch_node, _unit_vectors(n))
+    parts = _walk(field.root, _batch_node, pts, _unit_vectors(n))
     if not all(np.isfinite(part).all() for part in parts if part is not None):
         raise EvaluationError("non-finite derivative data")
     return tuple(_filled(part, shape)
@@ -874,7 +851,7 @@ def _full_batch(field: ScalarField, pts: np.ndarray):
 
 
 def _value_batch(field: ScalarField, pts: np.ndarray):
-    value = _batch_walk(field, pts, _batch_value)
+    value = _walk(field.root, _batch_value, pts)
     if not np.isfinite(value).all():
         raise EvaluationError("non-finite value")
     return _filled(value, (pts.shape[0],))
@@ -986,9 +963,7 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 def _precedence(node: object) -> int:
     if isinstance(node, Const):
         return _PREC_NEG if node.value < 0.0 else _PREC_ATOM
-    if isinstance(node, Var):
-        return _PREC_ATOM
-    if isinstance(node, (Psi,)):
+    if isinstance(node, (Var, Psi)):
         return _PREC_ATOM
     if isinstance(node, Unary):
         return _PREC_NEG if node.op == "neg" else _PREC_ATOM
@@ -999,33 +974,33 @@ def _precedence(node: object) -> int:
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
-def _render(node: object, names: tuple[str, ...]) -> str:
+def _render(node: object, texts: list, names: tuple[str, ...]) -> str:
+    """The walk rule of :func:`format_expression`: text from the children's texts."""
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
         return names[node.index]
     if isinstance(node, Unary):
         if node.op == "neg":
-            inner = _render(node.arg, names)
+            inner = texts[0]
             if _precedence(node.arg) < _PREC_NEG:
                 inner = f"({inner})"
             return f"-{inner}"
-        return f"{node.op}({_render(node.arg, names)})"
+        return f"{node.op}({texts[0]})"
     if isinstance(node, Psi):
         name = {0: "digamma", 1: "trigamma"}.get(node.order, f"polygamma{node.order}")
-        return f"{name}({_render(node.arg, names)})"
+        return f"{name}({texts[0]})"
     if isinstance(node, Power):
-        base = _render(node.base, names)
+        base = texts[0]
         if _precedence(node.base) < _PREC_ATOM:
             base = f"({base})"
         return f"{base}^{repr(node.exponent)}"
     if isinstance(node, Binary):
         symbol = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[node.op]
         prec = _precedence(node)
-        left = _render(node.left, names)
+        left, right = texts
         if _precedence(node.left) < prec:
             left = f"({left})"
-        right = _render(node.right, names)
         # A same-precedence right child is parenthesized even for + and *:
         # float arithmetic is not associative, and the round-trip contract
         # promises bitwise-identical evaluation.
@@ -1037,4 +1012,4 @@ def _render(node: object, names: tuple[str, ...]) -> str:
 
 def format_expression(field: ScalarField) -> str:
     """Render a field as text that reparses to an evaluation-identical tree."""
-    return _render(field.root, field.coord_names)
+    return _walk(field.root, _render, field.coord_names)

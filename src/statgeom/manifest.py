@@ -284,7 +284,7 @@ def _parse_manifold(data, where: str, seed_override=None) -> ManifoldSpec:
     return ManifoldSpec(chart=chart, metric=metric, connection=connection, product=product)
 
 
-def build_context(manifest: Manifest, seed=None, _points=None) -> VerificationContext:
+def build_context(manifest: Manifest, seed=None) -> VerificationContext:
     """Materialize the runtime objects, optionally overriding the sampling seed."""
     data = manifest.data
     space_form_c = data.get("space_form_c")

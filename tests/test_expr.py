@@ -5,17 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from statgeom import build_context, parse_manifest, sample_points
+from statgeom import build_context, parse_manifest, run_suite, sample_points
+from statgeom import expr as ex
 from statgeom.expfam import fisher_metric
 from statgeom.expr import (
+    Binary,
+    Const,
     EvaluationError,
     ParseError,
+    Power,
+    Psi,
+    ScalarField,
+    Unary,
+    Var,
     eval2,
     eval2_points,
     eval_points,
     eval_value,
     fd_check,
     format_expression,
+    freeze_leading_coordinates,
     parse_expression,
 )
 from statgeom.fixtures import (
@@ -99,6 +108,22 @@ class TestParsing:
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             parse_expression("x", ("x", "x"))
+
+    @pytest.mark.parametrize("text", [
+        "2^(log(0-1))", "x^(1/0)", "x^(10^400)", "x^1e400", "x^(sin(1e308*10))",
+    ])
+    def test_undefined_constant_exponent(self, text):
+        with pytest.raises(ParseError, match="constant exponent is undefined") as err:
+            parse_expression(text, ("x",))
+        assert err.value.offset == text.index("^")
+
+    def test_exponent_with_a_coordinate_is_not_evaluated(self):
+        """Whatever the operand order, the undefined factor fails only at evaluation."""
+        for text in ("2^(log(0-1)*x)", "2^(x*log(0-1))"):
+            f = parse_expression(text, ("x",))
+            assert isinstance(f.root, Unary) and f.root.op == "exp"
+            with pytest.raises(EvaluationError, match="log of non-positive value -1.0"):
+                eval_value(f, (1.0,))
 
 
 class TestEval2:
@@ -344,6 +369,7 @@ class TestEval2Points:
         ("1/x", [[1.0], [2.0], [0.0]], 2, "division by zero"),
         ("x^-0.5", [[1.0], [0.0]], 1, "pow domain failure"),
         ("exp(x)*1e308", [[0.0], [1.0]], 1, "non-finite value"),
+        ("sin(x*1e308*10)", [[0.0], [1.0]], 1, "math domain error"),
     ])
     def test_value_failure_names_first_failing_point(self, text, points, bad_row, message):
         f = parse_expression(text, ("x",))
@@ -370,6 +396,45 @@ class TestEval2Points:
         assert f"at point {points[bad_row]}" in str(err.value)
         with pytest.raises(EvaluationError), np.errstate(all="ignore"):
             eval2(f, points[bad_row])
+
+
+class TestDeepTrees:
+    """The tree transforms take the 3,000-term sum that the evaluators take."""
+
+    POINTS = [[1.5, 2.0], [-0.5, 3.0]]
+
+    def field(self):
+        return parse_expression(" + ".join(["x*y"] * 3000), ("x", "y"))
+
+    def test_differentiate(self):
+        f = self.field()
+        assert eval_points(f.differentiate(0), self.POINTS).tolist() == [6000.0, 9000.0]
+        assert eval_points(f.differentiate(1), self.POINTS).tolist() == [4500.0, -1500.0]
+        mixed = f.differentiate(0).differentiate(1)
+        assert eval_points(mixed, self.POINTS).tolist() == [3000.0, 3000.0]
+
+    def test_format_expression(self):
+        f = self.field()
+        text = format_expression(f)
+        assert text == "+".join(["x*y"] * 3000)
+        reparsed = parse_expression(text, ("x", "y"))
+        assert eval_points(reparsed, self.POINTS).tolist() == [9000.0, -4500.0]
+
+    def test_freeze_leading_coordinates(self):
+        fiber = freeze_leading_coordinates(self.field(), [2.0])
+        assert fiber.coord_names == ("y",)
+        assert eval_points(fiber, [[1.5], [-0.5]]).tolist() == [9000.0, -3000.0]
+
+    def test_submersion_with_a_deep_total_metric(self):
+        """Fibers frozen from a 2,000-term metric component give the shipped form's statuses."""
+        shipped = submersion_manifest(2, 1, 1.0, 1.0, (1.0, 1.0))
+        deep = submersion_manifest(2, 1, 1.0, 1.0, (1.0, 1.0))
+        deep["metric"][2][2] = " + ".join(["e2*k/(2000*y2*y2)"] * 2000)
+        shipped_statuses, deep_statuses = (
+            [(check.name, check.status) for check in run_suite(parse_manifest(data)).checks]
+            for data in (shipped, deep))
+        assert deep_statuses == shipped_statuses
+        assert "ERROR" not in {status for _, status in deep_statuses}
 
 
 def _random_trees():
@@ -423,5 +488,134 @@ def test_fd_check_meets_eval2_on_random_trees():
     @hypothesis.given(trees, st.tuples(coordinate, coordinate, coordinate))
     def check(text, point):
         assert fd_check(parse_expression(text, ("x", "y", "z")), point).residual <= 1e-5
+
+    check()
+
+
+# The recursive transforms that the walk rules replaced, kept as the reference.
+
+def _reference_derivative(node, index):
+    if isinstance(node, Const):
+        return Const(0.0)
+    if isinstance(node, Var):
+        return Const(1.0 if node.index == index else 0.0)
+    if isinstance(node, Binary):
+        da = _reference_derivative(node.left, index)
+        db = _reference_derivative(node.right, index)
+        if node.op == "add":
+            return ex._add(da, db)
+        if node.op == "sub":
+            return ex._sub(da, db)
+        if node.op == "mul":
+            return ex._add(ex._mul(da, node.right), ex._mul(node.left, db))
+        return ex._sub(ex._div(da, node.right),
+                       ex._div(ex._mul(node.left, db), ex._mul(node.right, node.right)))
+    if isinstance(node, Power):
+        du = _reference_derivative(node.base, index)
+        scale = ex._mul(Const(node.exponent), ex._pow(node.base, node.exponent - 1.0))
+        return ex._mul(scale, du)
+    if isinstance(node, Unary):
+        du = _reference_derivative(node.arg, index)
+        if node.op == "neg":
+            return Unary("neg", du) if not ex._is_zero(du) else du
+        if node.op == "exp":
+            return ex._mul(node, du)
+        if node.op == "log":
+            return ex._div(du, node.arg)
+        if node.op == "sqrt":
+            return ex._div(du, ex._mul(Const(2.0), node))
+        if node.op == "sin":
+            return ex._mul(Unary("cos", node.arg), du)
+        if node.op == "cos":
+            return Unary("neg", ex._mul(Unary("sin", node.arg), du)) if not ex._is_zero(du) else du
+        return ex._mul(Psi(0, node.arg), du)  # lgamma
+    du = _reference_derivative(node.arg, index)
+    return ex._mul(Psi(node.order + 1, node.arg), du)
+
+
+def _reference_freeze(field, values):
+    frozen = tuple(float(v) for v in values)
+    count = len(frozen)
+
+    def walk(node):
+        if isinstance(node, Const):
+            return node
+        if isinstance(node, Var):
+            return Const(frozen[node.index]) if node.index < count else Var(node.index - count)
+        if isinstance(node, Unary):
+            return Unary(node.op, walk(node.arg))
+        if isinstance(node, Binary):
+            return Binary(node.op, walk(node.left), walk(node.right))
+        if isinstance(node, Power):
+            return Power(walk(node.base), node.exponent)
+        return Psi(node.order, walk(node.arg))
+
+    return ScalarField(walk(field.root), field.arity - count, field.coord_names[count:])
+
+
+def _reference_render(node, names):
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return names[node.index]
+    if isinstance(node, Unary):
+        if node.op == "neg":
+            inner = _reference_render(node.arg, names)
+            if ex._precedence(node.arg) < ex._PREC_NEG:
+                inner = f"({inner})"
+            return f"-{inner}"
+        return f"{node.op}({_reference_render(node.arg, names)})"
+    if isinstance(node, Psi):
+        name = {0: "digamma", 1: "trigamma"}.get(node.order, f"polygamma{node.order}")
+        return f"{name}({_reference_render(node.arg, names)})"
+    if isinstance(node, Power):
+        base = _reference_render(node.base, names)
+        if ex._precedence(node.base) < ex._PREC_ATOM:
+            base = f"({base})"
+        return f"{base}^{repr(node.exponent)}"
+    symbol = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[node.op]
+    prec = ex._precedence(node)
+    left = _reference_render(node.left, names)
+    if ex._precedence(node.left) < prec:
+        left = f"({left})"
+    right = _reference_render(node.right, names)
+    if ex._precedence(node.right) <= prec:
+        right = f"({right})"
+    return f"{left}{symbol}{right}"
+
+
+def test_transforms_match_the_recursive_reference_on_random_trees():
+    hypothesis, trees = _random_trees()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(trees)
+    def check(text):
+        field = parse_expression(text, ("x", "y", "z"))
+        for index in range(3):
+            derived = field.differentiate(index)
+            assert derived.root == _reference_derivative(field.root, index)
+            assert format_expression(derived) == _reference_render(derived.root, field.coord_names)
+        assert format_expression(field) == _reference_render(field.root, field.coord_names)
+        for values in ((0.5,), (0.5, -1.25)):
+            assert freeze_leading_coordinates(field, values) == _reference_freeze(field, values)
+
+    check()
+
+
+def test_format_round_trip_is_bitwise_on_random_trees():
+    """``parse(format(f))`` gives the ``eval2_points`` bytes of ``f``, for f and its derivatives."""
+    hypothesis, trees = _random_trees()
+    st = hypothesis.strategies
+    coordinate = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    points = st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=5)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(trees, points)
+    def check(text, pts):
+        field = parse_expression(text, ("x", "y", "z"))
+        for f in (field, *(field.differentiate(index) for index in range(3))):
+            reparsed = parse_expression(format_expression(f), f.coord_names)
+            for part, again in zip(eval2_points(f, pts), eval2_points(reparsed, pts)):
+                assert part.tobytes() == again.tobytes()
 
     check()

@@ -174,6 +174,14 @@ class TestManifestRobustness:
         data["metric"][0][0] = "(" * 2000 + "e1*k" + ")" * 2000
         self._rejects(tmp_path, data, "nests too deeply")
 
+    def test_undefined_constant_exponent(self, tmp_path, capsys):
+        data = _flat()
+        data["metric"][0][0] = "2^(log(0-1))"
+        self._rejects(tmp_path, data, r"manifest\.metric\[0\]\[0\]: constant exponent is undefined")
+        err = capsys.readouterr().err
+        assert "error: manifest.metric[0][0]: constant exponent is undefined" in err
+        assert "Traceback" not in err
+
 
 class TestExpressionLimits:
     """Whole manifests whose expressions strain the evaluator, run through the suite."""
