@@ -4,7 +4,9 @@
 The running example is the curved pair manifold {y != 0} with metric
 eps/y^2 (k dx^2 - l dy^2) and its non-metric statistical connection.  Its
 conjugate has closed-form coefficients, conjugation is an involution, and the
-pair averages to the Levi-Civita connection.
+pair averages to the Levi-Civita connection.  The manifold owns its conjugate
+(``manifold.conjugate``) and its Levi-Civita connection, and every check takes
+the manifold itself.
 """
 
 import numpy as np
@@ -16,7 +18,6 @@ from statgeom import (
     conjugate_connection,
     curvature_at,
     fit_kurose_constant,
-    levi_civita,
     parse_manifest,
     sample_points,
     sectional_curvature,
@@ -28,9 +29,9 @@ manifold = build_context(parse_manifest(curved_product_manifest(1, 1.0, 1.0, (1.
 points = sample_points(manifold.chart, 25)
 g, nabla = manifold.metric, manifold.connection
 
-print("statistical structure:", check_statistical_structure(g, nabla, points).passed)
+print("statistical structure:", check_statistical_structure(manifold, points).passed)
 
-star = conjugate_connection(g, nabla)
+star = manifold.conjugate
 point = np.array([0.0, 1.0])
 print("Gamma^y_xx   =", nabla.coefficients(point)[1, 0, 0])
 print("Gamma*^y_xx  =", star.coefficients(point)[1, 0, 0])
@@ -39,7 +40,7 @@ double = conjugate_connection(g, star)
 print("involution residual:",
       np.max(np.abs(double.coefficients(point) - nabla.coefficients(point))))
 
-mid = levi_civita(g)
+mid = manifold.levi_civita_connection
 average = nabla.coefficients(point) + star.coefficients(point) - 2.0 * mid.coefficients(point)
 print("Gamma + Gamma* - 2 Gamma0 residual:", np.max(np.abs(average)))
 
@@ -47,13 +48,13 @@ print("Gamma + Gamma* - 2 Gamma0 residual:", np.max(np.abs(average)))
 r = curvature_at(nabla, point)
 print("\nR^y_xyx =", r.components[1, 0, 1, 0])
 print("dual curvature identity:",
-      check_dual_curvature_identity(g, nabla, points).passed)
+      check_dual_curvature_identity(manifold, points).passed)
 
 # With k = l the connection has constant-curvature form; the fit recovers the
 # constant and the sectional curvature of S agrees with it on any plane.
-fit = fit_kurose_constant(g, nabla, points)
+fit = fit_kurose_constant(manifold, points)
 print("\nconstant-curvature fit: constant =", fit.details["constant"], " residual =", fit.residual)
-section = sectional_curvature(g, nabla, point, [1.0, 0.2], [-0.3, 1.0])
+section = sectional_curvature(manifold, point, [1.0, 0.2], [-0.3, 1.0])
 print("sectional curvature of a sample plane:", section)
-s = statistical_curvature_at(g, nabla, point)
+s = statistical_curvature_at(manifold, point)
 print("S is skew in its first slots:", (s == -np.einsum("lijk->ljik", s)).all())

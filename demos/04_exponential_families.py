@@ -12,7 +12,7 @@ import numpy as np
 
 from statgeom import (
     AlphaConnection,
-    adjoint_structure,
+    ManifoldSpec,
     builtin_model,
     check_para_kahler_like,
     conjugate_connection,
@@ -50,11 +50,13 @@ print(f"alpha=0 vs Levi-Civita: max deviation {gap:.3e}")
 # Companion structures from an involution: the constant one pairs with the
 # flat exponential connection, its metric twist with the mixture connection.
 constant, twisted = exp_para_structures(model, [[1.0, 0.0], [0.0, -1.0]])
-exponential = check_para_kahler_like(metric, AlphaConnection(metric, 1.0), constant, points)
-mixture = check_para_kahler_like(metric, AlphaConnection(metric, -1.0), twisted, points)
+exponential_side = ManifoldSpec(model.chart, metric, AlphaConnection(metric, 1.0), constant)
+mixture_side = ManifoldSpec(model.chart, metric, AlphaConnection(metric, -1.0), twisted)
+exponential = check_para_kahler_like(exponential_side, points)
+mixture = check_para_kahler_like(mixture_side, points)
 print("\nexponential-side certification:", exponential.passed)
 print("mixture-side certification    :", mixture.passed)
 
-adjoint = adjoint_structure(metric, constant)
+adjoint = exponential_side.adjoint
 gap = max(np.max(np.abs(twisted.matrix(p) - adjoint.matrix(p))) for p in points)
 print("twisted structure equals the adjoint of the constant one:", gap <= 1e-12)

@@ -52,8 +52,7 @@ print("fundamental tensor identities:", identities.passed, identities.details)
 fiber = induced_fiber_manifold(spec)
 fiber_points = sample_points(fiber.chart, 25)
 print("\nfiber dimension:", fiber.chart.dim, "| coordinates:", fiber.chart.coord_names)
-print("fiber certifies:", check_para_kahler_like(fiber.metric, fiber.connection,
-                                                 fiber.product, fiber_points).passed)
+print("fiber certifies:", check_para_kahler_like(fiber, fiber_points).passed)
 
 print("\nstructure-transfer report:")
 for name, item in verify_submersion_theorems(spec, points).items.items():

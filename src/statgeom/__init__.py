@@ -20,6 +20,7 @@ from .expr import (
     parse_expression,
 )
 from .geometry import (
+    AdjointStructure,
     ChartSpec,
     CheckResult,
     CurvatureAtPoint,
@@ -31,7 +32,10 @@ from .geometry import (
     ManifoldSpec,
     MetricError,
     MetricField,
+    adjoint_structure,
+    check_conjugate_involution,
     check_dual_curvature_identity,
+    check_levi_civita_average,
     check_statistical_structure,
     conjugate_connection,
     curvature_at,
@@ -45,11 +49,9 @@ from .geometry import (
     statistical_curvature_at,
 )
 from .product import (
-    AdjointStructure,
     Certification,
     ExpressionProductStructure,
     TheoremOutcome,
-    adjoint_structure,
     check_almost_product,
     check_pairing_identities,
     check_para_kahler_like,
@@ -82,7 +84,6 @@ from .submersion import (
     check_semi_riemannian_submersion,
     check_statistical_submersion,
     horizontal_lift_at,
-    induced_fiber_connections,
     induced_fiber_manifold,
     isometric_fibers_residual,
     lie_bracket_at,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,10 @@ from .geometry import (
     MetricField,
     MetricError,
     _inverse_derivative,
+    adjoint_structure,
     sample_points,
 )
-from .product import ExpressionProductStructure, adjoint_structure
+from .product import ExpressionProductStructure
 
 BUILTIN_MODEL_NAMES = ("poisson", "normal", "multinomial", "dirichlet")
 
@@ -70,8 +72,8 @@ def builtin_model(name: str, **hyperparams) -> ExpFamilyModel:
             "-(t1*t1)/(4*t2) + 0.5*log(-pi/t2)", chart.coord_names, {"pi": math.pi}
         )
     elif name == "multinomial":
-        m = int(hyperparams.pop("categories", 0))
-        trials = int(hyperparams.pop("trials", 1))
+        m = _count(hyperparams, "categories", 0)
+        trials = _count(hyperparams, "trials", 1)
         _reject_extras(name, hyperparams)
         if m < 2:
             raise ValueError(f"multinomial needs at least 2 categories, got {m}")
@@ -82,7 +84,7 @@ def builtin_model(name: str, **hyperparams) -> ExpFamilyModel:
         total = " + ".join(f"exp({c})" for c in names)
         psi = ex.parse_expression(f"N*log(1 + {total})", names, {"N": float(trials)})
     elif name == "dirichlet":
-        dim = int(hyperparams.pop("dim", 0))
+        dim = _count(hyperparams, "dim", 0)
         _reject_extras(name, hyperparams)
         if dim < 2:
             raise ValueError(f"dirichlet needs dimension at least 2, got {dim}")
@@ -94,6 +96,14 @@ def builtin_model(name: str, **hyperparams) -> ExpFamilyModel:
     else:
         raise ValueError(f"unknown model {name!r}; known: {', '.join(BUILTIN_MODEL_NAMES)}")
     return ExpFamilyModel(name=name, psi=psi, chart=chart)
+
+
+def _count(hyperparams: dict, key: str, default: int) -> int:
+    """Pop the integer hyperparameter ``key``; a boolean, float or list is refused, not truncated."""
+    value = hyperparams.pop(key, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"hyperparameter {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _reject_extras(name: str, extras: dict) -> None:

@@ -581,10 +581,10 @@ def _d2_unary(op: str, u: Dual2) -> Dual2:
         f1 = 0.5 / f0
         return _d2_chain(u, f0, f1, -0.5 * f1 / u.value)
     if op == "sin":
-        s, c = math.sin(u.value), math.cos(u.value)
+        s, c = _map(math.sin, u.value), _map(math.cos, u.value)
         return _d2_chain(u, s, c, -s)
     if op == "cos":
-        s, c = math.sin(u.value), math.cos(u.value)
+        s, c = _map(math.sin, u.value), _map(math.cos, u.value)
         return _d2_chain(u, c, -s, -c)
     if op == "lgamma":
         f0 = _apply_unary_value("lgamma", u.value)

@@ -27,6 +27,12 @@ per-point arrays in one :func:`residual_check`: the per-point defects
 (:func:`max_abs`) over the per-point scales (:func:`scale_of`).  A check
 that builds a 4-index tensor per point works in blocks of points
 (:func:`in_blocks`).
+
+Every check, fit and theorem takes the :class:`ManifoldSpec` it certifies.
+The spec owns the fields derived from its own ones (the resolved connection,
+its Levi-Civita connection, the conjugate ∇* and the adjoint P*), each built
+once on first use, so their stores serve every check of a run; no derived
+field refers back to the spec.
 """
 
 from __future__ import annotations
@@ -453,6 +459,34 @@ def conjugate_connection(g: MetricField, connection) -> ConjugateConnection:
     return ConjugateConnection(g, connection)
 
 
+class AdjointStructure(DerivedJets):
+    """Negative adjoint of a base structure: P* = −G⁻¹ Pᵀ G pointwise; jets are (P*, ∂P*)."""
+
+    def __init__(self, metric: MetricField, base):
+        if metric.dim != base.dim:
+            raise ValueError("metric and structure disagree on dimension")
+        self._bases = (metric, base)
+        self._value_needs = (False, False)
+
+    def _derive(self, full, metric_jets, base_jets):
+        g, m = metric_jets[0], base_jets[0]
+        ginv = np.linalg.inv(g)
+        star = -ginv @ np.swapaxes(m, 1, 2) @ g
+        if not full:
+            return (star,)
+        dg, dm = metric_jets[1], base_jets[1]
+        dginv = _inverse_derivative(ginv, dg)
+        dstar = -(np.einsum("pkab,pcb,pcd->pkad", dginv, m, g)
+                  + np.einsum("pab,pkcb,pcd->pkad", ginv, dm, g)
+                  + np.einsum("pab,pcb,pkcd->pkad", ginv, m, dg))
+        return star, dstar
+
+
+def adjoint_structure(g: MetricField, structure) -> AdjointStructure:
+    """The structure P* with g(PE, F) + g(E, P*F) = 0; an involution on fixtures."""
+    return AdjointStructure(g, structure)
+
+
 # --------------------------------------------------------------------------
 # Check plumbing
 # --------------------------------------------------------------------------
@@ -510,17 +544,33 @@ def residual_check(raw, scale, points, tol: float, details: dict | None = None) 
 # Statistical structure and curvature
 # --------------------------------------------------------------------------
 
-def check_statistical_structure(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+def check_statistical_structure(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Torsion-freeness of the connection together with symmetry of ∇g (Codazzi)."""
     points = _as_points(pts)
-    gm, dg, _ = g.jets(points)
-    gamma = connection.values(points)
+    gm, dg, _ = spec.metric.jets(points)
+    gamma = spec.resolved_connection.values(points)
     torsion = max_abs(gamma - np.einsum("pkij->pkji", gamma))
     # C[i,j,k] = (∇_{∂_i} g)(∂_j, ∂_k)
     cov = dg - np.einsum("pmij,pmk->pijk", gamma, gm) - np.einsum("pmik,pjm->pijk", gamma, gm)
     codazzi = max_abs(cov - np.einsum("pijk->pjik", cov))
     return residual_check(np.maximum(torsion, codazzi), scale_of(gamma, gm, dg), points, tol,
                           details={"torsion": float(torsion.max()), "codazzi": float(codazzi.max())})
+
+
+def check_conjugate_involution(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+    """(∇*)* = ∇ at the samples, scaled by 1 + max |Γ|."""
+    points = _as_points(pts)
+    gamma = spec.resolved_connection.values(points)
+    double = conjugate_connection(spec.metric, spec.conjugate).values(points)
+    return residual_check(max_abs(double - gamma), scale_of(gamma), points, tol)
+
+
+def check_levi_civita_average(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+    """(∇ + ∇*)/2 is the Levi-Civita connection at the samples, scaled by 1 + max |Γ|."""
+    points = _as_points(pts)
+    gamma = spec.resolved_connection.values(points)
+    defect = gamma + spec.conjugate.values(points) - 2.0 * spec.levi_civita_connection.values(points)
+    return residual_check(max_abs(defect), scale_of(gamma), points, tol)
 
 
 @dataclass(frozen=True)
@@ -544,15 +594,15 @@ def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     return b - np.einsum("...lijk->...ljik", b)
 
 
-def curvature_residual(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+def curvature_residual(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """R = 0 at the samples: max |R| scaled by 1 + max |g|."""
     points = _as_points(pts)
 
     def reduce(gm, jets):
         return max_abs(curvature_tensor(*jets)), scale_of(gm)
 
-    return residual_check(*in_blocks(reduce, g.dim, g.values(points), connection.jets(points)),
-                          points, tol)
+    batches = spec.metric.values(points), spec.resolved_connection.jets(points)
+    return residual_check(*in_blocks(reduce, spec.metric.dim, *batches), points, tol)
 
 
 def curvature_at(connection, point) -> CurvatureAtPoint:
@@ -561,18 +611,18 @@ def curvature_at(connection, point) -> CurvatureAtPoint:
     return CurvatureAtPoint(curvature_tensor(gamma, dgamma), np.asarray(point, dtype=float))
 
 
-def statistical_curvature_at(g: MetricField, connection, point) -> np.ndarray:
+def statistical_curvature_at(spec: ManifoldSpec, point) -> np.ndarray:
     """S = ½ (R + R*), the curvature average of the dual pair."""
-    r = curvature_at(connection, point).components
-    r_star = curvature_at(conjugate_connection(g, connection), point).components
+    r = curvature_at(spec.resolved_connection, point).components
+    r_star = curvature_at(spec.conjugate, point).components
     return 0.5 * (r + r_star)
 
 
-def sectional_curvature(g: MetricField, connection, point, v, w) -> float:
+def sectional_curvature(spec: ManifoldSpec, point, v, w) -> float:
     """g(S(v,w)w, v) / (g(v,v) g(w,w) − g(v,w)²) for a nondegenerate plane span{v, w}."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    gm = g.matrix(point)
+    gm = spec.metric.matrix(point)
     gvv = float(v @ gm @ v)
     gww = float(w @ gm @ w)
     gvw = float(v @ gm @ w)
@@ -582,7 +632,7 @@ def sectional_curvature(g: MetricField, connection, point, v, w) -> float:
         raise DegeneratePlaneError(
             f"plane discriminant {disc:.3e} below cutoff {cutoff:.3e} at {np.asarray(point).tolist()}"
         )
-    s = statistical_curvature_at(g, connection, point)
+    s = statistical_curvature_at(spec, point)
     numerator = float(np.einsum("al,lijk,i,j,k,a->", gm, s, v, w, w, v))
     return numerator / disc
 
@@ -601,7 +651,7 @@ def _best_coordinate_plane(gm: np.ndarray) -> tuple[int, int, float]:
     return best
 
 
-def fit_kurose_constant(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+def fit_kurose_constant(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Estimate the constant of the constant-curvature form of R and verify it globally.
 
     The constant is estimated at the first sample point from the coordinate
@@ -610,25 +660,25 @@ def fit_kurose_constant(g: MetricField, connection, pts, tol: float = DEFAULT_TO
     The result carries it as ``details["constant"]``.
     """
     points = _as_points(pts)
-    metric = g.values(points)
-    jets = connection.jets(points)
+    metric = spec.metric.values(points)
+    jets = spec.resolved_connection.jets(points)
     gm = metric[0]
     i, j, disc = _best_coordinate_plane(gm)
     r = curvature_tensor(jets[0][0], jets[1][0])
     # g(R(e_i, e_j) e_j, e_i) = k (g_jj g_ii − g_ij g_ij)
     k_hat = float(np.einsum("l,lm->m", r[:, i, j, j], gm)[i]) / disc
-    eye = np.eye(g.dim)
+    eye = np.eye(spec.metric.dim)
 
     def reduce(gp, jets):
         rp = curvature_tensor(*jets)
         model = k_hat * (np.einsum("pjk,li->plijk", gp, eye) - np.einsum("pik,lj->plijk", gp, eye))
         return max_abs(rp - model), scale_of(rp, gp)
 
-    return residual_check(*in_blocks(reduce, g.dim, metric, jets), points, tol,
+    return residual_check(*in_blocks(reduce, spec.metric.dim, metric, jets), points, tol,
                           details={"constant": k_hat})
 
 
-def check_dual_curvature_identity(g: MetricField, connection, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+def check_dual_curvature_identity(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """g(R(∂_i,∂_j)∂_k, ∂_l) + g(R*(∂_i,∂_j)∂_l, ∂_k) = 0 at the samples."""
     points = _as_points(pts)
 
@@ -637,9 +687,9 @@ def check_dual_curvature_identity(g: MetricField, connection, pts, tol: float = 
         rs_cov = np.einsum("plm,pmijk->pijkl", gm, curvature_tensor(*dual))
         return max_abs(r_cov + np.einsum("pijlk->pijkl", rs_cov)), scale_of(r_cov, rs_cov)
 
-    batches = (g.values(points), connection.jets(points),
-               conjugate_connection(g, connection).jets(points))
-    return residual_check(*in_blocks(reduce, g.dim, *batches), points, tol)
+    batches = (spec.metric.values(points), spec.resolved_connection.jets(points),
+               spec.conjugate.jets(points))
+    return residual_check(*in_blocks(reduce, spec.metric.dim, *batches), points, tol)
 
 
 def difference_tensor_at(connection, dual_connection, point) -> np.ndarray:
@@ -653,7 +703,12 @@ def difference_tensor_at(connection, dual_connection, point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """A chart with its attached fields; the unit every verifier operates on."""
+    """A chart with its attached fields (g, ∇, P); the subject of every check.
+
+    The fields derived from these are built on first use and kept on the
+    spec, so every check of the spec reads the same stores; none of them
+    refers back to the spec.
+    """
 
     chart: ChartSpec
     metric: MetricField
@@ -662,10 +717,20 @@ class ManifoldSpec:
 
     @functools.cached_property
     def levi_civita_connection(self) -> LeviCivitaConnection:
-        """The metric's Levi-Civita connection, built once so its stored jets serve every check."""
+        """The metric's Levi-Civita connection."""
         return levi_civita(self.metric)
 
-    def connection_or_levi_civita(self):
-        if self.connection is not None:
-            return self.connection
-        return self.levi_civita_connection
+    @property
+    def resolved_connection(self):
+        """∇: the declared connection, or the Levi-Civita connection when none is declared."""
+        return self.levi_civita_connection if self.connection is None else self.connection
+
+    @functools.cached_property
+    def conjugate(self) -> ConjugateConnection:
+        """∇*, the conjugate of ∇ with respect to g."""
+        return conjugate_connection(self.metric, self.resolved_connection)
+
+    @functools.cached_property
+    def adjoint(self) -> AdjointStructure:
+        """P*, the negative adjoint of P with respect to g."""
+        return adjoint_structure(self.metric, self.product)

@@ -99,7 +99,7 @@ def load_manifest(path, known_checks=None) -> Manifest:
         raise ManifestError(
             f"manifest {path} is not valid JSON: {err.msg} at line {err.lineno} column {err.colno}"
         ) from err
-    name = data.get("name") or _stem(path)
+    name = (data.get("name") if isinstance(data, dict) else None) or _stem(path)
     return parse_manifest(data, name=name, known_checks=known_checks)
 
 
@@ -167,6 +167,8 @@ def _parse_chart(data, where: str, seed_override=None) -> ChartSpec:
     coords = data.get("coords")
     if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
         raise ManifestError(f"{where}: 'coords' must be a list of names")
+    if len(set(coords)) != len(coords):
+        raise ManifestError(f"{where}: duplicate coordinate names in {coords}")
     box = data.get("box")
     if (not isinstance(box, list) or len(box) != len(coords)
             or not all(isinstance(iv, list) and len(iv) == 2 for iv in box)):
@@ -175,12 +177,10 @@ def _parse_chart(data, where: str, seed_override=None) -> ChartSpec:
         raise ManifestError(f"{where}: declared dim {data['dim']} != {len(coords)} coordinates")
     seed = seed_override if seed_override is not None else _integer(
         data.get("seed", 0), f"{where}: chart 'seed'")
+    domain = tuple(tuple(_number(bound, f"{where}: box bound") for bound in interval)
+                   for interval in box)
     try:
-        return ChartSpec(
-            coord_names=tuple(coords),
-            domain=tuple((float(lo), float(hi)) for lo, hi in box),
-            seed=int(seed),
-        )
+        return ChartSpec(coord_names=tuple(coords), domain=domain, seed=int(seed))
     except ValueError as err:
         raise ManifestError(f"{where}: {err}") from err
 
@@ -304,27 +304,30 @@ def build_context(manifest: Manifest, seed=None) -> VerificationContext:
         model_name = block.get("name")
         if not isinstance(model_name, str):
             raise ManifestError("model block needs a 'name'")
-        hyper = dict(block.get("hyperparams", {}))
+        hyper = block.get("hyperparams", {})
+        if not isinstance(hyper, dict) or {"name", "seed"} & set(hyper):
+            raise ManifestError("model 'hyperparams' must be an object of the model's own parameters")
         effective_seed = int(seed) if seed is not None else manifest.seed
         try:
             model = builtin_model(model_name, seed=effective_seed, **hyper)
         except ValueError as err:
             raise ManifestError(str(err)) from err
         alphas = block.get("alpha", [-1.0, 0.0, 1.0])
-        if not isinstance(alphas, list) or not all(isinstance(a, (int, float)) for a in alphas):
+        if not isinstance(alphas, list):
             raise ManifestError("model 'alpha' must be a list of numbers")
+        alphas = tuple(_number(a, "model 'alpha' entry") for a in alphas)
         involution = block.get("involution")
         if involution is not None:
-            involution = np.asarray(involution, dtype=float)
-            if involution.shape != (model.dim, model.dim):
-                raise ManifestError(
-                    f"involution must be {model.dim}x{model.dim}, got {involution.shape}"
-                )
+            n = model.dim
+            if (not isinstance(involution, list) or len(involution) != n
+                    or not all(isinstance(row, list) and len(row) == n for row in involution)):
+                raise ManifestError(f"involution must be a {n}x{n} list of rows")
+            involution = np.array([[_number(x, "involution entry") for x in row] for row in involution])
         return VerificationContext(
             kind="model",
             chart=model.chart,
             model=model,
-            alphas=tuple(float(a) for a in alphas),
+            alphas=alphas,
             involution=involution,
             space_form_c=space_form_c,
         )

@@ -2,9 +2,13 @@
 
 A product structure is a (1,1) tensor field P with P² = Id and P ≠ ±Id; its
 matrix convention is ``M[i, j] = P^i_j`` so that P ∂_j = P^i_j ∂_i and the
-matrix acts on component columns.  ``adjoint_structure`` builds the
-negative-adjoint partner P* with g(PE, F) + g(E, P*F) = 0, realized as a
-derived field so that structures of structures (P** and friends) compose.
+matrix acts on component columns.  The negative-adjoint partner P* with
+g(PE, F) + g(E, P*F) = 0 is :class:`geometry.AdjointStructure`, a derived
+field, so structures of structures (P** and friends) compose.
+
+Every check takes the :class:`geometry.ManifoldSpec` (g, ∇, P) it certifies
+and reads ∇* and P* from it (``conjugate`` and ``adjoint``), so the checks of
+one spec share those fields and their stores.
 """
 
 from __future__ import annotations
@@ -23,13 +27,11 @@ from .geometry import (
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
     CheckResult,
-    DerivedJets,
     ExpressionField,
-    MetricField,
+    ManifoldSpec,
     _as_points,
-    _inverse_derivative,
+    adjoint_structure,
     check_statistical_structure,
-    conjugate_connection,
     curvature_residual,
     curvature_tensor,
     fit_kurose_constant,
@@ -56,34 +58,6 @@ class ExpressionProductStructure(ExpressionField):
         return cls(fields)
 
 
-class AdjointStructure(DerivedJets):
-    """Negative adjoint of a base structure: P* = −G⁻¹ Pᵀ G pointwise; jets are (P*, ∂P*)."""
-
-    def __init__(self, metric: MetricField, base):
-        if metric.dim != base.dim:
-            raise ValueError("metric and structure disagree on dimension")
-        self._bases = (metric, base)
-        self._value_needs = (False, False)
-
-    def _derive(self, full, metric_jets, base_jets):
-        g, m = metric_jets[0], base_jets[0]
-        ginv = np.linalg.inv(g)
-        star = -ginv @ np.swapaxes(m, 1, 2) @ g
-        if not full:
-            return (star,)
-        dg, dm = metric_jets[1], base_jets[1]
-        dginv = _inverse_derivative(ginv, dg)
-        dstar = -(np.einsum("pkab,pcb,pcd->pkad", dginv, m, g)
-                  + np.einsum("pab,pkcb,pcd->pkad", ginv, dm, g)
-                  + np.einsum("pab,pcb,pkcd->pkad", ginv, m, dg))
-        return star, dstar
-
-
-def adjoint_structure(g: MetricField, structure) -> AdjointStructure:
-    """The structure P* with g(PE, F) + g(E, P*F) = 0; an involution on fixtures."""
-    return AdjointStructure(g, structure)
-
-
 # --------------------------------------------------------------------------
 # Checks
 # --------------------------------------------------------------------------
@@ -101,13 +75,12 @@ def check_almost_product(structure, pts, tol: float = DEFAULT_TOLERANCE) -> Chec
     return dataclasses.replace(result, passed=False, details={**details, "witness_missing": 1.0})
 
 
-def check_pairing_identities(g: MetricField, structure, pts, tol: float = 1e-10) -> CheckResult:
+def check_pairing_identities(spec: ManifoldSpec, pts, tol: float = 1e-10) -> CheckResult:
     """(P*)² = Id, g(PE, P*F) = −g(E, F), and (P*)* = P at the samples."""
     points = _as_points(pts)
-    star = adjoint_structure(g, structure)
-    double = adjoint_structure(g, star)
-    eye = np.eye(structure.dim)
-    gm, m, ms = g.values(points), structure.values(points), star.values(points)
+    double = adjoint_structure(spec.metric, spec.adjoint)
+    eye = np.eye(spec.product.dim)
+    gm, m, ms = spec.metric.values(points), spec.product.values(points), spec.adjoint.values(points)
     square = max_abs(ms @ ms - eye)
     # g(P ∂_i, P* ∂_j) + g(∂_i, ∂_j)
     pairing = max_abs(np.swapaxes(m, 1, 2) @ gm @ ms + gm)
@@ -129,8 +102,13 @@ def covariant_derivative_P_at(connection, structure, point) -> np.ndarray:
     return _covariant_derivative_P(connection.coefficients(point), *structure.jet(point))
 
 
-def check_product_parallelism(connection, structure, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+def check_product_parallelism(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """∇P = 0 at the samples, scaled by 1 + max |Γ|, |P|."""
+    return _parallelism(spec.resolved_connection, spec.product, pts, tol)
+
+
+def _parallelism(connection, structure, pts, tol: float) -> CheckResult:
+    """∇P = 0 for one pair: a spec's (∇, P), or its dual pair (∇*, P*)."""
     points = _as_points(pts)
     gamma = connection.values(points)
     m, dm = structure.jets(points)
@@ -148,14 +126,12 @@ class Certification:
     parallelism: CheckResult
 
 
-def check_para_kahler_like(
-    g: MetricField, connection, structure, pts, tol: float = DEFAULT_TOLERANCE
-) -> Certification:
+def check_para_kahler_like(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> Certification:
     """Statistical structure + almost product structure + ∇P = 0, all at the samples."""
     points = _as_points(pts)
-    statistical = check_statistical_structure(g, connection, points, tol)
-    almost = check_almost_product(structure, points, tol)
-    parallel = check_product_parallelism(connection, structure, points, tol)
+    statistical = check_statistical_structure(spec, points, tol)
+    almost = check_almost_product(spec.product, points, tol)
+    parallel = check_product_parallelism(spec, points, tol)
     return Certification(
         passed=statistical.passed and almost.passed and parallel.passed,
         statistical=statistical,
@@ -164,18 +140,14 @@ def check_para_kahler_like(
     )
 
 
-def conjugate_parallelism_check(
-    g: MetricField, connection, structure, pts, tol: float = DEFAULT_TOLERANCE
-) -> CheckResult:
+def conjugate_parallelism_check(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """∇P = 0 and ∇*P* = 0 vanish together: PASS when both do or neither does.
 
     A non-finite residual on either side FAILs.
     """
     points = _as_points(pts)
-    primal = check_product_parallelism(connection, structure, points, tol)
-    dual = check_product_parallelism(
-        conjugate_connection(g, connection), adjoint_structure(g, structure), points, tol
-    )
+    primal = check_product_parallelism(spec, points, tol)
+    dual = _parallelism(spec.conjugate, spec.adjoint, points, tol)
     both_zero = primal.residual <= tol and dual.residual <= tol
     both_nonzero = tol < primal.residual < math.inf and tol < dual.residual < math.inf
     worst = primal if primal.residual >= dual.residual else dual
@@ -196,9 +168,7 @@ def _space_form_model(gm: np.ndarray, m: np.ndarray, c: float) -> np.ndarray:
     return (c / 4.0) * model
 
 
-def check_space_form(
-    g: MetricField, connection, structure, c: float, pts, tol: float = DEFAULT_TOLERANCE
-) -> CheckResult:
+def check_space_form(spec: ManifoldSpec, c: float, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Curvature has the para-Kähler space-form shape with constant ``c``.
 
     The dual side is verified too: R* must match the same expression with P
@@ -212,15 +182,15 @@ def check_space_form(
         return (max_abs(r - _space_form_model(gm, m, c)),
                 max_abs(r_star - _space_form_model(gm, ms, c)), scale_of(r, r_star, gm, m))
 
-    batches = (g.values(points), structure.values(points), connection.jets(points),
-               adjoint_structure(g, structure).values(points),
-               conjugate_connection(g, connection).jets(points))
-    primal, dual, scale = in_blocks(reduce, g.dim, *batches)
+    batches = (spec.metric.values(points), spec.product.values(points),
+               spec.resolved_connection.jets(points), spec.adjoint.values(points),
+               spec.conjugate.jets(points))
+    primal, dual, scale = in_blocks(reduce, spec.metric.dim, *batches)
     return residual_check(np.maximum(primal, dual), scale, points, tol,
                           details={"primal": float(primal.max()), "dual": float(dual.max())})
 
 
-def fit_space_form_constant(g: MetricField, connection, structure, pts) -> float:
+def fit_space_form_constant(spec: ManifoldSpec, pts) -> float:
     """Least-squares constant for the space-form shape, fitted at the best-conditioned sample.
 
     Reporting convenience only: verification must call :func:`check_space_form`
@@ -232,13 +202,13 @@ def fit_space_form_constant(g: MetricField, connection, structure, pts) -> float
         basis = _space_form_model(gm, m, 4.0)  # model is linear in c; c=4 gives the raw bracket
         return (np.einsum("plijk,plijk->p", basis, basis),)
 
-    gm, m = g.values(points), structure.values(points)
-    (weight,) = in_blocks(weights, g.dim, gm, m)
+    gm, m = spec.metric.values(points), spec.product.values(points)
+    (weight,) = in_blocks(weights, spec.metric.dim, gm, m)
     index = int(np.argmax(weight))
     if weight[index] == 0.0:
         return 0.0
     basis = _space_form_model(gm[index], m[index], 4.0)
-    r = curvature_tensor(*(part[index] for part in connection.jets(points)))
+    r = curvature_tensor(*(part[index] for part in spec.resolved_connection.jets(points)))
     return 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / float(weight[index])
 
 
@@ -256,22 +226,20 @@ class TheoremOutcome:
         return self.status == STATUS_PASS
 
 
-def verify_flatness_theorem(
-    g: MetricField, connection, structure, pts, tol: float = DEFAULT_TOLERANCE
-) -> TheoremOutcome:
+def verify_flatness_theorem(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> TheoremOutcome:
     """Certified para-Kähler-like + constant curvature (dim ≠ 2) must force R = 0.
 
     When either hypothesis fails the outcome is NOT-APPLICABLE, never FAIL.
     """
-    if g.dim == 2:
+    if spec.metric.dim == 2:
         return TheoremOutcome(STATUS_NOT_APPLICABLE, reason="dimension 2 is excluded by hypothesis")
     points = _as_points(pts)
-    certification = check_para_kahler_like(g, connection, structure, points, tol)
+    certification = check_para_kahler_like(spec, points, tol)
     if not certification.passed:
         return TheoremOutcome(
             STATUS_NOT_APPLICABLE, reason="para-Kähler-like certification failed"
         )
-    fit = fit_kurose_constant(g, connection, points, tol)
+    fit = fit_kurose_constant(spec, points, tol)
     constant = fit.details["constant"]
     if not fit.passed:
         return TheoremOutcome(
@@ -279,7 +247,7 @@ def verify_flatness_theorem(
             reason="curvature is not of constant-curvature form",
             data={"constant": constant, "fit_residual": fit.residual},
         )
-    flat = curvature_residual(g, connection, points, tol)
+    flat = curvature_residual(spec, points, tol)
     status = STATUS_PASS if flat.passed else STATUS_FAIL
     return TheoremOutcome(
         status,

@@ -18,10 +18,14 @@ arguments are field objects that expose ``vector(p)`` and
 :func:`oneill_tensors_at` differentiates projected fields through these
 exact jets.  Tensoriality of T and A in both slots is a tested property, not
 an input assumption.
+
+A :class:`SubmersionSpec` owns its induced fiber manifold (``fiber``), built
+once; the fiber's fields read the total space's fields and never the spec.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +43,8 @@ from .geometry import (
     ManifoldSpec,
     PointJets,
     _as_points,
+    _det_threshold,
     check_statistical_structure,
-    conjugate_connection,
     curvature_residual,
     max_abs,
     residual_check,
@@ -49,7 +53,6 @@ from .geometry import (
 )
 from .product import (
     TheoremOutcome,
-    adjoint_structure,
     check_almost_product,
     check_para_kahler_like,
     fit_space_form_constant,
@@ -95,22 +98,30 @@ class SubmersionSpec:
     def project(self, point) -> np.ndarray:
         return np.asarray(point, dtype=float)[: self.base_dim]
 
+    @functools.cached_property
+    def fiber(self) -> ManifoldSpec:
+        """The fiber over the base box center with its induced fields, built on first use.
+
+        :func:`induced_fiber_manifold` checks that the total structure keeps
+        the vertical space invariant before handing it out.
+        """
+        return _induced_fiber(self)
+
 
 # --------------------------------------------------------------------------
 # Projectors and lifts
 # --------------------------------------------------------------------------
 
-def _fiber_blocks(spec: SubmersionSpec, g: np.ndarray):
+def _fiber_blocks(g: np.ndarray, nb: int):
     """(G_vv, G[vert, :]) of one metric matrix or a stack of them.
 
-    Raises :class:`SubmersionError` at the first matrix whose fiber block is
+    The first ``nb`` coordinates are the base's.  Raises
+    :class:`SubmersionError` at the first matrix whose fiber block is
     degenerate.
     """
-    nb = spec.base_dim
     gvv = g[..., nb:, nb:]
     dets = np.atleast_1d(np.linalg.det(gvv))
-    scales = np.maximum(1.0, np.abs(gvv).reshape(dets.shape[0], -1).max(axis=1))
-    degenerate = np.abs(dets) <= 1e-10 * scales ** gvv.shape[-1]
+    degenerate = np.abs(dets) <= _det_threshold(gvv)
     if degenerate.any():
         det = float(dets[np.argmax(degenerate)])
         raise SubmersionError(f"degenerate fiber metric block (det {det:.3e})")
@@ -130,7 +141,7 @@ def _check_conditioning(gvv: np.ndarray) -> None:
 def projectors_at(spec: SubmersionSpec, point) -> tuple[np.ndarray, np.ndarray]:
     """(v, h): projection onto the vertical space along its g-orthogonal complement."""
     g = spec.total.metric.matrix(point)
-    gvv, gv_rows = _fiber_blocks(spec, g)
+    gvv, gv_rows = _fiber_blocks(g, spec.base_dim)
     n, nb = spec.total_dim, spec.base_dim
     selector = np.zeros((n, spec.fiber_dim))
     selector[nb:, :] = np.eye(spec.fiber_dim)
@@ -141,7 +152,7 @@ def projectors_at(spec: SubmersionSpec, point) -> tuple[np.ndarray, np.ndarray]:
 def _projector_jets(spec: SubmersionSpec, point):
     """(v, h, dv, dh) with dv[i] the coordinate derivative of the vertical projector."""
     g, dg, _ = spec.total.metric.jet(point)
-    gvv, gv_rows = _fiber_blocks(spec, g)
+    gvv, gv_rows = _fiber_blocks(g, spec.base_dim)
     n, nb, f = spec.total_dim, spec.base_dim, spec.fiber_dim
     selector = np.zeros((n, f))
     selector[nb:, :] = np.eye(f)
@@ -161,7 +172,7 @@ def horizontal_lift_at(spec: SubmersionSpec, base_vector, point) -> np.ndarray:
     if bv.shape != (spec.base_dim,):
         raise ValueError(f"base vector of shape {bv.shape}, expected ({spec.base_dim},)")
     g = spec.total.metric.matrix(point)
-    gvv, _ = _fiber_blocks(spec, g)
+    gvv, _ = _fiber_blocks(g, spec.base_dim)
     _check_conditioning(gvv)
     nb = spec.base_dim
     w = -np.linalg.solve(gvv, g[nb:, :nb] @ bv)
@@ -215,7 +226,7 @@ class HorizontalLiftField:
         spec = self._spec
         nb = spec.base_dim
         g, dg, _ = spec.total.metric.jet(point)
-        gvv, _ = _fiber_blocks(spec, g)
+        gvv, _ = _fiber_blocks(g, nb)
         gvv_inv = np.linalg.inv(gvv)
         w = -gvv_inv @ (g[nb:, :nb] @ self._bv)
         values = np.concatenate([self._bv, w])
@@ -309,10 +320,8 @@ def oneill_tensors_at(spec: SubmersionSpec, e_field, f_field, point,
     explicit ``dual_connection`` overrides that (used to demonstrate that the
     duality pairings fail for anything other than the true conjugate).
     """
-    connection = spec.total.connection_or_levi_civita()
-    dual = dual_connection
-    if dual is None:
-        dual = conjugate_connection(spec.total.metric, connection)
+    connection = spec.total.resolved_connection
+    dual = spec.total.conjugate if dual_connection is None else dual_connection
     v, h = projectors_at(spec, point)
     e0 = e_field.vector(point)
     ve, he = v @ e0, h @ e0
@@ -386,13 +395,11 @@ def oneill_arrays(spec: SubmersionSpec, points, dual_connection=None) -> OneillA
     when a fiber block is degenerate or too ill-conditioned for the lifts.
     """
     pts = _as_points(points)
-    metric = spec.total.metric
-    connection = spec.total.connection_or_levi_civita()
-    dual = dual_connection if dual_connection is not None else conjugate_connection(metric, connection)
-    g, dg, _ = metric.jets(pts)
-    gvv, gv_rows = _fiber_blocks(spec, g)
+    dual = spec.total.conjugate if dual_connection is None else dual_connection
+    g, dg, _ = spec.total.metric.jets(pts)
+    gvv, gv_rows = _fiber_blocks(g, spec.base_dim)
     _check_conditioning(gvv)
-    gamma = connection.values(pts)
+    gamma = spec.total.resolved_connection.values(pts)
     gamma_star = dual.values(pts)
 
     nb, n = spec.base_dim, spec.total_dim
@@ -427,7 +434,7 @@ def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEF
     nb = spec.base_dim
     g = spec.total.metric.values(points)
     base_metric = spec.base.metric.values(points[:, :nb])
-    gvv, _ = _fiber_blocks(spec, g)
+    gvv, _ = _fiber_blocks(g, nb)
     _check_conditioning(gvv)
     # lifts[p, :, a] lifts e_a; one vector right-hand side per e_a keeps horizontal_lift_at's bits
     eye = np.eye(nb)
@@ -559,23 +566,24 @@ def _on_fiber(base_point: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 class FiberConnection(PointJets):
-    """Connection induced on a fiber: the vertical projection of ∇ (or ∇*); jets are (Γ̂, ∂Γ̂)."""
+    """Connection induced on the fiber through ``base_point``: the vertical projection of ``connection``.
 
-    def __init__(self, spec: SubmersionSpec, base_point, dual: bool = False):
-        self._spec = spec
+    ``connection`` is a connection of the total space with metric ``metric``
+    (∇, or ∇* for the induced dual connection); jets are (Γ̂, ∂Γ̂).
+    """
+
+    def __init__(self, metric, connection, base_point):
+        self._metric = metric
+        self._connection = connection
         self._base_point = np.asarray(base_point, dtype=float)
-        connection = spec.total.connection_or_levi_civita()
-        self._connection = (
-            conjugate_connection(spec.total.metric, connection) if dual else connection
-        )
 
     @property
     def dim(self) -> int:
-        return self._spec.fiber_dim
+        return self._metric.dim - len(self._base_point)
 
     def _batch_jets(self, points, full):
         embedded = _on_fiber(self._base_point, points)
-        return self._derive(full, self._spec.total.metric._lookup(embedded, full),
+        return self._derive(full, self._metric._lookup(embedded, full),
                             self._connection._lookup(embedded, full))
 
     def _derive(self, full, metric_jets, connection_jets):
@@ -583,10 +591,9 @@ class FiberConnection(PointJets):
 
         The value solves against the fiber block; ∂Γ̂ uses its inverse.
         """
-        spec = self._spec
-        nb, f = spec.base_dim, spec.fiber_dim
+        nb, f = len(self._base_point), self.dim
         g = metric_jets[0]
-        gvv, gv_rows = _fiber_blocks(spec, g)
+        gvv, gv_rows = _fiber_blocks(g, nb)
         block = connection_jets[0][:, :, nb:, nb:]
         hat = np.einsum("pck,pkab->pcab", np.linalg.solve(gvv, gv_rows), block)
         if not full:
@@ -603,34 +610,36 @@ class FiberConnection(PointJets):
         return hat, dhat
 
 
-def induced_fiber_manifold(
-    spec: SubmersionSpec, base_point=None, tol: float = DEFAULT_TOLERANCE
-) -> ManifoldSpec:
-    """The fiber over a base point (default: base box center) with its induced fields.
+def _induced_fiber(spec: SubmersionSpec) -> ManifoldSpec:
+    """The fiber over the base box center with the restrictions of the total fields."""
+    frozen = spec.base.chart.center
+    chart, nb = spec.total.chart, spec.base_dim
+    fiber_chart = ChartSpec(chart.coord_names[nb:], chart.domain[nb:], seed=chart.seed)
+    structure = spec.total.product
+    if structure is not None and not isinstance(structure, ExpressionField):
+        raise TypeError("fiber restriction needs an expression-backed product structure")
+    return ManifoldSpec(
+        chart=fiber_chart,
+        metric=_restrict(spec.total.metric, frozen),
+        connection=FiberConnection(spec.total.metric, spec.total.resolved_connection, frozen),
+        product=None if structure is None else _restrict(structure, frozen),
+    )
+
+
+def induced_fiber_manifold(spec: SubmersionSpec, tol: float = DEFAULT_TOLERANCE) -> ManifoldSpec:
+    """``spec.fiber``: the fiber over the base box center with its induced fields.
 
     The fiber metric and product structure are the restrictions of the total
     ones with base coordinates frozen; the induced connection is the vertical
     projection of the total connection.  Raises :class:`SubmersionError` when
-    the total structure does not keep the vertical space invariant.
+    the total structure moves a vertical vector out of the vertical space by
+    more than ``tol``.
     """
-    if base_point is None:
-        base_point = spec.base.chart.center
-    frozen = np.asarray(base_point, dtype=float)
-    nb = spec.base_dim
-    total_chart = spec.total.chart
-    fiber_chart = ChartSpec(
-        coord_names=total_chart.coord_names[nb:],
-        domain=total_chart.domain[nb:],
-        seed=total_chart.seed,
-    )
-    fiber_connection = FiberConnection(spec, frozen)
-    fiber_product = None
-    if spec.total.product is not None:
-        structure = spec.total.product
-        if not isinstance(structure, ExpressionField):
-            raise TypeError("fiber restriction needs an expression-backed product structure")
-        embedded = _on_fiber(frozen, sample_points(fiber_chart, DEFAULT_POINT_COUNT))
-        leaks = max_abs(structure.values(embedded)[:, :nb, nb:])
+    fiber = spec.fiber
+    if fiber.product is not None:
+        nb = spec.base_dim
+        embedded = _on_fiber(spec.base.chart.center, sample_points(fiber.chart, DEFAULT_POINT_COUNT))
+        leaks = max_abs(spec.total.product.values(embedded)[:, :nb, nb:])
         leaking = np.flatnonzero(leaks > tol)
         if leaking.size:
             first = leaking[0]
@@ -638,20 +647,7 @@ def induced_fiber_manifold(
                 f"product structure does not preserve the vertical space "
                 f"(leak {leaks[first]:.3e} at {embedded[first].tolist()})"
             )
-        fiber_product = _restrict(structure, frozen)
-    return ManifoldSpec(
-        chart=fiber_chart,
-        metric=_restrict(spec.total.metric, frozen),
-        connection=fiber_connection,
-        product=fiber_product,
-    )
-
-
-def induced_fiber_connections(spec: SubmersionSpec, base_point=None) -> tuple[FiberConnection, FiberConnection]:
-    """The induced connection and the induced dual connection on the fiber."""
-    if base_point is None:
-        base_point = spec.base.chart.center
-    return FiberConnection(spec, base_point), FiberConnection(spec, base_point, dual=True)
+    return fiber
 
 
 # --------------------------------------------------------------------------
@@ -706,35 +702,25 @@ def verify_submersion_theorems(
             items[name] = TheoremOutcome(STATUS_NOT_APPLICABLE, reason=reason)
         return SubmersionTheoremReport(items)
 
-    connection = spec.total.connection_or_levi_civita()
     fiber = induced_fiber_manifold(spec, tol=tol)
     fiber_points = sample_points(fiber.chart, len(points))
 
-    fiber_statistical = check_statistical_structure(
-        fiber.metric, fiber.connection, fiber_points, tol
-    )
+    fiber_statistical = check_statistical_structure(fiber, fiber_points, tol)
     fiber_almost = check_almost_product(fiber.product, fiber_points, tol)
     items["fiber_structure"] = TheoremOutcome(
         STATUS_PASS if fiber_statistical.passed and fiber_almost.passed else STATUS_FAIL,
         residual=max(fiber_statistical.residual, fiber_almost.residual),
     )
 
-    total_cert = check_para_kahler_like(
-        spec.total.metric, connection, spec.total.product, points, tol
-    )
+    total_cert = check_para_kahler_like(spec.total, points, tol)
     _require_connections(spec)
     arrays = oneill_arrays(spec, points)
     statistical_sub = _statistical_submersion(spec, arrays, tol)
     holomorphic = check_para_holomorphic(spec, points, tol)
     if total_cert.passed and statistical_sub.passed and holomorphic.passed:
         base_points = points[:, :spec.base_dim]
-        base_cert = check_para_kahler_like(
-            spec.base.metric, spec.base.connection_or_levi_civita(),
-            spec.base.product, base_points, tol,
-        )
-        fiber_cert = check_para_kahler_like(
-            fiber.metric, fiber.connection, fiber.product, fiber_points, tol
-        )
+        base_cert = check_para_kahler_like(spec.base, base_points, tol)
+        fiber_cert = check_para_kahler_like(fiber, fiber_points, tol)
         items["base_and_fiber_certified"] = TheoremOutcome(
             STATUS_PASS if base_cert.passed and fiber_cert.passed else STATUS_FAIL,
             residual=max(base_cert.parallelism.residual, fiber_cert.parallelism.residual),
@@ -757,7 +743,7 @@ def verify_submersion_theorems(
     )
 
     m_hat = fiber.product.values(fiber_points)
-    m_hat_star = adjoint_structure(fiber.metric, fiber.product).values(fiber_points)
+    m_hat_star = fiber.adjoint.values(fiber_points)
     min_rank = int(_ranks(m_hat + m_hat_star).min())
     parity_gap = float(max_abs(m_hat - m_hat_star).max())
 
@@ -792,15 +778,10 @@ def verify_submersion_theorems(
         )
 
     isometric = _isometric_fibers(spec, arrays, tol)
-    space_constant = fit_space_form_constant(
-        spec.total.metric, connection, spec.total.product, points
-    )
-    space_form = check_space_form(
-        spec.total.metric, connection, spec.total.product, space_constant, points, tol
-    )
+    space_constant = fit_space_form_constant(spec.total, points)
+    space_form = check_space_form(spec.total, space_constant, points, tol)
     if space_form.passed and isometric.passed and min_rank == spec.fiber_dim:
-        flat = max(curvature_residual(manifold.metric, manifold.connection_or_levi_civita(),
-                                      samples, tol).residual
+        flat = max(curvature_residual(manifold, samples, tol).residual
                    for manifold, samples in ((spec.base, points[:, :nb]), (fiber, fiber_points)))
         items["flat_decomposition"] = TheoremOutcome(
             STATUS_PASS if flat <= tol else STATUS_FAIL,

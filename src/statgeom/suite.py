@@ -5,11 +5,20 @@ whole batch of sample points and ends in one :func:`geometry.residual_check`
 of per-point arrays (the last worst point wins ties), so a fixed seed yields
 byte-identical reports.  A check that raises is recorded as ERROR and the run
 continues.
+
+A check reads its subject from the context (the manifold, its submersion or
+its model) and hands it to the library function that certifies it.  Most
+checks report one :class:`geometry.CheckResult`; they are rows of one table
+with one adapter.  The others build their own outcomes: a para-Kähler-like
+certification, a theorem outcome, or a family of results.  Every derived
+field lives on its manifold, so the checks of one run share it, and
+:func:`run_suite` builds a fresh context, and with it fresh fields, per call.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 
 from . import geometry as geo
@@ -65,55 +74,14 @@ def _theorem_outcome(name, outcome, tol, points_used) -> CheckOutcome:
 
 
 # --------------------------------------------------------------------------
-# Metric-manifold checks
+# Subjects
 # --------------------------------------------------------------------------
 
-def _check_statistical_structure(ctx, pts, tol):
-    m = ctx.manifold
-    result = geo.check_statistical_structure(m.metric, m.connection_or_levi_civita(), pts, tol)
-    return [_outcome("statistical_structure", result, len(pts))]
+def _manifold(ctx):
+    if ctx.manifold is None:
+        raise ManifestError("this check needs a 'metric' block in the manifest")
+    return ctx.manifold
 
-
-def _check_conjugate_involution(ctx, pts, tol):
-    m = ctx.manifold
-    connection = m.connection_or_levi_civita()
-    double = geo.conjugate_connection(m.metric, geo.conjugate_connection(m.metric, connection))
-    gamma = connection.values(pts)
-    result = geo.residual_check(geo.max_abs(double.values(pts) - gamma), geo.scale_of(gamma), pts, tol)
-    return [_outcome("conjugate_involution", result, len(pts))]
-
-
-def _check_levi_civita_average(ctx, pts, tol):
-    m = ctx.manifold
-    connection = m.connection_or_levi_civita()
-    gamma = connection.values(pts)
-    star = geo.conjugate_connection(m.metric, connection).values(pts)
-    defect = gamma + star - 2.0 * m.levi_civita_connection.values(pts)
-    result = geo.residual_check(geo.max_abs(defect), geo.scale_of(gamma), pts, tol)
-    return [_outcome("levi_civita_average", result, len(pts))]
-
-
-def _check_dual_curvature_identity(ctx, pts, tol):
-    m = ctx.manifold
-    result = geo.check_dual_curvature_identity(m.metric, m.connection_or_levi_civita(), pts, tol)
-    return [_outcome("dual_curvature_identity", result, len(pts))]
-
-
-def _check_flatness(ctx, pts, tol):
-    m = ctx.manifold
-    result = geo.curvature_residual(m.metric, m.connection_or_levi_civita(), pts, tol)
-    return [_outcome("flatness", result, len(pts))]
-
-
-def _check_kurose(ctx, pts, tol):
-    m = ctx.manifold
-    fit = geo.fit_kurose_constant(m.metric, m.connection_or_levi_civita(), pts, tol)
-    return [_outcome("kurose_constant_curvature", fit, len(pts))]
-
-
-# --------------------------------------------------------------------------
-# Product-structure checks
-# --------------------------------------------------------------------------
 
 def _require_product(ctx):
     if ctx.manifold is None or ctx.manifold.product is None:
@@ -121,26 +89,64 @@ def _require_product(ctx):
     return ctx.manifold
 
 
-def _check_almost_product(ctx, pts, tol):
-    m = _require_product(ctx)
-    return [_outcome("almost_product", prod.check_almost_product(m.product, pts, tol), len(pts))]
+def _product_structure(ctx):
+    return _require_product(ctx).product
 
 
-def _check_pairing_identities(ctx, pts, tol):
-    m = _require_product(ctx)
-    result = prod.check_pairing_identities(m.metric, m.product, pts, tol)
-    return [_outcome("pairing_identities", result, len(pts))]
+def _require_model(ctx):
+    if ctx.model is None:
+        raise ManifestError("this check needs a 'model' block in the manifest")
+    return ctx.model
 
 
-def _check_product_parallelism(ctx, pts, tol):
-    m = _require_product(ctx)
-    result = prod.check_product_parallelism(m.connection_or_levi_civita(), m.product, pts, tol)
-    return [_outcome("product_parallelism", result, len(pts))]
+def _require_submersion(ctx):
+    if ctx.submersion is None:
+        raise ManifestError("this check needs a 'submersion' block in the manifest")
+    return ctx.submersion
 
+
+def _model_manifold(model, alpha: float, structure=None) -> geo.ManifoldSpec:
+    """The model's chart and Fisher metric with its α-connection (and ``structure``)."""
+    return geo.ManifoldSpec(model.chart, model.fisher, AlphaConnection(model.fisher, alpha), structure)
+
+
+# --------------------------------------------------------------------------
+# Checks with one result
+# --------------------------------------------------------------------------
+
+# check -> (its subject in the context, the module and name of the function of
+# (subject, points, tol) whose CheckResult it reports).  The function is looked
+# up when the check runs, so a wrapper installed in the module is called too.
+_RESULT_CHECKS = {
+    "statistical_structure": (_manifold, geo, "check_statistical_structure"),
+    "conjugate_involution": (_manifold, geo, "check_conjugate_involution"),
+    "levi_civita_average": (_manifold, geo, "check_levi_civita_average"),
+    "dual_curvature_identity": (_manifold, geo, "check_dual_curvature_identity"),
+    "flatness": (_manifold, geo, "curvature_residual"),
+    "kurose_constant_curvature": (_manifold, geo, "fit_kurose_constant"),
+    "almost_product": (_product_structure, prod, "check_almost_product"),
+    "pairing_identities": (_require_product, prod, "check_pairing_identities"),
+    "product_parallelism": (_require_product, prod, "check_product_parallelism"),
+    "conjugate_parallelism": (_require_product, prod, "conjugate_parallelism_check"),
+    "semi_riemannian_submersion": (_require_submersion, sub, "check_semi_riemannian_submersion"),
+    "statistical_submersion": (_require_submersion, sub, "check_statistical_submersion"),
+    "para_holomorphic": (_require_submersion, sub, "check_para_holomorphic"),
+    "isometric_fibers": (_require_submersion, sub, "isometric_fibers_residual"),
+    "oneill_identities": (_require_submersion, sub, "check_fundamental_tensor_identities"),
+}
+
+
+def _result_check(name, subject, module, function, ctx, pts, tol):
+    result = getattr(module, function)(subject(ctx), pts, tol)
+    return [_outcome(name, result, len(pts))]
+
+
+# --------------------------------------------------------------------------
+# Checks with their own outcome
+# --------------------------------------------------------------------------
 
 def _check_para_kahler_like(ctx, pts, tol):
-    m = _require_product(ctx)
-    cert = prod.check_para_kahler_like(m.metric, m.connection_or_levi_civita(), m.product, pts, tol)
+    cert = prod.check_para_kahler_like(_require_product(ctx), pts, tol)
     parts = (cert.statistical, cert.almost_product, cert.parallelism)
     worst_point = cert.parallelism.worst_point
     return [dataclasses.replace(
@@ -155,57 +161,36 @@ def _check_para_kahler_like(ctx, pts, tol):
     )]
 
 
-def _check_conjugate_parallelism(ctx, pts, tol):
-    m = _require_product(ctx)
-    result = prod.conjugate_parallelism_check(
-        m.metric, m.connection_or_levi_civita(), m.product, pts, tol
-    )
-    return [_outcome("conjugate_parallelism", result, len(pts))]
-
-
 def _check_space_form(ctx, pts, tol):
     m = _require_product(ctx)
-    connection = m.connection_or_levi_civita()
     constant = ctx.space_form_c
     if constant is None:
-        constant = prod.fit_space_form_constant(m.metric, connection, m.product, pts)
-    result = prod.check_space_form(m.metric, connection, m.product, constant, pts, tol)
+        constant = prod.fit_space_form_constant(m, pts)
+    result = prod.check_space_form(m, constant, pts, tol)
     return [_outcome("space_form", result, len(pts), data={"constant": constant})]
 
 
 def _check_flatness_theorem(ctx, pts, tol):
-    m = _require_product(ctx)
-    outcome = prod.verify_flatness_theorem(m.metric, m.connection_or_levi_civita(), m.product, pts, tol)
+    outcome = prod.verify_flatness_theorem(_require_product(ctx), pts, tol)
     return [_theorem_outcome("flatness_theorem", outcome, tol, len(pts))]
-
-
-# --------------------------------------------------------------------------
-# Model checks
-# --------------------------------------------------------------------------
-
-def _require_model(ctx):
-    if ctx.model is None:
-        raise ManifestError("this check needs a 'model' block in the manifest")
-    return ctx.model
 
 
 def _check_alpha_family(ctx, pts, tol):
     model = _require_model(ctx)
-    metric = model.fisher
     outcomes = []
     for alpha in ctx.alphas:
-        connection = AlphaConnection(metric, alpha)
-        stat = geo.check_statistical_structure(metric, connection, pts, tol)
+        m = _model_manifold(model, alpha)
+        stat = geo.check_statistical_structure(m, pts, tol)
         outcomes.append(_outcome(f"alpha_family[{alpha:g}].statistical_structure", stat, len(pts)))
-        star = geo.conjugate_connection(metric, connection).values(pts)
-        reflected = AlphaConnection(metric, -alpha).values(pts)
-        duality = geo.residual_check(geo.max_abs(star - reflected),
-                                     geo.scale_of(connection.values(pts)), pts, tol)
+        reflected = AlphaConnection(model.fisher, -alpha).values(pts)
+        duality = geo.residual_check(geo.max_abs(m.conjugate.values(pts) - reflected),
+                                     geo.scale_of(m.connection.values(pts)), pts, tol)
         outcomes.append(_outcome(f"alpha_family[{alpha:g}].conjugate_duality", duality, len(pts)))
-    gamma, lc = AlphaConnection(metric, 0.0).values(pts), geo.levi_civita(metric).values(pts)
+    m = _model_manifold(model, 0.0)
+    gamma, lc = m.connection.values(pts), m.levi_civita_connection.values(pts)
     match = geo.residual_check(geo.max_abs(gamma - lc), geo.scale_of(lc), pts, tol)
     outcomes.append(_outcome("alpha_family.levi_civita_match", match, len(pts)))
-    flat = geo.curvature_residual(metric, AlphaConnection(metric, 1.0), pts, tol)
+    flat = geo.curvature_residual(_model_manifold(model, 1.0), pts, tol)
     outcomes.append(_outcome("alpha_family.exponential_flatness", flat, len(pts)))
     return outcomes
 
@@ -215,69 +200,25 @@ def _check_exp_para_certifications(ctx, pts, tol):
     if ctx.involution is None:
         raise ManifestError("exp_para_certifications needs an 'involution' matrix in the model block")
     structure_one, structure_minus = exp_para_structures(model, ctx.involution)
-    metric = model.fisher
     outcomes = []
     for label, alpha, structure in (
         ("exponential", 1.0, structure_one),
         ("mixture", -1.0, structure_minus),
     ):
-        cert = prod.check_para_kahler_like(metric, AlphaConnection(metric, alpha), structure, pts, tol)
+        cert = prod.check_para_kahler_like(_model_manifold(model, alpha, structure), pts, tol)
         outcomes.append(_certification_outcome(f"exp_para_certifications.{label}", cert, tol, len(pts)))
     return outcomes
 
 
-# --------------------------------------------------------------------------
-# Submersion checks
-# --------------------------------------------------------------------------
-
-def _require_submersion(ctx):
-    if ctx.submersion is None:
-        raise ManifestError("this check needs a 'submersion' block in the manifest")
-    return ctx.submersion
-
-
-def _check_semi_riemannian_submersion(ctx, pts, tol):
-    spec = _require_submersion(ctx)
-    result = sub.check_semi_riemannian_submersion(spec, pts, tol)
-    return [_outcome("semi_riemannian_submersion", result, len(pts))]
-
-
-def _check_statistical_submersion(ctx, pts, tol):
-    spec = _require_submersion(ctx)
-    result = sub.check_statistical_submersion(spec, pts, tol)
-    return [_outcome("statistical_submersion", result, len(pts))]
-
-
-def _check_para_holomorphic(ctx, pts, tol):
-    spec = _require_submersion(ctx)
-    result = sub.check_para_holomorphic(spec, pts, tol)
-    return [_outcome("para_holomorphic", result, len(pts))]
-
-
-def _check_isometric_fibers(ctx, pts, tol):
-    spec = _require_submersion(ctx)
-    result = sub.isometric_fibers_residual(spec, pts, tol)
-    return [_outcome("isometric_fibers", result, len(pts))]
-
-
-def _check_oneill_identities(ctx, pts, tol):
-    spec = _require_submersion(ctx)
-    result = sub.check_fundamental_tensor_identities(spec, pts, tol)
-    return [_outcome("oneill_identities", result, len(pts))]
-
-
 def _check_fiber_para_kahler_like(ctx, pts, tol):
-    spec = _require_submersion(ctx)
-    fiber = sub.induced_fiber_manifold(spec, tol=tol)
+    fiber = sub.induced_fiber_manifold(_require_submersion(ctx), tol=tol)
     fiber_points = geo.sample_points(fiber.chart, len(pts))
-    cert = prod.check_para_kahler_like(fiber.metric, fiber.connection, fiber.product,
-                                       fiber_points, tol)
+    cert = prod.check_para_kahler_like(fiber, fiber_points, tol)
     return [_certification_outcome("fiber_para_kahler_like", cert, tol, len(fiber_points))]
 
 
 def _check_submersion_theorems(ctx, pts, tol):
-    spec = _require_submersion(ctx)
-    report = sub.verify_submersion_theorems(spec, pts, tol)
+    report = sub.verify_submersion_theorems(_require_submersion(ctx), pts, tol)
     return [_theorem_outcome(f"submersion_theorems.{name}", item, tol, len(pts))
             for name, item in report.items.items()]
 
@@ -287,26 +228,12 @@ def _check_submersion_theorems(ctx, pts, tol):
 # --------------------------------------------------------------------------
 
 CHECKS = {
-    "statistical_structure": _check_statistical_structure,
-    "conjugate_involution": _check_conjugate_involution,
-    "levi_civita_average": _check_levi_civita_average,
-    "dual_curvature_identity": _check_dual_curvature_identity,
-    "flatness": _check_flatness,
-    "kurose_constant_curvature": _check_kurose,
-    "almost_product": _check_almost_product,
-    "pairing_identities": _check_pairing_identities,
-    "product_parallelism": _check_product_parallelism,
+    **{name: functools.partial(_result_check, name, *row) for name, row in _RESULT_CHECKS.items()},
     "para_kahler_like": _check_para_kahler_like,
-    "conjugate_parallelism": _check_conjugate_parallelism,
     "space_form": _check_space_form,
     "flatness_theorem": _check_flatness_theorem,
     "alpha_family": _check_alpha_family,
     "exp_para_certifications": _check_exp_para_certifications,
-    "semi_riemannian_submersion": _check_semi_riemannian_submersion,
-    "statistical_submersion": _check_statistical_submersion,
-    "para_holomorphic": _check_para_holomorphic,
-    "isometric_fibers": _check_isometric_fibers,
-    "oneill_identities": _check_oneill_identities,
     "fiber_para_kahler_like": _check_fiber_para_kahler_like,
     "submersion_theorems": _check_submersion_theorems,
 }

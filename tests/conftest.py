@@ -15,6 +15,15 @@ from statgeom.fixtures import (
 )
 from statgeom.geometry import curvature_tensor
 
+# The checks of the benchmark's curvature workload: every check that builds a
+# 4-index tensor per point in blocks.
+CURVATURE_CHECKS = (
+    "statistical_structure", "conjugate_involution", "levi_civita_average",
+    "dual_curvature_identity", "flatness", "kurose_constant_curvature", "almost_product",
+    "pairing_identities", "product_parallelism", "para_kahler_like", "conjugate_parallelism",
+    "space_form", "flatness_theorem",
+)
+
 
 def flat_manifold(pairs=1, k=2.0, epsilons=(1.0,), seed=7):
     """Flat para-product fixture as a ManifoldSpec."""

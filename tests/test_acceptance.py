@@ -26,6 +26,7 @@ from statgeom.fixtures import (
 )
 from statgeom.geometry import (
     STATUS_PASS,
+    ManifoldSpec,
     check_dual_curvature_identity,
     check_statistical_structure,
     conjugate_connection,
@@ -77,7 +78,7 @@ def _manifold_bundles():
         ctx = build_context(load_fixture(fixture_id))
         if ctx.manifold is not None:
             m = ctx.manifold
-            bundles.append((fixture_id, m.metric, m.connection_or_levi_civita(), m.product))
+            bundles.append((fixture_id, m.metric, m.resolved_connection, m.product))
         if ctx.model is not None:
             metric = fisher_metric(ctx.model)
             structure = None
@@ -99,7 +100,7 @@ def test_criterion_1_flat_certification():
                 tag = f"pairs={pairs} k={k} eps={epsilons}"
                 m = flat_manifold(pairs=pairs, k=k, epsilons=epsilons, seed=1)
                 pts = sample_points(m.chart, 25)
-                if not check_para_kahler_like(m.metric, m.connection, m.product, pts).passed:
+                if not check_para_kahler_like(m, pts).passed:
                     failures.append(f"{tag}: certification")
                 expected = np.zeros((2 * pairs, 2 * pairs))
                 for i in range(pairs):
@@ -113,11 +114,11 @@ def test_criterion_1_flat_certification():
                 if max(np.max(np.abs(curvature_at(m.connection, p).components))
                        for p in pts) > 1e-9:
                     failures.append(f"{tag}: curvature")
-                fit = fit_kurose_constant(m.metric, m.connection, pts)
+                fit = fit_kurose_constant(m, pts)
                 if not fit.passed or abs(fit.details["constant"]) > 1e-9:
                     failures.append(f"{tag}: constant-curvature fit")
                 if pairs >= 2:
-                    outcome = verify_flatness_theorem(m.metric, m.connection, m.product, pts)
+                    outcome = verify_flatness_theorem(m, pts)
                     if outcome.status != STATUS_PASS:
                         failures.append(f"{tag}: flatness theorem {outcome.status}")
     _report(1, "flat para-product certification", failures)
@@ -131,7 +132,7 @@ def test_criterion_2_curved_certification():
         tag = f"k={k} l={l}"
         m = curved_manifold(pairs=1, k=k, l=l, epsilons=(1.0,), seed=2)
         pts = sample_points(m.chart, 25)
-        statistical = check_statistical_structure(m.metric, m.connection, pts)
+        statistical = check_statistical_structure(m, pts)
         if statistical.details["torsion"] > 1e-10:
             failures.append(f"{tag}: torsion {statistical.details['torsion']:.2e}")
         if statistical.details["codazzi"] > 1e-9:
@@ -185,11 +186,13 @@ def test_criterion_3_duality_suite():
             for p in pts)
         if average > 1e-9:
             failures.append(f"{name}: metric-connection average {average:.2e}")
-        dual_curv = check_dual_curvature_identity(metric, connection, pts, tol=1e-8)
+        dual_curv = check_dual_curvature_identity(ManifoldSpec(ctx.chart, metric, connection), pts,
+                                                  tol=1e-8)
         if not dual_curv.passed:
             failures.append(f"{name}: dual curvature {dual_curv.residual:.2e}")
         if structure is not None:
-            pairing = check_pairing_identities(metric, structure, pts, tol=1e-10)
+            pairing = check_pairing_identities(ManifoldSpec(ctx.chart, metric, product=structure),
+                                               pts, tol=1e-10)
             worst = max(pairing.details.values())
             if worst > 1e-10:
                 failures.append(f"{name}: adjoint identities {worst:.2e}")
@@ -207,7 +210,8 @@ def test_criterion_4_alpha_connection_suite():
         for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
             tag = f"{name} alpha={alpha:g}"
             connection = AlphaConnection(metric, alpha)
-            if not check_statistical_structure(metric, connection, pts).passed:
+            if not check_statistical_structure(ManifoldSpec(model.chart, metric, connection),
+                                               pts).passed:
                 failures.append(f"{tag}: statistical structure")
             star = conjugate_connection(metric, connection)
             mirror = AlphaConnection(metric, -alpha)
@@ -239,9 +243,9 @@ def test_criterion_5_model_structure_suite():
         constant, twisted = exp_para_structures(model, involution)
         pts = sample_points(model.chart, 25)
         exponential = check_para_kahler_like(
-            metric, AlphaConnection(metric, 1.0), constant, pts, tol=1e-8)
+            ManifoldSpec(model.chart, metric, AlphaConnection(metric, 1.0), constant), pts, tol=1e-8)
         mixture = check_para_kahler_like(
-            metric, AlphaConnection(metric, -1.0), twisted, pts, tol=1e-8)
+            ManifoldSpec(model.chart, metric, AlphaConnection(metric, -1.0), twisted), pts, tol=1e-8)
         if not exponential.passed:
             failures.append(f"{name}: exponential certification")
         if not mixture.passed:
@@ -275,8 +279,7 @@ def test_criterion_6_submersion_suite():
                 failures.append(f"{tag}: identity {item} {identities.details[item]:.2e}")
         fiber = induced_fiber_manifold(spec)
         fiber_pts = sample_points(fiber.chart, 25)
-        if not check_para_kahler_like(fiber.metric, fiber.connection, fiber.product,
-                                      fiber_pts).passed:
+        if not check_para_kahler_like(fiber, fiber_pts).passed:
             failures.append(f"{tag}: fiber certification")
         if k == l:
             lifts = [HorizontalLiftField(spec, np.eye(2)[a]) for a in range(2)]
@@ -339,14 +342,14 @@ def test_criterion_8_negative_controls():
     torsion = flat_product_manifest(1, 1.0, (1.0,), seed=8)
     torsion["connection"][0][0][1] = "1"
     m = build_context(parse_manifest(torsion)).manifold
-    result = check_statistical_structure(m.metric, m.connection, sample_points(m.chart, 10))
+    result = check_statistical_structure(m, sample_points(m.chart, 10))
     if result.passed or result.residual <= 10.0 * result.tolerance:
         failures.append("torsion injection not detected")
 
     bumped = flat_product_manifest(1, 1.0, (1.0,), seed=8)
     bumped["connection"][1][0][0] = "0.1*y1"
     m = build_context(parse_manifest(bumped)).manifold
-    fit = fit_kurose_constant(m.metric, m.connection, sample_points(m.chart, 10))
+    fit = fit_kurose_constant(m, sample_points(m.chart, 10))
     if fit.passed or fit.residual <= 10.0 * fit.tolerance:
         failures.append("curvature bump not detected")
 

@@ -15,6 +15,7 @@ from statgeom.expfam import (
 )
 from statgeom.expr import eval2, eval_value, fd_check
 from statgeom.geometry import (
+    ManifoldSpec,
     check_statistical_structure,
     conjugate_connection,
     curvature_at,
@@ -130,8 +131,8 @@ class TestAlphaConnections:
             pts = sample_points(model.chart, 15)
             for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
                 connection = AlphaConnection(metric, alpha)
-                assert check_statistical_structure(metric, connection, pts).passed, (
-                    model.name, alpha)
+                manifold = ManifoldSpec(model.chart, metric, connection)
+                assert check_statistical_structure(manifold, pts).passed, (model.name, alpha)
                 dual = conjugate_connection(metric, connection)
                 mirror = AlphaConnection(metric, -alpha)
                 for p in pts:
@@ -181,8 +182,10 @@ class TestCompanionStructures:
         pts = sample_points(model.chart, 25)
         assert check_almost_product(constant, pts).passed
         assert check_almost_product(twisted, pts).passed
-        exponential = check_para_kahler_like(metric, AlphaConnection(metric, 1.0), constant, pts)
-        mixture = check_para_kahler_like(metric, AlphaConnection(metric, -1.0), twisted, pts)
+        exponential = check_para_kahler_like(
+            ManifoldSpec(model.chart, metric, AlphaConnection(metric, 1.0), constant), pts)
+        mixture = check_para_kahler_like(
+            ManifoldSpec(model.chart, metric, AlphaConnection(metric, -1.0), twisted), pts)
         assert exponential.passed and mixture.passed
         assert exponential.parallelism.residual <= 1e-8
         assert mixture.parallelism.residual <= 1e-8

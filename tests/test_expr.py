@@ -387,6 +387,8 @@ class TestEval2Points:
         ("exp(x)*1e308", [[0.0], [1.0]], 1, "non-finite derivative data"),
         # point 1 fails in the division, point 2 earlier in the walk, in the log
         ("log(x) + 1/y", [[1.0, 1.0], [1.0, 0.0], [-1.0, 1.0]], 1, "division by zero"),
+        # at x = 0 only the derivative overflows; at x = 1 sin meets inf itself
+        ("sin(x*1e308*10)", [[1.0], [0.0]], 0, "math domain error"),
     ])
     def test_domain_failure_names_first_failing_point(self, text, points, bad_row, message):
         f = parse_expression(text, ("x", "y")[:len(points[0])])

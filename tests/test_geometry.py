@@ -1,5 +1,6 @@
 """Charts, metrics, connections, conjugation, and curvature checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from statgeom.geometry import (
     ChartSpec,
     DegeneratePlaneError,
     ExpressionConnection,
+    ManifoldSpec,
     MetricError,
     MetricField,
     check_dual_curvature_identity,
@@ -39,7 +41,7 @@ from statgeom import expr as ex
 from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures, fisher_metric
 from statgeom.expr import parse_expression
 from statgeom.product import ExpressionProductStructure, adjoint_structure
-from statgeom.submersion import induced_fiber_connections
+from statgeom.submersion import FiberConnection
 
 
 class TestSampling:
@@ -201,12 +203,12 @@ class TestConjugateConnection:
 class TestStatisticalStructure:
     def test_curved_fixture_passes(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, -1.0))
-        result = check_statistical_structure(m.metric, m.connection, sample_points(m.chart, 25))
+        result = check_statistical_structure(m, sample_points(m.chart, 25))
         assert result.passed
 
     def test_levi_civita_always_passes(self):
         m = curved_manifold(pairs=1, k=2.0, l=-1.0, epsilons=(1.0,))
-        result = check_statistical_structure(m.metric, levi_civita(m.metric),
+        result = check_statistical_structure(dataclasses.replace(m, connection=levi_civita(m.metric)),
                                              sample_points(m.chart, 25))
         assert result.passed
 
@@ -215,7 +217,7 @@ class TestStatisticalStructure:
         coefficients = [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
         torsion = ExpressionConnection.from_strings(("x", "y"), coefficients)
         chart = ChartSpec(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), seed=1)
-        result = check_statistical_structure(g, torsion, sample_points(chart, 5))
+        result = check_statistical_structure(ManifoldSpec(chart, g, torsion), sample_points(chart, 5))
         assert not result.passed
         assert result.details["torsion"] == 1.0
 
@@ -317,13 +319,13 @@ class TestStatisticalCurvature:
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
         mid = levi_civita(m.metric)
         for p in sample_points(m.chart, 5):
-            s = statistical_curvature_at(m.metric, mid, p)
+            s = statistical_curvature_at(dataclasses.replace(m, connection=mid), p)
             np.testing.assert_allclose(s, curvature_at(mid, p).components, atol=1e-12)
 
     def test_flat_dual_pair_vanishes(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
         for p in sample_points(m.chart, 5):
-            assert np.max(np.abs(statistical_curvature_at(m.metric, m.connection, p))) == 0.0
+            assert np.max(np.abs(statistical_curvature_at(m, p))) == 0.0
 
     def test_riemann_like_properties(self):
         """S is skew in the first pair (exactly), satisfies the cyclic identity,
@@ -331,7 +333,7 @@ class TestStatisticalCurvature:
         for m in [curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,)),
                   curved_manifold(pairs=2, k=2.0, l=-1.0, epsilons=(1.0, -1.0))]:
             for p in sample_points(m.chart, 10):
-                s = statistical_curvature_at(m.metric, m.connection, p)
+                s = statistical_curvature_at(m, p)
                 assert (s == -np.einsum("lijk->ljik", s)).all()
                 cyclic = s + np.einsum("ljki->lijk", s) + np.einsum("lkij->lijk", s)
                 assert np.max(np.abs(cyclic)) <= 1e-8
@@ -345,7 +347,7 @@ class TestSectionalCurvature:
     def test_flat_plane_zero(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
         p = sample_points(m.chart, 1)[0]
-        value = sectional_curvature(m.metric, m.connection, p, [1.0, 0.2], [0.1, 1.0])
+        value = sectional_curvature(m, p, [1.0, 0.2], [0.1, 1.0])
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_argument_swap_invariance(self):
@@ -353,30 +355,30 @@ class TestSectionalCurvature:
         p = sample_points(m.chart, 1)[0]
         v = np.array([1.0, 0.1, -0.2, 0.4])
         w = np.array([0.3, 1.0, 0.5, -0.1])
-        forward = sectional_curvature(m.metric, m.connection, p, v, w)
+        forward = sectional_curvature(m, p, v, w)
         assert forward == pytest.approx(
-            sectional_curvature(m.metric, m.connection, p, w, v), rel=1e-12)
+            sectional_curvature(m, p, w, v), rel=1e-12)
 
     def test_scaling_invariance(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, 1.0))
         p = sample_points(m.chart, 1)[0]
         v = np.array([1.0, 0.1, -0.2, 0.4])
         w = np.array([0.3, 1.0, 0.5, -0.1])
-        forward = sectional_curvature(m.metric, m.connection, p, v, w)
+        forward = sectional_curvature(m, p, v, w)
         assert forward == pytest.approx(
-            sectional_curvature(m.metric, m.connection, p, 2.0 * v, w), rel=1e-12)
+            sectional_curvature(m, p, 2.0 * v, w), rel=1e-12)
 
     def test_degenerate_plane_rejected(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
         p = sample_points(m.chart, 1)[0]
         with pytest.raises(DegeneratePlaneError):
-            sectional_curvature(m.metric, m.connection, p, [1.0, 0.5], [2.0, 1.0])
+            sectional_curvature(m, p, [1.0, 0.5], [2.0, 1.0])
 
 
 class TestConstantCurvature:
     def test_flat_fixture_constant_zero(self):
         m = flat_manifold(pairs=1, k=1.0, epsilons=(1.0,))
-        fit = fit_kurose_constant(m.metric, m.connection, sample_points(m.chart, 25))
+        fit = fit_kurose_constant(m, sample_points(m.chart, 25))
         assert fit.passed
         assert fit.details["constant"] == pytest.approx(0.0, abs=1e-12)
         assert fit.residual <= 1e-9
@@ -386,20 +388,20 @@ class TestConstantCurvature:
         connection with constant 2/(eps (k + l))."""
         for k, eps in [(1.0, 1.0), (2.0, 1.0), (1.0, -1.0)]:
             m = curved_manifold(pairs=1, k=k, l=k, epsilons=(eps,))
-            fit = fit_kurose_constant(m.metric, m.connection, sample_points(m.chart, 25))
+            fit = fit_kurose_constant(m, sample_points(m.chart, 25))
             assert fit.passed, (k, eps)
             assert fit.details["constant"] == pytest.approx(2.0 / (eps * 2.0 * k), rel=1e-10)
 
     def test_curved_pair_distinct_parameters_not_constant(self):
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        fit = fit_kurose_constant(m.metric, m.connection, sample_points(m.chart, 25))
+        fit = fit_kurose_constant(m, sample_points(m.chart, 25))
         assert not fit.passed
 
     def test_two_pairs_never_constant(self):
         """Regression pin: with two pairs the curvature is block-diagonal and
         cannot match the constant form even at k = l."""
         m = curved_manifold(pairs=2, k=1.0, l=1.0, epsilons=(1.0, 1.0))
-        fit = fit_kurose_constant(m.metric, m.connection, sample_points(m.chart, 25))
+        fit = fit_kurose_constant(m, sample_points(m.chart, 25))
         assert not fit.passed
 
     def test_perturbed_flat_connection_fails(self):
@@ -410,7 +412,7 @@ class TestConstantCurvature:
         data = flat_product_manifest(1, 1.0, (1.0,), seed=5)
         data["connection"][1][0][0] = "0.1*y1"
         m = build_context(parse_manifest(data)).manifold
-        fit = fit_kurose_constant(m.metric, m.connection, sample_points(m.chart, 25))
+        fit = fit_kurose_constant(m, sample_points(m.chart, 25))
         assert not fit.passed
         assert fit.residual > 10.0 * fit.tolerance
 
@@ -419,7 +421,7 @@ class TestConstantCurvature:
         reports the same sectional curvature."""
         m = curved_manifold(pairs=1, k=1.0, l=1.0, epsilons=(1.0,))
         pts = sample_points(m.chart, 25)
-        fit = fit_kurose_constant(m.metric, m.connection, pts)
+        fit = fit_kurose_constant(m, pts)
         assert fit.passed
         rng = np.random.default_rng(101)
         found = 0
@@ -428,7 +430,7 @@ class TestConstantCurvature:
             v = rng.uniform(-1.0, 1.0, size=2)
             w = rng.uniform(-1.0, 1.0, size=2)
             try:
-                value = sectional_curvature(m.metric, m.connection, p, v, w)
+                value = sectional_curvature(m, p, v, w)
             except DegeneratePlaneError:
                 continue
             assert value == pytest.approx(fit.details["constant"], abs=1e-6)
@@ -438,19 +440,19 @@ class TestConstantCurvature:
 class TestDuality:
     def test_dual_curvature_identity_levi_civita(self):
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        result = check_dual_curvature_identity(m.metric, levi_civita(m.metric),
+        result = check_dual_curvature_identity(dataclasses.replace(m, connection=levi_civita(m.metric)),
                                                sample_points(m.chart, 25), tol=1e-9)
         assert result.passed
 
     def test_dual_curvature_identity_statistical(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, -1.0))
-        result = check_dual_curvature_identity(m.metric, m.connection,
+        result = check_dual_curvature_identity(m,
                                                sample_points(m.chart, 25))
         assert result.passed
 
     def test_flat_pair_identity_trivial(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
-        result = check_dual_curvature_identity(m.metric, m.connection,
+        result = check_dual_curvature_identity(m,
                                                sample_points(m.chart, 10))
         assert result.raw_residual == 0.0
 
@@ -517,9 +519,10 @@ _DERIVED_CASES = [
     ("twisted", lambda: builtin_model("multinomial", categories=3, seed=4),
      lambda model: exp_para_structures(model, [[1.0, 0.0], [0.0, -1.0]])[1],
      lambda model: model.chart),
-    ("fiber", curved_submersion, lambda spec: induced_fiber_connections(spec)[0],
+    ("fiber", curved_submersion, lambda spec: spec.fiber.connection,
      lambda spec: spec.total.chart),
-    ("fiber_dual", curved_submersion, lambda spec: induced_fiber_connections(spec)[1],
+    ("fiber_dual", curved_submersion,
+     lambda spec: FiberConnection(spec.total.metric, spec.total.conjugate, spec.base.chart.center),
      lambda spec: spec.total.chart),
 ]
 
@@ -587,6 +590,6 @@ class TestPointJets:
     def test_one_levi_civita_connection_per_manifold(self):
         m = flat_manifold()
         bare = type(m)(chart=m.chart, metric=m.metric)
-        assert bare.connection_or_levi_civita() is bare.connection_or_levi_civita()
-        assert bare.connection_or_levi_civita() is bare.levi_civita_connection
-        assert m.connection_or_levi_civita() is m.connection
+        assert bare.resolved_connection is bare.resolved_connection
+        assert bare.resolved_connection is bare.levi_civita_connection
+        assert m.resolved_connection is m.connection

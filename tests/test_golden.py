@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CURVATURE_CHECKS
 from statgeom import geometry
 from statgeom.fixtures import (
     curved_product_manifest,
@@ -34,16 +35,6 @@ def test_report_matches_golden(fixture_id):
     expected = (GOLDEN_DIR / f"{fixture_id}.json").read_bytes()
     actual = render_report(run_suite(load_fixture(fixture_id))).encode("utf-8")
     assert actual == expected
-
-
-# The checks of the benchmark's curvature workload: every check that builds a
-# 4-index tensor per point in blocks.
-CURVATURE_CHECKS = (
-    "statistical_structure", "conjugate_involution", "levi_civita_average",
-    "dual_curvature_identity", "flatness", "kurose_constant_curvature", "almost_product",
-    "pairing_identities", "product_parallelism", "para_kahler_like", "conjugate_parallelism",
-    "space_form", "flatness_theorem",
-)
 
 
 @pytest.mark.parametrize("data", [

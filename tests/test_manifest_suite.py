@@ -1,25 +1,31 @@
 """Manifest validation, fixture registry, suite execution, reports, and the CLI."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import statgeom
-from statgeom import cli
+from conftest import CURVATURE_CHECKS
+from statgeom import cli, geometry, submersion
 from statgeom.cli import main
 from statgeom.fixtures import (
+    curved_product_manifest,
     fixture_ids,
     fixture_text,
     flat_product_manifest,
     load_fixture,
+    model_manifest,
     registry_manifests,
+    submersion_manifest,
 )
-from statgeom.geometry import STATUS_ERROR, STATUS_FAIL
-from statgeom.manifest import ManifestError, load_manifest, parse_manifest
+from statgeom.geometry import STATUS_ERROR, STATUS_FAIL, sample_points
+from statgeom.manifest import ManifestError, build_context, load_manifest, parse_manifest
 from statgeom.report import (
     CheckOutcome,
     VerificationReport,
@@ -121,6 +127,35 @@ def _flat(**changes):
     return data
 
 
+def _model(**block):
+    data = model_manifest("multinomial", {"categories": 3})
+    data["model"].update(block)
+    return data
+
+
+def _with_chart(**chart):
+    data = _flat()
+    data["chart"].update(chart)
+    return data
+
+
+# Manifests that once crashed with a traceback, ERRORed every check, or were
+# accepted silently.
+MALFORMED = {
+    "top_level_list": lambda: [_flat()],
+    "null_box_bound": lambda: _with_chart(box=[[None, 1.0], [0.5, 2.0]]),
+    "infinite_box_bound": lambda: _with_chart(box=[[-1.0, float("inf")], [0.5, 2.0]]),
+    "duplicate_coordinates": lambda: _with_chart(coords=["x1", "x1"]),
+    "hyperparams_not_an_object": lambda: _model(hyperparams=[3]),
+    "hyperparams_with_a_seed": lambda: _model(hyperparams={"categories": 3, "seed": 1}),
+    "categories_a_list": lambda: _model(hyperparams={"categories": [3]}),
+    "categories_not_an_integer": lambda: _model(hyperparams={"categories": 3.7}),
+    "boolean_alpha": lambda: _model(alpha=[True]),
+    "nan_alpha": lambda: _model(alpha=[float("nan")]),
+    "non_numeric_involution": lambda: _model(involution=[["a", 0], [0, 1]]),
+}
+
+
 def _verify_exit_code(tmp_path, data) -> int:
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -180,6 +215,18 @@ class TestManifestRobustness:
         self._rejects(tmp_path, data, r"manifest\.metric\[0\]\[0\]: constant exponent is undefined")
         err = capsys.readouterr().err
         assert "error: manifest.metric[0][0]: constant exponent is undefined" in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_manifest_exits_two_without_traceback(self, tmp_path, capsys, case):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(MALFORMED[case]()), encoding="utf-8")
+        with pytest.raises(ManifestError):
+            load_manifest(path)
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert "Traceback" not in err
 
 
@@ -300,6 +347,55 @@ class TestSuite:
         data["tolerances"] = {"flatness": 0.5}
         report = run_suite(parse_manifest(data))
         assert report.checks[0].tolerance == 0.5
+
+
+class TestDerivedFieldOwnership:
+    """A manifold owns its derived fields: a run builds each once, and none keeps its owner alive."""
+
+    @staticmethod
+    def _record_builds(monkeypatch, cls):
+        built = []
+        init = cls.__init__
+
+        def record(self, *args, **kwargs):
+            built.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", record)
+        return built
+
+    @pytest.mark.parametrize("data, max_conjugates, fibers", [
+        (curved_product_manifest(2, 1.0, 2.0, [1.0, 1.0], seed=3, checks=CURVATURE_CHECKS), 2, 0),
+        (submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5), 1, 1),
+    ], ids=["curvature", "submersion"])
+    def test_one_build_per_run_and_none_outlives_it(self, monkeypatch, data, max_conjugates, fibers):
+        """∇* once (and ∇** for the involution check), one fiber; all freed without the cyclic GC."""
+        manifest = parse_manifest(data, known_checks=set(CHECKS))
+        conjugates = self._record_builds(monkeypatch, geometry.ConjugateConnection)
+        fiber_connections = self._record_builds(monkeypatch, submersion.FiberConnection)
+        gc.disable()
+        try:
+            report = run_suite(manifest, points=10)
+            assert all(check.status != STATUS_ERROR for check in report.checks)
+            assert 1 <= len(conjugates) <= max_conjugates
+            assert len(fiber_connections) == fibers
+            assert all(ref() is None for ref in conjugates + fiber_connections)
+        finally:
+            gc.enable()
+
+    def test_derived_fields_do_not_refer_to_their_owner(self):
+        ctx = build_context(parse_manifest(submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5)))
+        pts = sample_points(ctx.chart, 5)
+        for name in ("dual_curvature_identity", "fiber_para_kahler_like", "submersion_theorems"):
+            assert all(outcome.status != STATUS_ERROR for outcome in CHECKS[name](ctx, pts, 1e-8))
+        refs = [weakref.ref(ctx.manifold), weakref.ref(ctx.submersion),
+                weakref.ref(ctx.manifold.conjugate), weakref.ref(ctx.submersion.fiber.connection)]
+        gc.disable()
+        try:
+            del ctx
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestReports:

@@ -1,5 +1,7 @@
 """Almost product structures, adjoints, certifications, and the flatness result."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,13 +89,13 @@ class TestPairingIdentities:
         for m in (flat_manifold(pairs=1, k=2.0, epsilons=(1.0,)),
                   flat_manifold(pairs=2, k=-3.0, epsilons=(1.0, -1.0)),
                   curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))):
-            result = check_pairing_identities(m.metric, m.product, sample_points(m.chart, 25))
+            result = check_pairing_identities(m, sample_points(m.chart, 25))
             assert result.passed
             assert result.details["pairing"] <= 1e-10
 
     def test_self_adjoint_double_adjoint_is_tight(self):
         m = flat_manifold(pairs=1, k=1.0, epsilons=(1.0,))
-        result = check_pairing_identities(m.metric, m.product, sample_points(m.chart, 10))
+        result = check_pairing_identities(m, sample_points(m.chart, 10))
         assert result.details["double_adjoint"] <= 1e-12
 
 
@@ -122,13 +124,11 @@ class TestParallelism:
 class TestCertification:
     def test_flat_fixture_certifies(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
-        assert check_para_kahler_like(m.metric, m.connection, m.product,
-                                      sample_points(m.chart, 25)).passed
+        assert check_para_kahler_like(m, sample_points(m.chart, 25)).passed
 
     def test_curved_fixture_certifies(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, -1.0))
-        assert check_para_kahler_like(m.metric, m.connection, m.product,
-                                      sample_points(m.chart, 25)).passed
+        assert check_para_kahler_like(m, sample_points(m.chart, 25)).passed
 
     def test_levi_civita_replacement_regression(self):
         """Regression pins: with the Levi-Civita connection instead of the declared
@@ -136,11 +136,12 @@ class TestCertification:
         connection is then self-dual and metric)."""
         equal = curved_manifold(pairs=1, k=1.0, l=1.0, epsilons=(1.0,))
         pts = sample_points(equal.chart, 25)
-        assert check_para_kahler_like(equal.metric, levi_civita(equal.metric),
-                                      equal.product, pts).passed
+        assert check_para_kahler_like(dataclasses.replace(equal, connection=levi_civita(equal.metric)),
+                                      pts).passed
         skew = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
         pts = sample_points(skew.chart, 25)
-        cert = check_para_kahler_like(skew.metric, levi_civita(skew.metric), skew.product, pts)
+        cert = check_para_kahler_like(dataclasses.replace(skew, connection=levi_civita(skew.metric)),
+                                      pts)
         assert not cert.passed
         assert not cert.parallelism.passed
 
@@ -159,8 +160,7 @@ class TestConjugateParallelism:
     def test_fixtures_vanish_together(self):
         for m in (flat_manifold(pairs=1, k=2.0, epsilons=(1.0,)),
                   curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))):
-            result = conjugate_parallelism_check(m.metric, m.connection, m.product,
-                                                 sample_points(m.chart, 25))
+            result = conjugate_parallelism_check(m, sample_points(m.chart, 25))
             assert result.passed
             assert result.details["primal"] <= 1e-9
             assert result.details["dual"] <= 1e-9
@@ -170,8 +170,7 @@ class TestConjugateParallelism:
         data = flat_product_manifest(1, 2.0, (1.0,), seed=13)
         data["connection"][0][0][0] = "0.1"
         m = build_context(parse_manifest(data)).manifold
-        result = conjugate_parallelism_check(m.metric, m.connection, m.product,
-                                             sample_points(m.chart, 25))
+        result = conjugate_parallelism_check(m, sample_points(m.chart, 25))
         assert result.details["primal"] > result.tolerance
         assert result.details["dual"] > result.tolerance
         assert result.passed  # the equivalence itself still holds
@@ -186,7 +185,7 @@ class TestConjugateParallelism:
                 return (gamma, np.full((len(points), 2, 2, 2, 2), np.nan)) if full else (gamma,)
 
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
-        result = conjugate_parallelism_check(m.metric, NaNConnection(), m.product,
+        result = conjugate_parallelism_check(dataclasses.replace(m, connection=NaNConnection()),
                                              sample_points(m.chart, 5))
         assert result.residual == float("inf")
         assert not result.passed
@@ -196,34 +195,32 @@ class TestSpaceForm:
     def test_flat_fixture_zero_constant(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
         pts = sample_points(m.chart, 25)
-        result = check_space_form(m.metric, m.connection, m.product, 0.0, pts)
+        result = check_space_form(m, 0.0, pts)
         assert result.passed
         assert result.details["dual"] <= 1e-10
 
     def test_flat_fixture_nonzero_constant_fails(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
         pts = sample_points(m.chart, 25)
-        assert not check_space_form(m.metric, m.connection, m.product, 1.0, pts).passed
+        assert not check_space_form(m, 1.0, pts).passed
 
     def test_fitted_constant_for_flat_fixture(self):
         m = flat_manifold(pairs=2, k=-3.0, epsilons=(1.0, 1.0))
         pts = sample_points(m.chart, 10)
-        assert fit_space_form_constant(m.metric, m.connection, m.product, pts) == pytest.approx(
+        assert fit_space_form_constant(m, pts) == pytest.approx(
             0.0, abs=1e-12)
 
 
 class TestFlatnessTheorem:
     def test_flat_four_dimensional_passes(self):
         m = flat_manifold(pairs=2, k=2.0, epsilons=(1.0, 1.0))
-        outcome = verify_flatness_theorem(m.metric, m.connection, m.product,
-                                          sample_points(m.chart, 25))
+        outcome = verify_flatness_theorem(m, sample_points(m.chart, 25))
         assert outcome.status == STATUS_PASS
         assert outcome.data["constant"] == pytest.approx(0.0, abs=1e-9)
 
     def test_dimension_two_not_applicable(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
-        outcome = verify_flatness_theorem(m.metric, m.connection, m.product,
-                                          sample_points(m.chart, 25))
+        outcome = verify_flatness_theorem(m, sample_points(m.chart, 25))
         assert outcome.status == STATUS_NOT_APPLICABLE
         assert "dimension" in outcome.reason
 
@@ -231,7 +228,6 @@ class TestFlatnessTheorem:
         """Regression pin: the two-pair curved fixture certifies but is not of
         constant curvature, so the flatness implication does not fire."""
         m = curved_manifold(pairs=2, k=1.0, l=1.0, epsilons=(1.0, 1.0))
-        outcome = verify_flatness_theorem(m.metric, m.connection, m.product,
-                                          sample_points(m.chart, 25))
+        outcome = verify_flatness_theorem(m, sample_points(m.chart, 25))
         assert outcome.status == STATUS_NOT_APPLICABLE
         assert "constant-curvature" in outcome.reason

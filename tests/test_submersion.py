@@ -22,6 +22,7 @@ from statgeom.product import adjoint_structure, check_para_kahler_like
 from statgeom.submersion import (
     CoordinateBasisField,
     ExpressionVectorField,
+    FiberConnection,
     HorizontalLiftField,
     StructureImageField,
     SubmersionError,
@@ -31,7 +32,6 @@ from statgeom.submersion import (
     check_semi_riemannian_submersion,
     check_statistical_submersion,
     horizontal_lift_at,
-    induced_fiber_connections,
     induced_fiber_manifold,
     isometric_fibers_residual,
     lie_bracket_at,
@@ -468,7 +468,7 @@ class TestInducedFiber:
         spec = curved_submersion(k=1.0, l=2.0)
         fiber = induced_fiber_manifold(spec)
         pts = sample_points(fiber.chart, 25)
-        assert check_para_kahler_like(fiber.metric, fiber.connection, fiber.product, pts).passed
+        assert check_para_kahler_like(fiber, pts).passed
 
     def test_fiber_metric_matches_standalone_fixture(self):
         """The fiber over any base point is the one-pair curved fixture itself."""
@@ -486,8 +486,9 @@ class TestInducedFiber:
     def test_induced_connections_are_conjugate(self):
         spec = curved_submersion(k=1.0, l=2.0)
         fiber = induced_fiber_manifold(spec)
-        induced, induced_dual = induced_fiber_connections(spec)
-        dual = conjugate_connection(fiber.metric, induced)
+        induced = fiber.connection
+        induced_dual = FiberConnection(spec.total.metric, spec.total.conjugate, spec.base.chart.center)
+        dual = fiber.conjugate
         for p in sample_points(fiber.chart, 10):
             defect = dual.coefficients(p) - induced_dual.coefficients(p)
             assert np.max(np.abs(defect)) <= 1e-9
