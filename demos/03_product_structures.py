@@ -40,7 +40,7 @@ print("space form, c=1:", check_space_form(flat, 1.0, points).passed)
 
 outcome = verify_flatness_theorem(flat, points)
 print("\nflatness theorem on the 4-dimensional flat fixture:", outcome.status,
-      "| fitted constant:", outcome.data["constant"])
+      "| fitted constant:", outcome.details["constant"])
 
 # The curved two-pair fixture certifies but has genuinely curved connection,
 # so the constant-curvature hypothesis fails and the verdict is N/A, not FAIL.

@@ -55,7 +55,7 @@ print("\nfiber dimension:", fiber.chart.dim, "| coordinates:", fiber.chart.coord
 print("fiber certifies:", check_para_kahler_like(fiber, fiber_points).passed)
 
 print("\nstructure-transfer report:")
-for name, item in verify_submersion_theorems(spec, points).items.items():
+for name, item in verify_submersion_theorems(spec, points).items():
     line = f"  {name:28s} {item.status}"
     if item.reason:
         line += f"  ({item.reason})"

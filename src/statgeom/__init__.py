@@ -49,9 +49,7 @@ from .geometry import (
     statistical_curvature_at,
 )
 from .product import (
-    Certification,
     ExpressionProductStructure,
-    TheoremOutcome,
     check_almost_product,
     check_pairing_identities,
     check_para_kahler_like,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -19,6 +20,17 @@ from .fixtures import fixture_ids, fixture_text, load_fixture
 from .manifest import ManifestError, load_manifest, parse_manifest
 from .report import canonical_json, emit_report, render_report
 from .suite import CHECKS, run_suite
+
+
+def _tolerance(text: str) -> float:
+    """A finite positive number, the rule manifest tolerances follow."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("manifest", help="path to a manifest JSON file, or a built-in fixture id")
     verify.add_argument("--seed", type=int, default=None, help="override the sampling seed")
     verify.add_argument("--points", type=int, default=None, help="override the sample count")
-    verify.add_argument("--tol", type=float, default=None, help="override every check tolerance")
+    verify.add_argument("--tol", type=_tolerance, default=None, help="override every check tolerance")
     verify.add_argument("--report", default=None, help="write the canonical report to this path")
 
     commands.add_parser("list-fixtures", help="list the built-in fixture ids")

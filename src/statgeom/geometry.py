@@ -28,11 +28,11 @@ per-point arrays in one :func:`residual_check`: the per-point defects
 that builds a 4-index tensor per point works in blocks of points
 (:func:`in_blocks`).
 
-Every check, fit and theorem takes the :class:`ManifoldSpec` it certifies.
-The spec owns the fields derived from its own ones (the resolved connection,
-its Levi-Civita connection, the conjugate ∇* and the adjoint P*), each built
-once on first use, so their stores serve every check of a run; no derived
-field refers back to the spec.
+Every check, fit and theorem takes the :class:`ManifoldSpec` it certifies
+and returns one :class:`CheckResult`.  The spec owns the fields derived from
+its own ones (the resolved connection, its Levi-Civita connection, the
+conjugate ∇* and the adjoint P*), each built once on first use, so their
+stores serve every check of a run; no derived field refers back to the spec.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ class ChartSpec:
         if len(self.coord_names) == 0:
             raise ChartError("chart must have at least one coordinate")
         for name, (lo, hi) in zip(self.coord_names, self.domain):
+            if not math.isfinite(lo) or not math.isfinite(hi):
+                raise ChartError(f"non-finite sampling interval [{lo}, {hi}] for coordinate {name!r}")
             if not lo < hi:
                 raise ChartError(f"empty sampling interval [{lo}, {hi}] for coordinate {name!r}")
 
@@ -493,18 +495,25 @@ def adjoint_structure(g: MetricField, structure) -> AdjointStructure:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a sampled residual check.
+    """Outcome of a check, a certification or a theorem.
 
     ``residual`` is scaled by 1 + max |input component| and is what the
     tolerance applies to; ``raw_residual`` is the unscaled max-norm defect.
+    A theorem whose hypothesis fails is NOT-APPLICABLE, with a ``reason``
+    and no residual.
     """
 
-    passed: bool
-    residual: float
-    raw_residual: float
-    tolerance: float
-    worst_point: np.ndarray | None
+    status: str
+    residual: float | None = None
+    raw_residual: float | None = None
+    tolerance: float | None = None
+    worst_point: np.ndarray | None = None
+    reason: str | None = None
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.status == STATUS_PASS
 
 
 def max_abs(arr: np.ndarray) -> np.ndarray:
@@ -520,9 +529,10 @@ def scale_of(*arrays) -> np.ndarray:
 def residual_check(raw, scale, points, tol: float, details: dict | None = None) -> CheckResult:
     """The worst of the per-point defects ``raw`` (each ≥ 0) scaled by ``scale``.
 
-    A NaN or infinite residual or scale counts as an infinite residual, so it
-    can never pass a tolerance.  Among equal worst residuals the last point
-    wins, the point a sequential ``>=`` scan would keep.
+    A NaN or infinite residual or scale counts as an infinite residual, which
+    never passes, not even an infinite tolerance.  Among equal worst
+    residuals the last point wins, the point a sequential ``>=`` scan would
+    keep.
     """
     raw = np.asarray(raw, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -531,7 +541,7 @@ def residual_check(raw, scale, points, tol: float, details: dict | None = None) 
     scaled[~(np.isfinite(scaled) & np.isfinite(scale))] = math.inf
     worst = len(scaled) - 1 - int(np.argmax(scaled[::-1]))
     return CheckResult(
-        passed=bool(scaled[worst] <= tol),
+        STATUS_PASS if scaled[worst] < math.inf and scaled[worst] <= tol else STATUS_FAIL,
         residual=float(scaled[worst]),
         raw_residual=float(raw[worst]),
         tolerance=tol,

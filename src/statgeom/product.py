@@ -8,14 +8,15 @@ field, so structures of structures (P** and friends) compose.
 
 Every check takes the :class:`geometry.ManifoldSpec` (g, ∇, P) it certifies
 and reads ∇* and P* from it (``conjugate`` and ``adjoint``), so the checks of
-one spec share those fields and their stores.
+one spec share those fields and their stores.  Checks, the para-Kähler-like
+certification and the flatness theorem all return a
+:class:`geometry.CheckResult`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ def check_almost_product(structure, pts, tol: float = DEFAULT_TOLERANCE) -> Chec
     result = residual_check(max_abs(m @ m - eye), scale_of(m), points, tol, details)
     if plus > _IDENTITY_WITNESS_MARGIN and minus > _IDENTITY_WITNESS_MARGIN:
         return result
-    return dataclasses.replace(result, passed=False, details={**details, "witness_missing": 1.0})
+    return dataclasses.replace(result, status=STATUS_FAIL, details={**details, "witness_missing": 1.0})
 
 
 def check_pairing_identities(spec: ManifoldSpec, pts, tol: float = 1e-10) -> CheckResult:
@@ -116,27 +117,24 @@ def _parallelism(connection, structure, pts, tol: float) -> CheckResult:
                           points, tol)
 
 
-@dataclass(frozen=True)
-class Certification:
-    """Aggregate para-Kähler-like certification outcome."""
+def check_para_kahler_like(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+    """Statistical structure + almost product structure + ∇P = 0, all at the samples.
 
-    passed: bool
-    statistical: CheckResult
-    almost_product: CheckResult
-    parallelism: CheckResult
-
-
-def check_para_kahler_like(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> Certification:
-    """Statistical structure + almost product structure + ∇P = 0, all at the samples."""
+    PASS when all three parts pass.  The residuals are the worst of the
+    parts, the worst point is that of ∇P = 0, and the details hold each
+    part's residual.
+    """
     points = _as_points(pts)
-    statistical = check_statistical_structure(spec, points, tol)
-    almost = check_almost_product(spec.product, points, tol)
-    parallel = check_product_parallelism(spec, points, tol)
-    return Certification(
-        passed=statistical.passed and almost.passed and parallel.passed,
-        statistical=statistical,
-        almost_product=almost,
-        parallelism=parallel,
+    parts = {"statistical_residual": check_statistical_structure(spec, points, tol),
+             "almost_product_residual": check_almost_product(spec.product, points, tol),
+             "parallelism_residual": check_product_parallelism(spec, points, tol)}
+    return CheckResult(
+        STATUS_PASS if all(part.passed for part in parts.values()) else STATUS_FAIL,
+        residual=max(part.residual for part in parts.values()),
+        raw_residual=max(part.raw_residual for part in parts.values()),
+        tolerance=tol,
+        worst_point=parts["parallelism_residual"].worst_point,
+        details={name: part.residual for name, part in parts.items()},
     )
 
 
@@ -148,10 +146,10 @@ def conjugate_parallelism_check(spec: ManifoldSpec, pts, tol: float = DEFAULT_TO
     points = _as_points(pts)
     primal = check_product_parallelism(spec, points, tol)
     dual = _parallelism(spec.conjugate, spec.adjoint, points, tol)
-    both_zero = primal.residual <= tol and dual.residual <= tol
+    both_zero = primal.passed and dual.passed
     both_nonzero = tol < primal.residual < math.inf and tol < dual.residual < math.inf
     worst = primal if primal.residual >= dual.residual else dual
-    return dataclasses.replace(worst, passed=both_zero or both_nonzero,
+    return dataclasses.replace(worst, status=STATUS_PASS if both_zero or both_nonzero else STATUS_FAIL,
                                details={"primal": primal.residual, "dual": dual.residual})
 
 
@@ -212,46 +210,29 @@ def fit_space_form_constant(spec: ManifoldSpec, pts) -> float:
     return 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / float(weight[index])
 
 
-@dataclass(frozen=True)
-class TheoremOutcome:
-    """Status of a conditional (theorem-shaped) verification."""
-
-    status: str
-    reason: str | None = None
-    residual: float | None = None
-    data: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == STATUS_PASS
-
-
-def verify_flatness_theorem(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> TheoremOutcome:
+def verify_flatness_theorem(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Certified para-Kähler-like + constant curvature (dim ≠ 2) must force R = 0.
 
-    When either hypothesis fails the outcome is NOT-APPLICABLE, never FAIL.
+    When either hypothesis fails the result is NOT-APPLICABLE, never FAIL,
+    and its reason names the hypothesis.  Otherwise the residual is that of
+    R = 0, and the details hold the fitted constant and the largest |R|.
     """
+    def not_applicable(reason, **details):
+        return CheckResult(STATUS_NOT_APPLICABLE, tolerance=tol, reason=reason, details=details)
+
     if spec.metric.dim == 2:
-        return TheoremOutcome(STATUS_NOT_APPLICABLE, reason="dimension 2 is excluded by hypothesis")
+        return not_applicable("dimension 2 is excluded by hypothesis")
     points = _as_points(pts)
-    certification = check_para_kahler_like(spec, points, tol)
-    if not certification.passed:
-        return TheoremOutcome(
-            STATUS_NOT_APPLICABLE, reason="para-Kähler-like certification failed"
-        )
+    if not check_para_kahler_like(spec, points, tol).passed:
+        return not_applicable("para-Kähler-like certification failed")
     fit = fit_kurose_constant(spec, points, tol)
     constant = fit.details["constant"]
     if not fit.passed:
-        return TheoremOutcome(
-            STATUS_NOT_APPLICABLE,
-            reason="curvature is not of constant-curvature form",
-            data={"constant": constant, "fit_residual": fit.residual},
-        )
+        return not_applicable("curvature is not of constant-curvature form",
+                              constant=constant, fit_residual=fit.residual)
     flat = curvature_residual(spec, points, tol)
-    status = STATUS_PASS if flat.passed else STATUS_FAIL
-    return TheoremOutcome(
-        status,
+    return CheckResult(
+        flat.status, residual=flat.residual, tolerance=tol,
         reason=None if flat.passed else "hypotheses hold but curvature does not vanish",
-        residual=flat.residual,
-        data={"constant": constant, "max_curvature": flat.raw_residual},
+        details={"constant": constant, "max_curvature": flat.raw_residual},
     )

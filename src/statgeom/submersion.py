@@ -52,7 +52,6 @@ from .geometry import (
     scale_of,
 )
 from .product import (
-    TheoremOutcome,
     check_almost_product,
     check_para_kahler_like,
     fit_space_form_constant,
@@ -661,23 +660,14 @@ def _ranks(matrices: np.ndarray) -> np.ndarray:
     return np.sum(singular > cutoff, axis=1)
 
 
-@dataclass(frozen=True)
-class SubmersionTheoremReport:
-    """Per-item outcomes of the structural submersion theorems."""
-
-    items: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(item.status != STATUS_FAIL for item in self.items.values())
-
-
 def verify_submersion_theorems(
     spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE
-) -> SubmersionTheoremReport:
+) -> dict[str, CheckResult]:
     """Check the structure-transfer consequences of a para-product statistical submersion.
 
-    Items (hypothesis failures yield NOT-APPLICABLE, never FAIL):
+    Returns one :class:`geometry.CheckResult` per item, each with tolerance
+    ``tol``; a failed hypothesis yields NOT-APPLICABLE with a reason, never
+    FAIL.  The items:
 
     * ``fiber_structure``: the fiber carries a statistical structure and an
       almost product structure;
@@ -692,25 +682,29 @@ def verify_submersion_theorems(
       space has space-form curvature, the fibers are isometric, and the rank
       condition holds.
     """
-    points = _as_points(pts)
-    items: dict[str, TheoremOutcome] = {}
-    missing = spec.total.product is None or spec.base.product is None
-    if missing:
-        reason = "total and base product structures are required"
-        for name in ("fiber_structure", "base_and_fiber_certified", "vertical_symmetry",
-                     "horizontal_vanishing", "horizontal_integrability", "flat_decomposition"):
-            items[name] = TheoremOutcome(STATUS_NOT_APPLICABLE, reason=reason)
-        return SubmersionTheoremReport(items)
+    def verdict(passed, residual, **details):
+        return CheckResult(STATUS_PASS if passed else STATUS_FAIL, residual=residual,
+                           tolerance=tol, details=details)
 
+    def not_applicable(reason, **details):
+        return CheckResult(STATUS_NOT_APPLICABLE, tolerance=tol, reason=reason, details=details)
+
+    points = _as_points(pts)
+    if spec.total.product is None or spec.base.product is None:
+        reason = "total and base product structures are required"
+        return {name: not_applicable(reason)
+                for name in ("fiber_structure", "base_and_fiber_certified", "vertical_symmetry",
+                             "horizontal_vanishing", "horizontal_integrability",
+                             "flat_decomposition")}
+
+    items = {}
     fiber = induced_fiber_manifold(spec, tol=tol)
     fiber_points = sample_points(fiber.chart, len(points))
 
     fiber_statistical = check_statistical_structure(fiber, fiber_points, tol)
     fiber_almost = check_almost_product(fiber.product, fiber_points, tol)
-    items["fiber_structure"] = TheoremOutcome(
-        STATUS_PASS if fiber_statistical.passed and fiber_almost.passed else STATUS_FAIL,
-        residual=max(fiber_statistical.residual, fiber_almost.residual),
-    )
+    items["fiber_structure"] = verdict(fiber_statistical.passed and fiber_almost.passed,
+                                       max(fiber_statistical.residual, fiber_almost.residual))
 
     total_cert = check_para_kahler_like(spec.total, points, tol)
     _require_connections(spec)
@@ -721,15 +715,13 @@ def verify_submersion_theorems(
         base_points = points[:, :spec.base_dim]
         base_cert = check_para_kahler_like(spec.base, base_points, tol)
         fiber_cert = check_para_kahler_like(fiber, fiber_points, tol)
-        items["base_and_fiber_certified"] = TheoremOutcome(
-            STATUS_PASS if base_cert.passed and fiber_cert.passed else STATUS_FAIL,
-            residual=max(base_cert.parallelism.residual, fiber_cert.parallelism.residual),
-        )
+        items["base_and_fiber_certified"] = verdict(
+            base_cert.passed and fiber_cert.passed,
+            max(base_cert.details["parallelism_residual"],
+                fiber_cert.details["parallelism_residual"]))
     else:
-        items["base_and_fiber_certified"] = TheoremOutcome(
-            STATUS_NOT_APPLICABLE,
-            reason="total space is not a certified para-product statistical submersion",
-        )
+        items["base_and_fiber_certified"] = not_applicable(
+            "total space is not a certified para-product statistical submersion")
 
     nb = spec.base_dim
     structure = spec.total.product.values(points)
@@ -737,10 +729,7 @@ def verify_submersion_theorems(
     twisted = np.einsum("pkij,piu,pjw->pkuw", arrays.t, vertical_images, vertical_images)
     vertical_symmetry = residual_check(max_abs(twisted - arrays.t[:, :, nb:, nb:]),
                                        scale_of(structure), points, tol)
-    items["vertical_symmetry"] = TheoremOutcome(
-        STATUS_PASS if vertical_symmetry.passed else STATUS_FAIL,
-        residual=vertical_symmetry.residual,
-    )
+    items["vertical_symmetry"] = verdict(vertical_symmetry.passed, vertical_symmetry.residual)
 
     m_hat = fiber.product.values(fiber_points)
     m_hat_star = fiber.adjoint.values(fiber_points)
@@ -754,40 +743,28 @@ def verify_submersion_theorems(
     bracket_result = residual_check(max_abs(_lift_brackets(arrays)), metric_scales, points, tol)
 
     if min_rank == spec.fiber_dim:
-        items["horizontal_vanishing"] = TheoremOutcome(
-            STATUS_PASS if a_result.passed else STATUS_FAIL,
-            residual=a_result.residual,
-            data={"rank": float(min_rank)},
-        )
+        items["horizontal_vanishing"] = verdict(a_result.passed, a_result.residual,
+                                                rank=float(min_rank))
     else:
-        items["horizontal_vanishing"] = TheoremOutcome(
-            STATUS_NOT_APPLICABLE,
-            reason=f"rank(P̂ + P̂*) = {min_rank} is below the fiber dimension {spec.fiber_dim}",
-            data={"rank": float(min_rank)},
-        )
+        items["horizontal_vanishing"] = not_applicable(
+            f"rank(P̂ + P̂*) = {min_rank} is below the fiber dimension {spec.fiber_dim}",
+            rank=float(min_rank))
 
     if parity_gap <= tol:
-        items["horizontal_integrability"] = TheoremOutcome(
-            STATUS_PASS if bracket_result.passed else STATUS_FAIL,
-            residual=bracket_result.residual,
-        )
+        items["horizontal_integrability"] = verdict(bracket_result.passed, bracket_result.residual)
     else:
-        items["horizontal_integrability"] = TheoremOutcome(
-            STATUS_NOT_APPLICABLE,
-            reason=f"fiber structure is not self-adjoint (gap {parity_gap:.3e})",
-        )
+        items["horizontal_integrability"] = not_applicable(
+            f"fiber structure is not self-adjoint (gap {parity_gap:.3e})")
 
     isometric = _isometric_fibers(spec, arrays, tol)
     space_constant = fit_space_form_constant(spec.total, points)
     space_form = check_space_form(spec.total, space_constant, points, tol)
     if space_form.passed and isometric.passed and min_rank == spec.fiber_dim:
-        flat = max(curvature_residual(manifold, samples, tol).residual
-                   for manifold, samples in ((spec.base, points[:, :nb]), (fiber, fiber_points)))
-        items["flat_decomposition"] = TheoremOutcome(
-            STATUS_PASS if flat <= tol else STATUS_FAIL,
-            residual=flat,
-            data={"space_form_constant": space_constant},
-        )
+        flats = [curvature_residual(manifold, samples, tol)
+                 for manifold, samples in ((spec.base, points[:, :nb]), (fiber, fiber_points))]
+        items["flat_decomposition"] = verdict(all(flat.passed for flat in flats),
+                                              max(flat.residual for flat in flats),
+                                              space_form_constant=space_constant)
     else:
         reasons = []
         if not space_form.passed:
@@ -796,8 +773,6 @@ def verify_submersion_theorems(
             reasons.append("fibers are not isometric")
         if min_rank != spec.fiber_dim:
             reasons.append("rank condition fails")
-        items["flat_decomposition"] = TheoremOutcome(
-            STATUS_NOT_APPLICABLE, reason="; ".join(reasons),
-            data={"space_form_constant": space_constant},
-        )
-    return SubmersionTheoremReport(items)
+        items["flat_decomposition"] = not_applicable("; ".join(reasons),
+                                                     space_form_constant=space_constant)
+    return items

@@ -7,10 +7,11 @@ byte-identical reports.  A check that raises is recorded as ERROR and the run
 continues.
 
 A check reads its subject from the context (the manifold, its submersion or
-its model) and hands it to the library function that certifies it.  Most
-checks report one :class:`geometry.CheckResult`; they are rows of one table
-with one adapter.  The others build their own outcomes: a para-Kähler-like
-certification, a theorem outcome, or a family of results.  Every derived
+its model) and hands it to the library function that certifies it.  Every
+library function returns :class:`geometry.CheckResult` (a theorem returns
+one per item), and :func:`_outcome` is the one adapter to a report row.
+Most checks report one result; they are rows of one table.  The others
+report a family of results or read extra inputs.  Every derived
 field lives on its manifold, so the checks of one run share it, and
 :func:`run_suite` builds a fresh context, and with it fresh fields, per call.
 """
@@ -25,52 +26,34 @@ from . import geometry as geo
 from . import product as prod
 from . import submersion as sub
 from .expfam import AlphaConnection, exp_para_structures
-from .geometry import (
-    STATUS_ERROR,
-    STATUS_FAIL,
-    STATUS_PASS,
-)
+from .geometry import STATUS_ERROR
 from .manifest import Manifest, ManifestError, build_context
 from .report import CheckOutcome, VerificationReport
 
 
+def _float(value):
+    return None if value is None else float(value)
+
+
 def _outcome(name, result, points_used, data=None) -> CheckOutcome:
+    """A :class:`geometry.CheckResult` as a report row; an absent field stays ``None``."""
     return CheckOutcome(
         name=name,
-        status=STATUS_PASS if result.passed else STATUS_FAIL,
-        residual=float(result.residual),
-        raw_residual=float(result.raw_residual),
-        tolerance=float(result.tolerance),
+        status=result.status,
+        residual=_float(result.residual),
+        raw_residual=_float(result.raw_residual),
+        tolerance=_float(result.tolerance),
         worst_point=None if result.worst_point is None else [float(x) for x in result.worst_point],
         points_used=points_used,
+        reason=result.reason,
         data=dict(data or {}, **{k: float(v) for k, v in result.details.items()}),
     )
 
 
-def _certification_outcome(name, cert, tol, points_used) -> CheckOutcome:
-    """A para-Kähler-like certification: the worst residual of its three parts."""
-    parts = (cert.statistical, cert.almost_product, cert.parallelism)
-    return CheckOutcome(
-        name=name,
-        status=STATUS_PASS if cert.passed else STATUS_FAIL,
-        residual=float(max(part.residual for part in parts)),
-        tolerance=float(tol),
-        points_used=points_used,
-        data={"parallelism_residual": float(cert.parallelism.residual)},
-    )
-
-
-def _theorem_outcome(name, outcome, tol, points_used) -> CheckOutcome:
-    """A :class:`~statgeom.product.TheoremOutcome` as a report outcome."""
-    return CheckOutcome(
-        name=name,
-        status=outcome.status,
-        residual=None if outcome.residual is None else float(outcome.residual),
-        tolerance=float(tol),
-        points_used=points_used,
-        reason=outcome.reason,
-        data={k: float(v) for k, v in outcome.data.items()},
-    )
+def _summary(cert) -> geo.CheckResult:
+    """A para-Kähler-like certification cut to a summary row: its residual and ∇P = 0's."""
+    return dataclasses.replace(cert, raw_residual=None, worst_point=None, details={
+        "parallelism_residual": cert.details["parallelism_residual"]})
 
 
 # --------------------------------------------------------------------------
@@ -127,7 +110,9 @@ _RESULT_CHECKS = {
     "almost_product": (_product_structure, prod, "check_almost_product"),
     "pairing_identities": (_require_product, prod, "check_pairing_identities"),
     "product_parallelism": (_require_product, prod, "check_product_parallelism"),
+    "para_kahler_like": (_require_product, prod, "check_para_kahler_like"),
     "conjugate_parallelism": (_require_product, prod, "conjugate_parallelism_check"),
+    "flatness_theorem": (_require_product, prod, "verify_flatness_theorem"),
     "semi_riemannian_submersion": (_require_submersion, sub, "check_semi_riemannian_submersion"),
     "statistical_submersion": (_require_submersion, sub, "check_statistical_submersion"),
     "para_holomorphic": (_require_submersion, sub, "check_para_holomorphic"),
@@ -142,24 +127,8 @@ def _result_check(name, subject, module, function, ctx, pts, tol):
 
 
 # --------------------------------------------------------------------------
-# Checks with their own outcome
+# Checks with a family of results or extra inputs
 # --------------------------------------------------------------------------
-
-def _check_para_kahler_like(ctx, pts, tol):
-    cert = prod.check_para_kahler_like(_require_product(ctx), pts, tol)
-    parts = (cert.statistical, cert.almost_product, cert.parallelism)
-    worst_point = cert.parallelism.worst_point
-    return [dataclasses.replace(
-        _certification_outcome("para_kahler_like", cert, tol, len(pts)),
-        raw_residual=float(max(part.raw_residual for part in parts)),
-        worst_point=None if worst_point is None else [float(x) for x in worst_point],
-        data={
-            "statistical_residual": float(cert.statistical.residual),
-            "almost_product_residual": float(cert.almost_product.residual),
-            "parallelism_residual": float(cert.parallelism.residual),
-        },
-    )]
-
 
 def _check_space_form(ctx, pts, tol):
     m = _require_product(ctx)
@@ -168,11 +137,6 @@ def _check_space_form(ctx, pts, tol):
         constant = prod.fit_space_form_constant(m, pts)
     result = prod.check_space_form(m, constant, pts, tol)
     return [_outcome("space_form", result, len(pts), data={"constant": constant})]
-
-
-def _check_flatness_theorem(ctx, pts, tol):
-    outcome = prod.verify_flatness_theorem(_require_product(ctx), pts, tol)
-    return [_theorem_outcome("flatness_theorem", outcome, tol, len(pts))]
 
 
 def _check_alpha_family(ctx, pts, tol):
@@ -206,7 +170,7 @@ def _check_exp_para_certifications(ctx, pts, tol):
         ("mixture", -1.0, structure_minus),
     ):
         cert = prod.check_para_kahler_like(_model_manifold(model, alpha, structure), pts, tol)
-        outcomes.append(_certification_outcome(f"exp_para_certifications.{label}", cert, tol, len(pts)))
+        outcomes.append(_outcome(f"exp_para_certifications.{label}", _summary(cert), len(pts)))
     return outcomes
 
 
@@ -214,13 +178,12 @@ def _check_fiber_para_kahler_like(ctx, pts, tol):
     fiber = sub.induced_fiber_manifold(_require_submersion(ctx), tol=tol)
     fiber_points = geo.sample_points(fiber.chart, len(pts))
     cert = prod.check_para_kahler_like(fiber, fiber_points, tol)
-    return [_certification_outcome("fiber_para_kahler_like", cert, tol, len(fiber_points))]
+    return [_outcome("fiber_para_kahler_like", _summary(cert), len(fiber_points))]
 
 
 def _check_submersion_theorems(ctx, pts, tol):
-    report = sub.verify_submersion_theorems(_require_submersion(ctx), pts, tol)
-    return [_theorem_outcome(f"submersion_theorems.{name}", item, tol, len(pts))
-            for name, item in report.items.items()]
+    items = sub.verify_submersion_theorems(_require_submersion(ctx), pts, tol)
+    return [_outcome(f"submersion_theorems.{name}", item, len(pts)) for name, item in items.items()]
 
 
 # --------------------------------------------------------------------------
@@ -229,9 +192,7 @@ def _check_submersion_theorems(ctx, pts, tol):
 
 CHECKS = {
     **{name: functools.partial(_result_check, name, *row) for name, row in _RESULT_CHECKS.items()},
-    "para_kahler_like": _check_para_kahler_like,
     "space_form": _check_space_form,
-    "flatness_theorem": _check_flatness_theorem,
     "alpha_family": _check_alpha_family,
     "exp_para_certifications": _check_exp_para_certifications,
     "fiber_para_kahler_like": _check_fiber_para_kahler_like,

@@ -13,7 +13,7 @@ from statgeom.fixtures import (
     flat_product_manifest,
     submersion_manifest,
 )
-from statgeom.geometry import curvature_tensor
+from statgeom.geometry import PointJets, curvature_tensor
 
 # The checks of the benchmark's curvature workload: every check that builds a
 # 4-index tensor per point in blocks.
@@ -41,6 +41,17 @@ def curved_submersion(total_pairs=2, base_pairs=1, k=1.0, l=1.0, epsilons=(1.0, 
     """Coordinate projection between curved fixtures as a SubmersionSpec."""
     data = submersion_manifest(total_pairs, base_pairs, k, l, epsilons, seed=seed)
     return build_context(parse_manifest(data)).submersion
+
+
+class NaNConnection(PointJets):
+    """A connection in dimension ``dim`` whose every coefficient is NaN."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def _batch_jets(self, points, full):
+        gamma = np.full((len(points),) + (self.dim,) * 3, np.nan)
+        return (gamma, np.full((len(points),) + (self.dim,) * 4, np.nan)) if full else (gamma,)
 
 
 # --------------------------------------------------------------------------

@@ -187,8 +187,8 @@ class TestCompanionStructures:
         mixture = check_para_kahler_like(
             ManifoldSpec(model.chart, metric, AlphaConnection(metric, -1.0), twisted), pts)
         assert exponential.passed and mixture.passed
-        assert exponential.parallelism.residual <= 1e-8
-        assert mixture.parallelism.residual <= 1e-8
+        assert exponential.details["parallelism_residual"] <= 1e-8
+        assert mixture.details["parallelism_residual"] <= 1e-8
 
     @pytest.mark.parametrize("name", ["normal", "multinomial", "dirichlet"])
     def test_twisted_structure_matches_adjoint(self, name):

@@ -68,6 +68,11 @@ class TestSampling:
         with pytest.raises(ChartError, match="empty"):
             ChartSpec(("x",), ((1.0, 1.0),))
 
+    @pytest.mark.parametrize("bound", [(-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_non_finite_box_rejected(self, bound):
+        with pytest.raises(ChartError, match="non-finite"):
+            ChartSpec(("x",), (bound,))
+
     def test_count_must_be_positive(self):
         chart = ChartSpec(("x",), ((0.0, 1.0),))
         with pytest.raises(ValueError):
@@ -247,6 +252,11 @@ class TestResidualTracker:
         assert not result.passed
         assert result.residual == float("inf")
         np.testing.assert_array_equal(result.worst_point, [0.5, 0.5])
+
+    @pytest.mark.parametrize("raw, scale", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_residual_fails_an_infinite_tolerance(self, raw, scale):
+        assert not residual_check(np.array([raw]), np.array([scale]), np.zeros((1, 1)),
+                                  math.inf).passed
 
     def test_finite_residuals_keep_the_last_worst_point(self):
         result = residual_check([2.0, 3.0, 0.5], [2.0, 3.0, 1.0], [[0.0], [1.0], [2.0]], 10.0)

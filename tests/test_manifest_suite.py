@@ -32,6 +32,7 @@ from statgeom.report import (
     canonical_json,
     emit_report,
     render_report,
+    report_to_mapping,
 )
 from statgeom.suite import CHECKS, run_suite
 
@@ -442,6 +443,63 @@ class TestReports:
         assert "wall" not in render_report(report)
 
 
+def _failing_para_kahler_like():
+    data = flat_product_manifest(1, 2.0, (1.0,), seed=13, checks=["para_kahler_like"])
+    data["connection"][0][0][0] = "0.1"  # breaks ∇P = 0 only
+    return data
+
+
+def _curved_flatness_theorem():
+    return curved_product_manifest(2, 1.0, 2.0, [1, 1],
+                                   checks=["para_kahler_like", "flatness_theorem"])
+
+
+def _submersion_without_products():
+    data = submersion_manifest(2, 1, 1.0, 1.0, (1.0, 1.0), checks=["submersion_theorems"])
+    del data["product"], data["submersion"]["base"]["product"]
+    return data
+
+
+_NO_PRODUCTS = ('{"data": {}, "name": "submersion_theorems.%s", "points_used": 25, '
+                '"raw_residual": null, "reason": "total and base product structures are required", '
+                '"residual": null, "status": "NOT-APPLICABLE", "tolerance": 1.000000000000e-08, '
+                '"worst_point": null}')
+
+
+class TestRowsBeyondTheGoldens:
+    """Report rows that no golden report holds, pinned byte for byte."""
+
+    @pytest.mark.parametrize("build, expected", [
+        (_failing_para_kahler_like, [
+            '{"data": {"almost_product_residual": 0.000000000000e+00, '
+            '"parallelism_residual": 5.000000000000e-02, '
+            '"statistical_residual": 0.000000000000e+00}, "name": "para_kahler_like", '
+            '"points_used": 25, "raw_residual": 1.000000000000e-01, "reason": null, '
+            '"residual": 5.000000000000e-02, "status": "FAIL", "tolerance": 1.000000000000e-08, '
+            '"worst_point": [1.010721064771e-01, 8.398433788806e-01]}',
+        ]),
+        (_curved_flatness_theorem, [
+            '{"data": {"almost_product_residual": 0.000000000000e+00, '
+            '"parallelism_residual": 0.000000000000e+00, '
+            '"statistical_residual": 1.145944804759e-16}, "name": "para_kahler_like", '
+            '"points_used": 25, "raw_residual": 2.664535259100e-15, "reason": null, '
+            '"residual": 1.145944804759e-16, "status": "PASS", "tolerance": 1.000000000000e-08, '
+            '"worst_point": [-6.884225360243e-01, 1.944764356320e+00, 7.642736892122e-01, '
+            '1.723889526488e+00]}',
+            '{"data": {"constant": 3.333333333333e-01, "fit_residual": 2.937650121614e-01}, '
+            '"name": "flatness_theorem", "points_used": 25, "raw_residual": null, '
+            '"reason": "curvature is not of constant-curvature form", "residual": null, '
+            '"status": "NOT-APPLICABLE", "tolerance": 1.000000000000e-09, "worst_point": null}',
+        ]),
+        (_submersion_without_products, [_NO_PRODUCTS % name for name in (
+            "fiber_structure", "base_and_fiber_certified", "vertical_symmetry",
+            "horizontal_vanishing", "horizontal_integrability", "flat_decomposition")]),
+    ], ids=["failing_para_kahler_like", "curved_flatness_theorem", "submersion_without_products"])
+    def test_rows(self, build, expected):
+        report = run_suite(parse_manifest(build()))
+        assert [canonical_json(row) for row in report_to_mapping(report)["checks"]] == expected
+
+
 class TestCli:
     def test_list_fixtures(self, capsys):
         assert main(["list-fixtures"]) == 0
@@ -480,6 +538,16 @@ class TestCli:
         assert first.read_bytes() == second.read_bytes()
         parsed = json.loads(first.read_text(encoding="utf-8"))
         assert parsed["seed"] == 5 and parsed["points"] == 7
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1e400", "tight"])
+    def test_malformed_tolerance_exits_two(self, tol, capsys):
+        """--tol follows the rule of manifest tolerances: a finite positive number."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "example_5_2_n1", "--tol", tol])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tol: must be a finite positive number" in err
+        assert "Traceback" not in err
 
     def test_unexpected_error_exits_two(self, monkeypatch, capsys):
         def broken(*args, **kwargs):

@@ -1,11 +1,12 @@
 """Almost product structures, adjoints, certifications, and the flatness result."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from conftest import curved_manifold, flat_manifold
+from conftest import NaNConnection, curved_manifold, flat_manifold
 from statgeom import build_context, parse_manifest
 from statgeom.fixtures import flat_product_manifest
 from statgeom.geometry import (
@@ -143,7 +144,7 @@ class TestCertification:
         cert = check_para_kahler_like(dataclasses.replace(skew, connection=levi_civita(skew.metric)),
                                       pts)
         assert not cert.passed
-        assert not cert.parallelism.passed
+        assert cert.details["parallelism_residual"] > cert.tolerance
 
     def test_structure_commutes_with_curvature(self):
         """R(∂_i, ∂_j) P = P R(∂_i, ∂_j) on certified fixtures."""
@@ -191,6 +192,14 @@ class TestConjugateParallelism:
         assert not result.passed
 
 
+    def test_nan_connection_fails_an_infinite_tolerance(self):
+        """Infinite residuals on both sides are not both zero, whatever the tolerance."""
+        m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
+        result = conjugate_parallelism_check(dataclasses.replace(m, connection=NaNConnection(2)),
+                                             sample_points(m.chart, 5), math.inf)
+        assert not result.passed
+
+
 class TestSpaceForm:
     def test_flat_fixture_zero_constant(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
@@ -216,7 +225,7 @@ class TestFlatnessTheorem:
         m = flat_manifold(pairs=2, k=2.0, epsilons=(1.0, 1.0))
         outcome = verify_flatness_theorem(m, sample_points(m.chart, 25))
         assert outcome.status == STATUS_PASS
-        assert outcome.data["constant"] == pytest.approx(0.0, abs=1e-9)
+        assert outcome.details["constant"] == pytest.approx(0.0, abs=1e-9)
 
     def test_dimension_two_not_applicable(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))

@@ -2,15 +2,17 @@
 structure-transfer report for coordinate-projection submersions."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from conftest import curved_submersion
+from conftest import NaNConnection, curved_submersion
 from statgeom import build_context, parse_manifest
 from statgeom.expr import eval2, eval_value, parse_expression
 from statgeom.fixtures import flat_product_manifest, submersion_manifest
 from statgeom.geometry import (
+    STATUS_FAIL,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
     ExpressionConnection,
@@ -529,23 +531,23 @@ class TestTheoremReport:
         """Regression pins for k = l: every transfer item passes and the flat
         decomposition stays NOT-APPLICABLE (the total space is curved)."""
         spec = curved_submersion(k=1.0, l=1.0)
-        report = verify_submersion_theorems(spec, sample_points(spec.total.chart, 15))
+        items = verify_submersion_theorems(spec, sample_points(spec.total.chart, 15))
         for name in ("fiber_structure", "base_and_fiber_certified", "vertical_symmetry",
                      "horizontal_vanishing", "horizontal_integrability"):
-            assert report.items[name].status == STATUS_PASS, name
-        assert report.items["flat_decomposition"].status == STATUS_NOT_APPLICABLE
-        assert report.passed
+            assert items[name].status == STATUS_PASS, name
+        assert items["flat_decomposition"].status == STATUS_NOT_APPLICABLE
+        assert all(item.status != STATUS_FAIL for item in items.values())
 
     def test_distinct_parameters_report(self):
         """Regression pins for k ≠ l: rank(P̂ + P̂*) stays full so the horizontal
         tensors must vanish, while self-adjointness (and with it the
         integrability shortcut) is lost."""
         spec = curved_submersion(k=1.0, l=2.0)
-        report = verify_submersion_theorems(spec, sample_points(spec.total.chart, 15))
-        assert report.items["horizontal_vanishing"].status == STATUS_PASS
-        assert report.items["horizontal_vanishing"].data["rank"] == 2.0
-        assert report.items["horizontal_integrability"].status == STATUS_NOT_APPLICABLE
-        assert report.items["vertical_symmetry"].status == STATUS_PASS
+        items = verify_submersion_theorems(spec, sample_points(spec.total.chart, 15))
+        assert items["horizontal_vanishing"].status == STATUS_PASS
+        assert items["horizontal_vanishing"].details["rank"] == 2.0
+        assert items["horizontal_integrability"].status == STATUS_NOT_APPLICABLE
+        assert items["vertical_symmetry"].status == STATUS_PASS
 
     def test_vertical_symmetry_matches_field_pair_oracle(self):
         """On the warped fixture with P = diag(5, 2), T(P̂U, P̂V) − T(U, V) is
@@ -572,14 +574,22 @@ class TestTheoremReport:
             / (1.0 + np.max(np.abs(spec.total.product.matrix(p))))
             for p in pts
         )
-        report = verify_submersion_theorems(spec, pts)
-        assert report.items["vertical_symmetry"].status == "FAIL"
-        assert report.items["vertical_symmetry"].residual == pytest.approx(expected, rel=1e-12)
+        items = verify_submersion_theorems(spec, pts)
+        assert items["vertical_symmetry"].status == "FAIL"
+        assert items["vertical_symmetry"].residual == pytest.approx(expected, rel=1e-12)
+
+    def test_nan_base_curvature_fails_flat_decomposition(self):
+        """An infinite base curvature residual FAILs, even under an infinite tolerance."""
+        spec = flat_submersion()
+        spec = SubmersionSpec(spec.total, dataclasses.replace(spec.base, connection=NaNConnection(2)))
+        items = verify_submersion_theorems(spec, sample_points(spec.total.chart, 5), math.inf)
+        assert items["flat_decomposition"].status == STATUS_FAIL
+        assert items["flat_decomposition"].residual == math.inf
 
     def test_flat_product_report_all_pass(self):
         spec = flat_submersion(k=1.0)
-        report = verify_submersion_theorems(spec, sample_points(spec.total.chart, 15))
-        for name, item in report.items.items():
+        items = verify_submersion_theorems(spec, sample_points(spec.total.chart, 15))
+        for name, item in items.items():
             assert item.status == STATUS_PASS, (name, item.reason)
-        assert report.items["flat_decomposition"].data["space_form_constant"] == pytest.approx(
+        assert items["flat_decomposition"].details["space_form_constant"] == pytest.approx(
             0.0, abs=1e-12)
