@@ -33,15 +33,15 @@ print("statistical structure:", check_statistical_structure(manifold, points).pa
 
 star = manifold.conjugate
 point = np.array([0.0, 1.0])
-print("Gamma^y_xx   =", nabla.coefficients(point)[1, 0, 0])
-print("Gamma*^y_xx  =", star.coefficients(point)[1, 0, 0])
+print("Gamma^y_xx   =", nabla.value(point)[1, 0, 0])
+print("Gamma*^y_xx  =", star.value(point)[1, 0, 0])
 
 double = conjugate_connection(g, star)
 print("involution residual:",
-      np.max(np.abs(double.coefficients(point) - nabla.coefficients(point))))
+      np.max(np.abs(double.value(point) - nabla.value(point))))
 
 mid = manifold.levi_civita_connection
-average = nabla.coefficients(point) + star.coefficients(point) - 2.0 * mid.coefficients(point)
+average = nabla.value(point) + star.value(point) - 2.0 * mid.value(point)
 print("Gamma + Gamma* - 2 Gamma0 residual:", np.max(np.abs(average)))
 
 # Curvature of the primary connection and the duality pairing with R*.

@@ -29,7 +29,7 @@ print("flat fixture certifies:", certification.passed)
 
 # The negative adjoint P* rescales the swap by k and 1/k.
 star = flat.adjoint
-print("P* on the first pair:\n", star.matrix(points[0])[:2, :2])
+print("P* on the first pair:\n", star.value(points[0])[:2, :2])
 print("adjoint identities:", check_pairing_identities(flat, points).passed)
 print("P parallel iff P* parallel for the conjugate:",
       conjugate_parallelism_check(flat, points).passed)

@@ -28,7 +28,7 @@ metric = fisher_metric(model)
 points = sample_points(model.chart, 25)
 
 print("model:", model.name, "| natural-parameter box:", model.chart.domain)
-print("Fisher metric at (1, 1):\n", metric.matrix([1.0, 1.0]))
+print("Fisher metric at (1, 1):\n", metric.value([1.0, 1.0]))
 
 for alpha in (-1.0, 0.0, 1.0):
     connection = AlphaConnection(metric, alpha)
@@ -39,12 +39,12 @@ for alpha in (-1.0, 0.0, 1.0):
 alpha = 0.5
 dual = conjugate_connection(metric, AlphaConnection(metric, alpha))
 mirror = AlphaConnection(metric, -alpha)
-gap = max(np.max(np.abs(dual.coefficients(p) - mirror.coefficients(p))) for p in points)
+gap = max(np.max(np.abs(dual.value(p) - mirror.value(p))) for p in points)
 print(f"\nconjugate(alpha={alpha}) vs alpha={-alpha}: max deviation {gap:.3e}")
 
 mid = levi_civita(metric)
 zero = AlphaConnection(metric, 0.0)
-gap = max(np.max(np.abs(zero.coefficients(p) - mid.coefficients(p))) for p in points)
+gap = max(np.max(np.abs(zero.value(p) - mid.value(p))) for p in points)
 print(f"alpha=0 vs Levi-Civita: max deviation {gap:.3e}")
 
 # Companion structures from an involution: the constant one pairs with the
@@ -58,5 +58,5 @@ print("\nexponential-side certification:", exponential.passed)
 print("mixture-side certification    :", mixture.passed)
 
 adjoint = exponential_side.adjoint
-gap = max(np.max(np.abs(twisted.matrix(p) - adjoint.matrix(p))) for p in points)
+gap = max(np.max(np.abs(twisted.value(p) - adjoint.value(p))) for p in points)
 print("twisted structure equals the adjoint of the constant one:", gap <= 1e-12)

@@ -33,6 +33,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _integer_at_least(low: int, rule: str):
+    """An argparse type for ``rule`` integers (at least ``low``), as in manifests."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a {rule} integer, got {text!r}")
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statgeom",
@@ -44,8 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="run the checks declared by a manifest file or fixture id"
     )
     verify.add_argument("manifest", help="path to a manifest JSON file, or a built-in fixture id")
-    verify.add_argument("--seed", type=int, default=None, help="override the sampling seed")
-    verify.add_argument("--points", type=int, default=None, help="override the sample count")
+    verify.add_argument("--seed", type=_integer_at_least(0, "non-negative"), default=None,
+                        help="override the sampling seed")
+    verify.add_argument("--points", type=_integer_at_least(1, "positive"), default=None,
+                        help="override the sample count")
     verify.add_argument("--tol", type=_tolerance, default=None, help="override every check tolerance")
     verify.add_argument("--report", default=None, help="write the canonical report to this path")
 

@@ -16,8 +16,7 @@ compared against tolerances, which separates method error from conditioning.
 Every field evaluates at all sample points at once (``jets(points)``, with a
 leading point axis ``p`` on every array) and keeps the results, read-only, in
 one store keyed by the whole batch (:class:`PointJets`).  A single point is a
-batch of one: the per-point accessors (``value`` and ``jet``, with the
-aliases ``matrix``, ``coefficients`` and ``coefficients_jet``) return its
+batch of one: the per-point accessors ``value`` and ``jet`` return its
 row 0.  Every field given by coordinate expressions is an
 :class:`ExpressionField` over a grid of components; the metric, connection,
 product-structure and vector-field classes only set its derivative order and
@@ -47,7 +46,6 @@ import numpy as np
 from . import expr as ex
 
 DEFAULT_TOLERANCE = 1e-8
-FD_ORACLE_TOLERANCE = 1e-5
 DEFAULT_POINT_COUNT = 25
 
 STATUS_PASS = "PASS"
@@ -97,6 +95,8 @@ class ChartSpec:
                 raise ChartError(f"non-finite sampling interval [{lo}, {hi}] for coordinate {name!r}")
             if not lo < hi:
                 raise ChartError(f"empty sampling interval [{lo}, {hi}] for coordinate {name!r}")
+        if self.seed < 0:
+            raise ChartError(f"sampling seed must be a non-negative integer, got {self.seed}")
 
     @property
     def dim(self) -> int:
@@ -178,9 +178,6 @@ class PointJets:
     def jet(self, point) -> tuple[np.ndarray, ...]:
         """The jet at one point: the value, then its derivatives."""
         return tuple(part[0] for part in self.jets(point))
-
-    matrix = coefficients = value
-    coefficients_jet = jet
 
     def _batch_jets(self, points: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
         """The jets at ``points``, or a one-tuple of the values when ``full`` is false."""
@@ -330,7 +327,7 @@ def _det_threshold(g: np.ndarray) -> np.ndarray:
 
 def metric_matrices_at(g: MetricField, point) -> tuple[np.ndarray, np.ndarray]:
     """(G, G⁻¹) at a point; raises :class:`MetricError` when G is numerically singular."""
-    mat = g.matrix(point)
+    mat = g.value(point)
     det = float(np.linalg.det(mat))
     if abs(det) <= _det_threshold(mat):
         raise MetricError(f"singular metric (det {det:.3e}) at point {np.asarray(point).tolist()}")
@@ -345,7 +342,7 @@ def _signatures(eigenvalues: np.ndarray) -> np.ndarray:
 
 def metric_signature(g: MetricField, point) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of G at a point."""
-    positive, negative = _signatures(np.linalg.eigvalsh(g.matrix(point)))
+    positive, negative = _signatures(np.linalg.eigvalsh(g.value(point)))
     return int(positive), int(negative)
 
 
@@ -617,7 +614,7 @@ def curvature_residual(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) 
 
 def curvature_at(connection, point) -> CurvatureAtPoint:
     """Curvature of the connection at a point, from exact coefficient jets."""
-    gamma, dgamma = connection.coefficients_jet(point)
+    gamma, dgamma = connection.jet(point)
     return CurvatureAtPoint(curvature_tensor(gamma, dgamma), np.asarray(point, dtype=float))
 
 
@@ -632,7 +629,7 @@ def sectional_curvature(spec: ManifoldSpec, point, v, w) -> float:
     """g(S(v,w)w, v) / (g(v,v) g(w,w) − g(v,w)²) for a nondegenerate plane span{v, w}."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    gm = spec.metric.matrix(point)
+    gm = spec.metric.value(point)
     gvv = float(v @ gm @ v)
     gww = float(w @ gm @ w)
     gvw = float(v @ gm @ w)
@@ -702,9 +699,9 @@ def check_dual_curvature_identity(spec: ManifoldSpec, pts, tol: float = DEFAULT_
     return residual_check(*in_blocks(reduce, spec.metric.dim, *batches), points, tol)
 
 
-def difference_tensor_at(connection, dual_connection, point) -> np.ndarray:
+def difference_tensor_at(connection, conjugate, point) -> np.ndarray:
     """K[k,i,j] = Γ^k_ij − Γ*^k_ij; symmetric in (i, j) for statistical pairs."""
-    return connection.coefficients(point) - dual_connection.coefficients(point)
+    return connection.value(point) - conjugate.value(point)
 
 
 # --------------------------------------------------------------------------

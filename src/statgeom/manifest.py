@@ -51,20 +51,11 @@ class Manifest:
     tolerances: dict
     seed: int
 
-    @property
-    def is_model(self) -> bool:
-        return "model" in self.data
-
-    @property
-    def is_submersion(self) -> bool:
-        return "submersion" in self.data
-
 
 @dataclass(frozen=True)
 class VerificationContext:
     """Runtime objects built from a manifest."""
 
-    kind: str  # "manifold", "submersion" or "model"
     chart: ChartSpec
     manifold: ManifoldSpec | None = None
     submersion: SubmersionSpec | None = None
@@ -291,7 +282,7 @@ def build_context(manifest: Manifest, seed=None) -> VerificationContext:
     if space_form_c is not None:
         space_form_c = _number(space_form_c, "'space_form_c'")
 
-    if manifest.is_model:
+    if "model" in data:
         block = data["model"]
         if not isinstance(block, dict):
             raise ManifestError("'model' must be an object")
@@ -323,14 +314,8 @@ def build_context(manifest: Manifest, seed=None) -> VerificationContext:
                     or not all(isinstance(row, list) and len(row) == n for row in involution)):
                 raise ManifestError(f"involution must be a {n}x{n} list of rows")
             involution = np.array([[_number(x, "involution entry") for x in row] for row in involution])
-        return VerificationContext(
-            kind="model",
-            chart=model.chart,
-            model=model,
-            alphas=alphas,
-            involution=involution,
-            space_form_c=space_form_c,
-        )
+        return VerificationContext(chart=model.chart, model=model, alphas=alphas,
+                                   involution=involution, space_form_c=space_form_c)
 
     total = _parse_manifold(data, "manifest", seed_override=seed)
     if "submersion" in data:
@@ -351,16 +336,6 @@ def build_context(manifest: Manifest, seed=None) -> VerificationContext:
             spec = SubmersionSpec(total=total, base=base)
         except ValueError as err:
             raise ManifestError(str(err)) from err
-        return VerificationContext(
-            kind="submersion",
-            chart=total.chart,
-            manifold=total,
-            submersion=spec,
-            space_form_c=space_form_c,
-        )
-    return VerificationContext(
-        kind="manifold",
-        chart=total.chart,
-        manifold=total,
-        space_form_c=space_form_c,
-    )
+        return VerificationContext(chart=total.chart, manifold=total, submersion=spec,
+                                   space_form_c=space_form_c)
+    return VerificationContext(chart=total.chart, manifold=total, space_form_c=space_form_c)

@@ -7,10 +7,11 @@ vertical projector at a point is v = E (G_vv)⁻¹ G[vert, :], where E selects
 the trailing directions and G_vv is the fiber block of the metric.
 
 T and A are tensorial in both slots, so the checks never evaluate them one
-field pair at a time: :func:`oneill_arrays` builds the whole coordinate
-arrays ``T[k, i, j] = T(∂_i, ∂_j)^k`` (and A, T*, A*) from the metric jets
-and the connection coefficients, batched over the sample points, and every
-submersion check reduces contractions of those arrays.
+field pair at a time: the spec's :class:`OneillSplitting` builds the whole
+coordinate arrays ``T[k, i, j] = T(∂_i, ∂_j)^k`` (and A, T*, A*) from the
+metric jets and the connection coefficients, batched over the sample points,
+:func:`oneill_arrays` reads them, and every submersion check reduces
+contractions of those arrays.
 
 The field-pair path stays as the independent test oracle: vector-field
 arguments are field objects that expose ``vector(p)`` and
@@ -19,8 +20,10 @@ arguments are field objects that expose ``vector(p)`` and
 exact jets.  Tensoriality of T and A in both slots is a tested property, not
 an input assumption.
 
-A :class:`SubmersionSpec` owns its induced fiber manifold (``fiber``), built
-once; the fiber's fields read the total space's fields and never the spec.
+A :class:`SubmersionSpec` owns its induced fiber manifold (``fiber``) and
+its splitting (``splitting``), each built once on first use, so every check
+of a run reads the same store; both read the total space's fields and never
+the spec.
 """
 
 from __future__ import annotations
@@ -98,6 +101,12 @@ class SubmersionSpec:
         return np.asarray(point, dtype=float)[: self.base_dim]
 
     @functools.cached_property
+    def splitting(self) -> OneillSplitting:
+        """The O'Neill splitting of the total space by ∇ and its conjugate, built on first use."""
+        total = self.total
+        return OneillSplitting(total.metric, total.resolved_connection, total.conjugate, self.base_dim)
+
+    @functools.cached_property
     def fiber(self) -> ManifoldSpec:
         """The fiber over the base box center with its induced fields, built on first use.
 
@@ -139,7 +148,7 @@ def _check_conditioning(gvv: np.ndarray) -> None:
 
 def projectors_at(spec: SubmersionSpec, point) -> tuple[np.ndarray, np.ndarray]:
     """(v, h): projection onto the vertical space along its g-orthogonal complement."""
-    g = spec.total.metric.matrix(point)
+    g = spec.total.metric.value(point)
     gvv, gv_rows = _fiber_blocks(g, spec.base_dim)
     n, nb = spec.total_dim, spec.base_dim
     selector = np.zeros((n, spec.fiber_dim))
@@ -170,7 +179,7 @@ def horizontal_lift_at(spec: SubmersionSpec, base_vector, point) -> np.ndarray:
     bv = np.asarray(base_vector, dtype=float)
     if bv.shape != (spec.base_dim,):
         raise ValueError(f"base vector of shape {bv.shape}, expected ({spec.base_dim},)")
-    g = spec.total.metric.matrix(point)
+    g = spec.total.metric.value(point)
     gvv, _ = _fiber_blocks(g, spec.base_dim)
     _check_conditioning(gvv)
     nb = spec.base_dim
@@ -271,7 +280,7 @@ class StructureImageField:
         self.dim = base.dim
 
     def vector(self, point) -> np.ndarray:
-        return self._structure.matrix(point) @ self._base.vector(point)
+        return self._structure.value(point) @ self._base.vector(point)
 
     def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
         m, dm = self._structure.jet(point)
@@ -285,7 +294,7 @@ class StructureImageField:
 def covariant_derivative_field(connection, direction, field_arg, point) -> np.ndarray:
     """(∇_X Y)^k = X^i ∂_i Y^k + Γ^k_im X^i Y^m for a pointwise direction X."""
     x0 = np.asarray(direction, dtype=float)
-    gamma = connection.coefficients(point)
+    gamma = connection.value(point)
     values, jac = field_arg.jet(point)
     return x0 @ jac + np.einsum("kim,i,m->k", gamma, x0, values)
 
@@ -311,16 +320,11 @@ class OneillTensors:
     a_star: np.ndarray
 
 
-def oneill_tensors_at(spec: SubmersionSpec, e_field, f_field, point,
-                      dual_connection=None) -> OneillTensors:
+def oneill_tensors_at(spec: SubmersionSpec, e_field, f_field, point) -> OneillTensors:
     """T(E,F) = h ∇_{vE} vF + v ∇_{vE} hF and A(E,F) = v ∇_{hE} hF + h ∇_{hE} vF.
 
-    The starred pair replaces the connection by its conjugate; passing an
-    explicit ``dual_connection`` overrides that (used to demonstrate that the
-    duality pairings fail for anything other than the true conjugate).
+    The starred pair replaces the connection by the total space's conjugate.
     """
-    connection = spec.total.resolved_connection
-    dual = spec.total.conjugate if dual_connection is None else dual_connection
     v, h = projectors_at(spec, point)
     e0 = e_field.vector(point)
     ve, he = v @ e0, h @ e0
@@ -334,8 +338,8 @@ def oneill_tensors_at(spec: SubmersionSpec, e_field, f_field, point,
             + h @ covariant_derivative_field(conn, he, vf, point)
         return t, a
 
-    t, a = tensors(connection)
-    t_star, a_star = tensors(dual)
+    t, a = tensors(spec.total.resolved_connection)
+    t_star, a_star = tensors(spec.total.conjugate)
     return OneillTensors(t=t, a=a, t_star=t_star, a_star=a_star)
 
 
@@ -347,7 +351,8 @@ class OneillArrays:
     ``T(∂_i, ∂_j)^k``, and likewise ``a``, ``t_star`` and ``a_star``;
     ``L[p, k, a]`` is the basic lift of the base field ``∂_a`` with Jacobian
     ``dL[p, i, k, a] = ∂_i L^k_a``; ``gamma`` holds the coefficients of the
-    total connection the unstarred tensors use.
+    total connection the unstarred tensors use.  Every array but ``points``
+    is read-only, a part of the splitting's store.
     """
 
     points: np.ndarray
@@ -386,36 +391,52 @@ def _split_tensors(v, h, dv, gamma):
     return t, a
 
 
-def oneill_arrays(spec: SubmersionSpec, points, dual_connection=None) -> OneillArrays:
-    """T, A, T*, A*, projectors and basic lifts at every point, as whole coordinate arrays.
+class OneillSplitting(PointJets):
+    """The vertical/horizontal splitting of a total space with T, A, T*, A*, per batch of points.
 
-    The starred tensors use the conjugate of the total connection, or
-    ``dual_connection`` when one is given.  Raises :class:`SubmersionError`
-    when a fiber block is degenerate or too ill-conditioned for the lifts.
+    A batch holds the arrays of :class:`OneillArrays` after ``points``, and
+    has no value-only form.  The splitting holds the total space's metric,
+    ∇ and ∇* (``conjugate``) and the base dimension, never the submersion.
+    A degenerate or ill-conditioned fiber block raises
+    :class:`SubmersionError` before any connection is evaluated.
+    """
+
+    def __init__(self, metric, connection, conjugate, base_dim: int):
+        self._metric = metric
+        self._connection = connection
+        self._conjugate = conjugate
+        self._base_dim = base_dim
+
+    def _batch_jets(self, pts, full):
+        g, dg, _ = self._metric.jets(pts)
+        nb = self._base_dim
+        gvv, gv_rows = _fiber_blocks(g, nb)
+        _check_conditioning(gvv)
+        gamma = self._connection.values(pts)
+        gamma_star = self._conjugate.values(pts)
+
+        gvv_inv = np.linalg.inv(gvv)
+        s = gvv_inv @ gv_rows  # fiber components of the vertical projection
+        ds = gvv_inv[:, None] @ (dg[:, :, nb:, :] - dg[:, :, nb:, nb:] @ s[:, None])
+        v = np.zeros_like(g)
+        v[:, nb:, :] = s
+        dv = np.zeros_like(dg)
+        dv[:, :, nb:, :] = ds
+        h = np.eye(g.shape[-1]) - v
+
+        t, a = _split_tensors(v, h, dv, gamma)
+        t_star, a_star = _split_tensors(v, h, dv, gamma_star)
+        return g, gamma, v, h, h[:, :, :nb], -dv[:, :, :, :nb], t, a, t_star, a_star
+
+
+def oneill_arrays(spec: SubmersionSpec, points) -> OneillArrays:
+    """T, A, T*, A*, projectors and basic lifts at every point, read from ``spec.splitting``.
+
+    Raises :class:`SubmersionError` when a fiber block is degenerate or too
+    ill-conditioned for the lifts.
     """
     pts = _as_points(points)
-    dual = spec.total.conjugate if dual_connection is None else dual_connection
-    g, dg, _ = spec.total.metric.jets(pts)
-    gvv, gv_rows = _fiber_blocks(g, spec.base_dim)
-    _check_conditioning(gvv)
-    gamma = spec.total.resolved_connection.values(pts)
-    gamma_star = dual.values(pts)
-
-    nb, n = spec.base_dim, spec.total_dim
-    gvv_inv = np.linalg.inv(gvv)
-    s = gvv_inv @ gv_rows  # fiber components of the vertical projection
-    ds = gvv_inv[:, None] @ (dg[:, :, nb:, :] - dg[:, :, nb:, nb:] @ s[:, None])
-    v = np.zeros_like(g)
-    v[:, nb:, :] = s
-    dv = np.zeros_like(dg)
-    dv[:, :, nb:, :] = ds
-    h = np.eye(n) - v
-
-    t, a = _split_tensors(v, h, dv, gamma)
-    t_star, a_star = _split_tensors(v, h, dv, gamma_star)
-    return OneillArrays(points=pts, g=g, gamma=gamma, v=v, h=h,
-                        L=h[:, :, :nb], dL=-dv[:, :, :, :nb],
-                        t=t, a=a, t_star=t_star, a_star=a_star)
+    return OneillArrays(pts, *spec.splitting.jets(pts))
 
 
 def _pair_lifts(tensor: np.ndarray, lifts: np.ndarray) -> np.ndarray:
@@ -446,23 +467,16 @@ def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEF
                           scale_of(total_products, base_metric), points, tol)
 
 
-def _require_connections(spec: SubmersionSpec) -> None:
+def check_statistical_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+    """dπ(h ∇_X Y) matches ∇'_{X'} Y' for basic lifts of base coordinate fields."""
     if spec.total.connection is None or spec.base.connection is None:
         raise SubmersionError("statistical-submersion check needs connections on both sides")
-
-
-def _statistical_submersion(spec: SubmersionSpec, arrays: OneillArrays, tol: float) -> CheckResult:
+    arrays = oneill_arrays(spec, pts)
     nb = spec.base_dim
     nabla = _covariant_derivatives(arrays.gamma, arrays.L, arrays.L, arrays.dL)
     total_side = np.einsum("pkl,plab->pkab", arrays.h, nabla)[:, :nb]
     base_gamma = spec.base.connection.values(arrays.points[:, :nb])
     return residual_check(max_abs(total_side - base_gamma), scale_of(base_gamma), arrays.points, tol)
-
-
-def check_statistical_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
-    """dπ(h ∇_X Y) matches ∇'_{X'} Y' for basic lifts of base coordinate fields."""
-    _require_connections(spec)
-    return _statistical_submersion(spec, oneill_arrays(spec, pts), tol)
 
 
 def check_para_holomorphic(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -477,14 +491,11 @@ def check_para_holomorphic(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLER
     return residual_check(raw, scale_of(m, m_base), points, tol)
 
 
-def _isometric_fibers(spec: SubmersionSpec, arrays: OneillArrays, tol: float) -> CheckResult:
-    nb = spec.base_dim
-    return residual_check(max_abs(arrays.t[:, :, nb:, nb:]), scale_of(arrays.gamma), arrays.points, tol)
-
-
 def isometric_fibers_residual(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """max |T(U, V)| over vertical coordinate fields; zero means isometric fibers."""
-    return _isometric_fibers(spec, oneill_arrays(spec, pts), tol)
+    arrays = oneill_arrays(spec, pts)
+    nb = spec.base_dim
+    return residual_check(max_abs(arrays.t[:, :, nb:, nb:]), scale_of(arrays.gamma), arrays.points, tol)
 
 
 def _lift_brackets(arrays: OneillArrays) -> np.ndarray:
@@ -494,9 +505,7 @@ def _lift_brackets(arrays: OneillArrays) -> np.ndarray:
     return np.einsum("pkl,plab->pkab", arrays.v, flow - flow.transpose(0, 1, 3, 2))
 
 
-def check_fundamental_tensor_identities(
-    spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE, dual_connection=None
-) -> CheckResult:
+def check_fundamental_tensor_identities(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Structural identities of T, A and their duals over frames and basic lifts.
 
     Verifies symmetry of T on vertical pairs, the alternation of A against
@@ -506,7 +515,7 @@ def check_fundamental_tensor_identities(
     well since the splitting decompositions hold by construction through it.
     The raw residual at each point is the worst item at that point.
     """
-    arrays = oneill_arrays(spec, pts, dual_connection)
+    arrays = oneill_arrays(spec, pts)
     nb = spec.base_dim
     g, v, h, lifts = arrays.g, arrays.v, arrays.h, arrays.L
     t_vv = arrays.t[:, :, nb:, nb:]
@@ -707,9 +716,7 @@ def verify_submersion_theorems(
                                        max(fiber_statistical.residual, fiber_almost.residual))
 
     total_cert = check_para_kahler_like(spec.total, points, tol)
-    _require_connections(spec)
-    arrays = oneill_arrays(spec, points)
-    statistical_sub = _statistical_submersion(spec, arrays, tol)
+    statistical_sub = check_statistical_submersion(spec, points, tol)
     holomorphic = check_para_holomorphic(spec, points, tol)
     if total_cert.passed and statistical_sub.passed and holomorphic.passed:
         base_points = points[:, :spec.base_dim]
@@ -723,6 +730,7 @@ def verify_submersion_theorems(
         items["base_and_fiber_certified"] = not_applicable(
             "total space is not a certified para-product statistical submersion")
 
+    arrays = oneill_arrays(spec, points)
     nb = spec.base_dim
     structure = spec.total.product.values(points)
     vertical_images = structure[:, :, nb:]
@@ -756,7 +764,7 @@ def verify_submersion_theorems(
         items["horizontal_integrability"] = not_applicable(
             f"fiber structure is not self-adjoint (gap {parity_gap:.3e})")
 
-    isometric = _isometric_fibers(spec, arrays, tol)
+    isometric = isometric_fibers_residual(spec, points, tol)
     space_constant = fit_space_form_constant(spec.total, points)
     space_form = check_space_form(spec.total, space_constant, points, tol)
     if space_form.passed and isometric.passed and min_rank == spec.fiber_dim:

@@ -66,13 +66,13 @@ def fd_metric_gradient(metric, point, h=1e-5):
     for k in range(n):
         e = np.zeros(n)
         e[k] = h
-        out[k] = (metric.matrix(p + e) - metric.matrix(p - e)) / (2.0 * h)
+        out[k] = (metric.value(p + e) - metric.value(p - e)) / (2.0 * h)
     return out
 
 
 def fd_levi_civita(metric, point, h=1e-5):
     """Christoffel coefficients rebuilt from finite-difference metric derivatives."""
-    g = metric.matrix(point)
+    g = metric.value(point)
     dg = fd_metric_gradient(metric, point, h)
     ginv = np.linalg.inv(g)
     a = np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg
@@ -83,18 +83,18 @@ def fd_connection_jet(connection, point, h=1e-5):
     """dgamma[l,k,i,j] = ∂_l Γ^k_ij by central differences of the coefficients."""
     p = np.asarray(point, dtype=float)
     n = connection.dim
-    gamma = connection.coefficients(p)
+    gamma = connection.value(p)
     out = np.empty((n,) + gamma.shape)
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        out[i] = (connection.coefficients(p + e) - connection.coefficients(p - e)) / (2.0 * h)
+        out[i] = (connection.value(p + e) - connection.value(p - e)) / (2.0 * h)
     return out
 
 
 def fd_curvature(connection, point, h=1e-5):
     """Curvature with ∂Γ replaced by the finite-difference jet."""
-    gamma = connection.coefficients(point)
+    gamma = connection.value(point)
     return curvature_tensor(gamma, fd_connection_jet(connection, point, h))
 
 

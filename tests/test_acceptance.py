@@ -108,7 +108,7 @@ def test_criterion_1_flat_certification():
                     expected[2 * i + 1, 2 * i] = k
                 adjoint = adjoint_structure(m.metric, m.product)
                 for p in pts[:5]:
-                    if np.max(np.abs(adjoint.matrix(p) - expected)) > 1e-12:
+                    if np.max(np.abs(adjoint.value(p) - expected)) > 1e-12:
                         failures.append(f"{tag}: adjoint coefficients")
                         break
                 if max(np.max(np.abs(curvature_at(m.connection, p).components))
@@ -149,13 +149,13 @@ def test_criterion_2_curved_certification():
             expected[1, 0, 0] = -2.0 * k * k / (l * (k + l) * y)
             expected[1, 1, 1] = -2.0 * l / ((k + l) * y)
             expected[0, 0, 1] = expected[0, 1, 0] = -2.0 * l / ((k + l) * y)
-            worst = max(worst, float(np.max(np.abs(star.coefficients(p) - expected))))
+            worst = max(worst, float(np.max(np.abs(star.value(p) - expected))))
         if worst > 1e-9:
             failures.append(f"{tag}: conjugate coefficients {worst:.2e}")
         adjoint = adjoint_structure(m.metric, m.product)
         expected = np.array([[0.0, l / k], [k / l, 0.0]])
         for p in pts[:5]:
-            if np.max(np.abs(adjoint.matrix(p) - expected)) > 1e-12:
+            if np.max(np.abs(adjoint.value(p) - expected)) > 1e-12:
                 failures.append(f"{tag}: adjoint coefficients")
                 break
     _report(2, "curved statistical certification", failures)
@@ -177,12 +177,12 @@ def test_criterion_3_duality_suite():
         star = conjugate_connection(metric, connection)
         double = conjugate_connection(metric, star)
         mid = levi_civita(metric)
-        involution = max(float(np.max(np.abs(double.coefficients(p) - connection.coefficients(p))))
+        involution = max(float(np.max(np.abs(double.value(p) - connection.value(p))))
                          for p in pts)
         if involution > 1e-10:
             failures.append(f"{name}: involution {involution:.2e}")
         average = max(float(np.max(np.abs(
-            connection.coefficients(p) + star.coefficients(p) - 2.0 * mid.coefficients(p))))
+            connection.value(p) + star.value(p) - 2.0 * mid.value(p))))
             for p in pts)
         if average > 1e-9:
             failures.append(f"{name}: metric-connection average {average:.2e}")
@@ -215,13 +215,13 @@ def test_criterion_4_alpha_connection_suite():
                 failures.append(f"{tag}: statistical structure")
             star = conjugate_connection(metric, connection)
             mirror = AlphaConnection(metric, -alpha)
-            duality = max(float(np.max(np.abs(star.coefficients(p) - mirror.coefficients(p))))
+            duality = max(float(np.max(np.abs(star.value(p) - mirror.value(p))))
                           for p in pts)
             if duality > 1e-9:
                 failures.append(f"{tag}: conjugate duality {duality:.2e}")
         mid = levi_civita(metric)
         zero = AlphaConnection(metric, 0.0)
-        match = max(float(np.max(np.abs(zero.coefficients(p) - mid.coefficients(p))))
+        match = max(float(np.max(np.abs(zero.value(p) - mid.value(p))))
                     for p in pts)
         if match > 1e-9:
             failures.append(f"{name}: zero-alpha metric connection {match:.2e}")
@@ -320,16 +320,16 @@ def test_criterion_7_oracle_agreement():
                     if fd_check(metric.component(i, j), p).residual > 1e-5:
                         failures.append(f"{name}: metric Hessian at {p.tolist()}")
             mid = levi_civita(metric)
-            if relative_deviation(mid.coefficients(p), fd_levi_civita(metric, p)) > 1e-5:
+            if relative_deviation(mid.value(p), fd_levi_civita(metric, p)) > 1e-5:
                 failures.append(f"{name}: metric connection vs oracle")
-            gamma, dgamma = connection.coefficients_jet(p)
+            gamma, dgamma = connection.jet(p)
             if relative_deviation(dgamma, fd_connection_jet(connection, p)) > 1e-5:
                 failures.append(f"{name}: coefficient jet vs oracle")
             exact = curvature_at(connection, p).components
             if relative_deviation(exact, fd_curvature(connection, p)) > 1e-5:
                 failures.append(f"{name}: curvature vs oracle")
             star = conjugate_connection(metric, connection)
-            if relative_deviation(star.coefficients_jet(p)[1],
+            if relative_deviation(star.jet(p)[1],
                                   fd_connection_jet(star, p)) > 1e-5:
                 failures.append(f"{name}: conjugate jet vs oracle")
     _report(7, "finite-difference oracle agreement", failures)

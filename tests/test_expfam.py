@@ -41,37 +41,37 @@ class TestBuiltinModels:
     def test_poisson_values(self):
         model = builtin_model("poisson")
         assert eval_value(model.psi, [0.0]) == 1.0
-        assert fisher_metric(model).matrix([0.0])[0, 0] == 1.0
+        assert fisher_metric(model).value([0.0])[0, 0] == 1.0
 
     def test_binary_multinomial_values(self):
         model = builtin_model("multinomial", categories=2, trials=1)
         assert eval_value(model.psi, [0.0]) == pytest.approx(math.log(2.0), rel=1e-15)
         # logistic second derivative: e^0 / (1 + e^0)² = 1/4
-        assert fisher_metric(model).matrix([0.0])[0, 0] == pytest.approx(0.25, rel=1e-14)
+        assert fisher_metric(model).value([0.0])[0, 0] == pytest.approx(0.25, rel=1e-14)
 
     def test_dirichlet_metric_formula(self):
         """g_ij = δ_ij trigamma(ξ_i) − trigamma(Σξ); at (1, 1) the recurrence
         trigamma(1) − trigamma(2) = 1 pins the diagonal."""
         model = builtin_model("dirichlet", dim=2)
-        g = fisher_metric(model).matrix([1.0, 1.0])
+        g = fisher_metric(model).value([1.0, 1.0])
         assert g[0, 0] == pytest.approx(1.0, abs=1e-12)
         for p in sample_points(model.chart, 10):
             expected = np.diag([trigamma(p[0]), trigamma(p[1])]) - trigamma(p[0] + p[1])
-            np.testing.assert_allclose(fisher_metric(model).matrix(p), expected, atol=1e-11)
+            np.testing.assert_allclose(fisher_metric(model).value(p), expected, atol=1e-11)
 
     def test_normal_metric_against_fd(self):
         model = builtin_model("normal")
         for p in sample_points(model.chart, 10):
             assert fd_check(model.psi, p).residual <= 1e-6
         # at (0, −1/2), i.e. unit variance centered: g11 = −1/(2 ξ²) = 1
-        g = fisher_metric(model).matrix([0.0, -0.5])
+        g = fisher_metric(model).value([0.0, -0.5])
         assert g[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_metric_is_psi_hessian(self):
         for model in _models():
             metric = fisher_metric(model)
             for p in sample_points(model.chart, 5):
-                np.testing.assert_allclose(metric.matrix(p), eval2(model.psi, p).hess,
+                np.testing.assert_allclose(metric.value(p), eval2(model.psi, p).hess,
                                            rtol=1e-12, atol=1e-12)
 
     def test_fisher_metric_built_once_per_model_run(self, monkeypatch):
@@ -108,7 +108,7 @@ class TestAlphaConnections:
         for model in _models():
             connection = alpha_connection(model, 1.0)
             p = sample_points(model.chart, 1)[0]
-            np.testing.assert_array_equal(connection.coefficients(p),
+            np.testing.assert_array_equal(connection.value(p),
                                           np.zeros((model.dim,) * 3))
 
     def test_zero_alpha_is_levi_civita(self):
@@ -117,13 +117,13 @@ class TestAlphaConnections:
             zero = AlphaConnection(metric, 0.0)
             mid = levi_civita(metric)
             for p in sample_points(model.chart, 10):
-                defect = zero.coefficients(p) - mid.coefficients(p)
+                defect = zero.value(p) - mid.value(p)
                 assert np.max(np.abs(defect)) <= 1e-9
 
     def test_poisson_mixture_coefficient(self):
         # Γ¹₁₁ = (1 − (−1))/2 · ψ'''/ψ'' = e^ξ/e^ξ = 1
         connection = alpha_connection(builtin_model("poisson"), -1.0)
-        assert connection.coefficients([0.37])[0, 0, 0] == pytest.approx(1.0, rel=1e-13)
+        assert connection.value([0.37])[0, 0, 0] == pytest.approx(1.0, rel=1e-13)
 
     def test_statistical_structure_and_duality(self):
         for model in _models():
@@ -136,7 +136,7 @@ class TestAlphaConnections:
                 dual = conjugate_connection(metric, connection)
                 mirror = AlphaConnection(metric, -alpha)
                 for p in pts:
-                    defect = dual.coefficients(p) - mirror.coefficients(p)
+                    defect = dual.value(p) - mirror.value(p)
                     assert np.max(np.abs(defect)) <= 1e-9, (model.name, alpha)
 
     def test_exponential_family_is_one_flat(self):
@@ -198,4 +198,4 @@ class TestCompanionStructures:
         constant, twisted = exp_para_structures(model, self.INVOLUTIONS[name])
         adjoint = adjoint_structure(fisher_metric(model), constant)
         for p in sample_points(model.chart, 10):
-            np.testing.assert_allclose(twisted.matrix(p), adjoint.matrix(p), atol=1e-12)
+            np.testing.assert_allclose(twisted.value(p), adjoint.value(p), atol=1e-12)

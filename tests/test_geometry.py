@@ -151,19 +151,19 @@ class TestExpressionField:
     def test_symmetric_grid_reads_the_upper_triangle(self):
         g = MetricField([[_xy("1"), _xy("x*y")], [_xy("7"), _xy("2")]])
         assert g.component(1, 0) is g.component(0, 1)
-        np.testing.assert_array_equal(g.matrix([2.0, 3.0]), [[1.0, 6.0], [6.0, 2.0]])
+        np.testing.assert_array_equal(g.value([2.0, 3.0]), [[1.0, 6.0], [6.0, 2.0]])
 
 
 class TestLeviCivita:
     def test_constant_metric_is_flat(self):
         m = flat_manifold(pairs=2, k=-3.0, epsilons=(1.0, -1.0))
-        gamma = levi_civita(m.metric).coefficients(sample_points(m.chart, 1)[0])
+        gamma = levi_civita(m.metric).value(sample_points(m.chart, 1)[0])
         np.testing.assert_array_equal(gamma, np.zeros((4, 4, 4)))
 
     def test_one_dimensional_inverse_square(self):
         # g = 1/y² has Christoffel coefficient −1/y
         g = MetricField.from_strings(("y",), [["1/(y*y)"]])
-        gamma = levi_civita(g).coefficients([2.0])
+        gamma = levi_civita(g).value([2.0])
         assert gamma[0, 0, 0] == pytest.approx(-0.5, rel=1e-14)
 
     def test_average_of_dual_pair(self):
@@ -172,7 +172,7 @@ class TestLeviCivita:
         dual = conjugate_connection(m.metric, m.connection)
         mid = levi_civita(m.metric)
         for p in sample_points(m.chart, 25):
-            defect = m.connection.coefficients(p) + dual.coefficients(p) - 2.0 * mid.coefficients(p)
+            defect = m.connection.value(p) + dual.value(p) - 2.0 * mid.value(p)
             assert np.max(np.abs(defect)) <= 1e-9
 
     def test_self_dual(self):
@@ -180,7 +180,7 @@ class TestLeviCivita:
         mid = levi_civita(m.metric)
         star = conjugate_connection(m.metric, mid)
         for p in sample_points(m.chart, 10):
-            np.testing.assert_allclose(star.coefficients(p), mid.coefficients(p), atol=1e-12)
+            np.testing.assert_allclose(star.value(p), mid.value(p), atol=1e-12)
 
 
 class TestConjugateConnection:
@@ -188,20 +188,20 @@ class TestConjugateConnection:
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
         star = conjugate_connection(m.metric, m.connection)
         for p in sample_points(m.chart, 10):
-            np.testing.assert_array_equal(star.coefficients(p), np.zeros((2, 2, 2)))
+            np.testing.assert_array_equal(star.value(p), np.zeros((2, 2, 2)))
 
     def test_curved_coefficient_value(self):
         # Γ*^y_xx = −2k²/(l(k+l)y) = −1/3 at k=1, l=2, y=1
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
         star = conjugate_connection(m.metric, m.connection)
-        assert star.coefficients([0.0, 1.0])[1, 0, 0] == pytest.approx(-1.0 / 3.0, rel=1e-13)
+        assert star.value([0.0, 1.0])[1, 0, 0] == pytest.approx(-1.0 / 3.0, rel=1e-13)
 
     def test_involution(self):
         for kl in [(1.0, 1.0), (1.0, 2.0), (2.0, -1.0)]:
             m = curved_manifold(pairs=1, k=kl[0], l=kl[1], epsilons=(1.0,))
             back = conjugate_connection(m.metric, conjugate_connection(m.metric, m.connection))
             for p in sample_points(m.chart, 10):
-                defect = back.coefficients(p) - m.connection.coefficients(p)
+                defect = back.value(p) - m.connection.value(p)
                 assert np.max(np.abs(defect)) <= 1e-10
 
 
@@ -321,7 +321,7 @@ class TestCurvature:
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
         mid = levi_civita(m.metric)
         for p in sample_points(m.chart, 10):
-            assert relative_deviation(mid.coefficients(p), fd_levi_civita(m.metric, p)) <= 1e-5
+            assert relative_deviation(mid.value(p), fd_levi_civita(m.metric, p)) <= 1e-5
 
 
 class TestStatisticalCurvature:
@@ -347,7 +347,7 @@ class TestStatisticalCurvature:
                 assert (s == -np.einsum("lijk->ljik", s)).all()
                 cyclic = s + np.einsum("ljki->lijk", s) + np.einsum("lkij->lijk", s)
                 assert np.max(np.abs(cyclic)) <= 1e-8
-                g = m.metric.matrix(p)
+                g = m.metric.value(p)
                 s_cov = np.einsum("lm,mijk->ijkl", g, s)
                 skew = s_cov + np.einsum("ijlk->ijkl", s_cov)
                 assert np.max(np.abs(skew)) <= 1e-8
@@ -499,7 +499,7 @@ class TestDuality:
         star = conjugate_connection(m.metric, m.connection)
         for p in sample_points(m.chart, 25):
             g, dg, _ = m.metric.jet(p)
-            gamma = m.connection.coefficients(p)
+            gamma = m.connection.value(p)
             kdiff = difference_tensor_at(m.connection, star, p)
             lhs = 2.0 * np.einsum("mij,mk->ijk", gamma, g)
             rhs = (np.einsum("mij,mk->ijk", kdiff, g)
@@ -537,11 +537,6 @@ _DERIVED_CASES = [
 ]
 
 
-def _point_jet(field, point):
-    accessor = field.coefficients_jet if hasattr(field, "coefficients_jet") else field.jet
-    return accessor(point)
-
-
 class TestPointJets:
     @pytest.mark.parametrize("label, build, make, chart", _DERIVED_CASES,
                              ids=[case[0] for case in _DERIVED_CASES])
@@ -552,7 +547,7 @@ class TestPointJets:
         batch = field.jets(points)
         single = make(build())  # fresh bases, so every row is computed alone
         for row, point in enumerate(points):
-            for part, reference in zip(batch, _point_jet(single, point)):
+            for part, reference in zip(batch, single.jet(point)):
                 assert np.array_equal(part[row], reference)
         values_only = make(build())
         assert np.array_equal(values_only.values(points), batch[0])

@@ -219,6 +219,25 @@ class TestManifestRobustness:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("where", ["chart", "base chart", "model"])
+    def test_negative_seed_fails_at_load(self, tmp_path, capsys, where):
+        """A negative seed is refused while loading, not by every check at run time."""
+        if where == "model":
+            data = _model()
+            data["seed"] = -3
+        else:
+            data = submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0))
+            chart = data["chart"] if where == "chart" else data["submersion"]["base"]["chart"]
+            chart["seed"] = -3
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ManifestError, match="seed must be a non-negative integer, got -3"):
+            load_manifest(path)
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_manifest_exits_two_without_traceback(self, tmp_path, capsys, case):
         path = tmp_path / "manifest.json"
@@ -365,24 +384,46 @@ class TestDerivedFieldOwnership:
         monkeypatch.setattr(cls, "__init__", record)
         return built
 
-    @pytest.mark.parametrize("data, max_conjugates, fibers", [
+    @pytest.mark.parametrize("data, max_conjugates, submersions", [
         (curved_product_manifest(2, 1.0, 2.0, [1.0, 1.0], seed=3, checks=CURVATURE_CHECKS), 2, 0),
         (submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5), 1, 1),
     ], ids=["curvature", "submersion"])
-    def test_one_build_per_run_and_none_outlives_it(self, monkeypatch, data, max_conjugates, fibers):
-        """∇* once (and ∇** for the involution check), one fiber; all freed without the cyclic GC."""
+    def test_one_build_per_run_and_none_outlives_it(self, monkeypatch, data, max_conjugates,
+                                                    submersions):
+        """∇* once (and ∇** for the involution check), one fiber and one splitting per
+        submersion; all freed without the cyclic GC."""
         manifest = parse_manifest(data, known_checks=set(CHECKS))
         conjugates = self._record_builds(monkeypatch, geometry.ConjugateConnection)
         fiber_connections = self._record_builds(monkeypatch, submersion.FiberConnection)
+        splittings = self._record_builds(monkeypatch, submersion.OneillSplitting)
         gc.disable()
         try:
             report = run_suite(manifest, points=10)
             assert all(check.status != STATUS_ERROR for check in report.checks)
             assert 1 <= len(conjugates) <= max_conjugates
-            assert len(fiber_connections) == fibers
-            assert all(ref() is None for ref in conjugates + fiber_connections)
+            assert len(fiber_connections) == submersions
+            assert len(splittings) == submersions
+            assert all(ref() is None for ref in conjugates + fiber_connections + splittings)
         finally:
             gc.enable()
+
+    def test_one_splitting_batch_per_run(self, monkeypatch):
+        """The four checks that contract O'Neill tensors read one batch: T, A, T*, A* are built once."""
+        manifest = parse_manifest(submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5),
+                                  known_checks=set(CHECKS))
+        readers = {"statistical_submersion", "isometric_fibers", "oneill_identities",
+                   "submersion_theorems"}
+        assert readers <= set(manifest.checks)
+        split_tensors, pairs = submersion._split_tensors, []
+
+        def record(*args):
+            pairs.append(args)
+            return split_tensors(*args)
+
+        monkeypatch.setattr(submersion, "_split_tensors", record)
+        report = run_suite(manifest, points=10)
+        assert all(check.status != STATUS_ERROR for check in report.checks)
+        assert len(pairs) == 2  # (T, A) for ∇ and (T*, A*) for ∇*
 
     def test_derived_fields_do_not_refer_to_their_owner(self):
         ctx = build_context(parse_manifest(submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5)))
@@ -390,7 +431,10 @@ class TestDerivedFieldOwnership:
         for name in ("dual_curvature_identity", "fiber_para_kahler_like", "submersion_theorems"):
             assert all(outcome.status != STATUS_ERROR for outcome in CHECKS[name](ctx, pts, 1e-8))
         refs = [weakref.ref(ctx.manifold), weakref.ref(ctx.submersion),
-                weakref.ref(ctx.manifold.conjugate), weakref.ref(ctx.submersion.fiber.connection)]
+                weakref.ref(ctx.manifold.conjugate), weakref.ref(ctx.submersion.fiber.connection),
+                weakref.ref(ctx.submersion.splitting)]
+        assert not any(isinstance(value, (submersion.SubmersionSpec, geometry.ManifoldSpec))
+                       for value in vars(ctx.submersion.splitting).values())
         gc.disable()
         try:
             del ctx
@@ -547,6 +591,21 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "argument --tol: must be a finite positive number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option, value, rule", [
+        ("--seed", "-1", "non-negative"), ("--seed", "-7", "non-negative"),
+        ("--points", "0", "positive"), ("--points", "-3", "positive"),
+    ])
+    def test_out_of_range_seed_or_points_exits_two(self, option, value, rule, capsys):
+        """--seed and --points follow the manifest rules: a non-negative seed, a positive count."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "example_5_2_n1", option, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"statgeom verify: error: argument {option}: "
+                          f"must be a {rule} integer, got {value!r}"]
         assert "Traceback" not in err
 
     def test_unexpected_error_exits_two(self, monkeypatch, capsys):

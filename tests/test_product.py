@@ -36,14 +36,14 @@ class TestAdjointStructure:
         """P*(∂x) = k ∂y and P*(∂y) = (1/k) ∂x on the flat pair fixture."""
         for k in (1.0, 2.0, -3.0):
             m = flat_manifold(pairs=1, k=k, epsilons=(1.0,))
-            star = adjoint_structure(m.metric, m.product).matrix([0.1, 0.2])
+            star = adjoint_structure(m.metric, m.product).value([0.1, 0.2])
             expected = np.array([[0.0, 1.0 / k], [k, 0.0]])
             np.testing.assert_allclose(star, expected, atol=1e-13)
 
     def test_curved_fixture_coefficients(self):
         """P*(∂x) = (k/l) ∂y and P*(∂y) = (l/k) ∂x on the curved fixture."""
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        star = adjoint_structure(m.metric, m.product).matrix([0.3, 1.4])
+        star = adjoint_structure(m.metric, m.product).value([0.3, 1.4])
         np.testing.assert_allclose(star, [[0.0, 2.0], [0.5, 0.0]], atol=1e-13)
 
     def test_self_adjoint_para_hermitian_case(self):
@@ -51,20 +51,20 @@ class TestAdjointStructure:
         and is its own negative adjoint."""
         m = flat_manifold(pairs=1, k=1.0, epsilons=(1.0,))
         p = sample_points(m.chart, 1)[0]
-        star = adjoint_structure(m.metric, m.product).matrix(p)
-        np.testing.assert_allclose(star, m.product.matrix(p), atol=1e-15)
+        star = adjoint_structure(m.metric, m.product).value(p)
+        np.testing.assert_allclose(star, m.product.value(p), atol=1e-15)
 
     def test_involution(self):
         for m in (flat_manifold(pairs=2, k=-3.0, epsilons=(1.0, -1.0)),
                   curved_manifold(pairs=1, k=2.0, l=-1.0, epsilons=(1.0,))):
             double = adjoint_structure(m.metric, adjoint_structure(m.metric, m.product))
             for p in sample_points(m.chart, 10):
-                defect = double.matrix(p) - m.product.matrix(p)
+                defect = double.value(p) - m.product.value(p)
                 assert np.max(np.abs(defect)) <= 1e-10
 
     def test_swap_structure_trace_zero(self):
         m = flat_manifold(pairs=2, k=2.0, epsilons=(1.0, 1.0))
-        assert np.trace(m.product.matrix(sample_points(m.chart, 1)[0])) == 0.0
+        assert np.trace(m.product.value(sample_points(m.chart, 1)[0])) == 0.0
 
 
 class TestAlmostProduct:
@@ -151,7 +151,7 @@ class TestCertification:
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, 1.0))
         for p in sample_points(m.chart, 10):
             r = curvature_at(m.connection, p).components
-            mat = m.product.matrix(p)
+            mat = m.product.value(p)
             left = np.einsum("lijm,mk->lijk", r, mat)
             right = np.einsum("lm,mijk->lijk", mat, r)
             assert np.max(np.abs(left - right)) <= 1e-8

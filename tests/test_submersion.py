@@ -16,6 +16,7 @@ from statgeom.geometry import (
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
     ExpressionConnection,
+    PointJets,
     conjugate_connection,
     curvature_at,
     sample_points,
@@ -107,7 +108,7 @@ class TestProjectors:
             assert abs(v[1, 0] + 0.2) <= 1e-14  # not a coordinate projector
             assert np.max(np.abs(v @ v - v)) <= 1e-12
             assert np.max(np.abs(v @ h)) <= 1e-12
-            g = spec.total.metric.matrix(p)
+            g = spec.total.metric.value(p)
             assert np.max(np.abs(h.T @ g @ v)) <= 1e-12
 
     def test_degenerate_fiber_metric_rejected(self):
@@ -150,8 +151,8 @@ class TestHorizontalLifts:
         spec = curved_submersion(k=1.0, l=2.0)
         assert check_semi_riemannian_submersion(spec, sample_points(spec.total.chart, 25)).passed
         for p in sample_points(spec.total.chart, 5):
-            g = spec.total.metric.matrix(p)
-            base_g = spec.base.metric.matrix(spec.project(p))
+            g = spec.total.metric.value(p)
+            base_g = spec.base.metric.value(spec.project(p))
             for a in range(2):
                 for b in range(2):
                     lift_a = horizontal_lift_at(spec, np.eye(2)[a], p)
@@ -233,7 +234,7 @@ class TestSubmersionChecks:
         spec = curved_submersion(k=1.0, l=2.0)
         for p in sample_points(spec.total.chart, 10):
             v, h = projectors_at(spec, p)
-            m = spec.total.product.matrix(p)
+            m = spec.total.product.value(p)
             assert np.max(np.abs(h @ m @ v)) <= 1e-10
 
 
@@ -314,8 +315,8 @@ class TestFundamentalTensors:
         g(T_U V, X) = −g(V, T*_U X) fails on the warped fixture."""
         spec = warped_submersion()
         pts = sample_points(spec.total.chart, 10)
-        wrong_dual = ExpressionConnection.zero(("b", "u"))
-        result = check_fundamental_tensor_identities(spec, pts, dual_connection=wrong_dual)
+        vars(spec.total)["conjugate"] = ExpressionConnection.zero(("b", "u"))
+        result = check_fundamental_tensor_identities(spec, pts)
         assert not result.passed
         assert result.details["pairing_t"] > 10.0 * result.tolerance
 
@@ -336,7 +337,7 @@ class TestFundamentalTensors:
         spec = curved_submersion(k=1.0, l=2.0)
         verticals = [CoordinateBasisField(4, i) for i in (2, 3)]
         for p in sample_points(spec.total.chart, 5):
-            m = spec.total.product.matrix(p)
+            m = spec.total.product.value(p)
             for u in verticals:
                 for w in verticals:
                     plain = oneill_tensors_at(spec, u, w, p).t
@@ -425,7 +426,7 @@ class TestOneillArraysAgainstFieldPairs:
         spec = curved_submersion(k=1.0, l=2.0)
         p = sample_points(spec.total.chart, 1)[0]
         arrays = oneill_arrays(spec, [p])
-        m = spec.total.product.matrix(p)
+        m = spec.total.product.value(p)
         u, w = 2, 3
         oracle = oneill_tensors_at(
             spec,
@@ -436,18 +437,32 @@ class TestOneillArraysAgainstFieldPairs:
         _assert_matches_oracle(arrays, 0, oracle, lambda arr: arr @ m[:, w] @ m[:, u])
 
     def test_dual_connection_override(self):
+        """A ∇* injected into the total space before first use is the one T* and A* use."""
         spec = warped_submersion()
-        wrong_dual = ExpressionConnection.zero(("b", "u"))
+        vars(spec.total)["conjugate"] = ExpressionConnection.zero(("b", "u"))
         pts = sample_points(spec.total.chart, 3)
-        arrays = oneill_arrays(spec, pts, dual_connection=wrong_dual)
-        default = oneill_arrays(spec, pts)
+        arrays = oneill_arrays(spec, pts)
+        default = oneill_arrays(warped_submersion(), pts)
         assert np.max(np.abs(arrays.t_star - default.t_star)) > 1e-3
         for index, p in enumerate(pts):
             for i in range(2):
                 for j in range(2):
                     oracle = oneill_tensors_at(spec, CoordinateBasisField(2, i),
-                                               CoordinateBasisField(2, j), p, wrong_dual)
+                                               CoordinateBasisField(2, j), p)
                     _assert_matches_oracle(arrays, (index, slice(None), i, j), oracle)
+
+    def test_arrays_are_read_only_and_served_from_the_store(self):
+        spec = curved_submersion(k=1.0, l=2.0)
+        pts = sample_points(spec.total.chart, 4)
+        arrays = oneill_arrays(spec, pts)
+        for field in dataclasses.fields(arrays)[1:]:
+            part = getattr(arrays, field.name)
+            assert not part.flags.writeable, field.name
+            with pytest.raises(ValueError):
+                part[...] = 0.0
+        again = oneill_arrays(spec, pts.copy())
+        assert all(getattr(again, field.name) is getattr(arrays, field.name)
+                   for field in dataclasses.fields(arrays)[1:])
 
     @pytest.mark.parametrize("fiber, match", [(("1e-12", "1e-12"), "degenerate"),
                                               (("1e4", "1e-5"), "ill-conditioned")])
@@ -463,6 +478,17 @@ class TestOneillArraysAgainstFieldPairs:
         })
         with pytest.raises(SubmersionError, match=match):
             oneill_arrays(spec, [np.full(3, 0.5), np.zeros(3)])
+
+        class Unevaluated(PointJets):
+            dim = 3
+
+            def _batch_jets(self, points, full):
+                raise AssertionError("a connection was evaluated before the fiber block check")
+
+        unevaluated = SubmersionSpec(dataclasses.replace(spec.total, connection=Unevaluated()),
+                                     spec.base)
+        with pytest.raises(SubmersionError, match=match):
+            oneill_arrays(unevaluated, [np.full(3, 0.5), np.zeros(3)])
 
 
 class TestInducedFiber:
@@ -480,10 +506,10 @@ class TestInducedFiber:
         fiber = induced_fiber_manifold(spec)
         standalone = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
         for p in sample_points(fiber.chart, 10):
-            np.testing.assert_allclose(fiber.metric.matrix(p), standalone.metric.matrix(p),
+            np.testing.assert_allclose(fiber.metric.value(p), standalone.metric.value(p),
                                        atol=1e-14)
-            np.testing.assert_allclose(fiber.connection.coefficients(p),
-                                       standalone.connection.coefficients(p), atol=1e-12)
+            np.testing.assert_allclose(fiber.connection.value(p),
+                                       standalone.connection.value(p), atol=1e-12)
 
     def test_induced_connections_are_conjugate(self):
         spec = curved_submersion(k=1.0, l=2.0)
@@ -492,14 +518,14 @@ class TestInducedFiber:
         induced_dual = FiberConnection(spec.total.metric, spec.total.conjugate, spec.base.chart.center)
         dual = fiber.conjugate
         for p in sample_points(fiber.chart, 10):
-            defect = dual.coefficients(p) - induced_dual.coefficients(p)
+            defect = dual.value(p) - induced_dual.value(p)
             assert np.max(np.abs(defect)) <= 1e-9
 
     def test_flat_product_fiber_is_flat(self):
         spec = flat_submersion(k=2.0)
         fiber = induced_fiber_manifold(spec)
         for p in sample_points(fiber.chart, 5):
-            assert np.max(np.abs(fiber.connection.coefficients(p))) <= 1e-14
+            assert np.max(np.abs(fiber.connection.value(p))) <= 1e-14
             assert np.max(np.abs(curvature_at(fiber.connection, p).components)) <= 1e-12
 
     def test_pair_crossing_structure_rejected(self):
@@ -571,7 +597,7 @@ class TestTheoremReport:
         expected = max(
             np.max(np.abs(oneill_tensors_at(spec, twisted_u, twisted_u, p).t
                           - oneill_tensors_at(spec, u, u, p).t))
-            / (1.0 + np.max(np.abs(spec.total.product.matrix(p))))
+            / (1.0 + np.max(np.abs(spec.total.product.value(p))))
             for p in pts
         )
         items = verify_submersion_theorems(spec, pts)
