@@ -2,14 +2,17 @@
 
 An expression is parsed once into a small immutable tree; named parameters
 are substituted by their numeric values at parse time, so evaluation never
-touches a symbol table.  Every pass over a tree is one non-recursive walk
-that applies a per-node rule to each distinct node, children first:
-``eval2_points`` propagates (value, gradient, Hessian) triples at many points,
-``eval_points`` the values alone, and ``ScalarField.differentiate`` (for
-higher derivatives), ``freeze_leading_coordinates``, constant exponents and
-``format_expression`` build trees, numbers or text, so any tree the parser
-builds goes through all of them.  ``eval2`` evaluates one point by plain
-recursion, apart from the walk, as the oracle that tests and ``fd_check`` use.
+touches a symbol table.  Every pass over trees is one non-recursive walk
+over one or several roots that keys each node by its structure and applies a
+per-node rule once per distinct subtree, children first:
+``eval_fields`` propagates (value, gradient, Hessian) triples of many fields
+at many points, so a subtree shared by several fields is evaluated once per
+batch, ``eval2_points`` and ``eval_points`` (values alone) are its one-field
+case, and ``ScalarField.differentiate`` (for higher derivatives),
+``freeze_leading_coordinates``, constant exponents and ``format_expression``
+build trees, numbers or text, so any tree the parser builds goes through all
+of them.  ``eval2`` evaluates one point by plain recursion, apart from the
+walk, as the oracle that tests and ``fd_check`` use.
 
 Grammar (``^`` binds tighter than unary minus and associates to the right)::
 
@@ -112,7 +115,7 @@ class ScalarField:
         """Exact partial derivative with respect to coordinate ``index``, as a new field."""
         if not 0 <= index < self.arity:
             raise IndexError(f"coordinate index {index} out of range for arity {self.arity}")
-        return ScalarField(_walk(self.root, _derivative, index), self.arity, self.coord_names)
+        return ScalarField(_result(self.root, _derivative, index), self.arity, self.coord_names)
 
 
 def constant_field(value: float, coords: Sequence[str]) -> ScalarField:
@@ -134,38 +137,81 @@ def _children(node: object) -> tuple:
     return ()
 
 
-def _walk(root: object, rule, *context):
-    """The root's result of ``rule(node, child_results, *context)``, applied children first.
+def _key(node: object, children: tuple) -> tuple:
+    """The structural key of ``node``, given the numbers of its children's keys.
 
-    Each distinct node is visited once, without recursion, and a child's
-    result is dropped after its last parent reads it.
+    Floats enter by their bits (``float.hex``), so 0.0 and -0.0 stay apart.
     """
-    order: list = []  # distinct nodes, children first
-    uses: dict[int, int] = {}  # parent edges into each node
-    seen: set[int] = set()
-    stack = [(root, False)]
+    kind = type(node)
+    if kind is Const:
+        return (kind, float.hex(node.value))
+    if kind is Var:
+        return (kind, node.index)
+    if kind is Power:
+        return (kind, float.hex(node.exponent)) + children
+    if kind is Psi:
+        return (kind, node.order) + children
+    return (kind, node.op) + children
+
+
+def _walk(roots: Sequence, rule, *context):
+    """Yield ``(i, result)`` for each ``roots[i]``, the result of ``rule(node, args, *context)``.
+
+    ``args`` are the children's results.  The rule is applied children
+    first, without recursion, once per distinct subtree among all roots:
+    nodes are keyed by their structure, so equal subtrees share one result
+    whether or not they are one object.  A result is dropped after its last
+    reader, and each root's result is yielded as soon as it is computed,
+    not in root order.
+    """
+    numbers: dict[int, int] = {}  # id(node) -> number of its key; -1 while its children wait
+    by_key: dict[tuple, int] = {}
+    nodes: list = []  # one node per number, children first
+    child_numbers: list[tuple] = []
+    uses: list[int] = []  # parent edges into each number
+    stack = [(root, None) for root in reversed(roots)]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node, children = stack.pop()
+        if children is None:
+            if id(node) not in numbers:
+                numbers[id(node)] = -1
+                children = _children(node)
+                stack.append((node, children))
+                stack.extend((child, None) for child in reversed(children))
             continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for child in reversed(_children(node)):
-            uses[id(child)] = uses.get(id(child), 0) + 1
-            stack.append((child, False))
+        kids = tuple(numbers[id(child)] for child in children)
+        key = _key(node, kids)
+        number = by_key.get(key)
+        if number is None:
+            number = by_key[key] = len(nodes)
+            nodes.append(node)
+            child_numbers.append(kids)
+            uses.append(0)
+            for kid in kids:
+                uses[kid] += 1
+        numbers[id(node)] = number
+    readers: dict[int, list[int]] = {}
+    for i, root in enumerate(roots):
+        readers.setdefault(numbers[id(root)], []).append(i)
     results: dict[int, object] = {}
-    for node in order:
-        children = _children(node)
-        args = [results[id(child)] for child in children]
-        for child in children:
-            uses[id(child)] -= 1
-            if not uses[id(child)]:
-                del results[id(child)]
-        results[id(node)] = rule(node, args, *context)
-    return results[id(root)]
+    for number, node in enumerate(nodes):
+        kids = child_numbers[number]
+        args = [results[kid] for kid in kids]
+        for kid in kids:
+            uses[kid] -= 1
+            if not uses[kid]:
+                del results[kid]
+        result = rule(node, args, *context)
+        for i in readers.get(number, ()):
+            yield i, result
+        if uses[number]:
+            results[number] = result
+
+
+def _result(root: object, rule, *context):
+    """The result of :func:`_walk` at a single root."""
+    [(_, result)] = _walk((root,), rule, *context)
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -330,9 +376,9 @@ def _constant_value(node: object) -> float | None:
 
     An undefined or non-finite value raises :class:`EvaluationError`.
     """
-    if _walk(node, lambda n, has_var: isinstance(n, Var) or any(has_var)):
+    if _result(node, lambda n, has_var: isinstance(n, Var) or any(has_var)):
         return None
-    value = _walk(node, _batch_value, None)
+    value = _result(node, _batch_value, None)
     if not math.isfinite(value):
         raise EvaluationError(f"non-finite value {value}")
     return value
@@ -455,7 +501,7 @@ def freeze_leading_coordinates(field: ScalarField, values: Sequence[float]) -> S
     count = len(frozen)
     if count >= field.arity:
         raise ValueError(f"cannot freeze {count} of {field.arity} coordinates")
-    return ScalarField(_walk(field.root, _frozen, frozen), field.arity - count,
+    return ScalarField(_result(field.root, _frozen, frozen), field.arity - count,
                        field.coord_names[count:])
 
 
@@ -647,7 +693,9 @@ def eval2(field: ScalarField, point: Sequence[float]) -> Dual2:
 # Hessian (n, n) or (P, n, n); both broadcast against the point axis.  Each
 # rule below is the scalar rule above with the absent terms left out, and
 # the transcendental functions run through ``math`` element by element, so
-# every row equals ``eval2`` at that point.
+# every row equals ``eval2`` at that point.  A rule's result depends only on
+# the node's structure and its children's results, so the walk shares one
+# result among equal subtrees of all the fields of a batch, bit for bit.
 
 def _col(value):
     """A value shaped to scale gradients: (P, 1) for an array, as is for a float."""
@@ -683,14 +731,20 @@ def _swap(m):
     return np.swapaxes(m, -1, -2)
 
 
-def _map(func, u):
-    """``func`` applied to a float, or to each entry of a (P,) array."""
+def _map(func, u, overflow: str = "overflow"):
+    """``func`` applied to a float, or to each entry of a (P,) array.
+
+    A math function outside its domain (sin(inf)) raises EvaluationError
+    with its own message; an overflow or a division by zero, with ``overflow``.
+    """
     try:
         if isinstance(u, np.ndarray):
             return np.array([func(x) for x in u.tolist()])
         return func(u)
-    except ValueError as err:  # a math function outside its domain, as sin(inf)
+    except ValueError as err:
         raise EvaluationError(str(err)) from None
+    except (OverflowError, ZeroDivisionError):
+        raise EvaluationError(overflow) from None
 
 
 def _domain(bad, u, message: str) -> None:
@@ -711,10 +765,7 @@ def _batch_pow(u, c: float):
     """``u**c`` for a float or a (P,) array, with the domain checks of ``_pow_value``."""
     if c != round(c):
         _domain(u < 0.0, u, f"negative base {{}} with non-integer exponent {c}")
-    try:
-        return _map(lambda x: x**c, u)
-    except (ZeroDivisionError, OverflowError) as err:
-        raise EvaluationError(f"pow domain failure: exponent {c}") from err
+    return _map(lambda x: x**c, u, f"pow domain failure: exponent {c}")
 
 
 def _batch_unary(op: str, u):
@@ -722,10 +773,7 @@ def _batch_unary(op: str, u):
     if op == "neg":
         return -value, None if u[1] is None else -u[1], None if u[2] is None else -u[2]
     if op == "exp":
-        try:
-            f0 = _map(math.exp, value)
-        except OverflowError as err:
-            raise EvaluationError("exp overflow") from err
+        f0 = _map(math.exp, value, "exp overflow")
         return _batch_chain(u, f0, f0, f0)
     if op == "log":
         _domain(value <= 0.0, value, "log of non-positive value {}")
@@ -745,8 +793,9 @@ def _batch_unary(op: str, u):
         return _batch_chain(u, c, -s, -c)
     if op == "lgamma":
         _domain(value <= 0.0, value, "lgamma of non-positive value {}")
-        return _batch_chain(u, _map(log_gamma, value), _map(lambda x: polygamma(0, x), value),
-                            _map(lambda x: polygamma(1, x), value))
+        return _batch_chain(u, _map(log_gamma, value),
+                            _map(lambda x: polygamma(0, x), value, "lgamma overflow"),
+                            _map(lambda x: polygamma(1, x), value, "lgamma overflow"))
     raise TypeError(f"unknown unary op {op!r}")
 
 
@@ -795,9 +844,9 @@ def _batch_node(node: object, args: list, pts: np.ndarray, unit: np.ndarray):
     if isinstance(node, Psi):
         u, order = args[0][0], node.order
         _domain(u <= 0.0, u, "polygamma of non-positive value {}")
-        return _batch_chain(args[0], _map(lambda x: polygamma(order, x), u),
-                            _map(lambda x: polygamma(order + 1, x), u),
-                            _map(lambda x: polygamma(order + 2, x), u))
+        return _batch_chain(args[0], _map(lambda x: polygamma(order, x), u, "polygamma overflow"),
+                            _map(lambda x: polygamma(order + 1, x), u, "polygamma overflow"),
+                            _map(lambda x: polygamma(order + 2, x), u, "polygamma overflow"))
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
@@ -820,7 +869,7 @@ def _batch_value(node: object, args: list, pts: np.ndarray):
     if isinstance(node, Power):
         return _batch_pow(args[0], node.exponent)
     if isinstance(node, Psi):
-        return _map(functools.partial(_psi_value, node.order), args[0])
+        return _map(functools.partial(_psi_value, node.order), args[0], "polygamma overflow")
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
@@ -841,36 +890,59 @@ def _unit_vectors(n: int) -> np.ndarray:
     return unit
 
 
-def _full_batch(field: ScalarField, pts: np.ndarray):
+def _ignore(i: int, parts: tuple) -> None:
+    pass
+
+
+def eval_fields(fields: Sequence[ScalarField], points, full: bool, emit) -> None:
+    """Call ``emit(i, parts)`` with the batched jets of each ``fields[i]`` at P points.
+
+    ``parts`` is (value, gradient, Hessian), or (value,) when ``full`` is
+    false, in the structured form above: a part is a float or an array that
+    broadcasts against ``(P,)``, ``(P, n)`` or ``(P, n, n)``, or None where it
+    vanishes.  All fields go through one walk, so each distinct subtree
+    among them is evaluated once per batch; a field is emitted as soon as
+    its root is computed, not in field order, and ``emit`` must not modify
+    the parts.  A domain failure raises the :class:`EvaluationError` that
+    the per-field functions below raise for the first failing field in
+    order, naming its first failing point in sample order.
+    """
+    pts = np.asarray(points, dtype=float)
+    for field in fields:
+        if pts.ndim != 2 or pts.shape[1] != field.arity or pts.shape[0] == 0:
+            raise ValueError(f"points of shape {pts.shape} do not match arity {field.arity}")
+    if full:
+        rule, context = _batch_node, (pts, _unit_vectors(pts.shape[1]))
+    else:
+        rule, context = _batch_value, (pts,)
+    try:
+        with np.errstate(all="ignore"):  # a non-finite result is reported below
+            for i, parts in _walk([field.root for field in fields], rule, *context):
+                parts = parts if full else (parts,)
+                if not all(np.isfinite(part).all() for part in parts if part is not None):
+                    raise EvaluationError(
+                        "non-finite derivative data" if full else "non-finite value")
+                emit(i, parts)
+    except EvaluationError as err:
+        if len(fields) > 1:  # the message of the first failing field, each walked alone
+            for field in fields:
+                eval_fields([field], pts, full, _ignore)
+        elif pts.shape[0] == 1:
+            raise EvaluationError(f"{err} at point {pts[0].tolist()}") from None
+        else:  # find the first failing point in sample order
+            for row in range(pts.shape[0]):
+                eval_fields(fields, pts[row:row + 1], full, _ignore)
+        raise
+
+
+def _filled_parts(field: ScalarField, points, full: bool) -> tuple[np.ndarray, ...]:
+    """The parts of :func:`eval_fields` for one field, as fresh arrays with a point axis."""
+    pts = np.asarray(points, dtype=float)
+    parts = []
+    eval_fields([field], pts, full, lambda _, jets: parts.extend(jets))
     count, n = pts.shape
-    parts = _walk(field.root, _batch_node, pts, _unit_vectors(n))
-    if not all(np.isfinite(part).all() for part in parts if part is not None):
-        raise EvaluationError("non-finite derivative data")
     return tuple(_filled(part, shape)
                  for part, shape in zip(parts, ((count,), (count, n), (count, n, n))))
-
-
-def _value_batch(field: ScalarField, pts: np.ndarray):
-    value = _walk(field.root, _batch_value, pts)
-    if not np.isfinite(value).all():
-        raise EvaluationError("non-finite value")
-    return _filled(value, (pts.shape[0],))
-
-
-def _over_points(field: ScalarField, points, batch):
-    """``batch(field, pts)`` with the points checked; a failure names its first point."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != field.arity or pts.shape[0] == 0:
-        raise ValueError(f"points of shape {pts.shape} do not match arity {field.arity}")
-    try:
-        with np.errstate(all="ignore"):  # a non-finite result is reported by ``batch``
-            return batch(field, pts)
-    except EvaluationError as err:
-        if pts.shape[0] == 1:
-            raise EvaluationError(f"{err} at point {pts[0].tolist()}") from None
-        for row in range(pts.shape[0]):  # find the first failing point in sample order
-            _over_points(field, pts[row:row + 1], batch)
-        raise
 
 
 def eval2_points(field: ScalarField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -881,7 +953,7 @@ def eval2_points(field: ScalarField, points) -> tuple[np.ndarray, np.ndarray, np
     failure raises :class:`EvaluationError` naming the first failing point in
     sample order.
     """
-    return _over_points(field, points, _full_batch)
+    return _filled_parts(field, points, True)
 
 
 def eval_points(field: ScalarField, points) -> np.ndarray:
@@ -892,7 +964,7 @@ def eval_points(field: ScalarField, points) -> np.ndarray:
     value is finite (``sqrt(x*x)`` at 0) does not.  The walk and the error
     reporting are those of :func:`eval2_points`.
     """
-    return _over_points(field, points, _value_batch)
+    return _filled_parts(field, points, False)[0]
 
 
 # --------------------------------------------------------------------------
@@ -1012,4 +1084,4 @@ def _render(node: object, texts: list, names: tuple[str, ...]) -> str:
 
 def format_expression(field: ScalarField) -> str:
     """Render a field as text that reparses to an evaluation-identical tree."""
-    return _walk(field.root, _render, field.coord_names)
+    return _result(field.root, _render, field.coord_names)

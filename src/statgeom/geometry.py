@@ -247,7 +247,9 @@ class ExpressionField(PointJets):
     indices right after the point axis: ``(X, dX, d2X)`` with
     ``dX[k, a...] = ∂_k X[a...]`` and ``d2X[k, l, a...] = ∂_k ∂_l X[a...]``.
     A ``symmetric`` grid is read from its upper triangle (i ≤ j) and
-    mirrored.
+    mirrored.  A batch walks all components together, each distinct subtree
+    once per batch, and writes each component's jets into its slots as they
+    arrive.
     """
 
     order = 1
@@ -266,7 +268,7 @@ class ExpressionField(PointJets):
             grid = np.where(np.tri(n, dtype=bool), grid.T, grid)
         grid.flags.writeable = False
         self.grid = grid
-        # (component, the trailing-axis slots its jets fill), each component evaluated once
+        # (component, the trailing-axis slots its jets fill); all are walked together
         self._entries = []
         for index in np.ndindex(grid.shape):
             if not self.symmetric:
@@ -300,11 +302,13 @@ class ExpressionField(PointJets):
         count, n = points.shape[0], self.dim
         parts = tuple(np.empty((count,) + (n,) * derivatives + self.grid.shape)
                       for derivatives in range(self.order + 1 if full else 1))
-        for f, targets in self._entries:
-            jets = ex.eval2_points(f, points) if full else (ex.eval_points(f, points),)
-            for target in targets:
+
+        def write(i, jets):  # a structural zero or a float broadcasts into its slots
+            for target in self._entries[i][1]:
                 for part, jet in zip(parts, jets):
-                    part[target] = jet
+                    part[target] = 0.0 if jet is None else jet
+
+        ex.eval_fields([f for f, _ in self._entries], points, full, write)
         return parts
 
 

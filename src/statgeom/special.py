@@ -14,6 +14,7 @@ for every order used here, comfortably inside the 1e-10 target.
 
 from __future__ import annotations
 
+import functools
 import math
 
 # B_2, B_4, ..., B_14
@@ -30,6 +31,22 @@ _BERNOULLI = (
 _RAISE_THRESHOLD = 10.0
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
+# B_2k / (2k (2k-1)), the coefficients of the Stirling series
+_LOG_GAMMA_SERIES = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, start=1))
+
+
+@functools.cache
+def _polygamma_series(m: int) -> tuple[int, int, tuple[float, ...]]:
+    """m!, (m-1)! and the asymptotic series coefficients of ψ_m, computed once per order.
+
+    The coefficients are B_2k / (2k) for m = 0 and B_2k (2k+m-1)! / (2k)! above.
+    """
+    if m == 0:
+        return 1, 0, tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, start=1))
+    coefficients = tuple(b * math.factorial(2 * k + m - 1) / math.factorial(2 * k)
+                         for k, b in enumerate(_BERNOULLI, start=1))
+    return math.factorial(m), math.factorial(m - 1), coefficients
+
 
 def log_gamma(x: float) -> float:
     """log Γ(x) for x > 0."""
@@ -43,8 +60,8 @@ def log_gamma(x: float) -> float:
     total = (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI
     inv2 = 1.0 / (x * x)
     power = 1.0 / x
-    for k, b in enumerate(_BERNOULLI, start=1):
-        total += b / (2 * k * (2 * k - 1)) * power
+    for c in _LOG_GAMMA_SERIES:
+        total += c * power
         power *= inv2
     return total + shift
 
@@ -58,7 +75,7 @@ def polygamma(order: int, x: float) -> float:
     m = order
     shift = 0.0
     sign = -1.0 if m % 2 == 0 else 1.0  # (-1)^(m+1)
-    fact_m = math.factorial(m)
+    fact_m, fact_m1, series = _polygamma_series(m)
     while x < _RAISE_THRESHOLD:
         shift += sign * fact_m / x ** (m + 1)
         x += 1.0
@@ -67,18 +84,18 @@ def polygamma(order: int, x: float) -> float:
         total = math.log(x) - 0.5 / x
         inv2 = 1.0 / (x * x)
         power = inv2
-        for k, b in enumerate(_BERNOULLI, start=1):
-            total -= b / (2 * k) * power
+        for c in series:
+            total -= c * power
             power *= inv2
         return total + shift
     # psi_m(x) ~ (-1)^(m-1) [ (m-1)!/x^m + m!/(2 x^(m+1))
     #                         + sum B_2k (2k+m-1)!/((2k)! x^(2k+m)) ]
     lead = sign  # (-1)^(m-1) == (-1)^(m+1)
-    total = math.factorial(m - 1) / x**m + fact_m / (2.0 * x ** (m + 1))
+    total = fact_m1 / x**m + fact_m / (2.0 * x ** (m + 1))
     inv2 = 1.0 / (x * x)
     power = 1.0 / x**m * inv2
-    for k, b in enumerate(_BERNOULLI, start=1):
-        total += b * math.factorial(2 * k + m - 1) / math.factorial(2 * k) * power
+    for c in series:
+        total += c * power
         power *= inv2
     return lead * total + shift
 

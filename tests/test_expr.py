@@ -399,6 +399,75 @@ class TestEval2Points:
         with pytest.raises(EvaluationError), np.errstate(all="ignore"):
             eval2(f, points[bad_row])
 
+    @pytest.mark.parametrize("evaluate", [eval_points, eval2_points])
+    def test_overflow_names_first_failing_point(self, evaluate):
+        """trigamma's x**2 overflows far above 1e154; the failure is an EvaluationError with a point."""
+        f = parse_expression("trigamma(x)", ("x",))
+        with pytest.raises(EvaluationError, match=r"^polygamma overflow at point \[1.5e\+200\]$"):
+            evaluate(f, [[1.0], [1.5e200], [2e200]])
+
+    def test_overflow_errors_the_checks_with_a_point(self):
+        data = {"chart": {"coords": ["x"], "box": [[1e200, 2e200]]},
+                "metric": [["trigamma(x)"]], "checks": ["statistical_structure", "flatness"]}
+        for outcome in run_suite(parse_manifest(data)).checks:
+            assert outcome.status == "ERROR"
+            assert outcome.reason.startswith("EvaluationError: polygamma overflow at point [")
+
+
+def _collect(fields, points, full=True):
+    """{index: parts} from one ``eval_fields`` walk, each index emitted exactly once."""
+    emitted = {}
+
+    def emit(i, parts):
+        assert i not in emitted
+        emitted[i] = parts
+
+    ex.eval_fields(fields, points, full, emit)
+    assert sorted(emitted) == list(range(len(fields)))
+    return emitted
+
+
+class TestSharedWalk:
+    """Several roots in one walk: equal subtrees share a result, every root is emitted."""
+
+    def test_parts_equal_the_single_field_evaluation(self):
+        psi = parse_expression("lgamma(x) + lgamma(y) - lgamma(x + y)", ("x", "y"))
+        fields = [psi.differentiate(0).differentiate(i) for i in (0, 1)]
+        fields += [psi, fields[0], parse_expression("x", ("x", "y")), parse_expression("2", ("x", "y"))]
+        points = np.array([[0.7, 1.1], [2.5, 0.6], [3.0, 4.0]])
+        for full, single in ((True, eval2_points), (False, lambda f, p: (eval_points(f, p),))):
+            emitted = _collect(fields, points, full)
+            for i, field in enumerate(fields):
+                count, n = points.shape
+                shapes = ((count,), (count, n), (count, n, n))
+                for part, expected, shape in zip(emitted[i], single(field, points), shapes):
+                    filled = np.zeros(shape) if part is None else np.broadcast_to(part, shape)
+                    assert filled.tobytes() == expected.tobytes()
+
+    def test_signed_zeros_stay_apart(self):
+        x = Var(0)
+        roots = [Const(0.0), Const(-0.0), Binary("mul", x, Const(0.0)), Binary("mul", x, Const(-0.0))]
+        fields = [ScalarField(root, 1, ("x",)) for root in roots]
+        emitted = _collect(fields, [[1.0], [2.0]])
+        with np.errstate(divide="ignore"):
+            signs = [np.sign(1.0 / np.broadcast_to(emitted[i][0], (2,))).tolist() for i in range(4)]
+        assert signs == [[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]]
+
+    def test_equal_subtrees_built_apart_are_walked_once(self, monkeypatch):
+        calls = []
+        real = ex.polygamma
+        monkeypatch.setattr(ex, "polygamma", lambda order, x: calls.append(order) or real(order, x))
+        # two separately parsed, structurally equal trees: no shared objects
+        fields = [parse_expression("trigamma(x + y) * x", ("x", "y")),
+                  parse_expression("trigamma(x + y) * y", ("x", "y"))]
+        _collect(fields, [[1.0, 2.0], [3.0, 0.5]])
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3]
+
+    def test_shape_mismatch(self):
+        fields = [parse_expression("x", ("x",)), parse_expression("x", ("x", "y"))]
+        with pytest.raises(ValueError, match="arity 2"):
+            ex.eval_fields(fields, [[1.0]], True, lambda i, parts: None)
+
 
 class TestDeepTrees:
     """The tree transforms take the 3,000-term sum that the evaluators take."""

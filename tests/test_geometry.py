@@ -19,6 +19,7 @@ from statgeom.geometry import (
     ChartSpec,
     DegeneratePlaneError,
     ExpressionConnection,
+    ExpressionField,
     ManifoldSpec,
     MetricError,
     MetricField,
@@ -37,9 +38,11 @@ from statgeom.geometry import (
     statistical_curvature_at,
     validate_metric_on_chart,
 )
+from statgeom import build_context
 from statgeom import expr as ex
 from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures, fisher_metric
-from statgeom.expr import parse_expression
+from statgeom.expr import Const, ScalarField, eval2_points, parse_expression
+from statgeom.fixtures import fixture_ids, load_fixture
 from statgeom.product import ExpressionProductStructure, adjoint_structure
 from statgeom.submersion import FiberConnection
 
@@ -152,6 +155,89 @@ class TestExpressionField:
         g = MetricField([[_xy("1"), _xy("x*y")], [_xy("7"), _xy("2")]])
         assert g.component(1, 0) is g.component(0, 1)
         np.testing.assert_array_equal(g.value([2.0, 3.0]), [[1.0, 6.0], [6.0, 2.0]])
+
+
+def _expression_fields():
+    """(label, field, points) for every shipped fixture's grids and two larger Fisher metrics."""
+    for fixture_id in fixture_ids():
+        ctx = build_context(load_fixture(fixture_id))
+        points = sample_points(ctx.chart, 6)
+        if ctx.model is not None:
+            yield fixture_id, ctx.model.fisher, points
+            continue
+        for field in (ctx.manifold.metric, ctx.manifold.connection, ctx.manifold.product):
+            if isinstance(field, ExpressionField):
+                yield fixture_id, field, points
+    for name, hyper in (("dirichlet", {"dim": 4}), ("multinomial", {"categories": 5})):
+        model = builtin_model(name, **hyper)
+        yield name, fisher_metric(model), sample_points(model.chart, 6)
+
+
+class TestGridWalk:
+    """A grid's components go through one walk; each equals its own evaluation bit for bit."""
+
+    def test_jets_equal_each_component_alone(self):
+        labels = set()
+        for label, field, points in _expression_fields():
+            jets = field.jets(points)
+            assert len(jets) == field.order + 1
+            for index in np.ndindex(field.grid.shape):
+                alone = eval2_points(field.component(*index), points)
+                for part, expected in zip(jets, alone):
+                    assert np.ascontiguousarray(part[(...,) + index]).tobytes() == expected.tobytes()
+            values = type(field)(field.grid).values(points)  # fresh store: the values-only walk
+            assert values.tobytes() == jets[0].tobytes()
+            labels.add(label)
+        assert {"example_5_5_dirichlet", "dirichlet", "multinomial"} < labels
+
+    def test_each_distinct_psi_subtree_is_evaluated_once(self, monkeypatch):
+        """The dirichlet(4) Fisher metric holds 28 Psi nodes but 5 distinct subtrees,
+        trigamma of each coordinate and of their sum; each takes orders 1-3 once per point."""
+        model = builtin_model("dirichlet", dim=4)
+        metric = fisher_metric(model)
+        points = sample_points(model.chart, 7)
+        calls = []
+        real = ex.polygamma
+        monkeypatch.setattr(ex, "polygamma", lambda order, x: calls.append(order) or real(order, x))
+        metric._batch_jets(points, True)
+        assert sorted(calls) == sorted([1, 2, 3] * 5 * len(points))
+
+    def test_signed_zeros_stay_apart(self):
+        zero, negative = (ScalarField(Const(v), 2, ("x", "y")) for v in (0.0, -0.0))
+        g = MetricField([[zero, negative], [negative, zero]])
+        with np.errstate(divide="ignore"):
+            np.testing.assert_array_equal(np.sign(1.0 / g.value([1.0, 2.0])), [[1.0, -1.0], [-1.0, 1.0]])
+
+    @pytest.mark.parametrize("entries, points, method, message", [
+        # the second component, log(x), fails at the third point; the third at the fourth
+        ([["1", "log(x)"], ["log(x)", "1/(y - 1)"]],
+         [[1.0, 2.0], [2.0, 2.0], [-1.0, 2.0], [1.0, 1.0]], "jets",
+         "log of non-positive value -1.0 at point [-1.0, 2.0]"),
+        ([["1", "log(x)"], ["log(x)", "1/(y - 1)"]],
+         [[1.0, 2.0], [2.0, 2.0], [-1.0, 2.0], [1.0, 1.0]], "values",
+         "log of non-positive value -1.0 at point [-1.0, 2.0]"),
+        # the walk meets the third component, non-finite at the second point, inside
+        # the second first; the message is still the second component's
+        ([["1", "1/(exp(y)*1e308) + log(x)"], ["1/(exp(y)*1e308) + log(x)", "exp(y)*1e308"]],
+         [[1.0, -1.0], [2.0, 1.0], [-1.0, -1.0]], "values",
+         "log of non-positive value -1.0 at point [-1.0, -1.0]"),
+        ([["1", "1/(exp(y)*1e308) + log(x)"], ["1/(exp(y)*1e308) + log(x)", "exp(y)*1e308"]],
+         [[1.0, -1.0], [2.0, 1.0], [-1.0, -1.0]], "jets",
+         "non-finite derivative data at point [2.0, 1.0]"),
+    ])
+    def test_failure_names_the_first_failing_component(self, entries, points, method, message):
+        g = MetricField.from_strings(("x", "y"), entries)
+        with pytest.raises(ex.EvaluationError) as err:
+            getattr(g, method)(np.array(points))
+        assert str(err.value) == message
+
+    def test_deep_grid_needs_no_recursion(self):
+        deep = _xy(" + ".join(["x*y"] * 3000))
+        g = MetricField([[deep, _xy("x")], [_xy("x"), deep.differentiate(0)]])
+        value, d_value, _ = g.jets([[1.5, 2.0], [-0.5, 3.0]])
+        np.testing.assert_array_equal(value[:, 0, 0], [9000.0, -4500.0])
+        np.testing.assert_array_equal(value[:, 1, 1], [6000.0, 9000.0])
+        np.testing.assert_array_equal(d_value[:, 1, 0, 0], [4500.0, -1500.0])
 
 
 class TestLeviCivita:

@@ -17,6 +17,7 @@ from statgeom.fixtures import (
     curved_product_manifest,
     fixture_ids,
     load_fixture,
+    model_manifest,
     submersion_manifest,
 )
 from statgeom.manifest import parse_manifest
@@ -34,6 +35,25 @@ def test_every_fixture_has_a_golden_report():
 def test_report_matches_golden(fixture_id):
     expected = (GOLDEN_DIR / f"{fixture_id}.json").read_bytes()
     actual = render_report(run_suite(load_fixture(fixture_id))).encode("utf-8")
+    assert actual == expected
+
+
+# Generated models at 100 points (seed 7): deep derivative trees that share
+# subexpressions across Fisher components, stored under ``golden/models/``.
+MODEL_GOLDENS = {
+    "model_dirichlet4": ("dirichlet", {"dim": 4}),
+    "model_multinomial5": ("multinomial", {"categories": 5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_GOLDENS))
+def test_generated_model_report_matches_golden(name):
+    model, hyperparams = MODEL_GOLDENS[name]
+    data = model_manifest(model, hyperparams, seed=7)
+    data["name"] = name
+    data["points"] = 100
+    expected = (GOLDEN_DIR / "models" / f"{name}.json").read_bytes()
+    actual = render_report(run_suite(parse_manifest(data, known_checks=set(CHECKS)))).encode("utf-8")
     assert actual == expected
 
 

@@ -45,3 +45,32 @@ def test_positive_domain_required():
         polygamma(1, -0.5)
     with pytest.raises(ValueError):
         polygamma(-1, 1.0)
+
+
+PINNED_X = (0.3, 1.0, 2.5, 7.25, 12.0, 31.5)
+
+# float.hex of the values computed before the series coefficients were
+# precomputed per order; the precomputation must not move a bit.
+PINNED_POLYGAMMA = {
+    0: ("-0x1.c052b6b5e6118p+1", "-0x1.2788cfc6fb618p-1", "0x1.680425af12b5cp-1",
+        "0x1.e9137b7a7e562p+0", "0x1.38a9234f5821dp+1", "0x1.b78e502de4a36p+1"),
+    1: ("0x1.87da06bfa42dcp+3", "0x1.a51a6625307d4p+0", "0x1.f62057f7296cap-2",
+        "0x1.2edb4eb166c0fp-3", "0x1.63f337df20565p-4", "0x1.083c334ace1c6p-5"),
+    2: ("-0x1.2d1713d4de2acp+6", "-0x1.33ba004f00621p+1", "-0x1.e3bef327df0e8p-3",
+        "-0x1.65a5430daf34cp-6", "-0x1.ee9d183c6d820p-8", "-0x1.10b62b4a0cdeep-10"),
+    3: ("0x1.739225581e957p+9", "0x1.9f9cb402bc46dp+2", "0x1.ca8f26506cfd9p-3",
+        "0x1.a5987618db03ep-8", "0x1.576ede5421cd6p-10", "0x1.196f825aed064p-14"),
+    4: ("-0x1.34dbbf9a063f6p+13", "-0x1.8e2e2562fbb35p+4", "-0x1.414940b338876p-2",
+        "-0x1.7414e93a7306dp-9", "-0x1.6578584c58540p-12", "-0x1.b39ec9f56dfe7p-18"),
+}
+PINNED_LOG_GAMMA = ("0x1.188637a6c4190p+0", "-0x1.0000000000000p-49", "0x1.2383e809a67e0p-2",
+                    "0x1.c35701a50ff03p+2", "0x1.180973f3a8d74p+4", "0x1.317c1b4b39e34p+6")
+
+
+@pytest.mark.parametrize("order", sorted(PINNED_POLYGAMMA))
+def test_polygamma_bits_are_pinned(order):
+    assert tuple(polygamma(order, x).hex() for x in PINNED_X) == PINNED_POLYGAMMA[order]
+
+
+def test_log_gamma_bits_are_pinned():
+    assert tuple(log_gamma(x).hex() for x in PINNED_X) == PINNED_LOG_GAMMA
