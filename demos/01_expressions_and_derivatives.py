@@ -8,17 +8,19 @@ with finite differences kept purely as an independent cross-check.
 
 import numpy as np
 
-from statgeom import eval2, fd_check, format_expression, parse_expression
+from statgeom import fd_check, format_expression, parse_expression
+from statgeom.expr import eval2_points
 
 # A metric component of the curved half-plane family: eps*k / y^2.
 field = parse_expression("e*k/(y*y)", ("x", "y"), {"e": 1.0, "k": 2.0})
 point = np.array([0.3, 0.5])
 
-data = eval2(field, point)
-print("value     :", data.value)
-print("gradient  :", data.grad)
-print("hessian   :\n", data.hess)
-print("hessian is exactly symmetric:", (data.hess == data.hess.T).all())
+# Jets come in batches of points (here a batch of one): values, gradients, Hessians.
+value, grad, hess = (part[0] for part in eval2_points(field, point[None]))
+print("value     :", value)
+print("gradient  :", grad + 0.0)  # + 0.0 prints the exact zero ∂/∂x as 0., not -0.
+print("hessian   :\n", hess)
+print("hessian is exactly symmetric:", (hess == hess.T).all())
 
 # The derivative tower is also available symbolically: each differentiate()
 # call returns a new field, so second derivatives of derived fields stay exact.

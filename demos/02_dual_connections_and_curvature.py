@@ -16,7 +16,6 @@ from statgeom import (
     check_dual_curvature_identity,
     check_statistical_structure,
     conjugate_connection,
-    curvature_at,
     fit_kurose_constant,
     parse_manifest,
     sample_points,
@@ -24,6 +23,7 @@ from statgeom import (
     statistical_curvature_at,
 )
 from statgeom.fixtures import curved_product_manifest
+from statgeom.geometry import curvature_tensor
 
 manifold = build_context(parse_manifest(curved_product_manifest(1, 1.0, 1.0, (1.0,)))).manifold
 points = sample_points(manifold.chart, 25)
@@ -45,8 +45,8 @@ average = nabla.value(point) + star.value(point) - 2.0 * mid.value(point)
 print("Gamma + Gamma* - 2 Gamma0 residual:", np.max(np.abs(average)))
 
 # Curvature of the primary connection and the duality pairing with R*.
-r = curvature_at(nabla, point)
-print("\nR^y_xyx =", r.components[1, 0, 1, 0])
+r = curvature_tensor(*nabla.jet(point))
+print("\nR^y_xyx =", r[1, 0, 1, 0])
 print("dual curvature identity:",
       check_dual_curvature_identity(manifold, points).passed)
 

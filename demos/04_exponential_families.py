@@ -16,12 +16,12 @@ from statgeom import (
     builtin_model,
     check_para_kahler_like,
     conjugate_connection,
-    curvature_at,
     exp_para_structures,
     fisher_metric,
     levi_civita,
     sample_points,
 )
+from statgeom.geometry import curvature_tensor
 
 model = builtin_model("dirichlet", dim=2)
 metric = fisher_metric(model)
@@ -32,7 +32,7 @@ print("Fisher metric at (1, 1):\n", metric.value([1.0, 1.0]))
 
 for alpha in (-1.0, 0.0, 1.0):
     connection = AlphaConnection(metric, alpha)
-    flatness = max(np.max(np.abs(curvature_at(connection, p).components)) for p in points)
+    flatness = np.max(np.abs(curvature_tensor(*connection.jets(points))))
     print(f"alpha={alpha:+.0f}: max |curvature| over samples = {flatness:.3e}")
 
 # Duality: the conjugate of the alpha-connection is the (-alpha)-connection.

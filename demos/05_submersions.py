@@ -11,8 +11,6 @@ isometric (T = 0) and the horizontal distribution integrable (A = 0).
 import numpy as np
 
 from statgeom import (
-    CoordinateBasisField,
-    HorizontalLiftField,
     build_context,
     check_fundamental_tensor_identities,
     check_para_holomorphic,
@@ -20,9 +18,8 @@ from statgeom import (
     check_semi_riemannian_submersion,
     check_statistical_submersion,
     induced_fiber_manifold,
-    oneill_tensors_at,
+    oneill_arrays,
     parse_manifest,
-    projectors_at,
     sample_points,
     verify_submersion_theorems,
 )
@@ -32,19 +29,19 @@ spec = build_context(parse_manifest(submersion_manifest(2, 1, 1.0, 1.0, (1.0, 1.
 points = sample_points(spec.total.chart, 25)
 point = points[0]
 
-v, h = projectors_at(spec, point)
-print("vertical projector diagonal:", np.diag(v))
+# The splitting and T, A, T*, A* as coordinate arrays, one row per point.
+arrays = oneill_arrays(spec, [point])
+print("vertical projector diagonal:", np.diag(arrays.v[0]))
 print("scalar products preserved :", check_semi_riemannian_submersion(spec, points).passed)
 print("connections push forward  :", check_statistical_submersion(spec, points).passed)
 print("structures intertwine     :", check_para_holomorphic(spec, points).passed)
 
-# Fundamental tensors on a vertical pair and on basic lifts.
-u = CoordinateBasisField(4, 2)
-x = HorizontalLiftField(spec, [1.0, 0.0])
-vertical = oneill_tensors_at(spec, u, u, point)
-horizontal = oneill_tensors_at(spec, x, x, point)
-print("\n|T(U,U)| =", np.max(np.abs(vertical.t)), " (isometric fibers)")
-print("|A(X,X)| =", np.max(np.abs(horizontal.a)), " (integrable horizontal space)")
+# Fundamental tensors on the vertical pair U = ∂_2 and on the basic lift X of ∂_0.
+t_uu = arrays.t[0, :, 2, 2]
+x = arrays.L[0, :, 0]
+a_xx = np.einsum("kij,i,j->k", arrays.a[0], x, x)
+print("\n|T(U,U)| =", np.max(np.abs(t_uu)), " (isometric fibers)")
+print("|A(X,X)| =", np.max(np.abs(a_xx)), " (integrable horizontal space)")
 identities = check_fundamental_tensor_identities(spec, points)
 print("fundamental tensor identities:", identities.passed, identities.details)
 

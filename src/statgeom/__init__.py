@@ -9,12 +9,9 @@ points.
 """
 
 from .expr import (
-    Dual2,
     EvaluationError,
     ParseError,
     ScalarField,
-    eval2,
-    eval_value,
     fd_check,
     format_expression,
     parse_expression,
@@ -23,7 +20,6 @@ from .geometry import (
     AdjointStructure,
     ChartSpec,
     CheckResult,
-    CurvatureAtPoint,
     DEFAULT_POINT_COUNT,
     DEFAULT_TOLERANCE,
     DegeneratePlaneError,
@@ -38,11 +34,8 @@ from .geometry import (
     check_levi_civita_average,
     check_statistical_structure,
     conjugate_connection,
-    curvature_at,
-    difference_tensor_at,
     fit_kurose_constant,
     levi_civita,
-    metric_matrices_at,
     metric_signature,
     sample_points,
     sectional_curvature,
@@ -55,39 +48,27 @@ from .product import (
     check_para_kahler_like,
     check_space_form,
     conjugate_parallelism_check,
-    covariant_derivative_P_at,
     fit_space_form_constant,
     verify_flatness_theorem,
 )
 from .expfam import (
     AlphaConnection,
     ExpFamilyModel,
-    alpha_connection,
     builtin_model,
     exp_para_structures,
     fisher_metric,
 )
 from .submersion import (
-    CoordinateBasisField,
-    ExpressionVectorField,
-    HorizontalLiftField,
     OneillArrays,
-    OneillTensors,
-    ProjectedField,
-    StructureImageField,
     SubmersionError,
     SubmersionSpec,
     check_fundamental_tensor_identities,
     check_para_holomorphic,
     check_semi_riemannian_submersion,
     check_statistical_submersion,
-    horizontal_lift_at,
     induced_fiber_manifold,
     isometric_fibers_residual,
-    lie_bracket_at,
     oneill_arrays,
-    oneill_tensors_at,
-    projectors_at,
     verify_submersion_theorems,
 )
 from .manifest import Manifest, ManifestError, build_context, load_manifest, parse_manifest

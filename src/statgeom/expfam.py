@@ -133,9 +133,11 @@ def fisher_metric(model: ExpFamilyModel) -> MetricField:
 
 
 class AlphaConnection(DerivedJets):
-    """The α-connection of a model, computed from the metric's exact jets; jets are (Γ, ∂Γ)."""
+    """Γ^(α)t_ij = ((1 − α)/2) (∂_s g_ij) g^st from exact metric jets; jets are (Γ, ∂Γ)."""
 
     def __init__(self, metric: MetricField, alpha: float):
+        if isinstance(alpha, bool) or not math.isfinite(alpha):
+            raise ValueError(f"alpha must be a finite number, got {alpha!r}")
         self._bases = (metric,)
         self._value_needs = (True,)
         self.alpha = float(alpha)
@@ -155,13 +157,6 @@ class AlphaConnection(DerivedJets):
         dgamma = factor * (np.einsum("plsij,pst->pltij", d2g, ginv)
                            + np.einsum("psij,plst->pltij", dg, dginv))
         return gamma, dgamma
-
-
-def alpha_connection(model: ExpFamilyModel, alpha: float) -> AlphaConnection:
-    """Γ^(α)t_ij = ((1 − α)/2) (∂_s g_ij) g^st for the model's Fisher metric."""
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    return AlphaConnection(model.fisher, alpha)
 
 
 def exp_para_structures(model: ExpFamilyModel, a) -> tuple:

@@ -11,8 +11,8 @@ batch, ``eval2_points`` and ``eval_points`` (values alone) are its one-field
 case, and ``ScalarField.differentiate`` (for higher derivatives),
 ``freeze_leading_coordinates``, constant exponents and ``format_expression``
 build trees, numbers or text, so any tree the parser builds goes through all
-of them.  ``eval2`` evaluates one point by plain recursion, apart from the
-walk, as the oracle that tests and ``fd_check`` use.
+of them.  A single point is a batch of one; the recursive point-wise
+reference evaluator lives with the tests, in ``tests/oracles.py``.
 
 Grammar (``^`` binds tighter than unary minus and associates to the right)::
 
@@ -109,7 +109,7 @@ class ScalarField:
     coord_names: tuple[str, ...]
 
     def __call__(self, point: Sequence[float]) -> float:
-        return eval_value(self, point)
+        return float(eval_points(self, [point])[0])
 
     def differentiate(self, index: int) -> "ScalarField":
         """Exact partial derivative with respect to coordinate ``index``, as a new field."""
@@ -551,137 +551,6 @@ def _psi_value(order: int, u: float) -> float:
     return polygamma(order, u)
 
 
-def eval_value(field: ScalarField, point: Sequence[float]) -> float:
-    """The value of ``field`` at one point: :func:`eval_points` at a batch of one."""
-    return float(eval_points(field, np.asarray(point, dtype=float)[None])[0])
-
-
-@dataclass(frozen=True)
-class Dual2:
-    """Value, gradient and Hessian of a field at a point.
-
-    The Hessian is symmetric bit-for-bit: every propagation rule below only
-    ever forms symmetric combinations such as ``outer(g, g)`` or
-    ``outer(a, b) + outer(b, a)``.
-    """
-
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-
-def _d2_const(value: float, n: int) -> Dual2:
-    return Dual2(value, np.zeros(n), np.zeros((n, n)))
-
-
-def _d2_chain(u: Dual2, f0: float, f1: float, f2: float) -> Dual2:
-    hess = f1 * u.hess + f2 * np.outer(u.grad, u.grad)
-    return Dual2(f0, f1 * u.grad, hess)
-
-
-def _d2_add(a: Dual2, b: Dual2) -> Dual2:
-    return Dual2(a.value + b.value, a.grad + b.grad, a.hess + b.hess)
-
-
-def _d2_sub(a: Dual2, b: Dual2) -> Dual2:
-    return Dual2(a.value - b.value, a.grad - b.grad, a.hess - b.hess)
-
-
-def _d2_mul(a: Dual2, b: Dual2) -> Dual2:
-    cross = np.outer(a.grad, b.grad)
-    hess = a.hess * b.value + b.hess * a.value + cross + cross.T
-    return Dual2(a.value * b.value, a.grad * b.value + b.grad * a.value, hess)
-
-
-def _d2_div(a: Dual2, b: Dual2) -> Dual2:
-    if b.value == 0.0:
-        raise EvaluationError("division by zero")
-    value = a.value / b.value
-    grad = (a.grad - value * b.grad) / b.value
-    cross = np.outer(grad, b.grad)
-    hess = (a.hess - value * b.hess - cross - cross.T) / b.value
-    return Dual2(value, grad, hess)
-
-
-def _d2_pow(u: Dual2, c: float) -> Dual2:
-    f0 = _pow_value(u.value, c)
-    f1 = c * _pow_value(u.value, c - 1.0) if c != 0.0 else 0.0
-    f2 = c * (c - 1.0) * _pow_value(u.value, c - 2.0) if c not in (0.0, 1.0) else 0.0
-    return _d2_chain(u, f0, f1, f2)
-
-
-def _d2_unary(op: str, u: Dual2) -> Dual2:
-    if op == "neg":
-        return Dual2(-u.value, -u.grad, -u.hess)
-    if op == "exp":
-        f0 = _apply_unary_value("exp", u.value)
-        return _d2_chain(u, f0, f0, f0)
-    if op == "log":
-        f0 = _apply_unary_value("log", u.value)
-        inv = 1.0 / u.value
-        return _d2_chain(u, f0, inv, -inv * inv)
-    if op == "sqrt":
-        f0 = _apply_unary_value("sqrt", u.value)
-        if u.value == 0.0:
-            raise EvaluationError("sqrt has unbounded derivative at zero")
-        f1 = 0.5 / f0
-        return _d2_chain(u, f0, f1, -0.5 * f1 / u.value)
-    if op == "sin":
-        s, c = _map(math.sin, u.value), _map(math.cos, u.value)
-        return _d2_chain(u, s, c, -s)
-    if op == "cos":
-        s, c = _map(math.sin, u.value), _map(math.cos, u.value)
-        return _d2_chain(u, c, -s, -c)
-    if op == "lgamma":
-        f0 = _apply_unary_value("lgamma", u.value)
-        return _d2_chain(u, f0, polygamma(0, u.value), polygamma(1, u.value))
-    raise TypeError(f"unknown unary op {op!r}")
-
-
-def _d2(node: object, point: np.ndarray) -> Dual2:
-    n = point.shape[0]
-    if isinstance(node, Const):
-        return _d2_const(node.value, n)
-    if isinstance(node, Var):
-        grad = np.zeros(n)
-        grad[node.index] = 1.0
-        return Dual2(float(point[node.index]), grad, np.zeros((n, n)))
-    if isinstance(node, Unary):
-        return _d2_unary(node.op, _d2(node.arg, point))
-    if isinstance(node, Binary):
-        a = _d2(node.left, point)
-        b = _d2(node.right, point)
-        if node.op == "add":
-            return _d2_add(a, b)
-        if node.op == "sub":
-            return _d2_sub(a, b)
-        if node.op == "mul":
-            return _d2_mul(a, b)
-        if node.op == "div":
-            return _d2_div(a, b)
-        raise TypeError(f"unknown binary op {node.op!r}")
-    if isinstance(node, Power):
-        return _d2_pow(_d2(node.base, point), node.exponent)
-    if isinstance(node, Psi):
-        u = _d2(node.arg, point)
-        f0 = _psi_value(node.order, u.value)
-        return _d2_chain(u, f0, polygamma(node.order + 1, u.value), polygamma(node.order + 2, u.value))
-    raise TypeError(f"unknown node type {type(node)!r}")
-
-
-def eval2(field: ScalarField, point: Sequence[float]) -> Dual2:
-    """Exact value, gradient and Hessian of ``field`` at ``point``."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (field.arity,):
-        raise ValueError(f"point of shape {p.shape} does not match arity {field.arity}")
-    result = _d2(field.root, p)
-    if not (math.isfinite(result.value)
-            and np.all(np.isfinite(result.grad))
-            and np.all(np.isfinite(result.hess))):
-        raise EvaluationError(f"non-finite derivative data at point {p.tolist()}")
-    return result
-
-
 # --------------------------------------------------------------------------
 # Evaluation batched over points
 # --------------------------------------------------------------------------
@@ -691,11 +560,11 @@ def eval2(field: ScalarField, point: Sequence[float]) -> Dual2:
 # subtree carries no gradient (None), and a linear subtree carries no Hessian
 # (None): these are the structural zeros.  A gradient is (n,) or (P, n) and a
 # Hessian (n, n) or (P, n, n); both broadcast against the point axis.  Each
-# rule below is the scalar rule above with the absent terms left out, and
+# rule below is the scalar chain rule with the absent terms left out, and
 # the transcendental functions run through ``math`` element by element, so
-# every row equals ``eval2`` at that point.  A rule's result depends only on
-# the node's structure and its children's results, so the walk shares one
-# result among equal subtrees of all the fields of a batch, bit for bit.
+# every row equals ``eval2`` of ``tests/oracles.py`` at that point.  A rule's
+# result depends only on the node's structure and its children's, so the
+# walk shares one result among equal subtrees of a batch, bit for bit.
 
 def _col(value):
     """A value shaped to scale gradients: (P, 1) for an array, as is for a float."""
@@ -948,7 +817,7 @@ def _filled_parts(field: ScalarField, points, full: bool) -> tuple[np.ndarray, .
 def eval2_points(field: ScalarField, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact values ``(P,)``, gradients ``(P, n)`` and Hessians ``(P, n, n)`` at P points.
 
-    Row ``p`` equals ``eval2(field, points[p])``.  The tree is walked once,
+    Row ``p`` is the jet of ``field`` at ``points[p]``.  The tree is walked once,
     without recursion, so arbitrarily deep expressions evaluate.  A domain
     failure raises :class:`EvaluationError` naming the first failing point in
     sample order.
@@ -959,7 +828,7 @@ def eval2_points(field: ScalarField, points) -> tuple[np.ndarray, np.ndarray, np
 def eval_points(field: ScalarField, points) -> np.ndarray:
     """Values ``(P,)`` at P points, with no derivatives.
 
-    Entry ``p`` equals ``eval2(field, points[p]).value``, but only a failure
+    Entry ``p`` equals the value of :func:`eval2_points`, but only a failure
     of the value itself raises: a derivative that is singular where the
     value is finite (``sqrt(x*x)`` at 0) does not.  The walk and the error
     reporting are those of :func:`eval2_points`.
@@ -973,7 +842,7 @@ def eval_points(field: ScalarField, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FdCheckReport:
-    """Deviation of eval2 derivatives from second-order central differences."""
+    """Deviation of exact derivatives from second-order central differences."""
 
     grad_residual: float
     hess_residual: float
@@ -984,14 +853,14 @@ class FdCheckReport:
 
 
 def fd_check(field: ScalarField, point: Sequence[float], h: float = 1e-4) -> FdCheckReport:
-    """Compare eval2 against central differences of step ``h`` (O(h²) accurate).
+    """Compare :func:`eval2_points` with central differences of step ``h`` (O(h²) accurate).
 
     Deviations are relative with a unit absolute floor: ``|ad - fd| / (1 + |ad|)``
     per entry, maximised over entries.  Raises :class:`EvaluationError` if the
     difference stencil falls outside the field's domain.
     """
     p = np.asarray(point, dtype=float)
-    exact = eval2(field, p)
+    _, grad, hess = (part[0] for part in eval2_points(field, p[None]))
     n = field.arity
     steps = np.eye(n) * h
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -1015,13 +884,13 @@ def fd_check(field: ScalarField, point: Sequence[float], h: float = 1e-4) -> FdC
     for i in range(n):
         plus, minus = next(values), next(values)
         fd_grad = (plus - minus) / (2.0 * h)
-        grad_dev = max(grad_dev, abs(fd_grad - exact.grad[i]) / (1.0 + abs(exact.grad[i])))
+        grad_dev = max(grad_dev, abs(fd_grad - grad[i]) / (1.0 + abs(grad[i])))
         fd_diag = (plus - 2.0 * center + minus) / (h * h)
-        hess_dev = max(hess_dev, abs(fd_diag - exact.hess[i, i]) / (1.0 + abs(exact.hess[i, i])))
+        hess_dev = max(hess_dev, abs(fd_diag - hess[i, i]) / (1.0 + abs(hess[i, i])))
     for i, j in pairs:
         pp, pm, mp, mm = next(values), next(values), next(values), next(values)
         fd_cross = (pp - pm - mp + mm) / (4.0 * h * h)
-        hess_dev = max(hess_dev, abs(fd_cross - exact.hess[i, j]) / (1.0 + abs(exact.hess[i, j])))
+        hess_dev = max(hess_dev, abs(fd_cross - hess[i, j]) / (1.0 + abs(hess[i, j])))
     return FdCheckReport(grad_residual=grad_dev, hess_residual=hess_dev)
 
 

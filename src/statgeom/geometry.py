@@ -17,15 +17,14 @@ Every field evaluates at all sample points at once (``jets(points)``, with a
 leading point axis ``p`` on every array) and keeps the results, read-only, in
 one store keyed by the whole batch (:class:`PointJets`).  A single point is a
 batch of one: the per-point accessors ``value`` and ``jet`` return its
-row 0.  Every field given by coordinate expressions is an
-:class:`ExpressionField` over a grid of components; the metric, connection,
-product-structure and vector-field classes only set its derivative order and
-symmetry.  The geometric definitions are written once, over stacks of
-points, and a single point is a stack of one.  Every check reduces its
-per-point arrays in one :func:`residual_check`: the per-point defects
-(:func:`max_abs`) over the per-point scales (:func:`scale_of`).  A check
-that builds a 4-index tensor per point works in blocks of points
-(:func:`in_blocks`).
+row 0, and the geometric definitions are written once, over stacks of
+points.  Every field given by coordinate expressions is an
+:class:`ExpressionField` over a grid of components; the metric, connection
+and product-structure classes only set its derivative order and symmetry.
+Every check reduces its per-point arrays in one :func:`residual_check`: the
+per-point defects (:func:`max_abs`) over the per-point scales
+(:func:`scale_of`).  A check that builds a 4-index tensor per point works in
+blocks of points (:func:`in_blocks`).
 
 Every check, fit and theorem takes the :class:`ManifoldSpec` it certifies
 and returns one :class:`CheckResult`.  The spec owns the fields derived from
@@ -329,16 +328,6 @@ def _det_threshold(g: np.ndarray) -> np.ndarray:
     return _DEGENERACY_CUTOFF * np.power(scale, g.shape[-1])
 
 
-def metric_matrices_at(g: MetricField, point) -> tuple[np.ndarray, np.ndarray]:
-    """(G, G⁻¹) at a point; raises :class:`MetricError` when G is numerically singular."""
-    mat = g.value(point)
-    det = float(np.linalg.det(mat))
-    if abs(det) <= _det_threshold(mat):
-        raise MetricError(f"singular metric (det {det:.3e}) at point {np.asarray(point).tolist()}")
-    inverse = np.linalg.inv(mat)
-    return mat, inverse
-
-
 def _signatures(eigenvalues: np.ndarray) -> np.ndarray:
     """(positive, negative) counts of the eigenvalues on the last axis."""
     return np.stack([np.sum(eigenvalues > 0.0, axis=-1), np.sum(eigenvalues < 0.0, axis=-1)], -1)
@@ -584,22 +573,10 @@ def check_levi_civita_average(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLE
     return residual_check(max_abs(defect), scale_of(gamma), points, tol)
 
 
-@dataclass(frozen=True)
-class CurvatureAtPoint:
-    """Components R[l,i,j,k] of the curvature tensor at a point.
-
-    Antisymmetry in (i, j) is exact: the tensor is assembled as B − Bᵀ over
-    those slots.
-    """
-
-    components: np.ndarray
-    point: np.ndarray
-
-
 def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """R[l,i,j,k] = ∂_i Γ^l_jk − ∂_j Γ^l_ik + Γ^m_jk Γ^l_im − Γ^m_ik Γ^l_jm.
 
-    Leading axes (such as a point axis) carry through.
+    Leading axes (such as a point axis) carry through.  Antisymmetry in (i, j) is exact.
     """
     b = np.einsum("...iljk->...lijk", dgamma) + np.einsum("...mjk,...lim->...lijk", gamma, gamma)
     return b - np.einsum("...lijk->...ljik", b)
@@ -616,16 +593,10 @@ def curvature_residual(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) 
     return residual_check(*in_blocks(reduce, spec.metric.dim, *batches), points, tol)
 
 
-def curvature_at(connection, point) -> CurvatureAtPoint:
-    """Curvature of the connection at a point, from exact coefficient jets."""
-    gamma, dgamma = connection.jet(point)
-    return CurvatureAtPoint(curvature_tensor(gamma, dgamma), np.asarray(point, dtype=float))
-
-
 def statistical_curvature_at(spec: ManifoldSpec, point) -> np.ndarray:
     """S = ½ (R + R*), the curvature average of the dual pair."""
-    r = curvature_at(spec.resolved_connection, point).components
-    r_star = curvature_at(spec.conjugate, point).components
+    r = curvature_tensor(*spec.resolved_connection.jet(point))
+    r_star = curvature_tensor(*spec.conjugate.jet(point))
     return 0.5 * (r + r_star)
 
 
@@ -701,11 +672,6 @@ def check_dual_curvature_identity(spec: ManifoldSpec, pts, tol: float = DEFAULT_
     batches = (spec.metric.values(points), spec.resolved_connection.jets(points),
                spec.conjugate.jets(points))
     return residual_check(*in_blocks(reduce, spec.metric.dim, *batches), points, tol)
-
-
-def difference_tensor_at(connection, conjugate, point) -> np.ndarray:
-    """K[k,i,j] = Γ^k_ij − Γ*^k_ij; symmetric in (i, j) for statistical pairs."""
-    return connection.value(point) - conjugate.value(point)
 
 
 # --------------------------------------------------------------------------

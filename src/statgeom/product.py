@@ -98,11 +98,6 @@ def _covariant_derivative_P(gamma, m, dm) -> np.ndarray:
             - np.einsum("...mij,...km->...ikj", gamma, m))
 
 
-def covariant_derivative_P_at(connection, structure, point) -> np.ndarray:
-    """(∇_{∂_i} P)^k_j = ∂_i P^k_j + Γ^k_im P^m_j − Γ^m_ij P^k_m, indexed [i, k, j]."""
-    return _covariant_derivative_P(connection.value(point), *structure.jet(point))
-
-
 def check_product_parallelism(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """∇P = 0 at the samples, scaled by 1 + max |Γ|, |P|."""
     return _parallelism(spec.resolved_connection, spec.product, pts, tol)

@@ -13,12 +13,9 @@ metric jets and the connection coefficients, batched over the sample points,
 :func:`oneill_arrays` reads them, and every submersion check reduces
 contractions of those arrays.
 
-The field-pair path stays as the independent test oracle: vector-field
-arguments are field objects that expose ``vector(p)`` and
-``jet(p) -> (values, jacobian)`` with ``jacobian[i, k] = ∂_i X^k``, and
-:func:`oneill_tensors_at` differentiates projected fields through these
-exact jets.  Tensoriality of T and A in both slots is a tested property, not
-an input assumption.
+The independent oracle, T and A one vector-field pair at a time, lives in
+``tests/oracles.py``: tensoriality of T and A in both slots is a tested
+property, not an input assumption.
 
 A :class:`SubmersionSpec` owns its induced fiber manifold (``fiber``) and
 its splitting (``splitting``), each built once on first use, so every check
@@ -117,7 +114,7 @@ class SubmersionSpec:
 
 
 # --------------------------------------------------------------------------
-# Projectors and lifts
+# Splitting and fundamental tensors
 # --------------------------------------------------------------------------
 
 def _fiber_blocks(g: np.ndarray, nb: int):
@@ -144,203 +141,6 @@ def _check_conditioning(gvv: np.ndarray) -> None:
         raise SubmersionError(
             f"horizontal solve is ill-conditioned (cond {float(conds[np.argmax(bad)]):.3e})"
         )
-
-
-def projectors_at(spec: SubmersionSpec, point) -> tuple[np.ndarray, np.ndarray]:
-    """(v, h): projection onto the vertical space along its g-orthogonal complement."""
-    g = spec.total.metric.value(point)
-    gvv, gv_rows = _fiber_blocks(g, spec.base_dim)
-    n, nb = spec.total_dim, spec.base_dim
-    selector = np.zeros((n, spec.fiber_dim))
-    selector[nb:, :] = np.eye(spec.fiber_dim)
-    v = selector @ np.linalg.solve(gvv, gv_rows)
-    return v, np.eye(n) - v
-
-
-def _projector_jets(spec: SubmersionSpec, point):
-    """(v, h, dv, dh) with dv[i] the coordinate derivative of the vertical projector."""
-    g, dg, _ = spec.total.metric.jet(point)
-    gvv, gv_rows = _fiber_blocks(g, spec.base_dim)
-    n, nb, f = spec.total_dim, spec.base_dim, spec.fiber_dim
-    selector = np.zeros((n, f))
-    selector[nb:, :] = np.eye(f)
-    gvv_inv = np.linalg.inv(gvv)
-    s = gvv_inv @ gv_rows  # f x n vertical-component extractor
-    v = selector @ s
-    dv = np.empty((n, n, n))
-    for i in range(n):
-        ds = gvv_inv @ (dg[i][nb:, :] - dg[i][nb:, nb:] @ s)
-        dv[i] = selector @ ds
-    return v, np.eye(n) - v, dv, -dv
-
-
-def horizontal_lift_at(spec: SubmersionSpec, base_vector, point) -> np.ndarray:
-    """The unique horizontal vector at ``point`` that pushes forward to ``base_vector``."""
-    bv = np.asarray(base_vector, dtype=float)
-    if bv.shape != (spec.base_dim,):
-        raise ValueError(f"base vector of shape {bv.shape}, expected ({spec.base_dim},)")
-    g = spec.total.metric.value(point)
-    gvv, _ = _fiber_blocks(g, spec.base_dim)
-    _check_conditioning(gvv)
-    nb = spec.base_dim
-    w = -np.linalg.solve(gvv, g[nb:, :nb] @ bv)
-    return np.concatenate([bv, w])
-
-
-# --------------------------------------------------------------------------
-# Vector fields
-# --------------------------------------------------------------------------
-
-class CoordinateBasisField:
-    """The constant coordinate field ∂_index."""
-
-    def __init__(self, dim: int, index: int):
-        if not 0 <= index < dim:
-            raise IndexError(f"index {index} out of range for dimension {dim}")
-        self.dim = dim
-        self.index = index
-
-    def vector(self, point) -> np.ndarray:
-        values = np.zeros(self.dim)
-        values[self.index] = 1.0
-        return values
-
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        return self.vector(point), np.zeros((self.dim, self.dim))
-
-
-class ExpressionVectorField(ExpressionField):
-    """A vector field whose components are expression fields; jets are (X, ∂X)."""
-
-    def vector(self, point) -> np.ndarray:
-        """The components at one point, under the name the field-pair oracle calls."""
-        return self.value(point)
-
-
-class HorizontalLiftField:
-    """The basic field lifting a constant base vector; jets come from metric jets."""
-
-    def __init__(self, spec: SubmersionSpec, base_vector):
-        self._spec = spec
-        self._bv = np.asarray(base_vector, dtype=float)
-        if self._bv.shape != (spec.base_dim,):
-            raise ValueError(f"base vector of shape {self._bv.shape}")
-        self.dim = spec.total_dim
-
-    def vector(self, point) -> np.ndarray:
-        return horizontal_lift_at(self._spec, self._bv, point)
-
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        spec = self._spec
-        nb = spec.base_dim
-        g, dg, _ = spec.total.metric.jet(point)
-        gvv, _ = _fiber_blocks(g, nb)
-        gvv_inv = np.linalg.inv(gvv)
-        w = -gvv_inv @ (g[nb:, :nb] @ self._bv)
-        values = np.concatenate([self._bv, w])
-        jac = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            dw = -gvv_inv @ (dg[i][nb:, :nb] @ self._bv + dg[i][nb:, nb:] @ w)
-            jac[i, nb:] = dw
-        return values, jac
-
-
-class ProjectedField:
-    """v·F or h·F as a field, differentiated through the projector's jets."""
-
-    def __init__(self, spec: SubmersionSpec, kind: str, base):
-        if kind not in ("v", "h"):
-            raise ValueError(f"kind must be 'v' or 'h', got {kind!r}")
-        self._spec = spec
-        self._kind = kind
-        self._base = base
-        self.dim = spec.total_dim
-
-    def vector(self, point) -> np.ndarray:
-        v, h = projectors_at(self._spec, point)
-        proj = v if self._kind == "v" else h
-        return proj @ self._base.vector(point)
-
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        v, h, dv, dh = _projector_jets(self._spec, point)
-        proj, dproj = (v, dv) if self._kind == "v" else (h, dh)
-        values, jac = self._base.jet(point)
-        out_jac = np.empty_like(jac)
-        for i in range(self.dim):
-            out_jac[i] = dproj[i] @ values + proj @ jac[i]
-        return proj @ values, out_jac
-
-
-class StructureImageField:
-    """P·F as a field, for a product structure with jets."""
-
-    def __init__(self, structure, base):
-        self._structure = structure
-        self._base = base
-        self.dim = base.dim
-
-    def vector(self, point) -> np.ndarray:
-        return self._structure.value(point) @ self._base.vector(point)
-
-    def jet(self, point) -> tuple[np.ndarray, np.ndarray]:
-        m, dm = self._structure.jet(point)
-        values, jac = self._base.jet(point)
-        out_jac = np.empty_like(jac)
-        for i in range(self.dim):
-            out_jac[i] = dm[i] @ values + m @ jac[i]
-        return m @ values, out_jac
-
-
-def covariant_derivative_field(connection, direction, field_arg, point) -> np.ndarray:
-    """(∇_X Y)^k = X^i ∂_i Y^k + Γ^k_im X^i Y^m for a pointwise direction X."""
-    x0 = np.asarray(direction, dtype=float)
-    gamma = connection.value(point)
-    values, jac = field_arg.jet(point)
-    return x0 @ jac + np.einsum("kim,i,m->k", gamma, x0, values)
-
-
-def lie_bracket_at(x_field, y_field, point) -> np.ndarray:
-    """[X, Y]^k = X^i ∂_i Y^k − Y^i ∂_i X^k from exact component Jacobians."""
-    x0, dx = x_field.jet(point)
-    y0, dy = y_field.jet(point)
-    return x0 @ dy - y0 @ dx
-
-
-# --------------------------------------------------------------------------
-# Fundamental tensors
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OneillTensors:
-    """T, A and the dual-connection versions, applied to a single field pair."""
-
-    t: np.ndarray
-    a: np.ndarray
-    t_star: np.ndarray
-    a_star: np.ndarray
-
-
-def oneill_tensors_at(spec: SubmersionSpec, e_field, f_field, point) -> OneillTensors:
-    """T(E,F) = h ∇_{vE} vF + v ∇_{vE} hF and A(E,F) = v ∇_{hE} hF + h ∇_{hE} vF.
-
-    The starred pair replaces the connection by the total space's conjugate.
-    """
-    v, h = projectors_at(spec, point)
-    e0 = e_field.vector(point)
-    ve, he = v @ e0, h @ e0
-    vf = ProjectedField(spec, "v", f_field)
-    hf = ProjectedField(spec, "h", f_field)
-
-    def tensors(conn):
-        t = h @ covariant_derivative_field(conn, ve, vf, point) \
-            + v @ covariant_derivative_field(conn, ve, hf, point)
-        a = v @ covariant_derivative_field(conn, he, hf, point) \
-            + h @ covariant_derivative_field(conn, he, vf, point)
-        return t, a
-
-    t, a = tensors(spec.total.resolved_connection)
-    t_star, a_star = tensors(spec.total.conjugate)
-    return OneillTensors(t=t, a=a, t_star=t_star, a_star=a_star)
 
 
 @dataclass(frozen=True)
@@ -456,7 +256,7 @@ def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEF
     base_metric = spec.base.metric.values(points[:, :nb])
     gvv, _ = _fiber_blocks(g, nb)
     _check_conditioning(gvv)
-    # lifts[p, :, a] lifts e_a; one vector right-hand side per e_a keeps horizontal_lift_at's bits
+    # lifts[p, :, a] lifts e_a; one vector right-hand side per e_a keeps the point-wise lift's bits
     eye = np.eye(nb)
     lifts = np.zeros(points.shape + (nb,))
     lifts[:, :nb, :] = eye

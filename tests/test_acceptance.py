@@ -15,6 +15,7 @@ from conftest import (
     flat_manifold,
     relative_deviation,
 )
+from oracles import HorizontalLiftField, lie_bracket_at, oneill_tensors_at, projectors_at
 from statgeom import build_context, parse_manifest
 from statgeom.expr import fd_check
 from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures, fisher_metric
@@ -30,7 +31,7 @@ from statgeom.geometry import (
     check_dual_curvature_identity,
     check_statistical_structure,
     conjugate_connection,
-    curvature_at,
+    curvature_tensor,
     fit_kurose_constant,
     levi_civita,
     sample_points,
@@ -38,22 +39,18 @@ from statgeom.geometry import (
 from statgeom.product import (
     adjoint_structure,
     check_pairing_identities,
+    _covariant_derivative_P,
     check_para_kahler_like,
-    covariant_derivative_P_at,
     verify_flatness_theorem,
 )
 from statgeom.report import render_report
 from statgeom.submersion import (
-    HorizontalLiftField,
     check_fundamental_tensor_identities,
     check_para_holomorphic,
     check_semi_riemannian_submersion,
     check_statistical_submersion,
     induced_fiber_manifold,
     isometric_fibers_residual,
-    lie_bracket_at,
-    oneill_tensors_at,
-    projectors_at,
 )
 from statgeom.suite import run_suite
 
@@ -111,7 +108,7 @@ def test_criterion_1_flat_certification():
                     if np.max(np.abs(adjoint.value(p) - expected)) > 1e-12:
                         failures.append(f"{tag}: adjoint coefficients")
                         break
-                if max(np.max(np.abs(curvature_at(m.connection, p).components))
+                if max(np.max(np.abs(curvature_tensor(*m.connection.jet(p))))
                        for p in pts) > 1e-9:
                     failures.append(f"{tag}: curvature")
                 fit = fit_kurose_constant(m, pts)
@@ -137,7 +134,8 @@ def test_criterion_2_curved_certification():
             failures.append(f"{tag}: torsion {statistical.details['torsion']:.2e}")
         if statistical.details["codazzi"] > 1e-9:
             failures.append(f"{tag}: codazzi {statistical.details['codazzi']:.2e}")
-        parallel = max(np.max(np.abs(covariant_derivative_P_at(m.connection, m.product, p)))
+        parallel = max(np.max(np.abs(_covariant_derivative_P(m.connection.value(p),
+                                                              *m.product.jet(p))))
                        for p in pts)
         if parallel > 1e-9:
             failures.append(f"{tag}: structure parallelism {parallel:.2e}")
@@ -226,7 +224,7 @@ def test_criterion_4_alpha_connection_suite():
         if match > 1e-9:
             failures.append(f"{name}: zero-alpha metric connection {match:.2e}")
         one = AlphaConnection(metric, 1.0)
-        flatness = max(float(np.max(np.abs(curvature_at(one, p).components))) for p in pts)
+        flatness = max(float(np.max(np.abs(curvature_tensor(*one.jet(p))))) for p in pts)
         if flatness > 1e-9:
             failures.append(f"{name}: exponential flatness {flatness:.2e}")
     _report(4, "alpha-connection suite", failures)
@@ -325,7 +323,7 @@ def test_criterion_7_oracle_agreement():
             gamma, dgamma = connection.jet(p)
             if relative_deviation(dgamma, fd_connection_jet(connection, p)) > 1e-5:
                 failures.append(f"{name}: coefficient jet vs oracle")
-            exact = curvature_at(connection, p).components
+            exact = curvature_tensor(*connection.jet(p))
             if relative_deviation(exact, fd_curvature(connection, p)) > 1e-5:
                 failures.append(f"{name}: curvature vs oracle")
             star = conjugate_connection(metric, connection)

@@ -6,19 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from oracles import eval2
 from statgeom.expfam import (
     AlphaConnection,
-    alpha_connection,
     builtin_model,
     exp_para_structures,
     fisher_metric,
 )
-from statgeom.expr import eval2, eval_value, fd_check
+from statgeom.expr import eval_points, fd_check
 from statgeom.geometry import (
     ManifoldSpec,
     check_statistical_structure,
     conjugate_connection,
-    curvature_at,
+    curvature_tensor,
     levi_civita,
     sample_points,
 )
@@ -40,12 +40,12 @@ def _models():
 class TestBuiltinModels:
     def test_poisson_values(self):
         model = builtin_model("poisson")
-        assert eval_value(model.psi, [0.0]) == 1.0
+        assert eval_points(model.psi, [[0.0]])[0] == 1.0
         assert fisher_metric(model).value([0.0])[0, 0] == 1.0
 
     def test_binary_multinomial_values(self):
         model = builtin_model("multinomial", categories=2, trials=1)
-        assert eval_value(model.psi, [0.0]) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert eval_points(model.psi, [[0.0]])[0] == pytest.approx(math.log(2.0), rel=1e-15)
         # logistic second derivative: e^0 / (1 + e^0)² = 1/4
         assert fisher_metric(model).value([0.0])[0, 0] == pytest.approx(0.25, rel=1e-14)
 
@@ -106,7 +106,7 @@ class TestBuiltinModels:
 class TestAlphaConnections:
     def test_exponential_connection_vanishes(self):
         for model in _models():
-            connection = alpha_connection(model, 1.0)
+            connection = AlphaConnection(model.fisher, 1.0)
             p = sample_points(model.chart, 1)[0]
             np.testing.assert_array_equal(connection.value(p),
                                           np.zeros((model.dim,) * 3))
@@ -122,7 +122,7 @@ class TestAlphaConnections:
 
     def test_poisson_mixture_coefficient(self):
         # Γ¹₁₁ = (1 − (−1))/2 · ψ'''/ψ'' = e^ξ/e^ξ = 1
-        connection = alpha_connection(builtin_model("poisson"), -1.0)
+        connection = AlphaConnection(builtin_model("poisson").fisher, -1.0)
         assert connection.value([0.37])[0, 0, 0] == pytest.approx(1.0, rel=1e-13)
 
     def test_statistical_structure_and_duality(self):
@@ -141,13 +141,18 @@ class TestAlphaConnections:
 
     def test_exponential_family_is_one_flat(self):
         for model in _models():
-            connection = alpha_connection(model, 1.0)
+            connection = AlphaConnection(model.fisher, 1.0)
             for p in sample_points(model.chart, 10):
-                assert np.max(np.abs(curvature_at(connection, p).components)) <= 1e-12
+                assert np.max(np.abs(curvature_tensor(*connection.jet(p)))) <= 1e-12
 
     def test_alpha_must_be_finite(self):
         with pytest.raises(ValueError):
-            alpha_connection(builtin_model("poisson"), float("nan"))
+            AlphaConnection(builtin_model("poisson").fisher, float("nan"))
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, True, False])
+    def test_alpha_must_be_a_finite_number(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite number"):
+            AlphaConnection(builtin_model("poisson").fisher, alpha)
 
 
 class TestCompanionStructures:

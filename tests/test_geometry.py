@@ -26,11 +26,9 @@ from statgeom.geometry import (
     check_dual_curvature_identity,
     check_statistical_structure,
     conjugate_connection,
-    curvature_at,
-    difference_tensor_at,
+    curvature_tensor,
     fit_kurose_constant,
     levi_civita,
-    metric_matrices_at,
     metric_signature,
     residual_check,
     sample_points,
@@ -86,24 +84,18 @@ class TestMetric:
     def test_flat_pair_matrix(self):
         # metric eps*(k dx² − dy²) with k = 2, eps = 1
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
-        g, ginv = metric_matrices_at(m.metric, [0.3, -0.2])
+        g = m.metric.value([0.3, -0.2])
         np.testing.assert_allclose(g, np.diag([2.0, -1.0]), atol=0)
-        np.testing.assert_allclose(g @ ginv, np.eye(2), atol=1e-12)
 
     def test_curved_pair_matrix_at_unit_height(self):
         m = curved_manifold(pairs=1, k=1.0, l=1.0, epsilons=(1.0,))
-        g, _ = metric_matrices_at(m.metric, [0.0, 1.0])
+        g = m.metric.value([0.0, 1.0])
         np.testing.assert_allclose(g, np.diag([1.0, -1.0]), atol=0)
-
-    def test_identity_metric_inverse(self):
-        g = MetricField.from_strings(("x", "y"), [["1", "0"], ["0", "1"]])
-        _, ginv = metric_matrices_at(g, [0.0, 0.0])
-        np.testing.assert_array_equal(ginv, np.eye(2))
 
     def test_singular_metric_rejected(self):
         g = MetricField.from_strings(("x", "y"), [["1", "1"], ["1", "1"]])
         with pytest.raises(MetricError, match="singular"):
-            metric_matrices_at(g, [0.0, 0.0])
+            levi_civita(g).value([0.0, 0.0])
 
     def test_signature(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, -1.0))
@@ -376,31 +368,31 @@ class TestResidualTracker:
 class TestCurvature:
     def test_flat_connection_zero(self):
         m = flat_manifold(pairs=1, k=1.0, epsilons=(1.0,))
-        r = curvature_at(m.connection, sample_points(m.chart, 1)[0])
-        np.testing.assert_array_equal(r.components, np.zeros((2, 2, 2, 2)))
+        r = curvature_tensor(*m.connection.jet(sample_points(m.chart, 1)[0]))
+        np.testing.assert_array_equal(r, np.zeros((2, 2, 2, 2)))
 
     def test_flat_fixture_zero(self):
         m = flat_manifold(pairs=2, k=-3.0, epsilons=(1.0, -1.0))
         for p in sample_points(m.chart, 10):
-            assert np.max(np.abs(curvature_at(m.connection, p).components)) == 0.0
+            assert np.max(np.abs(curvature_tensor(*m.connection.jet(p)))) == 0.0
 
     def test_antisymmetry_exact(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, 1.0))
         for p in sample_points(m.chart, 5):
-            r = curvature_at(m.connection, p).components
+            r = curvature_tensor(*m.connection.jet(p))
             assert (r == -np.einsum("lijk->ljik", r)).all()
 
     def test_known_component(self):
         # R^y_xyx = −d/dy(−2k/((k+l)y)) = −2k/((k+l)y²); k=l=1, y=1 gives −1
         m = curved_manifold(pairs=1, k=1.0, l=1.0, epsilons=(1.0,))
-        r = curvature_at(m.connection, [0.0, 1.0]).components
+        r = curvature_tensor(*m.connection.jet([0.0, 1.0]))
         assert r[1, 0, 1, 0] == pytest.approx(-1.0, rel=1e-14)
 
     def test_matches_fd_oracle(self):
         for kl in [(1.0, 2.0), (2.0, -1.0)]:
             m = curved_manifold(pairs=1, k=kl[0], l=kl[1], epsilons=(1.0,))
             for p in sample_points(m.chart, 10):
-                exact = curvature_at(m.connection, p).components
+                exact = curvature_tensor(*m.connection.jet(p))
                 assert relative_deviation(exact, fd_curvature(m.connection, p)) <= 1e-5
 
     def test_levi_civita_jets_match_fd(self):
@@ -416,7 +408,7 @@ class TestStatisticalCurvature:
         mid = levi_civita(m.metric)
         for p in sample_points(m.chart, 5):
             s = statistical_curvature_at(dataclasses.replace(m, connection=mid), p)
-            np.testing.assert_allclose(s, curvature_at(mid, p).components, atol=1e-12)
+            np.testing.assert_allclose(s, curvature_tensor(*mid.jet(p)), atol=1e-12)
 
     def test_flat_dual_pair_vanishes(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
@@ -557,26 +549,26 @@ class TestDuality:
         mid = levi_civita(m.metric)
         p = sample_points(m.chart, 1)[0]
         star = conjugate_connection(m.metric, mid)
-        np.testing.assert_allclose(difference_tensor_at(mid, star, p),
+        np.testing.assert_allclose(mid.value(p) - star.value(p),
                                    np.zeros((2, 2, 2)), atol=1e-12)
 
     def test_difference_tensor_values(self):
         # K^y_xx = Γ − Γ* = 0 at k = l = 1 and −1/3 at k = 1, l = 2 (y = 1)
         point = np.array([0.0, 1.0])
         equal = curved_manifold(pairs=1, k=1.0, l=1.0, epsilons=(1.0,))
-        k_equal = difference_tensor_at(
-            equal.connection, conjugate_connection(equal.metric, equal.connection), point)
+        k_equal = (equal.connection.value(point)
+                   - conjugate_connection(equal.metric, equal.connection).value(point))
         assert k_equal[1, 0, 0] == pytest.approx(0.0, abs=1e-14)
         skew = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        k_skew = difference_tensor_at(
-            skew.connection, conjugate_connection(skew.metric, skew.connection), point)
+        k_skew = (skew.connection.value(point)
+                  - conjugate_connection(skew.metric, skew.connection).value(point))
         assert k_skew[1, 0, 0] == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
     def test_difference_tensor_symmetry(self):
         m = curved_manifold(pairs=2, k=2.0, l=-1.0, epsilons=(1.0, 1.0))
         star = conjugate_connection(m.metric, m.connection)
         for p in sample_points(m.chart, 10):
-            k = difference_tensor_at(m.connection, star, p)
+            k = m.connection.value(p) - star.value(p)
             assert np.max(np.abs(k - np.einsum("kij->kji", k))) <= 1e-12
 
     def test_koszul_formula_with_difference_tensor(self):
@@ -586,7 +578,7 @@ class TestDuality:
         for p in sample_points(m.chart, 25):
             g, dg, _ = m.metric.jet(p)
             gamma = m.connection.value(p)
-            kdiff = difference_tensor_at(m.connection, star, p)
+            kdiff = m.connection.value(p) - star.value(p)
             lhs = 2.0 * np.einsum("mij,mk->ijk", gamma, g)
             rhs = (np.einsum("mij,mk->ijk", kdiff, g)
                    + dg

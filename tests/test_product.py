@@ -13,19 +13,19 @@ from statgeom.geometry import (
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
     PointJets,
-    curvature_at,
+    curvature_tensor,
     levi_civita,
     sample_points,
 )
 from statgeom.product import (
     ExpressionProductStructure,
+    _covariant_derivative_P,
     adjoint_structure,
     check_almost_product,
     check_pairing_identities,
     check_para_kahler_like,
     check_space_form,
     conjugate_parallelism_check,
-    covariant_derivative_P_at,
     fit_space_form_constant,
     verify_flatness_theorem,
 )
@@ -104,13 +104,13 @@ class TestParallelism:
     def test_constant_structure_flat_connection(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
         p = sample_points(m.chart, 1)[0]
-        d = covariant_derivative_P_at(m.connection, m.product, p)
+        d = _covariant_derivative_P(m.connection.value(p), *m.product.jet(p))
         np.testing.assert_array_equal(d, np.zeros((2, 2, 2)))
 
     def test_curved_fixture_parallel(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, 1.0))
         for p in sample_points(m.chart, 25):
-            d = covariant_derivative_P_at(m.connection, m.product, p)
+            d = _covariant_derivative_P(m.connection.value(p), *m.product.jet(p))
             assert np.max(np.abs(d)) <= 1e-9
 
     def test_reflection_not_parallel_for_curved_connection(self):
@@ -118,7 +118,8 @@ class TestParallelism:
         picks up (∇_x P)^y_x = 2 Γ^y_xx = −4k/((k+l)y)."""
         m = curved_manifold(pairs=1, k=1.0, l=1.0, epsilons=(1.0,))
         reflection = ExpressionProductStructure.from_constant(np.diag([1.0, -1.0]), ("x1", "y1"))
-        d = covariant_derivative_P_at(m.connection, reflection, np.array([0.0, 1.0]))
+        point = np.array([0.0, 1.0])
+        d = _covariant_derivative_P(m.connection.value(point), *reflection.jet(point))
         assert d[0, 1, 0] == pytest.approx(-2.0, rel=1e-13)
 
 
@@ -150,7 +151,7 @@ class TestCertification:
         """R(∂_i, ∂_j) P = P R(∂_i, ∂_j) on certified fixtures."""
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, 1.0))
         for p in sample_points(m.chart, 10):
-            r = curvature_at(m.connection, p).components
+            r = curvature_tensor(*m.connection.jet(p))
             mat = m.product.value(p)
             left = np.einsum("lijm,mk->lijk", r, mat)
             right = np.einsum("lm,mijk->lijk", mat, r)

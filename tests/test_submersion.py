@@ -8,8 +8,19 @@ import numpy as np
 import pytest
 
 from conftest import NaNConnection, curved_submersion
+from oracles import (
+    CoordinateBasisField,
+    ExpressionVectorField,
+    HorizontalLiftField,
+    StructureImageField,
+    eval2,
+    horizontal_lift_at,
+    lie_bracket_at,
+    oneill_tensors_at,
+    projectors_at,
+)
 from statgeom import build_context, parse_manifest
-from statgeom.expr import eval2, eval_value, parse_expression
+from statgeom.expr import eval_points, parse_expression
 from statgeom.fixtures import flat_product_manifest, submersion_manifest
 from statgeom.geometry import (
     STATUS_FAIL,
@@ -18,29 +29,21 @@ from statgeom.geometry import (
     ExpressionConnection,
     PointJets,
     conjugate_connection,
-    curvature_at,
+    curvature_tensor,
     sample_points,
 )
 from statgeom.product import adjoint_structure, check_para_kahler_like
 from statgeom.submersion import (
-    CoordinateBasisField,
-    ExpressionVectorField,
     FiberConnection,
-    HorizontalLiftField,
-    StructureImageField,
     SubmersionError,
     SubmersionSpec,
     check_fundamental_tensor_identities,
     check_para_holomorphic,
     check_semi_riemannian_submersion,
     check_statistical_submersion,
-    horizontal_lift_at,
     induced_fiber_manifold,
     isometric_fibers_residual,
-    lie_bracket_at,
     oneill_arrays,
-    oneill_tensors_at,
-    projectors_at,
     verify_submersion_theorems,
 )
 
@@ -302,7 +305,7 @@ class TestFundamentalTensors:
                 assert np.array_equal(jacobian[:, k], reference.grad)
         fresh = ExpressionVectorField(field.grid)
         for point in points:
-            assert list(fresh.vector(point)) == [eval_value(f, point) for f in field.grid]
+            assert list(fresh.vector(point)) == [eval_points(f, [point])[0] for f in field.grid]
 
     def test_identities_hold_on_fixtures(self):
         for spec in (curved_submersion(k=1.0, l=2.0), flat_submersion(), warped_submersion()):
@@ -526,7 +529,7 @@ class TestInducedFiber:
         fiber = induced_fiber_manifold(spec)
         for p in sample_points(fiber.chart, 5):
             assert np.max(np.abs(fiber.connection.value(p))) <= 1e-14
-            assert np.max(np.abs(curvature_at(fiber.connection, p).components)) <= 1e-12
+            assert np.max(np.abs(curvature_tensor(*fiber.connection.jet(p)))) <= 1e-12
 
     def test_pair_crossing_structure_rejected(self):
         """A structure swapping the two pairs moves vertical vectors out of the
