@@ -9,6 +9,9 @@ and curvature) all evaluate exactly.  The α-connections are
     Γ^(α)t_ij = ((1 − α) / 2) (∂_s g_ij) g^st,
 
 torsion-free by the total symmetry of ∂∂∂ψ, with ∇^(−α) conjugate to ∇^(α).
+A model owns its α-family: :meth:`ExpFamilyModel.alpha_manifold` builds the
+spec of each α once, on first use, so every check of a run reads the same
+connection stores.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .geometry import (
     ChartSpec,
     DEFAULT_POINT_COUNT,
     DerivedJets,
+    ManifoldSpec,
     MetricField,
     MetricError,
     _inverse_derivative,
@@ -52,6 +56,18 @@ class ExpFamilyModel:
     def fisher(self) -> MetricField:
         """The Fisher metric, built and validated once so its stored jets serve every check."""
         return fisher_metric(self)
+
+    def alpha_manifold(self, alpha: float) -> ManifoldSpec:
+        """The chart and Fisher metric with the α-connection; one spec per α, built on first use.
+
+        The spec refers to the chart and the metric, not back to the model.
+        """
+        specs = self.__dict__.setdefault("_alpha_manifolds", {})
+        spec = specs.get(alpha)
+        if spec is None:
+            spec = specs[alpha] = ManifoldSpec(self.chart, self.fisher,
+                                               AlphaConnection(self.fisher, alpha))
+        return spec
 
 
 def builtin_model(name: str, **hyperparams) -> ExpFamilyModel:

@@ -3,11 +3,14 @@
 An expression is parsed once into a small immutable tree; named parameters
 are substituted by their numeric values at parse time, so evaluation never
 touches a symbol table.  Every pass over trees is one non-recursive walk
-over one or several roots that keys each node by its structure and applies a
-per-node rule once per distinct subtree, children first:
-``eval_fields`` propagates (value, gradient, Hessian) triples of many fields
-at many points, so a subtree shared by several fields is evaluated once per
-batch, ``eval2_points`` and ``eval_points`` (values alone) are its one-field
+in two steps: a :class:`Plan` keys the nodes of one or several roots by
+their structure and numbers the distinct subtrees once, children first, and
+its ``run`` applies a per-node rule once per number.  ``eval_fields``
+propagates (value, gradient, Hessian) triples, or (value, gradient) pairs,
+of many fields at many points, so a subtree shared by several fields is
+evaluated once per batch; a caller that walks the same fields batch after
+batch (an ``ExpressionField``) makes their plan once and passes it in.
+``eval2_points`` and ``eval_points`` (values alone) are its one-field
 case, and ``ScalarField.differentiate`` (for higher derivatives),
 ``freeze_leading_coordinates``, constant exponents and ``format_expression``
 build trees, numbers or text, so any tree the parser builds goes through all
@@ -127,90 +130,98 @@ def constant_field(value: float, coords: Sequence[str]) -> ScalarField:
 # Tree walk (evaluation and every transform below are rules on it)
 # --------------------------------------------------------------------------
 
-def _children(node: object) -> tuple:
-    if isinstance(node, Binary):
-        return (node.left, node.right)
-    if isinstance(node, (Unary, Psi)):
-        return (node.arg,)
-    if isinstance(node, Power):
-        return (node.base,)
-    return ()
-
-
-def _key(node: object, children: tuple) -> tuple:
-    """The structural key of ``node``, given the numbers of its children's keys.
+def _head(node: object) -> tuple[tuple, tuple]:
+    """The structural key of ``node`` without its children's numbers, and its children.
 
     Floats enter by their bits (``float.hex``), so 0.0 and -0.0 stay apart.
     """
     kind = type(node)
     if kind is Const:
-        return (kind, float.hex(node.value))
+        return (kind, float.hex(node.value)), ()
     if kind is Var:
-        return (kind, node.index)
+        return (kind, node.index), ()
+    if kind is Binary:
+        return (kind, node.op), (node.left, node.right)
+    if kind is Unary:
+        return (kind, node.op), (node.arg,)
     if kind is Power:
-        return (kind, float.hex(node.exponent)) + children
+        return (kind, float.hex(node.exponent)), (node.base,)
     if kind is Psi:
-        return (kind, node.order) + children
-    return (kind, node.op) + children
+        return (kind, node.order), (node.arg,)
+    raise TypeError(f"unknown node type {kind!r}")
 
 
-def _walk(roots: Sequence, rule, *context):
-    """Yield ``(i, result)`` for each ``roots[i]``, the result of ``rule(node, args, *context)``.
+class Plan:
+    """The distinct subtrees of several roots, numbered once, children first.
 
-    ``args`` are the children's results.  The rule is applied children
-    first, without recursion, once per distinct subtree among all roots:
-    nodes are keyed by their structure, so equal subtrees share one result
-    whether or not they are one object.  A result is dropped after its last
-    reader, and each root's result is yielded as soon as it is computed,
-    not in root order.
+    Nodes are keyed by their structure, so equal subtrees share one number
+    whether or not they are one object.  :meth:`run` applies a per-node rule
+    in that order, without recursion, so a plan made once serves every
+    batch its roots are walked over.  A plan holds the trees and no result.
     """
-    numbers: dict[int, int] = {}  # id(node) -> number of its key; -1 while its children wait
-    by_key: dict[tuple, int] = {}
-    nodes: list = []  # one node per number, children first
-    child_numbers: list[tuple] = []
-    uses: list[int] = []  # parent edges into each number
-    stack = [(root, None) for root in reversed(roots)]
-    while stack:
-        node, children = stack.pop()
-        if children is None:
-            if id(node) not in numbers:
-                numbers[id(node)] = -1
-                children = _children(node)
-                stack.append((node, children))
-                stack.extend((child, None) for child in reversed(children))
-            continue
-        kids = tuple(numbers[id(child)] for child in children)
-        key = _key(node, kids)
-        number = by_key.get(key)
-        if number is None:
-            number = by_key[key] = len(nodes)
-            nodes.append(node)
-            child_numbers.append(kids)
-            uses.append(0)
-            for kid in kids:
-                uses[kid] += 1
-        numbers[id(node)] = number
-    readers: dict[int, list[int]] = {}
-    for i, root in enumerate(roots):
-        readers.setdefault(numbers[id(root)], []).append(i)
-    results: dict[int, object] = {}
-    for number, node in enumerate(nodes):
-        kids = child_numbers[number]
-        args = [results[kid] for kid in kids]
-        for kid in kids:
-            uses[kid] -= 1
-            if not uses[kid]:
-                del results[kid]
-        result = rule(node, args, *context)
-        for i in readers.get(number, ()):
-            yield i, result
-        if uses[number]:
-            results[number] = result
+
+    def __init__(self, roots: Sequence):
+        numbers: dict[int, int] = {}  # id(node) -> number of its key; -1 while its children wait
+        by_key: dict[tuple, int] = {}  # a node's head plus its children's numbers -> its number
+        nodes: list = []  # one node per number, children first
+        child_numbers: list[tuple] = []
+        stack: list = list(reversed(roots))  # nodes to visit, and (node, head, children) to number
+        while stack:
+            item = stack.pop()
+            if type(item) is tuple:  # its children are numbered
+                node, head, children = item
+                kids = tuple([numbers[id(child)] for child in children])
+            else:
+                node = item
+                if id(node) in numbers:
+                    continue
+                head, children = _head(node)
+                if children:
+                    numbers[id(node)] = -1
+                    stack.append((node, head, children))
+                    stack.extend(reversed(children))
+                    continue
+                kids = ()
+            key = head + kids
+            number = by_key.get(key)
+            if number is None:
+                number = by_key[key] = len(nodes)
+                nodes.append(node)
+                child_numbers.append(kids)
+            numbers[id(node)] = number
+        last_reader = {kid: number for number, kids in enumerate(child_numbers) for kid in kids}
+        frees: list[list[int]] = [[] for _ in nodes]  # results dropped once this number is read
+        for kid, reader in last_reader.items():
+            frees[reader].append(kid)
+        readers: list[list[int]] = [[] for _ in nodes]  # the roots each number answers
+        for i, root in enumerate(roots):
+            readers[numbers[id(root)]].append(i)
+        self._steps = tuple((node, kids, tuple(free), tuple(read), number in last_reader)
+                            for number, (node, kids, free, read)
+                            in enumerate(zip(nodes, child_numbers, frees, readers)))
+
+    def run(self, rule, *context):
+        """Yield ``(i, result)`` for each root ``i``, the result of ``rule(node, args, *context)``.
+
+        ``args`` are the children's results.  The rule is applied once per
+        number, a result is dropped after its last reader, and each root's
+        result is yielded as soon as it is computed, not in root order.
+        """
+        results: list = [None] * len(self._steps)
+        for number, (node, kids, frees, roots, kept) in enumerate(self._steps):
+            args = [results[kid] for kid in kids]
+            for kid in frees:
+                results[kid] = None
+            result = rule(node, args, *context)
+            for i in roots:
+                yield i, result
+            if kept:
+                results[number] = result
 
 
 def _result(root: object, rule, *context):
-    """The result of :func:`_walk` at a single root."""
-    [(_, result)] = _walk((root,), rule, *context)
+    """The result of ``rule`` at a single root, through a one-root :class:`Plan`."""
+    [(_, result)] = Plan((root,)).run(rule, *context)
     return result
 
 
@@ -565,6 +576,9 @@ def _psi_value(order: int, u: float) -> float:
 # every row equals ``eval2`` of ``tests/oracles.py`` at that point.  A rule's
 # result depends only on the node's structure and its children's, so the
 # walk shares one result among equal subtrees of a batch, bit for bit.
+# Without ``second`` the rules stop at gradients: every Hessian is None and
+# no second-derivative factor is formed, so none can fail, and the values
+# and gradients are the bits of the full rules.
 
 def _col(value):
     """A value shaped to scale gradients: (P, 1) for an array, as is for a float."""
@@ -624,9 +638,12 @@ def _domain(bad, u, message: str) -> None:
 
 
 def _batch_chain(u, f0, f1, f2):
+    """The chain rule through a function with derivatives f1, f2; f2 is None for gradients only."""
     _, grad, hess = u
     if grad is None:
         return f0, None, None
+    if f2 is None:
+        return f0, grad * _col(f1), None
     return f0, grad * _col(f1), _plus(_scaled(hess, _mat(f1)), _outer(grad, grad) * _mat(f2))
 
 
@@ -637,38 +654,39 @@ def _batch_pow(u, c: float):
     return _map(lambda x: x**c, u, f"pow domain failure: exponent {c}")
 
 
-def _batch_unary(op: str, u):
+def _batch_unary(op: str, u, second: bool):
     value = u[0]
     if op == "neg":
         return -value, None if u[1] is None else -u[1], None if u[2] is None else -u[2]
     if op == "exp":
         f0 = _map(math.exp, value, "exp overflow")
-        return _batch_chain(u, f0, f0, f0)
+        return _batch_chain(u, f0, f0, f0 if second else None)
     if op == "log":
         _domain(value <= 0.0, value, "log of non-positive value {}")
         inv = 1.0 / value
-        return _batch_chain(u, _map(math.log, value), inv, -inv * inv)
+        return _batch_chain(u, _map(math.log, value), inv, -inv * inv if second else None)
     if op == "sqrt":
         _domain(value < 0.0, value, "sqrt of negative value {}")
         _domain(value == 0.0, value, "sqrt has unbounded derivative at zero")
         f0 = _map(math.sqrt, value)
         f1 = 0.5 / f0
-        return _batch_chain(u, f0, f1, -0.5 * f1 / value)
+        return _batch_chain(u, f0, f1, -0.5 * f1 / value if second else None)
     if op == "sin":
         s, c = _map(math.sin, value), _map(math.cos, value)
-        return _batch_chain(u, s, c, -s)
+        return _batch_chain(u, s, c, -s if second else None)
     if op == "cos":
         s, c = _map(math.sin, value), _map(math.cos, value)
-        return _batch_chain(u, c, -s, -c)
+        return _batch_chain(u, c, -s, -c if second else None)
     if op == "lgamma":
         _domain(value <= 0.0, value, "lgamma of non-positive value {}")
         return _batch_chain(u, _map(log_gamma, value),
                             _map(lambda x: polygamma(0, x), value, "lgamma overflow"),
-                            _map(lambda x: polygamma(1, x), value, "lgamma overflow"))
+                            _map(lambda x: polygamma(1, x), value, "lgamma overflow")
+                            if second else None)
     raise TypeError(f"unknown unary op {op!r}")
 
 
-def _batch_binary(op: str, a, b):
+def _batch_binary(op: str, a, b, second: bool):
     (va, ga, ha), (vb, gb, hb) = a, b
     if op == "add":
         return va + vb, _plus(ga, gb), _plus(ha, hb)
@@ -677,7 +695,7 @@ def _batch_binary(op: str, a, b):
     if op == "mul":
         grad = _plus(_scaled(ga, _col(vb)), _scaled(gb, _col(va)))
         hess = _plus(_scaled(ha, _mat(vb)), _scaled(hb, _mat(va)))
-        if ga is not None and gb is not None:
+        if second and ga is not None and gb is not None:
             cross = _outer(ga, gb)
             hess = _plus(_plus(hess, cross), _swap(cross))
         return va * vb, grad, hess
@@ -688,34 +706,38 @@ def _batch_binary(op: str, a, b):
         if grad is not None:
             grad = grad / _col(vb)
         hess = _minus(ha, _scaled(hb, _mat(value)))
-        if grad is not None and gb is not None:
+        if second and grad is not None and gb is not None:
             cross = _outer(grad, gb)
             hess = _minus(_minus(hess, cross), _swap(cross))
         return value, grad, None if hess is None else hess / _mat(vb)
     raise TypeError(f"unknown binary op {op!r}")
 
 
-def _batch_node(node: object, args: list, pts: np.ndarray, unit: np.ndarray):
+def _batch_node(node: object, args: list, pts: np.ndarray, unit: np.ndarray, second: bool):
+    """The jet rule of ``node`` over a batch; Hessians only when ``second``."""
     if isinstance(node, Const):
         return node.value, None, None
     if isinstance(node, Var):
         return pts[:, node.index], unit[node.index], None
     if isinstance(node, Unary):
-        return _batch_unary(node.op, args[0])
+        return _batch_unary(node.op, args[0], second)
     if isinstance(node, Binary):
-        return _batch_binary(node.op, args[0], args[1])
+        return _batch_binary(node.op, args[0], args[1], second)
     if isinstance(node, Power):
         u, c = args[0][0], node.exponent
         f0 = _batch_pow(u, c)
         f1 = c * _batch_pow(u, c - 1.0) if c != 0.0 else 0.0
-        f2 = c * (c - 1.0) * _batch_pow(u, c - 2.0) if c not in (0.0, 1.0) else 0.0
+        f2 = None
+        if second:
+            f2 = c * (c - 1.0) * _batch_pow(u, c - 2.0) if c not in (0.0, 1.0) else 0.0
         return _batch_chain(args[0], f0, f1, f2)
     if isinstance(node, Psi):
         u, order = args[0][0], node.order
         _domain(u <= 0.0, u, "polygamma of non-positive value {}")
         return _batch_chain(args[0], _map(lambda x: polygamma(order, x), u, "polygamma overflow"),
                             _map(lambda x: polygamma(order + 1, x), u, "polygamma overflow"),
-                            _map(lambda x: polygamma(order + 2, x), u, "polygamma overflow"))
+                            _map(lambda x: polygamma(order + 2, x), u, "polygamma overflow")
+                            if second else None)
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
@@ -734,7 +756,7 @@ def _batch_value(node: object, args: list, pts: np.ndarray):
         if node.op == "div":
             _domain(b == 0.0, b, "division by zero")
             return a / b
-        return _batch_binary(node.op, (a, None, None), (b, None, None))[0]
+        return _batch_binary(node.op, (a, None, None), (b, None, None), False)[0]
     if isinstance(node, Power):
         return _batch_pow(args[0], node.exponent)
     if isinstance(node, Psi):
@@ -763,52 +785,60 @@ def _ignore(i: int, parts: tuple) -> None:
     pass
 
 
-def eval_fields(fields: Sequence[ScalarField], points, full: bool, emit) -> None:
+def eval_fields(fields: Sequence[ScalarField], points, order: int, emit,
+                plan: Plan | None = None, check_finite: bool = True) -> None:
     """Call ``emit(i, parts)`` with the batched jets of each ``fields[i]`` at P points.
 
-    ``parts`` is (value, gradient, Hessian), or (value,) when ``full`` is
-    false, in the structured form above: a part is a float or an array that
-    broadcasts against ``(P,)``, ``(P, n)`` or ``(P, n, n)``, or None where it
-    vanishes.  All fields go through one walk, so each distinct subtree
-    among them is evaluated once per batch; a field is emitted as soon as
-    its root is computed, not in field order, and ``emit`` must not modify
-    the parts.  A domain failure raises the :class:`EvaluationError` that
-    the per-field functions below raise for the first failing field in
-    order, naming its first failing point in sample order.
+    ``parts`` is (value, gradient, Hessian) for ``order`` 2, (value,
+    gradient) for 1 and (value,) for 0, in the structured form above: a part
+    is a float or an array that broadcasts against ``(P,)``, ``(P, n)`` or
+    ``(P, n, n)``, or None where it vanishes.  All fields go
+    through one walk, so each distinct subtree among them is evaluated once
+    per batch; ``plan``, if given, is the :class:`Plan` of the fields' roots,
+    made once for every batch.  A field is emitted as soon as its root is
+    computed, not in field order, and ``emit`` must not modify the parts.  A
+    domain failure, or a non-finite part unless ``check_finite`` is false,
+    raises the :class:`EvaluationError` that the per-field functions below
+    raise for the first failing field in order, naming its first failing
+    point in sample order.  A caller that turns the check off checks the
+    arrays it assembles and calls this function again, checked, to raise.
     """
     pts = np.asarray(points, dtype=float)
     for field in fields:
         if pts.ndim != 2 or pts.shape[1] != field.arity or pts.shape[0] == 0:
             raise ValueError(f"points of shape {pts.shape} do not match arity {field.arity}")
-    if full:
-        rule, context = _batch_node, (pts, _unit_vectors(pts.shape[1]))
+    if order:
+        rule, context = _batch_node, (pts, _unit_vectors(pts.shape[1]), order > 1)
     else:
         rule, context = _batch_value, (pts,)
+    if plan is None:
+        plan = Plan([field.root for field in fields])
     try:
         with np.errstate(all="ignore"):  # a non-finite result is reported below
-            for i, parts in _walk([field.root for field in fields], rule, *context):
-                parts = parts if full else (parts,)
-                if not all(np.isfinite(part).all() for part in parts if part is not None):
+            for i, parts in plan.run(rule, *context):
+                parts = parts[:order + 1] if order else (parts,)
+                if check_finite and not all(
+                        np.isfinite(part).all() for part in parts if part is not None):
                     raise EvaluationError(
-                        "non-finite derivative data" if full else "non-finite value")
+                        "non-finite derivative data" if order else "non-finite value")
                 emit(i, parts)
     except EvaluationError as err:
         if len(fields) > 1:  # the message of the first failing field, each walked alone
             for field in fields:
-                eval_fields([field], pts, full, _ignore)
+                eval_fields([field], pts, order, _ignore)
         elif pts.shape[0] == 1:
             raise EvaluationError(f"{err} at point {pts[0].tolist()}") from None
         else:  # find the first failing point in sample order
             for row in range(pts.shape[0]):
-                eval_fields(fields, pts[row:row + 1], full, _ignore)
+                eval_fields(fields, pts[row:row + 1], order, _ignore)
         raise
 
 
-def _filled_parts(field: ScalarField, points, full: bool) -> tuple[np.ndarray, ...]:
+def _filled_parts(field: ScalarField, points, order: int) -> tuple[np.ndarray, ...]:
     """The parts of :func:`eval_fields` for one field, as fresh arrays with a point axis."""
     pts = np.asarray(points, dtype=float)
     parts = []
-    eval_fields([field], pts, full, lambda _, jets: parts.extend(jets))
+    eval_fields([field], pts, order, lambda _, jets: parts.extend(jets))
     count, n = pts.shape
     return tuple(_filled(part, shape)
                  for part, shape in zip(parts, ((count,), (count, n), (count, n, n))))
@@ -822,7 +852,7 @@ def eval2_points(field: ScalarField, points) -> tuple[np.ndarray, np.ndarray, np
     failure raises :class:`EvaluationError` naming the first failing point in
     sample order.
     """
-    return _filled_parts(field, points, True)
+    return _filled_parts(field, points, 2)
 
 
 def eval_points(field: ScalarField, points) -> np.ndarray:
@@ -833,7 +863,7 @@ def eval_points(field: ScalarField, points) -> np.ndarray:
     value is finite (``sqrt(x*x)`` at 0) does not.  The walk and the error
     reporting are those of :func:`eval2_points`.
     """
-    return _filled_parts(field, points, False)[0]
+    return _filled_parts(field, points, 0)[0]
 
 
 # --------------------------------------------------------------------------

@@ -248,7 +248,11 @@ class ExpressionField(PointJets):
     A ``symmetric`` grid is read from its upper triangle (i ≤ j) and
     mirrored.  A batch walks all components together, each distinct subtree
     once per batch, and writes each component's jets into its slots as they
-    arrive.
+    arrive.  The walk's :class:`expr.Plan` is made at the first batch and kept
+    for the next ones.  Finiteness is checked once per assembled array; on a
+    non-finite entry the components are walked again through
+    :func:`expr.eval_fields`' checked path, which names the first failing
+    component's failure and point.
     """
 
     order = 1
@@ -274,6 +278,8 @@ class ExpressionField(PointJets):
                 self._entries.append((grid[index], ((...,) + index,)))
             elif index[0] <= index[1]:
                 self._entries.append((grid[index], ((...,) + index, (...,) + index[::-1])))
+        self._components = [f for f, _ in self._entries]
+        self._plan = None  # the walk of every component, made at the first batch
 
     @classmethod
     def from_strings(
@@ -298,16 +304,22 @@ class ExpressionField(PointJets):
         return self.grid[index]
 
     def _batch_jets(self, points, full):
-        count, n = points.shape[0], self.dim
+        count, n, order = points.shape[0], self.dim, self.order if full else 0
         parts = tuple(np.empty((count,) + (n,) * derivatives + self.grid.shape)
-                      for derivatives in range(self.order + 1 if full else 1))
+                      for derivatives in range(order + 1))
 
         def write(i, jets):  # a structural zero or a float broadcasts into its slots
             for target in self._entries[i][1]:
                 for part, jet in zip(parts, jets):
                     part[target] = 0.0 if jet is None else jet
 
-        ex.eval_fields([f for f, _ in self._entries], points, full, write)
+        if self._plan is None:
+            self._plan = ex.Plan([f.root for f in self._components])
+        ex.eval_fields(self._components, points, order, write, self._plan, check_finite=False)
+        if not all(np.isfinite(part).all() for part in parts):
+            # the checked walk raises with the first failing component's message and point
+            ex.eval_fields(self._components, points, order, lambda *_: None)
+            raise ex.EvaluationError("non-finite derivative data" if order else "non-finite value")
         return parts
 
 

@@ -5,10 +5,23 @@ grids; model fixtures name a built-in exponential family instead.  Exactly
 one of the two must be present.  All expressions are parsed against the
 declared coordinates while loading, so a returned manifest is fully
 validated.
+
+What is kept per manifest and what is built per run:
+
+* :func:`parse_manifest` parses and validates every block once and keeps the
+  results on the :class:`Manifest`: its charts, the component grids of the
+  metric, connection and product blocks (of the base too), and the model's
+  potential ψ with its α values and involution.  These are inputs only:
+  trees and numbers read from the JSON, never a field or a computed array.
+* :func:`build_context`, called once per run, builds everything else from
+  them without parsing: charts sampled with the run's seed, fresh fields
+  (with empty stores) over the kept grids, and a fresh model whose Fisher
+  metric is derived again.  So no numeric result of one run serves another.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +39,7 @@ from .geometry import (
     sample_points,
 )
 from .product import ExpressionProductStructure
-from .submersion import SubmersionSpec
+from .submersion import SubmersionSpec, check_dimensions
 
 
 class ManifestError(ValueError):
@@ -41,8 +54,63 @@ _MODEL_KEYS = {"name", "hyperparams", "alpha", "involution"}
 
 
 @dataclass(frozen=True)
+class _ParsedManifold:
+    """A manifold block as parsed: its chart, with the declared seed, and its component grids."""
+
+    chart: ChartSpec
+    metric: list
+    connection: list | None = None
+    product: list | None = None
+
+    def build(self, where: str, seed=None) -> ManifoldSpec:
+        """A spec with fresh fields over the grids, its chart sampled with ``seed`` if given."""
+        return ManifoldSpec(
+            chart=self.chart if seed is None else _reseeded(self.chart, seed, f"{where}: "),
+            metric=MetricField(self.metric),
+            connection=None if self.connection is None else ExpressionConnection(self.connection),
+            product=None if self.product is None else ExpressionProductStructure(self.product),
+        )
+
+
+@dataclass(frozen=True)
+class _ParsedModel:
+    """A model block as parsed: the family's potential and chart, its α values and involution."""
+
+    name: str
+    psi: ex.ScalarField
+    chart: ChartSpec
+    alphas: tuple[float, ...]
+    involution: np.ndarray | None
+
+    def build(self, seed=None) -> ExpFamilyModel:
+        """A fresh model, so its Fisher metric is derived again, sampled with ``seed`` if given."""
+        return ExpFamilyModel(self.name, self.psi,
+                              self.chart if seed is None else _reseeded(self.chart, seed, ""))
+
+
+@dataclass(frozen=True)
+class _Parsed:
+    """Everything :func:`parse_manifest` keeps for :func:`build_context`: one subject's blocks."""
+
+    space_form_c: float | None
+    total: _ParsedManifold | None = None
+    base: _ParsedManifold | None = None
+    model: _ParsedModel | None = None
+
+
+def _reseeded(chart: ChartSpec, seed, prefix: str) -> ChartSpec:
+    try:
+        return dataclasses.replace(chart, seed=int(seed))
+    except ValueError as err:
+        raise ManifestError(f"{prefix}{err}") from err
+
+
+@dataclass(frozen=True)
 class Manifest:
-    """A validated manifest; ``data`` is the raw JSON tree it came from."""
+    """A validated manifest; ``data`` is the raw JSON tree it came from.
+
+    ``parsed`` holds the parsed blocks that every run builds its context from.
+    """
 
     name: str
     data: dict
@@ -50,11 +118,15 @@ class Manifest:
     points: int
     tolerances: dict
     seed: int
+    parsed: _Parsed = dataclasses.field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class VerificationContext:
-    """Runtime objects built from a manifest."""
+    """The objects of one run, built from a manifest by :func:`build_context`.
+
+    Each call builds new ones, so the stores of one run serve no other.
+    """
 
     chart: ChartSpec
     manifold: ManifoldSpec | None = None
@@ -101,7 +173,7 @@ def _stem(path) -> str:
 
 
 def parse_manifest(data, name: str = "manifest", known_checks=None) -> Manifest:
-    """Validate a manifest tree and force-build its runtime objects once."""
+    """Validate a manifest tree, parsing every expression once; the result keeps the parse."""
     if not isinstance(data, dict):
         raise ManifestError("manifest must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -134,16 +206,16 @@ def parse_manifest(data, name: str = "manifest", known_checks=None) -> Manifest:
         if _number(value, f"tolerance for {key!r}") <= 0:
             raise ManifestError(f"tolerance for {key!r} must be a positive number")
 
-    manifest = Manifest(
+    seed = _declared_seed(data)
+    return Manifest(
         name=str(name),
         data=data,
         checks=tuple(checks),
         points=points,
         tolerances={k: float(v) for k, v in tolerances.items()},
-        seed=_declared_seed(data),
+        seed=seed,
+        parsed=_parse_subject(data, seed),
     )
-    build_context(manifest)  # force full expression validation at load time
-    return manifest
 
 
 def _declared_seed(data: dict) -> int:
@@ -152,7 +224,7 @@ def _declared_seed(data: dict) -> int:
     return _integer(data.get("seed", 0), "'seed'")
 
 
-def _parse_chart(data, where: str, seed_override=None) -> ChartSpec:
+def _parse_chart(data, where: str) -> ChartSpec:
     if not isinstance(data, dict):
         raise ManifestError(f"{where}: chart must be an object")
     coords = data.get("coords")
@@ -166,8 +238,7 @@ def _parse_chart(data, where: str, seed_override=None) -> ChartSpec:
         raise ManifestError(f"{where}: 'box' must list one [low, high] pair per coordinate")
     if "dim" in data and data["dim"] != len(coords):
         raise ManifestError(f"{where}: declared dim {data['dim']} != {len(coords)} coordinates")
-    seed = seed_override if seed_override is not None else _integer(
-        data.get("seed", 0), f"{where}: chart 'seed'")
+    seed = _integer(data.get("seed", 0), f"{where}: chart 'seed'")
     domain = tuple(tuple(_number(bound, f"{where}: box bound") for bound in interval)
                    for interval in box)
     try:
@@ -247,12 +318,12 @@ def _check_symmetric(grid, entries, chart: ChartSpec, where: str) -> None:
                 )
 
 
-def _parse_manifold(data, where: str, seed_override=None) -> ManifoldSpec:
+def _parse_manifold(data, where: str) -> _ParsedManifold:
     if "chart" not in data:
         raise ManifestError(f"{where}: missing 'chart'")
     if "metric" not in data:
         raise ManifestError(f"{where}: missing 'metric'")
-    chart = _parse_chart(data["chart"], where, seed_override)
+    chart = _parse_chart(data["chart"], where)
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ManifestError(f"{where}: 'params' must be an object")
@@ -261,23 +332,17 @@ def _parse_manifold(data, where: str, seed_override=None) -> ManifoldSpec:
     entries = data["metric"]
     grid = _parse_field_grid(entries, coords, params, f"{where}.metric", 2)
     _check_symmetric(grid, entries, chart, f"{where}.metric")
-    metric = MetricField(grid)
     connection = None
     if "connection" in data:
-        connection = ExpressionConnection(
-            _parse_field_grid(data["connection"], coords, params, f"{where}.connection", 3)
-        )
+        connection = _parse_field_grid(data["connection"], coords, params, f"{where}.connection", 3)
     product = None
     if "product" in data:
-        product = ExpressionProductStructure(
-            _parse_field_grid(data["product"], coords, params, f"{where}.product", 2)
-        )
-    return ManifoldSpec(chart=chart, metric=metric, connection=connection, product=product)
+        product = _parse_field_grid(data["product"], coords, params, f"{where}.product", 2)
+    return _ParsedManifold(chart=chart, metric=grid, connection=connection, product=product)
 
 
-def build_context(manifest: Manifest, seed=None) -> VerificationContext:
-    """Materialize the runtime objects, optionally overriding the sampling seed."""
-    data = manifest.data
+def _parse_subject(data: dict, seed: int) -> _Parsed:
+    """Parse and validate the subject's blocks (model, or manifold and submersion base)."""
     space_form_c = data.get("space_form_c")
     if space_form_c is not None:
         space_form_c = _number(space_form_c, "'space_form_c'")
@@ -298,9 +363,8 @@ def build_context(manifest: Manifest, seed=None) -> VerificationContext:
         hyper = block.get("hyperparams", {})
         if not isinstance(hyper, dict) or {"name", "seed"} & set(hyper):
             raise ManifestError("model 'hyperparams' must be an object of the model's own parameters")
-        effective_seed = int(seed) if seed is not None else manifest.seed
         try:
-            model = builtin_model(model_name, seed=effective_seed, **hyper)
+            model = builtin_model(model_name, seed=seed, **hyper)
         except ValueError as err:
             raise ManifestError(str(err)) from err
         alphas = block.get("alpha", [-1.0, 0.0, 1.0])
@@ -314,10 +378,11 @@ def build_context(manifest: Manifest, seed=None) -> VerificationContext:
                     or not all(isinstance(row, list) and len(row) == n for row in involution)):
                 raise ManifestError(f"involution must be a {n}x{n} list of rows")
             involution = np.array([[_number(x, "involution entry") for x in row] for row in involution])
-        return VerificationContext(chart=model.chart, model=model, alphas=alphas,
-                                   involution=involution, space_form_c=space_form_c)
+            involution.flags.writeable = False
+        return _Parsed(space_form_c, model=_ParsedModel(model.name, model.psi, model.chart,
+                                                        alphas, involution))
 
-    total = _parse_manifold(data, "manifest", seed_override=seed)
+    total = _parse_manifold(data, "manifest")
     if "submersion" in data:
         block = data["submersion"]
         if not isinstance(block, dict) or "base" not in block:
@@ -333,9 +398,28 @@ def build_context(manifest: Manifest, seed=None) -> VerificationContext:
             raise ManifestError(f"unknown base keys: {sorted(unknown)}")
         base = _parse_manifold(base_data, "submersion.base")
         try:
-            spec = SubmersionSpec(total=total, base=base)
+            check_dimensions(base.chart.dim, total.chart.dim)
         except ValueError as err:
             raise ManifestError(str(err)) from err
-        return VerificationContext(chart=total.chart, manifold=total, submersion=spec,
-                                   space_form_c=space_form_c)
-    return VerificationContext(chart=total.chart, manifold=total, space_form_c=space_form_c)
+        return _Parsed(space_form_c, total=total, base=base)
+    return _Parsed(space_form_c, total=total)
+
+
+def build_context(manifest: Manifest, seed=None) -> VerificationContext:
+    """A fresh context for one run from the parsed blocks, sampled with ``seed`` if given.
+
+    Nothing is parsed: the fields are new objects over the kept grids, so
+    their stores start empty, and a model derives its Fisher metric again.
+    """
+    parsed = manifest.parsed
+    if parsed.model is not None:
+        model = parsed.model.build(seed)
+        return VerificationContext(chart=model.chart, model=model, alphas=parsed.model.alphas,
+                                   involution=parsed.model.involution,
+                                   space_form_c=parsed.space_form_c)
+    total = parsed.total.build("manifest", seed)
+    submersion = None
+    if parsed.base is not None:
+        submersion = SubmersionSpec(total=total, base=parsed.base.build("submersion.base"))
+    return VerificationContext(chart=total.chart, manifold=total, submersion=submersion,
+                               space_form_c=parsed.space_form_c)

@@ -66,6 +66,15 @@ class SubmersionError(ArithmeticError):
     """Degenerate fiber metric, ill-conditioned lift, or invariance violation."""
 
 
+def check_dimensions(base_dim: int, total_dim: int) -> None:
+    """Raise ValueError unless 1 ≤ base dimension < total dimension."""
+    if base_dim < 1:
+        raise ValueError("base must have at least one coordinate")
+    if base_dim >= total_dim:
+        raise ValueError(
+            f"base dimension {base_dim} must be smaller than the total dimension {total_dim}")
+
+
 @dataclass(frozen=True)
 class SubmersionSpec:
     """Total and base manifolds joined by the drop-trailing-coordinates projection."""
@@ -74,13 +83,7 @@ class SubmersionSpec:
     base: ManifoldSpec
 
     def __post_init__(self):
-        if self.base.chart.dim < 1:
-            raise ValueError("base must have at least one coordinate")
-        if self.base.chart.dim >= self.total.chart.dim:
-            raise ValueError(
-                f"base dimension {self.base.chart.dim} must be smaller than the total "
-                f"dimension {self.total.chart.dim}"
-            )
+        check_dimensions(self.base.chart.dim, self.total.chart.dim)
 
     @property
     def base_dim(self) -> int:

@@ -12,8 +12,14 @@ library function returns :class:`geometry.CheckResult` (a theorem returns
 one per item), and :func:`_outcome` is the one adapter to a report row.
 Most checks report one result; they are rows of one table.  The others
 report a family of results or read extra inputs.  Every derived
-field lives on its manifold, so the checks of one run share it, and
-:func:`run_suite` builds a fresh context, and with it fresh fields, per call.
+field lives on its manifold (an α-connection on its model's α spec), so the
+checks of one run share it.
+
+Per manifest, :func:`manifest.parse_manifest` keeps the parsed blocks: charts,
+component grids, a model's potential.  Per call, :func:`run_suite` builds one
+fresh context from them (:func:`manifest.build_context`, which parses
+nothing), and with it fresh fields, stores and Fisher metric, so no numeric
+result of one run serves another and two runs give the same bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import time
 from . import geometry as geo
 from . import product as prod
 from . import submersion as sub
-from .expfam import AlphaConnection, exp_para_structures
+from .expfam import exp_para_structures
 from .geometry import STATUS_ERROR
 from .manifest import Manifest, ManifestError, build_context
 from .report import CheckOutcome, VerificationReport
@@ -88,11 +94,6 @@ def _require_submersion(ctx):
     return ctx.submersion
 
 
-def _model_manifold(model, alpha: float, structure=None) -> geo.ManifoldSpec:
-    """The model's chart and Fisher metric with its α-connection (and ``structure``)."""
-    return geo.ManifoldSpec(model.chart, model.fisher, AlphaConnection(model.fisher, alpha), structure)
-
-
 # --------------------------------------------------------------------------
 # Checks with one result
 # --------------------------------------------------------------------------
@@ -143,18 +144,18 @@ def _check_alpha_family(ctx, pts, tol):
     model = _require_model(ctx)
     outcomes = []
     for alpha in ctx.alphas:
-        m = _model_manifold(model, alpha)
+        m = model.alpha_manifold(alpha)
         stat = geo.check_statistical_structure(m, pts, tol)
         outcomes.append(_outcome(f"alpha_family[{alpha:g}].statistical_structure", stat, len(pts)))
-        reflected = AlphaConnection(model.fisher, -alpha).values(pts)
+        reflected = model.alpha_manifold(-alpha).connection.values(pts)
         duality = geo.residual_check(geo.max_abs(m.conjugate.values(pts) - reflected),
                                      geo.scale_of(m.connection.values(pts)), pts, tol)
         outcomes.append(_outcome(f"alpha_family[{alpha:g}].conjugate_duality", duality, len(pts)))
-    m = _model_manifold(model, 0.0)
+    m = model.alpha_manifold(0.0)
     gamma, lc = m.connection.values(pts), m.levi_civita_connection.values(pts)
     match = geo.residual_check(geo.max_abs(gamma - lc), geo.scale_of(lc), pts, tol)
     outcomes.append(_outcome("alpha_family.levi_civita_match", match, len(pts)))
-    flat = geo.curvature_residual(_model_manifold(model, 1.0), pts, tol)
+    flat = geo.curvature_residual(model.alpha_manifold(1.0), pts, tol)
     outcomes.append(_outcome("alpha_family.exponential_flatness", flat, len(pts)))
     return outcomes
 
@@ -169,7 +170,8 @@ def _check_exp_para_certifications(ctx, pts, tol):
         ("exponential", 1.0, structure_one),
         ("mixture", -1.0, structure_minus),
     ):
-        cert = prod.check_para_kahler_like(_model_manifold(model, alpha, structure), pts, tol)
+        spec = dataclasses.replace(model.alpha_manifold(alpha), product=structure)
+        cert = prod.check_para_kahler_like(spec, pts, tol)
         outcomes.append(_outcome(f"exp_para_certifications.{label}", _summary(cert), len(pts)))
     return outcomes
 

@@ -418,7 +418,7 @@ class TestEval2Points:
             assert outcome.reason.startswith("EvaluationError: polygamma overflow at point [")
 
 
-def _collect(fields, points, full=True):
+def _collect(fields, points, order=2):
     """{index: parts} from one ``eval_fields`` walk, each index emitted exactly once."""
     emitted = {}
 
@@ -426,7 +426,7 @@ def _collect(fields, points, full=True):
         assert i not in emitted
         emitted[i] = parts
 
-    ex.eval_fields(fields, points, full, emit)
+    ex.eval_fields(fields, points, order, emit)
     assert sorted(emitted) == list(range(len(fields)))
     return emitted
 
@@ -439,14 +439,31 @@ class TestSharedWalk:
         fields = [psi.differentiate(0).differentiate(i) for i in (0, 1)]
         fields += [psi, fields[0], parse_expression("x", ("x", "y")), parse_expression("2", ("x", "y"))]
         points = np.array([[0.7, 1.1], [2.5, 0.6], [3.0, 4.0]])
-        for full, single in ((True, eval2_points), (False, lambda f, p: (eval_points(f, p),))):
-            emitted = _collect(fields, points, full)
+        for order, single in ((2, eval2_points), (0, lambda f, p: (eval_points(f, p),))):
+            emitted = _collect(fields, points, order)
             for i, field in enumerate(fields):
                 count, n = points.shape
                 shapes = ((count,), (count, n), (count, n, n))
                 for part, expected, shape in zip(emitted[i], single(field, points), shapes):
                     filled = np.zeros(shape) if part is None else np.broadcast_to(part, shape)
                     assert filled.tobytes() == expected.tobytes()
+
+    def test_first_order_walk_and_a_kept_plan_give_the_same_bits(self):
+        """Order 1 emits (value, gradient) equal to the full walk's; a plan serves two batches."""
+        fields = [parse_expression(text, ("x", "y")) for text in
+                  ("x^2.5 * y", "sqrt(x) / y", "lgamma(x*y) - log(y)", "3", "sin(x) * cos(y)")]
+        plan = ex.Plan([field.root for field in fields])
+        for points in ([[0.7, 1.1], [2.5, 0.6]], [[3.0, 4.0]]):
+            full = _collect(fields, points)
+            first = {}
+            ex.eval_fields(fields, points, 1, lambda i, parts: first.__setitem__(i, parts), plan)
+            for i in range(len(fields)):
+                assert len(first[i]) == 2
+                for part, expected in zip(first[i], full[i]):
+                    if part is None or expected is None:
+                        assert part is None and expected is None
+                    else:
+                        assert np.asarray(part).tobytes() == np.asarray(expected).tobytes()
 
     def test_signed_zeros_stay_apart(self):
         x = Var(0)
@@ -470,7 +487,7 @@ class TestSharedWalk:
     def test_shape_mismatch(self):
         fields = [parse_expression("x", ("x",)), parse_expression("x", ("x", "y"))]
         with pytest.raises(ValueError, match="arity 2"):
-            ex.eval_fields(fields, [[1.0]], True, lambda i, parts: None)
+            ex.eval_fields(fields, [[1.0]], 2, lambda i, parts: None)
 
 
 class TestDeepTrees:

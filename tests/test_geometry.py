@@ -223,6 +223,40 @@ class TestGridWalk:
             getattr(g, method)(np.array(points))
         assert str(err.value) == message
 
+    def test_plan_is_made_at_the_first_batch_and_kept(self, monkeypatch):
+        g = MetricField.from_strings(("x", "y"), [["1/y", "x*y"], ["x*y", "y*y"]])
+        plans = []
+
+        class Recorded(ex.Plan):
+            def __init__(self, roots):
+                plans.append(len(roots))
+                super().__init__(roots)
+
+        monkeypatch.setattr(ex, "Plan", Recorded)
+        g.values([[1.0, 2.0]])
+        g.jets([[0.5, 1.0], [2.0, 3.0]])
+        g.jets([[1.5, 1.0]])
+        assert plans == [3]  # the upper triangle, once for all three batches
+
+    def test_first_order_fields_walk_gradients_only(self, monkeypatch):
+        """A connection component x^1.5 has an unbounded second derivative at x = 0, which
+        an order-1 field never forms; its Γ and ∂Γ are finite there."""
+        conn = ExpressionConnection.from_strings(("x",), [[["x^1.5"]]])
+        gamma, dgamma = conn.jets([[0.0], [1.0]])
+        assert gamma[:, 0, 0, 0].tolist() == [0.0, 1.0]
+        assert dgamma[:, 0, 0, 0, 0].tolist() == [0.0, 1.5]
+        structure = ExpressionProductStructure.from_strings(("x", "y"), [["trigamma(x)", "0"],
+                                                                         ["0", "1"]])
+        orders = []
+        real = ex.polygamma
+        monkeypatch.setattr(ex, "polygamma",
+                            lambda order, x: orders.append(order) or real(order, x))
+        structure.jets([[1.0, 2.0], [3.0, 0.5]])
+        assert sorted(orders) == [1, 1, 2, 2]  # ψ₁ and its derivative ψ₂; no ψ₃
+        orders.clear()
+        MetricField(structure.grid).jets([[1.0, 2.0], [3.0, 0.5]])
+        assert sorted(orders) == [1, 1, 2, 2, 3, 3]
+
     def test_deep_grid_needs_no_recursion(self):
         deep = _xy(" + ".join(["x*y"] * 3000))
         g = MetricField([[deep, _xy("x")], [_xy("x"), deep.differentiate(0)]])

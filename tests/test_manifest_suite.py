@@ -8,11 +8,13 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import statgeom
 from conftest import CURVATURE_CHECKS
-from statgeom import cli, geometry, submersion
+from statgeom import cli, expfam, geometry, manifest as manifest_module, submersion, suite
+from statgeom import expr as ex
 from statgeom.cli import main
 from statgeom.fixtures import (
     curved_product_manifest,
@@ -387,23 +389,55 @@ class TestDerivedFieldOwnership:
     @pytest.mark.parametrize("data, max_conjugates, submersions", [
         (curved_product_manifest(2, 1.0, 2.0, [1.0, 1.0], seed=3, checks=CURVATURE_CHECKS), 2, 0),
         (submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5), 1, 1),
-    ], ids=["curvature", "submersion"])
+        (model_manifest("normal", involution=[[0.0, 1.0], [1.0, 0.0]], seed=5), 3, 0),
+    ], ids=["curvature", "submersion", "model"])
     def test_one_build_per_run_and_none_outlives_it(self, monkeypatch, data, max_conjugates,
                                                     submersions):
-        """∇* once (and ∇** for the involution check), one fiber and one splitting per
-        submersion; all freed without the cyclic GC."""
+        """∇* once per connection (and ∇** for the involution check), one fiber and one
+        splitting per submersion; all freed without the cyclic GC, run after run."""
         manifest = parse_manifest(data, known_checks=set(CHECKS))
         conjugates = self._record_builds(monkeypatch, geometry.ConjugateConnection)
         fiber_connections = self._record_builds(monkeypatch, submersion.FiberConnection)
         splittings = self._record_builds(monkeypatch, submersion.OneillSplitting)
+        fields = self._record_builds(monkeypatch, geometry.ExpressionField)
         gc.disable()
         try:
-            report = run_suite(manifest, points=10)
+            for _ in range(2):
+                for built in (conjugates, fiber_connections, splittings, fields):
+                    built.clear()
+                report = run_suite(manifest, points=10)
+                assert all(check.status != STATUS_ERROR for check in report.checks)
+                assert 1 <= len(conjugates) <= max_conjugates
+                assert len(fiber_connections) == submersions
+                assert len(splittings) == submersions
+                assert fields
+                assert all(ref() is None
+                           for ref in conjugates + fiber_connections + splittings + fields)
+        finally:
+            gc.enable()
+
+    def test_model_builds_each_alpha_connection_once(self, monkeypatch):
+        """α = −1, 0, 1: the α-family and both certifications read three specs, ∇^(−α) included."""
+        manifest = load_fixture("example_5_5_normal", known_checks=set(CHECKS))
+        assert manifest.checks == ("alpha_family", "exp_para_certifications")
+        connections = self._record_builds(monkeypatch, expfam.AlphaConnection)
+        for _ in range(2):
+            connections.clear()
+            report = run_suite(manifest)
             assert all(check.status != STATUS_ERROR for check in report.checks)
-            assert 1 <= len(conjugates) <= max_conjugates
-            assert len(fiber_connections) == submersions
-            assert len(splittings) == submersions
-            assert all(ref() is None for ref in conjugates + fiber_connections + splittings)
+            assert len(connections) == 3
+            assert all(ref() is None for ref in connections)
+
+    def test_alpha_specs_do_not_refer_to_their_model(self):
+        model = build_context(load_fixture("example_5_5_normal")).model
+        specs = [model.alpha_manifold(alpha) for alpha in (-1.0, 0.0, 1.0)]
+        assert model.alpha_manifold(1.0) is specs[2]
+        assert model.alpha_manifold(-0.0) is specs[1]
+        refs = [weakref.ref(model)] + [weakref.ref(spec) for spec in specs]
+        gc.disable()
+        try:
+            del model, specs
+            assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
 
@@ -441,6 +475,69 @@ class TestDerivedFieldOwnership:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+class TestRunsAreIndependent:
+    """A manifest keeps its parse; each run builds its own context and computes everything again."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, holder, name):
+        calls = []
+        real = getattr(holder, name)
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(holder, name, record)
+        return calls
+
+    @pytest.mark.parametrize("data, fisher_builds", [
+        (model_manifest("dirichlet", {"dim": 3}, involution=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                                             [0.0, 0.0, 1.0]], seed=4), 1),
+        (submersion_manifest(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0), seed=5), 0),
+    ], ids=["model", "submersion"])
+    def test_two_runs_of_one_manifest(self, monkeypatch, data, fisher_builds):
+        manifest = parse_manifest(data, known_checks=set(CHECKS))
+        parses = self._count_calls(monkeypatch, ex, "parse_expression")
+        batches = self._count_calls(monkeypatch, geometry.ExpressionField, "_batch_jets")
+        fishers = self._count_calls(monkeypatch, expfam, "fisher_metric")
+        reports, counts = [], []
+        for _ in range(2):
+            reports.append(render_report(run_suite(manifest, points=10)))
+            counts.append((len(parses), len(batches), len(fishers)))
+            for calls in (parses, batches, fishers):
+                calls.clear()
+        assert "ERROR" not in reports[0]
+        assert reports[1] == reports[0]
+        assert counts[0][1] > 0
+        assert counts[1] == counts[0] == (0, counts[0][1], fisher_builds)
+
+    def test_one_context_per_run_and_none_at_load(self, monkeypatch):
+        builds = self._count_calls(monkeypatch, manifest_module, "build_context")
+        runs = self._count_calls(monkeypatch, suite, "build_context")
+        manifest = parse_manifest(submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5))
+        assert builds == [] and runs == []
+        run_suite(manifest, points=5)
+        run_suite(manifest, points=5)
+        assert builds == [] and len(runs) == 2
+
+    def test_the_manifest_keeps_no_field_and_no_array(self):
+        """After a run, the manifest's parse reaches trees, charts and numbers, nothing computed."""
+        manifest = load_fixture("example_5_6_k1_l1")
+        run_suite(manifest, points=5)
+        pending, seen = [manifest.parsed], set()
+        while pending:
+            item = pending.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            assert not isinstance(item, (geometry.PointJets, geometry.ManifoldSpec, np.ndarray))
+            if isinstance(item, (list, tuple)):
+                pending.extend(item)
+            elif hasattr(item, "__dict__"):
+                pending.extend(vars(item).values())
+        assert len(seen) > 100
 
 
 class TestReports:
