@@ -792,16 +792,16 @@ def eval_fields(fields: Sequence[ScalarField], points, order: int, emit,
     ``parts`` is (value, gradient, Hessian) for ``order`` 2, (value,
     gradient) for 1 and (value,) for 0, in the structured form above: a part
     is a float or an array that broadcasts against ``(P,)``, ``(P, n)`` or
-    ``(P, n, n)``, or None where it vanishes.  All fields go
-    through one walk, so each distinct subtree among them is evaluated once
-    per batch; ``plan``, if given, is the :class:`Plan` of the fields' roots,
-    made once for every batch.  A field is emitted as soon as its root is
-    computed, not in field order, and ``emit`` must not modify the parts.  A
-    domain failure, or a non-finite part unless ``check_finite`` is false,
-    raises the :class:`EvaluationError` that the per-field functions below
-    raise for the first failing field in order, naming its first failing
-    point in sample order.  A caller that turns the check off checks the
-    arrays it assembles and calls this function again, checked, to raise.
+    ``(P, n, n)``, or None where it vanishes.  All fields go through one
+    walk, so each distinct subtree among them is evaluated once per batch;
+    ``plan``, if given, is the :class:`Plan` of the fields' roots, made once
+    for every batch.  A field is emitted as soon as its root is computed,
+    not in field order, and ``emit`` must not modify the parts.  A domain
+    failure, or a non-finite part unless ``check_finite`` is false, raises
+    the :class:`EvaluationError` that the per-field functions below raise
+    for the first failing field in order, naming its first failing point in
+    sample order.  A caller that turns the check off checks the arrays it
+    assembles and calls this function again, checked, to raise.
     """
     pts = np.asarray(points, dtype=float)
     for field in fields:

@@ -271,14 +271,15 @@ class ExpressionField(PointJets):
             grid = np.where(np.tri(n, dtype=bool), grid.T, grid)
         grid.flags.writeable = False
         self.grid = grid
-        # (component, the trailing-axis slots its jets fill); all are walked together
-        self._entries = []
+        # the components walked together, and the trailing-axis slots each one's jets fill
+        self._components, self._slots = [], []
         for index in np.ndindex(grid.shape):
             if not self.symmetric:
-                self._entries.append((grid[index], ((...,) + index,)))
+                self._components.append(grid[index])
+                self._slots.append(((...,) + index,))
             elif index[0] <= index[1]:
-                self._entries.append((grid[index], ((...,) + index, (...,) + index[::-1])))
-        self._components = [f for f, _ in self._entries]
+                self._components.append(grid[index])
+                self._slots.append(((...,) + index, (...,) + index[::-1]))
         self._plan = None  # the walk of every component, made at the first batch
 
     @classmethod
@@ -309,7 +310,7 @@ class ExpressionField(PointJets):
                       for derivatives in range(order + 1))
 
         def write(i, jets):  # a structural zero or a float broadcasts into its slots
-            for target in self._entries[i][1]:
+            for target in self._slots[i]:
                 for part, jet in zip(parts, jets):
                     part[target] = 0.0 if jet is None else jet
 
