@@ -12,10 +12,11 @@ evaluated once per batch; a caller that walks the same fields batch after
 batch (an ``ExpressionField``) makes their plan once and passes it in.
 ``eval2_points`` and ``eval_points`` (values alone) are its one-field
 case, and ``ScalarField.differentiate`` (for higher derivatives),
-``freeze_leading_coordinates``, constant exponents and ``format_expression``
-build trees, numbers or text, so any tree the parser builds goes through all
-of them.  A single point is a batch of one; the recursive point-wise
-reference evaluator lives with the tests, in ``tests/oracles.py``.
+``freeze_leading_coordinates`` (``freeze_fields`` for many fields under one
+plan), constant exponents and ``format_expression`` build trees, numbers or
+text, so any tree the parser builds goes through all of them.  A single
+point is a batch of one; the recursive point-wise reference evaluator lives
+with the tests, in ``tests/oracles.py``.
 
 Grammar (``^`` binds tighter than unary minus and associates to the right)::
 
@@ -508,12 +509,24 @@ def _frozen(node: object, children: list, frozen: tuple[float, ...]) -> object:
 
 def freeze_leading_coordinates(field: ScalarField, values: Sequence[float]) -> ScalarField:
     """Pin the first ``len(values)`` coordinates to constants; remaining ones are re-indexed."""
+    return freeze_fields([field], values)[0]
+
+
+def freeze_fields(fields: Sequence[ScalarField], values: Sequence[float]) -> list[ScalarField]:
+    """:func:`freeze_leading_coordinates` of every field, through one :class:`Plan` over all of them.
+
+    A subtree shared by several fields is frozen once, to one new subtree.
+    """
     frozen = tuple(float(v) for v in values)
     count = len(frozen)
-    if count >= field.arity:
-        raise ValueError(f"cannot freeze {count} of {field.arity} coordinates")
-    return ScalarField(_result(field.root, _frozen, frozen), field.arity - count,
-                       field.coord_names[count:])
+    for field in fields:
+        if count >= field.arity:
+            raise ValueError(f"cannot freeze {count} of {field.arity} coordinates")
+    roots = [None] * len(fields)
+    for i, root in Plan([field.root for field in fields]).run(_frozen, frozen):
+        roots[i] = root
+    return [ScalarField(root, field.arity - count, field.coord_names[count:])
+            for root, field in zip(roots, fields)]
 
 
 # --------------------------------------------------------------------------
@@ -573,7 +586,9 @@ def _psi_value(order: int, u: float) -> float:
 # Hessian (n, n) or (P, n, n); both broadcast against the point axis.  Each
 # rule below is the scalar chain rule with the absent terms left out, and
 # the transcendental functions run through ``math`` element by element, so
-# every row equals ``eval2`` of ``tests/oracles.py`` at that point.  A rule's
+# every row equals ``eval2`` of ``tests/oracles.py`` at that point, except
+# that a zero may differ in sign (``_minus(None, b)`` is −b where ``eval2``
+# computes 0 − b, so a zero b gives −0.0 here and 0.0 there).  A rule's
 # result depends only on the node's structure and its children's, so the
 # walk shares one result among equal subtrees of a batch, bit for bit.
 # Without ``second`` the rules stop at gradients: every Hessian is None and

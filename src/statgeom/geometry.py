@@ -56,6 +56,10 @@ _DEGENERACY_CUTOFF = 1e-10
 _INTERIOR_MARGIN = 0.01
 # Entries of one 4-index per-point tensor (such as R) per block of points: 64 KiB.
 _BLOCK_ENTRIES = 1 << 13
+# _contract hands a contraction to np.einsum when more than this share of its terms is kept.
+_SPARSE_SHARE = 1 / 8
+# Contraction plans kept, one per subscripts, operand layout and nonzero pattern.
+_PLAN_CACHE_SIZE = 256
 
 
 class ChartError(ValueError):
@@ -234,6 +238,100 @@ def in_blocks(fn, dim: int, *batches) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands)`` bit for bit, forming only the terms without a zero factor.
+
+    Every operand and the output lead with the point label, and no label
+    repeats within one of them.  A term with an exact-zero factor is ±0.0,
+    and a sum that starts at +0.0 stays the same when ±0.0 is added to it,
+    so dropping those terms changes no bit.  The kept terms are formed left
+    to right and added into each output in turn from 0.0, in the order of
+    ``np.einsum``'s loop over the summed labels (:func:`_summation_order`).
+    ``np.einsum`` gets the operands unchanged when one holds a non-finite
+    entry (0 · inf is NaN), when its inner loop runs along a summed label,
+    or when more than ``_SPARSE_SHARE`` of the terms are kept.
+    """
+    if not all(np.isfinite(op).all() for op in operands):
+        return np.einsum(subscripts, *operands)
+    plan = _contraction_plan(subscripts, tuple(op.shape for op in operands),
+                             tuple(op.strides for op in operands),
+                             tuple((op != 0.0).any(axis=0).tobytes() for op in operands))
+    if plan is None:
+        return np.einsum(subscripts, *operands)
+    gathers, targets, shape = plan
+    count = len(operands[0])
+    terms = operands[0].reshape(count, -1)[:, gathers[0]]
+    for op, gather in zip(operands[1:], gathers[1:]):
+        terms *= op.reshape(count, -1)[:, gather]
+    size = math.prod(shape)
+    slots = np.arange(0, count * size, size)[:, None] + targets
+    sums = np.bincount(slots.ravel(), terms.ravel(), count * size)
+    # np.bincount gives integer zeros when no term is kept
+    return sums.astype(terms.dtype, copy=False).reshape((count,) + shape)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _contraction_plan(subscripts: str, shapes: tuple, strides: tuple, masks: tuple):
+    """The kept terms of a contraction, or None when ``_contract`` hands it to ``np.einsum``.
+
+    ``masks`` holds each operand's nonzero pattern over all points, without
+    the point axis.  The plan is the flat index of every kept term's factor
+    in each operand and of its output, in summation order, and the output
+    shape without the point axis; it holds no operand value.
+    """
+    inputs, output = subscripts.split("->")
+    inputs = inputs.split(",")
+    summed = _summation_order(inputs, output, shapes, strides)
+    if summed is None:
+        return None
+    space = output[1:] + "".join(summed)
+    patterns = [np.frombuffer(mask, dtype=bool).reshape(shape[1:]) for mask, shape in zip(masks, shapes)]
+    live = np.einsum(",".join(labels[1:] for labels in inputs) + "->" + space, *patterns)
+    coords = dict(zip(space, np.nonzero(live)))
+    if len(coords[space[0]]) > _SPARSE_SHARE * live.size:
+        return None
+    gathers = tuple(np.ravel_multi_index([coords[label] for label in labels[1:]], shape[1:])
+                    for labels, shape in zip(inputs, shapes))
+    shape = live.shape[:len(output) - 1]
+    targets = np.ravel_multi_index([coords[label] for label in output[1:]], shape)
+    for index in gathers + (targets,):
+        index.flags.writeable = False
+    return gathers, targets, shape
+
+
+def _summation_order(inputs: list[str], output: str, shapes: tuple, strides: tuple) -> list[str] | None:
+    """The summed labels in the order of ``np.einsum``'s loop, outermost first.
+
+    ``np.einsum`` loops over the output labels, then the summed ones in
+    alphabetical order, and numpy's iterator reorders that loop by a stable
+    insertion sort, innermost axis first: an axis moves inward past another
+    when every operand that strides along both strides along it by less.
+    Axes of length 1 count as not strided, and the output is not yet
+    allocated, so only the inputs take part.  None when the innermost axis
+    longer than 1 is summed: numpy then adds each pass of its inner loop
+    into a partial sum of its own before the output, an order that one
+    running sum per output does not follow.
+    """
+    lengths, steps = {}, []
+    for labels, shape, step in zip(inputs, shapes, strides):
+        lengths.update(zip(labels, shape))
+        steps.append({label: abs(s) for label, n, s in zip(labels, shape, step) if n > 1})
+    order = list(reversed(output + "".join(sorted(set(lengths) - set(output)))))
+    for i in range(1, len(order)):
+        moving, place = order[i], i
+        for j in range(i - 1, -1, -1):
+            pairs = [(step[moving], step[order[j]]) for step in steps if moving in step and order[j] in step]
+            if pairs:
+                if not all(inner > outer for outer, inner in pairs):
+                    break
+                place = j
+        order.insert(place, order.pop(i))
+    innermost = next((label for label in order if lengths[label] > 1), output[0])  # one term if none
+    if innermost not in output:
+        return None
+    return [label for label in reversed(order) if label not in output]
+
+
 # --------------------------------------------------------------------------
 # Expression-backed fields
 # --------------------------------------------------------------------------
@@ -393,7 +491,7 @@ class ExpressionConnection(ExpressionField):
 
 def _inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """∂(G⁻¹) = −G⁻¹ (∂G) G⁻¹ over stacks of G⁻¹ and ∂G."""
-    return -np.einsum("pia,pkab,pbj->pkij", ginv, dg, ginv)
+    return -_contract("pia,pkab,pbj->pkij", ginv, dg, ginv)
 
 
 class LeviCivitaConnection(DerivedJets):
@@ -481,6 +579,7 @@ class AdjointStructure(DerivedJets):
             return (star,)
         dg, dm = metric_jets[1], base_jets[1]
         dginv = _inverse_derivative(ginv, dg)
+        # np.einsum's inner loop sums along b or c in these terms, so _contract would hand them back
         dstar = -(np.einsum("pkab,pcb,pcd->pkad", dginv, m, g)
                   + np.einsum("pab,pkcb,pcd->pkad", ginv, dm, g)
                   + np.einsum("pab,pcb,pkcd->pkad", ginv, m, dg))
@@ -628,6 +727,7 @@ def sectional_curvature(spec: ManifoldSpec, point, v, w) -> float:
             f"plane discriminant {disc:.3e} below cutoff {cutoff:.3e} at {np.asarray(point).tolist()}"
         )
     s = statistical_curvature_at(spec, point)
+    # one point and no point label: nothing for _contract to skip
     numerator = float(np.einsum("al,lijk,i,j,k,a->", gm, s, v, w, w, v))
     return numerator / disc
 

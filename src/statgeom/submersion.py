@@ -43,6 +43,7 @@ from .geometry import (
     ManifoldSpec,
     PointJets,
     _as_points,
+    _contract,
     _det_threshold,
     check_statistical_structure,
     curvature_residual,
@@ -174,7 +175,7 @@ class OneillArrays:
 def _covariant_derivatives(gamma, x, y, dy):
     """(∇_{X_i} Y_j)^a for the columns X_i of x and Y_j of y, with dy[p, b] = ∂_b y."""
     return (np.einsum("pbi,pbaj->paij", x, dy)
-            + np.einsum("pabm,pbi,pmj->paij", gamma, x, y))
+            + _contract("pabm,pbi,pmj->paij", gamma, x, y))
 
 
 def _split_tensors(v, h, dv, gamma):
@@ -244,7 +245,7 @@ def oneill_arrays(spec: SubmersionSpec, points) -> OneillArrays:
 
 def _pair_lifts(tensor: np.ndarray, lifts: np.ndarray) -> np.ndarray:
     """tensor(X_a, X_b)[p, k, a, b] for the basic lifts X_a."""
-    return np.einsum("pkij,pia,pjb->pkab", tensor, lifts, lifts)
+    return _contract("pkij,pia,pjb->pkab", tensor, lifts, lifts)
 
 
 # --------------------------------------------------------------------------
@@ -331,12 +332,12 @@ def check_fundamental_tensor_identities(spec: SubmersionSpec, pts, tol: float = 
         return arr.transpose(0, 1, 3, 2)
 
     # pairing_t[p, i, j, a] = g(T(U_i, U_j), X_a) + g(U_j, T*(U_i, X_a))
-    pairing_t = (np.einsum("pkij,pkl,pla->pija", t_vv, g, lifts)
-                 + np.einsum("pjk,pkim,pma->pija", g[:, nb:, :],
+    pairing_t = (_contract("pkij,pkl,pla->pija", t_vv, g, lifts)
+                 + _contract("pjk,pkim,pma->pija", g[:, nb:, :],
                              arrays.t_star[:, :, nb:, :], lifts))
     # pairing_a[p, a, b, u] = g(A(X_a, X_b), U_u) + g(X_b, A*(X_a, U_u))
     pairing_a = (np.einsum("pkab,pku->pabu", a_xy, g[:, :, nb:])
-                 + np.einsum("plb,plk,pkmu,pma->pabu", lifts, g,
+                 + _contract("plb,plk,pkmu,pma->pabu", lifts, g,
                              arrays.a_star[:, :, :, nb:], lifts))
     per_point = {
         "symmetry_t": np.maximum(max_abs(t_vv - swapped(t_vv)),
@@ -366,8 +367,7 @@ def _restrict(field: ExpressionField, frozen: np.ndarray) -> ExpressionField:
     """The fiber block of ``field`` with the base coordinates pinned to ``frozen``."""
     block = field.grid[(slice(len(frozen), None),) * field.grid.ndim]
     restricted = np.empty(block.shape, dtype=object)
-    for index, f in np.ndenumerate(block):
-        restricted[index] = ex.freeze_leading_coordinates(f, frozen)
+    restricted.flat = ex.freeze_fields(list(block.flat), frozen)
     return type(field)(restricted)
 
 
@@ -537,7 +537,7 @@ def verify_submersion_theorems(
     nb = spec.base_dim
     structure = spec.total.product.values(points)
     vertical_images = structure[:, :, nb:]
-    twisted = np.einsum("pkij,piu,pjw->pkuw", arrays.t, vertical_images, vertical_images)
+    twisted = _contract("pkij,piu,pjw->pkuw", arrays.t, vertical_images, vertical_images)
     vertical_symmetry = residual_check(max_abs(twisted - arrays.t[:, :, nb:, nb:]),
                                        scale_of(structure), points, tol)
     items["vertical_symmetry"] = verdict(vertical_symmetry.passed, vertical_symmetry.residual)

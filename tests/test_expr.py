@@ -23,6 +23,7 @@ from statgeom.expr import (
     eval_points,
     fd_check,
     format_expression,
+    freeze_fields,
     freeze_leading_coordinates,
     parse_expression,
 )
@@ -516,6 +517,19 @@ class TestDeepTrees:
         fiber = freeze_leading_coordinates(self.field(), [2.0])
         assert fiber.coord_names == ("y",)
         assert eval_points(fiber, [[1.5], [-0.5]]).tolist() == [9000.0, -3000.0]
+
+    def test_freeze_fields_shares_frozen_subtrees(self):
+        """Many fields under one plan: each as frozen alone, a shared subtree frozen once."""
+        deep = self.field()
+        other = parse_expression("y - x", ("x", "y"))
+        fields = [deep, other, deep]
+        frozen = freeze_fields(fields, [2.0])
+        alone = [freeze_leading_coordinates(f, [2.0]) for f in fields]
+        assert [format_expression(f) for f in frozen] == [format_expression(f) for f in alone]
+        assert [f.coord_names for f in frozen] == [("y",)] * 3
+        assert frozen[0].root is frozen[2].root
+        with pytest.raises(ValueError, match="cannot freeze 2 of 2"):
+            freeze_fields([other], [1.0, 2.0])
 
     def test_submersion_with_a_deep_total_metric(self):
         """Fibers frozen from a 2,000-term metric component give the shipped form's statuses."""
