@@ -58,8 +58,10 @@ _INTERIOR_MARGIN = 0.01
 _BLOCK_ENTRIES = 1 << 13
 # _contract hands a contraction to np.einsum when more than this share of its terms is kept.
 _SPARSE_SHARE = 1 / 8
-# Contraction plans kept, one per subscripts, operand layout and nonzero pattern.
-_PLAN_CACHE_SIZE = 256
+# Contraction plans kept, one per subscripts, operand layout and nonzero pattern.  A plan
+# holds an index array per operand and one for the output, each of at most
+# _SPARSE_SHARE of the terms: 32,768 entries for the n^6 terms of ∂(G⁻¹) at n = 8.
+_PLAN_CACHE_SIZE = 64
 
 
 class ChartError(ValueError):
