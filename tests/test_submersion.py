@@ -549,21 +549,26 @@ class TestInducedFiber:
         with pytest.raises(SubmersionError, match="vertical"):
             induced_fiber_manifold(spec)
 
-    def test_each_fiber_grid_is_frozen_through_one_plan(self, monkeypatch):
-        """One expr.Plan per restricted grid, giving the trees of a component-by-component freeze."""
-        spec = build_context(load_fixture("example_5_6_k1_l1")).submersion
-        plans = []
+    @pytest.fixture
+    def plan_sizes(self, monkeypatch):
+        """The number of roots of every expr.Plan made while the test runs."""
+        sizes = []
 
         class CountingPlan(ex.Plan):
             def __init__(self, roots):
-                plans.append(len(roots))
+                sizes.append(len(roots))
                 super().__init__(roots)
 
         monkeypatch.setattr(ex, "Plan", CountingPlan)
+        return sizes
+
+    def test_each_fiber_grid_is_frozen_through_one_plan(self, plan_sizes):
+        """One expr.Plan per restricted grid, giving the trees of a component-by-component freeze."""
+        spec = build_context(load_fixture("example_5_6_k1_l1")).submersion
+        plan_sizes.clear()
         fiber = spec.fiber
         nb, f = spec.base_dim, spec.fiber_dim
-        assert plans == [f * f, f * f]  # the metric's and the product structure's fiber blocks
-        monkeypatch.undo()
+        assert plan_sizes == [f * f, f * f]  # the metric's and the product structure's fiber blocks
         frozen = spec.base.chart.center
         for total, restricted in ((spec.total.metric, fiber.metric), (spec.total.product, fiber.product)):
             for index in np.ndindex(restricted.grid.shape):
@@ -571,27 +576,19 @@ class TestInducedFiber:
                 assert restricted.grid[index] == alone
                 assert ex.format_expression(restricted.grid[index]) == ex.format_expression(alone)
 
-    def test_plans_per_run(self, monkeypatch):
+    def test_plans_per_run(self, plan_sizes):
         """One walk plan per expression field of the run and one freeze plan per fiber grid.
 
         Freezing the fiber block component by component made one plan per
         component instead: 8 where the two fiber grids take 2.
         """
         manifest = load_fixture("example_5_6_k1_l1", known_checks=set(CHECKS))
-        plans = []
-
-        class CountingPlan(ex.Plan):
-            def __init__(self, roots):
-                plans.append(len(roots))
-                super().__init__(roots)
-
-        monkeypatch.setattr(ex, "Plan", CountingPlan)
         for _ in range(2):
-            plans.clear()
+            plan_sizes.clear()
             report = run_suite(manifest)
             assert all(check.status != STATUS_ERROR for check in report.checks)
             # total g, ∇, P; base g, ∇, P; fiber g, P walked, and the two fiber freezes
-            assert len(plans) == 10
+            assert len(plan_sizes) == 10
 
     def test_derived_structure_cannot_be_restricted(self):
         spec = curved_submersion(k=1.0, l=2.0)
