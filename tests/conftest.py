@@ -25,6 +25,23 @@ CURVATURE_CHECKS = (
 )
 
 
+def nonconstant_involution_manifest():
+    """A manifest whose product structure P = A J A⁻¹ varies with x, so ∂P ≠ 0.
+
+    A = [[1, x], [0, 1]] conjugates the swap J; the metric is a non-diagonal
+    one over the upper half-plane, and ∇ is its Levi-Civita connection.
+    """
+    return {
+        "chart": {"coords": ["x", "y"], "box": [[-0.8, 0.8], [0.5, 2.0]], "seed": 11},
+        "metric": [["1/(y*y) + x*x", "x/y"], ["x/y", "2/(y*y)"]],
+        "product": [["x", "1 - x*x"], ["1", "0 - x"]],
+        "checks": ["statistical_structure", "almost_product", "pairing_identities",
+                   "product_parallelism", "para_kahler_like", "conjugate_parallelism",
+                   "conjugate_involution", "dual_curvature_identity"],
+        "points": 25,
+    }
+
+
 def flat_manifold(pairs=1, k=2.0, epsilons=(1.0,), seed=7):
     """Flat para-product fixture as a ManifoldSpec."""
     data = flat_product_manifest(pairs, k, epsilons, seed=seed)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CURVATURE_CHECKS
+from conftest import CURVATURE_CHECKS, nonconstant_involution_manifest
 from statgeom import geometry
 from statgeom.fixtures import (
     curved_product_manifest,
@@ -55,6 +55,14 @@ def test_generated_model_report_matches_golden(name):
     expected = (GOLDEN_DIR / "models" / f"{name}.json").read_bytes()
     actual = render_report(run_suite(parse_manifest(data, known_checks=set(CHECKS)))).encode("utf-8")
     assert actual == expected
+
+
+def test_nonconstant_involution_report_matches_golden():
+    """The one golden whose P varies (∂P ≠ 0), so ∂P* and every product with P carry rounding."""
+    expected = (GOLDEN_DIR / "structures" / "nonconstant_involution.json").read_bytes()
+    manifest = parse_manifest(nonconstant_involution_manifest(), name="nonconstant_involution",
+                              known_checks=set(CHECKS))
+    assert render_report(run_suite(manifest)).encode("utf-8") == expected
 
 
 @pytest.mark.parametrize("data", [
