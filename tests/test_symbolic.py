@@ -1,6 +1,6 @@
 """A symbolic oracle: sympy derives Γ, ∇* and the curvatures R and R* from a
-fixture's manifest strings, and the package's exact jets must match them at
-the fixture's golden sample points."""
+fixture's manifest strings, and P* with ∂P* from a varying product structure,
+and the package's exact jets must match them at the golden sample points."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
-from statgeom import build_context, load_fixture, sample_points
+from conftest import nonconstant_involution_manifest
+from statgeom import build_context, load_fixture, parse_manifest, sample_points
 from statgeom.geometry import curvature_tensor
 
 FIXTURES = ("example_5_2_n1", "example_5_3_k1_l2", "example_5_6_k1_l1")
@@ -87,3 +88,24 @@ def test_exact_jets_match_sympy(fixture_id):
                     _evaluate(_curvature(gamma, coords), coords, points))
     _assert_matches("R*", curvature_tensor(*conjugate.jets(points)),
                     _evaluate(_curvature(gamma_star, coords), coords, points))
+
+
+def test_adjoint_jets_match_sympy():
+    """P* = −G⁻¹ Pᵀ G and ∂P* for a product structure that varies over the chart."""
+    data = nonconstant_involution_manifest()
+    spec = build_context(parse_manifest(data)).manifold
+    points = sample_points(spec.chart, data["points"])
+
+    coords = sympy.symbols(data["chart"]["coords"])
+    names = dict(zip(data["chart"]["coords"], coords))
+    g = sympy.Matrix(_parse_grid(data["metric"], names).tolist())
+    p = sympy.Matrix(_parse_grid(data["product"], names).tolist())
+    p_star = -g.inv() * p.T * g
+    n = len(coords)
+    d_p_star = sympy.MutableDenseNDimArray(
+        [sympy.diff(p_star[a, b], coord) for coord in coords for a in range(n) for b in range(n)],
+        (n, n, n))
+
+    package, d_package = spec.adjoint.jets(points)
+    _assert_matches("P*", package, _evaluate(sympy.Array(p_star.tolist()), coords, points))
+    _assert_matches("∂P*", d_package, _evaluate(d_p_star, coords, points))
