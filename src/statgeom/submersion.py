@@ -253,22 +253,12 @@ def _pair_lifts(tensor: np.ndarray, lifts: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
-    """Horizontal lifts of base frames have the base scalar products: g(X̃, Ỹ) = g'(X', Y')∘π."""
-    points = _as_points(pts)
-    nb = spec.base_dim
-    g = spec.total.metric.values(points)
-    base_metric = spec.base.metric.values(points[:, :nb])
-    gvv, _ = _fiber_blocks(g, nb)
-    _check_conditioning(gvv)
-    # lifts[p, :, a] lifts e_a; one vector right-hand side per e_a keeps the point-wise lift's bits
-    eye = np.eye(nb)
-    lifts = np.zeros(points.shape + (nb,))
-    lifts[:, :nb, :] = eye
-    for a in range(nb):
-        lifts[:, nb:, a] = -np.linalg.solve(gvv, (g[:, nb:, :nb] @ eye[a])[..., None])[..., 0]
-    total_products = np.swapaxes(lifts, 1, 2) @ g @ lifts
+    """The splitting's lifts of base frames have the base scalar products: g(X̃, Ỹ) = g'(X', Y')∘π."""
+    arrays = oneill_arrays(spec, pts)
+    base_metric = spec.base.metric.values(arrays.points[:, :spec.base_dim])
+    total_products = np.swapaxes(arrays.L, 1, 2) @ arrays.g @ arrays.L
     return residual_check(max_abs(total_products - base_metric),
-                          scale_of(total_products, base_metric), points, tol)
+                          scale_of(total_products, base_metric), arrays.points, tol)
 
 
 def check_statistical_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:

@@ -200,6 +200,30 @@ class TestSubmersionChecks:
         assert not result.passed
         assert result.residual > 10.0 * result.tolerance
 
+    @staticmethod
+    def _sheared_submersion(base_metric):
+        """g = [[a + f², f], [f, 1]] with a = 2 + x², f = sin x: the horizontal lift of ∂x is
+        ∂x − f ∂y, and g of it with itself is a."""
+        return _submersion_from({
+            "chart": {"coords": ["x", "y"], "box": [[-1.0, 1.0], [-1.0, 1.0]], "seed": 29},
+            "metric": [["2 + x*x + sin(x)*sin(x)", "sin(x)"], ["sin(x)", "1"]],
+            "submersion": {"base": {
+                "chart": {"coords": ["x"], "box": [[-1.0, 1.0]]},
+                "metric": [[base_metric]],
+            }},
+            "checks": ["semi_riemannian_submersion"],
+        })
+
+    def test_off_diagonal_metric_lifts_through_the_splitting(self):
+        spec = self._sheared_submersion("2 + x*x")
+        pts = sample_points(spec.total.chart, 25)
+        lifts = oneill_arrays(spec, pts).L[:, :, 0]
+        np.testing.assert_allclose(lifts, np.stack([np.ones(25), -np.sin(pts[:, 0])], axis=1),
+                                   rtol=0, atol=1e-15)
+        assert check_semi_riemannian_submersion(spec, pts).passed
+        perturbed = self._sheared_submersion("2.001 + x*x")
+        assert check_semi_riemannian_submersion(perturbed, pts).status == STATUS_FAIL
+
     def test_dualized_base_connection_fails_when_parameters_differ(self):
         """Giving the base the conjugate coefficient family is only harmless at
         k = l; for k ≠ l the pushforward comparison must fail."""
