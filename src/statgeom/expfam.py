@@ -31,7 +31,6 @@ from .geometry import (
     ManifoldSpec,
     MetricField,
     MetricError,
-    _inverse_derivative,
     adjoint_structure,
     sample_points,
 )
@@ -154,22 +153,23 @@ class AlphaConnection(DerivedJets):
     def __init__(self, metric: MetricField, alpha: float):
         if isinstance(alpha, bool) or not math.isfinite(alpha):
             raise ValueError(f"alpha must be a finite number, got {alpha!r}")
-        self._bases = (metric,)
-        self._value_needs = (True,)
         self.alpha = float(alpha)
+        # at α = 1 the factor is 0, so Γ = 0 reads no inverse
+        self._bases = (metric,) if self.alpha == 1.0 else (metric, metric.inverse)
+        self._value_needs = (True, False)[:len(self._bases)]
 
-    def _derive(self, full, metric_jets):
+    def _derive(self, full, metric_jets, inverse_jets=None):
         factor = 0.5 * (1.0 - self.alpha)
         g, dg, d2g = metric_jets
-        count, n = g.shape[0], self.dim
-        if factor == 0.0:
+        if inverse_jets is None:
+            count, n = g.shape[0], self.dim
             gamma = np.zeros((count, n, n, n))
             return (gamma, np.zeros((count, n, n, n, n))) if full else (gamma,)
-        ginv = np.linalg.inv(g)
+        ginv = inverse_jets[0]
         gamma = factor * np.einsum("psij,pst->ptij", dg, ginv)
         if not full:
             return (gamma,)
-        dginv = _inverse_derivative(ginv, dg)
+        dginv = inverse_jets[1]
         dgamma = factor * (np.einsum("plsij,pst->pltij", d2g, ginv)
                            + np.einsum("psij,plst->pltij", dg, dginv))
         return gamma, dgamma

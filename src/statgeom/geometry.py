@@ -31,12 +31,16 @@ and returns one :class:`CheckResult`.  The spec owns the fields derived from
 its own ones (the resolved connection, its Levi-Civita connection, the
 conjugate ∇* and the adjoint P*), each built once on first use, so their
 stores serve every check of a run; no derived field refers back to the spec.
+Every one of them reads G⁻¹ and ∂G⁻¹ from the metric's own
+:class:`InverseMetric` (``metric.inverse``), the one place where a metric is
+inverted and judged singular, so one batch is inverted once for all of them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -434,6 +438,11 @@ class MetricField(ExpressionField):
     order = 2
     symmetric = True
 
+    @functools.cached_property
+    def inverse(self) -> InverseMetric:
+        """G⁻¹ and ∂G⁻¹, built on first use; every field derived from this metric reads them."""
+        return InverseMetric(self)
+
 
 def _det_threshold(g: np.ndarray) -> np.ndarray:
     """The |det| at or below which each metric matrix in ``g`` counts as singular."""
@@ -491,32 +500,45 @@ class ExpressionConnection(ExpressionField):
         return cls([[[zero] * n for _ in range(n)] for _ in range(n)])
 
 
-def _inverse_derivative(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """∂(G⁻¹) = −G⁻¹ (∂G) G⁻¹ over stacks of G⁻¹ and ∂G."""
-    return -_contract("pia,pkab,pbj->pkij", ginv, dg, ginv)
+class InverseMetric(DerivedJets):
+    """G⁻¹ of a metric, the one place where a metric is inverted and judged singular.
+
+    Jets are (G⁻¹, ∂G⁻¹) with ∂_k(G⁻¹) = −G⁻¹ (∂_k G) G⁻¹.  A |det G| at or below
+    :func:`_det_threshold` raises :class:`MetricError`.  The metric owns its inverse
+    (:attr:`MetricField.inverse`), which holds the metric through a weak proxy: no cycle.
+    """
+
+    def __init__(self, metric: MetricField):
+        self._bases = (weakref.proxy(metric),)
+        self._value_needs = (False,)
+
+    def _derive(self, full, metric_jets):
+        g = metric_jets[0]
+        dets = np.linalg.det(g)
+        singular = np.abs(dets) <= _det_threshold(g)
+        if singular.any():
+            raise MetricError(f"singular metric (det {dets[np.argmax(singular)]:.3e}) has no inverse")
+        ginv = np.linalg.inv(g)
+        if not full:
+            return (ginv,)
+        return ginv, -_contract("pia,pkab,pbj->pkij", ginv, metric_jets[1], ginv)
 
 
 class LeviCivitaConnection(DerivedJets):
     """Metric connection Γ⁰^k_ij = ½ g^km (∂_i g_mj + ∂_j g_mi − ∂_m g_ij); jets are (Γ, ∂Γ)."""
 
     def __init__(self, metric: MetricField):
-        self._bases = (metric,)
-        self._value_needs = (True,)
+        self._bases = (metric, metric.inverse)
+        self._value_needs = (True, False)
 
-    def _derive(self, full, metric_jets):
-        g, dg, d2g = metric_jets
-        dets = np.linalg.det(g)
-        singular = np.abs(dets) <= _det_threshold(g)
-        if singular.any():
-            raise MetricError(f"singular metric (det {dets[np.argmax(singular)]:.3e}) "
-                              "while forming the Levi-Civita connection")
-        ginv = np.linalg.inv(g)
+    def _derive(self, full, metric_jets, inverse_jets):
+        dg, d2g, ginv = metric_jets[1], metric_jets[2], inverse_jets[0]
         # a[m,i,j] = ∂_i g_mj + ∂_j g_mi − ∂_m g_ij
         a = np.einsum("pimj->pmij", dg) + np.einsum("pjmi->pmij", dg) - dg
         gamma = 0.5 * np.einsum("pkm,pmij->pkij", ginv, a)
         if not full:
             return (gamma,)
-        dginv = _inverse_derivative(ginv, dg)
+        dginv = inverse_jets[1]
         da = (np.einsum("plimj->plmij", d2g) + np.einsum("pljmi->plmij", d2g)
               - np.einsum("plmij->plmij", d2g))
         dgamma = 0.5 * (np.einsum("plkm,pmij->plkij", dginv, a)
@@ -533,19 +555,18 @@ class ConjugateConnection(DerivedJets):
     def __init__(self, metric: MetricField, base):
         if metric.dim != base.dim:
             raise ValueError("metric and connection disagree on dimension")
-        self._bases = (metric, base)
-        self._value_needs = (True, False)
+        self._bases = (metric, metric.inverse, base)
+        self._value_needs = (True, False, False)
 
-    def _derive(self, full, metric_jets, base_jets):
+    def _derive(self, full, metric_jets, inverse_jets, base_jets):
         g, dg, d2g = metric_jets
-        gamma = base_jets[0]
-        ginv = np.linalg.inv(g)
+        gamma, ginv = base_jets[0], inverse_jets[0]
         rhs = np.einsum("pikj->pkij", dg) - np.einsum("pmik,pmj->pkij", gamma, g)
         star = np.einsum("ptk,pkij->ptij", ginv, rhs)
         if not full:
             return (star,)
         dgamma = base_jets[1]
-        dginv = _inverse_derivative(ginv, dg)
+        dginv = inverse_jets[1]
         drhs = (np.einsum("plikj->plkij", d2g)
                 - np.einsum("plmik,pmj->plkij", dgamma, g)
                 - np.einsum("pmik,plmj->plkij", gamma, dg))
@@ -570,17 +591,15 @@ class AdjointStructure(DerivedJets):
     def __init__(self, metric: MetricField, base):
         if metric.dim != base.dim:
             raise ValueError("metric and structure disagree on dimension")
-        self._bases = (metric, base)
-        self._value_needs = (False, False)
+        self._bases = (metric, metric.inverse, base)
+        self._value_needs = (False, False, False)
 
-    def _derive(self, full, metric_jets, base_jets):
-        g, m = metric_jets[0], base_jets[0]
-        ginv = np.linalg.inv(g)
+    def _derive(self, full, metric_jets, inverse_jets, base_jets):
+        g, ginv, m = metric_jets[0], inverse_jets[0], base_jets[0]
         star = -ginv @ np.swapaxes(m, 1, 2) @ g
         if not full:
             return (star,)
-        dg, dm = metric_jets[1], base_jets[1]
-        dginv = _inverse_derivative(ginv, dg)
+        dg, dginv, dm = metric_jets[1], inverse_jets[1], base_jets[1]
         # np.einsum's inner loop sums along b or c in these terms, so _contract would hand them back
         dstar = -(np.einsum("pkab,pcb,pcd->pkad", dginv, m, g)
                   + np.einsum("pab,pkcb,pcd->pkad", ginv, dm, g)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ class TestMetric:
         g = MetricField.from_strings(("x", "y"), [["1", "1"], ["1", "1"]])
         with pytest.raises(MetricError, match="singular"):
             levi_civita(g).value([0.0, 0.0])
+
+    # each field derived through G⁻¹, built over the metric g
+    @pytest.mark.parametrize("derive", [
+        levi_civita,
+        lambda g: conjugate_connection(g, ExpressionConnection.zero(("x", "y"))),
+        lambda g: adjoint_structure(g, ExpressionProductStructure.from_constant([[0, 1], [1, 0]],
+                                                                                ("x", "y"))),
+        lambda g: AlphaConnection(g, 0.5),
+    ], ids=["levi_civita", "conjugate", "adjoint", "alpha"])
+    @pytest.mark.parametrize("x", [0.0, 1e-300], ids=["det_0", "det_1e-300"])
+    def test_every_inverse_rejects_a_singular_metric(self, derive, x):
+        """g = diag(x, 1): a det of 0 or 1e-300 raises MetricError naming it, never inf or LinAlgError."""
+        field = derive(MetricField.from_strings(("x", "y"), [["x", "0"], ["0", "1"]]))
+        with pytest.raises(MetricError, match=re.escape(f"singular metric (det {x:.3e})")):
+            field.values([x, 0.5])
+        with pytest.raises(MetricError, match="singular metric"):
+            derive(MetricField.from_strings(("x", "y"), [["x", "0"], ["0", "1"]])).jets([x, 0.5])
 
     def test_signature(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, -1.0))

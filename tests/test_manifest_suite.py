@@ -386,35 +386,87 @@ class TestDerivedFieldOwnership:
         monkeypatch.setattr(cls, "__init__", record)
         return built
 
-    @pytest.mark.parametrize("data, max_conjugates, submersions", [
-        (curved_product_manifest(2, 1.0, 2.0, [1.0, 1.0], seed=3, checks=CURVATURE_CHECKS), 2, 0),
-        (submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5), 1, 1),
-        (model_manifest("normal", involution=[[0.0, 1.0], [1.0, 0.0]], seed=5), 3, 0),
+    @pytest.mark.parametrize("data, max_conjugates, submersions, metrics", [
+        (curved_product_manifest(2, 1.0, 2.0, [1.0, 1.0], seed=3, checks=CURVATURE_CHECKS),
+         2, 0, 1),
+        (submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5), 1, 1, 3),
+        (model_manifest("normal", involution=[[0.0, 1.0], [1.0, 0.0]], seed=5), 3, 0, 1),
     ], ids=["curvature", "submersion", "model"])
     def test_one_build_per_run_and_none_outlives_it(self, monkeypatch, data, max_conjugates,
-                                                    submersions):
+                                                    submersions, metrics):
         """∇* once per connection (and ∇** for the involution check), one fiber and one
-        splitting per submersion; all freed without the cyclic GC, run after run."""
+        splitting per submersion, at most one inverse per metric (total, base and fiber);
+        all freed without the cyclic GC, run after run."""
         manifest = parse_manifest(data, known_checks=set(CHECKS))
         conjugates = self._record_builds(monkeypatch, geometry.ConjugateConnection)
         fiber_connections = self._record_builds(monkeypatch, submersion.FiberConnection)
         splittings = self._record_builds(monkeypatch, submersion.OneillSplitting)
+        inverses = self._record_builds(monkeypatch, geometry.InverseMetric)
         fields = self._record_builds(monkeypatch, geometry.ExpressionField)
         gc.disable()
         try:
             for _ in range(2):
-                for built in (conjugates, fiber_connections, splittings, fields):
+                for built in (conjugates, fiber_connections, splittings, inverses, fields):
                     built.clear()
                 report = run_suite(manifest, points=10)
                 assert all(check.status != STATUS_ERROR for check in report.checks)
                 assert 1 <= len(conjugates) <= max_conjugates
                 assert len(fiber_connections) == submersions
                 assert len(splittings) == submersions
+                assert 1 <= len(inverses) <= metrics
                 assert fields
-                assert all(ref() is None
-                           for ref in conjugates + fiber_connections + splittings + fields)
+                assert all(ref() is None for ref in
+                           conjugates + fiber_connections + splittings + inverses + fields)
         finally:
             gc.enable()
+
+    @staticmethod
+    def _count_inversions(monkeypatch):
+        """Counts of ``np.linalg.inv`` calls and ∂(G⁻¹) contractions while the test runs."""
+        counts = {"inv": 0, "dginv": 0}
+        inv, contract = np.linalg.inv, geometry._contract
+
+        def count_inv(a):
+            counts["inv"] += 1
+            return inv(a)
+
+        def count_contract(subscripts, *operands):
+            counts["dginv"] += subscripts == "pia,pkab,pbj->pkij"
+            return contract(subscripts, *operands)
+
+        monkeypatch.setattr(np.linalg, "inv", count_inv)
+        monkeypatch.setattr(geometry, "_contract", count_contract)
+        return counts
+
+    def test_one_inverse_per_block_for_every_derived_field(self, monkeypatch):
+        """Levi-Civita, ∇*, ∇** and P* of a dimension-8 run share G⁻¹ and ∂(G⁻¹): at most one
+        inversion per block for values and one for jets, and one ∂(G⁻¹) contraction per block."""
+        manifest = parse_manifest(curved_product_manifest(4, 1.0, 2.0, [1.0] * 4, seed=3,
+                                                          checks=CURVATURE_CHECKS),
+                                  known_checks=set(CHECKS))
+        counts = self._count_inversions(monkeypatch)
+        report = run_suite(manifest, points=100)
+        assert all(check.status != STATUS_ERROR for check in report.checks)
+        blocks = -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
+        assert 0 < counts["inv"] <= 2 * blocks
+        assert 0 < counts["dginv"] <= blocks
+
+    def test_exponential_connection_reads_no_inverse(self, monkeypatch):
+        """The shipped 5.5 models at 25 points and three generated ones at 100 make 3 ∂(G⁻¹)
+        contractions, one per mixture-side P* whose jets a certification reads; the α = 1
+        connection has Γ = 0 and asks for none."""
+        manifests = [load_fixture(f"example_5_5_{name}", known_checks=set(CHECKS))
+                     for name in ("normal", "multinomial", "dirichlet")]
+        for name, hyperparams in (("poisson", {}), ("multinomial", {"categories": 5}),
+                                  ("dirichlet", {"dim": 4})):
+            data = model_manifest(name, hyperparams, seed=1)
+            data["points"] = 100
+            manifests.append(parse_manifest(data, known_checks=set(CHECKS)))
+        counts = self._count_inversions(monkeypatch)
+        for manifest in manifests:
+            report = run_suite(manifest)
+            assert all(check.status != STATUS_ERROR for check in report.checks)
+        assert counts["dginv"] <= 3
 
     def test_model_builds_each_alpha_connection_once(self, monkeypatch):
         """α = −1, 0, 1: the α-family and both certifications read three specs, ∇^(−α) included."""
