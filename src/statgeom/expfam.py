@@ -159,12 +159,12 @@ class AlphaConnection(DerivedJets):
         self._value_needs = (True, False)[:len(self._bases)]
 
     def _derive(self, full, metric_jets, inverse_jets=None):
-        factor = 0.5 * (1.0 - self.alpha)
         g, dg, d2g = metric_jets
         if inverse_jets is None:
             count, n = g.shape[0], self.dim
             gamma = np.zeros((count, n, n, n))
             return (gamma, np.zeros((count, n, n, n, n))) if full else (gamma,)
+        factor = 0.5 * (1.0 - self.alpha)
         ginv = inverse_jets[0]
         gamma = factor * np.einsum("psij,pst->ptij", dg, ginv)
         if not full:
