@@ -33,7 +33,7 @@ conjugate ∇* and the adjoint P*), each built once on first use, so their
 stores serve every check of a run; no derived field refers back to the spec.
 Every one of them reads G⁻¹ and ∂G⁻¹ from the metric's own
 :class:`InverseMetric` (``metric.inverse``), the one place where a metric is
-inverted and judged singular, so one batch is inverted once for all of them.
+inverted, so one batch is inverted once for all of them.
 """
 
 from __future__ import annotations
@@ -501,7 +501,7 @@ class ExpressionConnection(ExpressionField):
 
 
 class InverseMetric(DerivedJets):
-    """G⁻¹ of a metric, the one place where a metric is inverted and judged singular.
+    """G⁻¹ of a metric, the one place where a metric is inverted (and tested for singularity).
 
     Jets are (G⁻¹, ∂G⁻¹) with ∂_k(G⁻¹) = −G⁻¹ (∂_k G) G⁻¹.  A |det G| at or below
     :func:`_det_threshold` raises :class:`MetricError`.  The metric owns its inverse
