@@ -6,17 +6,19 @@ touches a symbol table.  Every pass over trees is one non-recursive walk
 in two steps: a :class:`Plan` keys the nodes of one or several roots by
 their structure and numbers the distinct subtrees once, children first, and
 its ``run`` applies a per-node rule once per number.  ``eval_fields``
-propagates (value, gradient, Hessian) triples, or (value, gradient) pairs,
-of many fields at many points, so a subtree shared by several fields is
-evaluated once per batch; a caller that walks the same fields batch after
-batch (an ``ExpressionField``) makes their plan once and passes it in.
-``eval2_points`` and ``eval_points`` (values alone) are its one-field
-case, and ``ScalarField.differentiate`` (for higher derivatives),
-``freeze_leading_coordinates`` (``freeze_fields`` for many fields under one
-plan), constant exponents and ``format_expression`` build trees, numbers or
-text, so any tree the parser builds goes through all of them.  A single
-point is a batch of one; the recursive point-wise reference evaluator lives
-with the tests, in ``tests/oracles.py``.
+propagates the jets of many fields at many points through one rule per
+node, cut at derivative order 2 (value, gradient, Hessian), 1 (value,
+gradient) or 0 (values alone, the same rule with no derivative term), so a
+subtree shared by several fields is evaluated once per batch; a caller that
+walks the same fields batch after batch (an ``ExpressionField``) makes
+their plan once and passes it in.  ``eval2_points`` and ``eval_points``
+are its one-field cases at orders 2 and 0, constant exponents are folded
+by the same rule at order 0, and ``ScalarField.differentiate`` (for higher
+derivatives), ``freeze_leading_coordinates`` (``freeze_fields`` for many
+fields under one plan) and ``format_expression`` build trees or text, so
+any tree the parser builds goes through all of them.  A single point is a
+batch of one; the recursive point-wise reference evaluator lives with the
+tests, in ``tests/oracles.py``.
 
 Grammar (``^`` binds tighter than unary minus and associates to the right)::
 
@@ -38,6 +40,7 @@ and evaluated from any number of threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -390,7 +393,7 @@ def _constant_value(node: object) -> float | None:
     """
     if _result(node, lambda n, has_var: isinstance(n, Var) or any(has_var)):
         return None
-    value = _result(node, _batch_value, None)
+    value = _result(node, _batch_node, None, None, 0)[0]
     if not math.isfinite(value):
         raise EvaluationError(f"non-finite value {value}")
     return value
@@ -530,70 +533,29 @@ def freeze_fields(fields: Sequence[ScalarField], values: Sequence[float]) -> lis
 
 
 # --------------------------------------------------------------------------
-# Evaluation
-# --------------------------------------------------------------------------
-
-def _apply_unary_value(op: str, u: float) -> float:
-    if op == "neg":
-        return -u
-    if op == "exp":
-        try:
-            return math.exp(u)
-        except OverflowError as err:
-            raise EvaluationError(f"exp overflow at argument {u}") from err
-    if op == "log":
-        if u <= 0.0:
-            raise EvaluationError(f"log of non-positive value {u}")
-        return math.log(u)
-    if op == "sqrt":
-        if u < 0.0:
-            raise EvaluationError(f"sqrt of negative value {u}")
-        return math.sqrt(u)
-    if op == "sin":
-        return math.sin(u)
-    if op == "cos":
-        return math.cos(u)
-    if op == "lgamma":
-        if u <= 0.0:
-            raise EvaluationError(f"lgamma of non-positive value {u}")
-        return log_gamma(u)
-    raise TypeError(f"unknown unary op {op!r}")
-
-
-def _pow_value(u: float, c: float) -> float:
-    if u < 0.0 and c != round(c):
-        raise EvaluationError(f"negative base {u} with non-integer exponent {c}")
-    try:
-        return u**c
-    except (ZeroDivisionError, OverflowError) as err:
-        raise EvaluationError(f"pow domain failure: {u}^{c}") from err
-
-
-def _psi_value(order: int, u: float) -> float:
-    if u <= 0.0:
-        raise EvaluationError(f"polygamma of non-positive value {u}")
-    return polygamma(order, u)
-
-
-# --------------------------------------------------------------------------
 # Evaluation batched over points
 # --------------------------------------------------------------------------
 #
-# A batched jet is a triple (value, grad, hess) over P points.  The value of
-# a subtree without coordinates is a float, otherwise a (P,) array.  Such a
-# subtree carries no gradient (None), and a linear subtree carries no Hessian
-# (None): these are the structural zeros.  A gradient is (n,) or (P, n) and a
-# Hessian (n, n) or (P, n, n); both broadcast against the point axis.  Each
-# rule below is the scalar chain rule with the absent terms left out, and
-# the transcendental functions run through ``math`` element by element, so
+# A batched jet is a triple (value, grad, hess) over P points, cut at the
+# walk's derivative ``order`` (Taylor-mode propagation: order 0 is the same
+# rules with the derivative terms left out).  The value of a subtree without
+# coordinates is a float, otherwise a (P,) array.  Such a subtree carries no
+# gradient (None), nor does any subtree at order 0, and a linear subtree, or
+# any subtree below order 2, carries no Hessian (None): these are the
+# structural zeros.  A gradient is (n,) or (P, n) and a Hessian (n, n) or
+# (P, n, n); both broadcast against the point axis.  Each rule below is the
+# scalar chain rule with the absent terms left out.  A function's factors
+# f, f′ and f″ are formed one at a time, each after its own domain checks,
+# and only as many as the order asks for: at order 0 no derivative factor
+# is formed and no derivative-only check runs (sqrt at zero, ``c·u^(c−1)``,
+# the next polygamma), so values read past singular derivatives.  The
+# transcendental functions run through ``math`` element by element, so
 # every row equals ``eval2`` of ``tests/oracles.py`` at that point, except
 # that a zero may differ in sign (``_minus(None, b)`` is −b where ``eval2``
 # computes 0 − b, so a zero b gives −0.0 here and 0.0 there).  A rule's
 # result depends only on the node's structure and its children's, so the
-# walk shares one result among equal subtrees of a batch, bit for bit.
-# Without ``second`` the rules stop at gradients: every Hessian is None and
-# no second-derivative factor is formed, so none can fail, and the values
-# and gradients are the bits of the full rules.
+# walk shares one result among equal subtrees of a batch, bit for bit, and
+# the parts formed at a lower order are the bits of those at a higher one.
 
 def _col(value):
     """A value shaped to scale gradients: (P, 1) for an array, as is for a float."""
@@ -652,56 +614,73 @@ def _domain(bad, u, message: str) -> None:
         raise EvaluationError(message.format(float(first)))
 
 
-def _batch_chain(u, f0, f1, f2):
-    """The chain rule through a function with derivatives f1, f2; f2 is None for gradients only."""
-    _, grad, hess = u
-    if grad is None:
-        return f0, None, None
-    if f2 is None:
-        return f0, grad * _col(f1), None
-    return f0, grad * _col(f1), _plus(_scaled(hess, _mat(f1)), _outer(grad, grad) * _mat(f2))
-
-
 def _batch_pow(u, c: float):
-    """``u**c`` for a float or a (P,) array, with the domain checks of ``_pow_value``."""
+    """``u**c`` for a float or a (P,) array; a negative base needs an integer exponent."""
     if c != round(c):
         _domain(u < 0.0, u, f"negative base {{}} with non-integer exponent {c}")
     return _map(lambda x: x**c, u, f"pow domain failure: exponent {c}")
 
 
-def _batch_unary(op: str, u, second: bool):
-    value = u[0]
-    if op == "neg":
-        return -value, None if u[1] is None else -u[1], None if u[2] is None else -u[2]
-    if op == "exp":
-        f0 = _map(math.exp, value, "exp overflow")
-        return _batch_chain(u, f0, f0, f0 if second else None)
-    if op == "log":
-        _domain(value <= 0.0, value, "log of non-positive value {}")
-        inv = 1.0 / value
-        return _batch_chain(u, _map(math.log, value), inv, -inv * inv if second else None)
-    if op == "sqrt":
-        _domain(value < 0.0, value, "sqrt of negative value {}")
-        _domain(value == 0.0, value, "sqrt has unbounded derivative at zero")
-        f0 = _map(math.sqrt, value)
-        f1 = 0.5 / f0
-        return _batch_chain(u, f0, f1, -0.5 * f1 / value if second else None)
-    if op == "sin":
-        s, c = _map(math.sin, value), _map(math.cos, value)
-        return _batch_chain(u, s, c, -s if second else None)
-    if op == "cos":
-        s, c = _map(math.sin, value), _map(math.cos, value)
-        return _batch_chain(u, c, -s, -c if second else None)
-    if op == "lgamma":
-        _domain(value <= 0.0, value, "lgamma of non-positive value {}")
-        return _batch_chain(u, _map(log_gamma, value),
-                            _map(lambda x: polygamma(0, x), value, "lgamma overflow"),
-                            _map(lambda x: polygamma(1, x), value, "lgamma overflow")
-                            if second else None)
-    raise TypeError(f"unknown unary op {op!r}")
+def _factors(node: object, u):
+    """Yield f(u), f′(u) and f″(u) of the function at ``node``, each after its domain checks."""
+    if isinstance(node, Power):
+        c = node.exponent
+        yield _batch_pow(u, c)
+        yield c * _batch_pow(u, c - 1.0) if c != 0.0 else 0.0
+        yield c * (c - 1.0) * _batch_pow(u, c - 2.0) if c not in (0.0, 1.0) else 0.0
+    elif isinstance(node, Psi):
+        _domain(u <= 0.0, u, "polygamma of non-positive value {}")
+        for k in range(3):
+            yield _map(functools.partial(polygamma, node.order + k), u, "polygamma overflow")
+    elif node.op == "exp":
+        f = _map(math.exp, u, "exp overflow")
+        yield from (f, f, f)
+    elif node.op == "log":
+        _domain(u <= 0.0, u, "log of non-positive value {}")
+        yield _map(math.log, u)
+        inv = 1.0 / u
+        yield inv
+        yield -inv * inv
+    elif node.op == "sqrt":
+        _domain(u < 0.0, u, "sqrt of negative value {}")
+        root = _map(math.sqrt, u)
+        yield root
+        _domain(u == 0.0, u, "sqrt has unbounded derivative at zero")
+        slope = 0.5 / root
+        yield slope
+        yield -0.5 * slope / u
+    elif node.op == "sin":
+        s = _map(math.sin, u)
+        yield s
+        yield _map(math.cos, u)
+        yield -s
+    elif node.op == "cos":
+        c = _map(math.cos, u)
+        yield c
+        yield -_map(math.sin, u)
+        yield -c
+    elif node.op == "lgamma":
+        _domain(u <= 0.0, u, "lgamma of non-positive value {}")
+        yield _map(log_gamma, u)
+        yield _map(functools.partial(polygamma, 0), u, "lgamma overflow")
+        yield _map(functools.partial(polygamma, 1), u, "lgamma overflow")
+    else:
+        raise TypeError(f"unknown unary op {node.op!r}")
 
 
-def _batch_binary(op: str, a, b, second: bool):
+def _batch_chain(u, factors, order: int):
+    """The chain rule through a function whose ``factors`` yield f, f′, f″; takes ``order + 1``."""
+    f = list(itertools.islice(factors, order + 1))
+    _, grad, hess = u
+    if grad is None:
+        return f[0], None, None
+    if order < 2:
+        return f[0], grad * _col(f[1]), None
+    hess = _plus(_scaled(hess, _mat(f[1])), _outer(grad, grad) * _mat(f[2]))
+    return f[0], grad * _col(f[1]), hess
+
+
+def _batch_binary(op: str, a, b, order: int):
     (va, ga, ha), (vb, gb, hb) = a, b
     if op == "add":
         return va + vb, _plus(ga, gb), _plus(ha, hb)
@@ -710,7 +689,7 @@ def _batch_binary(op: str, a, b, second: bool):
     if op == "mul":
         grad = _plus(_scaled(ga, _col(vb)), _scaled(gb, _col(va)))
         hess = _plus(_scaled(ha, _mat(vb)), _scaled(hb, _mat(va)))
-        if second and ga is not None and gb is not None:
+        if order > 1 and ga is not None and gb is not None:
             cross = _outer(ga, gb)
             hess = _plus(_plus(hess, cross), _swap(cross))
         return va * vb, grad, hess
@@ -721,61 +700,25 @@ def _batch_binary(op: str, a, b, second: bool):
         if grad is not None:
             grad = grad / _col(vb)
         hess = _minus(ha, _scaled(hb, _mat(value)))
-        if second and grad is not None and gb is not None:
+        if order > 1 and grad is not None and gb is not None:
             cross = _outer(grad, gb)
             hess = _minus(_minus(hess, cross), _swap(cross))
         return value, grad, None if hess is None else hess / _mat(vb)
     raise TypeError(f"unknown binary op {op!r}")
 
 
-def _batch_node(node: object, args: list, pts: np.ndarray, unit: np.ndarray, second: bool):
-    """The jet rule of ``node`` over a batch; Hessians only when ``second``."""
+def _batch_node(node: object, args: list, pts: np.ndarray, unit: np.ndarray, order: int):
+    """The jet rule of ``node`` over a batch, cut at derivative ``order`` (0, 1 or 2)."""
     if isinstance(node, Const):
         return node.value, None, None
     if isinstance(node, Var):
-        return pts[:, node.index], unit[node.index], None
-    if isinstance(node, Unary):
-        return _batch_unary(node.op, args[0], second)
+        return pts[:, node.index], unit[node.index] if order else None, None
     if isinstance(node, Binary):
-        return _batch_binary(node.op, args[0], args[1], second)
-    if isinstance(node, Power):
-        u, c = args[0][0], node.exponent
-        f0 = _batch_pow(u, c)
-        f1 = c * _batch_pow(u, c - 1.0) if c != 0.0 else 0.0
-        f2 = None
-        if second:
-            f2 = c * (c - 1.0) * _batch_pow(u, c - 2.0) if c not in (0.0, 1.0) else 0.0
-        return _batch_chain(args[0], f0, f1, f2)
-    if isinstance(node, Psi):
-        u, order = args[0][0], node.order
-        _domain(u <= 0.0, u, "polygamma of non-positive value {}")
-        return _batch_chain(args[0], _map(lambda x: polygamma(order, x), u, "polygamma overflow"),
-                            _map(lambda x: polygamma(order + 1, x), u, "polygamma overflow"),
-                            _map(lambda x: polygamma(order + 2, x), u, "polygamma overflow")
-                            if second else None)
-    raise TypeError(f"unknown node type {type(node)!r}")
-
-
-def _batch_value(node: object, args: list, pts: np.ndarray):
-    """The value rule of ``node`` over a batch, with the domain checks of the value alone."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return pts[:, node.index]
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return -args[0]
-        return _map(functools.partial(_apply_unary_value, node.op), args[0])
-    if isinstance(node, Binary):
-        a, b = args
-        if node.op == "div":
-            _domain(b == 0.0, b, "division by zero")
-            return a / b
-        return _batch_binary(node.op, (a, None, None), (b, None, None), False)[0]
-    if isinstance(node, Power):
-        return _batch_pow(args[0], node.exponent)
-    if isinstance(node, Psi):
-        return _map(functools.partial(_psi_value, node.order), args[0], "polygamma overflow")
+        return _batch_binary(node.op, args[0], args[1], order)
+    if isinstance(node, Unary) and node.op == "neg":
+        return tuple(None if part is None else -part for part in args[0])
+    if isinstance(node, (Unary, Power, Psi)):
+        return _batch_chain(args[0], _factors(node, args[0][0]), order)
     raise TypeError(f"unknown node type {type(node)!r}")
 
 
@@ -822,16 +765,12 @@ def eval_fields(fields: Sequence[ScalarField], points, order: int, emit,
     for field in fields:
         if pts.ndim != 2 or pts.shape[1] != field.arity or pts.shape[0] == 0:
             raise ValueError(f"points of shape {pts.shape} do not match arity {field.arity}")
-    if order:
-        rule, context = _batch_node, (pts, _unit_vectors(pts.shape[1]), order > 1)
-    else:
-        rule, context = _batch_value, (pts,)
     if plan is None:
         plan = Plan([field.root for field in fields])
     try:
         with np.errstate(all="ignore"):  # a non-finite result is reported below
-            for i, parts in plan.run(rule, *context):
-                parts = parts[:order + 1] if order else (parts,)
+            for i, parts in plan.run(_batch_node, pts, _unit_vectors(pts.shape[1]), order):
+                parts = parts[:order + 1]
                 if check_finite and not all(
                         np.isfinite(part).all() for part in parts if part is not None):
                     raise EvaluationError(

@@ -6,7 +6,11 @@ apart from the package so that a fault in one path shows as a disagreement.
 * :func:`eval2` evaluates one expression at one point by plain recursion
   over the tree, with one scalar rule per node (:class:`Dual2` jets).  The
   package's one evaluator is the non-recursive shared walk of
-  ``statgeom.expr`` (``eval_fields``, ``eval2_points``, ``eval_points``).
+  ``statgeom.expr``, one rule cut at derivative order 0, 1 or 2
+  (``eval_fields``, ``eval2_points``, ``eval_points``).  The scalar rules
+  and domain checks here are this module's own; from ``statgeom.expr`` it
+  takes only the tree's node classes, ``ScalarField`` and
+  ``EvaluationError``.
 * :func:`oneill_tensors_at` evaluates the fundamental tensors T and A of a
   submersion (B. O'Neill, "The fundamental equations of a submersion",
   Michigan Math. J. 13, 1966) one field pair at a time: vector-field
@@ -34,13 +38,9 @@ from statgeom.expr import (
     ScalarField,
     Unary,
     Var,
-    _apply_unary_value,
-    _map,
-    _pow_value,
-    _psi_value,
 )
 from statgeom.geometry import ExpressionField
-from statgeom.special import polygamma
+from statgeom.special import log_gamma, polygamma
 from statgeom.submersion import SubmersionSpec, _check_conditioning, _fiber_blocks
 
 
@@ -48,6 +48,44 @@ from statgeom.submersion import SubmersionSpec, _check_conditioning, _fiber_bloc
 # Point-wise recursive evaluation
 # --------------------------------------------------------------------------
 
+def _map(func, u: float, overflow: str = "overflow") -> float:
+    """``func(u)``, with a domain, overflow or division failure as an EvaluationError."""
+    try:
+        return func(u)
+    except ValueError as err:
+        raise EvaluationError(str(err)) from None
+    except (OverflowError, ZeroDivisionError):
+        raise EvaluationError(overflow) from None
+
+
+def _apply_unary_value(op: str, u: float) -> float:
+    if op == "exp":
+        return _map(math.exp, u, "exp overflow")
+    if op == "log":
+        if u <= 0.0:
+            raise EvaluationError(f"log of non-positive value {u}")
+        return math.log(u)
+    if op == "sqrt":
+        if u < 0.0:
+            raise EvaluationError(f"sqrt of negative value {u}")
+        return math.sqrt(u)
+    if op == "lgamma":
+        if u <= 0.0:
+            raise EvaluationError(f"lgamma of non-positive value {u}")
+        return _map(log_gamma, u)
+    raise TypeError(f"unknown unary op {op!r}")
+
+
+def _pow_value(u: float, c: float) -> float:
+    if u < 0.0 and c != round(c):
+        raise EvaluationError(f"negative base {u} with non-integer exponent {c}")
+    return _map(lambda x: x**c, u, f"pow domain failure: {u}^{c}")
+
+
+def _psi_value(order: int, u: float) -> float:
+    if u <= 0.0:
+        raise EvaluationError(f"polygamma of non-positive value {u}")
+    return _map(lambda x: polygamma(order, x), u, "polygamma overflow")
 
 
 @dataclass(frozen=True)

@@ -365,6 +365,30 @@ class TestEval2Points:
                 eval2_points(f, [[1.0], [0.0]])
             assert eval_points(f, [[1.0], [0.0]])[1] == eval_points(f, [[0.0]])[0] == 0.0
 
+    def test_exp_overflow_reads_alike_at_every_order(self):
+        """Values, jets and a constant exponent fail through the one rule, with one text."""
+        f = parse_expression("exp(x)", ("x",))
+        for evaluate in (eval_points, eval2_points):
+            with pytest.raises(EvaluationError) as err:
+                evaluate(f, [[1.0], [800.0]])
+            assert str(err.value) == "exp overflow at point [800.0]"
+        with pytest.raises(ParseError) as err:
+            parse_expression("2^(exp(1000))", ("x",))
+        assert str(err.value) == "constant exponent is undefined: exp overflow (at offset 1)"
+
+    def test_values_form_no_derivative_factor(self, monkeypatch):
+        """At order 0 lgamma calls no polygamma, and x^0.5 at 0 skips the check of 0.5·x^(−0.5)."""
+        calls = []
+        real = ex.polygamma
+        monkeypatch.setattr(ex, "polygamma", lambda order, x: calls.append(order) or real(order, x))
+        values = eval_points(parse_expression("lgamma(x)", ("x",)), [[0.5], [2.0], [3.0]])
+        assert values.tolist() == pytest.approx([math.lgamma(0.5), 0.0, math.log(2.0)], rel=1e-13)
+        assert calls == []
+        f = parse_expression("x^0.5", ("x",))
+        assert eval_points(f, [[0.0]]).tolist() == [0.0]
+        with pytest.raises(EvaluationError, match=r"pow domain failure.* at point \[0\.0\]"):
+            ex.eval_fields([f], [[0.0]], 1, lambda i, parts: None)
+
     def test_deep_sum_values_need_no_recursion(self):
         f = parse_expression(" + ".join(["x"] * 3000), ("x",))
         assert eval_points(f, [[1.0], [2.0]]).tolist() == [3000.0, 6000.0]
@@ -375,6 +399,7 @@ class TestEval2Points:
         ("x^-0.5", [[1.0], [0.0]], 1, "pow domain failure"),
         ("exp(x)*1e308", [[0.0], [1.0]], 1, "non-finite value"),
         ("sin(x*1e308*10)", [[0.0], [1.0]], 1, "math domain error"),
+        ("exp(x)", [[1.0], [800.0]], 1, "exp overflow"),
     ])
     def test_value_failure_names_first_failing_point(self, text, points, bad_row, message):
         f = parse_expression(text, ("x",))

@@ -212,6 +212,18 @@ class TestGridWalk:
         metric._batch_jets(points, True)
         assert sorted(calls) == sorted([1, 2, 3] * 5 * len(points))
 
+    def test_values_call_polygamma_at_the_value_order_only(self, monkeypatch):
+        """The dirichlet(4) Fisher metric's values form no derivative factor: one trigamma
+        per distinct Psi subtree and point, and no ψ₂ or ψ₃."""
+        model = builtin_model("dirichlet", dim=4)
+        metric = fisher_metric(model)
+        points = sample_points(model.chart, 7)
+        calls = []
+        real = ex.polygamma
+        monkeypatch.setattr(ex, "polygamma", lambda order, x: calls.append(order) or real(order, x))
+        metric.values(points)
+        assert calls == [1] * 5 * len(points)
+
     def test_signed_zeros_stay_apart(self):
         zero, negative = (ScalarField(Const(v), 2, ("x", "y")) for v in (0.0, -0.0))
         g = MetricField([[zero, negative], [negative, zero]])
