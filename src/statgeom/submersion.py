@@ -390,18 +390,18 @@ class FiberConnection(PointJets):
     def _derive(self, full, metric_jets, connection_jets):
         """Γ̂ (and ∂Γ̂ when ``full``) over stacks.
 
-        The value solves against the fiber block; ∂Γ̂ uses its inverse.
+        One extractor G_vv⁻¹ G[vert, :] serves Γ̂ and ∂Γ̂.
         """
         nb, f = len(self._base_point), self.dim
         g = metric_jets[0]
         gvv, gv_rows = _fiber_blocks(g, nb)
+        gvv_inv = np.linalg.inv(gvv)
+        extractor = gvv_inv @ gv_rows
         block = connection_jets[0][:, :, nb:, nb:]
-        hat = np.einsum("pck,pkab->pcab", np.linalg.solve(gvv, gv_rows), block)
+        hat = np.einsum("pck,pkab->pcab", extractor, block)
         if not full:
             return (hat,)
         dg, dgamma = metric_jets[1], connection_jets[1]
-        gvv_inv = np.linalg.inv(gvv)
-        extractor = gvv_inv @ gv_rows
         dhat = np.empty((g.shape[0], f, f, f, f))
         for d in range(f):
             i = nb + d
