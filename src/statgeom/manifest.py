@@ -329,6 +329,9 @@ def _parse_manifold(data, where: str) -> _ParsedManifold:
         raise ManifestError(f"{where}: 'params' must be an object")
     params = {key: _number(value, f"{where}: parameter {key!r}") for key, value in params.items()}
     coords = chart.coord_names
+    for key in params:
+        if key in coords:  # the expression parser would read the coordinate and drop the value
+            raise ManifestError(f"{where}: parameter {key!r} has the name of a coordinate")
     entries = data["metric"]
     grid = _parse_field_grid(entries, coords, params, f"{where}.metric", 2)
     _check_symmetric(grid, entries, chart, f"{where}.metric")

@@ -156,6 +156,7 @@ MALFORMED = {
     "boolean_alpha": lambda: _model(alpha=[True]),
     "nan_alpha": lambda: _model(alpha=[float("nan")]),
     "non_numeric_involution": lambda: _model(involution=[["a", 0], [0, 1]]),
+    "parameter_named_like_a_coordinate": lambda: _flat(params={"k": 2.0, "e1": 1.0, "x1": 1.0}),
 }
 
 
@@ -206,6 +207,15 @@ class TestManifestRobustness:
         data["metric"][1][0] = "y1*(x1*k)/4"
         assert parse_manifest(data).checks == ("flatness",)
         assert _verify_exit_code(tmp_path, data) == 0
+
+    @pytest.mark.parametrize("block", ["manifest", "submersion.base"])
+    def test_parameter_named_like_a_coordinate(self, tmp_path, block):
+        """A coordinate wins over a parameter of its name in an expression, so the
+        parameter's value would be dropped unread; the manifest is refused instead."""
+        data = submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0))
+        target = data if block == "manifest" else data["submersion"]["base"]
+        target["params"]["y1"] = 1.0
+        self._rejects(tmp_path, data, rf"^{block}: parameter 'y1' has the name of a coordinate$")
 
     def test_deeply_nested_expression(self, tmp_path):
         data = _flat()
