@@ -23,7 +23,6 @@ from .geometry import (
     DEFAULT_POINT_COUNT,
     DEFAULT_TOLERANCE,
     DegeneratePlaneError,
-    ExpressionConnection,
     ExpressionField,
     ManifoldSpec,
     MetricError,
@@ -42,7 +41,6 @@ from .geometry import (
     statistical_curvature_at,
 )
 from .product import (
-    ExpressionProductStructure,
     check_almost_product,
     check_pairing_identities,
     check_para_kahler_like,

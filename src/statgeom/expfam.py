@@ -28,13 +28,13 @@ from .geometry import (
     ChartSpec,
     DEFAULT_POINT_COUNT,
     DerivedJets,
+    ExpressionField,
     ManifoldSpec,
     MetricField,
     MetricError,
     adjoint_structure,
     sample_points,
 )
-from .product import ExpressionProductStructure
 
 BUILTIN_MODEL_NAMES = ("poisson", "normal", "multinomial", "dirichlet")
 
@@ -193,5 +193,5 @@ def exp_para_structures(model: ExpFamilyModel, a) -> tuple:
         raise ValueError("matrix is not an involution (a @ a != identity)")
     if np.allclose(mat, eye, atol=1e-12) or np.allclose(mat, -eye, atol=1e-12):
         raise ValueError("involution must differ from plus or minus the identity")
-    constant = ExpressionProductStructure.from_constant(mat, model.chart.coord_names)
+    constant = ExpressionField.constant(mat, model.chart.coord_names)
     return constant, adjoint_structure(model.fisher, constant)

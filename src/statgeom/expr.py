@@ -669,9 +669,9 @@ def _factors(node: object, u):
 
 
 def _batch_chain(u, factors, order: int):
-    """The chain rule through a function whose ``factors`` yield f, f′, f″; takes ``order + 1``."""
-    f = list(itertools.islice(factors, order + 1))
+    """The chain rule through ``factors`` yielding f, f′, f″; draws only f for a constant ``u``."""
     _, grad, hess = u
+    f = list(itertools.islice(factors, 1 if grad is None else order + 1))
     if grad is None:
         return f[0], None, None
     if order < 2:

@@ -19,8 +19,9 @@ one store keyed by the whole batch (:class:`PointJets`).  A single point is a
 batch of one: the per-point accessors ``value`` and ``jet`` return its
 row 0, and the geometric definitions are written once, over stacks of
 points.  Every field given by coordinate expressions is an
-:class:`ExpressionField` over a grid of components; the metric, connection
-and product-structure classes only set its derivative order and symmetry.
+:class:`ExpressionField` over a grid of components, a connection or a
+product structure directly; :class:`MetricField` adds order 2, symmetry and
+the inverse.
 Every check reduces its per-point arrays in one :func:`residual_check`: the
 per-point defects (:func:`max_abs`) over the per-point scales
 (:func:`scale_of`).  A check that builds a 4-index tensor per point works in
@@ -401,6 +402,13 @@ class ExpressionField(PointJets):
 
         return cls(parse(entries))
 
+    @classmethod
+    def constant(cls, values, coords: Sequence[str]) -> "ExpressionField":
+        """The field whose components are the constants ``values``, a square array of any rank."""
+        grid = np.empty(np.shape(values), dtype=object)
+        grid.flat = [ex.constant_field(v, coords) for v in np.ravel(values)]
+        return cls(grid)
+
     @property
     def dim(self) -> int:
         return self.grid.shape[0]
@@ -487,18 +495,8 @@ def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tupl
 
 
 # --------------------------------------------------------------------------
-# Connection fields
+# Derived fields
 # --------------------------------------------------------------------------
-
-class ExpressionConnection(ExpressionField):
-    """Connection with explicitly given coefficient fields Γ^k_ij; jets are (Γ, ∂Γ)."""
-
-    @classmethod
-    def zero(cls, coords: Sequence[str]) -> "ExpressionConnection":
-        n = len(coords)
-        zero = ex.constant_field(0.0, coords)
-        return cls([[[zero] * n for _ in range(n)] for _ in range(n)])
-
 
 class InverseMetric(DerivedJets):
     """G⁻¹ of a metric, the one place where a metric is inverted (and tested for singularity).

@@ -33,12 +33,11 @@ from .geometry import (
     DEFAULT_POINT_COUNT,
     DEFAULT_TOLERANCE,
     ChartSpec,
-    ExpressionConnection,
+    ExpressionField,
     ManifoldSpec,
     MetricField,
     sample_points,
 )
-from .product import ExpressionProductStructure
 from .submersion import SubmersionSpec, check_dimensions
 
 
@@ -67,8 +66,8 @@ class _ParsedManifold:
         return ManifoldSpec(
             chart=self.chart if seed is None else _reseeded(self.chart, seed, f"{where}: "),
             metric=MetricField(self.metric),
-            connection=None if self.connection is None else ExpressionConnection(self.connection),
-            product=None if self.product is None else ExpressionProductStructure(self.product),
+            connection=None if self.connection is None else ExpressionField(self.connection),
+            product=None if self.product is None else ExpressionField(self.product),
         )
 
 
@@ -250,34 +249,20 @@ def _parse_chart(data, where: str) -> ChartSpec:
 def _parse_field_grid(entries, coords, params, where: str, depth: int):
     n = len(coords)
 
-    def parse_one(text, label):
-        if not isinstance(text, str):
-            raise ManifestError(f"{where}{label}: expected an expression string, got {text!r}")
-        try:
-            return ex.parse_expression(text, coords, params)
-        except ex.ParseError as err:
-            raise ManifestError(f"{where}{label}: {err}") from err
-
-    def check_len(seq, label):
-        if not isinstance(seq, list) or len(seq) != n:
+    def walk(node, label, rank):
+        """The fields under ``node``, a grid of rank ``rank`` (0: one string), checked depth first."""
+        if rank == 0:
+            if not isinstance(node, str):
+                raise ManifestError(f"{where}{label}: expected an expression string, got {node!r}")
+            try:
+                return ex.parse_expression(node, coords, params)
+            except ex.ParseError as err:
+                raise ManifestError(f"{where}{label}: {err}") from err
+        if not isinstance(node, list) or len(node) != n:
             raise ManifestError(f"{where}{label}: expected {n} entries")
+        return [walk(item, f"{label}[{i}]", rank - 1) for i, item in enumerate(node)]
 
-    check_len(entries, "")
-    if depth == 2:
-        grid = []
-        for i, row in enumerate(entries):
-            check_len(row, f"[{i}]")
-            grid.append([parse_one(text, f"[{i}][{j}]") for j, text in enumerate(row)])
-        return grid
-    grid = []
-    for k, plane in enumerate(entries):
-        check_len(plane, f"[{k}]")
-        rows = []
-        for i, row in enumerate(plane):
-            check_len(row, f"[{k}][{i}]")
-            rows.append([parse_one(text, f"[{k}][{i}][{j}]") for j, text in enumerate(row)])
-        grid.append(rows)
-    return grid
+    return walk(entries, "", depth)
 
 
 def _defined_values(field: ex.ScalarField, points: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 A product structure is a (1,1) tensor field P with P² = Id and P ≠ ±Id; its
 matrix convention is ``M[i, j] = P^i_j`` so that P ∂_j = P^i_j ∂_i and the
-matrix acts on component columns.  The negative-adjoint partner P* with
+matrix acts on component columns.  Given by expressions, P is a
+:class:`geometry.ExpressionField` with jets ``(M, dM)``, ``dM[k, i, j] = ∂_k P^i_j``
+(``ExpressionField.constant`` if constant).  The negative-adjoint partner P* with
 g(PE, F) + g(E, P*F) = 0 is :class:`geometry.AdjointStructure`, a derived
 field, so structures of structures (P** and friends) compose.
 
@@ -17,18 +19,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
 
 import numpy as np
 
-from . import expr as ex
 from .geometry import (
     DEFAULT_TOLERANCE,
     STATUS_FAIL,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
     CheckResult,
-    ExpressionField,
     ManifoldSpec,
     _as_points,
     adjoint_structure,
@@ -43,20 +42,6 @@ from .geometry import (
 )
 
 _IDENTITY_WITNESS_MARGIN = 1e-6
-
-
-class ExpressionProductStructure(ExpressionField):
-    """Product structure with explicitly given component fields P^i_j.
-
-    Jets are ``(M, dM)`` with ``dM[k,i,j] = ∂_k P^i_j``.
-    """
-
-    @classmethod
-    def from_constant(cls, matrix, coords: Sequence[str]) -> "ExpressionProductStructure":
-        mat = np.asarray(matrix, dtype=float)
-        fields = [[ex.constant_field(mat[i, j], coords) for j in range(mat.shape[1])]
-                  for i in range(mat.shape[0])]
-        return cls(fields)
 
 
 # --------------------------------------------------------------------------

@@ -70,46 +70,33 @@ class VerificationReport:
         return 0
 
 
-def _normalize(value):
-    if isinstance(value, dict):
-        return {str(k): _normalize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_normalize(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_normalize(v) for v in value.tolist()]
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def canonical_json(value) -> str:
-    """Deterministic JSON text: sorted keys, %.12e floats, LF endings."""
+    """Deterministic JSON text: sorted str keys, %.12e floats, LF endings, numpy values as Python's."""
 
     def render(node) -> str:
         if node is None:
             return "null"
         if isinstance(node, bool):
             return "true" if node else "false"
-        if isinstance(node, int):
-            return str(node)
-        if isinstance(node, float):
+        if isinstance(node, (int, np.integer)):
+            return str(int(node))
+        if isinstance(node, (float, np.floating)):
             if not math.isfinite(node):
-                return json.dumps(str(node))  # "inf", "-inf" or "nan"
-            return f"{node:.12e}"
+                return json.dumps(str(float(node)))  # "inf", "-inf" or "nan"
+            return f"{float(node):.12e}"
         if isinstance(node, str):
             return json.dumps(node, ensure_ascii=False)
-        if isinstance(node, list):
+        if isinstance(node, np.ndarray):
+            return render(node.tolist())
+        if isinstance(node, (list, tuple)):
             return "[" + ", ".join(render(item) for item in node) + "]"
         if isinstance(node, dict):
-            parts = (f"{json.dumps(k)}: {render(node[k])}" for k in sorted(node))
+            items = {str(k): v for k, v in node.items()}
+            parts = (f"{json.dumps(k)}: {render(items[k])}" for k in sorted(items))
             return "{" + ", ".join(parts) + "}"
         raise TypeError(f"cannot serialize {type(node)!r}")
 
-    return render(_normalize(value))
+    return render(value)
 
 
 def report_to_mapping(report: VerificationReport) -> dict:

@@ -166,7 +166,9 @@ def _d2_unary(op: str, u: Dual2) -> Dual2:
         return _d2_chain(u, c, -s, -c)
     if op == "lgamma":
         f0 = _apply_unary_value("lgamma", u.value)
-        return _d2_chain(u, f0, polygamma(0, u.value), polygamma(1, u.value))
+        f1 = _map(lambda x: polygamma(0, x), u.value, "lgamma overflow")
+        f2 = _map(lambda x: polygamma(1, x), u.value, "lgamma overflow")
+        return _d2_chain(u, f0, f1, f2)
     raise TypeError(f"unknown unary op {op!r}")
 
 
@@ -196,8 +198,8 @@ def _d2(node: object, point: np.ndarray) -> Dual2:
         return _d2_pow(_d2(node.base, point), node.exponent)
     if isinstance(node, Psi):
         u = _d2(node.arg, point)
-        f0 = _psi_value(node.order, u.value)
-        return _d2_chain(u, f0, polygamma(node.order + 1, u.value), polygamma(node.order + 2, u.value))
+        f0, f1, f2 = (_psi_value(node.order + k, u.value) for k in range(3))
+        return _d2_chain(u, f0, f1, f2)
     raise TypeError(f"unknown node type {type(node)!r}")
 
 

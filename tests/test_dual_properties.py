@@ -12,7 +12,7 @@ import pytest
 
 from statgeom.geometry import (
     ChartSpec,
-    ExpressionConnection,
+    ExpressionField,
     ManifoldSpec,
     MetricField,
     check_conjugate_involution,
@@ -44,7 +44,7 @@ def manifolds(draw):
                     for j in range(n)] for i in range(n)] for k in range(n)]
     chart = ChartSpec(coords, ((-1.0, 1.0),) * n, seed=draw(st.integers(0, 2**16)))
     return ManifoldSpec(chart, MetricField.from_strings(coords, metric),
-                        ExpressionConnection.from_strings(coords, connection))
+                        ExpressionField.from_strings(coords, connection))
 
 
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -178,6 +178,16 @@ class TestEval2:
         d = eval2(parse_expression("3.5", ("x", "y")), (0.3, -0.4))
         assert np.all(d.grad == 0.0) and np.all(d.hess == 0.0)
 
+    @pytest.mark.parametrize("text, message", [("lgamma(x)", "lgamma overflow"),
+                                               ("digamma(x)", "polygamma overflow")])
+    def test_derivative_overflow_is_an_evaluation_error(self, text, message):
+        """The value is finite at 1.5e200 but a derivative factor overflows, as in the package."""
+        f = parse_expression(text, ("x",))
+        with pytest.raises(EvaluationError, match=f"^{message}$"):
+            eval2(f, (1.5e200,))
+        with pytest.raises(EvaluationError, match=rf"^{message} at point \[1.5e\+200\]$"):
+            eval2_points(f, [[1.5e200]])
+
 
 class TestDifferentiate:
     def test_cubic(self):
@@ -351,6 +361,23 @@ class TestEval2Points:
         assert values.tolist() == [3000.0, 6000.0]
         assert grads.tolist() == [[3000.0], [3000.0]]
         assert not hessians.any()
+
+    @pytest.mark.parametrize("text", ["sqrt(0) + x", "0^0.5 + x"])
+    def test_constant_argument_draws_no_derivative_factor(self, text):
+        """sqrt′ and the ^0.5 rule fail at 0, but a constant argument never needs them.
+
+        The oracle has no structural zeros and raises here, so the rows are
+        compared with the exact jets.
+        """
+        values, grads, hessians = eval2_points(parse_expression(text, ("x",)), [[1.0]])
+        assert (values.tolist(), grads.tolist(), hessians.tolist()) == ([1.0], [[1.0]], [[[0.0]]])
+
+    def test_constant_argument_calls_no_polygamma(self, monkeypatch):
+        calls = []
+        real = ex.polygamma
+        monkeypatch.setattr(ex, "polygamma", lambda order, x: calls.append(order) or real(order, x))
+        _, grads, hessians = eval2_points(parse_expression("lgamma(2) + x", ("x",)), [[1.0]])
+        assert (grads.tolist(), hessians.tolist(), calls) == ([[1.0]], [[[0.0]]], [])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="arity"):

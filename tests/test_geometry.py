@@ -19,7 +19,6 @@ from statgeom.geometry import (
     ChartError,
     ChartSpec,
     DegeneratePlaneError,
-    ExpressionConnection,
     ExpressionField,
     ManifoldSpec,
     MetricError,
@@ -42,7 +41,7 @@ from statgeom import expr as ex
 from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures, fisher_metric
 from statgeom.expr import Const, ScalarField, eval2_points, parse_expression
 from statgeom.fixtures import fixture_ids, load_fixture
-from statgeom.product import ExpressionProductStructure, adjoint_structure
+from statgeom.product import adjoint_structure
 from statgeom.submersion import FiberConnection
 
 
@@ -101,9 +100,8 @@ class TestMetric:
     # each field derived through G⁻¹, built over the metric g
     @pytest.mark.parametrize("derive", [
         levi_civita,
-        lambda g: conjugate_connection(g, ExpressionConnection.zero(("x", "y"))),
-        lambda g: adjoint_structure(g, ExpressionProductStructure.from_constant([[0, 1], [1, 0]],
-                                                                                ("x", "y"))),
+        lambda g: conjugate_connection(g, ExpressionField.constant(np.zeros((2, 2, 2)), ("x", "y"))),
+        lambda g: adjoint_structure(g, ExpressionField.constant([[0, 1], [1, 0]], ("x", "y"))),
         lambda g: AlphaConnection(g, 0.5),
     ], ids=["levi_civita", "conjugate", "adjoint", "alpha"])
     @pytest.mark.parametrize("x", [0.0, 1e-300], ids=["det_0", "det_1e-300"])
@@ -149,14 +147,15 @@ def _xy(text):
 class TestExpressionField:
     @pytest.mark.parametrize("build", [
         lambda: MetricField([[_xy("1"), _xy("x")]]),
-        lambda: ExpressionProductStructure([[_xy("1"), _xy("0")], [_xy("0"), _xy("1")],
-                                            [_xy("0"), _xy("0")]]),
-        lambda: ExpressionConnection([[[_xy("x"), _xy("0")], [_xy("0"), _xy("y")]],
-                                      [[_xy("x"), _xy("0")], [_xy("0")]]]),
+        lambda: ExpressionField([[_xy("1"), _xy("0")], [_xy("0"), _xy("1")],
+                                 [_xy("0"), _xy("0")]]),
+        lambda: ExpressionField([[[_xy("x"), _xy("0")], [_xy("0"), _xy("y")]],
+                                 [[_xy("x"), _xy("0")], [_xy("0")]]]),
         lambda: MetricField([[_xy("1"), _xy("0")], [_xy("0"), parse_expression("x", ("x",))]]),
-        lambda: ExpressionConnection([[[_xy("x")]]]),
+        lambda: ExpressionField([[[_xy("x")]]]),
+        lambda: ExpressionField.constant(np.zeros((2, 3)), ("x", "y")),
     ], ids=["non_square_metric", "non_square_product", "ragged_connection_plane",
-            "mixed_arity", "arity_differs_from_dimension"])
+            "mixed_arity", "arity_differs_from_dimension", "non_square_constant"])
     def test_malformed_grid_raises(self, build):
         with pytest.raises(ValueError):
             build()
@@ -165,6 +164,14 @@ class TestExpressionField:
         g = MetricField([[_xy("1"), _xy("x*y")], [_xy("7"), _xy("2")]])
         assert g.component(1, 0) is g.component(0, 1)
         np.testing.assert_array_equal(g.value([2.0, 3.0]), [[1.0, 6.0], [6.0, 2.0]])
+
+    @pytest.mark.parametrize("values", [[[0, 1], [1, 0]], np.arange(8.0).reshape(2, 2, 2)],
+                             ids=["rank_2", "rank_3"])
+    def test_constant_grid_of_any_rank(self, values):
+        field = ExpressionField.constant(values, ("x", "y"))
+        value, derivative = field.jets([[0.3, -0.4], [1.5, 2.0]])
+        assert value.tolist() == [np.asarray(values, dtype=float).tolist()] * 2
+        assert derivative.shape == (2, 2) + np.shape(values) and not derivative.any()
 
 
 def _expression_fields():
@@ -271,12 +278,12 @@ class TestGridWalk:
     def test_first_order_fields_walk_gradients_only(self, monkeypatch):
         """A connection component x^1.5 has an unbounded second derivative at x = 0, which
         an order-1 field never forms; its Γ and ∂Γ are finite there."""
-        conn = ExpressionConnection.from_strings(("x",), [[["x^1.5"]]])
+        conn = ExpressionField.from_strings(("x",), [[["x^1.5"]]])
         gamma, dgamma = conn.jets([[0.0], [1.0]])
         assert gamma[:, 0, 0, 0].tolist() == [0.0, 1.0]
         assert dgamma[:, 0, 0, 0, 0].tolist() == [0.0, 1.5]
-        structure = ExpressionProductStructure.from_strings(("x", "y"), [["trigamma(x)", "0"],
-                                                                         ["0", "1"]])
+        structure = ExpressionField.from_strings(("x", "y"), [["trigamma(x)", "0"],
+                                                              ["0", "1"]])
         orders = []
         real = ex.polygamma
         monkeypatch.setattr(ex, "polygamma",
@@ -362,7 +369,7 @@ class TestStatisticalStructure:
     def test_torsion_injection_fails(self):
         g = MetricField.from_strings(("x", "y"), [["1", "0"], ["0", "1"]])
         coefficients = [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
-        torsion = ExpressionConnection.from_strings(("x", "y"), coefficients)
+        torsion = ExpressionField.from_strings(("x", "y"), coefficients)
         chart = ChartSpec(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)), seed=1)
         result = check_statistical_structure(ManifoldSpec(chart, g, torsion), sample_points(chart, 5))
         assert not result.passed

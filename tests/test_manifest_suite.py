@@ -103,6 +103,39 @@ class TestManifestValidation:
                 "checks": ["statistical_structure"],
             })
 
+    @pytest.mark.parametrize("block, grid, message", [
+        ("metric", [["1", "0"]], "manifest.metric: expected 2 entries"),
+        ("metric", [["1", "0"], ["0"]], "manifest.metric[1]: expected 2 entries"),
+        ("metric", [["1", 0], ["0", "1"]],
+         "manifest.metric[0][1]: expected an expression string, got 0"),
+        ("metric", [["1", "0"], ["0", "1 +"]],
+         "manifest.metric[1][1]: unexpected end of input (at offset 3)"),
+        ("connection", "0", "manifest.connection: expected 2 entries"),
+        ("connection", [[["0", "0"], ["0", "0"]]], "manifest.connection: expected 2 entries"),
+        ("connection", [[["0", "0"], ["0", "0"]], [["0", "0"]]],
+         "manifest.connection[1]: expected 2 entries"),
+        ("connection", [[["0", "0"], ["0", "0"]], [["0"], ["0", "0"]]],
+         "manifest.connection[1][0]: expected 2 entries"),
+        ("connection", [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", None]]],
+         "manifest.connection[1][1][1]: expected an expression string, got None"),
+        ("connection", [[["0", "0"], ["0", "z"]], [["0", "0"], ["0", "0"]]],
+         "manifest.connection[0][1][1]: unknown identifier 'z' (at offset 0)"),
+        # depth first: every entry of a row is read before the next row's length
+        ("metric", [["1", None], ["0"]],
+         "manifest.metric[0][1]: expected an expression string, got None"),
+        ("connection", [[["0", "0"], ["0"]], [["0"], ["0", "0"]]],
+         "manifest.connection[0][1]: expected 2 entries"),
+    ], ids=["metric_top", "metric_row", "metric_leaf_type", "metric_leaf_parse",
+            "connection_not_a_list", "connection_top", "connection_plane", "connection_row",
+            "connection_leaf_type", "connection_leaf_parse", "metric_depth_first",
+            "connection_depth_first"])
+    def test_grid_messages(self, block, grid, message):
+        data = {"chart": {"coords": ["x", "y"], "box": [[0.5, 2.0], [0.5, 2.0]]},
+                "metric": [["1", "0"], ["0", "1"]], "checks": ["flatness"], block: grid}
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(data)
+        assert str(err.value) == message
+
     def test_submersion_base_must_be_smaller(self):
         data = flat_product_manifest(1, 1.0, (1.0,))
         data["submersion"] = {"base": {
@@ -631,6 +664,18 @@ class TestReports:
         text = canonical_json({"values": [float("inf"), float("-inf"), float("nan"), 1.5]})
         assert text == '{"values": ["inf", "-inf", "nan", 1.500000000000e+00]}'
         assert json.loads(text) == {"values": ["inf", "-inf", "nan", 1.5]}
+
+    def test_numpy_values_and_tuples_render_as_python_ones(self):
+        value = {"a": (np.int64(3), np.float32(0.5)), "b": np.array([[1.0, np.inf]]),
+                 2: np.float64(-2.0), "c": np.array([True, False])}
+        assert canonical_json(value) == (
+            '{"2": -2.000000000000e+00, "a": [3, 5.000000000000e-01], '
+            '"b": [[1.000000000000e+00, "inf"]], "c": [true, false]}')
+
+    @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, 1j], ids=["np_bool", "set", "complex"])
+    def test_unsupported_types_raise(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json({"value": [value]})
 
     def test_report_with_non_finite_residual_stays_valid_json(self):
         outcome = CheckOutcome(name="flatness", status=STATUS_FAIL, residual=float("inf"),

@@ -12,13 +12,13 @@ from statgeom.fixtures import flat_product_manifest
 from statgeom.geometry import (
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
+    ExpressionField,
     PointJets,
     curvature_tensor,
     levi_civita,
     sample_points,
 )
 from statgeom.product import (
-    ExpressionProductStructure,
     _covariant_derivative_P,
     adjoint_structure,
     check_almost_product,
@@ -73,14 +73,14 @@ class TestAlmostProduct:
         assert check_almost_product(m.product, sample_points(m.chart, 10)).passed
 
     def test_identity_rejected(self):
-        identity = ExpressionProductStructure.from_constant(np.eye(2), ("x", "y"))
+        identity = ExpressionField.constant(np.eye(2), ("x", "y"))
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
         result = check_almost_product(identity, sample_points(m.chart, 10))
         assert not result.passed
         assert "witness_missing" in result.details
 
     def test_reflection_passes(self):
-        reflection = ExpressionProductStructure.from_constant(np.diag([1.0, -1.0]), ("x", "y"))
+        reflection = ExpressionField.constant(np.diag([1.0, -1.0]), ("x", "y"))
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
         assert check_almost_product(reflection, sample_points(m.chart, 10)).passed
 
@@ -117,7 +117,7 @@ class TestParallelism:
         """Swapping P for diag(1, −1) breaks parallelism: the x-direction derivative
         picks up (∇_x P)^y_x = 2 Γ^y_xx = −4k/((k+l)y)."""
         m = curved_manifold(pairs=1, k=1.0, l=1.0, epsilons=(1.0,))
-        reflection = ExpressionProductStructure.from_constant(np.diag([1.0, -1.0]), ("x1", "y1"))
+        reflection = ExpressionField.constant(np.diag([1.0, -1.0]), ("x1", "y1"))
         point = np.array([0.0, 1.0])
         d = _covariant_derivative_P(m.connection.value(point), *reflection.jet(point))
         assert d[0, 1, 0] == pytest.approx(-2.0, rel=1e-13)

@@ -28,7 +28,7 @@ from statgeom.geometry import (
     STATUS_FAIL,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
-    ExpressionConnection,
+    ExpressionField,
     PointJets,
     conjugate_connection,
     curvature_tensor,
@@ -344,7 +344,7 @@ class TestFundamentalTensors:
         g(T_U V, X) = −g(V, T*_U X) fails on the warped fixture."""
         spec = warped_submersion()
         pts = sample_points(spec.total.chart, 10)
-        vars(spec.total)["conjugate"] = ExpressionConnection.zero(("b", "u"))
+        vars(spec.total)["conjugate"] = ExpressionField.constant(np.zeros((2, 2, 2)), ("b", "u"))
         result = check_fundamental_tensor_identities(spec, pts)
         assert not result.passed
         assert result.details["pairing_t"] > 10.0 * result.tolerance
@@ -468,7 +468,7 @@ class TestOneillArraysAgainstFieldPairs:
     def test_dual_connection_override(self):
         """A ∇* injected into the total space before first use is the one T* and A* use."""
         spec = warped_submersion()
-        vars(spec.total)["conjugate"] = ExpressionConnection.zero(("b", "u"))
+        vars(spec.total)["conjugate"] = ExpressionField.constant(np.zeros((2, 2, 2)), ("b", "u"))
         pts = sample_points(spec.total.chart, 3)
         arrays = oneill_arrays(spec, pts)
         default = oneill_arrays(warped_submersion(), pts)
