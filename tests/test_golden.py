@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CURVATURE_CHECKS, nonconstant_involution_manifest
-from statgeom import geometry
+from statgeom import cli, geometry
 from statgeom.fixtures import (
     curved_product_manifest,
     fixture_ids,
@@ -36,6 +36,15 @@ def test_report_matches_golden(fixture_id):
     expected = (GOLDEN_DIR / f"{fixture_id}.json").read_bytes()
     actual = render_report(run_suite(load_fixture(fixture_id))).encode("utf-8")
     assert actual == expected
+
+
+@pytest.mark.parametrize("fixture_id", fixture_ids())
+def test_console_summary_matches_golden(fixture_id):
+    """The ``statgeom verify`` summary, all but its wall-time line, is stored under ``golden/summaries/``."""
+    body, wall_time = cli._summarize(run_suite(load_fixture(fixture_id))).rsplit("\n", 1)
+    assert wall_time.startswith("wall time ")
+    expected = (GOLDEN_DIR / "summaries" / f"{fixture_id}.txt").read_bytes()
+    assert (body + "\n").encode("utf-8") == expected
 
 
 # Generated models at 100 points (seed 7): deep derivative trees that share
