@@ -70,7 +70,7 @@ from .submersion import (
     verify_submersion_theorems,
 )
 from .manifest import Manifest, ManifestError, build_context, load_manifest, parse_manifest
-from .report import CheckOutcome, VerificationReport, canonical_json, emit_report
+from .report import VerificationReport, canonical_json, emit_report
 from .suite import CHECKS, DEFAULT_TOLERANCES, run_suite
 from .fixtures import (
     curved_product_manifest,

@@ -105,6 +105,8 @@ class ChartSpec:
                 raise ChartError(f"non-finite sampling interval [{lo}, {hi}] for coordinate {name!r}")
             if not lo < hi:
                 raise ChartError(f"empty sampling interval [{lo}, {hi}] for coordinate {name!r}")
+            if not math.isfinite(hi - lo):
+                raise ChartError(f"sampling interval [{lo}, {hi}] for coordinate {name!r} is too wide")
         if self.seed < 0:
             raise ChartError(f"sampling seed must be a non-negative integer, got {self.seed}")
 
@@ -621,7 +623,8 @@ class CheckResult:
     ``residual`` is scaled by 1 + max |input component| and is what the
     tolerance applies to; ``raw_residual`` is the unscaled max-norm defect.
     A theorem whose hypothesis fails is NOT-APPLICABLE, with a ``reason``
-    and no residual.
+    and no residual.  As a report row it also carries the ``name`` the suite
+    gives it and the number of ``points_used``.
     """
 
     status: str
@@ -631,6 +634,14 @@ class CheckResult:
     worst_point: np.ndarray | None = None
     reason: str | None = None
     details: dict = field(default_factory=dict)
+    name: str = ""
+    points_used: int | None = None
+
+    def __post_init__(self):
+        if self.status not in (STATUS_PASS, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_ERROR):
+            raise ValueError(f"unknown status {self.status!r}")
+        if self.status == STATUS_NOT_APPLICABLE and not self.reason:
+            raise ValueError("NOT-APPLICABLE outcomes need a reason")
 
     @property
     def passed(self) -> bool:

@@ -150,7 +150,7 @@ def check_space_form(spec: ManifoldSpec, c: float, pts, tol: float = DEFAULT_TOL
     """Curvature has the para-Kähler space-form shape with constant ``c``.
 
     The dual side is verified too: R* must match the same expression with P
-    replaced by P*.
+    replaced by P*.  The result carries ``c`` as ``details["constant"]``.
     """
     points = _as_points(pts)
 
@@ -164,8 +164,8 @@ def check_space_form(spec: ManifoldSpec, c: float, pts, tol: float = DEFAULT_TOL
                spec.resolved_connection.jets(points), spec.adjoint.values(points),
                spec.conjugate.jets(points))
     primal, dual, scale = in_blocks(reduce, spec.metric.dim, *batches)
-    return residual_check(np.maximum(primal, dual), scale, points, tol,
-                          details={"primal": float(primal.max()), "dual": float(dual.max())})
+    return residual_check(np.maximum(primal, dual), scale, points, tol, details={
+        "primal": float(primal.max()), "dual": float(dual.max()), "constant": c})
 
 
 def fit_space_form_constant(spec: ManifoldSpec, pts) -> float:

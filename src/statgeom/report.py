@@ -1,55 +1,34 @@
-"""Verification report types and canonical, byte-stable serialization.
+"""Verification reports and their canonical, byte-stable serialization.
 
-The emitted file is JSON with sorted keys, floats formatted as ``%.12e``, LF
-line endings and a trailing newline, so two runs with the same inputs produce
-byte-identical files.  A non-finite float is written as the string ``"inf"``,
-``"-inf"`` or ``"nan"``, so the file stays valid JSON.  Wall time is kept on
-the in-memory report for console display but deliberately left out of the
-canonical bytes.
+A report's rows are the checks' own :class:`geometry.CheckResult` values,
+named by the suite, and :func:`report_to_mapping` alone turns them into JSON
+values.  The emitted file is JSON with sorted keys, floats formatted as
+``%.12e``, LF line endings and a trailing newline, so two runs with the same
+inputs produce byte-identical files.  A non-finite float is written as the
+string ``"inf"``, ``"-inf"`` or ``"nan"``, so the file stays valid JSON.  Wall
+time is kept on the in-memory report for console display but deliberately
+left out of the canonical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS
-
-_STATUSES = (STATUS_PASS, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_ERROR)
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    """One executed check: status plus the residual bookkeeping behind it."""
-
-    name: str
-    status: str
-    residual: float | None = None
-    raw_residual: float | None = None
-    tolerance: float | None = None
-    worst_point: list | None = None
-    points_used: int | None = None
-    reason: str | None = None
-    data: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status == STATUS_NOT_APPLICABLE and not self.reason:
-            raise ValueError("NOT-APPLICABLE outcomes need a reason")
+from .geometry import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS, CheckResult
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """All outcomes of one suite run over one fixture."""
+    """All rows of one suite run over one fixture, each a named :class:`geometry.CheckResult`."""
 
     fixture: str
     seed: int
     points: int
-    checks: tuple[CheckOutcome, ...]
+    checks: tuple[CheckResult, ...]
     wall_time_s: float = 0.0
 
     @property
@@ -99,8 +78,12 @@ def canonical_json(value) -> str:
     return render(value)
 
 
+def _float(value):
+    return None if value is None else float(value)
+
+
 def report_to_mapping(report: VerificationReport) -> dict:
-    """The canonical content of a report: everything except wall time."""
+    """The canonical content of a report: all but wall time, a row's measurements as floats."""
     return {
         "fixture": report.fixture,
         "seed": report.seed,
@@ -109,13 +92,14 @@ def report_to_mapping(report: VerificationReport) -> dict:
             {
                 "name": check.name,
                 "status": check.status,
-                "residual": check.residual,
-                "raw_residual": check.raw_residual,
-                "tolerance": check.tolerance,
-                "worst_point": check.worst_point,
+                "residual": _float(check.residual),
+                "raw_residual": _float(check.raw_residual),
+                "tolerance": _float(check.tolerance),
+                "worst_point": (None if check.worst_point is None
+                                else [float(x) for x in check.worst_point]),
                 "points_used": check.points_used,
                 "reason": check.reason,
-                "data": check.data,
+                "data": {key: float(value) for key, value in check.details.items()},
             }
             for check in report.checks
         ],

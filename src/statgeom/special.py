@@ -49,9 +49,11 @@ def _polygamma_series(m: int) -> tuple[int, int, tuple[float, ...]]:
 
 
 def log_gamma(x: float) -> float:
-    """log Γ(x) for x > 0."""
+    """log Γ(x) for x > 0; exactly 0 at 1 and 2, where Γ is 1, as ``math.lgamma`` is."""
     if not x > 0.0:
         raise ValueError(f"log_gamma requires a positive argument, got {x}")
+    if x == 1.0 or x == 2.0:
+        return 0.0
     shift = 0.0
     while x < _RAISE_THRESHOLD:
         shift -= math.log(x)

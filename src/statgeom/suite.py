@@ -9,7 +9,8 @@ continues.
 A check reads its subject from the context (the manifold, its submersion or
 its model) and hands it to the library function that certifies it.  Every
 library function returns :class:`geometry.CheckResult` (a theorem returns
-one per item), and :func:`_outcome` is the one adapter to a report row.
+one per item), and it is the report row: :func:`_outcome` names it and
+records its point count, and :mod:`report` alone makes JSON values of it.
 Most checks report one result; they are rows of one table.  The others
 report a family of results or read extra inputs.  Every derived
 field lives on its manifold (an α-connection on its model's α spec), so the
@@ -34,26 +35,12 @@ from . import submersion as sub
 from .expfam import exp_para_structures
 from .geometry import STATUS_ERROR
 from .manifest import Manifest, ManifestError, build_context
-from .report import CheckOutcome, VerificationReport
+from .report import VerificationReport
 
 
-def _float(value):
-    return None if value is None else float(value)
-
-
-def _outcome(name, result, points_used, data=None) -> CheckOutcome:
-    """A :class:`geometry.CheckResult` as a report row; an absent field stays ``None``."""
-    return CheckOutcome(
-        name=name,
-        status=result.status,
-        residual=_float(result.residual),
-        raw_residual=_float(result.raw_residual),
-        tolerance=_float(result.tolerance),
-        worst_point=None if result.worst_point is None else [float(x) for x in result.worst_point],
-        points_used=points_used,
-        reason=result.reason,
-        data=dict(data or {}, **{k: float(v) for k, v in result.details.items()}),
-    )
+def _outcome(name, result, points_used) -> geo.CheckResult:
+    """A :class:`geometry.CheckResult` as a report row: named, with its point count."""
+    return dataclasses.replace(result, name=name, points_used=points_used)
 
 
 def _summary(cert) -> geo.CheckResult:
@@ -137,7 +124,7 @@ def _check_space_form(ctx, pts, tol):
     if constant is None:
         constant = prod.fit_space_form_constant(m, pts)
     result = prod.check_space_form(m, constant, pts, tol)
-    return [_outcome("space_form", result, len(pts), data={"constant": constant})]
+    return [_outcome("space_form", result, len(pts))]
 
 
 def _check_alpha_family(ctx, pts, tol):
@@ -227,8 +214,8 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _error_outcome(name: str, err: Exception) -> CheckOutcome:
-    return CheckOutcome(name=name, status=STATUS_ERROR, reason=f"{type(err).__name__}: {err}")
+def _error_outcome(name: str, err: Exception) -> geo.CheckResult:
+    return geo.CheckResult(STATUS_ERROR, reason=f"{type(err).__name__}: {err}", name=name)
 
 
 def run_suite(manifest: Manifest, seed=None, points=None, tol=None) -> VerificationReport:
@@ -236,7 +223,6 @@ def run_suite(manifest: Manifest, seed=None, points=None, tol=None) -> Verificat
     start = time.perf_counter()
     effective_seed = int(seed) if seed is not None else manifest.seed
     effective_points = int(points) if points is not None else manifest.points
-    outcomes: list[CheckOutcome] = []
     try:
         ctx = build_context(manifest, seed=effective_seed)
         pts = geo.sample_points(ctx.chart, effective_points)
@@ -248,23 +234,15 @@ def run_suite(manifest: Manifest, seed=None, points=None, tol=None) -> Verificat
                                          ctx.submersion.base.chart, base_pts)
     except Exception as err:  # noqa: BLE001 - every failure must land in the report
         outcomes = [_error_outcome(name, err) for name in manifest.checks]
-        return VerificationReport(
-            fixture=manifest.name, seed=effective_seed, points=effective_points,
-            checks=tuple(outcomes), wall_time_s=time.perf_counter() - start,
-        )
-
-    for name in manifest.checks:
-        check_tol = tol if tol is not None else manifest.tolerances.get(
-            name, DEFAULT_TOLERANCES.get(name, geo.DEFAULT_TOLERANCE)
-        )
-        try:
-            outcomes.extend(CHECKS[name](ctx, pts, float(check_tol)))
-        except Exception as err:  # noqa: BLE001
-            outcomes.append(_error_outcome(name, err))
-    return VerificationReport(
-        fixture=manifest.name,
-        seed=effective_seed,
-        points=effective_points,
-        checks=tuple(outcomes),
-        wall_time_s=time.perf_counter() - start,
-    )
+    else:
+        outcomes = []
+        for name in manifest.checks:
+            check_tol = tol if tol is not None else manifest.tolerances.get(
+                name, DEFAULT_TOLERANCES.get(name, geo.DEFAULT_TOLERANCE)
+            )
+            try:
+                outcomes.extend(CHECKS[name](ctx, pts, float(check_tol)))
+            except Exception as err:  # noqa: BLE001
+                outcomes.append(_error_outcome(name, err))
+    return VerificationReport(fixture=manifest.name, seed=effective_seed, points=effective_points,
+                              checks=tuple(outcomes), wall_time_s=time.perf_counter() - start)

@@ -74,6 +74,12 @@ class TestSampling:
         with pytest.raises(ChartError, match="non-finite"):
             ChartSpec(("x",), (bound,))
 
+    def test_overflowing_box_rejected(self):
+        """Finite bounds whose width overflows would make ``sample_points`` raise at run time."""
+        with pytest.raises(ChartError, match=r"\[-1e\+308, 1e\+308\] for coordinate 'x' is too wide"):
+            ChartSpec(("x",), ((-1e308, 1e308),))
+        assert sample_points(ChartSpec(("x",), ((-1e307, 1e307),)), 3).shape == (3, 1)
+
     def test_count_must_be_positive(self):
         chart = ChartSpec(("x",), ((0.0, 1.0),))
         with pytest.raises(ValueError):

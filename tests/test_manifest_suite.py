@@ -26,10 +26,15 @@ from statgeom.fixtures import (
     registry_manifests,
     submersion_manifest,
 )
-from statgeom.geometry import STATUS_ERROR, STATUS_FAIL, sample_points
+from statgeom.geometry import (
+    STATUS_ERROR,
+    STATUS_FAIL,
+    STATUS_NOT_APPLICABLE,
+    CheckResult,
+    sample_points,
+)
 from statgeom.manifest import ManifestError, build_context, load_manifest, parse_manifest
 from statgeom.report import (
-    CheckOutcome,
     VerificationReport,
     canonical_json,
     emit_report,
@@ -181,6 +186,7 @@ MALFORMED = {
     "top_level_list": lambda: [_flat()],
     "null_box_bound": lambda: _with_chart(box=[[None, 1.0], [0.5, 2.0]]),
     "infinite_box_bound": lambda: _with_chart(box=[[-1.0, float("inf")], [0.5, 2.0]]),
+    "overflowing_box": lambda: _with_chart(box=[[-1e308, 1e308], [0.5, 2.0]]),
     "duplicate_coordinates": lambda: _with_chart(coords=["x1", "x1"]),
     "hyperparams_not_an_object": lambda: _model(hyperparams=[3]),
     "hyperparams_with_a_seed": lambda: _model(hyperparams={"categories": 3, "seed": 1}),
@@ -249,6 +255,15 @@ class TestManifestRobustness:
         target = data if block == "manifest" else data["submersion"]["base"]
         target["params"]["y1"] = 1.0
         self._rejects(tmp_path, data, rf"^{block}: parameter 'y1' has the name of a coordinate$")
+
+    def test_overflowing_box(self, tmp_path, capsys):
+        """A box of finite bounds whose width overflows is refused, not ERRORed check by check."""
+        self._rejects(tmp_path, _with_chart(box=[[-1e308, 1e308], [0.5, 2.0]]),
+                      r"^manifest: sampling interval \[-1e\+308, 1e\+308\] "
+                      r"for coordinate 'x1' is too wide$")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_deeply_nested_expression(self, tmp_path):
         data = _flat()
@@ -678,12 +693,21 @@ class TestReports:
             canonical_json({"value": [value]})
 
     def test_report_with_non_finite_residual_stays_valid_json(self):
-        outcome = CheckOutcome(name="flatness", status=STATUS_FAIL, residual=float("inf"),
-                               raw_residual=float("nan"), tolerance=1e-8)
+        outcome = CheckResult(STATUS_FAIL, residual=float("inf"), raw_residual=float("nan"),
+                              tolerance=1e-8, name="flatness")
         report = VerificationReport(fixture="f", seed=0, points=1, checks=(outcome,))
         parsed = json.loads(render_report(report))
         assert parsed["checks"][0]["residual"] == "inf"
         assert parsed["checks"][0]["raw_residual"] == "nan"
+
+    def test_unknown_status_is_refused(self):
+        with pytest.raises(ValueError, match="unknown status 'SKIPPED'"):
+            CheckResult("SKIPPED", name="flatness")
+
+    def test_not_applicable_needs_a_reason(self):
+        with pytest.raises(ValueError, match="NOT-APPLICABLE outcomes need a reason"):
+            CheckResult(STATUS_NOT_APPLICABLE, tolerance=1e-8, name="flatness_theorem")
+        assert CheckResult(STATUS_NOT_APPLICABLE, reason="dimension 2").reason == "dimension 2"
 
     def test_wall_time_not_serialized(self):
         report = run_suite(load_fixture("example_5_2_n1"))
