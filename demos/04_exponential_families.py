@@ -17,14 +17,13 @@ from statgeom import (
     check_para_kahler_like,
     conjugate_connection,
     exp_para_structures,
-    fisher_metric,
     levi_civita,
     sample_points,
 )
 from statgeom.geometry import curvature_tensor
 
 model = builtin_model("dirichlet", dim=2)
-metric = fisher_metric(model)
+metric = model.fisher
 points = sample_points(model.chart, 25)
 
 print("model:", model.name, "| natural-parameter box:", model.chart.domain)

@@ -54,7 +54,6 @@ from .expfam import (
     ExpFamilyModel,
     builtin_model,
     exp_para_structures,
-    fisher_metric,
 )
 from .submersion import (
     OneillArrays,

@@ -1,10 +1,12 @@
 """Exponential-family models: potential, Fisher metric, and the α-connection family.
 
 The Fisher metric of a regular exponential family is the Hessian of the
-log-partition potential in natural coordinates, g_ij = ∂_i ∂_j ψ.  Components
-are materialized by differentiating the potential's expression tree twice, so
-the metric (and its own first and second derivatives, needed for conjugation
-and curvature) all evaluate exactly.  The α-connections are
+log-partition potential in natural coordinates, g_ij = ∂_i ∂_j ψ.
+:func:`builtin_model` differentiates the potential's expression tree twice,
+once per model, and keeps the grid as ``hessian``; ``fisher`` is a metric
+over it, so the metric (and its own first and second derivatives, needed for
+conjugation and curvature) all evaluate exactly.  The suite checks that it is
+positive definite on each run's points.  The α-connections are
 
     Γ^(α)t_ij = ((1 − α) / 2) (∂_s g_ij) g^st,
 
@@ -26,14 +28,11 @@ import numpy as np
 from . import expr as ex
 from .geometry import (
     ChartSpec,
-    DEFAULT_POINT_COUNT,
     DerivedJets,
     ExpressionField,
     ManifoldSpec,
     MetricField,
-    MetricError,
     adjoint_structure,
-    sample_points,
 )
 
 BUILTIN_MODEL_NAMES = ("poisson", "normal", "multinomial", "dirichlet")
@@ -41,11 +40,12 @@ BUILTIN_MODEL_NAMES = ("poisson", "normal", "multinomial", "dirichlet")
 
 @dataclass(frozen=True)
 class ExpFamilyModel:
-    """A regular exponential family in natural coordinates."""
+    """A regular exponential family in natural coordinates; ``hessian`` is the grid ∂_i ∂_j ψ."""
 
     name: str
     psi: ex.ScalarField
     chart: ChartSpec
+    hessian: tuple[tuple[ex.ScalarField, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -53,8 +53,8 @@ class ExpFamilyModel:
 
     @functools.cached_property
     def fisher(self) -> MetricField:
-        """The Fisher metric, built and validated once so its stored jets serve every check."""
-        return fisher_metric(self)
+        """The Fisher metric over the Hessian grid, built once so its stored jets serve every check."""
+        return MetricField(self.hessian)
 
     def alpha_manifold(self, alpha: float) -> ManifoldSpec:
         """The chart and Fisher metric with the α-connection; one spec per α, built on first use.
@@ -110,7 +110,11 @@ def builtin_model(name: str, **hyperparams) -> ExpFamilyModel:
         psi = ex.parse_expression(f"{parts} - lgamma({total})", names)
     else:
         raise ValueError(f"unknown model {name!r}; known: {', '.join(BUILTIN_MODEL_NAMES)}")
-    return ExpFamilyModel(name=name, psi=psi, chart=chart)
+    n = chart.dim
+    first = [psi.differentiate(i) for i in range(n)]
+    upper = {(i, j): first[i].differentiate(j) for i in range(n) for j in range(i, n)}
+    hessian = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    return ExpFamilyModel(name=name, psi=psi, chart=chart, hessian=hessian)
 
 
 def _count(hyperparams: dict, key: str, default: int) -> int:
@@ -124,27 +128,6 @@ def _count(hyperparams: dict, key: str, default: int) -> int:
 def _reject_extras(name: str, extras: dict) -> None:
     if extras:
         raise ValueError(f"unexpected hyperparameters for {name!r}: {sorted(extras)}")
-
-
-def fisher_metric(model: ExpFamilyModel) -> MetricField:
-    """Hessian-of-potential metric, validated positive definite on the sampling box.
-
-    Each call builds a new metric; ``model.fisher`` keeps one per model.
-    """
-    n = model.dim
-    first = [model.psi.differentiate(i) for i in range(n)]
-    components = [[first[min(i, j)].differentiate(max(i, j)) for j in range(n)] for i in range(n)]
-    metric = MetricField(components)
-    points = sample_points(model.chart, DEFAULT_POINT_COUNT)
-    eigenvalues = np.linalg.eigvalsh(metric.values(points))
-    indefinite = np.flatnonzero(~np.all(eigenvalues > 0.0, axis=1))
-    if indefinite.size:
-        first = indefinite[0]
-        raise MetricError(
-            f"Fisher metric of {model.name!r} is not positive definite at {points[first].tolist()} "
-            f"(eigenvalues {eigenvalues[first].tolist()})"
-        )
-    return metric
 
 
 class AlphaConnection(DerivedJets):

@@ -475,11 +475,12 @@ def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tupl
     """Check nondegeneracy at the samples and signature constancy against the box center.
 
     Raises :class:`MetricError` at the first failing sample, checking the
-    determinant before the signature at each one.
+    determinant before the signature at each one.  It reads the samples' jets,
+    which the checks read next, and the center's value alone.  Returns the signature.
     """
     points = _as_points(pts if pts is not None else sample_points(chart, DEFAULT_POINT_COUNT))
     reference = metric_signature(g, chart.center)
-    matrices = g.values(points)
+    matrices = g.jets(points)[0]
     dets = np.linalg.det(matrices)
     singular = np.abs(dets) <= _det_threshold(matrices)
     signatures = _signatures(np.linalg.eigvalsh(matrices))

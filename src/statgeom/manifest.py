@@ -10,13 +10,15 @@ What is kept per manifest and what is built per run:
 
 * :func:`parse_manifest` parses and validates every block once and keeps the
   results on the :class:`Manifest`: its charts, the component grids of the
-  metric, connection and product blocks (of the base too), and the model's
-  potential ψ with its α values and involution.  These are inputs only:
-  trees and numbers read from the JSON, never a field or a computed array.
+  metric, connection and product blocks (of the base too), and the model
+  (its potential ψ and the Fisher grid ∂_i ∂_j ψ, derived once) with its α
+  values and involution.  These are inputs only: trees and numbers, never a
+  field or a computed array.
 * :func:`build_context`, called once per run, builds everything else from
-  them without parsing: charts sampled with the run's seed, fresh fields
-  (with empty stores) over the kept grids, and a fresh model whose Fisher
-  metric is derived again.  So no numeric result of one run serves another.
+  them without parsing or differentiating: charts sampled with the run's
+  seed, and fresh fields (with empty stores) over the kept grids, the
+  model's Fisher metric among them.  So no numeric result of one run serves
+  another.
 """
 
 from __future__ import annotations
@@ -73,18 +75,16 @@ class _ParsedManifold:
 
 @dataclass(frozen=True)
 class _ParsedModel:
-    """A model block as parsed: the family's potential and chart, its α values and involution."""
+    """A model block as parsed: the family (ψ, chart and Fisher Hessian grid), α values, involution."""
 
-    name: str
-    psi: ex.ScalarField
-    chart: ChartSpec
+    model: ExpFamilyModel
     alphas: tuple[float, ...]
     involution: np.ndarray | None
 
     def build(self, seed=None) -> ExpFamilyModel:
-        """A fresh model, so its Fisher metric is derived again, sampled with ``seed`` if given."""
-        return ExpFamilyModel(self.name, self.psi,
-                              self.chart if seed is None else _reseeded(self.chart, seed, ""))
+        """A fresh model over the kept trees (empty stores), sampled with ``seed`` if given."""
+        chart = self.model.chart
+        return dataclasses.replace(self.model, chart=chart if seed is None else _reseeded(chart, seed, ""))
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,8 @@ def parse_manifest(data, name: str = "manifest", known_checks=None) -> Manifest:
     checks = data.get("checks")
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks) or not checks:
         raise ManifestError("'checks' must be a non-empty list of check names")
+    if len(set(checks)) < len(checks):  # each check's rows would appear twice in the report
+        raise ManifestError(f"'checks' lists a check more than once: {checks}")
     if known_checks is not None:
         bad = [c for c in checks if c not in known_checks]
         if bad:
@@ -359,6 +361,9 @@ def _parse_subject(data: dict, seed: int) -> _Parsed:
         if not isinstance(alphas, list):
             raise ManifestError("model 'alpha' must be a list of numbers")
         alphas = tuple(_number(a, "model 'alpha' entry") for a in alphas)
+        labels = [f"{a:g}" for a in alphas]  # the names of the alpha_family[...] rows
+        if len(set(labels)) < len(labels):
+            raise ManifestError(f"model 'alpha' values name one report row twice: {labels}")
         involution = block.get("involution")
         if involution is not None:
             n = model.dim
@@ -367,8 +372,7 @@ def _parse_subject(data: dict, seed: int) -> _Parsed:
                 raise ManifestError(f"involution must be a {n}x{n} list of rows")
             involution = np.array([[_number(x, "involution entry") for x in row] for row in involution])
             involution.flags.writeable = False
-        return _Parsed(space_form_c, model=_ParsedModel(model.name, model.psi, model.chart,
-                                                        alphas, involution))
+        return _Parsed(space_form_c, model=_ParsedModel(model, alphas, involution))
 
     total = _parse_manifold(data, "manifest")
     if "submersion" in data:
@@ -396,8 +400,8 @@ def _parse_subject(data: dict, seed: int) -> _Parsed:
 def build_context(manifest: Manifest, seed=None) -> VerificationContext:
     """A fresh context for one run from the parsed blocks, sampled with ``seed`` if given.
 
-    Nothing is parsed: the fields are new objects over the kept grids, so
-    their stores start empty, and a model derives its Fisher metric again.
+    Nothing is parsed or differentiated: the fields, a model's Fisher metric
+    among them, are new objects over the kept grids, so their stores start empty.
     """
     parsed = manifest.parsed
     if parsed.model is not None:

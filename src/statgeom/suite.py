@@ -17,10 +17,13 @@ field lives on its manifold (an α-connection on its model's α spec), so the
 checks of one run share it.
 
 Per manifest, :func:`manifest.parse_manifest` keeps the parsed blocks: charts,
-component grids, a model's potential.  Per call, :func:`run_suite` builds one
-fresh context from them (:func:`manifest.build_context`, which parses
-nothing), and with it fresh fields, stores and Fisher metric, so no numeric
-result of one run serves another and two runs give the same bytes.
+component grids, a model with its potential and Fisher grid.  Per call,
+:func:`run_suite` builds one fresh context from them
+(:func:`manifest.build_context`, which parses and differentiates nothing),
+and with it fresh fields and stores, a model's Fisher metric among them, so
+no numeric result of one run serves another and two runs give the same
+bytes.  A metric that fails its validation on the run's points (a Fisher
+metric must be positive definite) ERRORs every check.
 """
 
 from __future__ import annotations
@@ -232,6 +235,11 @@ def run_suite(manifest: Manifest, seed=None, points=None, tol=None) -> Verificat
             base_pts = pts[:, :ctx.submersion.base_dim]
             geo.validate_metric_on_chart(ctx.submersion.base.metric,
                                          ctx.submersion.base.chart, base_pts)
+        if ctx.model is not None:
+            signature = geo.validate_metric_on_chart(ctx.model.fisher, ctx.chart, pts)
+            if signature != (ctx.model.dim, 0):
+                raise geo.MetricError(f"Fisher metric of {ctx.model.name!r} is not positive "
+                                      f"definite: signature {signature} at the box center")
     except Exception as err:  # noqa: BLE001 - every failure must land in the report
         outcomes = [_error_outcome(name, err) for name in manifest.checks]
     else:

@@ -18,7 +18,7 @@ from conftest import (
 from oracles import HorizontalLiftField, lie_bracket_at, oneill_tensors_at, projectors_at
 from statgeom import build_context, parse_manifest
 from statgeom.expr import fd_check
-from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures, fisher_metric
+from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures
 from statgeom.fixtures import (
     fixture_ids,
     flat_product_manifest,
@@ -77,7 +77,7 @@ def _manifold_bundles():
             m = ctx.manifold
             bundles.append((fixture_id, m.metric, m.resolved_connection, m.product))
         if ctx.model is not None:
-            metric = fisher_metric(ctx.model)
+            metric = ctx.model.fisher
             structure = None
             if ctx.involution is not None:
                 structure, _ = exp_para_structures(ctx.model, ctx.involution)
@@ -203,7 +203,7 @@ def test_criterion_4_alpha_connection_suite():
     failures = []
     for name, hyper, _ in MODEL_SETUPS:
         model = builtin_model(name, **hyper)
-        metric = fisher_metric(model)
+        metric = model.fisher
         pts = sample_points(model.chart, 25)
         for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
             tag = f"{name} alpha={alpha:g}"
@@ -237,7 +237,7 @@ def test_criterion_5_model_structure_suite():
         if involution is None:
             continue
         model = builtin_model(name, **hyper)
-        metric = fisher_metric(model)
+        metric = model.fisher
         constant, twisted = exp_para_structures(model, involution)
         pts = sample_points(model.chart, 25)
         exponential = check_para_kahler_like(

@@ -1,6 +1,7 @@
 """Exponential families: potentials, Fisher metrics, α-connections, and
 their companion product structures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,8 @@ from statgeom.expfam import (
     AlphaConnection,
     builtin_model,
     exp_para_structures,
-    fisher_metric,
 )
-from statgeom.expr import eval_points, fd_check
+from statgeom.expr import eval_points, fd_check, parse_expression
 from statgeom.geometry import (
     ManifoldSpec,
     check_statistical_structure,
@@ -41,35 +41,35 @@ class TestBuiltinModels:
     def test_poisson_values(self):
         model = builtin_model("poisson")
         assert eval_points(model.psi, [[0.0]])[0] == 1.0
-        assert fisher_metric(model).value([0.0])[0, 0] == 1.0
+        assert model.fisher.value([0.0])[0, 0] == 1.0
 
     def test_binary_multinomial_values(self):
         model = builtin_model("multinomial", categories=2, trials=1)
         assert eval_points(model.psi, [[0.0]])[0] == pytest.approx(math.log(2.0), rel=1e-15)
         # logistic second derivative: e^0 / (1 + e^0)² = 1/4
-        assert fisher_metric(model).value([0.0])[0, 0] == pytest.approx(0.25, rel=1e-14)
+        assert model.fisher.value([0.0])[0, 0] == pytest.approx(0.25, rel=1e-14)
 
     def test_dirichlet_metric_formula(self):
         """g_ij = δ_ij trigamma(ξ_i) − trigamma(Σξ); at (1, 1) the recurrence
         trigamma(1) − trigamma(2) = 1 pins the diagonal."""
         model = builtin_model("dirichlet", dim=2)
-        g = fisher_metric(model).value([1.0, 1.0])
+        g = model.fisher.value([1.0, 1.0])
         assert g[0, 0] == pytest.approx(1.0, abs=1e-12)
         for p in sample_points(model.chart, 10):
             expected = np.diag([trigamma(p[0]), trigamma(p[1])]) - trigamma(p[0] + p[1])
-            np.testing.assert_allclose(fisher_metric(model).value(p), expected, atol=1e-11)
+            np.testing.assert_allclose(model.fisher.value(p), expected, atol=1e-11)
 
     def test_normal_metric_against_fd(self):
         model = builtin_model("normal")
         for p in sample_points(model.chart, 10):
             assert fd_check(model.psi, p).residual <= 1e-6
         # at (0, −1/2), i.e. unit variance centered: g11 = −1/(2 ξ²) = 1
-        g = fisher_metric(model).value([0.0, -0.5])
+        g = model.fisher.value([0.0, -0.5])
         assert g[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_metric_is_psi_hessian(self):
         for model in _models():
-            metric = fisher_metric(model)
+            metric = model.fisher
             for p in sample_points(model.chart, 5):
                 np.testing.assert_allclose(metric.value(p), eval2(model.psi, p).hess,
                                            rtol=1e-12, atol=1e-12)
@@ -89,6 +89,23 @@ class TestBuiltinModels:
         assert {check.name.split(".")[0].split("[")[0] for check in report.checks} == {
             "alpha_family", "exp_para_certifications"}
         assert builds == [2]
+
+    def test_concave_potential_errors_every_check(self):
+        """ψ = −exp(t1) has the Fisher metric −exp(t1) < 0: every check of a run ERRORs."""
+        from statgeom import model_manifest, parse_manifest, run_suite
+
+        manifest = parse_manifest(model_manifest(
+            "poisson", checks=["alpha_family", "exp_para_certifications"]))
+        psi = parse_expression("-exp(t1)", ("t1",))
+        concave = dataclasses.replace(manifest.parsed.model.model, name="concave", psi=psi,
+                                      hessian=((psi.differentiate(0).differentiate(0),),))
+        parsed = dataclasses.replace(manifest.parsed,
+                                     model=dataclasses.replace(manifest.parsed.model, model=concave))
+        report = run_suite(dataclasses.replace(manifest, parsed=parsed))
+        reason = ("MetricError: Fisher metric of 'concave' is not positive definite: "
+                  "signature (0, 1) at the box center")
+        assert [(check.name, check.status, check.reason) for check in report.checks] == [
+            ("alpha_family", "ERROR", reason), ("exp_para_certifications", "ERROR", reason)]
 
     def test_invalid_models_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -113,7 +130,7 @@ class TestAlphaConnections:
 
     def test_zero_alpha_is_levi_civita(self):
         for model in _models():
-            metric = fisher_metric(model)
+            metric = model.fisher
             zero = AlphaConnection(metric, 0.0)
             mid = levi_civita(metric)
             for p in sample_points(model.chart, 10):
@@ -127,7 +144,7 @@ class TestAlphaConnections:
 
     def test_statistical_structure_and_duality(self):
         for model in _models():
-            metric = fisher_metric(model)
+            metric = model.fisher
             pts = sample_points(model.chart, 15)
             for alpha in (-1.0, -0.5, 0.0, 0.5, 1.0):
                 connection = AlphaConnection(metric, alpha)
@@ -183,7 +200,7 @@ class TestCompanionStructures:
     def test_both_certifications_pass(self, name):
         model = self._model(name)
         constant, twisted = exp_para_structures(model, self.INVOLUTIONS[name])
-        metric = fisher_metric(model)
+        metric = model.fisher
         pts = sample_points(model.chart, 25)
         assert check_almost_product(constant, pts).passed
         assert check_almost_product(twisted, pts).passed
@@ -201,6 +218,6 @@ class TestCompanionStructures:
         negative adjoint of the constant structure (same sign, not a flip)."""
         model = self._model(name)
         constant, twisted = exp_para_structures(model, self.INVOLUTIONS[name])
-        adjoint = adjoint_structure(fisher_metric(model), constant)
+        adjoint = adjoint_structure(model.fisher, constant)
         for p in sample_points(model.chart, 10):
             np.testing.assert_allclose(twisted.value(p), adjoint.value(p), atol=1e-12)

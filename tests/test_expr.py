@@ -8,7 +8,6 @@ import pytest
 from oracles import eval2
 from statgeom import build_context, parse_manifest, run_suite, sample_points
 from statgeom import expr as ex
-from statgeom.expfam import fisher_metric
 from statgeom.expr import (
     Binary,
     Const,
@@ -303,7 +302,7 @@ def _component_cases():
         ctx = build_context(manifest)
         points = sample_points(ctx.chart, 6)
         if ctx.model is not None:
-            metric = fisher_metric(ctx.model)
+            metric = ctx.model.fisher
             n = metric.dim
             for i in range(n):
                 for j in range(i, n):

@@ -38,7 +38,7 @@ from statgeom.geometry import (
 )
 from statgeom import build_context
 from statgeom import expr as ex
-from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures, fisher_metric
+from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures
 from statgeom.expr import Const, ScalarField, eval2_points, parse_expression
 from statgeom.fixtures import fixture_ids, load_fixture
 from statgeom.product import adjoint_structure
@@ -193,7 +193,7 @@ def _expression_fields():
                 yield fixture_id, field, points
     for name, hyper in (("dirichlet", {"dim": 4}), ("multinomial", {"categories": 5})):
         model = builtin_model(name, **hyper)
-        yield name, fisher_metric(model), sample_points(model.chart, 6)
+        yield name, model.fisher, sample_points(model.chart, 6)
 
 
 class TestGridWalk:
@@ -217,7 +217,7 @@ class TestGridWalk:
         """The dirichlet(4) Fisher metric holds 28 Psi nodes but 5 distinct subtrees,
         trigamma of each coordinate and of their sum; each takes orders 1-3 once per point."""
         model = builtin_model("dirichlet", dim=4)
-        metric = fisher_metric(model)
+        metric = model.fisher
         points = sample_points(model.chart, 7)
         calls = []
         real = ex.polygamma
@@ -229,7 +229,7 @@ class TestGridWalk:
         """The dirichlet(4) Fisher metric's values form no derivative factor: one trigamma
         per distinct Psi subtree and point, and no ψ₂ or ψ₃."""
         model = builtin_model("dirichlet", dim=4)
-        metric = fisher_metric(model)
+        metric = model.fisher
         points = sample_points(model.chart, 7)
         calls = []
         real = ex.polygamma
@@ -665,7 +665,7 @@ class TestDuality:
 
 
 def _model_metric():
-    return fisher_metric(builtin_model("dirichlet", dim=3, seed=4))
+    return builtin_model("dirichlet", dim=3, seed=4).fisher
 
 
 # (label, builder of fresh base objects, field from those objects, chart of the samples)
@@ -680,7 +680,7 @@ _DERIVED_CASES = [
     ("adjoint", lambda: curved_manifold(pairs=2, epsilons=(1.0, -1.0)),
      lambda m: adjoint_structure(m.metric, m.product), lambda m: m.chart),
     ("alpha", lambda: builtin_model("dirichlet", dim=3, seed=4),
-     lambda model: AlphaConnection(fisher_metric(model), 0.5), lambda model: model.chart),
+     lambda model: AlphaConnection(model.fisher, 0.5), lambda model: model.chart),
     ("twisted", lambda: builtin_model("multinomial", categories=3, seed=4),
      lambda model: exp_para_structures(model, [[1.0, 0.0], [0.0, -1.0]])[1],
      lambda model: model.chart),

@@ -196,6 +196,9 @@ MALFORMED = {
     "nan_alpha": lambda: _model(alpha=[float("nan")]),
     "non_numeric_involution": lambda: _model(involution=[["a", 0], [0, 1]]),
     "parameter_named_like_a_coordinate": lambda: _flat(params={"k": 2.0, "e1": 1.0, "x1": 1.0}),
+    "repeated_check": lambda: _flat(checks=["flatness", "almost_product", "flatness"]),
+    "repeated_alpha": lambda: _model(alpha=[0.5, -1.0, 0.5]),
+    "alpha_labels_that_coincide": lambda: _model(alpha=[0.1, 0.1000001]),
 }
 
 
@@ -332,6 +335,15 @@ class TestExpressionLimits:
         statuses = {check.name: check.status for check in run_suite(parse_manifest(data)).checks}
         assert statuses == {"almost_product": "PASS", "pairing_identities": "PASS",
                             "para_kahler_like": STATUS_ERROR}
+
+    def test_metric_derivatives_failing_at_the_samples_error_every_check(self):
+        """The metric is validated on its jets at the run's points, before any check runs."""
+        data = _flat(checks=["almost_product", "pairing_identities"])
+        data["metric"][0][0] = "2 + sqrt(x1*x1 - x1*x1)"
+        report = run_suite(parse_manifest(data))
+        assert [(check.name, check.status) for check in report.checks] == [
+            ("almost_product", STATUS_ERROR), ("pairing_identities", STATUS_ERROR)]
+        assert all(check.reason.startswith("EvaluationError: ") for check in report.checks)
 
 
 class TestFixtureRegistry:
@@ -602,26 +614,51 @@ class TestRunsAreIndependent:
         monkeypatch.setattr(holder, name, record)
         return calls
 
-    @pytest.mark.parametrize("data, fisher_builds", [
+    @pytest.mark.parametrize("data, parse_derivatives", [
+        # ψ's three first derivatives and the six entries of the Hessian's upper triangle
         (model_manifest("dirichlet", {"dim": 3}, involution=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
-                                                             [0.0, 0.0, 1.0]], seed=4), 1),
+                                                             [0.0, 0.0, 1.0]], seed=4), 9),
         (submersion_manifest(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0), seed=5), 0),
     ], ids=["model", "submersion"])
-    def test_two_runs_of_one_manifest(self, monkeypatch, data, fisher_builds):
+    def test_two_runs_of_one_manifest(self, monkeypatch, data, parse_derivatives):
+        """Parsing differentiates a model's ψ once; a run parses and differentiates nothing."""
+        derivatives = self._count_calls(monkeypatch, ex.ScalarField, "differentiate")
         manifest = parse_manifest(data, known_checks=set(CHECKS))
+        assert len(derivatives) == parse_derivatives
+        derivatives.clear()
         parses = self._count_calls(monkeypatch, ex, "parse_expression")
         batches = self._count_calls(monkeypatch, geometry.ExpressionField, "_batch_jets")
-        fishers = self._count_calls(monkeypatch, expfam, "fisher_metric")
         reports, counts = [], []
         for _ in range(2):
             reports.append(render_report(run_suite(manifest, points=10)))
-            counts.append((len(parses), len(batches), len(fishers)))
-            for calls in (parses, batches, fishers):
+            counts.append((len(parses), len(batches), len(derivatives)))
+            for calls in (parses, batches, derivatives):
                 calls.clear()
         assert "ERROR" not in reports[0]
         assert reports[1] == reports[0]
         assert counts[0][1] > 0
-        assert counts[1] == counts[0] == (0, counts[0][1], fisher_builds)
+        assert counts[1] == counts[0] == (0, counts[0][1], 0)
+        if manifest.parsed.model is not None:  # each run reseeded a copy; the kept model holds no field
+            assert vars(manifest.parsed.model.model).keys() == {"name", "psi", "chart", "hessian"}
+
+    def test_no_metric_batch_is_walked_twice(self, monkeypatch):
+        """Validation reads the metric's jets, which every later check reads too."""
+        batches = []
+        real = geometry.MetricField._batch_jets
+
+        def record(field, points, full):
+            batches.append((id(field), points.tobytes(), full))
+            return real(field, points, full)
+
+        monkeypatch.setattr(geometry.MetricField, "_batch_jets", record)
+        for data in (submersion_manifest(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0), seed=5),
+                     curved_product_manifest(2, 1.0, 2.0, (1.0, -1.0), checks=CURVATURE_CHECKS),
+                     model_manifest("normal", involution=[[0.0, 1.0], [1.0, 0.0]])):
+            batches.clear()
+            report = run_suite(parse_manifest(data, known_checks=set(CHECKS)), points=10)
+            assert all(check.status != STATUS_ERROR for check in report.checks)
+            walked = [(field, points) for field, points, _ in batches]
+            assert len(walked) == len(set(walked)), data["name"]
 
     def test_one_context_per_run_and_none_at_load(self, monkeypatch):
         builds = self._count_calls(monkeypatch, manifest_module, "build_context")
