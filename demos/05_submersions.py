@@ -46,8 +46,8 @@ identities = check_fundamental_tensor_identities(spec, points)
 print("fundamental tensor identities:", identities.passed, identities.details)
 
 # The fiber inherits metric, connection and structure, and certifies itself.
-fiber = induced_fiber_manifold(spec)
-fiber_points = sample_points(fiber.chart, 25)
+fiber_points = sample_points(spec.fiber.chart, 25)
+fiber = induced_fiber_manifold(spec, fiber_points)
 print("\nfiber dimension:", fiber.chart.dim, "| coordinates:", fiber.chart.coord_names)
 print("fiber certifies:", check_para_kahler_like(fiber, fiber_points).passed)
 

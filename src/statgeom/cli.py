@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from .fixtures import fixture_ids, fixture_text, load_fixture
-from .manifest import ManifestError, load_manifest, parse_manifest
+from .manifest import LIMITS, ManifestError, load_manifest, parse_manifest
 from .report import canonical_json, emit_report, render_report
 from .suite import CHECKS, run_suite
 
@@ -33,15 +33,18 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _integer_at_least(low: int, rule: str):
-    """An argparse type for ``rule`` integers (at least ``low``), as in manifests."""
+def _integer_at_least(low: int, rule: str, high: int | None = None):
+    """An argparse type for ``rule`` integers (at least ``low``, at most ``high``), as in manifests."""
     def parse(text: str) -> int:
         try:
-            if int(text) >= low:
-                return int(text)
+            value = int(text)
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be a {rule} integer, got {text!r}")
+            value = low - 1
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {rule} integer, got {text!r}")
+        return value
 
     return parse
 
@@ -59,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("manifest", help="path to a manifest JSON file, or a built-in fixture id")
     verify.add_argument("--seed", type=_integer_at_least(0, "non-negative"), default=None,
                         help="override the sampling seed")
-    verify.add_argument("--points", type=_integer_at_least(1, "positive"), default=None,
-                        help="override the sample count")
+    verify.add_argument("--points", type=_integer_at_least(1, "positive", LIMITS["points"]),
+                        default=None, help="override the sample count")
     verify.add_argument("--tol", type=_tolerance, default=None, help="override every check tolerance")
     verify.add_argument("--report", default=None, help="write the canonical report to this path")
 

@@ -14,9 +14,8 @@ walks the same fields batch after batch (an ``ExpressionField``) makes
 their plan once and passes it in.  ``eval2_points`` and ``eval_points``
 are its one-field cases at orders 2 and 0, constant exponents are folded
 by the same rule at order 0, and ``ScalarField.differentiate`` (for higher
-derivatives), ``freeze_leading_coordinates`` (``freeze_fields`` for many
-fields under one plan) and ``format_expression`` build trees or text, so
-any tree the parser builds goes through all of them.  A single point is a
+derivatives) and ``format_expression`` build trees or text, so any tree the
+parser builds goes through all of them.  A single point is a
 batch of one; the recursive point-wise reference evaluator lives with the
 tests, in ``tests/oracles.py``.
 
@@ -494,42 +493,6 @@ def _derivative(node: object, derivatives: list, index: int) -> object:
     if isinstance(node, Psi):
         return _mul(Psi(node.order + 1, node.arg), du)
     raise TypeError(f"unknown node type {type(node)!r}")
-
-
-def _frozen(node: object, children: list, frozen: tuple[float, ...]) -> object:
-    """The walk rule of :func:`freeze_leading_coordinates`."""
-    if isinstance(node, Var):
-        count = len(frozen)
-        return Const(frozen[node.index]) if node.index < count else Var(node.index - count)
-    if isinstance(node, (Binary, Unary)):
-        return type(node)(node.op, *children)
-    if isinstance(node, Power):
-        return Power(*children, node.exponent)
-    if isinstance(node, Psi):
-        return Psi(node.order, *children)
-    return node
-
-
-def freeze_leading_coordinates(field: ScalarField, values: Sequence[float]) -> ScalarField:
-    """Pin the first ``len(values)`` coordinates to constants; remaining ones are re-indexed."""
-    return freeze_fields([field], values)[0]
-
-
-def freeze_fields(fields: Sequence[ScalarField], values: Sequence[float]) -> list[ScalarField]:
-    """:func:`freeze_leading_coordinates` of every field, through one :class:`Plan` over all of them.
-
-    A subtree shared by several fields is frozen once, to one new subtree.
-    """
-    frozen = tuple(float(v) for v in values)
-    count = len(frozen)
-    for field in fields:
-        if count >= field.arity:
-            raise ValueError(f"cannot freeze {count} of {field.arity} coordinates")
-    roots = [None] * len(fields)
-    for i, root in Plan([field.root for field in fields]).run(_frozen, frozen):
-        roots[i] = root
-    return [ScalarField(root, field.arity - count, field.coord_names[count:])
-            for root, field in zip(roots, fields)]
 
 
 # --------------------------------------------------------------------------

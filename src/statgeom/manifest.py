@@ -47,6 +47,10 @@ class ManifestError(ValueError):
     """Malformed or semantically invalid manifest data."""
 
 
+# The most work one manifest may ask for (stored jets grow as n^4 per point, derived
+# ones take O(n^5)), checked while parsing and for ``statgeom verify --points``.
+LIMITS = {"dimension": 12, "points": 1000}
+
 _TOP_KEYS = {"name", "chart", "params", "metric", "connection", "product",
              "submersion", "model", "checks", "points", "tolerances",
              "space_form_c", "seed"}
@@ -161,6 +165,8 @@ def load_manifest(path, known_checks=None) -> Manifest:
         raise ManifestError(
             f"manifest {path} is not valid JSON: {err.msg} at line {err.lineno} column {err.colno}"
         ) from err
+    except ValueError as err:  # bytes that are not UTF-8, or an integer too long to convert
+        raise ManifestError(f"manifest {path} cannot be read: {err}") from err
     name = (data.get("name") if isinstance(data, dict) else None) or _stem(path)
     return parse_manifest(data, name=name, known_checks=known_checks)
 
@@ -197,6 +203,8 @@ def parse_manifest(data, name: str = "manifest", known_checks=None) -> Manifest:
     points = _integer(data.get("points", 25), "'points'")
     if points < 1:
         raise ManifestError(f"'points' must be a positive integer, got {points!r}")
+    if points > LIMITS["points"]:
+        raise ManifestError(f"'points' must be at most {LIMITS['points']}, got {points}")
 
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -231,6 +239,8 @@ def _parse_chart(data, where: str) -> ChartSpec:
     coords = data.get("coords")
     if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
         raise ManifestError(f"{where}: 'coords' must be a list of names")
+    if len(coords) > LIMITS["dimension"]:
+        raise ManifestError(f"{where}: {len(coords)} coordinates, above the limit of {LIMITS['dimension']}")
     if len(set(coords)) != len(coords):
         raise ManifestError(f"{where}: duplicate coordinate names in {coords}")
     box = data.get("box")
@@ -353,6 +363,11 @@ def _parse_subject(data: dict, seed: int) -> _Parsed:
         hyper = block.get("hyperparams", {})
         if not isinstance(hyper, dict) or {"name", "seed"} & set(hyper):
             raise ManifestError("model 'hyperparams' must be an object of the model's own parameters")
+        for key, extra in (("dim", 0), ("categories", 1)):  # a model's chart dimension + extra
+            value = hyper.get(key)
+            if type(value) is int and value - extra > LIMITS["dimension"]:
+                raise ManifestError(f"model {key!r} {value} asks for {value - extra} coordinates, "
+                                    f"above the limit of {LIMITS['dimension']}")
         try:
             model = builtin_model(model_name, seed=seed, **hyper)
         except ValueError as err:

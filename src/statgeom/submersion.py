@@ -4,23 +4,26 @@ The projection always drops the trailing coordinates, so the vertical space
 is the span of the trailing coordinate directions and the pushforward matrix
 is exact.  Horizontality is metric-dependent and computed, not assumed: the
 vertical projector at a point is v = E (G_vv)⁻¹ G[vert, :], where E selects
-the trailing directions and G_vv is the fiber block of the metric.
+the trailing directions and G_vv is the fiber block of the metric; the
+spec's :class:`VerticalProjector` gives v and ∂v.
 
 T and A are tensorial in both slots, so the checks never evaluate them one
 field pair at a time: the spec's :class:`OneillSplitting` builds the whole
 coordinate arrays ``T[k, i, j] = T(∂_i, ∂_j)^k`` (and A, T*, A*) from the
-metric jets and the connection coefficients, batched over the sample points,
-:func:`oneill_arrays` reads them, and every submersion check reduces
+projector's jets and the connection coefficients, batched over the sample
+points, :func:`oneill_arrays` reads them, and every submersion check reduces
 contractions of those arrays.
 
 The independent oracle, T and A one vector-field pair at a time, lives in
 ``tests/oracles.py``: tensoriality of T and A in both slots is a tested
 property, not an input assumption.
 
-A :class:`SubmersionSpec` owns its induced fiber manifold (``fiber``) and
-its splitting (``splitting``), each built once on first use, so every check
-of a run reads the same store; both read the total space's fields and never
-the spec.
+A :class:`SubmersionSpec` owns its projector (``vertical``), splitting
+(``splitting``) and induced fiber manifold (``fiber``), each built once on
+first use, so every check of a run reads the same store; all read the total
+space's fields and never the spec.  The fiber's fields read the total ones
+at the fiber points embedded over the base box center: ĝ and P̂ are
+restrictions (:class:`FiberRestriction`), ∇̂ is the vertical projection of ∇.
 """
 
 from __future__ import annotations
@@ -30,16 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as ex
 from .geometry import (
     DEFAULT_TOLERANCE,
-    DEFAULT_POINT_COUNT,
     STATUS_FAIL,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
     ChartSpec,
     CheckResult,
-    ExpressionField,
+    DerivedJets,
+    InverseMetric,
     ManifoldSpec,
     PointJets,
     _as_points,
@@ -102,10 +104,14 @@ class SubmersionSpec:
         return np.asarray(point, dtype=float)[: self.base_dim]
 
     @functools.cached_property
+    def vertical(self) -> VerticalProjector:
+        """The vertical projector of the total metric, built on first use."""
+        return VerticalProjector(self.total.metric, self.base_dim)
+
+    @functools.cached_property
     def splitting(self) -> OneillSplitting:
         """The O'Neill splitting of the total space by ∇ and its conjugate, built on first use."""
-        total = self.total
-        return OneillSplitting(total.metric, total.resolved_connection, total.conjugate, self.base_dim)
+        return OneillSplitting(self.vertical, self.total.resolved_connection, self.total.conjugate)
 
     @functools.cached_property
     def fiber(self) -> ManifoldSpec:
@@ -114,7 +120,13 @@ class SubmersionSpec:
         :func:`induced_fiber_manifold` checks that the total structure keeps
         the vertical space invariant before handing it out.
         """
-        return _induced_fiber(self)
+        center, chart, nb = self.base.chart.center, self.total.chart, self.base_dim
+        return ManifoldSpec(
+            chart=ChartSpec(chart.coord_names[nb:], chart.domain[nb:], seed=chart.seed),
+            metric=FiberRestriction(self.total.metric, center),
+            connection=FiberConnection(self.vertical, self.total.resolved_connection, center),
+            product=None if self.total.product is None else FiberRestriction(self.total.product, center),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +134,7 @@ class SubmersionSpec:
 # --------------------------------------------------------------------------
 
 def _fiber_blocks(g: np.ndarray, nb: int):
-    """(G_vv, G[vert, :]) of one metric matrix or a stack of them.
+    """(G_vv, G[vert, :]) of one metric matrix or a stack of them, for :class:`VerticalProjector`.
 
     The first ``nb`` coordinates are the base's.  Raises
     :class:`SubmersionError` at the first matrix whose fiber block is
@@ -145,6 +157,34 @@ def _check_conditioning(gvv: np.ndarray) -> None:
         raise SubmersionError(
             f"horizontal solve is ill-conditioned (cond {float(conds[np.argmax(bad)]):.3e})"
         )
+
+
+class VerticalProjector(DerivedJets):
+    """The vertical projector v = E G_vv⁻¹ G[vert, :] of a total metric; jets are (v, ∂v).
+
+    E puts the fiber rows S = G_vv⁻¹ G[vert, :] below ``base_dim`` zero rows,
+    and ∂_i S = G_vv⁻¹ (∂_i G[vert, :] − ∂_i G_vv S).  The one place where a
+    fiber block is tested (:func:`_fiber_blocks`) and inverted.
+    """
+
+    def __init__(self, metric, base_dim: int):
+        self.metric = metric
+        self.base_dim = base_dim
+        self._bases = (metric,)
+        self._value_needs = (False,)
+
+    def _derive(self, full, metric_jets):
+        g, nb = metric_jets[0], self.base_dim
+        gvv, gv_rows = _fiber_blocks(g, nb)
+        gvv_inv = np.linalg.inv(gvv)
+        v = np.zeros_like(g)
+        v[:, nb:, :] = s = gvv_inv @ gv_rows
+        if not full:
+            return (v,)
+        dg = metric_jets[1]
+        dv = np.zeros_like(dg)
+        dv[:, :, nb:, :] = gvv_inv[:, None] @ (dg[:, :, nb:, :] - dg[:, :, nb:, nb:] @ s[:, None])
+        return v, dv
 
 
 @dataclass(frozen=True)
@@ -199,33 +239,23 @@ class OneillSplitting(PointJets):
     """The vertical/horizontal splitting of a total space with T, A, T*, A*, per batch of points.
 
     A batch holds the arrays of :class:`OneillArrays` after ``points``, and
-    has no value-only form.  The splitting holds the total space's metric,
-    ∇ and ∇* (``conjugate``) and the base dimension, never the submersion.
-    A degenerate or ill-conditioned fiber block raises
+    has no value-only form.  The splitting holds the total space's
+    :class:`VerticalProjector`, ∇ and ∇* (``conjugate``), never the
+    submersion.  A degenerate or ill-conditioned fiber block raises
     :class:`SubmersionError` before any connection is evaluated.
     """
 
-    def __init__(self, metric, connection, conjugate, base_dim: int):
-        self._metric = metric
+    def __init__(self, vertical: VerticalProjector, connection, conjugate):
+        self._vertical = vertical
         self._connection = connection
         self._conjugate = conjugate
-        self._base_dim = base_dim
 
     def _batch_jets(self, pts, full):
-        g, dg, _ = self._metric.jets(pts)
-        nb = self._base_dim
-        gvv, gv_rows = _fiber_blocks(g, nb)
-        _check_conditioning(gvv)
+        v, dv = self._vertical.jets(pts)
+        g, nb = self._vertical.metric.values(pts), self._vertical.base_dim
+        _check_conditioning(g[:, nb:, nb:])
         gamma = self._connection.values(pts)
         gamma_star = self._conjugate.values(pts)
-
-        gvv_inv = np.linalg.inv(gvv)
-        s = gvv_inv @ gv_rows  # fiber components of the vertical projection
-        ds = gvv_inv[:, None] @ (dg[:, :, nb:, :] - dg[:, :, nb:, nb:] @ s[:, None])
-        v = np.zeros_like(g)
-        v[:, nb:, :] = s
-        dv = np.zeros_like(dg)
-        dv[:, :, nb:, :] = ds
         h = np.eye(g.shape[-1]) - v
 
         t, a = _split_tensors(v, h, dv, gamma)
@@ -353,93 +383,79 @@ def check_fundamental_tensor_identities(spec: SubmersionSpec, pts, tol: float = 
 # Induced fiber geometry
 # --------------------------------------------------------------------------
 
-def _restrict(field: ExpressionField, frozen: np.ndarray) -> ExpressionField:
-    """The fiber block of ``field`` with the base coordinates pinned to ``frozen``."""
-    block = field.grid[(slice(len(frozen), None),) * field.grid.ndim]
-    restricted = np.empty(block.shape, dtype=object)
-    restricted.flat = ex.freeze_fields(list(block.flat), frozen)
-    return type(field)(restricted)
-
-
 def _on_fiber(base_point: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Total-space points over ``base_point`` whose fiber coordinates are the rows of ``points``."""
     return np.hstack([np.broadcast_to(base_point, (len(points), len(base_point))), points])
 
 
+class FiberRestriction(PointJets):
+    """A total-space field restricted to the fiber through ``base_point``: ĝ or P̂.
+
+    Its jets are the total field's at the embedded points, every axis but the
+    point axis cut to the fiber coordinates and copied into a fresh field's layout.
+    """
+
+    def __init__(self, field, base_point):
+        self._field = field
+        self._base_point = np.asarray(base_point, dtype=float)
+
+    @property
+    def dim(self) -> int:
+        return self._field.dim - len(self._base_point)
+
+    @functools.cached_property
+    def inverse(self) -> InverseMetric:
+        """G⁻¹ and ∂G⁻¹ of a restricted metric, built on first use as :attr:`MetricField.inverse` is."""
+        return InverseMetric(self)
+
+    def _batch_jets(self, points, full):
+        fiber = slice(len(self._base_point), None)
+        jets = self._field._lookup(_on_fiber(self._base_point, points), full)
+        return tuple(np.ascontiguousarray(part[(slice(None),) + (fiber,) * (part.ndim - 1)])
+                     for part in jets)
+
+
 class FiberConnection(PointJets):
     """Connection induced on the fiber through ``base_point``: the vertical projection of ``connection``.
 
-    ``connection`` is a connection of the total space with metric ``metric``
-    (∇, or ∇* for the induced dual connection); jets are (Γ̂, ∂Γ̂).
+    ``connection`` is ∇ (or ∇* for the induced dual) of the total space and
+    ``vertical`` its metric's projector, both read at the embedded points.
+    With S = v[vert, :], the jets are Γ̂ = S Γ and ∂Γ̂ = ∂S Γ + S ∂Γ on fiber indices.
     """
 
-    def __init__(self, metric, connection, base_point):
-        self._metric = metric
+    def __init__(self, vertical: VerticalProjector, connection, base_point):
+        self._vertical = vertical
         self._connection = connection
         self._base_point = np.asarray(base_point, dtype=float)
 
     @property
     def dim(self) -> int:
-        return self._metric.dim - len(self._base_point)
+        return self._vertical.dim - len(self._base_point)
 
     def _batch_jets(self, points, full):
+        nb = len(self._base_point)
         embedded = _on_fiber(self._base_point, points)
-        return self._derive(full, self._metric._lookup(embedded, full),
-                            self._connection._lookup(embedded, full))
-
-    def _derive(self, full, metric_jets, connection_jets):
-        """Γ̂ (and ∂Γ̂ when ``full``) over stacks.
-
-        One extractor G_vv⁻¹ G[vert, :] serves Γ̂ and ∂Γ̂.
-        """
-        nb, f = len(self._base_point), self.dim
-        g = metric_jets[0]
-        gvv, gv_rows = _fiber_blocks(g, nb)
-        gvv_inv = np.linalg.inv(gvv)
-        extractor = gvv_inv @ gv_rows
-        block = connection_jets[0][:, :, nb:, nb:]
-        hat = np.einsum("pck,pkab->pcab", extractor, block)
+        vertical = self._vertical._lookup(embedded, full)
+        connection = self._connection._lookup(embedded, full)
+        rows, block = vertical[0][:, nb:], connection[0][:, :, nb:, nb:]
+        hat = np.einsum("pck,pkab->pcab", rows, block)
         if not full:
             return (hat,)
-        dg, dgamma = metric_jets[1], connection_jets[1]
-        dhat = np.empty((g.shape[0], f, f, f, f))
-        for d in range(f):
-            i = nb + d
-            dext = gvv_inv @ (dg[:, i, nb:, :] - dg[:, i, nb:, nb:] @ extractor)
-            dhat[:, d] = (np.einsum("pck,pkab->pcab", dext, block)
-                          + np.einsum("pck,pkab->pcab", extractor, dgamma[:, i, :, nb:, nb:]))
+        dhat = (np.einsum("pdck,pkab->pdcab", vertical[1][:, nb:, nb:], block)
+                + np.einsum("pck,pdkab->pdcab", rows, connection[1][:, nb:, :, nb:, nb:]))
         return hat, dhat
 
 
-def _induced_fiber(spec: SubmersionSpec) -> ManifoldSpec:
-    """The fiber over the base box center with the restrictions of the total fields."""
-    frozen = spec.base.chart.center
-    chart, nb = spec.total.chart, spec.base_dim
-    fiber_chart = ChartSpec(chart.coord_names[nb:], chart.domain[nb:], seed=chart.seed)
-    structure = spec.total.product
-    if structure is not None and not isinstance(structure, ExpressionField):
-        raise TypeError("fiber restriction needs an expression-backed product structure")
-    return ManifoldSpec(
-        chart=fiber_chart,
-        metric=_restrict(spec.total.metric, frozen),
-        connection=FiberConnection(spec.total.metric, spec.total.resolved_connection, frozen),
-        product=None if structure is None else _restrict(structure, frozen),
-    )
+def induced_fiber_manifold(spec: SubmersionSpec, fiber_points, tol: float = DEFAULT_TOLERANCE) -> ManifoldSpec:
+    """``spec.fiber``, once the total structure is seen to keep the vertical space at ``fiber_points``.
 
-
-def induced_fiber_manifold(spec: SubmersionSpec, tol: float = DEFAULT_TOLERANCE) -> ManifoldSpec:
-    """``spec.fiber``: the fiber over the base box center with its induced fields.
-
-    The fiber metric and product structure are the restrictions of the total
-    ones with base coordinates frozen; the induced connection is the vertical
-    projection of the total connection.  Raises :class:`SubmersionError` when
-    the total structure moves a vertical vector out of the vertical space by
-    more than ``tol``.
+    Raises :class:`SubmersionError` when P moves a vertical vector out of the
+    vertical space by more than ``tol`` at one of them (the caller's samples).
     """
     fiber = spec.fiber
     if fiber.product is not None:
         nb = spec.base_dim
-        embedded = _on_fiber(spec.base.chart.center, sample_points(fiber.chart, DEFAULT_POINT_COUNT))
+        embedded = _on_fiber(spec.base.chart.center, _as_points(fiber_points))
         leaks = max_abs(spec.total.product.values(embedded)[:, :nb, nb:])
         leaking = np.flatnonzero(leaks > tol)
         if leaking.size:
@@ -500,8 +516,8 @@ def verify_submersion_theorems(
                              "flat_decomposition")}
 
     items = {}
-    fiber = induced_fiber_manifold(spec, tol=tol)
-    fiber_points = sample_points(fiber.chart, len(points))
+    fiber_points = sample_points(spec.fiber.chart, len(points))
+    fiber = induced_fiber_manifold(spec, fiber_points, tol=tol)
 
     fiber_statistical = check_statistical_structure(fiber, fiber_points, tol)
     fiber_almost = check_almost_product(fiber.product, fiber_points, tol)

@@ -167,8 +167,9 @@ def _check_exp_para_certifications(ctx, pts, tol):
 
 
 def _check_fiber_para_kahler_like(ctx, pts, tol):
-    fiber = sub.induced_fiber_manifold(_require_submersion(ctx), tol=tol)
-    fiber_points = geo.sample_points(fiber.chart, len(pts))
+    spec = _require_submersion(ctx)
+    fiber_points = geo.sample_points(spec.fiber.chart, len(pts))
+    fiber = sub.induced_fiber_manifold(spec, fiber_points, tol=tol)
     cert = prod.check_para_kahler_like(fiber, fiber_points, tol)
     return [_outcome("fiber_para_kahler_like", _summary(cert), len(fiber_points))]
 

@@ -275,8 +275,8 @@ def test_criterion_6_submersion_suite():
         for item in ("symmetry_t", "alternation_a", "skew_exchange", "pairing_t", "pairing_a"):
             if identities.details[item] > 1e-8:
                 failures.append(f"{tag}: identity {item} {identities.details[item]:.2e}")
-        fiber = induced_fiber_manifold(spec)
-        fiber_pts = sample_points(fiber.chart, 25)
+        fiber_pts = sample_points(spec.fiber.chart, 25)
+        fiber = induced_fiber_manifold(spec, fiber_pts)
         if not check_para_kahler_like(fiber, fiber_pts).passed:
             failures.append(f"{tag}: fiber certification")
         if k == l:

@@ -22,8 +22,6 @@ from statgeom.expr import (
     eval_points,
     fd_check,
     format_expression,
-    freeze_fields,
-    freeze_leading_coordinates,
     parse_expression,
 )
 from statgeom.fixtures import (
@@ -564,26 +562,8 @@ class TestDeepTrees:
         reparsed = parse_expression(text, ("x", "y"))
         assert eval_points(reparsed, self.POINTS).tolist() == [9000.0, -4500.0]
 
-    def test_freeze_leading_coordinates(self):
-        fiber = freeze_leading_coordinates(self.field(), [2.0])
-        assert fiber.coord_names == ("y",)
-        assert eval_points(fiber, [[1.5], [-0.5]]).tolist() == [9000.0, -3000.0]
-
-    def test_freeze_fields_shares_frozen_subtrees(self):
-        """Many fields under one plan: each as frozen alone, a shared subtree frozen once."""
-        deep = self.field()
-        other = parse_expression("y - x", ("x", "y"))
-        fields = [deep, other, deep]
-        frozen = freeze_fields(fields, [2.0])
-        alone = [freeze_leading_coordinates(f, [2.0]) for f in fields]
-        assert [format_expression(f) for f in frozen] == [format_expression(f) for f in alone]
-        assert [f.coord_names for f in frozen] == [("y",)] * 3
-        assert frozen[0].root is frozen[2].root
-        with pytest.raises(ValueError, match="cannot freeze 2 of 2"):
-            freeze_fields([other], [1.0, 2.0])
-
     def test_submersion_with_a_deep_total_metric(self):
-        """Fibers frozen from a 2,000-term metric component give the shipped form's statuses."""
+        """A fiber restricted from a 2,000-term metric component gives the shipped form's statuses."""
         shipped = submersion_manifest(2, 1, 1.0, 1.0, (1.0, 1.0))
         deep = submersion_manifest(2, 1, 1.0, 1.0, (1.0, 1.0))
         deep["metric"][2][2] = " + ".join(["e2*k/(2000*y2*y2)"] * 2000)
@@ -690,26 +670,6 @@ def _reference_derivative(node, index):
     return ex._mul(Psi(node.order + 1, node.arg), du)
 
 
-def _reference_freeze(field, values):
-    frozen = tuple(float(v) for v in values)
-    count = len(frozen)
-
-    def walk(node):
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Var):
-            return Const(frozen[node.index]) if node.index < count else Var(node.index - count)
-        if isinstance(node, Unary):
-            return Unary(node.op, walk(node.arg))
-        if isinstance(node, Binary):
-            return Binary(node.op, walk(node.left), walk(node.right))
-        if isinstance(node, Power):
-            return Power(walk(node.base), node.exponent)
-        return Psi(node.order, walk(node.arg))
-
-    return ScalarField(walk(field.root), field.arity - count, field.coord_names[count:])
-
-
 def _reference_render(node, names):
     if isinstance(node, Const):
         return repr(node.value)
@@ -753,8 +713,6 @@ def test_transforms_match_the_recursive_reference_on_random_trees():
             assert derived.root == _reference_derivative(field.root, index)
             assert format_expression(derived) == _reference_render(derived.root, field.coord_names)
         assert format_expression(field) == _reference_render(field.root, field.coord_names)
-        for values in ((0.5,), (0.5, -1.25)):
-            assert freeze_leading_coordinates(field, values) == _reference_freeze(field, values)
 
     check()
 

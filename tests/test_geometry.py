@@ -687,7 +687,7 @@ _DERIVED_CASES = [
     ("fiber", curved_submersion, lambda spec: spec.fiber.connection,
      lambda spec: spec.total.chart),
     ("fiber_dual", curved_submersion,
-     lambda spec: FiberConnection(spec.total.metric, spec.total.conjugate, spec.base.chart.center),
+     lambda spec: FiberConnection(spec.vertical, spec.total.conjugate, spec.base.chart.center),
      lambda spec: spec.total.chart),
 ]
 

@@ -155,6 +155,16 @@ class TestManifestValidation:
         with pytest.raises(ManifestError, match="line 1"):
             load_manifest(path)
 
+    def test_integer_too_long_to_convert_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_flat()).replace('"points": 25', '"points": ' + "9" * 5000),
+                        encoding="utf-8")
+        with pytest.raises(ManifestError, match="cannot be read: Exceeds the limit"):
+            load_manifest(path)
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_load_manifest_from_file(self, tmp_path):
         path = tmp_path / "own.json"
         path.write_text(json.dumps(flat_product_manifest(1, 2.0, (1.0,))), encoding="utf-8")
@@ -199,6 +209,11 @@ MALFORMED = {
     "repeated_check": lambda: _flat(checks=["flatness", "almost_product", "flatness"]),
     "repeated_alpha": lambda: _model(alpha=[0.5, -1.0, 0.5]),
     "alpha_labels_that_coincide": lambda: _model(alpha=[0.1, 0.1000001]),
+    "chart_above_the_dimension_limit": lambda: _with_chart(coords=[f"x{i}" for i in range(13)],
+                                                           box=[[0.5, 2.0]] * 13),
+    "model_dim_above_the_limit": lambda: model_manifest("dirichlet", {"dim": 13}),
+    "categories_above_the_limit": lambda: model_manifest("multinomial", {"categories": 14}),
+    "points_above_the_limit": lambda: _flat(points=1001),
 }
 
 
@@ -210,6 +225,27 @@ def _verify_exit_code(tmp_path, data) -> int:
 
 class TestManifestRobustness:
     """Malformed manifests raise ManifestError, and ``verify`` exits 2 on them, never 1."""
+
+    def test_limits_lie_above_the_benchmark_sizes(self):
+        assert manifest_module.LIMITS["dimension"] > 8 and manifest_module.LIMITS["points"] > 400
+
+    def test_work_at_the_limits_is_accepted(self):
+        """Parsed, not run: a chart and models of the largest dimension, at the most points."""
+        top = manifest_module.LIMITS["dimension"]
+        pairs = top // 2
+        data = curved_product_manifest(pairs, 1.0, 2.0, [1.0] * pairs)
+        data["points"] = manifest_module.LIMITS["points"]
+        assert parse_manifest(data).points == manifest_module.LIMITS["points"]
+        for family, hyper in (("dirichlet", {"dim": top}), ("multinomial", {"categories": top + 1})):
+            assert build_context(parse_manifest(model_manifest(family, hyper))).model.dim == top
+
+    def test_huge_model_dimension_is_refused_before_the_model_is_built(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("builtin_model called")
+
+        monkeypatch.setattr(manifest_module, "builtin_model", build)
+        with pytest.raises(ManifestError, match="above the limit of 12"):
+            parse_manifest(model_manifest("dirichlet", {"dim": 10**30}))
 
     def _rejects(self, tmp_path, data, match):
         with pytest.raises(ManifestError, match=match):
@@ -872,6 +908,14 @@ class TestCli:
         assert errors == [f"statgeom verify: error: argument {option}: "
                           f"must be a {rule} integer, got {value!r}"]
         assert "Traceback" not in err
+
+    def test_points_above_the_limit_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "example_5_2_n1", "--points", "1001"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["statgeom verify: error: argument --points: must be at most 1000, got '1001'"]
 
     def test_unexpected_error_exits_two(self, monkeypatch, capsys):
         def broken(*args, **kwargs):

@@ -22,7 +22,7 @@ from oracles import (
 from statgeom import CHECKS, build_context, load_fixture, parse_manifest, run_suite
 from statgeom import expr as ex
 from statgeom.expr import eval_points, parse_expression
-from statgeom.fixtures import flat_product_manifest, submersion_manifest
+from statgeom.fixtures import fixture_ids, flat_product_manifest, submersion_manifest
 from statgeom.geometry import (
     STATUS_ERROR,
     STATUS_FAIL,
@@ -34,7 +34,7 @@ from statgeom.geometry import (
     curvature_tensor,
     sample_points,
 )
-from statgeom.product import adjoint_structure, check_para_kahler_like
+from statgeom.product import adjoint_structure, check_almost_product, check_para_kahler_like
 from statgeom.submersion import (
     FiberConnection,
     SubmersionError,
@@ -48,6 +48,11 @@ from statgeom.submersion import (
     oneill_arrays,
     verify_submersion_theorems,
 )
+
+
+def _fiber_block(jet, nb):
+    """Every axis of ``jet`` but the point axis cut to the fiber coordinates."""
+    return jet[(slice(None),) + (slice(nb, None),) * (jet.ndim - 1)]
 
 
 def _submersion_from(data):
@@ -523,8 +528,8 @@ class TestOneillArraysAgainstFieldPairs:
 class TestInducedFiber:
     def test_curved_fiber_certifies(self):
         spec = curved_submersion(k=1.0, l=2.0)
-        fiber = induced_fiber_manifold(spec)
-        pts = sample_points(fiber.chart, 25)
+        pts = sample_points(spec.fiber.chart, 25)
+        fiber = induced_fiber_manifold(spec, pts)
         assert check_para_kahler_like(fiber, pts).passed
 
     def test_fiber_metric_matches_standalone_fixture(self):
@@ -532,9 +537,10 @@ class TestInducedFiber:
         from conftest import curved_manifold
 
         spec = curved_submersion(k=1.0, l=2.0)
-        fiber = induced_fiber_manifold(spec)
+        pts = sample_points(spec.fiber.chart, 10)
+        fiber = induced_fiber_manifold(spec, pts)
         standalone = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        for p in sample_points(fiber.chart, 10):
+        for p in pts:
             np.testing.assert_allclose(fiber.metric.value(p), standalone.metric.value(p),
                                        atol=1e-14)
             np.testing.assert_allclose(fiber.connection.value(p),
@@ -542,18 +548,19 @@ class TestInducedFiber:
 
     def test_induced_connections_are_conjugate(self):
         spec = curved_submersion(k=1.0, l=2.0)
-        fiber = induced_fiber_manifold(spec)
-        induced = fiber.connection
-        induced_dual = FiberConnection(spec.total.metric, spec.total.conjugate, spec.base.chart.center)
+        pts = sample_points(spec.fiber.chart, 10)
+        fiber = induced_fiber_manifold(spec, pts)
+        induced_dual = FiberConnection(spec.vertical, spec.total.conjugate, spec.base.chart.center)
         dual = fiber.conjugate
-        for p in sample_points(fiber.chart, 10):
+        for p in pts:
             defect = dual.value(p) - induced_dual.value(p)
             assert np.max(np.abs(defect)) <= 1e-9
 
     def test_flat_product_fiber_is_flat(self):
         spec = flat_submersion(k=2.0)
-        fiber = induced_fiber_manifold(spec)
-        for p in sample_points(fiber.chart, 5):
+        pts = sample_points(spec.fiber.chart, 5)
+        fiber = induced_fiber_manifold(spec, pts)
+        for p in pts:
             assert np.max(np.abs(fiber.connection.value(p))) <= 1e-14
             assert np.max(np.abs(curvature_tensor(*fiber.connection.jet(p)))) <= 1e-12
 
@@ -571,7 +578,7 @@ class TestInducedFiber:
         }}
         spec = _submersion_from(data)
         with pytest.raises(SubmersionError, match="vertical"):
-            induced_fiber_manifold(spec)
+            induced_fiber_manifold(spec, sample_points(spec.fiber.chart, 25))
 
     @pytest.fixture
     def plan_sizes(self, monkeypatch):
@@ -586,40 +593,69 @@ class TestInducedFiber:
         monkeypatch.setattr(ex, "Plan", CountingPlan)
         return sizes
 
-    def test_each_fiber_grid_is_frozen_through_one_plan(self, plan_sizes):
-        """One expr.Plan per restricted grid, giving the trees of a component-by-component freeze."""
+    def test_fiber_fields_read_the_total_jets(self, plan_sizes):
+        """ĝ and P̂ are the total jets at the embedded points, cut to the fiber and laid out
+        as a fresh field's; they walk only the total fields' plans."""
         spec = build_context(load_fixture("example_5_6_k1_l1")).submersion
+        nb, n = spec.base_dim, spec.total_dim
+        points = sample_points(spec.fiber.chart, 7)
+        embedded = np.hstack([np.broadcast_to(spec.base.chart.center, (7, nb)), points])
         plan_sizes.clear()
-        fiber = spec.fiber
-        nb, f = spec.base_dim, spec.fiber_dim
-        assert plan_sizes == [f * f, f * f]  # the metric's and the product structure's fiber blocks
-        frozen = spec.base.chart.center
-        for total, restricted in ((spec.total.metric, fiber.metric), (spec.total.product, fiber.product)):
-            for index in np.ndindex(restricted.grid.shape):
-                alone = ex.freeze_leading_coordinates(total.grid[tuple(nb + i for i in index)], frozen)
-                assert restricted.grid[index] == alone
-                assert ex.format_expression(restricted.grid[index]) == ex.format_expression(alone)
+        for total, restricted in ((spec.total.metric, spec.fiber.metric),
+                                  (spec.total.product, spec.fiber.product)):
+            for part, whole in zip(restricted.jets(points), total.jets(embedded), strict=True):
+                assert np.array_equal(part, _fiber_block(whole, nb))
+                assert part.flags.c_contiguous
+        assert plan_sizes == [n * (n + 1) // 2, n * n]  # the total metric's upper triangle, then P
 
     def test_plans_per_run(self, plan_sizes):
-        """One walk plan per expression field of the run and one freeze plan per fiber grid.
-
-        Freezing the fiber block component by component made one plan per
-        component instead: 8 where the two fiber grids take 2.
-        """
+        """One walk plan per expression field of the run, and none for the fiber's fields."""
         manifest = load_fixture("example_5_6_k1_l1", known_checks=set(CHECKS))
         for _ in range(2):
             plan_sizes.clear()
             report = run_suite(manifest)
             assert all(check.status != STATUS_ERROR for check in report.checks)
-            # total g, ∇, P; base g, ∇, P; fiber g, P walked, and the two fiber freezes
-            assert len(plan_sizes) == 10
+            # total g, ∇, P and base g, ∇, P; ĝ and P̂ read the total g and P
+            assert len(plan_sizes) == 6
 
-    def test_derived_structure_cannot_be_restricted(self):
+    def test_derived_structure_is_restricted(self):
+        """P̂ of an adjoint structure is the fiber block of P* at the embedded points."""
         spec = curved_submersion(k=1.0, l=2.0)
         derived = adjoint_structure(spec.total.metric, spec.total.product)
-        total = dataclasses.replace(spec.total, product=derived)
-        with pytest.raises(TypeError, match="expression-backed"):
-            induced_fiber_manifold(SubmersionSpec(total=total, base=spec.base))
+        derived_spec = SubmersionSpec(total=dataclasses.replace(spec.total, product=derived),
+                                      base=spec.base)
+        nb = derived_spec.base_dim
+        points = sample_points(derived_spec.fiber.chart, 10)
+        fiber = induced_fiber_manifold(derived_spec, points)
+        embedded = np.hstack([np.broadcast_to(spec.base.chart.center, (10, nb)), points])
+        reference = adjoint_structure(spec.total.metric, spec.total.product).jets(embedded)
+        for part, whole in zip(fiber.product.jets(points), reference, strict=True):
+            assert np.array_equal(part, _fiber_block(whole, nb))
+        assert check_almost_product(fiber.product, points).passed
+
+    @pytest.mark.parametrize("fixture", fixture_ids())
+    def test_every_stored_batch_has_the_runs_row_count(self, monkeypatch, fixture):
+        """A 10-point run stores 10-row batches only, besides the box centers validation reads.
+
+        The leak of P out of the vertical space was tested on a private
+        25-point batch, which stayed in the total structure's store.
+        """
+        manifest = load_fixture(fixture, known_checks=set(CHECKS))
+        ctx = build_context(manifest)
+        charts = [ctx.chart] + ([ctx.submersion.base.chart] if ctx.submersion else [])
+        centers = {chart.center[None].tobytes() for chart in charts}
+        rows = []
+        lookup = PointJets._lookup
+
+        def record(self, pts, full):
+            if pts.tobytes() not in centers:
+                rows.append(len(pts))
+            return lookup(self, pts, full)
+
+        monkeypatch.setattr(PointJets, "_lookup", record)
+        report = run_suite(manifest, points=10)
+        assert all(check.status != STATUS_ERROR for check in report.checks)
+        assert set(rows) == {10}
 
 
 class TestTheoremReport:
