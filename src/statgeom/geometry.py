@@ -59,8 +59,10 @@ STATUS_ERROR = "ERROR"
 
 _DEGENERACY_CUTOFF = 1e-10
 _INTERIOR_MARGIN = 0.01
-# Entries of one 4-index per-point tensor (such as R) per block of points: 64 KiB.
-_BLOCK_ENTRIES = 1 << 13
+# Entries of one 4-index per-point tensor (such as R) per block of points: 256 KiB of
+# float64, 8 points at dimension 8.  Smaller blocks make more, smaller kernel calls and run
+# a curvature pass slower; 1 << 16 is as fast and holds 0.9 MB more at its peak.
+_BLOCK_ENTRIES = 1 << 15
 # _contract hands a contraction to np.einsum when more than this share of its terms is kept.
 _SPARSE_SHARE = 1 / 8
 # Contraction plans kept, one per subscripts, operand layout and nonzero pattern.  A plan
@@ -150,6 +152,11 @@ def _read_only(arrays: tuple) -> tuple:
     return arrays
 
 
+def _batch_key(pts: np.ndarray) -> tuple:
+    """The key of a batch of points in a field's store."""
+    return pts.shape, pts.tobytes()
+
+
 class PointJets:
     """A field whose jets are kept in one store, keyed by the whole batch of points.
 
@@ -177,7 +184,7 @@ class PointJets:
 
     def _lookup(self, pts: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
         store = self.__dict__.setdefault("_batches", {})
-        key = (pts.shape, pts.tobytes())
+        key = _batch_key(pts)
         hit = store.get(key)
         if hit is None or (full and len(hit) == 1):
             hit = store[key] = _read_only(self._batch_jets(pts, full))
@@ -228,9 +235,11 @@ def in_blocks(fn, dim: int, *batches) -> tuple[np.ndarray, ...]:
     Each batch is an array with a leading point axis, or a tuple of such
     arrays; ``fn`` receives their rows for one block and returns a tuple of
     arrays with a leading point axis.  A block holds about ``_BLOCK_ENTRIES``
-    entries of a 4-index tensor in dimension ``dim``, so no temporary of
-    ``fn`` spans all points.  ``fn`` treats every point on its own, so the
-    block size changes no bit of the result.
+    entries of a 4-index tensor in dimension ``dim`` (at least one point):
+    enough points that each kernel call of ``fn`` does more than its own
+    overhead, and few enough that no 5-index temporary spans all points.
+    ``fn`` treats every point on its own, so the block size changes no bit
+    of the result.
     """
     first = batches[0]
     count = len(first[0] if isinstance(first, tuple) else first)
@@ -386,7 +395,8 @@ class ExpressionField(PointJets):
                 self._slots.append(((...,) + index,))
             elif index[0] <= index[1]:
                 self._components.append(grid[index])
-                self._slots.append(((...,) + index, (...,) + index[::-1]))
+                mirrors = (index,) if index[0] == index[1] else (index, index[::-1])
+                self._slots.append(tuple((...,) + slot for slot in mirrors))
         self._plan = None  # the walk of every component, made at the first batch
 
     @classmethod
@@ -420,13 +430,16 @@ class ExpressionField(PointJets):
 
     def _batch_jets(self, points, full):
         count, n, order = points.shape[0], self.dim, self.order if full else 0
-        parts = tuple(np.empty((count,) + (n,) * derivatives + self.grid.shape)
+        # zero-filled, so a structural zero (None) is not written: most slots of a jet are
+        # strided columns of it, and most components of these grids vanish
+        parts = tuple(np.zeros((count,) + (n,) * derivatives + self.grid.shape)
                       for derivatives in range(order + 1))
 
-        def write(i, jets):  # a structural zero or a float broadcasts into its slots
+        def write(i, jets):  # a float broadcasts into its slots
             for target in self._slots[i]:
                 for part, jet in zip(parts, jets):
-                    part[target] = 0.0 if jet is None else jet
+                    if jet is not None:
+                        part[target] = jet
 
         if self._plan is None:
             self._plan = ex.Plan([f.root for f in self._components])
@@ -455,9 +468,14 @@ class MetricField(ExpressionField):
 
 
 def _det_threshold(g: np.ndarray) -> np.ndarray:
-    """The |det| at or below which each metric matrix in ``g`` counts as singular."""
-    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
-    return _DEGENERACY_CUTOFF * np.power(scale, g.shape[-1])
+    """The |det| at or below which each metric matrix in ``g`` counts as singular.
+
+    The cutoff is relative to Hadamard's bound |det G| ≤ ∏ᵢ ‖gᵢ‖ over the rows,
+    each row norm raised to at least 1, so it grows with the determinant a
+    well-conditioned metric can have, not with max |g|ⁿ.
+    """
+    rows = np.maximum(1.0, np.linalg.norm(g, axis=-1))
+    return _DEGENERACY_CUTOFF * np.prod(rows, axis=-1)
 
 
 def _signatures(eigenvalues: np.ndarray) -> np.ndarray:
@@ -505,7 +523,9 @@ class InverseMetric(DerivedJets):
     """G⁻¹ of a metric, the one place where a metric is inverted (and tested for singularity).
 
     Jets are (G⁻¹, ∂G⁻¹) with ∂_k(G⁻¹) = −G⁻¹ (∂_k G) G⁻¹.  A |det G| at or below
-    :func:`_det_threshold` raises :class:`MetricError`.  The metric owns its inverse
+    :func:`_det_threshold` raises :class:`MetricError`.  Jets asked for after the
+    values of the same batch reuse the stored G⁻¹, so each block is inverted once.
+    The metric owns its inverse
     (:attr:`MetricField.inverse`), which holds the metric through a weak proxy: no cycle.
     """
 
@@ -513,13 +533,22 @@ class InverseMetric(DerivedJets):
         self._bases = (weakref.proxy(metric),)
         self._value_needs = (False,)
 
-    def _derive(self, full, metric_jets):
-        g = metric_jets[0]
-        dets = np.linalg.det(g)
-        singular = np.abs(dets) <= _det_threshold(g)
-        if singular.any():
-            raise MetricError(f"singular metric (det {dets[np.argmax(singular)]:.3e}) has no inverse")
-        ginv = np.linalg.inv(g)
+    def _batch_jets(self, points, full):
+        held = self.__dict__.get("_batches", {}).get(_batch_key(points)) if full else None
+        if held is None:
+            return super()._batch_jets(points, full)
+        # jets after values at the same batch: ∂(G⁻¹) from the G⁻¹ already stored, not a second inverse
+        metric_jets = self._bases[0]._lookup(points, True)
+        return in_blocks(functools.partial(self._derive, True), self.dim, metric_jets, held[0])
+
+    def _derive(self, full, metric_jets, ginv=None):
+        if ginv is None:
+            g = metric_jets[0]
+            dets = np.linalg.det(g)
+            singular = np.abs(dets) <= _det_threshold(g)
+            if singular.any():
+                raise MetricError(f"singular metric (det {dets[np.argmax(singular)]:.3e}) has no inverse")
+            ginv = np.linalg.inv(g)
         if not full:
             return (ginv,)
         return ginv, -_contract("pia,pkab,pbj->pkij", ginv, metric_jets[1], ginv)
@@ -601,10 +630,15 @@ class AdjointStructure(DerivedJets):
         if not full:
             return (star,)
         dg, dginv, dm = metric_jets[1], inverse_jets[1], base_jets[1]
-        # np.einsum's inner loop sums along b or c in these terms, so _contract would hand them back
-        dstar = -(np.einsum("pkab,pcb,pcd->pkad", dginv, m, g)
-                  + np.einsum("pab,pkcb,pcd->pkad", ginv, dm, g)
-                  + np.einsum("pab,pcb,pkcd->pkad", ginv, m, dg))
+        # ∂P* = −(∂G⁻¹ Pᵀ G + G⁻¹ ∂Pᵀ G + G⁻¹ Pᵀ ∂G), each term a product of two factors:
+        # O(n⁴) per point, where a three-factor np.einsum loops over all O(n⁵) terms.
+        # ∂P is zero for a constant P, so _contract forms no term of the middle one.
+        mtg = np.einsum("pcb,pcd->pbd", m, g)
+        gim = np.einsum("pab,pcb->pac", ginv, m)
+        dmtg = _contract("pkcb,pcd->pkbd", dm, g)
+        dstar = -(np.einsum("pkab,pbd->pkad", dginv, mtg)
+                  + _contract("pab,pkbd->pkad", ginv, dmtg)
+                  + np.einsum("pac,pkcd->pkad", gim, dg))
         return star, dstar
 
 

@@ -106,7 +106,7 @@ BLOCK_CASES = {f"0/curvature/curved_product_{pairs}pair" for pairs in (1, 2, 3, 
 def test_block_size_changes_no_byte(monkeypatch, label, manifest, seed, points):
     """in_blocks treats every point on its own, so blocks of any size give the same report."""
     reports = set()
-    for entries in (1 << 8, 1 << 13, 1 << 16):
+    for entries in (1 << 8, 1 << 13, 1 << 15, 1 << 16):
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)
         reports.add(render_report(run_suite(manifest, seed=seed, points=points)))
     assert len(reports) == 1

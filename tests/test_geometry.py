@@ -36,11 +36,11 @@ from statgeom.geometry import (
     statistical_curvature_at,
     validate_metric_on_chart,
 )
-from statgeom import build_context
+from statgeom import build_context, parse_manifest, run_suite
 from statgeom import expr as ex
 from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures
 from statgeom.expr import Const, ScalarField, eval2_points, parse_expression
-from statgeom.fixtures import fixture_ids, load_fixture
+from statgeom.fixtures import curved_product_manifest, fixture_ids, load_fixture
 from statgeom.product import adjoint_structure
 from statgeom.submersion import FiberConnection
 
@@ -118,6 +118,14 @@ class TestMetric:
             field.values([x, 0.5])
         with pytest.raises(MetricError, match="singular metric"):
             derive(MetricField.from_strings(("x", "y"), [["x", "0"], ["0", "1"]])).jets([x, 0.5])
+
+    def test_well_conditioned_metric_of_dimension_12_is_not_singular(self):
+        """det ≈ 0.066 with cond(G) ≈ 21 at a sample: a cutoff scaled by max |g|ⁿ (here about
+        0.1) refused it; one scaled by Hadamard's bound over the rows does not."""
+        manifest = parse_manifest(curved_product_manifest(6, 1.0, 2.0, [1.0] * 6, seed=3))
+        report = run_suite(manifest, points=100)
+        assert report.checks
+        assert [check.reason for check in report.checks if check.status == "ERROR"] == []
 
     def test_signature(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, -1.0))

@@ -545,8 +545,9 @@ class TestDerivedFieldOwnership:
         return counts
 
     def test_one_inverse_per_block_for_every_derived_field(self, monkeypatch):
-        """Levi-Civita, ∇*, ∇** and P* of a dimension-8 run share G⁻¹ and ∂(G⁻¹): at most one
-        inversion per block for values and one for jets, and one ∂(G⁻¹) contraction per block."""
+        """Levi-Civita, ∇*, ∇** and P* of a dimension-8 run share G⁻¹ and ∂(G⁻¹): exactly one
+        inversion per block, the jets reusing the G⁻¹ of the values, and one ∂(G⁻¹) contraction
+        per block."""
         manifest = parse_manifest(curved_product_manifest(4, 1.0, 2.0, [1.0] * 4, seed=3,
                                                           checks=CURVATURE_CHECKS),
                                   known_checks=set(CHECKS))
@@ -554,7 +555,7 @@ class TestDerivedFieldOwnership:
         report = run_suite(manifest, points=100)
         assert all(check.status != STATUS_ERROR for check in report.checks)
         blocks = -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
-        assert 0 < counts["inv"] <= 2 * blocks
+        assert counts["inv"] == blocks
         assert 0 < counts["dginv"] <= blocks
 
     def test_exponential_connection_reads_no_inverse(self, monkeypatch):
