@@ -59,9 +59,7 @@ STATUS_ERROR = "ERROR"
 
 _DEGENERACY_CUTOFF = 1e-10
 _INTERIOR_MARGIN = 0.01
-# Entries of one 4-index per-point tensor (such as R) per block of points: 256 KiB of
-# float64, 8 points at dimension 8.  Smaller blocks make more, smaller kernel calls and run
-# a curvature pass slower; 1 << 16 is as fast and holds 0.9 MB more at its peak.
+# Entries of one 4-index per-point tensor (such as R) per block of points; sweep in BENCH_22.json.
 _BLOCK_ENTRIES = 1 << 15
 # _contract hands a contraction to np.einsum when more than this share of its terms is kept.
 _SPARSE_SHARE = 1 / 8
@@ -152,11 +150,6 @@ def _read_only(arrays: tuple) -> tuple:
     return arrays
 
 
-def _batch_key(pts: np.ndarray) -> tuple:
-    """The key of a batch of points in a field's store."""
-    return pts.shape, pts.tobytes()
-
-
 class PointJets:
     """A field whose jets are kept in one store, keyed by the whole batch of points.
 
@@ -170,8 +163,9 @@ class PointJets:
     evaluates no derivatives, so a derivative that is singular where the
     value is finite raises only when jets are asked for; a derived field
     skips its derivative arrays.  Either stores a one-array entry, which a
-    later request for jets replaces.  A racing recompute under threads
-    stores the same values twice, so sharing a field stays safe.
+    later request for jets replaces through ``_jets_after_values``.  A racing
+    recompute under threads stores the same values twice, so sharing a field
+    stays safe.
     """
 
     def jets(self, points) -> tuple[np.ndarray, ...]:
@@ -184,10 +178,12 @@ class PointJets:
 
     def _lookup(self, pts: np.ndarray, full: bool) -> tuple[np.ndarray, ...]:
         store = self.__dict__.setdefault("_batches", {})
-        key = _batch_key(pts)
+        key = (pts.shape, pts.tobytes())
         hit = store.get(key)
-        if hit is None or (full and len(hit) == 1):
+        if hit is None:
             hit = store[key] = _read_only(self._batch_jets(pts, full))
+        elif full and len(hit) == 1:
+            hit = store[key] = _read_only(self._jets_after_values(pts, hit[0]))
         return hit
 
     def value(self, point) -> np.ndarray:
@@ -202,6 +198,10 @@ class PointJets:
         """The jets at ``points``, or a one-tuple of the values when ``full`` is false."""
         raise NotImplementedError
 
+    def _jets_after_values(self, points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The jets at ``points``, whose ``values`` are stored already; by default computed anew."""
+        return self._batch_jets(points, True)
+
 
 class DerivedJets(PointJets):
     """A field whose jets follow from the jets of ``_bases`` at the same points.
@@ -210,7 +210,9 @@ class DerivedJets(PointJets):
     batch, or to its values alone when ``full`` is false.  For the values,
     a base flagged in ``_value_needs`` still supplies its jets; the others
     supply their values.  A batch is derived in blocks of points, so no
-    5-index temporary spans all points.
+    5-index temporary spans all points.  Jets asked for after the values of
+    the same batch come from ``_derive_after_values(values, *batches)``, which
+    a field may override to read its stored values instead of recomputing them.
     """
 
     _bases: tuple = ()
@@ -223,10 +225,17 @@ class DerivedJets(PointJets):
     def _derive(self, full: bool, *batches) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
+    def _derive_after_values(self, values, *batches) -> tuple[np.ndarray, ...]:
+        return self._derive(True, *batches)
+
     def _batch_jets(self, points, full):
         inputs = [base._lookup(points, full or need)
                   for base, need in zip(self._bases, self._value_needs, strict=True)]
         return in_blocks(functools.partial(self._derive, full), self.dim, *inputs)
+
+    def _jets_after_values(self, points, values):
+        inputs = [base._lookup(points, True) for base in self._bases]
+        return in_blocks(self._derive_after_values, self.dim, values, *inputs)
 
 
 def in_blocks(fn, dim: int, *batches) -> tuple[np.ndarray, ...]:
@@ -235,11 +244,9 @@ def in_blocks(fn, dim: int, *batches) -> tuple[np.ndarray, ...]:
     Each batch is an array with a leading point axis, or a tuple of such
     arrays; ``fn`` receives their rows for one block and returns a tuple of
     arrays with a leading point axis.  A block holds about ``_BLOCK_ENTRIES``
-    entries of a 4-index tensor in dimension ``dim`` (at least one point):
-    enough points that each kernel call of ``fn`` does more than its own
-    overhead, and few enough that no 5-index temporary spans all points.
-    ``fn`` treats every point on its own, so the block size changes no bit
-    of the result.
+    entries of a 4-index tensor in dimension ``dim`` (at least one point),
+    so no temporary of ``fn`` spans all points.  ``fn`` treats every point
+    on its own, so the block size changes no bit of the result.
     """
     first = batches[0]
     count = len(first[0] if isinstance(first, tuple) else first)
@@ -395,8 +402,7 @@ class ExpressionField(PointJets):
                 self._slots.append(((...,) + index,))
             elif index[0] <= index[1]:
                 self._components.append(grid[index])
-                mirrors = (index,) if index[0] == index[1] else (index, index[::-1])
-                self._slots.append(tuple((...,) + slot for slot in mirrors))
+                self._slots.append(((...,) + index, (...,) + index[::-1]))
         self._plan = None  # the walk of every component, made at the first batch
 
     @classmethod
@@ -430,16 +436,13 @@ class ExpressionField(PointJets):
 
     def _batch_jets(self, points, full):
         count, n, order = points.shape[0], self.dim, self.order if full else 0
-        # zero-filled, so a structural zero (None) is not written: most slots of a jet are
-        # strided columns of it, and most components of these grids vanish
-        parts = tuple(np.zeros((count,) + (n,) * derivatives + self.grid.shape)
+        parts = tuple(np.empty((count,) + (n,) * derivatives + self.grid.shape)
                       for derivatives in range(order + 1))
 
-        def write(i, jets):  # a float broadcasts into its slots
+        def write(i, jets):  # a structural zero or a float broadcasts into its slots
             for target in self._slots[i]:
                 for part, jet in zip(parts, jets):
-                    if jet is not None:
-                        part[target] = jet
+                    part[target] = 0.0 if jet is None else jet
 
         if self._plan is None:
             self._plan = ex.Plan([f.root for f in self._components])
@@ -467,15 +470,16 @@ class MetricField(ExpressionField):
         return InverseMetric(self)
 
 
-def _det_threshold(g: np.ndarray) -> np.ndarray:
-    """The |det| at or below which each metric matrix in ``g`` counts as singular.
+def _singular(eigenvalues: np.ndarray) -> np.ndarray:
+    """Whether each symmetric matrix, given by its eigenvalues on the last axis, counts as singular.
 
-    The cutoff is relative to Hadamard's bound |det G| ≤ ∏ᵢ ‖gᵢ‖ over the rows,
-    each row norm raised to at least 1, so it grows with the determinant a
-    well-conditioned metric can have, not with max |g|ⁿ.
+    The magnitudes of the eigenvalues are the singular values.  A matrix is
+    singular when the smallest is at most ``_DEGENERACY_CUTOFF`` times the
+    largest, raised to at least 1: a test of the condition number, whatever
+    the dimension and the scale.
     """
-    rows = np.maximum(1.0, np.linalg.norm(g, axis=-1))
-    return _DEGENERACY_CUTOFF * np.prod(rows, axis=-1)
+    sigma = np.abs(eigenvalues)
+    return sigma.min(axis=-1) <= _DEGENERACY_CUTOFF * np.maximum(1.0, sigma.max(axis=-1))
 
 
 def _signatures(eigenvalues: np.ndarray) -> np.ndarray:
@@ -493,21 +497,21 @@ def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tupl
     """Check nondegeneracy at the samples and signature constancy against the box center.
 
     Raises :class:`MetricError` at the first failing sample, checking the
-    determinant before the signature at each one.  It reads the samples' jets,
+    singularity before the signature at each one.  It reads the samples' jets,
     which the checks read next, and the center's value alone.  Returns the signature.
     """
     points = _as_points(pts if pts is not None else sample_points(chart, DEFAULT_POINT_COUNT))
     reference = metric_signature(g, chart.center)
     matrices = g.jets(points)[0]
-    dets = np.linalg.det(matrices)
-    singular = np.abs(dets) <= _det_threshold(matrices)
-    signatures = _signatures(np.linalg.eigvalsh(matrices))
+    eigenvalues = np.linalg.eigvalsh(matrices)
+    singular = _singular(eigenvalues)
+    signatures = _signatures(eigenvalues)
     failing = np.flatnonzero(singular | (signatures != reference).any(axis=1))
     if failing.size:
         first = failing[0]
         p = points[first].tolist()
         if singular[first]:
-            raise MetricError(f"singular metric (det {dets[first]:.3e}) at point {p}")
+            raise MetricError(f"singular metric (det {np.linalg.det(matrices[first]):.3e}) at point {p}")
         raise MetricError(
             f"metric signature {tuple(signatures[first].tolist())} at {p} differs from "
             f"{reference} at the box center"
@@ -522,35 +526,27 @@ def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tupl
 class InverseMetric(DerivedJets):
     """G⁻¹ of a metric, the one place where a metric is inverted (and tested for singularity).
 
-    Jets are (G⁻¹, ∂G⁻¹) with ∂_k(G⁻¹) = −G⁻¹ (∂_k G) G⁻¹.  A |det G| at or below
-    :func:`_det_threshold` raises :class:`MetricError`.  Jets asked for after the
-    values of the same batch reuse the stored G⁻¹, so each block is inverted once.
-    The metric owns its inverse
-    (:attr:`MetricField.inverse`), which holds the metric through a weak proxy: no cycle.
+    Jets are (G⁻¹, ∂G⁻¹) with ∂_k(G⁻¹) = −G⁻¹ (∂_k G) G⁻¹.  A G that is
+    :func:`_singular` raises :class:`MetricError`.  Jets asked for after the
+    values of the same batch read the stored G⁻¹, so each block is inverted once.
+    The metric owns its inverse (:attr:`MetricField.inverse`), which holds the
+    metric through a weak proxy: no cycle.
     """
 
     def __init__(self, metric: MetricField):
         self._bases = (weakref.proxy(metric),)
         self._value_needs = (False,)
 
-    def _batch_jets(self, points, full):
-        held = self.__dict__.get("_batches", {}).get(_batch_key(points)) if full else None
-        if held is None:
-            return super()._batch_jets(points, full)
-        # jets after values at the same batch: ∂(G⁻¹) from the G⁻¹ already stored, not a second inverse
-        metric_jets = self._bases[0]._lookup(points, True)
-        return in_blocks(functools.partial(self._derive, True), self.dim, metric_jets, held[0])
+    def _derive(self, full, metric_jets):
+        g = metric_jets[0]
+        singular = _singular(np.linalg.eigvalsh(g))
+        if singular.any():
+            det = np.linalg.det(g[np.argmax(singular)])
+            raise MetricError(f"singular metric (det {det:.3e}) has no inverse")
+        ginv = np.linalg.inv(g)
+        return self._derive_after_values(ginv, metric_jets) if full else (ginv,)
 
-    def _derive(self, full, metric_jets, ginv=None):
-        if ginv is None:
-            g = metric_jets[0]
-            dets = np.linalg.det(g)
-            singular = np.abs(dets) <= _det_threshold(g)
-            if singular.any():
-                raise MetricError(f"singular metric (det {dets[np.argmax(singular)]:.3e}) has no inverse")
-            ginv = np.linalg.inv(g)
-        if not full:
-            return (ginv,)
+    def _derive_after_values(self, ginv, metric_jets):
         return ginv, -_contract("pia,pkab,pbj->pkij", ginv, metric_jets[1], ginv)
 
 
@@ -630,9 +626,8 @@ class AdjointStructure(DerivedJets):
         if not full:
             return (star,)
         dg, dginv, dm = metric_jets[1], inverse_jets[1], base_jets[1]
-        # ∂P* = −(∂G⁻¹ Pᵀ G + G⁻¹ ∂Pᵀ G + G⁻¹ Pᵀ ∂G), each term a product of two factors:
-        # O(n⁴) per point, where a three-factor np.einsum loops over all O(n⁵) terms.
-        # ∂P is zero for a constant P, so _contract forms no term of the middle one.
+        # ∂P* = −(∂G⁻¹ Pᵀ G + G⁻¹ ∂Pᵀ G + G⁻¹ Pᵀ ∂G) in two-factor products: O(n⁴) per point, not
+        # a three-factor einsum's O(n⁵).  ∂P vanishes for a constant P; _contract then forms no term.
         mtg = np.einsum("pcb,pcd->pbd", m, g)
         gim = np.einsum("pab,pcb->pac", ginv, m)
         dmtg = _contract("pkcb,pcd->pkbd", dm, g)

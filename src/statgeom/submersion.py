@@ -46,7 +46,7 @@ from .geometry import (
     PointJets,
     _as_points,
     _contract,
-    _det_threshold,
+    _singular,
     check_statistical_structure,
     curvature_residual,
     max_abs,
@@ -141,10 +141,9 @@ def _fiber_blocks(g: np.ndarray, nb: int):
     degenerate.
     """
     gvv = g[..., nb:, nb:]
-    dets = np.atleast_1d(np.linalg.det(gvv))
-    degenerate = np.abs(dets) <= _det_threshold(gvv)
+    degenerate = np.atleast_1d(_singular(np.linalg.eigvalsh(gvv)))
     if degenerate.any():
-        det = float(dets[np.argmax(degenerate)])
+        det = float(np.linalg.det(gvv.reshape((-1,) + gvv.shape[-2:])[np.argmax(degenerate)]))
         raise SubmersionError(f"degenerate fiber metric block (det {det:.3e})")
     return gvv, g[..., nb:, :]
 

@@ -42,7 +42,7 @@ from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures
 from statgeom.expr import Const, ScalarField, eval2_points, parse_expression
 from statgeom.fixtures import curved_product_manifest, fixture_ids, load_fixture
 from statgeom.product import adjoint_structure
-from statgeom.submersion import FiberConnection
+from statgeom.submersion import FiberConnection, _fiber_blocks
 
 
 class TestSampling:
@@ -121,11 +121,23 @@ class TestMetric:
 
     def test_well_conditioned_metric_of_dimension_12_is_not_singular(self):
         """det ≈ 0.066 with cond(G) ≈ 21 at a sample: a cutoff scaled by max |g|ⁿ (here about
-        0.1) refused it; one scaled by Hadamard's bound over the rows does not."""
+        0.1) refused it; one relative to the largest singular value does not."""
         manifest = parse_manifest(curved_product_manifest(6, 1.0, 2.0, [1.0] * 6, seed=3))
         report = run_suite(manifest, points=100)
         assert report.checks
         assert [check.reason for check in report.checks if check.status == "ERROR"] == []
+
+    @pytest.mark.parametrize("n, c", [(8, 20.0), (12, 3.0)])
+    def test_dense_well_conditioned_metric_is_not_singular(self, n, c):
+        """G = I + c·11ᵀ has det = cond(G) = 1 + nc (161 and 37): a cutoff scaled by a product of
+        row norms, which grows up to n^(n/2) times faster than det, refused both."""
+        g = np.eye(n) + c
+        metric = MetricField.constant(g, [f"x{i}" for i in range(n)])
+        chart = ChartSpec(tuple(f"x{i}" for i in range(n)), ((-1.0, 1.0),) * n, seed=3)
+        assert validate_metric_on_chart(metric, chart) == (n, 0)
+        np.testing.assert_array_equal(metric.inverse.values(np.zeros(n))[0], np.linalg.inv(g))
+        gvv, _ = _fiber_blocks(g[None], 1)
+        assert gvv.shape == (1, n - 1, n - 1)
 
     def test_signature(self):
         m = curved_manifold(pairs=2, k=1.0, l=2.0, epsilons=(1.0, -1.0))
