@@ -1,5 +1,7 @@
 """Golden reports: each shipped fixture, run with its default seed and point
-count, must render byte for byte the report stored under ``tests/golden/``.
+count, must render byte for byte the report stored under ``tests/golden/``,
+and ``statgeom describe`` must print the manifest whose sha256 digest is
+stored in ``golden/describe.sha256``.
 
 The stored files were generated before the O'Neill tensors moved to whole
 coordinate arrays, so any refactor of a check path that changes a report byte
@@ -7,6 +9,7 @@ shows up here.  Regenerate a file only for an intended change, and explain the
 drift field by field in CHANGES.md.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ from statgeom.report import render_report
 from statgeom.suite import CHECKS, run_suite
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DESCRIBE_DIGESTS = GOLDEN_DIR / "describe.sha256"
 
 
 def test_every_fixture_has_a_golden_report():
@@ -45,6 +49,23 @@ def test_console_summary_matches_golden(fixture_id):
     assert wall_time.startswith("wall time ")
     expected = (GOLDEN_DIR / "summaries" / f"{fixture_id}.txt").read_bytes()
     assert (body + "\n").encode("utf-8") == expected
+
+
+def stored_describe_digests() -> dict:
+    lines = DESCRIBE_DIGESTS.read_text(encoding="utf-8").splitlines()
+    return {fixture_id: value for value, fixture_id in (line.split("  ", 1) for line in lines)}
+
+
+def test_every_fixture_has_a_describe_digest():
+    assert sorted(stored_describe_digests()) == sorted(fixture_ids())
+
+
+@pytest.mark.parametrize("fixture_id", fixture_ids())
+def test_describe_matches_stored_digest(fixture_id, capsys):
+    """``statgeom describe`` prints the fixture's manifest with the same bytes as ever."""
+    assert cli.main(["describe", fixture_id]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == stored_describe_digests()[fixture_id]
 
 
 # Generated models at 100 points (seed 7): deep derivative trees that share

@@ -403,9 +403,19 @@ class TestFixtureRegistry:
         manifest = load_fixture("example_5_2_n2")
         assert len(manifest.checks) == 4
 
-    def test_unknown_fixture(self):
+    def test_unknown_fixture(self, capsys):
         with pytest.raises(ManifestError, match="unknown fixture"):
-            fixture_text("example_9_9")
+            load_fixture("example_9_9")
+        for command in ("describe", "verify"):
+            assert main([command, "example_9_9"]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: unknown fixture 'example_9_9'")
+
+
+def _without_product(check):
+    data = curved_product_manifest(1, 1.0, 1.0, (1.0,), checks=[check])
+    del data["product"]
+    return data
 
 
 class TestSuite:
@@ -469,6 +479,20 @@ class TestSuite:
         reseeded = run_suite(manifest, seed=99)
         assert default.seed == 31 and reseeded.seed == 99
         assert render_report(default) != render_report(reseeded)
+
+    @pytest.mark.parametrize("data, block", [
+        (model_manifest("poisson", checks=["flatness"]), "metric"),
+        (_without_product("almost_product"), "product"),
+        (_without_product("space_form"), "product"),
+        (_without_product("flatness_theorem"), "product"),
+        (curved_product_manifest(1, 1.0, 1.0, (1.0,), checks=["alpha_family"]), "model"),
+        (curved_product_manifest(1, 1.0, 1.0, (1.0,), checks=["oneill_identities"]), "submersion"),
+    ], ids=lambda value: value if isinstance(value, str) else value["checks"][0])
+    def test_missing_block_errors_name_it(self, data, block):
+        report = run_suite(parse_manifest(data, known_checks=set(CHECKS)))
+        assert [(check.name, check.status, check.reason) for check in report.checks] == [
+            (data["checks"][0], STATUS_ERROR,
+             f"ManifestError: this check needs a '{block}' block in the manifest")]
 
     def test_tolerance_override_applies(self):
         data = flat_product_manifest(1, 2.0, (1.0,), checks=["flatness"])
