@@ -10,14 +10,13 @@ exits with 2 and no message.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import traceback
 
-from .fixtures import fixture_ids, fixture_text, load_fixture
-from .manifest import LIMITS, ManifestError, load_manifest, parse_manifest
+from .fixtures import fixture_ids, load_fixture
+from .manifest import LIMITS, ManifestError, load_manifest
 from .report import canonical_json, emit_report, render_report
 from .suite import CHECKS, run_suite
 
@@ -122,9 +121,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "describe":
-        text = fixture_text(args.fixture)
-        manifest = parse_manifest(json.loads(text), name=args.fixture, known_checks=set(CHECKS))
-        print(canonical_json(manifest.data))
+        print(canonical_json(load_fixture(args.fixture, known_checks=set(CHECKS)).data))
         return 0
 
     manifest = _load(args.manifest)

@@ -1,16 +1,14 @@
 """Built-in fixture registry and manifest builders.
 
 The builders produce manifest dictionaries for the parameterized families the
-verifier ships with; the registry maps fixture ids to JSON files generated
-from those builders (a regression test keeps the two in sync).  Coordinates
+verifier ships with; the registry maps each fixture id to one builder call,
+and :func:`load_fixture` parses what that call returns.  Coordinates
 are interleaved as (x1, y1, x2, y2, ...) so that the trailing pairs form the
 fibers of the coordinate-projection submersions.
 """
 
 from __future__ import annotations
 
-import json
-from importlib import resources
 from typing import Sequence
 
 from .manifest import Manifest, ManifestError, parse_manifest
@@ -192,7 +190,7 @@ def submersion_manifest(
 
 
 def registry_manifests() -> dict[str, dict]:
-    """The shipped fixtures, rebuilt from the builders (ground truth for the JSON files)."""
+    """The shipped fixtures, the paper's Examples 5.2–5.6, each one builder call."""
     entries = {
         "example_5_2_n1": flat_product_manifest(1, 2.0, (1.0,), seed=21),
         "example_5_2_n2": flat_product_manifest(2, -3.0, (1.0, -1.0), seed=22),
@@ -216,17 +214,9 @@ def fixture_ids() -> list[str]:
     return sorted(registry_manifests())
 
 
-def fixture_text(fixture_id: str) -> str:
-    """Raw JSON text of a shipped fixture manifest."""
-    path = resources.files("statgeom").joinpath("manifests", f"{fixture_id}.json")
-    if not path.is_file():
-        raise ManifestError(
-            f"unknown fixture {fixture_id!r}; known: {', '.join(fixture_ids())}"
-        )
-    return path.read_text(encoding="utf-8")
-
-
 def load_fixture(fixture_id: str, known_checks=None) -> Manifest:
-    """Parse a shipped fixture into a validated manifest."""
-    data = json.loads(fixture_text(fixture_id))
-    return parse_manifest(data, name=fixture_id, known_checks=known_checks)
+    """Parse a shipped fixture, as its builder makes it, into a validated manifest."""
+    manifests = registry_manifests()
+    if fixture_id not in manifests:
+        raise ManifestError(f"unknown fixture {fixture_id!r}; known: {', '.join(sorted(manifests))}")
+    return parse_manifest(manifests[fixture_id], name=fixture_id, known_checks=known_checks)

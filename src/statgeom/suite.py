@@ -6,15 +6,17 @@ of per-point arrays (the last worst point wins ties), so a fixed seed yields
 byte-identical reports.  A check that raises is recorded as ERROR and the run
 continues.
 
-A check reads its subject from the context (the manifold, its submersion or
-its model) and hands it to the library function that certifies it.  Every
-library function returns :class:`geometry.CheckResult` (a theorem returns
-one per item), and it is the report row: :func:`_outcome` names it and
-records its point count, and :mod:`report` alone makes JSON values of it.
-Most checks report one result; they are rows of one table.  The others
-report a family of results or read extra inputs.  Every derived
-field lives on its manifold (an α-connection on its model's α spec), so the
-checks of one run share it.
+One table names every check with its default tolerance and how it runs.
+A check reads its subject from the context (the manifold, its model or its
+submersion, by the manifest block it needs) and hands it to the library
+function that certifies it.  Every library function returns
+:class:`geometry.CheckResult` (a theorem returns one per item), and it is the
+report row: :func:`_outcome` names it and records its point count, and
+:mod:`report` alone makes JSON values of it.  Most checks report one result,
+and their row is a (block, module, function name) triple.  The others report
+a family of results or read extra inputs, and their row is an adapter.
+Every derived field lives on its manifold (an α-connection on its model's α
+spec), so the checks of one run share it.
 
 Per manifest, :func:`manifest.parse_manifest` keeps the parsed blocks: charts,
 component grids, a model with its potential and Fisher grid.  Per call,
@@ -56,65 +58,26 @@ def _summary(cert) -> geo.CheckResult:
 # Subjects
 # --------------------------------------------------------------------------
 
-def _manifold(ctx):
-    if ctx.manifold is None:
-        raise ManifestError("this check needs a 'metric' block in the manifest")
-    return ctx.manifold
+def _subject(ctx, block):
+    """What a check of the ``block`` block reads: the manifold, its model or its submersion.
+
+    A 'metric' or 'product' check reads the manifold, which for 'product' must carry P.
+    """
+    subject = {"model": ctx.model, "submersion": ctx.submersion}.get(block, ctx.manifold)
+    if subject is None or (block == "product" and subject.product is None):
+        raise ManifestError(f"this check needs a '{block}' block in the manifest")
+    return subject
 
 
-def _require_product(ctx):
-    if ctx.manifold is None or ctx.manifold.product is None:
-        raise ManifestError("this check needs a 'product' block in the manifest")
-    return ctx.manifold
+def _result_check(name, block, module, function, ctx, pts, tol):
+    """A check with one result: ``module.function(subject, pts, tol)``, looked up as it runs.
 
-
-def _product_structure(ctx):
-    return _require_product(ctx).product
-
-
-def _require_model(ctx):
-    if ctx.model is None:
-        raise ManifestError("this check needs a 'model' block in the manifest")
-    return ctx.model
-
-
-def _require_submersion(ctx):
-    if ctx.submersion is None:
-        raise ManifestError("this check needs a 'submersion' block in the manifest")
-    return ctx.submersion
-
-
-# --------------------------------------------------------------------------
-# Checks with one result
-# --------------------------------------------------------------------------
-
-# check -> (its subject in the context, the module and name of the function of
-# (subject, points, tol) whose CheckResult it reports).  The function is looked
-# up when the check runs, so a wrapper installed in the module is called too.
-_RESULT_CHECKS = {
-    "statistical_structure": (_manifold, geo, "check_statistical_structure"),
-    "conjugate_involution": (_manifold, geo, "check_conjugate_involution"),
-    "levi_civita_average": (_manifold, geo, "check_levi_civita_average"),
-    "dual_curvature_identity": (_manifold, geo, "check_dual_curvature_identity"),
-    "flatness": (_manifold, geo, "curvature_residual"),
-    "kurose_constant_curvature": (_manifold, geo, "fit_kurose_constant"),
-    "almost_product": (_product_structure, prod, "check_almost_product"),
-    "pairing_identities": (_require_product, prod, "check_pairing_identities"),
-    "product_parallelism": (_require_product, prod, "check_product_parallelism"),
-    "para_kahler_like": (_require_product, prod, "check_para_kahler_like"),
-    "conjugate_parallelism": (_require_product, prod, "conjugate_parallelism_check"),
-    "flatness_theorem": (_require_product, prod, "verify_flatness_theorem"),
-    "semi_riemannian_submersion": (_require_submersion, sub, "check_semi_riemannian_submersion"),
-    "statistical_submersion": (_require_submersion, sub, "check_statistical_submersion"),
-    "para_holomorphic": (_require_submersion, sub, "check_para_holomorphic"),
-    "isometric_fibers": (_require_submersion, sub, "isometric_fibers_residual"),
-    "oneill_identities": (_require_submersion, sub, "check_fundamental_tensor_identities"),
-}
-
-
-def _result_check(name, subject, module, function, ctx, pts, tol):
-    result = getattr(module, function)(subject(ctx), pts, tol)
-    return [_outcome(name, result, len(pts))]
+    So a wrapper installed in the module is called too.  almost_product certifies P itself.
+    """
+    subject = _subject(ctx, block)
+    if name == "almost_product":
+        subject = subject.product
+    return [_outcome(name, getattr(module, function)(subject, pts, tol), len(pts))]
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +85,7 @@ def _result_check(name, subject, module, function, ctx, pts, tol):
 # --------------------------------------------------------------------------
 
 def _check_space_form(ctx, pts, tol):
-    m = _require_product(ctx)
+    m = _subject(ctx, "product")
     constant = ctx.space_form_c
     if constant is None:
         constant = prod.fit_space_form_constant(m, pts)
@@ -131,7 +94,7 @@ def _check_space_form(ctx, pts, tol):
 
 
 def _check_alpha_family(ctx, pts, tol):
-    model = _require_model(ctx)
+    model = _subject(ctx, "model")
     outcomes = []
     for alpha in ctx.alphas:
         m = model.alpha_manifold(alpha)
@@ -151,7 +114,7 @@ def _check_alpha_family(ctx, pts, tol):
 
 
 def _check_exp_para_certifications(ctx, pts, tol):
-    model = _require_model(ctx)
+    model = _subject(ctx, "model")
     if ctx.involution is None:
         raise ManifestError("exp_para_certifications needs an 'involution' matrix in the model block")
     structure_one, structure_minus = exp_para_structures(model, ctx.involution)
@@ -167,7 +130,8 @@ def _check_exp_para_certifications(ctx, pts, tol):
 
 
 def _check_fiber_para_kahler_like(ctx, pts, tol):
-    spec = _require_submersion(ctx)
+    spec = _subject(ctx, "submersion")
+    _subject(ctx, "product")  # the fiber's P is the total space's, restricted
     fiber_points = geo.sample_points(spec.fiber.chart, len(pts))
     fiber = sub.induced_fiber_manifold(spec, fiber_points, tol=tol)
     cert = prod.check_para_kahler_like(fiber, fiber_points, tol)
@@ -175,47 +139,44 @@ def _check_fiber_para_kahler_like(ctx, pts, tol):
 
 
 def _check_submersion_theorems(ctx, pts, tol):
-    items = sub.verify_submersion_theorems(_require_submersion(ctx), pts, tol)
+    items = sub.verify_submersion_theorems(_subject(ctx, "submersion"), pts, tol)
     return [_outcome(f"submersion_theorems.{name}", item, len(pts)) for name, item in items.items()]
 
 
 # --------------------------------------------------------------------------
-# Registry and runner
+# The check table and the runner
 # --------------------------------------------------------------------------
 
-CHECKS = {
-    **{name: functools.partial(_result_check, name, *row) for name, row in _RESULT_CHECKS.items()},
-    "space_form": _check_space_form,
-    "alpha_family": _check_alpha_family,
-    "exp_para_certifications": _check_exp_para_certifications,
-    "fiber_para_kahler_like": _check_fiber_para_kahler_like,
-    "submersion_theorems": _check_submersion_theorems,
+# check -> (default tolerance, how it runs): a (block, module, function name) row
+# for a check with one result, or an adapter of (ctx, points, tol).
+_TABLE = {
+    "statistical_structure": (1e-8, ("metric", geo, "check_statistical_structure")),
+    "conjugate_involution": (1e-10, ("metric", geo, "check_conjugate_involution")),
+    "levi_civita_average": (1e-9, ("metric", geo, "check_levi_civita_average")),
+    "dual_curvature_identity": (1e-8, ("metric", geo, "check_dual_curvature_identity")),
+    "flatness": (1e-9, ("metric", geo, "curvature_residual")),
+    "kurose_constant_curvature": (1e-8, ("metric", geo, "fit_kurose_constant")),
+    "almost_product": (1e-10, ("product", prod, "check_almost_product")),
+    "pairing_identities": (1e-10, ("product", prod, "check_pairing_identities")),
+    "product_parallelism": (1e-9, ("product", prod, "check_product_parallelism")),
+    "para_kahler_like": (1e-8, ("product", prod, "check_para_kahler_like")),
+    "conjugate_parallelism": (1e-8, ("product", prod, "conjugate_parallelism_check")),
+    "space_form": (1e-8, _check_space_form),
+    "flatness_theorem": (1e-9, ("product", prod, "verify_flatness_theorem")),
+    "alpha_family": (1e-9, _check_alpha_family),
+    "exp_para_certifications": (1e-8, _check_exp_para_certifications),
+    "semi_riemannian_submersion": (1e-8, ("submersion", sub, "check_semi_riemannian_submersion")),
+    "statistical_submersion": (1e-8, ("submersion", sub, "check_statistical_submersion")),
+    "para_holomorphic": (1e-8, ("submersion", sub, "check_para_holomorphic")),
+    "isometric_fibers": (1e-9, ("submersion", sub, "isometric_fibers_residual")),
+    "oneill_identities": (1e-8, ("submersion", sub, "check_fundamental_tensor_identities")),
+    "fiber_para_kahler_like": (1e-8, _check_fiber_para_kahler_like),
+    "submersion_theorems": (1e-8, _check_submersion_theorems),
 }
 
-DEFAULT_TOLERANCES = {
-    "statistical_structure": 1e-8,
-    "conjugate_involution": 1e-10,
-    "levi_civita_average": 1e-9,
-    "dual_curvature_identity": 1e-8,
-    "flatness": 1e-9,
-    "kurose_constant_curvature": 1e-8,
-    "almost_product": 1e-10,
-    "pairing_identities": 1e-10,
-    "product_parallelism": 1e-9,
-    "para_kahler_like": 1e-8,
-    "conjugate_parallelism": 1e-8,
-    "space_form": 1e-8,
-    "flatness_theorem": 1e-9,
-    "alpha_family": 1e-9,
-    "exp_para_certifications": 1e-8,
-    "semi_riemannian_submersion": 1e-8,
-    "statistical_submersion": 1e-8,
-    "para_holomorphic": 1e-8,
-    "isometric_fibers": 1e-9,
-    "oneill_identities": 1e-8,
-    "fiber_para_kahler_like": 1e-8,
-    "submersion_theorems": 1e-8,
-}
+CHECKS = {name: run if callable(run) else functools.partial(_result_check, name, *run)
+          for name, (_, run) in _TABLE.items()}
+DEFAULT_TOLERANCES = {name: default for name, (default, _) in _TABLE.items()}
 
 
 def _error_outcome(name: str, err: Exception) -> geo.CheckResult:
@@ -246,10 +207,11 @@ def run_suite(manifest: Manifest, seed=None, points=None, tol=None) -> Verificat
     else:
         outcomes = []
         for name in manifest.checks:
-            check_tol = tol if tol is not None else manifest.tolerances.get(
-                name, DEFAULT_TOLERANCES.get(name, geo.DEFAULT_TOLERANCE)
-            )
             try:
+                if name not in CHECKS:  # a manifest parsed without known_checks
+                    raise ManifestError(f"unknown check {name!r}")
+                check_tol = tol if tol is not None else manifest.tolerances.get(
+                    name, DEFAULT_TOLERANCES[name])
                 outcomes.extend(CHECKS[name](ctx, pts, float(check_tol)))
             except Exception as err:  # noqa: BLE001
                 outcomes.append(_error_outcome(name, err))

@@ -19,11 +19,9 @@ from statgeom.cli import main
 from statgeom.fixtures import (
     curved_product_manifest,
     fixture_ids,
-    fixture_text,
     flat_product_manifest,
     load_fixture,
     model_manifest,
-    registry_manifests,
     submersion_manifest,
 )
 from statgeom.geometry import (
@@ -390,10 +388,6 @@ class TestFixtureRegistry:
                          "example_5_5_dirichlet", "example_5_6_k1_l1", "example_5_6_k1_l2"):
             assert required in ids
 
-    def test_shipped_files_match_builders(self):
-        for fixture_id, expected in registry_manifests().items():
-            assert json.loads(fixture_text(fixture_id)) == expected
-
     def test_every_fixture_loads_and_validates(self):
         for fixture_id in fixture_ids():
             manifest = load_fixture(fixture_id, known_checks=set(CHECKS))
@@ -412,8 +406,11 @@ class TestFixtureRegistry:
             assert len(err) == 1 and err[0].startswith("error: unknown fixture 'example_9_9'")
 
 
-def _without_product(check):
-    data = curved_product_manifest(1, 1.0, 1.0, (1.0,), checks=[check])
+def _without_product(check, submersion=False):
+    if submersion:
+        data = submersion_manifest(2, 1, 1.0, 1.0, (1.0, 1.0), checks=[check])
+    else:
+        data = curved_product_manifest(1, 1.0, 1.0, (1.0,), checks=[check])
     del data["product"]
     return data
 
@@ -487,12 +484,20 @@ class TestSuite:
         (_without_product("flatness_theorem"), "product"),
         (curved_product_manifest(1, 1.0, 1.0, (1.0,), checks=["alpha_family"]), "model"),
         (curved_product_manifest(1, 1.0, 1.0, (1.0,), checks=["oneill_identities"]), "submersion"),
+        (_without_product("fiber_para_kahler_like", submersion=True), "product"),
     ], ids=lambda value: value if isinstance(value, str) else value["checks"][0])
     def test_missing_block_errors_name_it(self, data, block):
         report = run_suite(parse_manifest(data, known_checks=set(CHECKS)))
         assert [(check.name, check.status, check.reason) for check in report.checks] == [
             (data["checks"][0], STATUS_ERROR,
              f"ManifestError: this check needs a '{block}' block in the manifest")]
+
+    def test_unknown_check_errors_its_row_when_parsed_without_known_checks(self):
+        data = flat_product_manifest(1, 2.0, (1.0,), checks=["flatness", "no_such"])
+        report = run_suite(parse_manifest(data))
+        assert [(check.name, check.status, check.reason) for check in report.checks] == [
+            ("flatness", "PASS", None),
+            ("no_such", STATUS_ERROR, "ManifestError: unknown check 'no_such'")]
 
     def test_tolerance_override_applies(self):
         data = flat_product_manifest(1, 2.0, (1.0,), checks=["flatness"])
