@@ -65,7 +65,9 @@ _BLOCK_ENTRIES = 1 << 15
 _SPARSE_SHARE = 1 / 8
 # Contraction plans kept, one per subscripts, operand layout and nonzero pattern.  A plan
 # holds an index array per operand and one for the output, each of at most
-# _SPARSE_SHARE of the terms: 32,768 entries for the n^6 terms of ∂(G⁻¹) at n = 8.
+# _SPARSE_SHARE of the terms: 32,768 entries for the n^6 terms of ∂(G⁻¹) at n = 8.  One pass
+# of the benchmark's curvature workload (dimensions 2-8, 100 points) makes 45 plans, and a
+# second pass no new one.
 _PLAN_CACHE_SIZE = 64
 
 
@@ -275,6 +277,15 @@ def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     ``np.einsum`` gets the operands unchanged when one holds a non-finite
     entry (0 · inf is NaN), when its inner loop runs along a summed label,
     or when more than ``_SPARSE_SHARE`` of the terms are kept.
+
+    Its callers are the point-axis products of the derived fields and the
+    curvature (∂(G⁻¹), ∂P*, ∂Γ, ∂Γ*, the ΓΓ term of R, the lowered R) and
+    of the O'Neill tensors, most of them O(n⁵) terms per point.  The O(n⁴)
+    products of the checks and of the values (Codazzi, Γ*, Γ⁰, ∇P, ...) stay
+    on ``np.einsum``: there the fixed cost of a call here (the finiteness
+    scan, the nonzero masks, the plan lookup) exceeds the dense product at
+    small n, and routing them slowed the exponential-family models
+    (ROADMAP, "Negative results").
     """
     if not all(np.isfinite(op).all() for op in operands):
         return np.einsum(subscripts, *operands)
@@ -567,15 +578,16 @@ class LeviCivitaConnection(DerivedJets):
         dginv = inverse_jets[1]
         da = (np.einsum("plimj->plmij", d2g) + np.einsum("pljmi->plmij", d2g)
               - np.einsum("plmij->plmij", d2g))
-        dgamma = 0.5 * (np.einsum("plkm,pmij->plkij", dginv, a)
-                        + np.einsum("pkm,plmij->plkij", ginv, da))
+        dgamma = 0.5 * (_contract("plkm,pmij->plkij", dginv, a)
+                        + _contract("pkm,plmij->plkij", ginv, da))
         return gamma, dgamma
 
 
 class ConjugateConnection(DerivedJets):
     """Conjugate of a base connection: g(∂_k, ∇*_{∂_i} ∂_j) = ∂_i g_kj − Γ^m_ik g_mj.
 
-    Jets are (Γ*, ∂Γ*).
+    Jets are (Γ*, ∂Γ*).  Jets asked for after the values of the same batch
+    read the stored Γ* and form again only the right-hand side, which ∂Γ* needs.
     """
 
     def __init__(self, metric: MetricField, base):
@@ -584,20 +596,30 @@ class ConjugateConnection(DerivedJets):
         self._bases = (metric, metric.inverse, base)
         self._value_needs = (True, False, False)
 
+    @staticmethod
+    def _rhs(metric_jets, base_jets):
+        """rhs[k,i,j] = ∂_i g_kj − Γ^m_ik g_mj, which is g(∂_k, ∇*_{∂_i} ∂_j)."""
+        g, dg = metric_jets[0], metric_jets[1]
+        return np.einsum("pikj->pkij", dg) - np.einsum("pmik,pmj->pkij", base_jets[0], g)
+
     def _derive(self, full, metric_jets, inverse_jets, base_jets):
+        rhs = self._rhs(metric_jets, base_jets)
+        star = np.einsum("ptk,pkij->ptij", inverse_jets[0], rhs)
+        return self._with_derivative(star, rhs, metric_jets, inverse_jets, base_jets) if full else (star,)
+
+    def _derive_after_values(self, star, metric_jets, inverse_jets, base_jets):
+        return self._with_derivative(star, self._rhs(metric_jets, base_jets), metric_jets, inverse_jets,
+                                     base_jets)
+
+    @staticmethod
+    def _with_derivative(star, rhs, metric_jets, inverse_jets, base_jets):
         g, dg, d2g = metric_jets
-        gamma, ginv = base_jets[0], inverse_jets[0]
-        rhs = np.einsum("pikj->pkij", dg) - np.einsum("pmik,pmj->pkij", gamma, g)
-        star = np.einsum("ptk,pkij->ptij", ginv, rhs)
-        if not full:
-            return (star,)
-        dgamma = base_jets[1]
-        dginv = inverse_jets[1]
+        ginv, dginv, gamma, dgamma = inverse_jets[0], inverse_jets[1], base_jets[0], base_jets[1]
         drhs = (np.einsum("plikj->plkij", d2g)
-                - np.einsum("plmik,pmj->plkij", dgamma, g)
-                - np.einsum("pmik,plmj->plkij", gamma, dg))
-        dstar = (np.einsum("pltk,pkij->pltij", dginv, rhs)
-                 + np.einsum("ptk,plkij->pltij", ginv, drhs))
+                - _contract("plmik,pmj->plkij", dgamma, g)
+                - _contract("pmik,plmj->plkij", gamma, dg))
+        dstar = (_contract("pltk,pkij->pltij", dginv, rhs)
+                 + _contract("ptk,plkij->pltij", ginv, drhs))
         return star, dstar
 
 
@@ -749,8 +771,14 @@ def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """R[l,i,j,k] = ∂_i Γ^l_jk − ∂_j Γ^l_ik + Γ^m_jk Γ^l_im − Γ^m_ik Γ^l_jm.
 
     Leading axes (such as a point axis) carry through.  Antisymmetry in (i, j) is exact.
+    With one leading (point) axis the quadratic term skips its products with
+    an exact-zero factor (:func:`_contract`), bit for bit the same.
     """
-    b = np.einsum("...iljk->...lijk", dgamma) + np.einsum("...mjk,...lim->...lijk", gamma, gamma)
+    if gamma.ndim == 4:
+        quadratic = _contract("pmjk,plim->plijk", gamma, gamma)
+    else:
+        quadratic = np.einsum("...mjk,...lim->...lijk", gamma, gamma)
+    b = np.einsum("...iljk->...lijk", dgamma) + quadratic
     return b - np.einsum("...lijk->...ljik", b)
 
 
@@ -838,8 +866,8 @@ def check_dual_curvature_identity(spec: ManifoldSpec, pts, tol: float = DEFAULT_
     points = _as_points(pts)
 
     def reduce(gm, primal, dual):
-        r_cov = np.einsum("plm,pmijk->pijkl", gm, curvature_tensor(*primal))
-        rs_cov = np.einsum("plm,pmijk->pijkl", gm, curvature_tensor(*dual))
+        r_cov = _contract("plm,pmijk->pijkl", gm, curvature_tensor(*primal))
+        rs_cov = _contract("plm,pmijk->pijkl", gm, curvature_tensor(*dual))
         return max_abs(r_cov + np.einsum("pijlk->pijkl", rs_cov)), scale_of(r_cov, rs_cov)
 
     batches = (spec.metric.values(points), spec.resolved_connection.jets(points),

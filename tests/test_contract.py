@@ -7,6 +7,10 @@ the chart dimension n, the base dimension nb or the fiber dimension n − nb,
 at random, and an operand narrower than n on an axis is a slice of a wider
 array from either end (such as ``h[:, :, :nb]`` or ``a_star[..., nb:]``).
 Entries are zeroed at random, half of the zeros as −0.0.
+
+The batched ``curvature_tensor`` (through ``_contract``) is compared row by
+row with its one-point form (through ``np.einsum``), and one pass of the
+curvature checks is shown to fit in the plan cache.
 """
 
 import ast
@@ -15,8 +19,12 @@ import pathlib
 import numpy as np
 import pytest
 
+from conftest import CURVATURE_CHECKS, curved_manifold
 from statgeom import geometry
-from statgeom.geometry import _contract
+from statgeom.fixtures import curved_product_manifest
+from statgeom.geometry import _contract, curvature_tensor, sample_points
+from statgeom.manifest import parse_manifest
+from statgeom.suite import CHECKS, run_suite
 
 PACKAGE = pathlib.Path(geometry.__file__).parent
 DENSITIES = (1.0, 0.5, 0.25, 0.1)
@@ -194,3 +202,41 @@ def test_plans_hold_index_arrays_only():
         for index in gathers + (targets,):
             assert index.dtype.kind == "i" and not index.flags.writeable
         assert all(isinstance(size, int) for size in shape)
+
+
+def _assert_rows_match_one_point_calls(gamma, dgamma):
+    batched = curvature_tensor(gamma, dgamma)
+    for row, (g, dg) in enumerate(zip(gamma, dgamma)):
+        np.testing.assert_array_equal(_bits(batched[row]), _bits(curvature_tensor(g, dg)),
+                                      err_msg=f"point {row}")
+
+
+def test_batched_curvature_matches_one_point_calls_on_random_connections():
+    """The point-axis ΓΓ term goes through _contract, the one-point form through np.einsum."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        for count in (1, 7, 25):
+            for density in DENSITIES:
+                _assert_rows_match_one_point_calls(_draw(rng, (count,) + (n,) * 3, density),
+                                                   _draw(rng, (count,) + (n,) * 4, density))
+
+
+@pytest.mark.parametrize("pairs", [1, 4])
+def test_batched_curvature_matches_one_point_calls_on_curved_products(pairs):
+    spec = curved_manifold(pairs=pairs, k=1.0, l=2.0, epsilons=[1.0] * pairs)
+    for connection in (spec.connection, spec.conjugate):
+        _assert_rows_match_one_point_calls(*connection.jets(sample_points(spec.chart, 25)))
+
+
+def test_second_curvature_pass_makes_no_new_plan():
+    """The plans of one pass of the curvature workload's four manifests all stay cached."""
+    manifests = [parse_manifest(curved_product_manifest(pairs, 1.0, 2.0, [1.0] * pairs, seed=pairs,
+                                                        checks=CURVATURE_CHECKS),
+                                known_checks=set(CHECKS))
+                 for pairs in (1, 2, 3, 4)]
+    for manifest in manifests:
+        run_suite(manifest, points=100)
+    misses = geometry._contraction_plan.cache_info().misses
+    for manifest in manifests:
+        run_suite(manifest, points=100)
+    assert geometry._contraction_plan.cache_info().misses == misses

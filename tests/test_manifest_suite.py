@@ -587,6 +587,32 @@ class TestDerivedFieldOwnership:
         assert counts["inv"] == blocks
         assert 0 < counts["dginv"] <= blocks
 
+    def test_one_conjugate_per_block_for_every_conjugate_field(self, monkeypatch):
+        """∇* and ∇** of a dimension-8 run form Γ* once per block: one ``_derive`` call per
+        block for the values, and the jets that follow read the stored Γ*."""
+        manifest = parse_manifest(curved_product_manifest(4, 1.0, 2.0, [1.0] * 4, seed=3,
+                                                          checks=CURVATURE_CHECKS),
+                                  known_checks=set(CHECKS))
+        derives, formed = {}, {"star": 0}
+        derive, einsum = geometry.ConjugateConnection._derive, np.einsum
+
+        def count_derive(self, full, *batches):
+            derives.setdefault(id(self), []).append(full)
+            return derive(self, full, *batches)
+
+        def count_einsum(subscripts, *operands, **kwargs):
+            formed["star"] += subscripts == "ptk,pkij->ptij"
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(geometry.ConjugateConnection, "_derive", count_derive)
+        monkeypatch.setattr(np, "einsum", count_einsum)
+        report = run_suite(manifest, points=100)
+        assert all(check.status != STATUS_ERROR for check in report.checks)
+        blocks = -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
+        assert len(derives) == 2
+        assert all(calls == [False] * blocks for calls in derives.values())
+        assert formed["star"] == 2 * blocks
+
     def test_exponential_connection_reads_no_inverse(self, monkeypatch):
         """The shipped 5.5 models at 25 points and three generated ones at 100 make 3 ∂(G⁻¹)
         contractions, one per mixture-side P* whose jets a certification reads; the α = 1
