@@ -603,22 +603,16 @@ class ConjugateConnection(DerivedJets):
         return np.einsum("pikj->pkij", dg) - np.einsum("pmik,pmj->pkij", base_jets[0], g)
 
     def _derive(self, full, metric_jets, inverse_jets, base_jets):
-        rhs = self._rhs(metric_jets, base_jets)
-        star = np.einsum("ptk,pkij->ptij", inverse_jets[0], rhs)
-        return self._with_derivative(star, rhs, metric_jets, inverse_jets, base_jets) if full else (star,)
+        star = np.einsum("ptk,pkij->ptij", inverse_jets[0], self._rhs(metric_jets, base_jets))
+        return self._derive_after_values(star, metric_jets, inverse_jets, base_jets) if full else (star,)
 
     def _derive_after_values(self, star, metric_jets, inverse_jets, base_jets):
-        return self._with_derivative(star, self._rhs(metric_jets, base_jets), metric_jets, inverse_jets,
-                                     base_jets)
-
-    @staticmethod
-    def _with_derivative(star, rhs, metric_jets, inverse_jets, base_jets):
         g, dg, d2g = metric_jets
         ginv, dginv, gamma, dgamma = inverse_jets[0], inverse_jets[1], base_jets[0], base_jets[1]
         drhs = (np.einsum("plikj->plkij", d2g)
                 - _contract("plmik,pmj->plkij", dgamma, g)
                 - _contract("pmik,plmj->plkij", gamma, dg))
-        dstar = (_contract("pltk,pkij->pltij", dginv, rhs)
+        dstar = (_contract("pltk,pkij->pltij", dginv, self._rhs(metric_jets, base_jets))
                  + _contract("ptk,plkij->pltij", ginv, drhs))
         return star, dstar
 
