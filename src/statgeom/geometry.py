@@ -63,10 +63,10 @@ _INTERIOR_MARGIN = 0.01
 _BLOCK_ENTRIES = 1 << 15
 # _contract hands a contraction to np.einsum when more than this share of its terms is kept.
 _SPARSE_SHARE = 1 / 8
-# Contraction plans kept, one per subscripts, operand layout and nonzero pattern.  A plan
-# holds an index array per operand and one for the output, each of at most
+# Contraction plans kept, one per subscripts, per-point operand shapes and nonzero pattern.
+# A plan holds an index array per operand and one for the output, each of at most
 # _SPARSE_SHARE of the terms: 32,768 entries for the n^6 terms of ∂(G⁻¹) at n = 8.  One pass
-# of the benchmark's curvature workload (dimensions 2-8, 100 points) makes 45 plans, and a
+# of the benchmark's curvature workload (dimensions 2-8, 100 points) makes 36 plans, and a
 # second pass no new one.
 _PLAN_CACHE_SIZE = 64
 
@@ -272,11 +272,13 @@ def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     repeats within one of them.  A term with an exact-zero factor is ±0.0,
     and a sum that starts at +0.0 stays the same when ±0.0 is added to it,
     so dropping those terms changes no bit.  The kept terms are formed left
-    to right and added into each output in turn from 0.0, in the order of
-    ``np.einsum``'s loop over the summed labels (:func:`_summation_order`).
-    ``np.einsum`` gets the operands unchanged when one holds a non-finite
-    entry (0 · inf is NaN), when its inner loop runs along a summed label,
-    or when more than ``_SPARSE_SHARE`` of the terms are kept.
+    to right, as ``np.einsum`` rounds each product, and added into each
+    output from 0.0 in a fixed order.  No output adds more than two kept
+    terms, and a sum of two rounds the same in either order, so the order of
+    ``np.einsum``'s own loop does not matter.  ``np.einsum`` gets the operands
+    unchanged when one holds a non-finite entry (0 · inf is NaN), when an
+    output would add three or more kept terms, or when more than
+    ``_SPARSE_SHARE`` of the terms are kept.
 
     Its callers are the point-axis products of the derived fields and the
     curvature (∂(G⁻¹), ∂P*, ∂Γ, ∂Γ*, the ΓΓ term of R, the lowered R) and
@@ -289,8 +291,7 @@ def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     """
     if not all(np.isfinite(op).all() for op in operands):
         return np.einsum(subscripts, *operands)
-    plan = _contraction_plan(subscripts, tuple(op.shape for op in operands),
-                             tuple(op.strides for op in operands),
+    plan = _contraction_plan(subscripts, tuple(op.shape[1:] for op in operands),
                              tuple((op != 0.0).any(axis=0).tobytes() for op in operands))
     if plan is None:
         return np.einsum(subscripts, *operands)
@@ -307,65 +308,31 @@ def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _contraction_plan(subscripts: str, shapes: tuple, strides: tuple, masks: tuple):
+def _contraction_plan(subscripts: str, shapes: tuple, masks: tuple):
     """The kept terms of a contraction, or None when ``_contract`` hands it to ``np.einsum``.
 
-    ``masks`` holds each operand's nonzero pattern over all points, without
-    the point axis.  The plan is the flat index of every kept term's factor
-    in each operand and of its output, in summation order, and the output
-    shape without the point axis; it holds no operand value.
+    ``shapes`` and ``masks`` hold each operand's shape and nonzero pattern
+    over all points, both without the point axis.  The plan is the flat
+    index of every kept term's factor in each operand and of its output,
+    ordered by the output labels and then the summed labels sorted, and the
+    output shape without the point axis; it holds no operand value.
     """
     inputs, output = subscripts.split("->")
     inputs = inputs.split(",")
-    summed = _summation_order(inputs, output, shapes, strides)
-    if summed is None:
-        return None
-    space = output[1:] + "".join(summed)
-    patterns = [np.frombuffer(mask, dtype=bool).reshape(shape[1:]) for mask, shape in zip(masks, shapes)]
+    space = output[1:] + "".join(sorted(set("".join(inputs)) - set(output)))
+    patterns = [np.frombuffer(mask, dtype=bool).reshape(shape) for mask, shape in zip(masks, shapes)]
     live = np.einsum(",".join(labels[1:] for labels in inputs) + "->" + space, *patterns)
     coords = dict(zip(space, np.nonzero(live)))
-    if len(coords[space[0]]) > _SPARSE_SHARE * live.size:
-        return None
-    gathers = tuple(np.ravel_multi_index([coords[label] for label in labels[1:]], shape[1:])
-                    for labels, shape in zip(inputs, shapes))
     shape = live.shape[:len(output) - 1]
     targets = np.ravel_multi_index([coords[label] for label in output[1:]], shape)
+    # Two terms add to the same bits in either order; three need np.einsum's own order.
+    if len(targets) > _SPARSE_SHARE * live.size or np.bincount(targets, minlength=1).max() > 2:
+        return None
+    gathers = tuple(np.ravel_multi_index([coords[label] for label in labels[1:]], op_shape)
+                    for labels, op_shape in zip(inputs, shapes))
     for index in gathers + (targets,):
         index.flags.writeable = False
     return gathers, targets, shape
-
-
-def _summation_order(inputs: list[str], output: str, shapes: tuple, strides: tuple) -> list[str] | None:
-    """The summed labels in the order of ``np.einsum``'s loop, outermost first.
-
-    ``np.einsum`` loops over the output labels, then the summed ones in
-    alphabetical order, and numpy's iterator reorders that loop by a stable
-    insertion sort, innermost axis first: an axis moves inward past another
-    when every operand that strides along both strides along it by less.
-    Axes of length 1 count as not strided, and the output is not yet
-    allocated, so only the inputs take part.  None when the innermost axis
-    longer than 1 is summed: numpy then adds each pass of its inner loop
-    into a partial sum of its own before the output, an order that one
-    running sum per output does not follow.
-    """
-    lengths, steps = {}, []
-    for labels, shape, step in zip(inputs, shapes, strides):
-        lengths.update(zip(labels, shape))
-        steps.append({label: abs(s) for label, n, s in zip(labels, shape, step) if n > 1})
-    order = list(reversed(output + "".join(sorted(set(lengths) - set(output)))))
-    for i in range(1, len(order)):
-        moving, place = order[i], i
-        for j in range(i - 1, -1, -1):
-            pairs = [(step[moving], step[order[j]]) for step in steps if moving in step and order[j] in step]
-            if pairs:
-                if not all(inner > outer for outer, inner in pairs):
-                    break
-                place = j
-        order.insert(place, order.pop(i))
-    innermost = next((label for label in order if lengths[label] > 1), output[0])  # one term if none
-    if innermost not in output:
-        return None
-    return [label for label in reversed(order) if label not in output]
 
 
 # --------------------------------------------------------------------------
@@ -764,16 +731,14 @@ def check_levi_civita_average(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLE
 def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """R[l,i,j,k] = ∂_i Γ^l_jk − ∂_j Γ^l_ik + Γ^m_jk Γ^l_im − Γ^m_ik Γ^l_jm.
 
-    Leading axes (such as a point axis) carry through.  Antisymmetry in (i, j) is exact.
-    With one leading (point) axis the quadratic term skips its products with
-    an exact-zero factor (:func:`_contract`), bit for bit the same.
+    Takes the jets of a batch, with a leading point axis, or of one point,
+    without it.  Antisymmetry in (i, j) is exact.  The quadratic term skips
+    its products with an exact-zero factor (:func:`_contract`).
     """
-    if gamma.ndim == 4:
-        quadratic = _contract("pmjk,plim->plijk", gamma, gamma)
-    else:
-        quadratic = np.einsum("...mjk,...lim->...lijk", gamma, gamma)
-    b = np.einsum("...iljk->...lijk", dgamma) + quadratic
-    return b - np.einsum("...lijk->...ljik", b)
+    if gamma.ndim == 3:
+        return curvature_tensor(gamma[None], dgamma[None])[0]
+    b = np.einsum("piljk->plijk", dgamma) + _contract("pmjk,plim->plijk", gamma, gamma)
+    return b - np.einsum("plijk->pljik", b)
 
 
 def curvature_residual(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:

@@ -6,14 +6,18 @@ operands in layouts that include those the call sites pass: each label spans
 the chart dimension n, the base dimension nb or the fiber dimension n − nb,
 at random, and an operand narrower than n on an axis is a slice of a wider
 array from either end (such as ``h[:, :, :nb]`` or ``a_star[..., nb:]``).
-Entries are zeroed at random, half of the zeros as −0.0.
+Entries are zeroed at random, half of the zeros as −0.0.  Each case also
+checks, from the operands' zero patterns, whether ``_contract`` keeps the
+terms: when no more than ``_SPARSE_SHARE`` of them have no zero factor and no
+output adds more than two of them.
 
-The batched ``curvature_tensor`` (through ``_contract``) is compared row by
-row with its one-point form (through ``np.einsum``), and one pass of the
-curvature checks is shown to fit in the plan cache.
+The batched ``curvature_tensor`` is compared row by row with its one-point
+calls and with a one-point formula made of ``np.einsum`` calls alone, and
+one pass of the curvature checks is shown to fit in the plan cache.
 """
 
 import ast
+import math
 import pathlib
 
 import numpy as np
@@ -21,7 +25,7 @@ import pytest
 
 from conftest import CURVATURE_CHECKS, curved_manifold
 from statgeom import geometry
-from statgeom.fixtures import curved_product_manifest
+from statgeom.fixtures import curved_product_manifest, fixture_ids, load_fixture, submersion_manifest
 from statgeom.geometry import _contract, curvature_tensor, sample_points
 from statgeom.manifest import parse_manifest
 from statgeom.suite import CHECKS, run_suite
@@ -87,15 +91,32 @@ def _operands(rng, subscripts: str, n: int, count: int, density: float):
 
 def _plan(subscripts: str, operands):
     """The plan ``_contract`` follows for these operands, or None when it calls np.einsum."""
-    return geometry._contraction_plan(subscripts, tuple(op.shape for op in operands),
-                                      tuple(op.strides for op in operands),
+    return geometry._contraction_plan(subscripts, tuple(op.shape[1:] for op in operands),
                                       tuple((op != 0.0).any(axis=0).tobytes() for op in operands))
+
+
+def _kept(subscripts: str, patterns) -> tuple[bool, bool]:
+    """(at most ``_SPARSE_SHARE`` of the terms are kept, no output adds more than two kept terms).
+
+    ``patterns`` holds each operand's nonzero pattern over all points, without the point axis;
+    a term is kept when none of its factors is zero in every point.
+    """
+    inputs, output = subscripts.split("->")
+    inputs = inputs.split(",")
+    per_output = np.einsum(",".join(labels[1:] for labels in inputs) + "->" + output[1:],
+                           *(pattern.astype(np.int64) for pattern in patterns))
+    lengths = {}
+    for labels, pattern in zip(inputs, patterns):
+        lengths.update(zip(labels[1:], pattern.shape))
+    return (per_output.sum() <= geometry._SPARSE_SHARE * math.prod(lengths.values()),
+            per_output.max(initial=0) <= 2)
 
 
 def _mismatches(subscripts: str, seed: int) -> tuple[int, int, int]:
     """(cases whose bits differ from np.einsum, cases that skip terms, cases).
 
-    The cases run over n = 1..8, the point counts and the densities.
+    The cases run over n = 1..8, the point counts and the densities.  In each
+    case a plan exists exactly when the zero patterns allow one.
     """
     rng = np.random.default_rng(seed)
     bad = skipping = cases = 0
@@ -109,14 +130,17 @@ def _mismatches(subscripts: str, seed: int) -> tuple[int, int, int]:
                 got = _contract(subscripts, *operands)
                 assert got.shape == expected.shape and got.dtype == expected.dtype
                 cases += 1
-                skipping += _plan(subscripts, operands) is not None
+                planned = _plan(subscripts, operands) is not None
+                assert planned == all(_kept(subscripts, [(op != 0.0).any(axis=0) for op in operands])), \
+                    (subscripts, [op.shape for op in operands])
+                skipping += planned
                 bad += not np.array_equal(_bits(got), _bits(expected))
     return bad, skipping, cases
 
 
 @pytest.fixture
 def every_term_kept(monkeypatch):
-    """Route every contraction through the kept-terms path, however dense."""
+    """Keep the terms of every contraction whose outputs add at most two, however dense."""
     monkeypatch.setattr(geometry, "_SPARSE_SHARE", 1.0)
     geometry._contraction_plan.cache_clear()
     yield
@@ -124,17 +148,9 @@ def every_term_kept(monkeypatch):
 
 
 def test_the_scan_finds_the_call_sites():
-    """Every contraction of three or more operands left on np.einsum, if any, is one that
-    _contract would hand back to it: with every label spanning the chart dimension, numpy's
-    inner loop runs along a summed label."""
+    """No contraction of three or more operands over the point axis is left on np.einsum."""
     assert ROUTED, "no _contract call found in the package"
-    for subscripts in HELD_OUT:
-        inputs, output = subscripts.split("->")
-        inputs = inputs.split(",")
-        for n in range(2, 9):
-            operands = [np.empty((5,) + (n,) * (len(labels) - 1)) for labels in inputs]
-            assert geometry._summation_order(inputs, output, tuple(op.shape for op in operands),
-                                             tuple(op.strides for op in operands)) is None, subscripts
+    assert HELD_OUT == []
 
 
 @pytest.mark.parametrize("subscripts", ROUTED)
@@ -148,15 +164,69 @@ def test_contract_matches_einsum_bit_for_bit(subscripts):
 def test_contract_matches_einsum_with_every_term_kept(subscripts, every_term_kept):
     bad, skipping, cases = _mismatches(subscripts, seed=2)
     assert bad == 0, f"{bad} of {cases} cases differ from np.einsum"
-    assert skipping > cases // 2  # the rest are layouts whose inner loop sums
+    assert skipping > 0
 
 
-def test_summation_order_follows_the_operand_strides():
-    """numpy sums l outside k here, against the alphabetical order, because plk strides l by more."""
-    inputs, output = ["plb", "plk", "pkmu", "pma"], "pabu"
-    operands = [np.empty(shape) for shape in ((5, 4, 2), (5, 4, 4), (5, 4, 4, 2), (5, 4, 2))]
-    shapes, strides = tuple(op.shape for op in operands), tuple(op.strides for op in operands)
-    assert geometry._summation_order(inputs, output, shapes, strides) == ["l", "k", "m"]
+def _transposed_operands(rng, subscripts: str, n: int, count: int):
+    """Two operands for ``subscripts`` whose first is a transposed view, so numpy's inner loop
+    runs along the summed label, and has at most two nonzeros along that label for each value
+    of its other labels, so no output adds more than two kept terms."""
+    first, second = subscripts.split("->")[0].split(",")
+    (summed,) = set(first) - set(subscripts.split("->")[1])
+    rank = len(first) - 1
+    a = _draw(rng, (count,) + (n,) * rank, 1.0).transpose((0,) + tuple(range(rank, 0, -1)))
+    axis = first.index(summed) - 1
+    crowded = rng.random(a.shape[1:]).argsort(axis=axis).argsort(axis=axis) >= 2
+    a[:, crowded] = np.where(rng.random((count, int(crowded.sum()))) < 0.5, -0.0, 0.0)
+    return [a, _draw(rng, (count,) + (n,) * (len(second) - 1), 0.5)], axis
+
+
+@pytest.mark.parametrize("subscripts", ["pji,pkj->pik", "pmjk,plim->plijk"])
+def test_two_kept_terms_per_output_match_einsum_in_any_loop_order(subscripts, every_term_kept):
+    """A sum of two terms rounds the same in either order, so a plan needs no loop order of
+    numpy's; an output of three kept terms goes back to np.einsum."""
+    rng = np.random.default_rng(9)
+    for n in range(1, 9):
+        for count in (1, 2, 7, 25):
+            operands, axis = _transposed_operands(rng, subscripts, n, count)
+            assert _plan(subscripts, operands) is not None, (n, count)
+            np.testing.assert_array_equal(_bits(_contract(subscripts, *operands)),
+                                          _bits(np.einsum(subscripts, *operands)))
+            if n < 3:
+                continue
+            a = operands[0]
+            line = (slice(None),) + tuple(slice(None, 3) if i == axis else 0 for i in range(a.ndim - 1))
+            a[line] = 1.0 + rng.random(a[line].shape)
+            operands[1][...] = np.where(operands[1] == 0.0, 0.5, operands[1])
+            assert _plan(subscripts, operands) is None, (n, count)
+            np.testing.assert_array_equal(_bits(_contract(subscripts, *operands)),
+                                          _bits(np.einsum(subscripts, *operands)))
+
+
+def test_measured_traffic_adds_at_most_two_kept_terms_per_output(monkeypatch):
+    """On the shipped fixtures and the benchmark's curvature and (3, 1) submersion manifests,
+    no contraction within _SPARSE_SHARE goes back to np.einsum for an output of three kept terms."""
+    plan, seen, crowded = geometry._contraction_plan, set(), set()
+
+    def spy(subscripts, shapes, masks):
+        seen.add(subscripts)
+        patterns = [np.frombuffer(mask, dtype=bool).reshape(shape) for mask, shape in zip(masks, shapes)]
+        within_share, at_most_two = _kept(subscripts, patterns)
+        if within_share and not at_most_two:
+            crowded.add((subscripts, shapes))
+        return plan(subscripts, shapes, masks)
+
+    monkeypatch.setattr(geometry, "_contraction_plan", spy)
+    known = set(CHECKS)
+    manifests = [load_fixture(fixture_id, known_checks=known) for fixture_id in fixture_ids()]
+    manifests += [parse_manifest(curved_product_manifest(pairs, 1.0, 2.0, [1.0] * pairs, seed=pairs,
+                                                         checks=CURVATURE_CHECKS), known_checks=known)
+                  for pairs in (1, 2, 3, 4)]
+    manifests.append(parse_manifest(submersion_manifest(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0), seed=3),
+                                    known_checks=known))
+    for manifest in manifests:
+        run_suite(manifest, points=25)
+    assert seen and not crowded, crowded
 
 
 @pytest.mark.parametrize("subscripts", ROUTED)
@@ -196,7 +266,7 @@ def test_plans_hold_index_arrays_only():
     rng = np.random.default_rng(7)
     for subscripts in ROUTED:
         plan = _plan(subscripts, _operands(rng, subscripts, 6, 5, 0.1))
-        if plan is None:  # numpy's inner loop sums in this layout
+        if plan is None:  # an output adds three kept terms, or too many terms are kept
             continue
         gathers, targets, shape = plan
         for index in gathers + (targets,):
@@ -204,15 +274,23 @@ def test_plans_hold_index_arrays_only():
         assert all(isinstance(size, int) for size in shape)
 
 
+def _einsum_curvature(gamma, dgamma):
+    """R at one point, each product formed by np.einsum alone."""
+    b = np.einsum("iljk->lijk", dgamma) + np.einsum("mjk,lim->lijk", gamma, gamma)
+    return b - np.einsum("lijk->ljik", b)
+
+
 def _assert_rows_match_one_point_calls(gamma, dgamma):
     batched = curvature_tensor(gamma, dgamma)
     for row, (g, dg) in enumerate(zip(gamma, dgamma)):
         np.testing.assert_array_equal(_bits(batched[row]), _bits(curvature_tensor(g, dg)),
                                       err_msg=f"point {row}")
+        np.testing.assert_array_equal(_bits(batched[row]), _bits(_einsum_curvature(g, dg)),
+                                      err_msg=f"point {row}, against np.einsum")
 
 
 def test_batched_curvature_matches_one_point_calls_on_random_connections():
-    """The point-axis ΓΓ term goes through _contract, the one-point form through np.einsum."""
+    """The ΓΓ term goes through _contract, for a batch and for one point alike."""
     rng = np.random.default_rng(8)
     for n in range(1, 9):
         for count in (1, 7, 25):
