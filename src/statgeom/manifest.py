@@ -9,11 +9,14 @@ validated.
 What is kept per manifest and what is built per run:
 
 * :func:`parse_manifest` parses and validates every block once and keeps the
-  results on the :class:`Manifest`: its charts, the component grids of the
-  metric, connection and product blocks (of the base too), and the model
-  (its potential ψ and the Fisher grid ∂_i ∂_j ψ, derived once) with its α
-  values and involution.  These are inputs only: trees and numbers, never a
-  field or a computed array.
+  results as fields of the :class:`Manifest`: ``total`` and a submersion's
+  ``base`` (each a chart with the component grids of its metric, connection
+  and product blocks), or the ``model`` (its potential ψ and the Fisher grid
+  ∂_i ∂_j ψ, derived once) with its ``alphas`` and ``involution``; and
+  ``space_form_c``.  These are inputs only: trees and numbers, never a field
+  or a computed array.  The declared seed is the one parsed: a metric
+  manifest's comes from its ``chart`` block, a model manifest's from its top
+  level.
 * :func:`build_context`, called once per run, builds everything else from
   them without parsing or differentiating: charts sampled with the run's
   seed, and fresh fields (with empty stores) over the kept grids, the
@@ -70,38 +73,17 @@ class _ParsedManifold:
     def build(self, where: str, seed=None) -> ManifoldSpec:
         """A spec with fresh fields over the grids, its chart sampled with ``seed`` if given."""
         return ManifoldSpec(
-            chart=self.chart if seed is None else _reseeded(self.chart, seed, f"{where}: "),
+            chart=_reseeded(self.chart, seed, f"{where}: "),
             metric=MetricField(self.metric),
             connection=None if self.connection is None else ExpressionField(self.connection),
             product=None if self.product is None else ExpressionField(self.product),
         )
 
 
-@dataclass(frozen=True)
-class _ParsedModel:
-    """A model block as parsed: the family (ψ, chart and Fisher Hessian grid), α values, involution."""
-
-    model: ExpFamilyModel
-    alphas: tuple[float, ...]
-    involution: np.ndarray | None
-
-    def build(self, seed=None) -> ExpFamilyModel:
-        """A fresh model over the kept trees (empty stores), sampled with ``seed`` if given."""
-        chart = self.model.chart
-        return dataclasses.replace(self.model, chart=chart if seed is None else _reseeded(chart, seed, ""))
-
-
-@dataclass(frozen=True)
-class _Parsed:
-    """Everything :func:`parse_manifest` keeps for :func:`build_context`: one subject's blocks."""
-
-    space_form_c: float | None
-    total: _ParsedManifold | None = None
-    base: _ParsedManifold | None = None
-    model: _ParsedModel | None = None
-
-
 def _reseeded(chart: ChartSpec, seed, prefix: str) -> ChartSpec:
+    """``chart`` sampled with ``seed``, or ``chart`` itself when ``seed`` is None."""
+    if seed is None:
+        return chart
     try:
         return dataclasses.replace(chart, seed=int(seed))
     except ValueError as err:
@@ -112,7 +94,9 @@ def _reseeded(chart: ChartSpec, seed, prefix: str) -> ChartSpec:
 class Manifest:
     """A validated manifest; ``data`` is the raw JSON tree it came from.
 
-    ``parsed`` holds the parsed blocks that every run builds its context from.
+    The parse that every run builds its context from is kept here: ``total``
+    (and a submersion's ``base``), each a chart with its component grids, or
+    the ``model`` with its ``alphas`` and ``involution``; and ``space_form_c``.
     """
 
     name: str
@@ -120,8 +104,17 @@ class Manifest:
     checks: tuple[str, ...]
     points: int
     tolerances: dict
-    seed: int
-    parsed: _Parsed = dataclasses.field(repr=False, compare=False)
+    total: _ParsedManifold | None = dataclasses.field(default=None, repr=False, compare=False)
+    base: _ParsedManifold | None = dataclasses.field(default=None, repr=False, compare=False)
+    model: ExpFamilyModel | None = dataclasses.field(default=None, repr=False, compare=False)
+    alphas: tuple[float, ...] = ()
+    involution: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
+    space_form_c: float | None = None
+
+    @property
+    def seed(self) -> int:
+        """The declared seed: that of the model's chart, or of the manifold's."""
+        return (self.total if self.model is None else self.model).chart.seed
 
 
 @dataclass(frozen=True)
@@ -215,22 +208,14 @@ def parse_manifest(data, name: str = "manifest", known_checks=None) -> Manifest:
         if _number(value, f"tolerance for {key!r}") <= 0:
             raise ManifestError(f"tolerance for {key!r} must be a positive number")
 
-    seed = _declared_seed(data)
     return Manifest(
         name=str(name),
         data=data,
         checks=tuple(checks),
         points=points,
         tolerances={k: float(v) for k, v in tolerances.items()},
-        seed=seed,
-        parsed=_parse_subject(data, seed),
+        **_parse_subject(data),
     )
-
-
-def _declared_seed(data: dict) -> int:
-    if isinstance(data.get("chart"), dict):
-        return _integer(data["chart"].get("seed", 0), "chart 'seed'")
-    return _integer(data.get("seed", 0), "'seed'")
 
 
 def _parse_chart(data, where: str) -> ChartSpec:
@@ -341,8 +326,8 @@ def _parse_manifold(data, where: str) -> _ParsedManifold:
     return _ParsedManifold(chart=chart, metric=grid, connection=connection, product=product)
 
 
-def _parse_subject(data: dict, seed: int) -> _Parsed:
-    """Parse and validate the subject's blocks (model, or manifold and submersion base)."""
+def _parse_subject(data: dict) -> dict:
+    """The subject's blocks parsed, as :class:`Manifest` fields: a model, or a manifold and its base."""
     space_form_c = data.get("space_form_c")
     if space_form_c is not None:
         space_form_c = _number(space_form_c, "'space_form_c'")
@@ -354,7 +339,7 @@ def _parse_subject(data: dict, seed: int) -> _Parsed:
         unknown = set(block) - _MODEL_KEYS
         if unknown:
             raise ManifestError(f"unknown model keys: {sorted(unknown)}")
-        for key in ("chart", "connection", "product", "submersion"):
+        for key in ("chart", "params", "connection", "product", "submersion"):
             if key in data:
                 raise ManifestError(f"model manifests must not carry {key!r}")
         model_name = block.get("name")
@@ -368,6 +353,7 @@ def _parse_subject(data: dict, seed: int) -> _Parsed:
             if type(value) is int and value - extra > LIMITS["dimension"]:
                 raise ManifestError(f"model {key!r} {value} asks for {value - extra} coordinates, "
                                     f"above the limit of {LIMITS['dimension']}")
+        seed = _integer(data.get("seed", 0), "'seed'")
         try:
             model = builtin_model(model_name, seed=seed, **hyper)
         except ValueError as err:
@@ -387,9 +373,13 @@ def _parse_subject(data: dict, seed: int) -> _Parsed:
                 raise ManifestError(f"involution must be a {n}x{n} list of rows")
             involution = np.array([[_number(x, "involution entry") for x in row] for row in involution])
             involution.flags.writeable = False
-        return _Parsed(space_form_c, model=_ParsedModel(model, alphas, involution))
+        return {"model": model, "alphas": alphas, "involution": involution,
+                "space_form_c": space_form_c}
 
+    if "seed" in data:  # the chart's seed is the one read
+        raise ManifestError("a metric manifest's 'seed' goes in its 'chart' block")
     total = _parse_manifold(data, "manifest")
+    base = None
     if "submersion" in data:
         block = data["submersion"]
         if not isinstance(block, dict) or "base" not in block:
@@ -408,8 +398,7 @@ def _parse_subject(data: dict, seed: int) -> _Parsed:
             check_dimensions(base.chart.dim, total.chart.dim)
         except ValueError as err:
             raise ManifestError(str(err)) from err
-        return _Parsed(space_form_c, total=total, base=base)
-    return _Parsed(space_form_c, total=total)
+    return {"total": total, "base": base, "space_form_c": space_form_c}
 
 
 def build_context(manifest: Manifest, seed=None) -> VerificationContext:
@@ -418,15 +407,14 @@ def build_context(manifest: Manifest, seed=None) -> VerificationContext:
     Nothing is parsed or differentiated: the fields, a model's Fisher metric
     among them, are new objects over the kept grids, so their stores start empty.
     """
-    parsed = manifest.parsed
-    if parsed.model is not None:
-        model = parsed.model.build(seed)
-        return VerificationContext(chart=model.chart, model=model, alphas=parsed.model.alphas,
-                                   involution=parsed.model.involution,
-                                   space_form_c=parsed.space_form_c)
-    total = parsed.total.build("manifest", seed)
+    if manifest.model is not None:
+        model = dataclasses.replace(manifest.model, chart=_reseeded(manifest.model.chart, seed, ""))
+        return VerificationContext(chart=model.chart, model=model, alphas=manifest.alphas,
+                                   involution=manifest.involution,
+                                   space_form_c=manifest.space_form_c)
+    total = manifest.total.build("manifest", seed)
     submersion = None
-    if parsed.base is not None:
-        submersion = SubmersionSpec(total=total, base=parsed.base.build("submersion.base"))
+    if manifest.base is not None:
+        submersion = SubmersionSpec(total=total, base=manifest.base.build("submersion.base"))
     return VerificationContext(chart=total.chart, manifold=total, submersion=submersion,
-                               space_form_c=parsed.space_form_c)
+                               space_form_c=manifest.space_form_c)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS, CheckResult
+from .geometry import STATUS_ERROR, STATUS_FAIL, CheckResult
 
 
 @dataclass(frozen=True)
@@ -31,22 +31,12 @@ class VerificationReport:
     checks: tuple[CheckResult, ...]
     wall_time_s: float = 0.0
 
-    @property
-    def worst_status(self) -> str:
-        order = {STATUS_PASS: 0, STATUS_NOT_APPLICABLE: 0, STATUS_FAIL: 1, STATUS_ERROR: 2}
-        return max(
-            (check.status for check in self.checks),
-            key=lambda status: order[status],
-            default=STATUS_PASS,
-        )
-
     def exit_code(self) -> int:
-        status = self.worst_status
-        if status == STATUS_ERROR:
+        """2 when a row ERRORs, else 1 when a row FAILs, else 0."""
+        statuses = {check.status for check in self.checks}
+        if STATUS_ERROR in statuses:
             return 2
-        if status == STATUS_FAIL:
-            return 1
-        return 0
+        return 1 if STATUS_FAIL in statuses else 0
 
 
 def canonical_json(value) -> str:

@@ -97,11 +97,9 @@ class TestBuiltinModels:
         manifest = parse_manifest(model_manifest(
             "poisson", checks=["alpha_family", "exp_para_certifications"]))
         psi = parse_expression("-exp(t1)", ("t1",))
-        concave = dataclasses.replace(manifest.parsed.model.model, name="concave", psi=psi,
+        concave = dataclasses.replace(manifest.model, name="concave", psi=psi,
                                       hessian=((psi.differentiate(0).differentiate(0),),))
-        parsed = dataclasses.replace(manifest.parsed,
-                                     model=dataclasses.replace(manifest.parsed.model, model=concave))
-        report = run_suite(dataclasses.replace(manifest, parsed=parsed))
+        report = run_suite(dataclasses.replace(manifest, model=concave))
         reason = ("MetricError: Fisher metric of 'concave' is not positive definite: "
                   "signature (0, 1) at the box center")
         assert [(check.name, check.status, check.reason) for check in report.checks] == [

@@ -302,6 +302,17 @@ class TestManifestRobustness:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("data, match", [
+        (_flat(seed="banana"), r"^a metric manifest's 'seed' goes in its 'chart' block$"),
+        ({**_model(), "params": {"k": "banana"}}, r"^model manifests must not carry 'params'$"),
+    ], ids=["top_level_seed_beside_a_chart", "params_in_a_model_manifest"])
+    def test_key_the_parse_would_not_read(self, tmp_path, capsys, data, match):
+        """A key that no run reads is refused, not accepted unread."""
+        self._rejects(tmp_path, data, match)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_deeply_nested_expression(self, tmp_path):
         data = _flat()
         data["metric"][0][0] = "(" * 2000 + "e1*k" + ")" * 2000
@@ -730,8 +741,8 @@ class TestRunsAreIndependent:
         assert reports[1] == reports[0]
         assert counts[0][1] > 0
         assert counts[1] == counts[0] == (0, counts[0][1], 0)
-        if manifest.parsed.model is not None:  # each run reseeded a copy; the kept model holds no field
-            assert vars(manifest.parsed.model.model).keys() == {"name", "psi", "chart", "hessian"}
+        if manifest.model is not None:  # each run reseeded a copy; the kept model holds no field
+            assert vars(manifest.model).keys() == {"name", "psi", "chart", "hessian"}
 
     def test_no_metric_batch_is_walked_twice(self, monkeypatch):
         """Validation reads the metric's jets, which every later check reads too."""
@@ -765,7 +776,7 @@ class TestRunsAreIndependent:
         """After a run, the manifest's parse reaches trees, charts and numbers, nothing computed."""
         manifest = load_fixture("example_5_6_k1_l1")
         run_suite(manifest, points=5)
-        pending, seen = [manifest.parsed], set()
+        pending, seen = [manifest], set()
         while pending:
             item = pending.pop()
             if id(item) in seen:
