@@ -5,7 +5,8 @@ is the span of the trailing coordinate directions and the pushforward matrix
 is exact.  Horizontality is metric-dependent and computed, not assumed: the
 vertical projector at a point is v = E (G_vv)⁻¹ G[vert, :], where E selects
 the trailing directions and G_vv is the fiber block of the metric; the
-spec's :class:`VerticalProjector` gives v and ∂v.
+spec's :class:`VerticalProjector` gives v and ∂v, and decides each fiber
+block once for every check that reads it (:func:`_fiber_blocks`).
 
 T and A are tensorial in both slots, so the checks never evaluate them one
 field pair at a time: the spec's :class:`OneillSplitting` builds the whole
@@ -66,7 +67,7 @@ _RANK_CUTOFF = 1e-8
 
 
 class SubmersionError(ArithmeticError):
-    """Degenerate fiber metric, ill-conditioned lift, or invariance violation."""
+    """Degenerate or ill-conditioned fiber metric block, or invariance violation."""
 
 
 def check_dimensions(base_dim: int, total_dim: int) -> None:
@@ -136,26 +137,22 @@ class SubmersionSpec:
 def _fiber_blocks(g: np.ndarray, nb: int):
     """(G_vv, G[vert, :]) of one metric matrix or a stack of them, for :class:`VerticalProjector`.
 
-    The first ``nb`` coordinates are the base's.  Raises
-    :class:`SubmersionError` at the first matrix whose fiber block is
-    degenerate.
+    The first ``nb`` coordinates are the base's.  One ``eigvalsh`` raises
+    :class:`SubmersionError` at the first :func:`_singular` (degenerate) block,
+    else at the first whose cond |λ|max/|λ|min exceeds ``_CONDITION_LIMIT``.
     """
     gvv = g[..., nb:, nb:]
-    degenerate = np.atleast_1d(_singular(np.linalg.eigvalsh(gvv)))
+    eigenvalues = np.linalg.eigvalsh(gvv)
+    degenerate = np.atleast_1d(_singular(eigenvalues))
     if degenerate.any():
         det = float(np.linalg.det(gvv.reshape((-1,) + gvv.shape[-2:])[np.argmax(degenerate)]))
         raise SubmersionError(f"degenerate fiber metric block (det {det:.3e})")
-    return gvv, g[..., nb:, :]
-
-
-def _check_conditioning(gvv: np.ndarray) -> None:
-    """Reject a fiber block (or a stack of them) too ill-conditioned to lift through."""
-    conds = np.atleast_1d(np.linalg.cond(gvv))
+    sigma = np.abs(eigenvalues)
+    conds = np.atleast_1d(sigma.max(axis=-1) / sigma.min(axis=-1))
     bad = conds > _CONDITION_LIMIT
     if bad.any():
-        raise SubmersionError(
-            f"horizontal solve is ill-conditioned (cond {float(conds[np.argmax(bad)]):.3e})"
-        )
+        raise SubmersionError(f"horizontal solve is ill-conditioned (cond {float(conds[np.argmax(bad)]):.3e})")
+    return gvv, g[..., nb:, :]
 
 
 class VerticalProjector(DerivedJets):
@@ -163,7 +160,7 @@ class VerticalProjector(DerivedJets):
 
     E puts the fiber rows S = G_vv⁻¹ G[vert, :] below ``base_dim`` zero rows,
     and ∂_i S = G_vv⁻¹ (∂_i G[vert, :] − ∂_i G_vv S).  The one place where a
-    fiber block is tested (:func:`_fiber_blocks`) and inverted.
+    fiber block is tested (:func:`_fiber_blocks`) and inverted, for every reader.
     """
 
     def __init__(self, metric, base_dim: int):
@@ -240,8 +237,8 @@ class OneillSplitting(PointJets):
     A batch holds the arrays of :class:`OneillArrays` after ``points``, and
     has no value-only form.  The splitting holds the total space's
     :class:`VerticalProjector`, ∇ and ∇* (``conjugate``), never the
-    submersion.  A degenerate or ill-conditioned fiber block raises
-    :class:`SubmersionError` before any connection is evaluated.
+    submersion.  It reads the projector first, so a rejected fiber block
+    raises :class:`SubmersionError` before any connection is evaluated.
     """
 
     def __init__(self, vertical: VerticalProjector, connection, conjugate):
@@ -252,7 +249,6 @@ class OneillSplitting(PointJets):
     def _batch_jets(self, pts, full):
         v, dv = self._vertical.jets(pts)
         g, nb = self._vertical.metric.values(pts), self._vertical.base_dim
-        _check_conditioning(g[:, nb:, nb:])
         gamma = self._connection.values(pts)
         gamma_star = self._conjugate.values(pts)
         h = np.eye(g.shape[-1]) - v
@@ -265,8 +261,8 @@ class OneillSplitting(PointJets):
 def oneill_arrays(spec: SubmersionSpec, points) -> OneillArrays:
     """T, A, T*, A*, projectors and basic lifts at every point, read from ``spec.splitting``.
 
-    Raises :class:`SubmersionError` when a fiber block is degenerate or too
-    ill-conditioned for the lifts.
+    Raises the projector's :class:`SubmersionError` when a fiber block is
+    degenerate or ill-conditioned.
     """
     pts = _as_points(points)
     return OneillArrays(pts, *spec.splitting.jets(pts))

@@ -41,7 +41,7 @@ from statgeom.expr import (
 )
 from statgeom.geometry import ExpressionField
 from statgeom.special import log_gamma, polygamma
-from statgeom.submersion import SubmersionSpec, _check_conditioning, _fiber_blocks
+from statgeom.submersion import SubmersionSpec, _fiber_blocks
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +255,6 @@ def horizontal_lift_at(spec: SubmersionSpec, base_vector, point) -> np.ndarray:
         raise ValueError(f"base vector of shape {bv.shape}, expected ({spec.base_dim},)")
     g = spec.total.metric.value(point)
     gvv, _ = _fiber_blocks(g, spec.base_dim)
-    _check_conditioning(gvv)
     nb = spec.base_dim
     w = -np.linalg.solve(gvv, g[nb:, :nb] @ bv)
     return np.concatenate([bv, w])

@@ -872,6 +872,23 @@ def _submersion_without_products():
     return data
 
 
+def _ill_conditioned_fiber_block():
+    """A fiber block of cond 1e9: every check that reads the vertical projector ERRORs."""
+    return {
+        "chart": {"coords": ["b", "u1", "u2"], "box": [[-1.0, 1.0]] * 3, "seed": 3},
+        "points": 5,
+        "metric": [["1", "0", "0"], ["0", "1e4", "0"], ["0", "0", "1e-5"]],
+        "product": [["1", "0", "0"], ["0", "0", "1"], ["0", "1", "0"]],
+        "submersion": {"base": {"chart": {"coords": ["b"], "box": [[-1.0, 1.0]]}, "metric": [["1"]]}},
+        "checks": ["oneill_identities", "fiber_para_kahler_like"],
+    }
+
+
+_ILL_CONDITIONED = ('{"data": {}, "name": "%s", "points_used": null, "raw_residual": null, '
+                    '"reason": "SubmersionError: horizontal solve is ill-conditioned (cond 1.000e+09)", '
+                    '"residual": null, "status": "ERROR", "tolerance": null, "worst_point": null}')
+
+
 _NO_PRODUCTS = ('{"data": {}, "name": "submersion_theorems.%s", "points_used": 25, '
                 '"raw_residual": null, "reason": "total and base product structures are required", '
                 '"residual": null, "status": "NOT-APPLICABLE", "tolerance": 1.000000000000e-08, '
@@ -906,7 +923,10 @@ class TestRowsBeyondTheGoldens:
         (_submersion_without_products, [_NO_PRODUCTS % name for name in (
             "fiber_structure", "base_and_fiber_certified", "vertical_symmetry",
             "horizontal_vanishing", "horizontal_integrability", "flat_decomposition")]),
-    ], ids=["failing_para_kahler_like", "curved_flatness_theorem", "submersion_without_products"])
+        (_ill_conditioned_fiber_block, [_ILL_CONDITIONED % name
+                                        for name in ("oneill_identities", "fiber_para_kahler_like")]),
+    ], ids=["failing_para_kahler_like", "curved_flatness_theorem", "submersion_without_products",
+            "ill_conditioned_fiber_block"])
     def test_rows(self, build, expected):
         report = run_suite(parse_manifest(build()))
         assert [canonical_json(row) for row in report_to_mapping(report)["checks"]] == expected

@@ -512,6 +512,8 @@ class TestOneillArraysAgainstFieldPairs:
         })
         with pytest.raises(SubmersionError, match=match):
             oneill_arrays(spec, [np.full(3, 0.5), np.zeros(3)])
+        with pytest.raises(SubmersionError, match=match):
+            spec.fiber.connection.values(sample_points(spec.fiber.chart, 5))
 
         class Unevaluated(PointJets):
             dim = 3
