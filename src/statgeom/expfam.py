@@ -131,7 +131,11 @@ def _reject_extras(name: str, extras: dict) -> None:
 
 
 class AlphaConnection(DerivedJets):
-    """Γ^(α)t_ij = ((1 − α)/2) (∂_s g_ij) g^st from exact metric jets; jets are (Γ, ∂Γ)."""
+    """Γ^(α)t_ij = ((1 − α)/2) (∂_s g_ij) g^st from exact metric jets; jets are (Γ, ∂Γ).
+
+    A finite α can still overflow Γ^(α) or ∂Γ^(α) (α = 1e308); a non-finite
+    batch raises :class:`expr.EvaluationError` naming α.
+    """
 
     def __init__(self, metric: MetricField, alpha: float):
         if isinstance(alpha, bool) or not math.isfinite(alpha):
@@ -149,13 +153,15 @@ class AlphaConnection(DerivedJets):
             return (gamma, np.zeros((count, n, n, n, n))) if full else (gamma,)
         factor = 0.5 * (1.0 - self.alpha)
         ginv = inverse_jets[0]
-        gamma = factor * np.einsum("psij,pst->ptij", dg, ginv)
-        if not full:
-            return (gamma,)
-        dginv = inverse_jets[1]
-        dgamma = factor * (np.einsum("plsij,pst->pltij", d2g, ginv)
-                           + np.einsum("psij,plst->pltij", dg, dginv))
-        return gamma, dgamma
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            parts = (factor * np.einsum("psij,pst->ptij", dg, ginv),)
+            if full:
+                dginv = inverse_jets[1]
+                parts += (factor * (np.einsum("plsij,pst->pltij", d2g, ginv)
+                                    + np.einsum("psij,plst->pltij", dg, dginv)),)
+        if not all(np.isfinite(part).all() for part in parts):
+            raise ex.EvaluationError(f"the alpha-connection is not finite at alpha = {self.alpha:g}")
+        return parts
 
 
 def exp_para_structures(model: ExpFamilyModel, a) -> tuple:

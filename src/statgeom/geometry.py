@@ -347,11 +347,15 @@ class ExpressionField(PointJets):
     indices right after the point axis: ``(X, dX, d2X)`` with
     ``dX[k, a...] = ∂_k X[a...]`` and ``d2X[k, l, a...] = ∂_k ∂_l X[a...]``.
     A ``symmetric`` grid is read from its upper triangle (i ≤ j) and
-    mirrored.  A batch walks all components together, each distinct subtree
-    once per batch, and writes each component's jets into its slots as they
-    arrive.  The walk's :class:`expr.Plan` is made at the first batch and kept
-    for the next ones.  Finiteness is checked once per assembled array; on a
-    non-finite entry the components are walked again through
+    mirrored.  The values of the constant components (an :class:`expr.Const`
+    root) are laid out once, in a template of the value shape: a batch copies
+    it over the point axis and starts every derivative array from zeros.  It
+    then walks only the varying components together, each distinct subtree
+    once per batch, and writes each one's jets into its slots as they arrive;
+    a structural zero is not written.  The walk's :class:`expr.Plan` is made at
+    the first batch and kept for the next ones; a grid of constants makes
+    none.  Finiteness is checked once per assembled array; on a non-finite
+    entry all components, constants included, are walked again through
     :func:`expr.eval_fields`' checked path, which names the first failing
     component's failure and point.
     """
@@ -372,16 +376,23 @@ class ExpressionField(PointJets):
             grid = np.where(np.tri(n, dtype=bool), grid.T, grid)
         grid.flags.writeable = False
         self.grid = grid
-        # the components walked together, and the trailing-axis slots each one's jets fill
-        self._components, self._slots = [], []
+        # every component read from the grid; the values of the constant ones fill the
+        # template, and the varying ones are walked together, each with the slots it fills
+        self._components, self._varying, self._slots = [], [], []
+        self._template = np.zeros(grid.shape)
         for index in np.ndindex(grid.shape):
-            if not self.symmetric:
-                self._components.append(grid[index])
-                self._slots.append(((...,) + index,))
-            elif index[0] <= index[1]:
-                self._components.append(grid[index])
-                self._slots.append(((...,) + index, (...,) + index[::-1]))
-        self._plan = None  # the walk of every component, made at the first batch
+            if self.symmetric and index[0] > index[1]:
+                continue
+            component = grid[index]
+            slots = (index, index[::-1]) if self.symmetric and index[0] != index[1] else (index,)
+            self._components.append(component)
+            if isinstance(component.root, ex.Const):
+                for slot in slots:
+                    self._template[slot] = component.root.value
+            else:
+                self._varying.append(component)
+                self._slots.append(tuple((...,) + slot for slot in slots))
+        self._plan = None  # the walk of the varying components, made at their first batch
 
     @classmethod
     def from_strings(
@@ -414,17 +425,22 @@ class ExpressionField(PointJets):
 
     def _batch_jets(self, points, full):
         count, n, order = points.shape[0], self.dim, self.order if full else 0
-        parts = tuple(np.empty((count,) + (n,) * derivatives + self.grid.shape)
-                      for derivatives in range(order + 1))
+        shape = self.grid.shape
+        # ndarray.copy is C-ordered; np.array of the broadcast would put the point axis last
+        parts = (np.broadcast_to(self._template, (count,) + shape).copy(),
+                 *(np.zeros((count,) + (n,) * derivatives + shape)
+                   for derivatives in range(1, order + 1)))
 
-        def write(i, jets):  # a structural zero or a float broadcasts into its slots
+        def write(i, jets):  # a float broadcasts into its slots; a structural zero is there already
             for target in self._slots[i]:
                 for part, jet in zip(parts, jets):
-                    part[target] = 0.0 if jet is None else jet
+                    if jet is not None:
+                        part[target] = jet
 
-        if self._plan is None:
-            self._plan = ex.Plan([f.root for f in self._components])
-        ex.eval_fields(self._components, points, order, write, self._plan, check_finite=False)
+        if self._varying:
+            if self._plan is None:
+                self._plan = ex.Plan([f.root for f in self._varying])
+            ex.eval_fields(self._varying, points, order, write, self._plan, check_finite=False)
         if not all(np.isfinite(part).all() for part in parts):
             # the checked walk raises with the first failing component's message and point
             ex.eval_fields(self._components, points, order, lambda *_: None)

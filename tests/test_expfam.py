@@ -2,6 +2,7 @@
 their companion product structures."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -168,6 +169,21 @@ class TestAlphaConnections:
     def test_alpha_must_be_a_finite_number(self, alpha):
         with pytest.raises(ValueError, match="alpha must be a finite number"):
             AlphaConnection(builtin_model("poisson").fisher, alpha)
+
+    def test_overflowing_connection_errors_the_family(self, tmp_path, capsys):
+        """α = 1e308 is finite but its Γ^(α) overflows: alpha_family ERRORs, naming α,
+        where its rows would FAIL with residual inf, and the run exits 2."""
+        from statgeom.cli import main
+
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"model": {"name": "dirichlet", "hyperparams": {"dim": 2},
+                                              "alpha": [1e308]},
+                                    "checks": ["alpha_family"]}), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert ("ERROR  alpha_family  (EvaluationError: "
+                "the alpha-connection is not finite at alpha = 1e+308)") in out
+        assert "FAIL" not in out and "Traceback" not in err
 
 
 class TestCompanionStructures:

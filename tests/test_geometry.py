@@ -199,25 +199,74 @@ class TestExpressionField:
         assert value.tolist() == [np.asarray(values, dtype=float).tolist()] * 2
         assert derivative.shape == (2, 2) + np.shape(values) and not derivative.any()
 
+    def test_constant_grid_keeps_negative_zeros(self):
+        values = np.array([[-0.0, 0.0], [1.0, -0.0]])
+        field = ExpressionField.constant(values, ("x", "y"))
+        assert np.signbit(field.values([[0.3, -0.4], [1.5, 2.0]])).tolist() == [
+            np.signbit(values).tolist()] * 2
+
 
 def _expression_fields():
-    """(label, field, points) for every shipped fixture's grids and two larger Fisher metrics."""
-    for fixture_id in fixture_ids():
-        ctx = build_context(load_fixture(fixture_id))
-        points = sample_points(ctx.chart, 6)
+    """(label, field, points) for every grid of the shipped fixtures (a submersion's base and
+    a model's involution among them) and of the 4-pair curved product, and for two larger
+    Fisher metrics."""
+    manifests = [(fixture_id, load_fixture(fixture_id)) for fixture_id in fixture_ids()]
+    manifests.append(("curved_product_4pair",
+                      parse_manifest(curved_product_manifest(4, 1.0, 2.0, [1.0] * 4))))
+    for label, manifest in manifests:
+        ctx = build_context(manifest)
         if ctx.model is not None:
-            yield fixture_id, ctx.model.fisher, points
+            points = sample_points(ctx.chart, 6)
+            yield label, ctx.model.fisher, points
+            if ctx.involution is not None:
+                yield label, exp_para_structures(ctx.model, ctx.involution)[0], points
             continue
-        for field in (ctx.manifold.metric, ctx.manifold.connection, ctx.manifold.product):
-            if isinstance(field, ExpressionField):
-                yield fixture_id, field, points
+        specs = (ctx.manifold,) if ctx.submersion is None else (ctx.manifold, ctx.submersion.base)
+        for spec in specs:
+            points = sample_points(spec.chart, 6)
+            for field in (spec.metric, spec.connection, spec.product):
+                if isinstance(field, ExpressionField):
+                    yield label, field, points
     for name, hyper in (("dirichlet", {"dim": 4}), ("multinomial", {"categories": 5})):
         model = builtin_model(name, **hyper)
         yield name, model.fisher, sample_points(model.chart, 6)
 
 
+def _assembled_alone(field, points, order):
+    """The jets of ``field`` up to ``order``, filled slot by slot: each component walked
+    alone through :func:`expr.eval_fields`, a structural zero written as 0.0."""
+    count, n = points.shape
+    parts = tuple(np.empty((count,) + (n,) * derivatives + field.grid.shape)
+                  for derivatives in range(order + 1))
+    for index in np.ndindex(field.grid.shape):
+        def write(_, jets, index=index):
+            for part, jet in zip(parts, jets):
+                part[(...,) + index] = 0.0 if jet is None else jet
+
+        ex.eval_fields([field.grid[index]], points, order, write)
+    return parts
+
+
 class TestGridWalk:
     """A grid's components go through one walk; each equals its own evaluation bit for bit."""
+
+    def test_jets_equal_the_grid_filled_slot_by_slot(self):
+        """The template of the constant components and the zero-filled derivative arrays
+        change no bit, sign bits included, of any grid's jets or values."""
+        labels, constants = set(), 0
+        for label, field, points in _expression_fields():
+            constants += sum(isinstance(f.root, Const) for f in field.grid.flat)
+            for full, order in ((True, field.order), (False, 0)):
+                fresh = type(field)(field.grid)
+                parts = fresh.jets(points) if full else (fresh.values(points),)
+                for part, expected in zip(parts, _assembled_alone(field, points, order),
+                                          strict=True):
+                    assert np.array_equal(part, expected), label
+                    assert np.array_equal(np.signbit(part), np.signbit(expected)), label
+                    assert part.flags.c_contiguous, label
+            labels.add(label)
+        assert set(fixture_ids()) | {"curved_product_4pair"} < labels
+        assert constants > 0
 
     def test_jets_equal_each_component_alone(self):
         labels = set()
@@ -285,6 +334,31 @@ class TestGridWalk:
         with pytest.raises(ex.EvaluationError) as err:
             getattr(g, method)(np.array(points))
         assert str(err.value) == message
+
+    def test_non_finite_constant_names_its_point(self):
+        """A connection component 1e309 parses to Const(inf), which the template holds; the
+        checked walk over every component still names the failure and its point."""
+        data = {"chart": {"coords": ["x", "y"], "box": [[0.5, 2.0], [0.5, 2.0]]},
+                "metric": [["1", "0"], ["0", "1"]],
+                "connection": [[["1e309", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+                "checks": ["statistical_structure"]}
+        [check] = run_suite(parse_manifest(data)).checks
+        assert check.status == "ERROR"
+        assert re.fullmatch(r"EvaluationError: non-finite value at point \[[^\]]+\]",
+                            check.reason), check.reason
+
+    def test_grid_of_constants_makes_no_plan(self, monkeypatch):
+        plans = []
+
+        class Recorded(ex.Plan):
+            def __init__(self, roots):
+                plans.append(len(roots))
+                super().__init__(roots)
+
+        monkeypatch.setattr(ex, "Plan", Recorded)
+        ExpressionField.constant(np.arange(8.0).reshape(2, 2, 2), ("x", "y")).jets([[1.0, 2.0]])
+        MetricField.from_strings(("x", "y"), [["2", "0"], ["0", "1"]]).jets([[1.0, 2.0]])
+        assert plans == []
 
     def test_plan_is_made_at_the_first_batch_and_kept(self, monkeypatch):
         g = MetricField.from_strings(("x", "y"), [["1/y", "x*y"], ["x*y", "y*y"]])

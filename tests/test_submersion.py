@@ -599,7 +599,7 @@ class TestInducedFiber:
         """ĝ and P̂ are the total jets at the embedded points, cut to the fiber and laid out
         as a fresh field's; they walk only the total fields' plans."""
         spec = build_context(load_fixture("example_5_6_k1_l1")).submersion
-        nb, n = spec.base_dim, spec.total_dim
+        nb = spec.base_dim
         points = sample_points(spec.fiber.chart, 7)
         embedded = np.hstack([np.broadcast_to(spec.base.chart.center, (7, nb)), points])
         plan_sizes.clear()
@@ -608,17 +608,20 @@ class TestInducedFiber:
             for part, whole in zip(restricted.jets(points), total.jets(embedded), strict=True):
                 assert np.array_equal(part, _fiber_block(whole, nb))
                 assert part.flags.c_contiguous
-        assert plan_sizes == [n * (n + 1) // 2, n * n]  # the total metric's upper triangle, then P
+        # the varying entries of the total metric's upper triangle; P is all constant
+        assert plan_sizes == [4]
 
     def test_plans_per_run(self, plan_sizes):
-        """One walk plan per expression field of the run, and none for the fiber's fields."""
+        """One walk plan per expression field of the run with a varying component, and none
+        for the fiber's fields."""
         manifest = load_fixture("example_5_6_k1_l1", known_checks=set(CHECKS))
         for _ in range(2):
             plan_sizes.clear()
             report = run_suite(manifest)
             assert all(check.status != STATUS_ERROR for check in report.checks)
-            # total g, ∇, P and base g, ∇, P; ĝ and P̂ read the total g and P
-            assert len(plan_sizes) == 6
+            # total g, ∇ and base g, ∇; P and the base's P are all constant, and ĝ and
+            # P̂ read the total g and P
+            assert len(plan_sizes) == 4
 
     def test_derived_structure_is_restricted(self):
         """P̂ of an adjoint structure is the fiber block of P* at the embedded points."""
