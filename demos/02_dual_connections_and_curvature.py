@@ -12,10 +12,10 @@ the manifold itself.
 import numpy as np
 
 from statgeom import (
+    ConjugateConnection,
     build_context,
     check_dual_curvature_identity,
     check_statistical_structure,
-    conjugate_connection,
     fit_kurose_constant,
     parse_manifest,
     sample_points,
@@ -36,7 +36,7 @@ point = np.array([0.0, 1.0])
 print("Gamma^y_xx   =", nabla.value(point)[1, 0, 0])
 print("Gamma*^y_xx  =", star.value(point)[1, 0, 0])
 
-double = conjugate_connection(g, star)
+double = ConjugateConnection(g, star)
 print("involution residual:",
       np.max(np.abs(double.value(point) - nabla.value(point))))
 

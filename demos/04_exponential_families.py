@@ -12,12 +12,12 @@ import numpy as np
 
 from statgeom import (
     AlphaConnection,
+    ConjugateConnection,
+    LeviCivitaConnection,
     ManifoldSpec,
     builtin_model,
     check_para_kahler_like,
-    conjugate_connection,
     exp_para_structures,
-    levi_civita,
     sample_points,
 )
 from statgeom.geometry import curvature_tensor
@@ -36,12 +36,12 @@ for alpha in (-1.0, 0.0, 1.0):
 
 # Duality: the conjugate of the alpha-connection is the (-alpha)-connection.
 alpha = 0.5
-dual = conjugate_connection(metric, AlphaConnection(metric, alpha))
+dual = ConjugateConnection(metric, AlphaConnection(metric, alpha))
 mirror = AlphaConnection(metric, -alpha)
 gap = max(np.max(np.abs(dual.value(p) - mirror.value(p))) for p in points)
 print(f"\nconjugate(alpha={alpha}) vs alpha={-alpha}: max deviation {gap:.3e}")
 
-mid = levi_civita(metric)
+mid = LeviCivitaConnection(metric)
 zero = AlphaConnection(metric, 0.0)
 gap = max(np.max(np.abs(zero.value(p) - mid.value(p))) for p in points)
 print(f"alpha=0 vs Levi-Civita: max deviation {gap:.3e}")

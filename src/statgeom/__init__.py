@@ -20,21 +20,20 @@ from .geometry import (
     AdjointStructure,
     ChartSpec,
     CheckResult,
+    ConjugateConnection,
     DEFAULT_POINT_COUNT,
     DEFAULT_TOLERANCE,
     DegeneratePlaneError,
     ExpressionField,
+    LeviCivitaConnection,
     ManifoldSpec,
     MetricError,
     MetricField,
-    adjoint_structure,
     check_conjugate_involution,
     check_dual_curvature_identity,
     check_levi_civita_average,
     check_statistical_structure,
-    conjugate_connection,
     fit_kurose_constant,
-    levi_civita,
     metric_signature,
     sample_points,
     sectional_curvature,

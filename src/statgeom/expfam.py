@@ -27,12 +27,12 @@ import numpy as np
 
 from . import expr as ex
 from .geometry import (
+    AdjointStructure,
     ChartSpec,
     DerivedJets,
     ExpressionField,
     ManifoldSpec,
     MetricField,
-    adjoint_structure,
 )
 
 BUILTIN_MODEL_NAMES = ("poisson", "normal", "multinomial", "dirichlet")
@@ -183,4 +183,4 @@ def exp_para_structures(model: ExpFamilyModel, a) -> tuple:
     if np.allclose(mat, eye, atol=1e-12) or np.allclose(mat, -eye, atol=1e-12):
         raise ValueError("involution must differ from plus or minus the identity")
     constant = ExpressionField.constant(mat, model.chart.coord_names)
-    return constant, adjoint_structure(model.fisher, constant)
+    return constant, AdjointStructure(model.fisher, constant)

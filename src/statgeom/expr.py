@@ -691,7 +691,7 @@ def _filled(part, shape: tuple) -> np.ndarray:
         return np.zeros(shape)
     if np.ndim(part) == 0:
         return np.full(shape, part)
-    return np.array(np.broadcast_to(part, shape))
+    return np.broadcast_to(part, shape).copy()
 
 
 @functools.lru_cache(maxsize=None)

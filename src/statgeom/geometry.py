@@ -281,9 +281,9 @@ def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     ``_SPARSE_SHARE`` of the terms are kept.
 
     Its callers are the point-axis products of the derived fields and the
-    curvature (∂(G⁻¹), ∂P*, ∂Γ, ∂Γ*, the ΓΓ term of R, the lowered R) and
-    of the O'Neill tensors, most of them O(n⁵) terms per point.  The O(n⁴)
-    products of the checks and of the values (Codazzi, Γ*, Γ⁰, ∇P, ...) stay
+    curvature (∂(G⁻¹), ∂P*, ∂Γ, ∂Γ*, ∂(vΓ), the ΓΓ term of R, the lowered R)
+    and of the O'Neill tensors, most of them O(n⁵) terms per point.  The O(n⁴)
+    products of the checks and of the values (Codazzi, Γ*, Γ⁰, vΓ, ∇P, ...) stay
     on ``np.einsum``: there the fixed cost of a call here (the finiteness
     scan, the nonzero masks, the plan lookup) exceeds the dense product at
     small n, and routing them slowed the exponential-family models
@@ -569,8 +569,9 @@ class LeviCivitaConnection(DerivedJets):
 class ConjugateConnection(DerivedJets):
     """Conjugate of a base connection: g(∂_k, ∇*_{∂_i} ∂_j) = ∂_i g_kj − Γ^m_ik g_mj.
 
-    Jets are (Γ*, ∂Γ*).  Jets asked for after the values of the same batch
-    read the stored Γ* and form again only the right-hand side, which ∂Γ* needs.
+    Conjugation is an involution: the conjugate of ∇* is ∇ again.  Jets are
+    (Γ*, ∂Γ*).  Jets asked for after the values of the same batch read the
+    stored Γ* and form again only the right-hand side, which ∂Γ* needs.
     """
 
     def __init__(self, metric: MetricField, base):
@@ -600,18 +601,11 @@ class ConjugateConnection(DerivedJets):
         return star, dstar
 
 
-def levi_civita(g: MetricField) -> LeviCivitaConnection:
-    """The Levi-Civita connection of the metric."""
-    return LeviCivitaConnection(g)
-
-
-def conjugate_connection(g: MetricField, connection) -> ConjugateConnection:
-    """The conjugate of ``connection`` with respect to ``g``; conjugation is an involution."""
-    return ConjugateConnection(g, connection)
-
-
 class AdjointStructure(DerivedJets):
-    """Negative adjoint of a base structure: P* = −G⁻¹ Pᵀ G pointwise; jets are (P*, ∂P*)."""
+    """Negative adjoint of a base structure: P* = −G⁻¹ Pᵀ G pointwise; jets are (P*, ∂P*).
+
+    P* is the partner with g(PE, F) + g(E, P*F) = 0; an involution on fixtures.
+    """
 
     def __init__(self, metric: MetricField, base):
         if metric.dim != base.dim:
@@ -634,11 +628,6 @@ class AdjointStructure(DerivedJets):
                   + _contract("pab,pkbd->pkad", ginv, dmtg)
                   + np.einsum("pac,pkcd->pkad", gim, dg))
         return star, dstar
-
-
-def adjoint_structure(g: MetricField, structure) -> AdjointStructure:
-    """The structure P* with g(PE, F) + g(E, P*F) = 0; an involution on fixtures."""
-    return AdjointStructure(g, structure)
 
 
 # --------------------------------------------------------------------------
@@ -732,7 +721,7 @@ def check_conjugate_involution(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOL
     """(∇*)* = ∇ at the samples, scaled by 1 + max |Γ|."""
     points = _as_points(pts)
     gamma = spec.resolved_connection.values(points)
-    double = conjugate_connection(spec.metric, spec.conjugate).values(points)
+    double = ConjugateConnection(spec.metric, spec.conjugate).values(points)
     return residual_check(max_abs(double - gamma), scale_of(gamma), points, tol)
 
 
@@ -871,7 +860,7 @@ class ManifoldSpec:
     @functools.cached_property
     def levi_civita_connection(self) -> LeviCivitaConnection:
         """The metric's Levi-Civita connection."""
-        return levi_civita(self.metric)
+        return LeviCivitaConnection(self.metric)
 
     @property
     def resolved_connection(self):
@@ -881,9 +870,9 @@ class ManifoldSpec:
     @functools.cached_property
     def conjugate(self) -> ConjugateConnection:
         """∇*, the conjugate of ∇ with respect to g."""
-        return conjugate_connection(self.metric, self.resolved_connection)
+        return ConjugateConnection(self.metric, self.resolved_connection)
 
     @functools.cached_property
     def adjoint(self) -> AdjointStructure:
         """P*, the negative adjoint of P with respect to g."""
-        return adjoint_structure(self.metric, self.product)
+        return AdjointStructure(self.metric, self.product)

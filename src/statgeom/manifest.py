@@ -221,6 +221,9 @@ def parse_manifest(data, name: str = "manifest", known_checks=None) -> Manifest:
 def _parse_chart(data, where: str) -> ChartSpec:
     if not isinstance(data, dict):
         raise ManifestError(f"{where}: chart must be an object")
+    unknown = set(data) - {"coords", "box", "seed", "dim"}
+    if unknown:
+        raise ManifestError(f"{where}: unknown chart keys: {sorted(unknown)}")
     coords = data.get("coords")
     if not isinstance(coords, list) or not all(isinstance(c, str) for c in coords):
         raise ManifestError(f"{where}: 'coords' must be a list of names")

@@ -27,10 +27,10 @@ from .geometry import (
     STATUS_FAIL,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
+    AdjointStructure,
     CheckResult,
     ManifoldSpec,
     _as_points,
-    adjoint_structure,
     check_statistical_structure,
     curvature_residual,
     curvature_tensor,
@@ -64,7 +64,7 @@ def check_almost_product(structure, pts, tol: float = DEFAULT_TOLERANCE) -> Chec
 def check_pairing_identities(spec: ManifoldSpec, pts, tol: float = 1e-10) -> CheckResult:
     """(P*)² = Id, g(PE, P*F) = −g(E, F), and (P*)* = P at the samples."""
     points = _as_points(pts)
-    double = adjoint_structure(spec.metric, spec.adjoint)
+    double = AdjointStructure(spec.metric, spec.adjoint)
     eye = np.eye(spec.product.dim)
     gm, m, ms = spec.metric.values(points), spec.product.values(points), spec.adjoint.values(points)
     square = max_abs(ms @ ms - eye)

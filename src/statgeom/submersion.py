@@ -22,9 +22,10 @@ property, not an input assumption.
 A :class:`SubmersionSpec` owns its projector (``vertical``), splitting
 (``splitting``) and induced fiber manifold (``fiber``), each built once on
 first use, so every check of a run reads the same store; all read the total
-space's fields and never the spec.  The fiber's fields read the total ones
-at the fiber points embedded over the base box center: ĝ and P̂ are
-restrictions (:class:`FiberRestriction`), ∇̂ is the vertical projection of ∇.
+space's fields and never the spec.  The fiber's fields are restrictions
+(:class:`FiberRestriction`) of total-space fields to the fiber over the base
+box center: ĝ of g, P̂ of P, and ∇̂ of the vertical part vΓ of ∇
+(:class:`VerticalPart`), since ∇̂_U V = v∇_U V on vertical fields.
 """
 
 from __future__ import annotations
@@ -101,9 +102,6 @@ class SubmersionSpec:
     def fiber_dim(self) -> int:
         return self.total.chart.dim - self.base.chart.dim
 
-    def project(self, point) -> np.ndarray:
-        return np.asarray(point, dtype=float)[: self.base_dim]
-
     @functools.cached_property
     def vertical(self) -> VerticalProjector:
         """The vertical projector of the total metric, built on first use."""
@@ -125,7 +123,7 @@ class SubmersionSpec:
         return ManifoldSpec(
             chart=ChartSpec(chart.coord_names[nb:], chart.domain[nb:], seed=chart.seed),
             metric=FiberRestriction(self.total.metric, center),
-            connection=FiberConnection(self.vertical, self.total.resolved_connection, center),
+            connection=FiberRestriction(VerticalPart(self.vertical, self.total.resolved_connection), center),
             product=None if self.total.product is None else FiberRestriction(self.total.product, center),
         )
 
@@ -383,11 +381,34 @@ def _on_fiber(base_point: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.hstack([np.broadcast_to(base_point, (len(points), len(base_point))), points])
 
 
+class VerticalPart(DerivedJets):
+    """The vertical part vΓ of a connection, (vΓ)^c_ab = v^c_k Γ^k_ab; jets are (vΓ, ∂(vΓ)).
+
+    ``connection`` is ∇ (or ∇* for the induced dual) and ``vertical`` the
+    projector of the total metric; ∂(vΓ) = ∂v Γ + v ∂Γ.  Its restriction to a
+    fiber is the induced connection ∇̂.
+    """
+
+    def __init__(self, vertical: VerticalProjector, connection):
+        self._bases = (vertical, connection)
+        self._value_needs = (False, False)
+
+    def _derive(self, full, vertical_jets, connection_jets):
+        part = np.einsum("pck,pkab->pcab", vertical_jets[0], connection_jets[0])
+        return self._derive_after_values(part, vertical_jets, connection_jets) if full else (part,)
+
+    def _derive_after_values(self, part, vertical_jets, connection_jets):
+        (v, dv), (gamma, dgamma) = vertical_jets, connection_jets
+        return part, (_contract("pdck,pkab->pdcab", dv, gamma)
+                      + _contract("pck,pdkab->pdcab", v, dgamma))
+
+
 class FiberRestriction(PointJets):
-    """A total-space field restricted to the fiber through ``base_point``: ĝ or P̂.
+    """A total-space field restricted to the fiber through ``base_point``: ĝ, P̂ or ∇̂.
 
     Its jets are the total field's at the embedded points, every axis but the
-    point axis cut to the fiber coordinates and copied into a fresh field's layout.
+    point axis cut to the fiber coordinates and copied into a fresh field's
+    layout.  Every field of the fiber reads the total space through this class.
     """
 
     def __init__(self, field, base_point):
@@ -408,37 +429,6 @@ class FiberRestriction(PointJets):
         jets = self._field._lookup(_on_fiber(self._base_point, points), full)
         return tuple(np.ascontiguousarray(part[(slice(None),) + (fiber,) * (part.ndim - 1)])
                      for part in jets)
-
-
-class FiberConnection(PointJets):
-    """Connection induced on the fiber through ``base_point``: the vertical projection of ``connection``.
-
-    ``connection`` is ∇ (or ∇* for the induced dual) of the total space and
-    ``vertical`` its metric's projector, both read at the embedded points.
-    With S = v[vert, :], the jets are Γ̂ = S Γ and ∂Γ̂ = ∂S Γ + S ∂Γ on fiber indices.
-    """
-
-    def __init__(self, vertical: VerticalProjector, connection, base_point):
-        self._vertical = vertical
-        self._connection = connection
-        self._base_point = np.asarray(base_point, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self._vertical.dim - len(self._base_point)
-
-    def _batch_jets(self, points, full):
-        nb = len(self._base_point)
-        embedded = _on_fiber(self._base_point, points)
-        vertical = self._vertical._lookup(embedded, full)
-        connection = self._connection._lookup(embedded, full)
-        rows, block = vertical[0][:, nb:], connection[0][:, :, nb:, nb:]
-        hat = np.einsum("pck,pkab->pcab", rows, block)
-        if not full:
-            return (hat,)
-        dhat = (np.einsum("pdck,pkab->pdcab", vertical[1][:, nb:, nb:], block)
-                + np.einsum("pck,pdkab->pdcab", rows, connection[1][:, nb:, :, nb:, nb:]))
-        return hat, dhat
 
 
 def induced_fiber_manifold(spec: SubmersionSpec, fiber_points, tol: float = DEFAULT_TOLERANCE) -> ManifoldSpec:

@@ -27,17 +27,17 @@ from statgeom.fixtures import (
 )
 from statgeom.geometry import (
     STATUS_PASS,
+    AdjointStructure,
+    ConjugateConnection,
+    LeviCivitaConnection,
     ManifoldSpec,
     check_dual_curvature_identity,
     check_statistical_structure,
-    conjugate_connection,
     curvature_tensor,
     fit_kurose_constant,
-    levi_civita,
     sample_points,
 )
 from statgeom.product import (
-    adjoint_structure,
     check_pairing_identities,
     _covariant_derivative_P,
     check_para_kahler_like,
@@ -103,7 +103,7 @@ def test_criterion_1_flat_certification():
                 for i in range(pairs):
                     expected[2 * i, 2 * i + 1] = 1.0 / k
                     expected[2 * i + 1, 2 * i] = k
-                adjoint = adjoint_structure(m.metric, m.product)
+                adjoint = AdjointStructure(m.metric, m.product)
                 for p in pts[:5]:
                     if np.max(np.abs(adjoint.value(p) - expected)) > 1e-12:
                         failures.append(f"{tag}: adjoint coefficients")
@@ -139,7 +139,7 @@ def test_criterion_2_curved_certification():
                        for p in pts)
         if parallel > 1e-9:
             failures.append(f"{tag}: structure parallelism {parallel:.2e}")
-        star = conjugate_connection(m.metric, m.connection)
+        star = ConjugateConnection(m.metric, m.connection)
         worst = 0.0
         for p in pts:
             y = p[1]
@@ -150,7 +150,7 @@ def test_criterion_2_curved_certification():
             worst = max(worst, float(np.max(np.abs(star.value(p) - expected))))
         if worst > 1e-9:
             failures.append(f"{tag}: conjugate coefficients {worst:.2e}")
-        adjoint = adjoint_structure(m.metric, m.product)
+        adjoint = AdjointStructure(m.metric, m.product)
         expected = np.array([[0.0, l / k], [k / l, 0.0]])
         for p in pts[:5]:
             if np.max(np.abs(adjoint.value(p) - expected)) > 1e-12:
@@ -172,9 +172,9 @@ def test_criterion_3_duality_suite():
                 chart_pts = sample_points(ctx.chart, 15)
                 break
         pts = chart_pts
-        star = conjugate_connection(metric, connection)
-        double = conjugate_connection(metric, star)
-        mid = levi_civita(metric)
+        star = ConjugateConnection(metric, connection)
+        double = ConjugateConnection(metric, star)
+        mid = LeviCivitaConnection(metric)
         involution = max(float(np.max(np.abs(double.value(p) - connection.value(p))))
                          for p in pts)
         if involution > 1e-10:
@@ -211,13 +211,13 @@ def test_criterion_4_alpha_connection_suite():
             if not check_statistical_structure(ManifoldSpec(model.chart, metric, connection),
                                                pts).passed:
                 failures.append(f"{tag}: statistical structure")
-            star = conjugate_connection(metric, connection)
+            star = ConjugateConnection(metric, connection)
             mirror = AlphaConnection(metric, -alpha)
             duality = max(float(np.max(np.abs(star.value(p) - mirror.value(p))))
                           for p in pts)
             if duality > 1e-9:
                 failures.append(f"{tag}: conjugate duality {duality:.2e}")
-        mid = levi_civita(metric)
+        mid = LeviCivitaConnection(metric)
         zero = AlphaConnection(metric, 0.0)
         match = max(float(np.max(np.abs(zero.value(p) - mid.value(p))))
                     for p in pts)
@@ -317,7 +317,7 @@ def test_criterion_7_oracle_agreement():
                 for j in range(i, n):
                     if fd_check(metric.component(i, j), p).residual > 1e-5:
                         failures.append(f"{name}: metric Hessian at {p.tolist()}")
-            mid = levi_civita(metric)
+            mid = LeviCivitaConnection(metric)
             if relative_deviation(mid.value(p), fd_levi_civita(metric, p)) > 1e-5:
                 failures.append(f"{name}: metric connection vs oracle")
             gamma, dgamma = connection.jet(p)
@@ -326,7 +326,7 @@ def test_criterion_7_oracle_agreement():
             exact = curvature_tensor(*connection.jet(p))
             if relative_deviation(exact, fd_curvature(connection, p)) > 1e-5:
                 failures.append(f"{name}: curvature vs oracle")
-            star = conjugate_connection(metric, connection)
+            star = ConjugateConnection(metric, connection)
             if relative_deviation(star.jet(p)[1],
                                   fd_connection_jet(star, p)) > 1e-5:
                 failures.append(f"{name}: conjugate jet vs oracle")

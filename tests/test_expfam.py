@@ -16,14 +16,15 @@ from statgeom.expfam import (
 )
 from statgeom.expr import eval_points, fd_check, parse_expression
 from statgeom.geometry import (
+    AdjointStructure,
+    ConjugateConnection,
+    LeviCivitaConnection,
     ManifoldSpec,
     check_statistical_structure,
-    conjugate_connection,
     curvature_tensor,
-    levi_civita,
     sample_points,
 )
-from statgeom.product import adjoint_structure, check_almost_product, check_para_kahler_like
+from statgeom.product import check_almost_product, check_para_kahler_like
 from statgeom.special import trigamma
 
 ALL_MODELS = [
@@ -131,7 +132,7 @@ class TestAlphaConnections:
         for model in _models():
             metric = model.fisher
             zero = AlphaConnection(metric, 0.0)
-            mid = levi_civita(metric)
+            mid = LeviCivitaConnection(metric)
             for p in sample_points(model.chart, 10):
                 defect = zero.value(p) - mid.value(p)
                 assert np.max(np.abs(defect)) <= 1e-9
@@ -149,7 +150,7 @@ class TestAlphaConnections:
                 connection = AlphaConnection(metric, alpha)
                 manifold = ManifoldSpec(model.chart, metric, connection)
                 assert check_statistical_structure(manifold, pts).passed, (model.name, alpha)
-                dual = conjugate_connection(metric, connection)
+                dual = ConjugateConnection(metric, connection)
                 mirror = AlphaConnection(metric, -alpha)
                 for p in pts:
                     defect = dual.value(p) - mirror.value(p)
@@ -232,6 +233,6 @@ class TestCompanionStructures:
         negative adjoint of the constant structure (same sign, not a flip)."""
         model = self._model(name)
         constant, twisted = exp_para_structures(model, self.INVOLUTIONS[name])
-        adjoint = adjoint_structure(model.fisher, constant)
+        adjoint = AdjointStructure(model.fisher, constant)
         for p in sample_points(model.chart, 10):
             np.testing.assert_allclose(twisted.value(p), adjoint.value(p), atol=1e-12)

@@ -347,6 +347,15 @@ class TestEval2Points:
         _assert_rows_equal_eval2(parse_expression("2*k - 1", ("x",), {"k": 3.0}), [[0.0], [1.0]])
         _assert_rows_equal_eval2(parse_expression("3*x - y/2 + 1", ("x", "y")), [[1.0, 2.0]])
 
+    @pytest.mark.parametrize("text", ["2*x + 3*y", "x*y"])
+    def test_every_part_is_c_contiguous(self, text):
+        """A part that broadcasts over the point axis (the constant gradient of 2x + 3y, the
+        constant Hessian of xy) is still laid out point by point."""
+        f = parse_expression(text, ("x", "y", "z"))
+        points = np.arange(15.0).reshape(5, 3) / 4 + 0.5
+        for part in eval2_points(f, points) + (eval_points(f, points),):
+            assert part.flags.c_contiguous, part.strides
+
     def test_shared_subtrees_evaluate_once_and_match(self):
         psi = parse_expression("lgamma(x) + lgamma(y) - lgamma(x + y)", ("x", "y"))
         third = psi.differentiate(0).differentiate(1).differentiate(0)

@@ -16,19 +16,20 @@ from conftest import (
     relative_deviation,
 )
 from statgeom.geometry import (
+    AdjointStructure,
     ChartError,
     ChartSpec,
+    ConjugateConnection,
     DegeneratePlaneError,
     ExpressionField,
+    LeviCivitaConnection,
     ManifoldSpec,
     MetricError,
     MetricField,
     check_dual_curvature_identity,
     check_statistical_structure,
-    conjugate_connection,
     curvature_tensor,
     fit_kurose_constant,
-    levi_civita,
     metric_signature,
     residual_check,
     sample_points,
@@ -41,8 +42,7 @@ from statgeom import expr as ex
 from statgeom.expfam import AlphaConnection, builtin_model, exp_para_structures
 from statgeom.expr import Const, ScalarField, eval2_points, parse_expression
 from statgeom.fixtures import curved_product_manifest, fixture_ids, load_fixture
-from statgeom.product import adjoint_structure
-from statgeom.submersion import FiberConnection, _fiber_blocks
+from statgeom.submersion import FiberRestriction, VerticalPart, _fiber_blocks
 
 
 class TestSampling:
@@ -101,13 +101,13 @@ class TestMetric:
     def test_singular_metric_rejected(self):
         g = MetricField.from_strings(("x", "y"), [["1", "1"], ["1", "1"]])
         with pytest.raises(MetricError, match="singular"):
-            levi_civita(g).value([0.0, 0.0])
+            LeviCivitaConnection(g).value([0.0, 0.0])
 
     # each field derived through G⁻¹, built over the metric g
     @pytest.mark.parametrize("derive", [
-        levi_civita,
-        lambda g: conjugate_connection(g, ExpressionField.constant(np.zeros((2, 2, 2)), ("x", "y"))),
-        lambda g: adjoint_structure(g, ExpressionField.constant([[0, 1], [1, 0]], ("x", "y"))),
+        LeviCivitaConnection,
+        lambda g: ConjugateConnection(g, ExpressionField.constant(np.zeros((2, 2, 2)), ("x", "y"))),
+        lambda g: AdjointStructure(g, ExpressionField.constant([[0, 1], [1, 0]], ("x", "y"))),
         lambda g: AlphaConnection(g, 0.5),
     ], ids=["levi_civita", "conjugate", "adjoint", "alpha"])
     @pytest.mark.parametrize("x", [0.0, 1e-300], ids=["det_0", "det_1e-300"])
@@ -406,28 +406,28 @@ class TestGridWalk:
 class TestLeviCivita:
     def test_constant_metric_is_flat(self):
         m = flat_manifold(pairs=2, k=-3.0, epsilons=(1.0, -1.0))
-        gamma = levi_civita(m.metric).value(sample_points(m.chart, 1)[0])
+        gamma = LeviCivitaConnection(m.metric).value(sample_points(m.chart, 1)[0])
         np.testing.assert_array_equal(gamma, np.zeros((4, 4, 4)))
 
     def test_one_dimensional_inverse_square(self):
         # g = 1/y² has Christoffel coefficient −1/y
         g = MetricField.from_strings(("y",), [["1/(y*y)"]])
-        gamma = levi_civita(g).value([2.0])
+        gamma = LeviCivitaConnection(g).value([2.0])
         assert gamma[0, 0, 0] == pytest.approx(-0.5, rel=1e-14)
 
     def test_average_of_dual_pair(self):
         """Γ + Γ* = 2 Γ⁰ on the curved statistical fixture."""
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        dual = conjugate_connection(m.metric, m.connection)
-        mid = levi_civita(m.metric)
+        dual = ConjugateConnection(m.metric, m.connection)
+        mid = LeviCivitaConnection(m.metric)
         for p in sample_points(m.chart, 25):
             defect = m.connection.value(p) + dual.value(p) - 2.0 * mid.value(p)
             assert np.max(np.abs(defect)) <= 1e-9
 
     def test_self_dual(self):
         m = curved_manifold(pairs=1, k=2.0, l=-1.0, epsilons=(1.0,))
-        mid = levi_civita(m.metric)
-        star = conjugate_connection(m.metric, mid)
+        mid = LeviCivitaConnection(m.metric)
+        star = ConjugateConnection(m.metric, mid)
         for p in sample_points(m.chart, 10):
             np.testing.assert_allclose(star.value(p), mid.value(p), atol=1e-12)
 
@@ -435,20 +435,20 @@ class TestLeviCivita:
 class TestConjugateConnection:
     def test_flat_fixture_conjugate_is_flat(self):
         m = flat_manifold(pairs=1, k=2.0, epsilons=(1.0,))
-        star = conjugate_connection(m.metric, m.connection)
+        star = ConjugateConnection(m.metric, m.connection)
         for p in sample_points(m.chart, 10):
             np.testing.assert_array_equal(star.value(p), np.zeros((2, 2, 2)))
 
     def test_curved_coefficient_value(self):
         # Γ*^y_xx = −2k²/(l(k+l)y) = −1/3 at k=1, l=2, y=1
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        star = conjugate_connection(m.metric, m.connection)
+        star = ConjugateConnection(m.metric, m.connection)
         assert star.value([0.0, 1.0])[1, 0, 0] == pytest.approx(-1.0 / 3.0, rel=1e-13)
 
     def test_involution(self):
         for kl in [(1.0, 1.0), (1.0, 2.0), (2.0, -1.0)]:
             m = curved_manifold(pairs=1, k=kl[0], l=kl[1], epsilons=(1.0,))
-            back = conjugate_connection(m.metric, conjugate_connection(m.metric, m.connection))
+            back = ConjugateConnection(m.metric, ConjugateConnection(m.metric, m.connection))
             for p in sample_points(m.chart, 10):
                 defect = back.value(p) - m.connection.value(p)
                 assert np.max(np.abs(defect)) <= 1e-10
@@ -462,8 +462,8 @@ class TestStatisticalStructure:
 
     def test_levi_civita_always_passes(self):
         m = curved_manifold(pairs=1, k=2.0, l=-1.0, epsilons=(1.0,))
-        result = check_statistical_structure(dataclasses.replace(m, connection=levi_civita(m.metric)),
-                                             sample_points(m.chart, 25))
+        mid = dataclasses.replace(m, connection=LeviCivitaConnection(m.metric))
+        result = check_statistical_structure(mid, sample_points(m.chart, 25))
         assert result.passed
 
     def test_torsion_injection_fails(self):
@@ -568,7 +568,7 @@ class TestCurvature:
 
     def test_levi_civita_jets_match_fd(self):
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        mid = levi_civita(m.metric)
+        mid = LeviCivitaConnection(m.metric)
         for p in sample_points(m.chart, 10):
             assert relative_deviation(mid.value(p), fd_levi_civita(m.metric, p)) <= 1e-5
 
@@ -576,7 +576,7 @@ class TestCurvature:
 class TestStatisticalCurvature:
     def test_self_dual_average_is_curvature(self):
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        mid = levi_civita(m.metric)
+        mid = LeviCivitaConnection(m.metric)
         for p in sample_points(m.chart, 5):
             s = statistical_curvature_at(dataclasses.replace(m, connection=mid), p)
             np.testing.assert_allclose(s, curvature_tensor(*mid.jet(p)), atol=1e-12)
@@ -699,8 +699,8 @@ class TestConstantCurvature:
 class TestDuality:
     def test_dual_curvature_identity_levi_civita(self):
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        result = check_dual_curvature_identity(dataclasses.replace(m, connection=levi_civita(m.metric)),
-                                               sample_points(m.chart, 25), tol=1e-9)
+        mid = dataclasses.replace(m, connection=LeviCivitaConnection(m.metric))
+        result = check_dual_curvature_identity(mid, sample_points(m.chart, 25), tol=1e-9)
         assert result.passed
 
     def test_dual_curvature_identity_statistical(self):
@@ -717,9 +717,9 @@ class TestDuality:
 
     def test_difference_tensor_self_dual(self):
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        mid = levi_civita(m.metric)
+        mid = LeviCivitaConnection(m.metric)
         p = sample_points(m.chart, 1)[0]
-        star = conjugate_connection(m.metric, mid)
+        star = ConjugateConnection(m.metric, mid)
         np.testing.assert_allclose(mid.value(p) - star.value(p),
                                    np.zeros((2, 2, 2)), atol=1e-12)
 
@@ -728,16 +728,16 @@ class TestDuality:
         point = np.array([0.0, 1.0])
         equal = curved_manifold(pairs=1, k=1.0, l=1.0, epsilons=(1.0,))
         k_equal = (equal.connection.value(point)
-                   - conjugate_connection(equal.metric, equal.connection).value(point))
+                   - ConjugateConnection(equal.metric, equal.connection).value(point))
         assert k_equal[1, 0, 0] == pytest.approx(0.0, abs=1e-14)
         skew = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
         k_skew = (skew.connection.value(point)
-                  - conjugate_connection(skew.metric, skew.connection).value(point))
+                  - ConjugateConnection(skew.metric, skew.connection).value(point))
         assert k_skew[1, 0, 0] == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
     def test_difference_tensor_symmetry(self):
         m = curved_manifold(pairs=2, k=2.0, l=-1.0, epsilons=(1.0, 1.0))
-        star = conjugate_connection(m.metric, m.connection)
+        star = ConjugateConnection(m.metric, m.connection)
         for p in sample_points(m.chart, 10):
             k = m.connection.value(p) - star.value(p)
             assert np.max(np.abs(k - np.einsum("kij->kji", k))) <= 1e-12
@@ -745,7 +745,7 @@ class TestDuality:
     def test_koszul_formula_with_difference_tensor(self):
         """2 g(∇_i ∂_j, ∂_k) = g(K_ij, ∂_k) + ∂_i g_jk + ∂_j g_ki − ∂_k g_ij."""
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        star = conjugate_connection(m.metric, m.connection)
+        star = ConjugateConnection(m.metric, m.connection)
         for p in sample_points(m.chart, 25):
             g, dg, _ = m.metric.jet(p)
             gamma = m.connection.value(p)
@@ -765,14 +765,14 @@ def _model_metric():
 # (label, builder of fresh base objects, field from those objects, chart of the samples)
 _DERIVED_CASES = [
     ("levi_civita", lambda: curved_manifold(pairs=2, epsilons=(1.0, -1.0)),
-     lambda m: levi_civita(m.metric), lambda m: m.chart),
+     lambda m: LeviCivitaConnection(m.metric), lambda m: m.chart),
     ("conjugate", lambda: curved_manifold(pairs=2, epsilons=(1.0, -1.0)),
-     lambda m: conjugate_connection(m.metric, m.connection), lambda m: m.chart),
+     lambda m: ConjugateConnection(m.metric, m.connection), lambda m: m.chart),
     ("double_conjugate", lambda: curved_manifold(pairs=1, l=2.0),
-     lambda m: conjugate_connection(m.metric, conjugate_connection(m.metric, m.connection)),
+     lambda m: ConjugateConnection(m.metric, ConjugateConnection(m.metric, m.connection)),
      lambda m: m.chart),
     ("adjoint", lambda: curved_manifold(pairs=2, epsilons=(1.0, -1.0)),
-     lambda m: adjoint_structure(m.metric, m.product), lambda m: m.chart),
+     lambda m: AdjointStructure(m.metric, m.product), lambda m: m.chart),
     ("alpha", lambda: builtin_model("dirichlet", dim=3, seed=4),
      lambda model: AlphaConnection(model.fisher, 0.5), lambda model: model.chart),
     ("twisted", lambda: builtin_model("multinomial", categories=3, seed=4),
@@ -781,7 +781,8 @@ _DERIVED_CASES = [
     ("fiber", curved_submersion, lambda spec: spec.fiber.connection,
      lambda spec: spec.total.chart),
     ("fiber_dual", curved_submersion,
-     lambda spec: FiberConnection(spec.vertical, spec.total.conjugate, spec.base.chart.center),
+     lambda spec: FiberRestriction(VerticalPart(spec.vertical, spec.total.conjugate),
+                                   spec.base.chart.center),
      lambda spec: spec.total.chart),
 ]
 

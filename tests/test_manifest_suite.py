@@ -188,6 +188,12 @@ def _with_chart(**chart):
     return data
 
 
+def _with_base_chart(**chart):
+    data = submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0))
+    data["submersion"]["base"]["chart"].update(chart)
+    return data
+
+
 # Manifests that once crashed with a traceback, ERRORed every check, or were
 # accepted silently.
 MALFORMED = {
@@ -305,7 +311,11 @@ class TestManifestRobustness:
     @pytest.mark.parametrize("data, match", [
         (_flat(seed="banana"), r"^a metric manifest's 'seed' goes in its 'chart' block$"),
         ({**_model(), "params": {"k": "banana"}}, r"^model manifests must not carry 'params'$"),
-    ], ids=["top_level_seed_beside_a_chart", "params_in_a_model_manifest"])
+        (_with_chart(sed=7), r"^manifest: unknown chart keys: \['sed'\]$"),
+        (_with_chart(sed=7, points=5), r"^manifest: unknown chart keys: \['points', 'sed'\]$"),
+        (_with_base_chart(sed=7), r"^submersion\.base: unknown chart keys: \['sed'\]$"),
+    ], ids=["top_level_seed_beside_a_chart", "params_in_a_model_manifest", "misspelled_chart_seed",
+            "two_unknown_chart_keys", "misspelled_base_chart_seed"])
     def test_key_the_parse_would_not_read(self, tmp_path, capsys, data, match):
         """A key that no run reads is refused, not accepted unread."""
         self._rejects(tmp_path, data, match)
@@ -545,24 +555,24 @@ class TestDerivedFieldOwnership:
         all freed without the cyclic GC, run after run."""
         manifest = parse_manifest(data, known_checks=set(CHECKS))
         conjugates = self._record_builds(monkeypatch, geometry.ConjugateConnection)
-        fiber_connections = self._record_builds(monkeypatch, submersion.FiberConnection)
+        vertical_parts = self._record_builds(monkeypatch, submersion.VerticalPart)
         splittings = self._record_builds(monkeypatch, submersion.OneillSplitting)
         inverses = self._record_builds(monkeypatch, geometry.InverseMetric)
         fields = self._record_builds(monkeypatch, geometry.ExpressionField)
         gc.disable()
         try:
             for _ in range(2):
-                for built in (conjugates, fiber_connections, splittings, inverses, fields):
+                for built in (conjugates, vertical_parts, splittings, inverses, fields):
                     built.clear()
                 report = run_suite(manifest, points=10)
                 assert all(check.status != STATUS_ERROR for check in report.checks)
                 assert 1 <= len(conjugates) <= max_conjugates
-                assert len(fiber_connections) == submersions
+                assert len(vertical_parts) == submersions
                 assert len(splittings) == submersions
                 assert 1 <= len(inverses) <= metrics
                 assert fields
                 assert all(ref() is None for ref in
-                           conjugates + fiber_connections + splittings + inverses + fields)
+                           conjugates + vertical_parts + splittings + inverses + fields)
         finally:
             gc.enable()
 

@@ -12,15 +12,15 @@ from statgeom.fixtures import flat_product_manifest
 from statgeom.geometry import (
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
+    AdjointStructure,
     ExpressionField,
+    LeviCivitaConnection,
     PointJets,
     curvature_tensor,
-    levi_civita,
     sample_points,
 )
 from statgeom.product import (
     _covariant_derivative_P,
-    adjoint_structure,
     check_almost_product,
     check_pairing_identities,
     check_para_kahler_like,
@@ -36,14 +36,14 @@ class TestAdjointStructure:
         """P*(∂x) = k ∂y and P*(∂y) = (1/k) ∂x on the flat pair fixture."""
         for k in (1.0, 2.0, -3.0):
             m = flat_manifold(pairs=1, k=k, epsilons=(1.0,))
-            star = adjoint_structure(m.metric, m.product).value([0.1, 0.2])
+            star = AdjointStructure(m.metric, m.product).value([0.1, 0.2])
             expected = np.array([[0.0, 1.0 / k], [k, 0.0]])
             np.testing.assert_allclose(star, expected, atol=1e-13)
 
     def test_curved_fixture_coefficients(self):
         """P*(∂x) = (k/l) ∂y and P*(∂y) = (l/k) ∂x on the curved fixture."""
         m = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
-        star = adjoint_structure(m.metric, m.product).value([0.3, 1.4])
+        star = AdjointStructure(m.metric, m.product).value([0.3, 1.4])
         np.testing.assert_allclose(star, [[0.0, 2.0], [0.5, 0.0]], atol=1e-13)
 
     def test_self_adjoint_para_hermitian_case(self):
@@ -51,13 +51,13 @@ class TestAdjointStructure:
         and is its own negative adjoint."""
         m = flat_manifold(pairs=1, k=1.0, epsilons=(1.0,))
         p = sample_points(m.chart, 1)[0]
-        star = adjoint_structure(m.metric, m.product).value(p)
+        star = AdjointStructure(m.metric, m.product).value(p)
         np.testing.assert_allclose(star, m.product.value(p), atol=1e-15)
 
     def test_involution(self):
         for m in (flat_manifold(pairs=2, k=-3.0, epsilons=(1.0, -1.0)),
                   curved_manifold(pairs=1, k=2.0, l=-1.0, epsilons=(1.0,))):
-            double = adjoint_structure(m.metric, adjoint_structure(m.metric, m.product))
+            double = AdjointStructure(m.metric, AdjointStructure(m.metric, m.product))
             for p in sample_points(m.chart, 10):
                 defect = double.value(p) - m.product.value(p)
                 assert np.max(np.abs(defect)) <= 1e-10
@@ -138,12 +138,12 @@ class TestCertification:
         connection is then self-dual and metric)."""
         equal = curved_manifold(pairs=1, k=1.0, l=1.0, epsilons=(1.0,))
         pts = sample_points(equal.chart, 25)
-        assert check_para_kahler_like(dataclasses.replace(equal, connection=levi_civita(equal.metric)),
-                                      pts).passed
+        assert check_para_kahler_like(
+            dataclasses.replace(equal, connection=LeviCivitaConnection(equal.metric)), pts).passed
         skew = curved_manifold(pairs=1, k=1.0, l=2.0, epsilons=(1.0,))
         pts = sample_points(skew.chart, 25)
-        cert = check_para_kahler_like(dataclasses.replace(skew, connection=levi_civita(skew.metric)),
-                                      pts)
+        cert = check_para_kahler_like(
+            dataclasses.replace(skew, connection=LeviCivitaConnection(skew.metric)), pts)
         assert not cert.passed
         assert cert.details["parallelism_residual"] > cert.tolerance
 

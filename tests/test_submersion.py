@@ -28,17 +28,18 @@ from statgeom.geometry import (
     STATUS_FAIL,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
+    AdjointStructure,
     ExpressionField,
     PointJets,
-    conjugate_connection,
     curvature_tensor,
     sample_points,
 )
-from statgeom.product import adjoint_structure, check_almost_product, check_para_kahler_like
+from statgeom.product import check_almost_product, check_para_kahler_like
 from statgeom.submersion import (
-    FiberConnection,
+    FiberRestriction,
     SubmersionError,
     SubmersionSpec,
+    VerticalPart,
     check_fundamental_tensor_identities,
     check_para_holomorphic,
     check_semi_riemannian_submersion,
@@ -66,6 +67,28 @@ def warped_submersion():
         "metric": [["1", "0"], ["0", "exp(2*b)"]],
         "submersion": {"base": {
             "chart": {"coords": ["b"], "box": [[-1.0, 1.0]]},
+            "metric": [["1"]],
+        }},
+        "checks": ["semi_riemannian_submersion"],
+    })
+
+
+def dense_submersion():
+    """1 + 3 dimensions whose metric and connection components all vary, off-diagonal ones too."""
+    coords = ["b", "u1", "u2", "u3"]
+
+    def metric_entry(i, j):
+        if i == j:
+            return f"{3 + i} + 0.2*sin({coords[i]})"
+        return f"0.1*cos({coords[min(i, j)]}*{coords[max(i, j)]} + {i + j})"
+
+    return _submersion_from({
+        "chart": {"coords": coords, "box": [[-0.5, 1.0]] * 4, "seed": 7},
+        "metric": [[metric_entry(i, j) for j in range(4)] for i in range(4)],
+        "connection": [[[f"0.1*{k + 1}*sin({coords[i]} + {j + 1}*{coords[k]}) + 0.05*{coords[j]}"
+                         for j in range(4)] for i in range(4)] for k in range(4)],
+        "submersion": {"base": {
+            "chart": {"coords": ["b"], "box": [[-0.5, 1.0]]},
             "metric": [["1"]],
         }},
         "checks": ["semi_riemannian_submersion"],
@@ -162,7 +185,7 @@ class TestHorizontalLifts:
         assert check_semi_riemannian_submersion(spec, sample_points(spec.total.chart, 25)).passed
         for p in sample_points(spec.total.chart, 5):
             g = spec.total.metric.value(p)
-            base_g = spec.base.metric.value(spec.project(p))
+            base_g = spec.base.metric.value(p[:spec.base_dim])
             for a in range(2):
                 for b in range(2):
                     lift_a = horizontal_lift_at(spec, np.eye(2)[a], p)
@@ -552,7 +575,8 @@ class TestInducedFiber:
         spec = curved_submersion(k=1.0, l=2.0)
         pts = sample_points(spec.fiber.chart, 10)
         fiber = induced_fiber_manifold(spec, pts)
-        induced_dual = FiberConnection(spec.vertical, spec.total.conjugate, spec.base.chart.center)
+        induced_dual = FiberRestriction(VerticalPart(spec.vertical, spec.total.conjugate),
+                                        spec.base.chart.center)
         dual = fiber.conjugate
         for p in pts:
             defect = dual.value(p) - induced_dual.value(p)
@@ -626,17 +650,48 @@ class TestInducedFiber:
     def test_derived_structure_is_restricted(self):
         """P̂ of an adjoint structure is the fiber block of P* at the embedded points."""
         spec = curved_submersion(k=1.0, l=2.0)
-        derived = adjoint_structure(spec.total.metric, spec.total.product)
+        derived = AdjointStructure(spec.total.metric, spec.total.product)
         derived_spec = SubmersionSpec(total=dataclasses.replace(spec.total, product=derived),
                                       base=spec.base)
         nb = derived_spec.base_dim
         points = sample_points(derived_spec.fiber.chart, 10)
         fiber = induced_fiber_manifold(derived_spec, points)
         embedded = np.hstack([np.broadcast_to(spec.base.chart.center, (10, nb)), points])
-        reference = adjoint_structure(spec.total.metric, spec.total.product).jets(embedded)
+        reference = AdjointStructure(spec.total.metric, spec.total.product).jets(embedded)
         for part, whole in zip(fiber.product.jets(points), reference, strict=True):
             assert np.array_equal(part, _fiber_block(whole, nb))
         assert check_almost_product(fiber.product, points).passed
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_context(load_fixture("example_5_6_k1_l1")).submersion,
+        lambda: build_context(load_fixture("example_5_6_k1_l2")).submersion,
+        lambda: curved_submersion(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0)),
+        lambda: curved_submersion(4, 2, 1.0, 2.0, (1.0, 1.0, 1.0, 1.0)),
+        dense_submersion,
+    ], ids=["example_5_6_k1_l1", "example_5_6_k1_l2", "curved_3to1", "curved_4to2", "dense_1plus3"])
+    @pytest.mark.parametrize("values_first", [False, True], ids=["jets", "values_then_jets"])
+    def test_induced_connections_are_the_vertical_part_on_the_fiber(self, build, values_first):
+        """∇̂ and the induced dual are, bit for bit, the fiber rows S of v times the fiber
+        block of Γ (or Γ*) at the embedded points, with ∂Γ̂ = ∂S Γ + S ∂Γ on fiber indices."""
+        spec = build()
+        nb, count, center = spec.base_dim, 40, spec.base.chart.center
+        points = sample_points(spec.fiber.chart, count)
+        embedded = np.hstack([np.broadcast_to(center, (count, nb)), points])
+        induced_dual = FiberRestriction(VerticalPart(spec.vertical, spec.total.conjugate), center)
+        induced = [(spec.total.resolved_connection, spec.fiber.connection),
+                   (spec.total.conjugate, induced_dual)]
+        for connection, hat in induced:
+            if values_first:
+                hat.values(points)
+            v, dv = spec.vertical.jets(embedded)
+            gamma, dgamma = connection.jets(embedded)
+            rows, block = v[:, nb:], gamma[:, :, nb:, nb:]
+            expected = (np.einsum("pck,pkab->pcab", rows, block),
+                        np.einsum("pdck,pkab->pdcab", dv[:, nb:, nb:], block)
+                        + np.einsum("pck,pdkab->pdcab", rows, dgamma[:, nb:, :, nb:, nb:]))
+            for part, reference in zip(hat.jets(points), expected, strict=True):
+                assert np.array_equal(part, reference)
+                assert np.array_equal(np.signbit(part), np.signbit(reference))
 
     @pytest.mark.parametrize("fixture", fixture_ids())
     def test_every_stored_batch_has_the_runs_row_count(self, monkeypatch, fixture):
