@@ -18,7 +18,6 @@ from statgeom import (
     check_semi_riemannian_submersion,
     check_statistical_submersion,
     induced_fiber_manifold,
-    oneill_arrays,
     parse_manifest,
     sample_points,
     verify_submersion_theorems,
@@ -29,17 +28,16 @@ spec = build_context(parse_manifest(submersion_manifest(2, 1, 1.0, 1.0, (1.0, 1.
 points = sample_points(spec.total.chart, 25)
 point = points[0]
 
-# The splitting and T, A, T*, A* as coordinate arrays, one row per point.
-arrays = oneill_arrays(spec, [point])
-print("vertical projector diagonal:", np.diag(arrays.v[0]))
+# The projector, the basic lifts and T, A, T*, A* are fields of the spec, each an array per point.
+print("vertical projector diagonal:", np.diag(spec.vertical.jet(point)[0]))
 print("scalar products preserved :", check_semi_riemannian_submersion(spec, points).passed)
 print("connections push forward  :", check_statistical_submersion(spec, points).passed)
 print("structures intertwine     :", check_para_holomorphic(spec, points).passed)
 
 # Fundamental tensors on the vertical pair U = ∂_2 and on the basic lift X of ∂_0.
-t_uu = arrays.t[0, :, 2, 2]
-x = arrays.L[0, :, 0]
-a_xx = np.einsum("kij,i,j->k", arrays.a[0], x, x)
+t_uu = spec.tensors["t"].value(point)[:, 2, 2]
+x = spec.lifts.value(point)[:, 0]
+a_xx = np.einsum("kij,i,j->k", spec.tensors["a"].value(point), x, x)
 print("\n|T(U,U)| =", np.max(np.abs(t_uu)), " (isometric fibers)")
 print("|A(X,X)| =", np.max(np.abs(a_xx)), " (integrable horizontal space)")
 identities = check_fundamental_tensor_identities(spec, points)

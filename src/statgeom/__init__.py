@@ -55,7 +55,6 @@ from .expfam import (
     exp_para_structures,
 )
 from .submersion import (
-    OneillArrays,
     SubmersionError,
     SubmersionSpec,
     check_fundamental_tensor_identities,
@@ -64,7 +63,6 @@ from .submersion import (
     check_statistical_submersion,
     induced_fiber_manifold,
     isometric_fibers_residual,
-    oneill_arrays,
     verify_submersion_theorems,
 )
 from .manifest import Manifest, ManifestError, build_context, load_manifest, parse_manifest

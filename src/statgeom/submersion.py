@@ -9,23 +9,25 @@ spec's :class:`VerticalProjector` gives v and ∂v, and decides each fiber
 block once for every check that reads it (:func:`_fiber_blocks`).
 
 T and A are tensorial in both slots, so the checks never evaluate them one
-field pair at a time: the spec's :class:`OneillSplitting` builds the whole
-coordinate arrays ``T[k, i, j] = T(∂_i, ∂_j)^k`` (and A, T*, A*) from the
-projector's jets and the connection coefficients, batched over the sample
-points, :func:`oneill_arrays` reads them, and every submersion check reduces
-contractions of those arrays.
+field pair at a time: the spec's :class:`FundamentalTensor` fields T, A, T*
+and A* (``tensors``) are the whole coordinate arrays
+``T[k, i, j] = T(∂_i, ∂_j)^k``, derived from the projector's jets and the
+connection coefficients and batched over the sample points, and every
+submersion check reduces contractions of those arrays and of the basic lifts
+(:class:`BasicLifts`, ``lifts``).
 
 The independent oracle, T and A one vector-field pair at a time, lives in
 ``tests/oracles.py``: tensoriality of T and A in both slots is a tested
 property, not an input assumption.
 
-A :class:`SubmersionSpec` owns its projector (``vertical``), splitting
-(``splitting``) and induced fiber manifold (``fiber``), each built once on
-first use, so every check of a run reads the same store; all read the total
-space's fields and never the spec.  The fiber's fields are restrictions
-(:class:`FiberRestriction`) of total-space fields to the fiber over the base
-box center: ĝ of g, P̂ of P, and ∇̂ of the vertical part vΓ of ∇
-(:class:`VerticalPart`), since ∇̂_U V = v∇_U V on vertical fields.
+A :class:`SubmersionSpec` owns its projector (``vertical``), basic lifts
+(``lifts``), fundamental tensors (``tensors``) and induced fiber manifold
+(``fiber``), each built once on first use, so every check of a run reads the
+same store; all read the total space's fields and never the spec.  The
+fiber's fields are restrictions (:class:`FiberRestriction`) of total-space
+fields to the fiber over the base box center: ĝ of g, P̂ of P, and ∇̂ of the
+vertical part vΓ of ∇ (:class:`VerticalPart`), since ∇̂_U V = v∇_U V on
+vertical fields.
 """
 
 from __future__ import annotations
@@ -108,9 +110,18 @@ class SubmersionSpec:
         return VerticalProjector(self.total.metric, self.base_dim)
 
     @functools.cached_property
-    def splitting(self) -> OneillSplitting:
-        """The O'Neill splitting of the total space by ∇ and its conjugate, built on first use."""
-        return OneillSplitting(self.vertical, self.total.resolved_connection, self.total.conjugate)
+    def lifts(self) -> BasicLifts:
+        """The basic lifts of the base coordinate fields, built on first use."""
+        return BasicLifts(self.vertical)
+
+    @functools.cached_property
+    def tensors(self) -> dict[str, FundamentalTensor]:
+        """T and A by ∇ and T* and A* by ∇* (``t``, ``a``, ``t_star``, ``a_star``), built on first use."""
+        vertical, connection, conjugate = self.vertical, self.total.resolved_connection, self.total.conjugate
+        return {"t": FundamentalTensor(vertical, connection, horizontal=False),
+                "a": FundamentalTensor(vertical, connection, horizontal=True),
+                "t_star": FundamentalTensor(vertical, conjugate, horizontal=False),
+                "a_star": FundamentalTensor(vertical, conjugate, horizontal=True)}
 
     @functools.cached_property
     def fiber(self) -> ManifoldSpec:
@@ -129,7 +140,7 @@ class SubmersionSpec:
 
 
 # --------------------------------------------------------------------------
-# Splitting and fundamental tensors
+# Projector, basic lifts and fundamental tensors
 # --------------------------------------------------------------------------
 
 def _fiber_blocks(g: np.ndarray, nb: int):
@@ -159,6 +170,8 @@ class VerticalProjector(DerivedJets):
     E puts the fiber rows S = G_vv⁻¹ G[vert, :] below ``base_dim`` zero rows,
     and ∂_i S = G_vv⁻¹ (∂_i G[vert, :] − ∂_i G_vv S).  The one place where a
     fiber block is tested (:func:`_fiber_blocks`) and inverted, for every reader.
+    Its readers at the sample points (lifts and tensors) ask for its jets, not
+    its values alone, so no batch there is inverted a second time for jets.
     """
 
     def __init__(self, metric, base_dim: int):
@@ -181,89 +194,55 @@ class VerticalProjector(DerivedJets):
         return v, dv
 
 
-@dataclass(frozen=True)
-class OneillArrays:
-    """The splitting and the fundamental tensors as coordinate arrays over sample points.
-
-    Every array has a leading point axis ``p``.  ``t[p, k, i, j]`` is
-    ``T(∂_i, ∂_j)^k``, and likewise ``a``, ``t_star`` and ``a_star``;
-    ``L[p, k, a]`` is the basic lift of the base field ``∂_a`` with Jacobian
-    ``dL[p, i, k, a] = ∂_i L^k_a``; ``gamma`` holds the coefficients of the
-    total connection the unstarred tensors use.  Every array but ``points``
-    is read-only, a part of the splitting's store.
-    """
-
-    points: np.ndarray
-    g: np.ndarray
-    gamma: np.ndarray
-    v: np.ndarray
-    h: np.ndarray
-    L: np.ndarray
-    dL: np.ndarray
-    t: np.ndarray
-    a: np.ndarray
-    t_star: np.ndarray
-    a_star: np.ndarray
-
-
 def _covariant_derivatives(gamma, x, y, dy):
     """(∇_{X_i} Y_j)^a for the columns X_i of x and Y_j of y, with dy[p, b] = ∂_b y."""
     return (np.einsum("pbi,pbaj->paij", x, dy)
             + _contract("pabm,pbi,pmj->paij", gamma, x, y))
 
 
-def _split_tensors(v, h, dv, gamma):
-    """(T, A) for one connection, from the projectors and dv[p, i] = ∂_i v.
+class BasicLifts(DerivedJets):
+    """The basic lifts L[p, k, a] of the base coordinate fields ∂_a; jets are (L, ∂L).
 
-    T(E, F) = h ∇_{vE} vF + v ∇_{vE} hF and A(E, F) = v ∇_{hE} hF + h ∇_{hE} vF
-    on the coordinate fields E = ∂_i, F = ∂_j, with ∂h = −∂v.  h∘v = v∘h = 0
-    keeps both tensorial for any connection.
-    """
-    def project(proj, vectors):
-        return np.einsum("pka,paij->pkij", proj, vectors)
-
-    t = (project(h, _covariant_derivatives(gamma, v, v, dv))
-         + project(v, _covariant_derivatives(gamma, v, h, -dv)))
-    a = (project(v, _covariant_derivatives(gamma, h, h, -dv))
-         + project(h, _covariant_derivatives(gamma, h, v, dv)))
-    return t, a
-
-
-class OneillSplitting(PointJets):
-    """The vertical/horizontal splitting of a total space with T, A, T*, A*, per batch of points.
-
-    A batch holds the arrays of :class:`OneillArrays` after ``points``, and
-    has no value-only form.  The splitting holds the total space's
-    :class:`VerticalProjector`, ∇ and ∇* (``conjugate``), never the
-    submersion.  It reads the projector first, so a rejected fiber block
-    raises :class:`SubmersionError` before any connection is evaluated.
+    L is the first ``base_dim`` columns of h = 1 − v, so ∂L = −∂v[..., :nb].
+    Its values read the projector's jets and come with ∂L, so a later request
+    for the jets of either field computes nothing again.
     """
 
-    def __init__(self, vertical: VerticalProjector, connection, conjugate):
-        self._vertical = vertical
-        self._connection = connection
-        self._conjugate = conjugate
+    def __init__(self, vertical: VerticalProjector):
+        self._bases = (vertical,)
+        self._value_needs = (True,)
+        self._base_dim = vertical.base_dim
 
-    def _batch_jets(self, pts, full):
-        v, dv = self._vertical.jets(pts)
-        g, nb = self._vertical.metric.values(pts), self._vertical.base_dim
-        gamma = self._connection.values(pts)
-        gamma_star = self._conjugate.values(pts)
-        h = np.eye(g.shape[-1]) - v
-
-        t, a = _split_tensors(v, h, dv, gamma)
-        t_star, a_star = _split_tensors(v, h, dv, gamma_star)
-        return g, gamma, v, h, h[:, :, :nb], -dv[:, :, :, :nb], t, a, t_star, a_star
+    def _derive(self, full, vertical_jets):
+        (v, dv), nb = vertical_jets, self._base_dim
+        return (np.eye(v.shape[-1]) - v)[:, :, :nb], -dv[..., :nb]
 
 
-def oneill_arrays(spec: SubmersionSpec, points) -> OneillArrays:
-    """T, A, T*, A*, projectors and basic lifts at every point, read from ``spec.splitting``.
+class FundamentalTensor(DerivedJets):
+    """O'Neill's T of a connection, or A when ``horizontal``: ``T[p, k, i, j] = T(∂_i, ∂_j)^k``.
 
-    Raises the projector's :class:`SubmersionError` when a fiber block is
-    degenerate or ill-conditioned.
+    T(E, F) = h ∇_{vE} vF + v ∇_{vE} hF on the coordinate fields E = ∂_i,
+    F = ∂_j, with h = 1 − v; A is the same formula with v and h exchanged,
+    since ∂h = −∂v.  h∘v = v∘h = 0 keeps both tensorial for any connection.
+    The tensor has values only, read from the projector's jets and the
+    connection's values; the projector comes first, so a rejected fiber block
+    raises :class:`SubmersionError` before the connection is evaluated.
     """
-    pts = _as_points(points)
-    return OneillArrays(pts, *spec.splitting.jets(pts))
+
+    def __init__(self, vertical: VerticalProjector, connection, horizontal: bool):
+        self._bases = (vertical, connection)
+        self._value_needs = (True, False)
+        self._horizontal = horizontal
+
+    def _derive(self, full, vertical_jets, connection_jets):
+        if full:
+            raise NotImplementedError("an O'Neill tensor has values only")
+        (v, dv), gamma = vertical_jets, connection_jets[0]
+        h = np.eye(v.shape[-1]) - v
+        if self._horizontal:
+            v, h, dv = h, v, -dv
+        return (np.einsum("pka,paij->pkij", h, _covariant_derivatives(gamma, v, v, dv))
+                + np.einsum("pka,paij->pkij", v, _covariant_derivatives(gamma, v, h, -dv)),)
 
 
 def _pair_lifts(tensor: np.ndarray, lifts: np.ndarray) -> np.ndarray:
@@ -276,24 +255,27 @@ def _pair_lifts(tensor: np.ndarray, lifts: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def check_semi_riemannian_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
-    """The splitting's lifts of base frames have the base scalar products: g(X̃, Ỹ) = g'(X', Y')∘π."""
-    arrays = oneill_arrays(spec, pts)
-    base_metric = spec.base.metric.values(arrays.points[:, :spec.base_dim])
-    total_products = np.swapaxes(arrays.L, 1, 2) @ arrays.g @ arrays.L
+    """The basic lifts of base frames have the base scalar products: g(X̃, Ỹ) = g'(X', Y')∘π."""
+    points = _as_points(pts)
+    lifts = spec.lifts.values(points)
+    base_metric = spec.base.metric.values(points[:, :spec.base_dim])
+    total_products = np.swapaxes(lifts, 1, 2) @ spec.total.metric.values(points) @ lifts
     return residual_check(max_abs(total_products - base_metric),
-                          scale_of(total_products, base_metric), arrays.points, tol)
+                          scale_of(total_products, base_metric), points, tol)
 
 
 def check_statistical_submersion(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """dπ(h ∇_X Y) matches ∇'_{X'} Y' for basic lifts of base coordinate fields."""
     if spec.total.connection is None or spec.base.connection is None:
         raise SubmersionError("statistical-submersion check needs connections on both sides")
-    arrays = oneill_arrays(spec, pts)
+    points = _as_points(pts)
     nb = spec.base_dim
-    nabla = _covariant_derivatives(arrays.gamma, arrays.L, arrays.L, arrays.dL)
-    total_side = np.einsum("pkl,plab->pkab", arrays.h, nabla)[:, :nb]
-    base_gamma = spec.base.connection.values(arrays.points[:, :nb])
-    return residual_check(max_abs(total_side - base_gamma), scale_of(base_gamma), arrays.points, tol)
+    lifts, dlifts = spec.lifts.jets(points)
+    h = np.eye(spec.total_dim) - spec.vertical.jets(points)[0]
+    nabla = _covariant_derivatives(spec.total.resolved_connection.values(points), lifts, lifts, dlifts)
+    total_side = np.einsum("pkl,plab->pkab", h, nabla)[:, :nb]
+    base_gamma = spec.base.connection.values(points[:, :nb])
+    return residual_check(max_abs(total_side - base_gamma), scale_of(base_gamma), points, tol)
 
 
 def check_para_holomorphic(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -310,16 +292,18 @@ def check_para_holomorphic(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLER
 
 def isometric_fibers_residual(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """max |T(U, V)| over vertical coordinate fields; zero means isometric fibers."""
-    arrays = oneill_arrays(spec, pts)
+    points = _as_points(pts)
     nb = spec.base_dim
-    return residual_check(max_abs(arrays.t[:, :, nb:, nb:]), scale_of(arrays.gamma), arrays.points, tol)
+    t_vv = spec.tensors["t"].values(points)[:, :, nb:, nb:]
+    gamma = spec.total.resolved_connection.values(points)
+    return residual_check(max_abs(t_vv), scale_of(gamma), points, tol)
 
 
-def _lift_brackets(arrays: OneillArrays) -> np.ndarray:
+def _lift_brackets(spec: SubmersionSpec, points: np.ndarray) -> np.ndarray:
     """v[X_a, X_b][p, k, a, b] for the basic lifts, from their exact Jacobians."""
-    lifts, dlifts = arrays.L, arrays.dL
+    lifts, dlifts = spec.lifts.jets(points)
     flow = np.einsum("pia,pikb->pkab", lifts, dlifts)
-    return np.einsum("pkl,plab->pkab", arrays.v, flow - flow.transpose(0, 1, 3, 2))
+    return np.einsum("pkl,plab->pkab", spec.vertical.jets(points)[0], flow - flow.transpose(0, 1, 3, 2))
 
 
 def check_fundamental_tensor_identities(spec: SubmersionSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -332,26 +316,26 @@ def check_fundamental_tensor_identities(spec: SubmersionSpec, pts, tol: float = 
     well since the splitting decompositions hold by construction through it.
     The raw residual at each point is the worst item at that point.
     """
-    arrays = oneill_arrays(spec, pts)
+    points = _as_points(pts)
     nb = spec.base_dim
-    g, v, h, lifts = arrays.g, arrays.v, arrays.h, arrays.L
-    t_vv = arrays.t[:, :, nb:, nb:]
-    t_star_vv = arrays.t_star[:, :, nb:, nb:]
-    a_xy = _pair_lifts(arrays.a, lifts)
-    a_star_xy = _pair_lifts(arrays.a_star, lifts)
-    bracket = _lift_brackets(arrays)
+    t, a, t_star, a_star = (spec.tensors[name].values(points) for name in ("t", "a", "t_star", "a_star"))
+    g, v, lifts = spec.total.metric.values(points), spec.vertical.jets(points)[0], spec.lifts.values(points)
+    h = np.eye(spec.total_dim) - v
+    t_vv = t[:, :, nb:, nb:]
+    t_star_vv = t_star[:, :, nb:, nb:]
+    a_xy = _pair_lifts(a, lifts)
+    a_star_xy = _pair_lifts(a_star, lifts)
+    bracket = _lift_brackets(spec, points)
 
     def swapped(arr):
         return arr.transpose(0, 1, 3, 2)
 
     # pairing_t[p, i, j, a] = g(T(U_i, U_j), X_a) + g(U_j, T*(U_i, X_a))
     pairing_t = (_contract("pkij,pkl,pla->pija", t_vv, g, lifts)
-                 + _contract("pjk,pkim,pma->pija", g[:, nb:, :],
-                             arrays.t_star[:, :, nb:, :], lifts))
+                 + _contract("pjk,pkim,pma->pija", g[:, nb:, :], t_star[:, :, nb:, :], lifts))
     # pairing_a[p, a, b, u] = g(A(X_a, X_b), U_u) + g(X_b, A*(X_a, U_u))
     pairing_a = (np.einsum("pkab,pku->pabu", a_xy, g[:, :, nb:])
-                 + _contract("plb,plk,pkmu,pma->pabu", lifts, g,
-                             arrays.a_star[:, :, :, nb:], lifts))
+                 + _contract("plb,plk,pkmu,pma->pabu", lifts, g, a_star[:, :, :, nb:], lifts))
     per_point = {
         "symmetry_t": np.maximum(max_abs(t_vv - swapped(t_vv)),
                                  max_abs(t_star_vv - swapped(t_star_vv))),
@@ -369,7 +353,7 @@ def check_fundamental_tensor_identities(spec: SubmersionSpec, pts, tol: float = 
     }
     items = np.array(list(per_point.values()))
     worst = {name: float(items[row].max()) for row, name in enumerate(per_point)}
-    return residual_check(items.max(axis=0), scale_of(g), arrays.points, tol, details=worst)
+    return residual_check(items.max(axis=0), scale_of(g), points, tol, details=worst)
 
 
 # --------------------------------------------------------------------------
@@ -524,12 +508,12 @@ def verify_submersion_theorems(
         items["base_and_fiber_certified"] = not_applicable(
             "total space is not a certified para-product statistical submersion")
 
-    arrays = oneill_arrays(spec, points)
     nb = spec.base_dim
+    t = spec.tensors["t"].values(points)
     structure = spec.total.product.values(points)
     vertical_images = structure[:, :, nb:]
-    twisted = _contract("pkij,piu,pjw->pkuw", arrays.t, vertical_images, vertical_images)
-    vertical_symmetry = residual_check(max_abs(twisted - arrays.t[:, :, nb:, nb:]),
+    twisted = _contract("pkij,piu,pjw->pkuw", t, vertical_images, vertical_images)
+    vertical_symmetry = residual_check(max_abs(twisted - t[:, :, nb:, nb:]),
                                        scale_of(structure), points, tol)
     items["vertical_symmetry"] = verdict(vertical_symmetry.passed, vertical_symmetry.residual)
 
@@ -538,11 +522,12 @@ def verify_submersion_theorems(
     min_rank = int(_ranks(m_hat + m_hat_star).min())
     parity_gap = float(max_abs(m_hat - m_hat_star).max())
 
-    metric_scales = scale_of(arrays.g)
-    a_worst = np.maximum(max_abs(_pair_lifts(arrays.a, arrays.L)),
-                         max_abs(_pair_lifts(arrays.a_star, arrays.L)))
+    metric_scales = scale_of(spec.total.metric.values(points))
+    lifts = spec.lifts.values(points)
+    a_worst = np.maximum(max_abs(_pair_lifts(spec.tensors["a"].values(points), lifts)),
+                         max_abs(_pair_lifts(spec.tensors["a_star"].values(points), lifts)))
     a_result = residual_check(a_worst, metric_scales, points, tol)
-    bracket_result = residual_check(max_abs(_lift_brackets(arrays)), metric_scales, points, tol)
+    bracket_result = residual_check(max_abs(_lift_brackets(spec, points)), metric_scales, points, tol)
 
     if min_rank == spec.fiber_dim:
         items["horizontal_vanishing"] = verdict(a_result.passed, a_result.residual,

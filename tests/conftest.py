@@ -60,6 +60,28 @@ def curved_submersion(total_pairs=2, base_pairs=1, k=1.0, l=1.0, epsilons=(1.0, 
     return build_context(parse_manifest(data)).submersion
 
 
+def dense_submersion():
+    """1 + 3 dimensions whose metric and connection components all vary, off-diagonal ones too."""
+    coords = ["b", "u1", "u2", "u3"]
+
+    def metric_entry(i, j):
+        if i == j:
+            return f"{3 + i} + 0.2*sin({coords[i]})"
+        return f"0.1*cos({coords[min(i, j)]}*{coords[max(i, j)]} + {i + j})"
+
+    return build_context(parse_manifest({
+        "chart": {"coords": coords, "box": [[-0.5, 1.0]] * 4, "seed": 7},
+        "metric": [[metric_entry(i, j) for j in range(4)] for i in range(4)],
+        "connection": [[[f"0.1*{k + 1}*sin({coords[i]} + {j + 1}*{coords[k]}) + 0.05*{coords[j]}"
+                         for j in range(4)] for i in range(4)] for k in range(4)],
+        "submersion": {"base": {
+            "chart": {"coords": ["b"], "box": [[-0.5, 1.0]]},
+            "metric": [["1"]],
+        }},
+        "checks": ["semi_riemannian_submersion"],
+    })).submersion
+
+
 class NaNConnection(PointJets):
     """A connection in dimension ``dim`` whose every coefficient is NaN."""
 

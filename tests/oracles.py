@@ -17,7 +17,7 @@ apart from the package so that a fault in one path shows as a disagreement.
   arguments are objects with ``vector(p)`` and ``jet(p) -> (values,
   jacobian)``, ``jacobian[i, k] = ∂_i X^k``, and projected fields are
   differentiated through the exact jets of the projectors.  The package
-  builds whole coordinate arrays in ``SubmersionSpec.splitting`` instead;
+  builds whole coordinate arrays in ``SubmersionSpec.tensors`` instead;
   tensoriality of T and A in both slots is what lets the two agree.
 """
 

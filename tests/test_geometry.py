@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     curved_manifold,
     curved_submersion,
+    dense_submersion,
     fd_curvature,
     fd_levi_civita,
     flat_manifold,
@@ -784,7 +785,12 @@ _DERIVED_CASES = [
      lambda spec: FiberRestriction(VerticalPart(spec.vertical, spec.total.conjugate),
                                    spec.base.chart.center),
      lambda spec: spec.total.chart),
+    ("lifts", dense_submersion, lambda spec: spec.lifts, lambda spec: spec.total.chart),
 ]
+
+# Fields that have values only: the O'Neill tensors.
+_DERIVED_VALUE_CASES = [(name, dense_submersion, lambda spec, name=name: spec.tensors[name],
+                         lambda spec: spec.total.chart) for name in ("t", "a", "t_star", "a_star")]
 
 
 class TestPointJets:
@@ -802,6 +808,16 @@ class TestPointJets:
         values_only = make(build())
         assert np.array_equal(values_only.values(points), batch[0])
         assert np.array_equal(values_only.jets(points)[1], batch[1])
+
+    @pytest.mark.parametrize("label, build, make, chart", _DERIVED_VALUE_CASES,
+                             ids=[case[0] for case in _DERIVED_VALUE_CASES])
+    def test_derived_batch_equals_per_point_values(self, label, build, make, chart):
+        source = build()
+        points = sample_points(chart(source), 12)
+        batch = make(source).values(points)
+        single = make(build())  # fresh bases, so every row is computed alone
+        for row, point in enumerate(points):
+            assert np.array_equal(batch[row], single.value(point))
 
     def test_batch_rows_are_read_only_views(self):
         m = curved_manifold(pairs=2, epsilons=(1.0, 1.0))

@@ -550,29 +550,31 @@ class TestDerivedFieldOwnership:
     ], ids=["curvature", "submersion", "model"])
     def test_one_build_per_run_and_none_outlives_it(self, monkeypatch, data, max_conjugates,
                                                     submersions, metrics):
-        """∇* once per connection (and ∇** for the involution check), one fiber and one
-        splitting per submersion, at most one inverse per metric (total, base and fiber);
-        all freed without the cyclic GC, run after run."""
+        """∇* once per connection (and ∇** for the involution check), one fiber, one set of
+        basic lifts and four fundamental tensors per submersion, at most one inverse per metric
+        (total, base and fiber); all freed without the cyclic GC, run after run."""
         manifest = parse_manifest(data, known_checks=set(CHECKS))
         conjugates = self._record_builds(monkeypatch, geometry.ConjugateConnection)
         vertical_parts = self._record_builds(monkeypatch, submersion.VerticalPart)
-        splittings = self._record_builds(monkeypatch, submersion.OneillSplitting)
+        tensors = self._record_builds(monkeypatch, submersion.FundamentalTensor)
+        lifts = self._record_builds(monkeypatch, submersion.BasicLifts)
         inverses = self._record_builds(monkeypatch, geometry.InverseMetric)
         fields = self._record_builds(monkeypatch, geometry.ExpressionField)
         gc.disable()
         try:
             for _ in range(2):
-                for built in (conjugates, vertical_parts, splittings, inverses, fields):
+                for built in (conjugates, vertical_parts, tensors, lifts, inverses, fields):
                     built.clear()
                 report = run_suite(manifest, points=10)
                 assert all(check.status != STATUS_ERROR for check in report.checks)
                 assert 1 <= len(conjugates) <= max_conjugates
                 assert len(vertical_parts) == submersions
-                assert len(splittings) == submersions
+                assert len(tensors) == 4 * submersions
+                assert len(lifts) == submersions
                 assert 1 <= len(inverses) <= metrics
                 assert fields
                 assert all(ref() is None for ref in
-                           conjugates + vertical_parts + splittings + inverses + fields)
+                           conjugates + vertical_parts + tensors + lifts + inverses + fields)
         finally:
             gc.enable()
 
@@ -683,16 +685,43 @@ class TestDerivedFieldOwnership:
         readers = {"statistical_submersion", "isometric_fibers", "oneill_identities",
                    "submersion_theorems"}
         assert readers <= set(manifest.checks)
-        split_tensors, pairs = submersion._split_tensors, []
+        derive, derived = submersion.FundamentalTensor._derive, []
 
-        def record(*args):
-            pairs.append(args)
-            return split_tensors(*args)
+        def record(self, *args):
+            derived.append(self)
+            return derive(self, *args)
 
-        monkeypatch.setattr(submersion, "_split_tensors", record)
+        monkeypatch.setattr(submersion.FundamentalTensor, "_derive", record)
         report = run_suite(manifest, points=10)
         assert all(check.status != STATUS_ERROR for check in report.checks)
-        assert len(pairs) == 2  # (T, A) for ∇ and (T*, A*) for ∇*
+        assert len(derived) == len(set(map(id, derived))) == 4  # T, A by ∇ and T*, A* by ∇*
+
+    @pytest.mark.parametrize("data", [
+        load_fixture("example_5_6_k1_l1"),
+        load_fixture("example_5_6_k1_l2"),
+        parse_manifest(submersion_manifest(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0))),
+    ], ids=["k1_l1", "k1_l2", "3_to_1"])
+    def test_each_fiber_block_is_decided_once(self, monkeypatch, data):
+        """Two fiber-block decisions per run, the sample batch and the embedded fiber batch, and
+        four inverses: no reader asks the projector for jets after its values."""
+        counts = {"blocks": 0, "inv": 0}
+        fiber_blocks, inv = submersion._fiber_blocks, np.linalg.inv
+
+        def count_blocks(*args):
+            counts["blocks"] += 1
+            return fiber_blocks(*args)
+
+        def count_inv(a):
+            counts["inv"] += 1
+            return inv(a)
+
+        monkeypatch.setattr(submersion, "_fiber_blocks", count_blocks)
+        monkeypatch.setattr(np.linalg, "inv", count_inv)
+        for _ in range(2):
+            counts.update(blocks=0, inv=0)
+            report = run_suite(data)
+            assert all(check.status != STATUS_ERROR for check in report.checks)
+            assert counts == {"blocks": 2, "inv": 4}
 
     def test_derived_fields_do_not_refer_to_their_owner(self):
         ctx = build_context(parse_manifest(submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5)))
@@ -701,9 +730,11 @@ class TestDerivedFieldOwnership:
             assert all(outcome.status != STATUS_ERROR for outcome in CHECKS[name](ctx, pts, 1e-8))
         refs = [weakref.ref(ctx.manifold), weakref.ref(ctx.submersion),
                 weakref.ref(ctx.manifold.conjugate), weakref.ref(ctx.submersion.fiber.connection),
-                weakref.ref(ctx.submersion.splitting)]
+                weakref.ref(ctx.submersion.lifts)]
+        refs += [weakref.ref(tensor) for tensor in ctx.submersion.tensors.values()]
         assert not any(isinstance(value, (submersion.SubmersionSpec, geometry.ManifoldSpec))
-                       for value in vars(ctx.submersion.splitting).values())
+                       for field in (ctx.submersion.lifts, *ctx.submersion.tensors.values())
+                       for value in vars(field).values())
         gc.disable()
         try:
             del ctx

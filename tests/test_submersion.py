@@ -3,11 +3,12 @@ structure-transfer report for coordinate-projection submersions."""
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
-from conftest import NaNConnection, curved_submersion
+from conftest import NaNConnection, curved_submersion, dense_submersion
 from oracles import (
     CoordinateBasisField,
     ExpressionVectorField,
@@ -46,7 +47,6 @@ from statgeom.submersion import (
     check_statistical_submersion,
     induced_fiber_manifold,
     isometric_fibers_residual,
-    oneill_arrays,
     verify_submersion_theorems,
 )
 
@@ -60,6 +60,22 @@ def _submersion_from(data):
     return build_context(parse_manifest(data)).submersion
 
 
+class Unevaluated(PointJets):
+    """A connection of dimension ``dim`` that fails the test when it is evaluated."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def _batch_jets(self, points, full):
+        raise AssertionError("a connection was evaluated")
+
+
+def _without_connections(spec):
+    """``spec`` with an :class:`Unevaluated` connection on the total space and on the base."""
+    return SubmersionSpec(dataclasses.replace(spec.total, connection=Unevaluated(spec.total_dim)),
+                          dataclasses.replace(spec.base, connection=Unevaluated(spec.base_dim)))
+
+
 def warped_submersion():
     """dim-2 over dim-1 with fiber metric exp(2b): curved fibers, T ≠ 0."""
     return _submersion_from({
@@ -67,28 +83,6 @@ def warped_submersion():
         "metric": [["1", "0"], ["0", "exp(2*b)"]],
         "submersion": {"base": {
             "chart": {"coords": ["b"], "box": [[-1.0, 1.0]]},
-            "metric": [["1"]],
-        }},
-        "checks": ["semi_riemannian_submersion"],
-    })
-
-
-def dense_submersion():
-    """1 + 3 dimensions whose metric and connection components all vary, off-diagonal ones too."""
-    coords = ["b", "u1", "u2", "u3"]
-
-    def metric_entry(i, j):
-        if i == j:
-            return f"{3 + i} + 0.2*sin({coords[i]})"
-        return f"0.1*cos({coords[min(i, j)]}*{coords[max(i, j)]} + {i + j})"
-
-    return _submersion_from({
-        "chart": {"coords": coords, "box": [[-0.5, 1.0]] * 4, "seed": 7},
-        "metric": [[metric_entry(i, j) for j in range(4)] for i in range(4)],
-        "connection": [[[f"0.1*{k + 1}*sin({coords[i]} + {j + 1}*{coords[k]}) + 0.05*{coords[j]}"
-                         for j in range(4)] for i in range(4)] for k in range(4)],
-        "submersion": {"base": {
-            "chart": {"coords": ["b"], "box": [[-0.5, 1.0]]},
             "metric": [["1"]],
         }},
         "checks": ["semi_riemannian_submersion"],
@@ -245,12 +239,19 @@ class TestSubmersionChecks:
     def test_off_diagonal_metric_lifts_through_the_splitting(self):
         spec = self._sheared_submersion("2 + x*x")
         pts = sample_points(spec.total.chart, 25)
-        lifts = oneill_arrays(spec, pts).L[:, :, 0]
+        lifts = spec.lifts.values(pts)[:, :, 0]
         np.testing.assert_allclose(lifts, np.stack([np.ones(25), -np.sin(pts[:, 0])], axis=1),
                                    rtol=0, atol=1e-15)
         assert check_semi_riemannian_submersion(spec, pts).passed
         perturbed = self._sheared_submersion("2.001 + x*x")
         assert check_semi_riemannian_submersion(perturbed, pts).status == STATUS_FAIL
+
+    def test_metric_check_evaluates_no_connection(self):
+        """g(X̃, Ỹ) = g'(X', Y')∘π reads g, the base metric and the basic lifts, and no connection."""
+        data = submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5)
+        spec = _without_connections(_submersion_from(data))
+        result = check_semi_riemannian_submersion(spec, sample_points(spec.total.chart, 25))
+        assert result.status == STATUS_PASS
 
     def test_dualized_base_connection_fails_when_parameters_differ(self):
         """Giving the base the conjugate coefficient family is only harmless at
@@ -434,20 +435,28 @@ ORACLE_ATOL = 1e-12
 TENSOR_NAMES = ("t", "a", "t_star", "a_star")
 
 
+def _arrays(spec, pts):
+    """The spec's projectors, basic lifts (L, dL) and fundamental tensors at ``pts``, by name."""
+    v = spec.vertical.jets(pts)[0]
+    lifts, dlifts = spec.lifts.jets(pts)
+    return types.SimpleNamespace(v=v, h=np.eye(spec.total_dim) - v, L=lifts, dL=dlifts,
+                                 **{name: tensor.values(pts) for name, tensor in spec.tensors.items()})
+
+
 def _assert_matches_oracle(arrays, index, oracle, contract=lambda arr: arr):
     for name in TENSOR_NAMES:
         np.testing.assert_allclose(contract(getattr(arrays, name)[index]), getattr(oracle, name),
                                    rtol=0.0, atol=ORACLE_ATOL, err_msg=name)
 
 
-class TestOneillArraysAgainstFieldPairs:
-    """The batched coordinate arrays agree with the independent field-pair path."""
+class TestOneillTensorsAgainstFieldPairs:
+    """The batched coordinate arrays of the spec's fields agree with the independent field-pair path."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
     def test_coordinate_pairs(self, name):
         spec = ORACLE_SPECS[name]()
         pts = sample_points(spec.total.chart, 3)
-        arrays = oneill_arrays(spec, pts)
+        arrays = _arrays(spec, pts)
         n = spec.total_dim
         for index, p in enumerate(pts):
             v, h = projectors_at(spec, p)
@@ -463,7 +472,7 @@ class TestOneillArraysAgainstFieldPairs:
     def test_basic_lift_pairs(self, name):
         spec = ORACLE_SPECS[name]()
         pts = sample_points(spec.total.chart, 3)
-        arrays = oneill_arrays(spec, pts)
+        arrays = _arrays(spec, pts)
         nb = spec.base_dim
         lifts = [HorizontalLiftField(spec, np.eye(nb)[a]) for a in range(nb)]
         for index, p in enumerate(pts):
@@ -482,7 +491,7 @@ class TestOneillArraysAgainstFieldPairs:
     def test_structure_image_pair(self):
         spec = curved_submersion(k=1.0, l=2.0)
         p = sample_points(spec.total.chart, 1)[0]
-        arrays = oneill_arrays(spec, [p])
+        arrays = _arrays(spec, [p])
         m = spec.total.product.value(p)
         u, w = 2, 3
         oracle = oneill_tensors_at(
@@ -498,8 +507,8 @@ class TestOneillArraysAgainstFieldPairs:
         spec = warped_submersion()
         vars(spec.total)["conjugate"] = ExpressionField.constant(np.zeros((2, 2, 2)), ("b", "u"))
         pts = sample_points(spec.total.chart, 3)
-        arrays = oneill_arrays(spec, pts)
-        default = oneill_arrays(warped_submersion(), pts)
+        arrays = _arrays(spec, pts)
+        default = _arrays(warped_submersion(), pts)
         assert np.max(np.abs(arrays.t_star - default.t_star)) > 1e-3
         for index, p in enumerate(pts):
             for i in range(2):
@@ -511,15 +520,20 @@ class TestOneillArraysAgainstFieldPairs:
     def test_arrays_are_read_only_and_served_from_the_store(self):
         spec = curved_submersion(k=1.0, l=2.0)
         pts = sample_points(spec.total.chart, 4)
-        arrays = oneill_arrays(spec, pts)
-        for field in dataclasses.fields(arrays)[1:]:
-            part = getattr(arrays, field.name)
-            assert not part.flags.writeable, field.name
-            with pytest.raises(ValueError):
-                part[...] = 0.0
-        again = oneill_arrays(spec, pts.copy())
-        assert all(getattr(again, field.name) is getattr(arrays, field.name)
-                   for field in dataclasses.fields(arrays)[1:])
+
+        def read(points):
+            return {"vertical": spec.vertical.jets(points), "lifts": spec.lifts.jets(points),
+                    **{name: (tensor.values(points),) for name, tensor in spec.tensors.items()}}
+
+        arrays = read(pts)
+        for name, parts in arrays.items():
+            for part in parts:
+                assert not part.flags.writeable, name
+                with pytest.raises(ValueError):
+                    part[...] = 0.0
+        again = read(pts.copy())
+        assert all(part is stored for name in arrays
+                   for part, stored in zip(again[name], arrays[name], strict=True))
 
     @pytest.mark.parametrize("fiber, match", [(("1e-12", "1e-12"), "degenerate"),
                                               (("1e4", "1e-5"), "ill-conditioned")])
@@ -533,21 +547,18 @@ class TestOneillArraysAgainstFieldPairs:
             }},
             "checks": ["semi_riemannian_submersion"],
         })
-        with pytest.raises(SubmersionError, match=match):
-            oneill_arrays(spec, [np.full(3, 0.5), np.zeros(3)])
+        pts = [np.full(3, 0.5), np.zeros(3)]
+        for field in (spec.lifts, *spec.tensors.values()):
+            with pytest.raises(SubmersionError, match=match):
+                field.values(pts)
         with pytest.raises(SubmersionError, match=match):
             spec.fiber.connection.values(sample_points(spec.fiber.chart, 5))
 
-        class Unevaluated(PointJets):
-            dim = 3
-
-            def _batch_jets(self, points, full):
-                raise AssertionError("a connection was evaluated before the fiber block check")
-
-        unevaluated = SubmersionSpec(dataclasses.replace(spec.total, connection=Unevaluated()),
-                                     spec.base)
-        with pytest.raises(SubmersionError, match=match):
-            oneill_arrays(unevaluated, [np.full(3, 0.5), np.zeros(3)])
+        unevaluated = _without_connections(spec)
+        for check in (check_semi_riemannian_submersion, check_statistical_submersion,
+                      isometric_fibers_residual, check_fundamental_tensor_identities):
+            with pytest.raises(SubmersionError, match=match):
+                check(unevaluated, pts)
 
 
 class TestInducedFiber:
