@@ -22,10 +22,14 @@ points.  Every field given by coordinate expressions is an
 :class:`ExpressionField` over a grid of components, a connection or a
 product structure directly; :class:`MetricField` adds order 2, symmetry and
 the inverse.
-Every check reduces its per-point arrays in one :func:`residual_check`: the
-per-point defects (:func:`max_abs`) over the per-point scales
-(:func:`scale_of`).  A check that builds a 4-index tensor per point works in
-blocks of points (:func:`in_blocks`).
+Every check is a reducer and a finisher.  The reducer maps one
+:class:`Block` of points to per-point rows, the defect (:func:`max_abs`),
+the scale (:func:`scale_of`) and any detail; the finisher is one
+:func:`residual_check` of the rows with the check's tolerance
+(:func:`reduced_check`).  :func:`block_rows` runs every reducer a batch has
+not kept yet in one loop over its blocks, which forms R and R* once per
+block for all of them, and keeps the rows on the subject, so the checks and
+certifications of a run share them.  Derived fields derive in the same blocks.
 
 Every check, fit and theorem takes the :class:`ManifoldSpec` it certifies
 and returns one :class:`CheckResult`.  The spec owns the fields derived from
@@ -66,8 +70,8 @@ _SPARSE_SHARE = 1 / 8
 # Contraction plans kept, one per subscripts, per-point operand shapes and nonzero pattern.
 # A plan holds an index array per operand and one for the output, each of at most
 # _SPARSE_SHARE of the terms: 32,768 entries for the n^6 terms of ∂(G⁻¹) at n = 8.  One pass
-# of the benchmark's curvature workload (dimensions 2-8, 100 points) makes 36 plans, and a
-# second pass no new one.
+# of the benchmark's curvature workload (dimensions 2-8, 100 points), one block loop per
+# manifest, makes 36 plans and 213 lookups, and a second pass no new plan.
 _PLAN_CACHE_SIZE = 64
 
 
@@ -230,38 +234,83 @@ class DerivedJets(PointJets):
     def _derive_after_values(self, values, *batches) -> tuple[np.ndarray, ...]:
         return self._derive(True, *batches)
 
+    def _on_block(self, block: Block, full: bool) -> tuple[np.ndarray, ...]:
+        return self._derive(full, *(block.read(base, full or need)
+                                    for base, need in zip(self._bases, self._value_needs, strict=True)))
+
     def _batch_jets(self, points, full):
-        inputs = [base._lookup(points, full or need)
-                  for base, need in zip(self._bases, self._value_needs, strict=True)]
-        return in_blocks(functools.partial(self._derive, full), self.dim, *inputs)
+        return _block_loop(points, [(self._on_block, full)])[0]
 
     def _jets_after_values(self, points, values):
-        inputs = [base._lookup(points, True) for base in self._bases]
-        return in_blocks(self._derive_after_values, self.dim, values, *inputs)
+        def derive(block):
+            return self._derive_after_values(values[block.rows],
+                                             *(block.read(base, True) for base in self._bases))
+        return _block_loop(points, [(derive,)])[0]
 
 
-def in_blocks(fn, dim: int, *batches) -> tuple[np.ndarray, ...]:
-    """``fn(*batches)`` computed block by block of points and stacked.
+class Block:
+    """One block of a batch of sample points, as every reducer of one loop reads it.
 
-    Each batch is an array with a leading point axis, or a tuple of such
-    arrays; ``fn`` receives their rows for one block and returns a tuple of
-    arrays with a leading point axis.  A block holds about ``_BLOCK_ENTRIES``
-    entries of a 4-index tensor in dimension ``dim`` (at least one point),
-    so no temporary of ``fn`` spans all points.  ``fn`` treats every point
-    on its own, so the block size changes no bit of the result.
+    ``read`` slices a field's whole-batch store to the block's ``rows``
+    (values, or jets with ``full``), and ``curvature`` forms R of a connection
+    once per block for every reducer that reads it.  ``loop`` holds what a
+    reducer keeps from block to block (the Kurose constant, a field of its own).
     """
-    first = batches[0]
-    count = len(first[0] if isinstance(first, tuple) else first)
-    step = max(1, _BLOCK_ENTRIES // dim ** 4)
-    out = None
+
+    def __init__(self, points: np.ndarray, rows: slice, loop: dict):
+        self.rows, self.loop, self._points, self._curvatures = rows, loop, points, {}
+        self._whole = rows.start == 0 and rows.stop >= len(points)
+
+    def read(self, field, full: bool = False) -> tuple[np.ndarray, ...]:
+        batch = field._lookup(self._points, full)
+        return batch if self._whole else tuple(part[self.rows] for part in batch)
+
+    def values(self, field) -> np.ndarray:
+        return self.read(field)[0]
+
+    def derived(self, field: DerivedJets) -> np.ndarray:
+        """The values of a derived field on this block alone, kept in no store."""
+        return field._on_block(self, False)[0]
+
+    def curvature(self, connection) -> np.ndarray:
+        """R of ``connection`` on this block (:func:`curvature_tensor`), formed on first read."""
+        if connection not in self._curvatures:
+            self._curvatures[connection] = curvature_tensor(*self.read(connection, True))
+        return self._curvatures[connection]
+
+
+def _block_loop(points: np.ndarray, reducers, isolate: bool = False) -> list:
+    """The rows of each reducer, in order, from one loop over the blocks of ``points``.
+
+    A reducer ``(fn, *args)`` returns ``fn(block, *args)``, a tuple of arrays
+    with a leading point axis, stacked over the blocks.  A block holds about
+    ``_BLOCK_ENTRIES`` entries of a 4-index tensor in the chart dimension (at
+    least one point), so no temporary spans all points, and every point is
+    treated on its own, so the block size changes no bit.  An exception
+    propagates, or with ``isolate`` takes the place of its reducer's rows and
+    drops that reducer from the loop.
+    """
+    count, out, loop = len(points), [None] * len(reducers), {}
+    step = max(1, _BLOCK_ENTRIES // points.shape[1] ** 4)
     for start in range(0, count, step):
-        rows = slice(start, start + step)
-        block = fn(*(tuple(part[rows] for part in batch) if isinstance(batch, tuple) else batch[rows]
-                     for batch in batches))
-        if out is None:
-            out = tuple(np.empty((count,) + part.shape[1:]) for part in block)
-        for whole, part in zip(out, block):
-            whole[rows] = part
+        block = Block(points, slice(start, start + step), loop)
+        for i, (fn, *args) in enumerate(reducers):
+            if isinstance(out[i], Exception):
+                continue
+            try:
+                parts = fn(block, *args)
+            except Exception as err:  # noqa: BLE001 - it fails only the checks that read it
+                if not isolate:
+                    raise
+                out[i] = err
+                continue
+            if block._whole:  # one block: its parts are the rows, C-ordered as the stacked ones
+                out[i] = tuple(np.ascontiguousarray(part, dtype=float) for part in parts)
+                continue
+            if start == 0:
+                out[i] = tuple(np.empty((count,) + part.shape[1:]) for part in parts)
+            for whole, part in zip(out[i], parts):
+                whole[block.rows] = part
     return out
 
 
@@ -700,37 +749,91 @@ def residual_check(raw, scale, points, tol: float, details: dict | None = None) 
     )
 
 
+def _kept_slot(batch: tuple, key) -> tuple[dict, tuple]:
+    """Where ``key = (fn, subject, *args)`` is kept for ``batch``, the points' shape and bytes:
+    a store on the subject."""
+    return key[1].__dict__.setdefault("_kept", {}), (*batch, key[0], *key[2:])
+
+
+def block_rows(pts, *reducers) -> list[tuple[np.ndarray, ...]]:
+    """The per-point rows of each reducer ``(fn, subject, *args)`` at ``pts`` (see :class:`Block`).
+
+    Rows are kept on the subject, keyed by the whole batch like a field's
+    store, so a run forms them once for every check that reads them; those
+    not kept yet are formed together in one block loop.  A failing reducer is
+    not kept, and the first failure among ``reducers`` is raised.
+    """
+    points = _as_points(pts)
+    batch = (points.shape, points.tobytes())
+    slots = [_kept_slot(batch, reducer) for reducer in reducers]
+    todo = {}  # each missing slot once, by its store
+    for reducer, (store, slot) in zip(reducers, slots):
+        if slot not in store:
+            todo.setdefault((id(store), slot), (reducer, store, slot))
+    if todo:
+        failures = {}
+        for key, (_, store, slot), rows in zip(todo, todo.values(), _block_loop(
+                points, [reducer for reducer, _, _ in todo.values()], isolate=True)):
+            if isinstance(rows, Exception):
+                failures[key] = rows
+            else:
+                store[slot] = _read_only(rows)
+        for store, slot in slots:
+            if slot not in store:
+                raise failures[id(store), slot]
+    return [store[slot] for store, slot in slots]
+
+
+def reduced_check(pts, tol: float, *reducer, details=()) -> CheckResult:
+    """The :func:`residual_check` of a reducer's rows: raw defect, scale, then one row per detail.
+
+    A detail is reported as the largest value of its row.
+    """
+    points = _as_points(pts)
+    raw, scale, *rows = block_rows(points, reducer)[0]
+    return residual_check(raw, scale, points, tol,
+                          {name: float(row.max()) for name, row in zip(details, rows)})
+
+
 # --------------------------------------------------------------------------
 # Statistical structure and curvature
 # --------------------------------------------------------------------------
 
-def check_statistical_structure(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
-    """Torsion-freeness of the connection together with symmetry of ∇g (Codazzi)."""
-    points = _as_points(pts)
-    gm, dg, _ = spec.metric.jets(points)
-    gamma = spec.resolved_connection.values(points)
+def _statistical_rows(b: Block, spec):
+    gm, dg, _ = b.read(spec.metric, True)
+    gamma = b.values(spec.resolved_connection)
     torsion = max_abs(gamma - np.einsum("pkij->pkji", gamma))
     # C[i,j,k] = (∇_{∂_i} g)(∂_j, ∂_k)
     cov = dg - np.einsum("pmij,pmk->pijk", gamma, gm) - np.einsum("pmik,pjm->pijk", gamma, gm)
     codazzi = max_abs(cov - np.einsum("pijk->pjik", cov))
-    return residual_check(np.maximum(torsion, codazzi), scale_of(gamma, gm, dg), points, tol,
-                          details={"torsion": float(torsion.max()), "codazzi": float(codazzi.max())})
+    return np.maximum(torsion, codazzi), scale_of(gamma, gm, dg), torsion, codazzi
+
+
+def check_statistical_structure(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
+    """Torsion-freeness of the connection together with symmetry of ∇g (Codazzi)."""
+    return reduced_check(pts, tol, _statistical_rows, spec, details=("torsion", "codazzi"))
+
+
+def _involution_rows(b: Block, spec):
+    gamma = b.values(spec.resolved_connection)
+    double = b.loop.setdefault(("∇**", spec), ConjugateConnection(spec.metric, spec.conjugate))
+    return max_abs(b.derived(double) - gamma), scale_of(gamma)
 
 
 def check_conjugate_involution(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """(∇*)* = ∇ at the samples, scaled by 1 + max |Γ|."""
-    points = _as_points(pts)
-    gamma = spec.resolved_connection.values(points)
-    double = ConjugateConnection(spec.metric, spec.conjugate).values(points)
-    return residual_check(max_abs(double - gamma), scale_of(gamma), points, tol)
+    return reduced_check(pts, tol, _involution_rows, spec)
+
+
+def _average_rows(b: Block, spec):
+    gamma = b.values(spec.resolved_connection)
+    defect = gamma + b.values(spec.conjugate) - 2.0 * b.values(spec.levi_civita_connection)
+    return max_abs(defect), scale_of(gamma)
 
 
 def check_levi_civita_average(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """(∇ + ∇*)/2 is the Levi-Civita connection at the samples, scaled by 1 + max |Γ|."""
-    points = _as_points(pts)
-    gamma = spec.resolved_connection.values(points)
-    defect = gamma + spec.conjugate.values(points) - 2.0 * spec.levi_civita_connection.values(points)
-    return residual_check(max_abs(defect), scale_of(gamma), points, tol)
+    return reduced_check(pts, tol, _average_rows, spec)
 
 
 def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
@@ -746,15 +849,14 @@ def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     return b - np.einsum("plijk->pljik", b)
 
 
+def _flatness_rows(b: Block, spec):
+    gm = b.values(spec.metric)
+    return max_abs(b.curvature(spec.resolved_connection)), scale_of(gm)
+
+
 def curvature_residual(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """R = 0 at the samples: max |R| scaled by 1 + max |g|."""
-    points = _as_points(pts)
-
-    def reduce(gm, jets):
-        return max_abs(curvature_tensor(*jets)), scale_of(gm)
-
-    batches = spec.metric.values(points), spec.resolved_connection.jets(points)
-    return residual_check(*in_blocks(reduce, spec.metric.dim, *batches), points, tol)
+    return reduced_check(pts, tol, _flatness_rows, spec)
 
 
 def statistical_curvature_at(spec: ManifoldSpec, point) -> np.ndarray:
@@ -798,45 +900,52 @@ def _best_coordinate_plane(gm: np.ndarray) -> tuple[int, int, float]:
     return best
 
 
+def _kurose_rows(b: Block, spec):
+    gp, rp = b.values(spec.metric), b.curvature(spec.resolved_connection)
+    if ("kurose", spec) not in b.loop:  # from the first point's metric and R
+        i, j, disc = _best_coordinate_plane(gp[0])
+        # g(R(e_i, e_j) e_j, e_i) = k (g_jj g_ii − g_ij g_ij)
+        b.loop["kurose", spec] = float(np.einsum("l,lm->m", rp[0][:, i, j, j], gp[0])[i]) / disc
+    k_hat, eye = b.loop["kurose", spec], np.eye(spec.metric.dim)
+    # k (g_jk δ^l_i − g_ik δ^l_j) − R, formed in place: one block-sized temporary, not four
+    defect = np.einsum("pjk,li->plijk", gp, eye)
+    defect -= np.einsum("pik,lj->plijk", gp, eye)
+    defect *= k_hat
+    defect -= rp
+    return max_abs(defect), scale_of(rp, gp), np.full(len(gp), k_hat)
+
+
 def fit_kurose_constant(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """Estimate the constant of the constant-curvature form of R and verify it globally.
 
-    The constant is estimated at the first sample point from the coordinate
-    plane with the largest |g_ii g_jj − g_ij²| (ties to the lowest indices) by
-    contracting both sides of the constant-curvature form with the metric.
-    The result carries it as ``details["constant"]``.
+    The constant is estimated at the first sample point, from the first
+    block's R, in the coordinate plane with the largest |g_ii g_jj − g_ij²|
+    (ties to the lowest indices) by contracting both sides of the
+    constant-curvature form with the metric.  The result carries it as
+    ``details["constant"]``.
     """
-    points = _as_points(pts)
-    metric = spec.metric.values(points)
-    jets = spec.resolved_connection.jets(points)
-    gm = metric[0]
-    i, j, disc = _best_coordinate_plane(gm)
-    r = curvature_tensor(jets[0][0], jets[1][0])
-    # g(R(e_i, e_j) e_j, e_i) = k (g_jj g_ii − g_ij g_ij)
-    k_hat = float(np.einsum("l,lm->m", r[:, i, j, j], gm)[i]) / disc
-    eye = np.eye(spec.metric.dim)
+    return reduced_check(pts, tol, _kurose_rows, spec, details=("constant",))
 
-    def reduce(gp, jets):
-        rp = curvature_tensor(*jets)
-        model = k_hat * (np.einsum("pjk,li->plijk", gp, eye) - np.einsum("pik,lj->plijk", gp, eye))
-        return max_abs(rp - model), scale_of(rp, gp)
 
-    return residual_check(*in_blocks(reduce, spec.metric.dim, metric, jets), points, tol,
-                          details={"constant": k_hat})
+def _dual_curvature_rows(b: Block, spec):
+    gm, r, r_star = b.values(spec.metric), b.curvature(spec.resolved_connection), b.curvature(spec.conjugate)
+    r_cov = _contract("plm,pmijk->pijkl", gm, r)
+    rs_cov = _contract("plm,pmijk->pijkl", gm, r_star)
+    scale = scale_of(r_cov, rs_cov)
+    r_cov += np.einsum("pijlk->pijkl", rs_cov)  # in place: no block-sized temporary
+    return max_abs(r_cov), scale
 
 
 def check_dual_curvature_identity(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """g(R(∂_i,∂_j)∂_k, ∂_l) + g(R*(∂_i,∂_j)∂_l, ∂_k) = 0 at the samples."""
-    points = _as_points(pts)
+    return reduced_check(pts, tol, _dual_curvature_rows, spec)
 
-    def reduce(gm, primal, dual):
-        r_cov = _contract("plm,pmijk->pijkl", gm, curvature_tensor(*primal))
-        rs_cov = _contract("plm,pmijk->pijkl", gm, curvature_tensor(*dual))
-        return max_abs(r_cov + np.einsum("pijlk->pijkl", rs_cov)), scale_of(r_cov, rs_cov)
 
-    batches = (spec.metric.values(points), spec.resolved_connection.jets(points),
-               spec.conjugate.jets(points))
-    return residual_check(*in_blocks(reduce, spec.metric.dim, *batches), points, tol)
+# The reducers each check reads, by function name: run_suite forms a run's in one loop.
+READS = {name: lambda spec, pts, fn=fn: [(fn, spec)] for name, fn in (
+    ("check_statistical_structure", _statistical_rows), ("check_conjugate_involution", _involution_rows),
+    ("check_levi_civita_average", _average_rows), ("check_dual_curvature_identity", _dual_curvature_rows),
+    ("curvature_residual", _flatness_rows), ("fit_kurose_constant", _kurose_rows))}
 
 
 # --------------------------------------------------------------------------

@@ -10,13 +10,15 @@ field, so structures of structures (P** and friends) compose.
 
 Every check takes the :class:`geometry.ManifoldSpec` (g, ∇, P) it certifies
 and reads ∇* and P* from it (``conjugate`` and ``adjoint``), so the checks of
-one spec share those fields and their stores.  Checks, the para-Kähler-like
-certification and the flatness theorem all return a
-:class:`geometry.CheckResult`.
+one spec share those fields and their stores.  Each check is a block
+reducer and its finisher (see :mod:`geometry`); the para-Kähler-like
+certification, conjugate parallelism and the flatness theorem read the kept
+rows of their parts.  All return a :class:`geometry.CheckResult`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 
@@ -28,15 +30,21 @@ from .geometry import (
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
     AdjointStructure,
+    Block,
     CheckResult,
     ManifoldSpec,
     _as_points,
+    _flatness_rows,
+    _kept_slot,
+    _kurose_rows,
+    _statistical_rows,
+    block_rows,
     check_statistical_structure,
     curvature_residual,
     curvature_tensor,
     fit_kurose_constant,
-    in_blocks,
     max_abs,
+    reduced_check,
     residual_check,
     scale_of,
 )
@@ -48,33 +56,35 @@ _IDENTITY_WITNESS_MARGIN = 1e-6
 # Checks
 # --------------------------------------------------------------------------
 
+def _almost_product_rows(b: Block, structure):
+    m = b.values(structure)
+    eye = np.eye(structure.dim)
+    return max_abs(m @ m - eye), scale_of(m), max_abs(m - eye), max_abs(m + eye)
+
+
 def check_almost_product(structure, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """P² = Id at every sample, plus a witness that P is not ±Id anywhere."""
-    points = _as_points(pts)
-    eye = np.eye(structure.dim)
-    m = structure.values(points)
-    plus, minus = float(max_abs(m - eye).max()), float(max_abs(m + eye).max())
-    details = {"identity_distance": plus, "negated_identity_distance": minus}
-    result = residual_check(max_abs(m @ m - eye), scale_of(m), points, tol, details)
-    if plus > _IDENTITY_WITNESS_MARGIN and minus > _IDENTITY_WITNESS_MARGIN:
+    result = reduced_check(pts, tol, _almost_product_rows, structure,
+                           details=("identity_distance", "negated_identity_distance"))
+    if all(distance > _IDENTITY_WITNESS_MARGIN for distance in result.details.values()):
         return result
-    return dataclasses.replace(result, status=STATUS_FAIL, details={**details, "witness_missing": 1.0})
+    return dataclasses.replace(result, status=STATUS_FAIL, details={**result.details, "witness_missing": 1.0})
+
+
+def _pairing_rows(b: Block, spec):
+    double = b.loop.setdefault(("P**", spec), AdjointStructure(spec.metric, spec.adjoint))
+    eye = np.eye(spec.product.dim)
+    gm, m, ms = b.values(spec.metric), b.values(spec.product), b.values(spec.adjoint)
+    square = max_abs(ms @ ms - eye)
+    # g(P ∂_i, P* ∂_j) + g(∂_i, ∂_j)
+    pairing = max_abs(np.swapaxes(m, 1, 2) @ gm @ ms + gm)
+    back = max_abs(b.derived(double) - m)
+    return np.maximum.reduce([square, pairing, back]), scale_of(m, ms, gm), square, pairing, back
 
 
 def check_pairing_identities(spec: ManifoldSpec, pts, tol: float = 1e-10) -> CheckResult:
     """(P*)² = Id, g(PE, P*F) = −g(E, F), and (P*)* = P at the samples."""
-    points = _as_points(pts)
-    double = AdjointStructure(spec.metric, spec.adjoint)
-    eye = np.eye(spec.product.dim)
-    gm, m, ms = spec.metric.values(points), spec.product.values(points), spec.adjoint.values(points)
-    square = max_abs(ms @ ms - eye)
-    # g(P ∂_i, P* ∂_j) + g(∂_i, ∂_j)
-    pairing = max_abs(np.swapaxes(m, 1, 2) @ gm @ ms + gm)
-    back = max_abs(double.values(points) - m)
-    details = {"square": float(square.max()), "pairing": float(pairing.max()),
-               "double_adjoint": float(back.max())}
-    return residual_check(np.maximum.reduce([square, pairing, back]), scale_of(m, ms, gm),
-                          points, tol, details)
+    return reduced_check(pts, tol, _pairing_rows, spec, details=("square", "pairing", "double_adjoint"))
 
 
 def _covariant_derivative_P(gamma, m, dm) -> np.ndarray:
@@ -83,18 +93,16 @@ def _covariant_derivative_P(gamma, m, dm) -> np.ndarray:
             - np.einsum("...mij,...km->...ikj", gamma, m))
 
 
+def _parallelism_rows(b: Block, connection, structure):
+    """∇P for one pair: a spec's (∇, P), or its dual pair (∇*, P*)."""
+    gamma = b.values(connection)
+    m, dm = b.read(structure, True)
+    return max_abs(_covariant_derivative_P(gamma, m, dm)), scale_of(gamma, m)
+
+
 def check_product_parallelism(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """∇P = 0 at the samples, scaled by 1 + max |Γ|, |P|."""
-    return _parallelism(spec.resolved_connection, spec.product, pts, tol)
-
-
-def _parallelism(connection, structure, pts, tol: float) -> CheckResult:
-    """∇P = 0 for one pair: a spec's (∇, P), or its dual pair (∇*, P*)."""
-    points = _as_points(pts)
-    gamma = connection.values(points)
-    m, dm = structure.jets(points)
-    return residual_check(max_abs(_covariant_derivative_P(gamma, m, dm)), scale_of(gamma, m),
-                          points, tol)
+    return reduced_check(pts, tol, _parallelism_rows, spec.resolved_connection, spec.product)
 
 
 def check_para_kahler_like(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -105,6 +113,8 @@ def check_para_kahler_like(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERAN
     part's residual.
     """
     points = _as_points(pts)
+    with contextlib.suppress(Exception):  # one loop for the three; each raises again where it is read
+        block_rows(points, *READS["check_para_kahler_like"](spec, points))
     parts = {"statistical_residual": check_statistical_structure(spec, points, tol),
              "almost_product_residual": check_almost_product(spec.product, points, tol),
              "parallelism_residual": check_product_parallelism(spec, points, tol)}
@@ -125,7 +135,7 @@ def conjugate_parallelism_check(spec: ManifoldSpec, pts, tol: float = DEFAULT_TO
     """
     points = _as_points(pts)
     primal = check_product_parallelism(spec, points, tol)
-    dual = _parallelism(spec.conjugate, spec.adjoint, points, tol)
+    dual = reduced_check(points, tol, _parallelism_rows, spec.conjugate, spec.adjoint)
     both_zero = primal.passed and dual.passed
     both_nonzero = tol < primal.residual < math.inf and tol < dual.residual < math.inf
     worst = primal if primal.residual >= dual.residual else dual
@@ -133,17 +143,34 @@ def conjugate_parallelism_check(spec: ManifoldSpec, pts, tol: float = DEFAULT_TO
                                details={"primal": primal.residual, "dual": dual.residual})
 
 
-def _space_form_model(gm: np.ndarray, m: np.ndarray, c: float) -> np.ndarray:
-    """(c/4){g_jk δ^l_i − g_ik δ^l_j + g(P∂_j,∂_k) P∂_i − g(P∂_i,∂_k) P∂_j
-    + [g(∂_i,P∂_j) − g(P∂_i,∂_j)] P∂_k} as an [l,i,j,k] array, over leading axes."""
+def _space_form_model(gm: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """g_jk δ^l_i − g_ik δ^l_j + g(P∂_j,∂_k) P∂_i − g(P∂_i,∂_k) P∂_j
+    + [g(∂_i,P∂_j) − g(P∂_i,∂_j)] P∂_k as an [l,i,j,k] array, over leading axes:
+    the bracket that the space-form shape with constant c scales by c/4."""
     eye = np.eye(gm.shape[-1])
     q = gm @ m  # q[i, j] = g(∂_i, P ∂_j)
-    model = (np.einsum("...jk,li->...lijk", gm, eye)
-             - np.einsum("...ik,lj->...lijk", gm, eye)
-             + np.einsum("...kj,...li->...lijk", q, m)
-             - np.einsum("...ki,...lj->...lijk", q, m)
-             + np.einsum("...ij,...lk->...lijk", q - np.swapaxes(q, -1, -2), m))
-    return (c / 4.0) * model
+    return (np.einsum("...jk,li->...lijk", gm, eye)
+            - np.einsum("...ik,lj->...lijk", gm, eye)
+            + np.einsum("...kj,...li->...lijk", q, m)
+            - np.einsum("...ki,...lj->...lijk", q, m)
+            + np.einsum("...ij,...lk->...lijk", q - np.swapaxes(q, -1, -2), m))
+
+
+def _space_form_defect(gm: np.ndarray, m: np.ndarray, c: float, r: np.ndarray) -> np.ndarray:
+    """Per point, max |(c/4) bracket − R|, the bracket formed for the block and scaled in place."""
+    defect = _space_form_model(gm, m)
+    defect *= c / 4.0
+    defect -= r
+    return max_abs(defect)
+
+
+def _space_form_rows(b: Block, spec, c: float):
+    gm, m = b.values(spec.metric), b.values(spec.product)
+    r = b.curvature(spec.resolved_connection)
+    primal = _space_form_defect(gm, m, c, r)
+    ms = b.values(spec.adjoint)
+    r_star = b.curvature(spec.conjugate)
+    return primal, _space_form_defect(gm, ms, c, r_star), scale_of(r, r_star, gm, m)
 
 
 def check_space_form(spec: ManifoldSpec, c: float, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -153,41 +180,36 @@ def check_space_form(spec: ManifoldSpec, c: float, pts, tol: float = DEFAULT_TOL
     replaced by P*.  The result carries ``c`` as ``details["constant"]``.
     """
     points = _as_points(pts)
-
-    def reduce(gm, m, jets, ms, dual_jets):
-        r = curvature_tensor(*jets)
-        r_star = curvature_tensor(*dual_jets)
-        return (max_abs(r - _space_form_model(gm, m, c)),
-                max_abs(r_star - _space_form_model(gm, ms, c)), scale_of(r, r_star, gm, m))
-
-    batches = (spec.metric.values(points), spec.product.values(points),
-               spec.resolved_connection.jets(points), spec.adjoint.values(points),
-               spec.conjugate.jets(points))
-    primal, dual, scale = in_blocks(reduce, spec.metric.dim, *batches)
+    primal, dual, scale = block_rows(points, (_space_form_rows, spec, c))[0]
     return residual_check(np.maximum(primal, dual), scale, points, tol, details={
         "primal": float(primal.max()), "dual": float(dual.max()), "constant": c})
+
+
+def _space_form_weights(b: Block, spec):
+    basis = _space_form_model(b.values(spec.metric), b.values(spec.product))
+    return (np.einsum("plijk,plijk->p", basis, basis),)
 
 
 def fit_space_form_constant(spec: ManifoldSpec, pts) -> float:
     """Least-squares constant for the space-form shape, fitted at the best-conditioned sample.
 
+    The weights of all samples come first, from a block loop of their own.
+    The fit is kept for the batch, so the checks of a run fit once.
     Reporting convenience only: verification must call :func:`check_space_form`
     with the fitted value.
     """
     points = _as_points(pts)
-
-    def weights(gm, m):
-        basis = _space_form_model(gm, m, 4.0)  # model is linear in c; c=4 gives the raw bracket
-        return (np.einsum("plijk,plijk->p", basis, basis),)
-
-    gm, m = spec.metric.values(points), spec.product.values(points)
-    (weight,) = in_blocks(weights, spec.metric.dim, gm, m)
-    index = int(np.argmax(weight))
-    if weight[index] == 0.0:
-        return 0.0
-    basis = _space_form_model(gm[index], m[index], 4.0)
-    r = curvature_tensor(*(part[index] for part in spec.resolved_connection.jets(points)))
-    return 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / float(weight[index])
+    store, slot = _kept_slot((points.shape, points.tobytes()), ("space_form_constant", spec))
+    if slot not in store:
+        (weight,) = block_rows(points, (_space_form_weights, spec))[0]
+        index = int(np.argmax(weight))
+        if weight[index] == 0.0:
+            store[slot] = 0.0
+        else:
+            basis = _space_form_model(spec.metric.values(points)[index], spec.product.values(points)[index])
+            r = curvature_tensor(*(part[index] for part in spec.resolved_connection.jets(points)))
+            store[slot] = 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / float(weight[index])
+    return store[slot]
 
 
 def verify_flatness_theorem(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -203,6 +225,8 @@ def verify_flatness_theorem(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERA
     if spec.metric.dim == 2:
         return not_applicable("dimension 2 is excluded by hypothesis")
     points = _as_points(pts)
+    with contextlib.suppress(Exception):  # one loop for all five; each raises again where it is read
+        block_rows(points, *READS["verify_flatness_theorem"](spec, points))
     if not check_para_kahler_like(spec, points, tol).passed:
         return not_applicable("para-Kähler-like certification failed")
     fit = fit_kurose_constant(spec, points, tol)
@@ -216,3 +240,23 @@ def verify_flatness_theorem(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERA
         reason=None if flat.passed else "hypotheses hold but curvature does not vanish",
         details={"constant": constant, "max_curvature": flat.raw_residual},
     )
+
+
+def _para_kahler_like_reads(spec: ManifoldSpec, pts):
+    return [(_statistical_rows, spec), (_almost_product_rows, spec.product),
+            (_parallelism_rows, spec.resolved_connection, spec.product)]
+
+
+# The reducers each check reads, by function name: run_suite forms a run's in one loop.
+READS = {
+    "check_almost_product": lambda structure, pts: [(_almost_product_rows, structure)],
+    "check_pairing_identities": lambda spec, pts: [(_pairing_rows, spec)],
+    "check_product_parallelism": lambda spec, pts: [
+        (_parallelism_rows, spec.resolved_connection, spec.product)],
+    "check_para_kahler_like": _para_kahler_like_reads,
+    "conjugate_parallelism_check": lambda spec, pts: [
+        *READS["check_product_parallelism"](spec, pts), (_parallelism_rows, spec.conjugate, spec.adjoint)],
+    "check_space_form": lambda spec, c, pts: [(_space_form_rows, spec, c)],
+    "verify_flatness_theorem": lambda spec, pts: [] if spec.metric.dim == 2 else [
+        *_para_kahler_like_reads(spec, pts), (_kurose_rows, spec), (_flatness_rows, spec)],
+}

@@ -1,10 +1,13 @@
 """Suite execution: the check registry and the manifest-driven runner.
 
-Checks run in declaration order.  Each one evaluates its fields over the
-whole batch of sample points and ends in one :func:`geometry.residual_check`
-of per-point arrays (the last worst point wins ties), so a fixed seed yields
-byte-identical reports.  A check that raises is recorded as ERROR and the run
-continues.
+First the runner forms, in one block loop over the run's points
+(:func:`geometry.block_rows`), the rows of every reducer the declared checks
+read (each module's ``READS``; the space-form fit runs before the loop), so
+R and R* are formed once per block and every row once.  Then the checks run
+in declaration order, each one :func:`geometry.residual_check` of kept rows
+(the last worst point wins ties), so a fixed seed yields byte-identical
+reports.  A check that raises is recorded as ERROR and the run continues; a
+reducer that raised in the loop raises again in each check that reads it.
 
 One table names every check with its default tolerance and how it runs.
 A check reads its subject from the context (the manifold, its model or its
@@ -30,6 +33,7 @@ metric must be positive definite) ERRORs every check.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import time
@@ -69,27 +73,32 @@ def _subject(ctx, block):
     return subject
 
 
+def _check_subject(name, block, ctx):
+    """What ``module.function`` of a one-result check certifies; almost_product certifies P itself."""
+    subject = _subject(ctx, block)
+    return subject.product if name == "almost_product" else subject
+
+
 def _result_check(name, block, module, function, ctx, pts, tol):
     """A check with one result: ``module.function(subject, pts, tol)``, looked up as it runs.
 
-    So a wrapper installed in the module is called too.  almost_product certifies P itself.
+    So a wrapper installed in the module is called too.
     """
-    subject = _subject(ctx, block)
-    if name == "almost_product":
-        subject = subject.product
-    return [_outcome(name, getattr(module, function)(subject, pts, tol), len(pts))]
+    return [_outcome(name, getattr(module, function)(_check_subject(name, block, ctx), pts, tol),
+                     len(pts))]
 
 
 # --------------------------------------------------------------------------
 # Checks with a family of results or extra inputs
 # --------------------------------------------------------------------------
 
-def _check_space_form(ctx, pts, tol):
+def _space_form_constant(ctx, pts):
     m = _subject(ctx, "product")
-    constant = ctx.space_form_c
-    if constant is None:
-        constant = prod.fit_space_form_constant(m, pts)
-    result = prod.check_space_form(m, constant, pts, tol)
+    return m, ctx.space_form_c if ctx.space_form_c is not None else prod.fit_space_form_constant(m, pts)
+
+
+def _check_space_form(ctx, pts, tol):
+    result = prod.check_space_form(*_space_form_constant(ctx, pts), pts, tol)
     return [_outcome("space_form", result, len(pts))]
 
 
@@ -179,6 +188,18 @@ CHECKS = {name: run if callable(run) else functools.partial(_result_check, name,
 DEFAULT_TOLERANCES = {name: default for name, (default, _) in _TABLE.items()}
 
 
+def _reads(name, ctx, pts):
+    """The reducers check ``name`` reads: run_suite forms those of all its checks in one block loop."""
+    run = _TABLE[name][1]
+    if name == "space_form":
+        return prod.READS["check_space_form"](*_space_form_constant(ctx, pts), pts)
+    if name == "submersion_theorems":
+        return sub.READS["verify_submersion_theorems"](_subject(ctx, "submersion"), pts)
+    if callable(run):
+        return []
+    return run[1].READS.get(run[2], lambda *_: [])(_check_subject(name, run[0], ctx), pts)
+
+
 def _error_outcome(name: str, err: Exception) -> geo.CheckResult:
     return geo.CheckResult(STATUS_ERROR, reason=f"{type(err).__name__}: {err}", name=name)
 
@@ -205,6 +226,12 @@ def run_suite(manifest: Manifest, seed=None, points=None, tol=None) -> Verificat
     except Exception as err:  # noqa: BLE001 - every failure must land in the report
         outcomes = [_error_outcome(name, err) for name in manifest.checks]
     else:
+        reducers = []
+        for name in manifest.checks:
+            with contextlib.suppress(Exception):  # the check raises it again when it runs
+                reducers += _reads(name, ctx, pts)
+        with contextlib.suppress(Exception):  # as does each check that reads a failing reducer
+            geo.block_rows(pts, *reducers)
         outcomes = []
         for name in manifest.checks:
             try:

@@ -12,6 +12,7 @@ explain it in CHANGES.md::
     PYTHONPATH=src python tests/test_benchmark_reports.py > tests/golden/benchmark_reports.sha256
 """
 
+import dataclasses
 import hashlib
 import random
 from pathlib import Path
@@ -19,16 +20,16 @@ from pathlib import Path
 import pytest
 
 from conftest import CURVATURE_CHECKS
-from statgeom import geometry
+from statgeom import geometry, product
 from statgeom.fixtures import (
     curved_product_manifest,
     load_fixture,
     model_manifest,
     submersion_manifest,
 )
-from statgeom.manifest import parse_manifest
+from statgeom.manifest import build_context, parse_manifest
 from statgeom.report import render_report
-from statgeom.suite import CHECKS, run_suite
+from statgeom.suite import CHECKS, DEFAULT_TOLERANCES, run_suite
 
 DIGESTS = Path(__file__).parent / "golden" / "benchmark_reports.sha256"
 SEEDS = (0, 7)
@@ -110,6 +111,40 @@ def test_block_size_changes_no_byte(monkeypatch, label, manifest, seed, points):
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)
         reports.add(render_report(run_suite(manifest, seed=seed, points=points)))
     assert len(reports) == 1
+
+
+# Each public function that reads block-loop rows, by the suite row it must reproduce alone.
+ALONE = {
+    "flatness": lambda spec, pts, tol: geometry.curvature_residual(spec, pts, tol),
+    "kurose_constant_curvature": lambda spec, pts, tol: geometry.fit_kurose_constant(spec, pts, tol),
+    "dual_curvature_identity": lambda spec, pts, tol: geometry.check_dual_curvature_identity(spec, pts, tol),
+    "space_form": lambda spec, pts, tol: product.check_space_form(
+        spec, product.fit_space_form_constant(spec, pts), pts, tol),
+    "para_kahler_like": lambda spec, pts, tol: product.check_para_kahler_like(spec, pts, tol),
+    "conjugate_parallelism": lambda spec, pts, tol: product.conjugate_parallelism_check(spec, pts, tol),
+    "flatness_theorem": lambda spec, pts, tol: product.verify_flatness_theorem(spec, pts, tol),
+}
+
+
+@pytest.mark.parametrize("label, manifest, seed, points",
+                         [pytest.param(*case, id=case[0]) for case in cases() if "/curvature/" in case[0]])
+def test_functions_called_alone_match_the_suite_rows(label, manifest, seed, points):
+    """A public check called alone, on a context of its own, runs its reducers in a loop of
+    their own and gives the suite's row bit for bit, worst point included."""
+    rows = {row.name: row for row in run_suite(manifest, seed=seed, points=points).checks}
+    for name, alone in ALONE.items():
+        ctx = build_context(manifest, seed=seed)
+        pts = geometry.sample_points(ctx.chart, points)
+        result = alone(ctx.manifold, pts, manifest.tolerances.get(name, DEFAULT_TOLERANCES[name]))
+        row = rows[name]
+        assert dataclasses.replace(result, worst_point=None, name=row.name, points_used=row.points_used) \
+            == dataclasses.replace(row, worst_point=None), name
+        assert (result.worst_point is None) == (row.worst_point is None), name
+        if row.worst_point is not None:
+            assert result.worst_point.tobytes() == row.worst_point.tobytes(), name
+    spec = build_context(manifest, seed=seed).manifold
+    fitted = product.fit_space_form_constant(spec, geometry.sample_points(spec.chart, points))
+    assert fitted.hex() == rows["space_form"].details["constant"].hex()
 
 
 if __name__ == "__main__":

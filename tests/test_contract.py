@@ -307,14 +307,17 @@ def test_batched_curvature_matches_one_point_calls_on_curved_products(pairs):
 
 
 def test_second_curvature_pass_makes_no_new_plan():
-    """The plans of one pass of the curvature workload's four manifests all stay cached."""
+    """One pass of the curvature workload's four manifests makes no more plans than the cache
+    keeps, so they all stay cached: a cache that evicted would make them again every pass."""
     manifests = [parse_manifest(curved_product_manifest(pairs, 1.0, 2.0, [1.0] * pairs, seed=pairs,
                                                         checks=CURVATURE_CHECKS),
                                 known_checks=set(CHECKS))
                  for pairs in (1, 2, 3, 4)]
+    geometry._contraction_plan.cache_clear()
     for manifest in manifests:
         run_suite(manifest, points=100)
     misses = geometry._contraction_plan.cache_info().misses
+    assert misses <= geometry._PLAN_CACHE_SIZE
     for manifest in manifests:
         run_suite(manifest, points=100)
     assert geometry._contraction_plan.cache_info().misses == misses

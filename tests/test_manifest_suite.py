@@ -13,7 +13,7 @@ import pytest
 
 import statgeom
 from conftest import CURVATURE_CHECKS
-from statgeom import cli, expfam, geometry, manifest as manifest_module, submersion, suite
+from statgeom import cli, expfam, geometry, manifest as manifest_module, product, submersion, suite
 from statgeom import expr as ex
 from statgeom.cli import main
 from statgeom.fixtures import (
@@ -635,6 +635,33 @@ class TestDerivedFieldOwnership:
         assert len(derives) == 2
         assert all(calls == [False] * blocks for calls in derives.values())
         assert formed["star"] == 2 * blocks
+
+    def test_one_curvature_per_connection_and_block(self, monkeypatch):
+        """A dimension-8 run forms R and R* once per block for every check that reads them:
+        2 × blocks ΓΓ contractions, plus one at the space-form fit's point.  The space-form
+        bracket is built at most 3 × blocks + 1 times: the fit's weights, P and P* per block,
+        and the fit's point."""
+        manifest = parse_manifest(curved_product_manifest(4, 1.0, 2.0, [1.0] * 4, seed=3,
+                                                          checks=CURVATURE_CHECKS),
+                                  known_checks=set(CHECKS))
+        counts = {"curvature": 0, "bracket": 0}
+        contract, bracket = geometry._contract, product._space_form_model
+
+        def count_contract(subscripts, *operands):
+            counts["curvature"] += subscripts == "pmjk,plim->plijk"
+            return contract(subscripts, *operands)
+
+        def count_bracket(*args):
+            counts["bracket"] += 1
+            return bracket(*args)
+
+        monkeypatch.setattr(geometry, "_contract", count_contract)
+        monkeypatch.setattr(product, "_space_form_model", count_bracket)
+        report = run_suite(manifest, points=100)
+        assert all(check.status != STATUS_ERROR for check in report.checks)
+        blocks = -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
+        assert counts["curvature"] == 2 * blocks + 1
+        assert counts["bracket"] <= 3 * blocks + 1
 
     def test_exponential_connection_reads_no_inverse(self, monkeypatch):
         """The shipped 5.5 models at 25 points and three generated ones at 100 make 3 ∂(G⁻¹)
