@@ -26,10 +26,10 @@ Every check is a reducer and a finisher.  The reducer maps one
 :class:`Block` of points to per-point rows, the defect (:func:`max_abs`),
 the scale (:func:`scale_of`) and any detail; the finisher is one
 :func:`residual_check` of the rows with the check's tolerance
-(:func:`reduced_check`).  :func:`block_rows` runs every reducer a batch has
-not kept yet in one loop over its blocks, which forms R and R* once per
-block for all of them, and keeps the rows on the subject, so the checks and
-certifications of a run share them.  Derived fields derive in the same blocks.
+(:func:`reduced_check`).  :func:`block_rows` runs the reducers a batch has
+not kept yet in one loop over its blocks, forming R and R* once per block
+for all of them (the suite hands it every R reader of a run), and keeps the
+rows on the subject for the checks of the run.  Derived fields use the loop.
 
 Every check, fit and theorem takes the :class:`ManifoldSpec` it certifies
 and returns one :class:`CheckResult`.  The spec owns the fields derived from
@@ -939,13 +939,6 @@ def _dual_curvature_rows(b: Block, spec):
 def check_dual_curvature_identity(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
     """g(R(∂_i,∂_j)∂_k, ∂_l) + g(R*(∂_i,∂_j)∂_l, ∂_k) = 0 at the samples."""
     return reduced_check(pts, tol, _dual_curvature_rows, spec)
-
-
-# The reducers each check reads, by function name: run_suite forms a run's in one loop.
-READS = {name: lambda spec, pts, fn=fn: [(fn, spec)] for name, fn in (
-    ("check_statistical_structure", _statistical_rows), ("check_conjugate_involution", _involution_rows),
-    ("check_levi_civita_average", _average_rows), ("check_dual_curvature_identity", _dual_curvature_rows),
-    ("curvature_residual", _flatness_rows), ("fit_kurose_constant", _kurose_rows))}
 
 
 # --------------------------------------------------------------------------

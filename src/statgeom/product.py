@@ -12,8 +12,9 @@ Every check takes the :class:`geometry.ManifoldSpec` (g, ∇, P) it certifies
 and reads ∇* and P* from it (``conjugate`` and ``adjoint``), so the checks of
 one spec share those fields and their stores.  Each check is a block
 reducer and its finisher (see :mod:`geometry`); the para-Kähler-like
-certification, conjugate parallelism and the flatness theorem read the kept
-rows of their parts.  All return a :class:`geometry.CheckResult`.
+certification, conjugate parallelism and the flatness theorem read the rows
+of their parts, and the theorem forms its two R readers in one loop.  All
+return a :class:`geometry.CheckResult`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .geometry import (
     _flatness_rows,
     _kept_slot,
     _kurose_rows,
-    _statistical_rows,
     block_rows,
     check_statistical_structure,
     curvature_residual,
@@ -113,8 +113,6 @@ def check_para_kahler_like(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERAN
     part's residual.
     """
     points = _as_points(pts)
-    with contextlib.suppress(Exception):  # one loop for the three; each raises again where it is read
-        block_rows(points, *READS["check_para_kahler_like"](spec, points))
     parts = {"statistical_residual": check_statistical_structure(spec, points, tol),
              "almost_product_residual": check_almost_product(spec.product, points, tol),
              "parallelism_residual": check_product_parallelism(spec, points, tol)}
@@ -225,10 +223,10 @@ def verify_flatness_theorem(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERA
     if spec.metric.dim == 2:
         return not_applicable("dimension 2 is excluded by hypothesis")
     points = _as_points(pts)
-    with contextlib.suppress(Exception):  # one loop for all five; each raises again where it is read
-        block_rows(points, *READS["verify_flatness_theorem"](spec, points))
     if not check_para_kahler_like(spec, points, tol).passed:
         return not_applicable("para-Kähler-like certification failed")
+    with contextlib.suppress(Exception):  # R once per block for both; each raises again where it is read
+        block_rows(points, *_flatness_theorem_reducers(spec))
     fit = fit_kurose_constant(spec, points, tol)
     constant = fit.details["constant"]
     if not fit.passed:
@@ -242,21 +240,6 @@ def verify_flatness_theorem(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERA
     )
 
 
-def _para_kahler_like_reads(spec: ManifoldSpec, pts):
-    return [(_statistical_rows, spec), (_almost_product_rows, spec.product),
-            (_parallelism_rows, spec.resolved_connection, spec.product)]
-
-
-# The reducers each check reads, by function name: run_suite forms a run's in one loop.
-READS = {
-    "check_almost_product": lambda structure, pts: [(_almost_product_rows, structure)],
-    "check_pairing_identities": lambda spec, pts: [(_pairing_rows, spec)],
-    "check_product_parallelism": lambda spec, pts: [
-        (_parallelism_rows, spec.resolved_connection, spec.product)],
-    "check_para_kahler_like": _para_kahler_like_reads,
-    "conjugate_parallelism_check": lambda spec, pts: [
-        *READS["check_product_parallelism"](spec, pts), (_parallelism_rows, spec.conjugate, spec.adjoint)],
-    "check_space_form": lambda spec, c, pts: [(_space_form_rows, spec, c)],
-    "verify_flatness_theorem": lambda spec, pts: [] if spec.metric.dim == 2 else [
-        *_para_kahler_like_reads(spec, pts), (_kurose_rows, spec), (_flatness_rows, spec)],
-}
+def _flatness_theorem_reducers(spec: ManifoldSpec):
+    """The theorem's reducers that read R, none in dimension 2: formed in one block loop."""
+    return [] if spec.metric.dim == 2 else [(_kurose_rows, spec), (_flatness_rows, spec)]

@@ -58,7 +58,6 @@ from .geometry import (
     sample_points,
     scale_of,
 )
-from .product import READS as PRODUCT_READS
 from .product import (
     check_almost_product,
     check_para_kahler_like,
@@ -564,9 +563,3 @@ def verify_submersion_theorems(
         items["flat_decomposition"] = not_applicable("; ".join(reasons),
                                                      space_form_constant=space_constant)
     return items
-
-
-# The reducers each check reads, by function name: run_suite forms a run's in one loop.
-READS = {"verify_submersion_theorems": lambda spec, pts: [] if spec.base.product is None else [
-    *PRODUCT_READS["check_para_kahler_like"](spec.total, pts),
-    *PRODUCT_READS["check_space_form"](spec.total, fit_space_form_constant(spec.total, pts), pts)]}

@@ -1,13 +1,13 @@
 """Suite execution: the check registry and the manifest-driven runner.
 
 First the runner forms, in one block loop over the run's points
-(:func:`geometry.block_rows`), the rows of every reducer the declared checks
-read (each module's ``READS``; the space-form fit runs before the loop), so
-R and R* are formed once per block and every row once.  Then the checks run
-in declaration order, each one :func:`geometry.residual_check` of kept rows
-(the last worst point wins ties), so a fixed seed yields byte-identical
-reports.  A check that raises is recorded as ERROR and the run continues; a
-reducer that raised in the loop raises again in each check that reads it.
+(:func:`geometry.block_rows`), the rows of each declared check that reads R
+or R* (``_CURVATURE_PLAN``; the space-form fit runs before the loop), so R
+and R* are formed once per block.  Then the checks run in declaration order,
+each one :func:`geometry.residual_check` of its rows (the last worst point
+wins ties), so a fixed seed yields byte-identical reports.  A check that
+raises is recorded as ERROR and the run continues; a reducer that raised in
+the loop raises again in each check that reads it.
 
 One table names every check with its default tolerance and how it runs.
 A check reads its subject from the context (the manifold, its model or its
@@ -73,19 +73,14 @@ def _subject(ctx, block):
     return subject
 
 
-def _check_subject(name, block, ctx):
-    """What ``module.function`` of a one-result check certifies; almost_product certifies P itself."""
-    subject = _subject(ctx, block)
-    return subject.product if name == "almost_product" else subject
-
-
 def _result_check(name, block, module, function, ctx, pts, tol):
     """A check with one result: ``module.function(subject, pts, tol)``, looked up as it runs.
 
-    So a wrapper installed in the module is called too.
+    So a wrapper installed in the module is called too.  almost_product certifies P itself.
     """
-    return [_outcome(name, getattr(module, function)(_check_subject(name, block, ctx), pts, tol),
-                     len(pts))]
+    subject = _subject(ctx, block)
+    subject = subject.product if name == "almost_product" else subject
+    return [_outcome(name, getattr(module, function)(subject, pts, tol), len(pts))]
 
 
 # --------------------------------------------------------------------------
@@ -188,16 +183,17 @@ CHECKS = {name: run if callable(run) else functools.partial(_result_check, name,
 DEFAULT_TOLERANCES = {name: default for name, (default, _) in _TABLE.items()}
 
 
-def _reads(name, ctx, pts):
-    """The reducers check ``name`` reads: run_suite forms those of all its checks in one block loop."""
-    run = _TABLE[name][1]
-    if name == "space_form":
-        return prod.READS["check_space_form"](*_space_form_constant(ctx, pts), pts)
-    if name == "submersion_theorems":
-        return sub.READS["verify_submersion_theorems"](_subject(ctx, "submersion"), pts)
-    if callable(run):
-        return []
-    return run[1].READS.get(run[2], lambda *_: [])(_check_subject(name, run[0], ctx), pts)
+# check -> its reducers that read R or R* at (ctx, points): run_suite forms those of all declared
+# checks in one block loop before any check runs; every other reducer, in its own loop when read.
+_CURVATURE_PLAN = {
+    "dual_curvature_identity": lambda ctx, pts: [(geo._dual_curvature_rows, _subject(ctx, "metric"))],
+    "flatness": lambda ctx, pts: [(geo._flatness_rows, _subject(ctx, "metric"))],
+    "kurose_constant_curvature": lambda ctx, pts: [(geo._kurose_rows, _subject(ctx, "metric"))],
+    "flatness_theorem": lambda ctx, pts: prod._flatness_theorem_reducers(_subject(ctx, "product")),
+    "space_form": lambda ctx, pts: [(prod._space_form_rows, *_space_form_constant(ctx, pts))],
+    "submersion_theorems": lambda ctx, pts: [  # the total space's rows, at the fitted constant
+        (prod._space_form_rows, ctx.manifold, prod.fit_space_form_constant(ctx.manifold, pts))],
+}
 
 
 def _error_outcome(name: str, err: Exception) -> geo.CheckResult:
@@ -229,7 +225,7 @@ def run_suite(manifest: Manifest, seed=None, points=None, tol=None) -> Verificat
         reducers = []
         for name in manifest.checks:
             with contextlib.suppress(Exception):  # the check raises it again when it runs
-                reducers += _reads(name, ctx, pts)
+                reducers += _CURVATURE_PLAN.get(name, lambda *_: [])(ctx, pts)
         with contextlib.suppress(Exception):  # as does each check that reads a failing reducer
             geo.block_rows(pts, *reducers)
         outcomes = []

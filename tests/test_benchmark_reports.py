@@ -97,7 +97,7 @@ def test_report_matches_stored_digest(label, manifest, seed, points):
     assert digest(manifest, seed, points) == stored_digests()[label]
 
 
-# The manifests whose reports must not depend on the block size of geometry.in_blocks.
+# The manifests whose reports must not depend on the block size of geometry._block_loop.
 BLOCK_CASES = {f"0/curvature/curved_product_{pairs}pair" for pairs in (1, 2, 3, 4)} | {
     "0/submersion/curved_submersion_3to1", "0/models/model_dirichlet4"}
 
@@ -105,7 +105,7 @@ BLOCK_CASES = {f"0/curvature/curved_product_{pairs}pair" for pairs in (1, 2, 3, 
 @pytest.mark.parametrize("label, manifest, seed, points",
                          [pytest.param(*case, id=case[0]) for case in cases() if case[0] in BLOCK_CASES])
 def test_block_size_changes_no_byte(monkeypatch, label, manifest, seed, points):
-    """in_blocks treats every point on its own, so blocks of any size give the same report."""
+    """_block_loop treats every point on its own, so blocks of any size give the same report."""
     reports = set()
     for entries in (1 << 8, 1 << 13, 1 << 15, 1 << 16):
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)

@@ -612,7 +612,8 @@ class TestDerivedFieldOwnership:
 
     def test_one_conjugate_per_block_for_every_conjugate_field(self, monkeypatch):
         """∇* and ∇** of a dimension-8 run form Γ* once per block: one ``_derive`` call per
-        block for the values, and the jets that follow read the stored Γ*."""
+        block each, for the jets of ∇* (R*, in the curvature loop, reads it first) and for
+        the values of ∇**, and every later read of ∇* reads the stored Γ*."""
         manifest = parse_manifest(curved_product_manifest(4, 1.0, 2.0, [1.0] * 4, seed=3,
                                                           checks=CURVATURE_CHECKS),
                                   known_checks=set(CHECKS))
@@ -620,7 +621,8 @@ class TestDerivedFieldOwnership:
         derive, einsum = geometry.ConjugateConnection._derive, np.einsum
 
         def count_derive(self, full, *batches):
-            derives.setdefault(id(self), []).append(full)
+            double = isinstance(self._bases[2], geometry.ConjugateConnection)
+            derives.setdefault("∇**" if double else "∇*", []).append(full)
             return derive(self, full, *batches)
 
         def count_einsum(subscripts, *operands, **kwargs):
@@ -632,18 +634,28 @@ class TestDerivedFieldOwnership:
         report = run_suite(manifest, points=100)
         assert all(check.status != STATUS_ERROR for check in report.checks)
         blocks = -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
-        assert len(derives) == 2
-        assert all(calls == [False] * blocks for calls in derives.values())
+        assert derives == {"∇*": [True] * blocks, "∇**": [False] * blocks}
         assert formed["star"] == 2 * blocks
 
-    def test_one_curvature_per_connection_and_block(self, monkeypatch):
-        """A dimension-8 run forms R and R* once per block for every check that reads them:
-        2 × blocks ΓΓ contractions, plus one at the space-form fit's point.  The space-form
-        bracket is built at most 3 × blocks + 1 times: the fit's weights, P and P* per block,
-        and the fit's point."""
-        manifest = parse_manifest(curved_product_manifest(4, 1.0, 2.0, [1.0] * 4, seed=3,
-                                                          checks=CURVATURE_CHECKS),
-                                  known_checks=set(CHECKS))
+    # Each case but the first fails without one entry of suite._CURVATURE_PLAN: R and R* are
+    # formed again in the loop of a check that was left out of the plan.  On the flat product
+    # both of the theorem's hypotheses hold, so it reads the Kurose rows and the flatness rows.
+    @pytest.mark.parametrize("flat, checks, per_block, at_fit", [
+        (False, CURVATURE_CHECKS, 2, 1),
+        (False, ["dual_curvature_identity", "space_form"], 2, 1),
+        (False, ["flatness", "kurose_constant_curvature"], 1, 0),
+        (True, ["dual_curvature_identity", "flatness_theorem"], 2, 0),
+    ], ids=["curvature_checks", "dual_and_space_form", "flatness_and_kurose",
+            "flat_dual_and_flatness_theorem"])
+    def test_one_curvature_per_connection_and_block(self, monkeypatch, flat, checks, per_block,
+                                                    at_fit):
+        """A dimension-8 run forms R, and R* where a check reads it, once per block for every
+        check that reads them: per_block × blocks ΓΓ contractions, plus one at the space-form
+        fit's point.  The space-form bracket is built at most 3 × blocks + 1 times: the fit's
+        weights, P and P* per block, and the fit's point."""
+        data = (flat_product_manifest(4, 1.0, [1.0] * 4, seed=3, checks=checks) if flat else
+                curved_product_manifest(4, 1.0, 2.0, [1.0] * 4, seed=3, checks=checks))
+        manifest = parse_manifest(data, known_checks=set(CHECKS))
         counts = {"curvature": 0, "bracket": 0}
         contract, bracket = geometry._contract, product._space_form_model
 
@@ -660,8 +672,23 @@ class TestDerivedFieldOwnership:
         report = run_suite(manifest, points=100)
         assert all(check.status != STATUS_ERROR for check in report.checks)
         blocks = -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
-        assert counts["curvature"] == 2 * blocks + 1
+        assert counts["curvature"] == per_block * blocks + at_fit
         assert counts["bracket"] <= 3 * blocks + 1
+
+    def test_flatness_theorem_alone_forms_curvature_once_per_block(self, monkeypatch):
+        """Called alone on the dimension-8 flat product, where both hypotheses hold, the
+        flatness theorem forms R once per block for its Kurose fit and its flatness rows."""
+        spec = build_context(parse_manifest(flat_product_manifest(4, 1.0, [1.0] * 4, seed=3))).manifold
+        pts = geometry.sample_points(spec.chart, 100)
+        calls, contract = [], geometry._contract
+
+        def count_contract(subscripts, *operands):
+            calls.append(subscripts == "pmjk,plim->plijk")
+            return contract(subscripts, *operands)
+
+        monkeypatch.setattr(geometry, "_contract", count_contract)
+        assert product.verify_flatness_theorem(spec, pts).passed
+        assert sum(calls) == -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
 
     def test_exponential_connection_reads_no_inverse(self, monkeypatch):
         """The shipped 5.5 models at 25 points and three generated ones at 100 make 3 ∂(G⁻¹)

@@ -4,7 +4,11 @@ Example 5.3 (k = 1, l = 2) is para-Kähler-like with ∇P = 0.  Adding 0.01 to
 Γ⁰₀₀ breaks ∇P = 0 and with it the para-Kähler-like certification and the
 constant-curvature form, while ∇P and ∇*P* stay nonzero together.  The curved
 product of two pairs has R ≠ 0 off the constant-curvature and space-form
-shapes, so the flatness theorem's hypothesis fails.
+shapes, so the flatness theorem's hypothesis fails.  Setting Γ⁰₀₁ = 0.01 in
+the same example adds torsion, so ∇ and ∇* no longer average to the
+Levi-Civita connection.  In the submersion of the curved product of two
+pairs onto its first pair, Γ⁰₂₂ = 0.01 makes the fibers non-isometric and
+breaks T(P̂U, P̂V) = T(U, V).
 """
 
 import copy
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import CURVATURE_CHECKS
-from statgeom.fixtures import curved_product_manifest, load_fixture
+from statgeom.fixtures import curved_product_manifest, load_fixture, submersion_manifest
 from statgeom.manifest import parse_manifest
 from statgeom.suite import CHECKS, run_suite
 
@@ -21,11 +25,22 @@ DEFECT_CHECKS = ("product_parallelism", "para_kahler_like", "kurose_constant_cur
                  "conjugate_parallelism")
 
 
-def gamma_defect_manifest():
-    """``example_5_3_k1_l2`` with Γ⁰₀₀ = 0.01 in place of 0, and the checks it refutes."""
+TORSION_CHECKS = ("statistical_structure", "conjugate_involution", "levi_civita_average",
+                  "conjugate_parallelism", "product_parallelism")
+
+
+def gamma_defect_manifest(i=0, j=0, checks=DEFECT_CHECKS):
+    """``example_5_3_k1_l2`` with Γ⁰ᵢⱼ = 0.01 in place of its entry, and the checks it refutes."""
     data = copy.deepcopy(load_fixture("example_5_3_k1_l2").data)
-    data["connection"][0][0][0] = "0.01"
-    data["checks"] = list(DEFECT_CHECKS)
+    data["connection"][0][i][j] = "0.01"
+    data["checks"] = list(checks)
+    return data
+
+
+def fiber_defect_manifest():
+    """``curved_submersion_2to1`` with Γ⁰₂₂ = 0.01 in place of 0, with its default checks."""
+    data = submersion_manifest(2, 1, 1.0, 2.0, (1.0, 1.0), seed=5)
+    data["connection"][0][2][2] = "0.01"
     return data
 
 
@@ -73,3 +88,30 @@ def test_curved_product_refutes_flatness_and_the_space_form():
     assert theorem.status == "NOT-APPLICABLE"
     assert theorem.reason == "curvature is not of constant-curvature form"
     assert theorem.details == pytest.approx({"constant": 1 / 3, "fit_residual": 0.2837365963995728})
+
+
+def test_torsion_refutes_the_levi_civita_average():
+    rows = _rows(gamma_defect_manifest(0, 1, TORSION_CHECKS))
+    assert {name: row.status for name, row in rows.items()} == dict(zip(
+        TORSION_CHECKS, ("FAIL", "PASS", "FAIL", "PASS", "FAIL")))
+    worst = [-0.66405207, 0.61299855]
+    _assert_row(rows["levi_civita_average"], "FAIL", 0.5257598984032833, worst)
+    assert rows["levi_civita_average"].raw_residual == pytest.approx(1.0975501600703392, rel=1e-9)
+    assert rows["statistical_structure"].details["torsion"] == pytest.approx(1.097550160070339)
+    # (∇*)* = ∇ holds for any connection, torsion or not
+    assert rows["conjugate_involution"].residual < 1e-12
+    _assert_row(rows["product_parallelism"], "FAIL", 0.5257598984032832, worst)
+
+
+def test_fiber_defect_refutes_isometric_fibers():
+    rows = _rows(fiber_defect_manifest())
+    assert all(row.status != "ERROR" for row in rows.values())
+    _assert_row(rows["isometric_fibers"], "FAIL", 0.007394038169267128,
+                [-0.25895375, 1.91300378, -0.19712649, 1.89156983])
+    assert rows["isometric_fibers"].raw_residual == pytest.approx(0.01, rel=1e-12)
+    symmetry = rows["submersion_theorems.vertical_symmetry"]
+    assert symmetry.status == "FAIL"
+    assert symmetry.residual == pytest.approx(5.0e-3, rel=1e-9)
+    flat = rows["submersion_theorems.flat_decomposition"]
+    assert flat.status == "NOT-APPLICABLE"
+    assert flat.reason.endswith("fibers are not isometric")
