@@ -29,6 +29,7 @@ from . import expr as ex
 from .geometry import (
     AdjointStructure,
     ChartSpec,
+    ComponentGrid,
     DerivedJets,
     ExpressionField,
     ManifoldSpec,
@@ -45,7 +46,7 @@ class ExpFamilyModel:
     name: str
     psi: ex.ScalarField
     chart: ChartSpec
-    hessian: tuple[tuple[ex.ScalarField, ...], ...]
+    hessian: ComponentGrid
 
     @property
     def dim(self) -> int:
@@ -113,7 +114,8 @@ def builtin_model(name: str, **hyperparams) -> ExpFamilyModel:
     n = chart.dim
     first = [psi.differentiate(i) for i in range(n)]
     upper = {(i, j): first[i].differentiate(j) for i in range(n) for j in range(i, n)}
-    hessian = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    hessian = ComponentGrid([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)],
+                            symmetric=True)
     return ExpFamilyModel(name=name, psi=psi, chart=chart, hessian=hessian)
 
 

@@ -513,9 +513,9 @@ def _derivative(node: object, derivatives: list, index: int) -> object:
 # is formed and no derivative-only check runs (sqrt at zero, ``c·u^(c−1)``,
 # the next polygamma), so values read past singular derivatives.  The
 # transcendental functions run through ``math`` element by element, so
-# every row equals ``eval2`` of ``tests/oracles.py`` at that point, except
-# that a zero may differ in sign (``_minus(None, b)`` is −b where ``eval2``
-# computes 0 − b, so a zero b gives −0.0 here and 0.0 there).  A rule's
+# every row equals ``eval2`` of ``tests/oracles.py`` at that point as
+# numbers; the sign of a zero may differ (``_minus(None, b)`` is −b where
+# ``eval2`` computes 0 − b, so a zero b gives −0.0 here and 0.0 there).  A rule's
 # result depends only on the node's structure and its children's, so the
 # walk shares one result among equal subtrees of a batch, bit for bit, and
 # the parts formed at a lower order are the bits of those at a higher one.

@@ -19,9 +19,10 @@ one store keyed by the whole batch (:class:`PointJets`).  A single point is a
 batch of one: the per-point accessors ``value`` and ``jet`` return its
 row 0, and the geometric definitions are written once, over stacks of
 points.  Every field given by coordinate expressions is an
-:class:`ExpressionField` over a grid of components, a connection or a
+:class:`ExpressionField` over a :class:`ComponentGrid`, a connection or a
 product structure directly; :class:`MetricField` adds order 2, symmetry and
-the inverse.
+the inverse.  A grid is laid out and planned once, so a parsed manifest's
+grids serve every run, and each run's fields are only new stores over them.
 Every check is a reducer and a finisher.  The reducer maps one
 :class:`Block` of points to per-point rows, the defect (:func:`max_abs`),
 the scale (:func:`scale_of`) and any detail; the finisher is one
@@ -388,31 +389,20 @@ def _contraction_plan(subscripts: str, shapes: tuple, masks: tuple):
 # Expression-backed fields
 # --------------------------------------------------------------------------
 
-class ExpressionField(PointJets):
-    """A tensor field whose components are expression fields, held in an object grid.
+class ComponentGrid:
+    """A square grid of component fields, checked and laid out once, shared by every field over it.
 
-    The grid's shape is the value shape; it is square, every axis as long as
-    the chart dimension.  Jets carry derivatives up to ``order``, the derivative
-    indices right after the point axis: ``(X, dX, d2X)`` with
-    ``dX[k, a...] = ∂_k X[a...]`` and ``d2X[k, l, a...] = ∂_k ∂_l X[a...]``.
-    A ``symmetric`` grid is read from its upper triangle (i ≤ j) and
-    mirrored.  The values of the constant components (an :class:`expr.Const`
-    root) are laid out once, in a template of the value shape: a batch copies
-    it over the point axis and starts every derivative array from zeros.  It
-    then walks only the varying components together, each distinct subtree
-    once per batch, and writes each one's jets into its slots as they arrive;
-    a structural zero is not written.  The walk's :class:`expr.Plan` is made at
-    the first batch and kept for the next ones; a grid of constants makes
-    none.  Finiteness is checked once per assembled array; on a non-finite
-    entry all components, constants included, are walked again through
-    :func:`expr.eval_fields`' checked path, which names the first failing
-    component's failure and point.
+    Every axis is as long as the chart dimension.  ``components`` holds the
+    fields as nested tuples, a ``symmetric`` grid's mirrored from its upper
+    triangle (i ≤ j); ``read`` lists the components read, in grid order.  Of
+    these, the constants (an :class:`expr.Const` root) are kept as the flat
+    indices and values of their slots other than +0.0 (``constants``), and the
+    ``varying`` ones with the ``slots`` each fills.  ``plan``, the walk of the
+    varying roots, is made at the first batch over the grid and kept.  A grid
+    holds trees and numbers, no array and no result, so one parse serves every run.
     """
 
-    order = 1
-    symmetric = False
-
-    def __init__(self, components):
+    def __init__(self, components, symmetric: bool = False):
         grid = np.array(components, dtype=object)
         if not all(isinstance(f, ex.ScalarField) for f in grid.flat):
             raise ValueError("component grid is ragged or holds non-field entries")
@@ -421,27 +411,63 @@ class ExpressionField(PointJets):
         n = grid.shape[0]
         if any(f.arity != n for f in grid.flat):
             raise ValueError(f"components must all have chart arity {n}, the grid's dimension")
-        if self.symmetric:
+        if symmetric:
             grid = np.where(np.tri(n, dtype=bool), grid.T, grid)
-        grid.flags.writeable = False
-        self.grid = grid
-        # every component read from the grid; the values of the constant ones fill the
-        # template, and the varying ones are walked together, each with the slots it fills
-        self._components, self._varying, self._slots = [], [], []
-        self._template = np.zeros(grid.shape)
+        self.components = _nested(grid)
+        self.shape, self.symmetric = grid.shape, symmetric
+        self.read, self.varying, self.slots, indices, values = [], [], [], [], []
         for index in np.ndindex(grid.shape):
-            if self.symmetric and index[0] > index[1]:
+            if symmetric and index[0] > index[1]:
                 continue
             component = grid[index]
-            slots = (index, index[::-1]) if self.symmetric and index[0] != index[1] else (index,)
-            self._components.append(component)
-            if isinstance(component.root, ex.Const):
-                for slot in slots:
-                    self._template[slot] = component.root.value
-            else:
-                self._varying.append(component)
-                self._slots.append(tuple((...,) + slot for slot in slots))
-        self._plan = None  # the walk of the varying components, made at their first batch
+            slots = (index, index[::-1]) if symmetric and index[0] != index[1] else (index,)
+            self.read.append(component)
+            if not isinstance(component.root, ex.Const):
+                self.varying.append(component)
+                self.slots.append(tuple((...,) + slot for slot in slots))
+            elif component.root.value or math.copysign(1.0, component.root.value) < 0:
+                indices += [int(np.ravel_multi_index(slot, grid.shape)) for slot in slots]
+                values += [component.root.value] * len(slots)
+        self.read, self.varying, self.slots = tuple(self.read), tuple(self.varying), tuple(self.slots)
+        self.constants = (tuple(indices), tuple(values))
+
+    @functools.cached_property
+    def plan(self) -> ex.Plan:
+        return ex.Plan([f.root for f in self.varying])
+
+
+def _nested(grid: np.ndarray) -> tuple:
+    return tuple(_nested(row) for row in grid) if grid.ndim > 1 else tuple(grid)
+
+
+class ExpressionField(PointJets):
+    """A tensor field whose components are held in a :class:`ComponentGrid` of its value shape.
+
+    Jets carry derivatives up to ``order``, the derivative indices right after
+    the point axis: ``(X, dX, d2X)`` with ``dX[k, a...] = ∂_k X[a...]`` and
+    ``d2X[k, l, a...] = ∂_k ∂_l X[a...]``.  A field is a store over its grid
+    (nested lists of components are laid out into a grid of its own) plus its
+    template, the grid's constants in an array of the value shape.  A batch
+    copies the template over the point axis, starts every derivative array
+    from zeros, and walks only the varying components with the grid's kept
+    plan, each distinct subtree once, writing each one's jets into its slots
+    as they arrive; a structural zero is not written.  Finiteness is checked
+    once per assembled array; on a non-finite entry all components,
+    constants included, are walked again through :func:`expr.eval_fields`'
+    checked path, which names the first failing component's failure and point.
+    """
+
+    order = 1
+    symmetric = False
+
+    def __init__(self, components):
+        if isinstance(components, ComponentGrid) and components.symmetric != self.symmetric:
+            components = components.components  # laid out again, as this class reads it
+        if not isinstance(components, ComponentGrid):
+            components = ComponentGrid(components, self.symmetric)
+        self.grid = components
+        self._template = np.zeros(components.shape)
+        self._template.put(*components.constants)
 
     @classmethod
     def from_strings(
@@ -470,29 +496,26 @@ class ExpressionField(PointJets):
         return self.grid.shape[0]
 
     def component(self, *index: int) -> ex.ScalarField:
-        return self.grid[index]
+        return functools.reduce(tuple.__getitem__, index, self.grid.components)
 
     def _batch_jets(self, points, full):
-        count, n, order = points.shape[0], self.dim, self.order if full else 0
-        shape = self.grid.shape
+        grid, count, order = self.grid, points.shape[0], self.order if full else 0
         # ndarray.copy is C-ordered; np.array of the broadcast would put the point axis last
-        parts = (np.broadcast_to(self._template, (count,) + shape).copy(),
-                 *(np.zeros((count,) + (n,) * derivatives + shape)
+        parts = (np.broadcast_to(self._template, (count,) + grid.shape).copy(),
+                 *(np.zeros((count,) + (self.dim,) * derivatives + grid.shape)
                    for derivatives in range(1, order + 1)))
 
         def write(i, jets):  # a float broadcasts into its slots; a structural zero is there already
-            for target in self._slots[i]:
+            for target in grid.slots[i]:
                 for part, jet in zip(parts, jets):
                     if jet is not None:
                         part[target] = jet
 
-        if self._varying:
-            if self._plan is None:
-                self._plan = ex.Plan([f.root for f in self._varying])
-            ex.eval_fields(self._varying, points, order, write, self._plan, check_finite=False)
+        if grid.varying:
+            ex.eval_fields(grid.varying, points, order, write, grid.plan, check_finite=False)
         if not all(np.isfinite(part).all() for part in parts):
             # the checked walk raises with the first failing component's message and point
-            ex.eval_fields(self._components, points, order, lambda *_: None)
+            ex.eval_fields(grid.read, points, order, lambda *_: None)
             raise ex.EvaluationError("non-finite derivative data" if order else "non-finite value")
         return parts
 

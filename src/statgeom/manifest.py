@@ -10,18 +10,19 @@ What is kept per manifest and what is built per run:
 
 * :func:`parse_manifest` parses and validates every block once and keeps the
   results as fields of the :class:`Manifest`: ``total`` and a submersion's
-  ``base`` (each a chart with the component grids of its metric, connection
-  and product blocks), or the ``model`` (its potential ψ and the Fisher grid
-  ∂_i ∂_j ψ, derived once) with its ``alphas`` and ``involution``; and
-  ``space_form_c``.  These are inputs only: trees and numbers, never a field
-  or a computed array.  The declared seed is the one parsed: a metric
+  ``base`` (each a chart with the :class:`geometry.ComponentGrid` of its
+  metric, connection and product blocks), or the ``model`` (its potential ψ
+  and the Fisher grid ∂_i ∂_j ψ, derived once) with its ``alphas`` and
+  ``involution``; and ``space_form_c``.  These are inputs only: trees,
+  layouts, walk plans and numbers, never a field or a computed array.  The declared seed is the one parsed: a metric
   manifest's comes from its ``chart`` block, a model manifest's from its top
   level.
 * :func:`build_context`, called once per run, builds everything else from
-  them without parsing or differentiating: charts sampled with the run's
-  seed, and fresh fields (with empty stores) over the kept grids, the
-  model's Fisher metric among them.  So no numeric result of one run serves
-  another.
+  them without parsing, differentiating or planning a walk: charts sampled
+  with the run's seed, and fresh fields over the kept grids, the model's
+  Fisher metric among them, each an empty store plus its template of the
+  grid's constants.  A grid's walk plan is made at its first batch and then
+  serves every run; no numeric result of one run serves another.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .geometry import (
     DEFAULT_POINT_COUNT,
     DEFAULT_TOLERANCE,
     ChartSpec,
+    ComponentGrid,
     ExpressionField,
     ManifoldSpec,
     MetricField,
@@ -66,12 +68,12 @@ class _ParsedManifold:
     """A manifold block as parsed: its chart, with the declared seed, and its component grids."""
 
     chart: ChartSpec
-    metric: list
-    connection: list | None = None
-    product: list | None = None
+    metric: ComponentGrid
+    connection: ComponentGrid | None = None
+    product: ComponentGrid | None = None
 
     def build(self, where: str, seed=None) -> ManifoldSpec:
-        """A spec with fresh fields over the grids, its chart sampled with ``seed`` if given."""
+        """A spec with fresh fields over the kept grids, its chart sampled with ``seed`` if given."""
         return ManifoldSpec(
             chart=_reseeded(self.chart, seed, f"{where}: "),
             metric=MetricField(self.metric),
@@ -320,13 +322,9 @@ def _parse_manifold(data, where: str) -> _ParsedManifold:
     entries = data["metric"]
     grid = _parse_field_grid(entries, coords, params, f"{where}.metric", 2)
     _check_symmetric(grid, entries, chart, f"{where}.metric")
-    connection = None
-    if "connection" in data:
-        connection = _parse_field_grid(data["connection"], coords, params, f"{where}.connection", 3)
-    product = None
-    if "product" in data:
-        product = _parse_field_grid(data["product"], coords, params, f"{where}.product", 2)
-    return _ParsedManifold(chart=chart, metric=grid, connection=connection, product=product)
+    grids = {key: ComponentGrid(_parse_field_grid(data[key], coords, params, f"{where}.{key}", rank))
+             for key, rank in (("connection", 3), ("product", 2)) if key in data}
+    return _ParsedManifold(chart=chart, metric=ComponentGrid(grid, symmetric=True), **grids)
 
 
 def _parse_subject(data: dict) -> dict:
@@ -407,8 +405,10 @@ def _parse_subject(data: dict) -> dict:
 def build_context(manifest: Manifest, seed=None) -> VerificationContext:
     """A fresh context for one run from the parsed blocks, sampled with ``seed`` if given.
 
-    Nothing is parsed or differentiated: the fields, a model's Fisher metric
-    among them, are new objects over the kept grids, so their stores start empty.
+    Nothing is parsed, differentiated, checked or planned again: the fields, a
+    model's Fisher metric among them, are new stores over the kept grids,
+    which they share with every other run, so their stores start empty and
+    their walks use the plans the grids keep.
     """
     if manifest.model is not None:
         model = dataclasses.replace(manifest.model, chart=_reseeded(manifest.model.chart, seed, ""))

@@ -22,13 +22,15 @@ Every derived field lives on its manifold (an α-connection on its model's α
 spec), so the checks of one run share it.
 
 Per manifest, :func:`manifest.parse_manifest` keeps the parsed blocks: charts,
-component grids, a model with its potential and Fisher grid.  Per call,
+component grids (:class:`geometry.ComponentGrid`, which keeps its walk plan
+from its first batch on), a model with its potential and Fisher grid.  Per call,
 :func:`run_suite` builds one fresh context from them
-(:func:`manifest.build_context`, which parses and differentiates nothing),
-and with it fresh fields and stores, a model's Fisher metric among them, so
-no numeric result of one run serves another and two runs give the same
-bytes.  A metric that fails its validation on the run's points (a Fisher
-metric must be positive definite) ERRORs every check.
+(:func:`manifest.build_context`, which parses, differentiates and plans
+nothing), and with it fresh fields, each a new store over a kept grid, a
+model's Fisher metric among them, so no numeric result of one run serves
+another and two runs give the same bytes.  A metric that fails its
+validation on the run's points (a Fisher metric must be positive definite)
+ERRORs every check.
 """
 
 from __future__ import annotations

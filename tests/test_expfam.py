@@ -83,7 +83,7 @@ class TestBuiltinModels:
 
         class CountedMetric(expfam.MetricField):
             def __init__(self, components):
-                builds.append(len(components))
+                builds.append(components.shape[0])
                 super().__init__(components)
 
         monkeypatch.setattr(expfam, "MetricField", CountedMetric)

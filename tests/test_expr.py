@@ -281,7 +281,7 @@ def _manifold_fields(manifold):
     fields = [manifold.metric.component(i, j) for i in range(n) for j in range(i, n)]
     for field in (manifold.connection, manifold.product):
         if field is not None:
-            fields += list(field.grid.flat)
+            fields += list(field.grid.read)
     return fields
 
 
@@ -315,7 +315,8 @@ def _component_cases():
 
 
 def _assert_rows_equal_eval2(field, points):
-    """Rows of ``eval2_points`` equal ``eval2``, and entries of ``eval_points`` its value."""
+    """Rows of ``eval2_points`` equal ``eval2``, and entries of ``eval_points`` its value, as
+    numbers: ``==`` does not see the sign of a zero, which may differ."""
     values, grads, hessians = eval2_points(field, points)
     plain = eval_points(field, points)
     assert values.shape == plain.shape == (len(points),)
@@ -342,6 +343,16 @@ class TestEval2Points:
             "exp(x)*sin(y) - cos(x*y)/sqrt(1 + x*x) + log(1 + y)^1.5 + lgamma(y)"
             " + digamma(x + y) + polygamma2(y) + x^-2 + 3^x", ("x", "y"))
         _assert_rows_equal_eval2(f, [[0.3, 1.2], [1.7, 0.4], [-0.9, 2.5]])
+
+    def test_a_zero_may_differ_in_sign(self):
+        """∂/∂x of e·k/y² is −0.0 here, where the quotient rule negates ∂(y²)/∂x · value
+        (``_minus(None, b)``), and 0.0 in ``eval2``, which computes 0 − b: equal as numbers."""
+        f = parse_expression("e*k/(y*y)", ("x", "y"), {"e": 2.0, "k": 3.0})
+        _, grads, _ = eval2_points(f, [[0.3, 0.5]])
+        reference = eval2(f, [0.3, 0.5])
+        assert grads[0, 0] == reference.grad[0] == 0.0
+        assert np.signbit(grads[0, 0]) and not np.signbit(reference.grad[0])
+        _assert_rows_equal_eval2(f, [[0.3, 0.5]])
 
     def test_constant_and_linear_fields(self):
         _assert_rows_equal_eval2(parse_expression("2*k - 1", ("x",), {"k": 3.0}), [[0.0], [1.0]])

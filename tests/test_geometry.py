@@ -244,7 +244,7 @@ def _assembled_alone(field, points, order):
             for part, jet in zip(parts, jets):
                 part[(...,) + index] = 0.0 if jet is None else jet
 
-        ex.eval_fields([field.grid[index]], points, order, write)
+        ex.eval_fields([field.component(*index)], points, order, write)
     return parts
 
 
@@ -256,7 +256,7 @@ class TestGridWalk:
         change no bit, sign bits included, of any grid's jets or values."""
         labels, constants = set(), 0
         for label, field, points in _expression_fields():
-            constants += sum(isinstance(f.root, Const) for f in field.grid.flat)
+            constants += sum(isinstance(f.root, Const) for f in field.grid.read)
             for full, order in ((True, field.order), (False, 0)):
                 fresh = type(field)(field.grid)
                 parts = fresh.jets(points) if full else (fresh.values(points),)

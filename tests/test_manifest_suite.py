@@ -817,25 +817,29 @@ class TestRunsAreIndependent:
         (model_manifest("dirichlet", {"dim": 3}, involution=[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
                                                              [0.0, 0.0, 1.0]], seed=4), 9),
         (submersion_manifest(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0), seed=5), 0),
-    ], ids=["model", "submersion"])
+        (curved_product_manifest(2, 1.0, 2.0, (1.0, -1.0), checks=CURVATURE_CHECKS), 0),
+    ], ids=["model", "submersion", "curved_product"])
     def test_two_runs_of_one_manifest(self, monkeypatch, data, parse_derivatives):
-        """Parsing differentiates a model's ψ once; a run parses and differentiates nothing."""
+        """Parsing differentiates a model's ψ once; a run parses and differentiates nothing,
+        and only the first run makes the walk plans, which the parsed grids keep."""
         derivatives = self._count_calls(monkeypatch, ex.ScalarField, "differentiate")
         manifest = parse_manifest(data, known_checks=set(CHECKS))
         assert len(derivatives) == parse_derivatives
         derivatives.clear()
         parses = self._count_calls(monkeypatch, ex, "parse_expression")
         batches = self._count_calls(monkeypatch, geometry.ExpressionField, "_batch_jets")
+        plans = self._count_calls(monkeypatch, ex, "Plan")
         reports, counts = [], []
         for _ in range(2):
             reports.append(render_report(run_suite(manifest, points=10)))
-            counts.append((len(parses), len(batches), len(derivatives)))
-            for calls in (parses, batches, derivatives):
+            counts.append((len(parses), len(batches), len(derivatives), len(plans)))
+            for calls in (parses, batches, derivatives, plans):
                 calls.clear()
         assert "ERROR" not in reports[0]
         assert reports[1] == reports[0]
-        assert counts[0][1] > 0
-        assert counts[1] == counts[0] == (0, counts[0][1], 0)
+        walks, first_plans = counts[0][1], counts[0][3]
+        assert walks > 0 and first_plans > 0
+        assert counts == [(0, walks, 0, first_plans), (0, walks, 0, 0)]
         if manifest.model is not None:  # each run reseeded a copy; the kept model holds no field
             assert vars(manifest.model).keys() == {"name", "psi", "chart", "hessian"}
 

@@ -8,7 +8,10 @@ shapes, so the flatness theorem's hypothesis fails.  Setting Γ⁰₀₁ = 0.01 
 the same example adds torsion, so ∇ and ∇* no longer average to the
 Levi-Civita connection.  In the submersion of the curved product of two
 pairs onto its first pair, Γ⁰₂₂ = 0.01 makes the fibers non-isometric and
-breaks T(P̂U, P̂V) = T(U, V).
+breaks T(P̂U, P̂V) = T(U, V).  Conjugate parallelism cannot FAIL through a
+defect alone: g((∇_i P)E, F) + g(E, (∇*_i P*)F) = 0 for any connection, so
+∇P and ∇*P* vanish together.  Its two residuals are scaled apart, though,
+so it FAILs when the tolerance falls between them.
 """
 
 import copy
@@ -16,9 +19,10 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import CURVATURE_CHECKS
+from conftest import CURVATURE_CHECKS, nonconstant_involution_manifest
 from statgeom.fixtures import curved_product_manifest, load_fixture, submersion_manifest
-from statgeom.manifest import parse_manifest
+from statgeom.geometry import sample_points
+from statgeom.manifest import build_context, parse_manifest
 from statgeom.suite import CHECKS, run_suite
 
 DEFECT_CHECKS = ("product_parallelism", "para_kahler_like", "kurose_constant_curvature",
@@ -115,3 +119,37 @@ def test_fiber_defect_refutes_isometric_fibers():
     flat = rows["submersion_theorems.flat_decomposition"]
     assert flat.status == "NOT-APPLICABLE"
     assert flat.reason.endswith("fibers are not isometric")
+
+
+def _covariant_derivative(gamma, m, dm):
+    """(∇_i P)^k_j = ∂_i P^k_j + Γ^k_im P^m_j − Γ^m_ij P^k_m as [p, i, k, j]."""
+    return (dm + np.einsum("pkim,pmj->pikj", gamma, m)
+            - np.einsum("pmij,pkm->pikj", gamma, m))
+
+
+@pytest.mark.parametrize("data", [
+    gamma_defect_manifest(), gamma_defect_manifest(0, 1, TORSION_CHECKS),
+    nonconstant_involution_manifest(), fiber_defect_manifest(),
+], ids=["gamma_defect", "torsion", "nonconstant_involution", "fiber_defect"])
+def test_conjugate_parallelism_sides_vanish_together(data):
+    """g((∇_i P)∂_j, ∂_z) + g(∂_j, (∇*_i P*)∂_z) = 0, torsion or not: differentiate
+    g(PE, F) + g(E, P*F) = 0 with the duality of ∇ and ∇*."""
+    spec = build_context(parse_manifest(data, known_checks=set(CHECKS))).manifold
+    points = sample_points(spec.chart, 25)
+    g = spec.metric.values(points)
+    primal = _covariant_derivative(spec.resolved_connection.values(points), *spec.product.jets(points))
+    dual = _covariant_derivative(spec.conjugate.values(points), *spec.adjoint.jets(points))
+    defect = np.einsum("pikj,pkz->pijz", primal, g) + np.einsum("pjk,pikz->pijz", g, dual)
+    assert np.abs(primal).max() >= 0.01  # ∇P ≠ 0 on each: the identity is not 0 = 0
+    assert np.abs(defect).max() <= 1e-13 * (1 + np.abs(primal).max() + np.abs(dual).max())
+
+
+def test_conjugate_parallelism_fails_between_its_residuals():
+    """With Γ⁰₀₀ = 0.01 the primal residual is 5e-3 and the dual 6.67e-3; a tolerance of
+    6e-3 passes the first and fails the second, so the row FAILs at the dual's worst point."""
+    data = gamma_defect_manifest(checks=("conjugate_parallelism",))
+    data["tolerances"] = {"conjugate_parallelism": 0.006}
+    row = _rows(data)["conjugate_parallelism"]
+    _assert_row(row, "FAIL", 0.006666666666666668, [0.23859749, 0.89123612])
+    assert row.tolerance == 0.006
+    assert row.details == pytest.approx({"primal": 5.0e-3, "dual": 0.006666666666666668})
