@@ -68,12 +68,9 @@ _INTERIOR_MARGIN = 0.01
 _BLOCK_ENTRIES = 1 << 15
 # _contract hands a contraction to np.einsum when more than this share of its terms is kept.
 _SPARSE_SHARE = 1 / 8
-# Contraction plans kept, one per subscripts, per-point operand shapes and nonzero pattern.
-# A plan holds an index array per operand and one for the output, each of at most
-# _SPARSE_SHARE of the terms: 32,768 entries for the n^6 terms of ∂(G⁻¹) at n = 8.  One pass
-# of the benchmark's curvature workload (dimensions 2-8, 100 points), one block loop per
-# manifest, makes 36 plans and 213 lookups, and a second pass no new plan.
-_PLAN_CACHE_SIZE = 64
+# Contraction plans kept, by subscripts, operand shapes and patterns, and rule sets (_apply).  A
+# pass of the benchmark's curvature workload makes 92 plans and 20 rule sets, a second pass none.
+_PLAN_CACHE_SIZE = 256
 
 
 class ChartError(ValueError):
@@ -172,8 +169,10 @@ class PointJets:
     skips its derivative arrays.  Either stores a one-array entry, which a
     later request for jets replaces through ``_jets_after_values``.  A racing
     recompute under threads stores the same values twice, so sharing a field
-    stays safe.
+    stays safe.  ``patterns`` holds a structural pattern per jet part (:func:`_planned`).
     """
+
+    patterns = (None, None, None)
 
     def jets(self, points) -> tuple[np.ndarray, ...]:
         """The jets at every point, as arrays with a leading point axis."""
@@ -220,14 +219,23 @@ class DerivedJets(PointJets):
     5-index temporary spans all points.  Jets asked for after the values of
     the same batch come from ``_derive_after_values(values, *batches)``, which
     a field may override to read its stored values instead of recomputing them.
+    ``_structure``: the ``patterns`` and plans by :func:`_apply` of ``_rules`` over ``_names``.
     """
 
     _bases: tuple = ()
     _value_needs: tuple = ()
+    _names = _rules = ()
 
     @property
     def dim(self) -> int:
         return self._bases[0].dim
+
+    @functools.cached_property
+    def _structure(self) -> tuple[tuple, dict]:
+        known, plans = _apply(self._rules, self._names, tuple(base.patterns for base in self._bases))
+        return (known.get("value"), known.get("derivative")), plans
+
+    patterns = property(lambda self: self._structure[0])
 
     def _derive(self, full: bool, *batches) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
@@ -274,9 +282,9 @@ class Block:
         return field._on_block(self, False)[0]
 
     def curvature(self, connection) -> np.ndarray:
-        """R of ``connection`` on this block (:func:`curvature_tensor`), formed on first read."""
+        """R of ``connection`` on this block (:func:`_curvature_of`), formed on first read."""
         if connection not in self._curvatures:
-            self._curvatures[connection] = curvature_tensor(*self.read(connection, True))
+            self._curvatures[connection] = _curvature_of(connection, *self.read(connection, True))
         return self._curvatures[connection]
 
 
@@ -315,34 +323,25 @@ def _block_loop(points: np.ndarray, reducers, isolate: bool = False) -> list:
     return out
 
 
-def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+def _contract(subscripts: str, *operands: np.ndarray, plans: dict | None = None) -> np.ndarray:
     """``np.einsum(subscripts, *operands)`` bit for bit, forming only the terms without a zero factor.
 
     Every operand and the output lead with the point label, and no label
     repeats within one of them.  A term with an exact-zero factor is ±0.0,
-    and a sum that starts at +0.0 stays the same when ±0.0 is added to it,
-    so dropping those terms changes no bit.  The kept terms are formed left
-    to right, as ``np.einsum`` rounds each product, and added into each
-    output from 0.0 in a fixed order.  No output adds more than two kept
-    terms, and a sum of two rounds the same in either order, so the order of
-    ``np.einsum``'s own loop does not matter.  ``np.einsum`` gets the operands
-    unchanged when one holds a non-finite entry (0 · inf is NaN), when an
-    output would add three or more kept terms, or when more than
-    ``_SPARSE_SHARE`` of the terms are kept.
-
-    Its callers are the point-axis products of the derived fields and the
-    curvature (∂(G⁻¹), ∂P*, ∂Γ, ∂Γ*, ∂(vΓ), the ΓΓ term of R, the lowered R)
-    and of the O'Neill tensors, most of them O(n⁵) terms per point.  The O(n⁴)
-    products of the checks and of the values (Codazzi, Γ*, Γ⁰, vΓ, ∇P, ...) stay
-    on ``np.einsum``: there the fixed cost of a call here (the finiteness
-    scan, the nonzero masks, the plan lookup) exceeds the dense product at
-    small n, and routing them slowed the exponential-family models
-    (ROADMAP, "Negative results").
+    which leaves a sum started at +0.0 unchanged.  The kept terms are formed
+    left to right, as ``np.einsum`` rounds each product, and added into each
+    output from 0.0; no output adds more than two, and a sum of two rounds
+    the same in either order.  ``plans`` maps subscripts to the plans a
+    caller made once from its operands' structural patterns (:func:`_planned`);
+    a None plan (more than two kept terms per output, or ``_SPARSE_SHARE``
+    of all terms) or a failed finiteness test of the caller's (0 · inf is
+    NaN; :func:`_if_finite`) leaves the call to ``np.einsum``.  Without
+    ``plans`` (``submersion``, one-point callers) the operands are scanned.
     """
-    if not all(np.isfinite(op).all() for op in operands):
-        return np.einsum(subscripts, *operands)
-    plan = _contraction_plan(subscripts, tuple(op.shape[1:] for op in operands),
-                             tuple((op != 0.0).any(axis=0).tobytes() for op in operands))
+    if plans is None:  # from the operands' values
+        _planned(plans := {}, subscripts, *(_pack((op != 0.0).any(axis=0)) for op in operands))
+        plans = _if_finite(plans, *operands)
+    plan = plans.get(subscripts)
     if plan is None:
         return np.einsum(subscripts, *operands)
     gathers, targets, shape = plan
@@ -359,7 +358,7 @@ def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _contraction_plan(subscripts: str, shapes: tuple, masks: tuple):
-    """The kept terms of a contraction, or None when ``_contract`` hands it to ``np.einsum``.
+    """(The kept terms of a contraction, or None for ``np.einsum``; the output's pattern).
 
     ``shapes`` and ``masks`` hold each operand's shape and nonzero pattern
     over all points, both without the point axis.  The plan is the flat
@@ -374,15 +373,65 @@ def _contraction_plan(subscripts: str, shapes: tuple, masks: tuple):
     live = np.einsum(",".join(labels[1:] for labels in inputs) + "->" + space, *patterns)
     coords = dict(zip(space, np.nonzero(live)))
     shape = live.shape[:len(output) - 1]
+    pattern = _pack(live.reshape(shape + (-1,)).any(axis=-1))
     targets = np.ravel_multi_index([coords[label] for label in output[1:]], shape)
     # Two terms add to the same bits in either order; three need np.einsum's own order.
     if len(targets) > _SPARSE_SHARE * live.size or np.bincount(targets, minlength=1).max() > 2:
-        return None
+        return None, pattern
     gathers = tuple(np.ravel_multi_index([coords[label] for label in labels[1:]], op_shape)
                     for labels, op_shape in zip(inputs, shapes))
     for index in gathers + (targets,):
         index.flags.writeable = False
-    return gathers, targets, shape
+    return (gathers, targets, shape), pattern
+
+
+def _pack(array: np.ndarray) -> tuple:
+    """A structural pattern, where a part (no point axis) can be nonzero, as bytes; None if unknown."""
+    return array.shape, array.tobytes()
+
+
+def _unpack(pattern) -> np.ndarray:
+    return np.frombuffer(pattern[1], dtype=bool).reshape(pattern[0])
+
+
+def _planned(plans: dict, subscripts: str, *patterns):
+    """The pattern of ``np.einsum(subscripts, ...)``, and of a product its plan, put in ``plans``;
+    for "closure", that of G⁻¹, 0 between two components of G's graph (paths shorter than n)."""
+    if any(pattern is None for pattern in patterns):
+        return None
+    if len(patterns) == 1:
+        one, n = _unpack(patterns[0]), patterns[0][0][0]
+        return _pack(np.linalg.matrix_power(one | np.eye(n, dtype=bool), n) if subscripts == "closure"
+                     else np.einsum(subscripts.replace("p", ""), one))
+    plans[subscripts], pattern = _contraction_plan(subscripts, *zip(*patterns))
+    return pattern
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _apply(rules, names: tuple, patterns: tuple) -> tuple[dict, dict]:
+    """The patterns of the bases' parts, by their ``names``, with those of ``rules``, and their
+    plans: a rule names an array and the terms of its sum, each subscripts and operand names
+    (:func:`_planned`); a sum's pattern is an OR.  Kept for the next run, which reads the same."""
+    known = {name: part for line, parts in zip(names, patterns) for name, part in zip(line.split(), parts)}
+    plans = {}
+    for name, *terms in rules:
+        parts = [_planned(plans, subscripts, *map(known.get, operands))
+                 for subscripts, *operands in map(str.split, terms)]
+        known[name] = None if None in parts else _pack(functools.reduce(np.logical_or, map(_unpack, parts)))
+    return known, plans
+
+
+def _if_finite(plans: dict, *arrays) -> dict:
+    """``plans`` if all ``arrays`` are finite, else none, so ``np.einsum`` forms each 0 · inf as NaN."""
+    return plans if not any(plans.values()) or all(np.isfinite(a).all() for a in arrays) else {}
+
+
+def _kept_plans(owner, key, rule: tuple, patterns: tuple) -> dict:
+    """The plans of ``rule`` (:func:`_apply`) over operands a, b with ``patterns``, kept on ``owner``."""
+    held = owner.__dict__.setdefault("_kept_plans", {})
+    if key not in held:
+        held[key] = _apply((rule,), ("a b",), (patterns,))[1]
+    return held[key]
 
 
 # --------------------------------------------------------------------------
@@ -398,8 +447,8 @@ class ComponentGrid:
     these, the constants (an :class:`expr.Const` root) are kept as the flat
     indices and values of their slots other than +0.0 (``constants``), and the
     ``varying`` ones with the ``slots`` each fills.  ``plan``, the walk of the
-    varying roots, is made at the first batch over the grid and kept.  A grid
-    holds trees and numbers, no array and no result, so one parse serves every run.
+    varying roots, is made at the first batch and kept, as are the ``patterns``.
+    A grid holds trees, numbers and bytes, no result, so one parse serves every run.
     """
 
     def __init__(self, components, symmetric: bool = False):
@@ -434,6 +483,27 @@ class ComponentGrid:
     @functools.cached_property
     def plan(self) -> ex.Plan:
         return ex.Plan([f.root for f in self.varying])
+
+    def patterns(self, order: int) -> tuple:
+        """The pattern of each jet part up to ``order`` (:func:`_pack`), kept: the constants other
+        than ±0.0, and each derivative of a varying component whose ``differentiate`` tree is not
+        the constant 0, first walked over ``plan``, second over a plan of their own."""
+        n, held = self.shape[0], self.__dict__.setdefault("_patterns", {})
+        if order not in held:
+            parts = [np.zeros((n,) * k + self.shape, dtype=bool) for k in range(order + 1)]
+            parts[0].put(self.constants[0], [value != 0.0 for value in self.constants[1]])
+            live, roots = [tuple(slot[1:] for slot in slots) for slots in self.slots], None  # their places
+            for k, part in enumerate(parts):
+                for places in live:
+                    part[tuple(zip(*places))] = True
+                if k < order and live:
+                    plan = self.plan if roots is None else ex.Plan(roots)
+                    trees = [(tuple((i,) + place for place in live[j]), tree) for i in range(n)
+                             for j, tree in plan.run(ex._derivative, i)
+                             if not (isinstance(tree, ex.Const) and tree.value == 0.0)]
+                    live, roots = [places for places, _ in trees], [tree for _, tree in trees]
+            held[order] = tuple(_pack(part) for part in parts)
+        return held[order]
 
 
 def _nested(grid: np.ndarray) -> tuple:
@@ -497,6 +567,8 @@ class ExpressionField(PointJets):
 
     def component(self, *index: int) -> ex.ScalarField:
         return functools.reduce(tuple.__getitem__, index, self.grid.components)
+
+    patterns = property(lambda self: self.grid.patterns(self.order))
 
     def _batch_jets(self, points, full):
         grid, count, order = self.grid, points.shape[0], self.order if full else 0
@@ -599,6 +671,9 @@ class InverseMetric(DerivedJets):
     metric through a weak proxy: no cycle.
     """
 
+    _names = ("g dg",)
+    _rules = (("value", "closure g"), ("derivative", "pia,pkab,pbj->pkij value dg value"))
+
     def __init__(self, metric: MetricField):
         self._bases = (weakref.proxy(metric),)
         self._value_needs = (False,)
@@ -613,11 +688,17 @@ class InverseMetric(DerivedJets):
         return self._derive_after_values(ginv, metric_jets) if full else (ginv,)
 
     def _derive_after_values(self, ginv, metric_jets):
-        return ginv, -_contract("pia,pkab,pbj->pkij", ginv, metric_jets[1], ginv)
+        plans = _if_finite(self._structure[1], ginv)
+        return ginv, -_contract("pia,pkab,pbj->pkij", ginv, metric_jets[1], ginv, plans=plans)
 
 
 class LeviCivitaConnection(DerivedJets):
     """Metric connection Γ⁰^k_ij = ½ g^km (∂_i g_mj + ∂_j g_mi − ∂_m g_ij); jets are (Γ, ∂Γ)."""
+
+    _names = ("g dg d2g", "ginv dginv")
+    _rules = (("a", "pimj->pmij dg", "pjmi->pmij dg", "pmij->pmij dg"), ("value", "pkm,pmij->pkij ginv a"),
+              ("da", "plimj->plmij d2g", "pljmi->plmij d2g", "plmij->plmij d2g"),
+              ("derivative", "plkm,pmij->plkij dginv a", "pkm,plmij->plkij ginv da"))
 
     def __init__(self, metric: MetricField):
         self._bases = (metric, metric.inverse)
@@ -627,14 +708,16 @@ class LeviCivitaConnection(DerivedJets):
         dg, d2g, ginv = metric_jets[1], metric_jets[2], inverse_jets[0]
         # a[m,i,j] = ∂_i g_mj + ∂_j g_mi − ∂_m g_ij
         a = np.einsum("pimj->pmij", dg) + np.einsum("pjmi->pmij", dg) - dg
-        gamma = 0.5 * np.einsum("pkm,pmij->pkij", ginv, a)
+        plans = _if_finite(self._structure[1], ginv, a)
+        gamma = 0.5 * _contract("pkm,pmij->pkij", ginv, a, plans=plans)
         if not full:
             return (gamma,)
         dginv = inverse_jets[1]
         da = (np.einsum("plimj->plmij", d2g) + np.einsum("pljmi->plmij", d2g)
               - np.einsum("plmij->plmij", d2g))
-        dgamma = 0.5 * (_contract("plkm,pmij->plkij", dginv, a)
-                        + _contract("pkm,plmij->plkij", ginv, da))
+        plans = _if_finite(plans, dginv, da)
+        dgamma = 0.5 * (_contract("plkm,pmij->plkij", dginv, a, plans=plans)
+                        + _contract("pkm,plmij->plkij", ginv, da, plans=plans))
         return gamma, dgamma
 
 
@@ -643,8 +726,13 @@ class ConjugateConnection(DerivedJets):
 
     Conjugation is an involution: the conjugate of ∇* is ∇ again.  Jets are
     (Γ*, ∂Γ*).  Jets asked for after the values of the same batch read the
-    stored Γ* and form again only the right-hand side, which ∂Γ* needs.
+    stored Γ* and form again only rhs[k,i,j] = ∂_i g_kj − Γ^m_ik g_mj = g(∂_k, ∇*_i ∂_j).
     """
+
+    _names = ("g dg d2g", "ginv dginv", "gamma dgamma")
+    _rules = (("rhs", "pikj->pkij dg", "pmik,pmj->pkij gamma g"), ("value", "ptk,pkij->ptij ginv rhs"),
+              ("drhs", "plikj->plkij d2g", "plmik,pmj->plkij dgamma g", "pmik,plmj->plkij gamma dg"),
+              ("derivative", "pltk,pkij->pltij dginv rhs", "ptk,plkij->pltij ginv drhs"))
 
     def __init__(self, metric: MetricField, base):
         if metric.dim != base.dim:
@@ -652,24 +740,25 @@ class ConjugateConnection(DerivedJets):
         self._bases = (metric, metric.inverse, base)
         self._value_needs = (True, False, False)
 
-    @staticmethod
-    def _rhs(metric_jets, base_jets):
-        """rhs[k,i,j] = ∂_i g_kj − Γ^m_ik g_mj, which is g(∂_k, ∇*_{∂_i} ∂_j)."""
-        g, dg = metric_jets[0], metric_jets[1]
-        return np.einsum("pikj->pkij", dg) - np.einsum("pmik,pmj->pkij", base_jets[0], g)
+    def _derive_after_values(self, star, *batches):
+        return self._derive(True, *batches, star=star)
 
-    def _derive(self, full, metric_jets, inverse_jets, base_jets):
-        star = np.einsum("ptk,pkij->ptij", inverse_jets[0], self._rhs(metric_jets, base_jets))
-        return self._derive_after_values(star, metric_jets, inverse_jets, base_jets) if full else (star,)
-
-    def _derive_after_values(self, star, metric_jets, inverse_jets, base_jets):
-        g, dg, d2g = metric_jets
-        ginv, dginv, gamma, dgamma = inverse_jets[0], inverse_jets[1], base_jets[0], base_jets[1]
+    def _derive(self, full, metric_jets, inverse_jets, base_jets, star=None):
+        g, dg, ginv, gamma = metric_jets[0], metric_jets[1], inverse_jets[0], base_jets[0]
+        plans = _if_finite(self._structure[1], gamma)
+        rhs = np.einsum("pikj->pkij", dg) - _contract("pmik,pmj->pkij", gamma, g, plans=plans)
+        plans = _if_finite(plans, ginv, rhs)
+        star = _contract("ptk,pkij->ptij", ginv, rhs, plans=plans) if star is None else star
+        if not full:
+            return (star,)
+        d2g, dginv, dgamma = metric_jets[2], inverse_jets[1], base_jets[1]
+        plans = _if_finite(plans, dginv, dgamma)
         drhs = (np.einsum("plikj->plkij", d2g)
-                - _contract("plmik,pmj->plkij", dgamma, g)
-                - _contract("pmik,plmj->plkij", gamma, dg))
-        dstar = (_contract("pltk,pkij->pltij", dginv, self._rhs(metric_jets, base_jets))
-                 + _contract("ptk,plkij->pltij", ginv, drhs))
+                - _contract("plmik,pmj->plkij", dgamma, g, plans=plans)
+                - _contract("pmik,plmj->plkij", gamma, dg, plans=plans))
+        plans = _if_finite(plans, drhs)
+        dstar = (_contract("pltk,pkij->pltij", dginv, rhs, plans=plans)
+                 + _contract("ptk,plkij->pltij", ginv, drhs, plans=plans))
         return star, dstar
 
 
@@ -678,6 +767,11 @@ class AdjointStructure(DerivedJets):
 
     P* is the partner with g(PE, F) + g(E, P*F) = 0; an involution on fixtures.
     """
+
+    _names = ("g dg", "ginv dginv", "m dm")
+    _rules = (("mtg", "pcb,pcd->pbd m g"), ("gim", "pab,pcb->pac ginv m"), ("dmtg", "pkcb,pcd->pkbd dm g"),
+              ("value", "pac,pcd->pad gim g"),
+              ("derivative", "pkab,pbd->pkad dginv mtg", "pab,pkbd->pkad ginv dmtg", "pac,pkcd->pkad gim dg"))
 
     def __init__(self, metric: MetricField, base):
         if metric.dim != base.dim:
@@ -693,12 +787,14 @@ class AdjointStructure(DerivedJets):
         dg, dginv, dm = metric_jets[1], inverse_jets[1], base_jets[1]
         # ∂P* = −(∂G⁻¹ Pᵀ G + G⁻¹ ∂Pᵀ G + G⁻¹ Pᵀ ∂G) in two-factor products: O(n⁴) per point, not
         # a three-factor einsum's O(n⁵).  ∂P vanishes for a constant P; _contract then forms no term.
-        mtg = np.einsum("pcb,pcd->pbd", m, g)
-        gim = np.einsum("pab,pcb->pac", ginv, m)
-        dmtg = _contract("pkcb,pcd->pkbd", dm, g)
-        dstar = -(np.einsum("pkab,pbd->pkad", dginv, mtg)
-                  + _contract("pab,pkbd->pkad", ginv, dmtg)
-                  + np.einsum("pac,pkcd->pkad", gim, dg))
+        plans = _if_finite(self._structure[1], ginv, m, dginv, dm)
+        mtg = _contract("pcb,pcd->pbd", m, g, plans=plans)
+        gim = _contract("pab,pcb->pac", ginv, m, plans=plans)
+        dmtg = _contract("pkcb,pcd->pkbd", dm, g, plans=plans)
+        plans = _if_finite(plans, mtg, gim, dmtg)
+        dstar = -(_contract("pkab,pbd->pkad", dginv, mtg, plans=plans)
+                  + _contract("pab,pkbd->pkad", ginv, dmtg, plans=plans)
+                  + _contract("pac,pkcd->pkad", gim, dg, plans=plans))
         return star, dstar
 
 
@@ -826,8 +922,11 @@ def _statistical_rows(b: Block, spec):
     gm, dg, _ = b.read(spec.metric, True)
     gamma = b.values(spec.resolved_connection)
     torsion = max_abs(gamma - np.einsum("pkij->pkji", gamma))
+    plans = _if_finite(_kept_plans(spec, _statistical_rows, ("C", "pmij,pmk->pijk a b", "pmik,pjm->pijk a b"),
+                                   (spec.resolved_connection.patterns[0], spec.metric.patterns[0])), gamma)
     # C[i,j,k] = (∇_{∂_i} g)(∂_j, ∂_k)
-    cov = dg - np.einsum("pmij,pmk->pijk", gamma, gm) - np.einsum("pmik,pjm->pijk", gamma, gm)
+    cov = (dg - _contract("pmij,pmk->pijk", gamma, gm, plans=plans)
+           - _contract("pmik,pjm->pijk", gamma, gm, plans=plans))
     codazzi = max_abs(cov - np.einsum("pijk->pjik", cov))
     return np.maximum(torsion, codazzi), scale_of(gamma, gm, dg), torsion, codazzi
 
@@ -859,17 +958,27 @@ def check_levi_civita_average(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLE
     return reduced_check(pts, tol, _average_rows, spec)
 
 
-def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray, plans: dict | None = None) -> np.ndarray:
     """R[l,i,j,k] = ∂_i Γ^l_jk − ∂_j Γ^l_ik + Γ^m_jk Γ^l_im − Γ^m_ik Γ^l_jm.
 
     Takes the jets of a batch, with a leading point axis, or of one point,
     without it.  Antisymmetry in (i, j) is exact.  The quadratic term skips
-    its products with an exact-zero factor (:func:`_contract`).
+    its products with an exact-zero factor (:func:`_contract`, with ``plans``).
     """
     if gamma.ndim == 3:
-        return curvature_tensor(gamma[None], dgamma[None])[0]
-    b = np.einsum("piljk->plijk", dgamma) + _contract("pmjk,plim->plijk", gamma, gamma)
+        return curvature_tensor(gamma[None], dgamma[None], plans)[0]
+    b = np.einsum("piljk->plijk", dgamma) + _contract("pmjk,plim->plijk", gamma, gamma, plans=plans)
     return b - np.einsum("plijk->pljik", b)
+
+
+def _curvature_of(connection, gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R of ``connection`` from its jets, planned from its patterns; the first call keeps R's
+    pattern and the plan on the connection: b = ∂Γ + ΓΓ, and R = b − b with (i, j) swapped."""
+    if "_curvature" not in connection.__dict__:
+        connection._curvature = _apply((("b", "piljk->plijk dgamma", "pmjk,plim->plijk gamma gamma"),
+                                        ("R", "plijk->plijk b", "plijk->pljik b")),
+                                       ("gamma dgamma",), (connection.patterns,))
+    return curvature_tensor(gamma, dgamma, _if_finite(connection._curvature[1], gamma))
 
 
 def _flatness_rows(b: Block, spec):
@@ -884,8 +993,8 @@ def curvature_residual(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) 
 
 def statistical_curvature_at(spec: ManifoldSpec, point) -> np.ndarray:
     """S = ½ (R + R*), the curvature average of the dual pair."""
-    r = curvature_tensor(*spec.resolved_connection.jet(point))
-    r_star = curvature_tensor(*spec.conjugate.jet(point))
+    r = _curvature_of(spec.resolved_connection, *spec.resolved_connection.jet(point))
+    r_star = _curvature_of(spec.conjugate, *spec.conjugate.jet(point))
     return 0.5 * (r + r_star)
 
 
@@ -951,9 +1060,13 @@ def fit_kurose_constant(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE)
 
 
 def _dual_curvature_rows(b: Block, spec):
-    gm, r, r_star = b.values(spec.metric), b.curvature(spec.resolved_connection), b.curvature(spec.conjugate)
-    r_cov = _contract("plm,pmijk->pijkl", gm, r)
-    rs_cov = _contract("plm,pmijk->pijkl", gm, r_star)
+    gm, lowered = b.values(spec.metric), []
+    for connection in (spec.resolved_connection, spec.conjugate):
+        r = b.curvature(connection)
+        plans = _kept_plans(spec, connection, ("gR", "plm,pmijk->pijkl a b"),
+                            (spec.metric.patterns[0], connection._curvature[0]["R"]))
+        lowered.append(_contract("plm,pmijk->pijkl", gm, r, plans=_if_finite(plans, r)))
+    r_cov, rs_cov = lowered
     scale = scale_of(r_cov, rs_cov)
     r_cov += np.einsum("pijlk->pijkl", rs_cov)  # in place: no block-sized temporary
     return max_abs(r_cov), scale

@@ -35,13 +35,16 @@ from .geometry import (
     CheckResult,
     ManifoldSpec,
     _as_points,
+    _contract,
+    _curvature_of,
     _flatness_rows,
+    _if_finite,
+    _kept_plans,
     _kept_slot,
     _kurose_rows,
     block_rows,
     check_statistical_structure,
     curvature_residual,
-    curvature_tensor,
     fit_kurose_constant,
     max_abs,
     reduced_check,
@@ -87,17 +90,20 @@ def check_pairing_identities(spec: ManifoldSpec, pts, tol: float = 1e-10) -> Che
     return reduced_check(pts, tol, _pairing_rows, spec, details=("square", "pairing", "double_adjoint"))
 
 
-def _covariant_derivative_P(gamma, m, dm) -> np.ndarray:
-    return (np.einsum("...ikj->...ikj", dm)
-            + np.einsum("...kim,...mj->...ikj", gamma, m)
-            - np.einsum("...mij,...km->...ikj", gamma, m))
+def _covariant_derivative_P(gamma, m, dm, plans=None) -> np.ndarray:
+    if gamma.ndim == 3:
+        return _covariant_derivative_P(gamma[None], m[None], dm[None], plans)[0]
+    return (dm + _contract("pkim,pmj->pikj", gamma, m, plans=plans)
+            - _contract("pmij,pkm->pikj", gamma, m, plans=plans))
 
 
 def _parallelism_rows(b: Block, connection, structure):
     """∇P for one pair: a spec's (∇, P), or its dual pair (∇*, P*)."""
     gamma = b.values(connection)
     m, dm = b.read(structure, True)
-    return max_abs(_covariant_derivative_P(gamma, m, dm)), scale_of(gamma, m)
+    plans = _kept_plans(connection, structure, ("∇P", "pkim,pmj->pikj a b", "pmij,pkm->pikj a b"),
+                        (connection.patterns[0], structure.patterns[0]))
+    return max_abs(_covariant_derivative_P(gamma, m, dm, _if_finite(plans, gamma, m))), scale_of(gamma, m)
 
 
 def check_product_parallelism(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -205,7 +211,8 @@ def fit_space_form_constant(spec: ManifoldSpec, pts) -> float:
             store[slot] = 0.0
         else:
             basis = _space_form_model(spec.metric.values(points)[index], spec.product.values(points)[index])
-            r = curvature_tensor(*(part[index] for part in spec.resolved_connection.jets(points)))
+            connection = spec.resolved_connection
+            r = _curvature_of(connection, *(part[index] for part in connection.jets(points)))
             store[slot] = 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / float(weight[index])
     return store[slot]
 

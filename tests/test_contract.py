@@ -12,11 +12,15 @@ terms: when no more than ``_SPARSE_SHARE`` of them have no zero factor and no
 output adds more than two of them.
 
 The batched ``curvature_tensor`` is compared row by row with its one-point
-calls and with a one-point formula made of ``np.einsum`` calls alone, and
-one pass of the curvature checks is shown to fit in the plan cache.
+calls and with a one-point formula made of ``np.einsum`` calls alone.  One
+pass of the curvature checks is shown to fit in the caches of plans and
+pattern rules and to read no operand value for its plans, every call outside
+``submersion`` to bring the plans of its structural patterns, and every
+pattern to hold each nonzero of its jets at the golden points.
 """
 
 import ast
+import dataclasses
 import math
 import pathlib
 
@@ -24,11 +28,13 @@ import numpy as np
 import pytest
 
 from conftest import CURVATURE_CHECKS, curved_manifold
-from statgeom import geometry
+from statgeom import geometry, product
+from statgeom.expfam import exp_para_structures
 from statgeom.fixtures import curved_product_manifest, fixture_ids, load_fixture, submersion_manifest
 from statgeom.geometry import _contract, curvature_tensor, sample_points
-from statgeom.manifest import parse_manifest
+from statgeom.manifest import build_context, parse_manifest
 from statgeom.suite import CHECKS, run_suite
+from test_golden import MODEL_GOLDENS, model_golden_manifest
 
 PACKAGE = pathlib.Path(geometry.__file__).parent
 DENSITIES = (1.0, 0.5, 0.25, 0.1)
@@ -92,7 +98,7 @@ def _operands(rng, subscripts: str, n: int, count: int, density: float):
 def _plan(subscripts: str, operands):
     """The plan ``_contract`` follows for these operands, or None when it calls np.einsum."""
     return geometry._contraction_plan(subscripts, tuple(op.shape[1:] for op in operands),
-                                      tuple((op != 0.0).any(axis=0).tobytes() for op in operands))
+                                      tuple((op != 0.0).any(axis=0).tobytes() for op in operands))[0]
 
 
 def _kept(subscripts: str, patterns) -> tuple[bool, bool]:
@@ -143,8 +149,10 @@ def every_term_kept(monkeypatch):
     """Keep the terms of every contraction whose outputs add at most two, however dense."""
     monkeypatch.setattr(geometry, "_SPARSE_SHARE", 1.0)
     geometry._contraction_plan.cache_clear()
+    geometry._apply.cache_clear()
     yield
     geometry._contraction_plan.cache_clear()
+    geometry._apply.cache_clear()
 
 
 def test_the_scan_finds_the_call_sites():
@@ -306,18 +314,122 @@ def test_batched_curvature_matches_one_point_calls_on_curved_products(pairs):
         _assert_rows_match_one_point_calls(*connection.jets(sample_points(spec.chart, 25)))
 
 
+def _curvature_manifests():
+    return [parse_manifest(curved_product_manifest(pairs, 1.0, 2.0, [1.0] * pairs, seed=pairs,
+                                                   checks=CURVATURE_CHECKS), known_checks=set(CHECKS))
+            for pairs in (1, 2, 3, 4)]
+
+
+def _submersion_manifests():
+    return [load_fixture("example_5_6_k1_l1", known_checks=set(CHECKS)),
+            load_fixture("example_5_6_k1_l2", known_checks=set(CHECKS)),
+            parse_manifest(submersion_manifest(3, 1, 1.0, 2.0, (1.0, 1.0, 1.0), seed=3),
+                           known_checks=set(CHECKS))]
+
+
 def test_second_curvature_pass_makes_no_new_plan():
-    """One pass of the curvature workload's four manifests makes no more plans than the cache
-    keeps, so they all stay cached: a cache that evicted would make them again every pass."""
-    manifests = [parse_manifest(curved_product_manifest(pairs, 1.0, 2.0, [1.0] * pairs, seed=pairs,
-                                                        checks=CURVATURE_CHECKS),
-                                known_checks=set(CHECKS))
-                 for pairs in (1, 2, 3, 4)]
+    """The plans a run reads are fetched once per field or spec from two caches, the plans by
+    subscripts, shapes and patterns and the rule sets of the derived fields' patterns.  One
+    pass of the curvature workload's four manifests fills no more of either than it keeps
+    (measured: 92 plans, handed-back ones included, and 20 rule sets), so a second pass makes
+    none; a cache that evicted would make them again every pass."""
+    manifests = _curvature_manifests()
     geometry._contraction_plan.cache_clear()
+    geometry._apply.cache_clear()
     for manifest in manifests:
         run_suite(manifest, points=100)
-    misses = geometry._contraction_plan.cache_info().misses
-    assert misses <= geometry._PLAN_CACHE_SIZE
+    made = geometry._contraction_plan.cache_info().misses, geometry._apply.cache_info().misses
+    assert 0 < min(made) and max(made) <= geometry._PLAN_CACHE_SIZE
     for manifest in manifests:
         run_suite(manifest, points=100)
-    assert geometry._contraction_plan.cache_info().misses == misses
+    assert (geometry._contraction_plan.cache_info().misses, geometry._apply.cache_info().misses) == made
+
+
+def test_curvature_pass_reads_no_operand_value_for_its_plans(monkeypatch):
+    """Every contraction of a curvature pass comes with the plans of its operands' structural
+    patterns: none is planned from a finiteness scan and a nonzero mask of operand values."""
+    calls, contract = [], geometry._contract
+
+    def spy(subscripts, *operands, plans=None):
+        calls.append((subscripts, plans is None))
+        return contract(subscripts, *operands, plans=plans)
+
+    monkeypatch.setattr(geometry, "_contract", spy)
+    monkeypatch.setattr(product, "_contract", spy)
+    for manifest in _curvature_manifests():
+        assert "ERROR" not in {check.status for check in run_suite(manifest, points=100).checks}
+    assert calls and [subscripts for subscripts, scanned in calls if scanned] == []
+
+
+def test_only_submersion_plans_from_operand_values():
+    """Every ``_contract`` call outside ``submersion.py`` passes the plans of its patterns."""
+    scanning = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_contract"
+                    and not any(keyword.arg == "plans" for keyword in node.keywords)):
+                scanning.append(path.name)
+    assert scanning and set(scanning) == {"submersion.py"}
+
+
+def _specs(manifest):
+    """Each spec a run of ``manifest`` reads, with its golden points."""
+    ctx = build_context(manifest)
+    points = sample_points(ctx.chart, manifest.points)
+    if ctx.manifold is not None:
+        yield ctx.manifold, points
+    if ctx.submersion is not None:
+        yield ctx.submersion.base, points[:, :ctx.submersion.base_dim]
+    if ctx.model is not None:
+        structures = (None, None) if ctx.involution is None else exp_para_structures(ctx.model, ctx.involution)
+        for alpha, structure in ((1.0, structures[0]), (-1.0, structures[1]), (0.0, None)):
+            yield dataclasses.replace(ctx.model.alpha_manifold(alpha), product=structure), points
+
+
+def _live_union(field, points, exact: bool) -> int:
+    """Check that every known pattern of ``field`` holds the union of its jets' nonzeros over
+    ``points``, or equals it when ``exact``; the live entries of the known patterns."""
+    live = 0
+    for k, (pattern, part) in enumerate(zip(field.patterns, field.jets(points))):
+        if pattern is None:
+            continue
+        pattern, union = geometry._unpack(pattern), (part != 0.0).any(axis=0)
+        assert not (union & ~pattern).any(), (type(field).__name__, k)
+        assert not exact or np.array_equal(union, pattern), (type(field).__name__, k)
+        live += int(pattern.sum())
+    return live
+
+
+def _pattern_live(manifests, exact_grids: bool) -> int:
+    live = 0
+    for manifest in manifests:
+        for spec, points in _specs(manifest):
+            grids = [f for f in (spec.metric, spec.connection, spec.product)
+                     if isinstance(f, geometry.ExpressionField)]
+            derived = [spec.metric.inverse, spec.levi_civita_connection, spec.conjugate]
+            derived += [f for f in (spec.product, spec.adjoint if spec.product is not None else None)
+                        if isinstance(f, geometry.DerivedJets)]
+            live += sum(_live_union(f, points, exact_grids) for f in grids)
+            for field in derived:
+                _live_union(field, points, False)
+            for connection in (spec.resolved_connection, spec.conjugate):
+                r = geometry._curvature_of(connection, *connection.jets(points))
+                pattern = connection._curvature[0]["R"]
+                assert pattern is None or not ((r != 0.0).any(axis=0) & ~geometry._unpack(pattern)).any()
+    return live
+
+
+@pytest.mark.parametrize("name", fixture_ids() + sorted(MODEL_GOLDENS))
+def test_patterns_hold_every_nonzero_at_the_golden_points(name):
+    """Every grid's pattern is the union of its jets' nonzeros at the golden points, and every
+    derived field's and R's holds it, so a dropped term is an exact zero."""
+    manifest = (model_golden_manifest(name) if name in MODEL_GOLDENS
+                else load_fixture(name, known_checks=set(CHECKS)))
+    assert _pattern_live([manifest], exact_grids=True) > 0
+
+
+def test_grid_patterns_are_the_nonzeros_of_the_benchmark_fields():
+    """On the curvature and submersion workloads' manifests every grid's pattern is exactly the
+    union of its jets' nonzeros (320 live entries over the parts of g, ∇ and P of the total and
+    base specs), and every derived field's and R's holds it."""
+    assert _pattern_live(_curvature_manifests() + _submersion_manifests(), exact_grids=True) == 320

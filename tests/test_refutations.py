@@ -12,14 +12,23 @@ breaks T(P̂U, P̂V) = T(U, V).  Conjugate parallelism cannot FAIL through a
 defect alone: g((∇_i P)E, F) + g(E, (∇*_i P*)F) = 0 for any connection, so
 ∇P and ∇*P* vanish together.  Its two residuals are scaled apart, though,
 so it FAILs when the tolerance falls between them.
+
+``exp_para_certifications`` holds by construction: in natural parameters the
+exponential connection Γ^(1) is exactly 0, so ∇^(1)P = ∂P = 0 for the
+constant involution P, and the mixture side ∇^(−1)P* = 0 follows by the
+identity of conjugate parallelism.  Only a code mutant refutes it.  A metric
+of 1e200 with Γ⁰₀₀ = 1e200 overflows Γ^m_ik g_mj, and every check that
+reads ∇* or Codazzi FAILs with an infinite residual.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
 
 from conftest import CURVATURE_CHECKS, nonconstant_involution_manifest
+from statgeom import expfam
 from statgeom.fixtures import curved_product_manifest, load_fixture, submersion_manifest
 from statgeom.geometry import sample_points
 from statgeom.manifest import build_context, parse_manifest
@@ -153,3 +162,69 @@ def test_conjugate_parallelism_fails_between_its_residuals():
     _assert_row(row, "FAIL", 0.006666666666666668, [0.23859749, 0.89123612])
     assert row.tolerance == 0.006
     assert row.details == pytest.approx({"primal": 5.0e-3, "dual": 0.006666666666666668})
+
+
+@pytest.mark.parametrize("name", ["normal", "multinomial", "dirichlet"])
+def test_exponential_connection_is_exactly_zero(name):
+    """Γ^(1) = 0 at the golden points of each shipped 5.5 model, and both certifications PASS."""
+    manifest = load_fixture(f"example_5_5_{name}", known_checks=set(CHECKS))
+    ctx = build_context(manifest)
+    gamma, dgamma = ctx.model.alpha_manifold(1.0).connection.jets(sample_points(ctx.chart, manifest.points))
+    assert np.abs(gamma).max() == 0.0 and np.abs(dgamma).max() == 0.0
+    rows = [row for row in run_suite(manifest).checks if row.name.startswith("exp_para")]
+    assert [row.status for row in rows] == ["PASS", "PASS"]
+
+
+def test_exp_para_certifications_fail_under_a_code_mutant(monkeypatch):
+    """0.01 added to Γ⁰₀₀ of every α-connection, which no manifest can do, breaks ∇^(1)P = 0
+    and ∇^(−1)P* = 0: both rows of example_5_5_normal FAIL."""
+    derive = expfam.AlphaConnection._derive
+
+    def mutant(self, full, *batches):
+        parts = derive(self, full, *batches)
+        parts[0][:, 0, 0, 0] += 0.01
+        return parts
+
+    monkeypatch.setattr(expfam.AlphaConnection, "_derive", mutant)
+    rows = {row.name: row for row in run_suite(load_fixture("example_5_5_normal",
+                                                            known_checks=set(CHECKS))).checks}
+    exponential, mixture = rows["exp_para_certifications.exponential"], rows["exp_para_certifications.mixture"]
+    assert (exponential.status, mixture.status) == ("FAIL", "FAIL")
+    assert exponential.residual == pytest.approx(5.0e-3, rel=1e-9)
+    assert mixture.residual == pytest.approx(0.008647767227182877, rel=1e-9)
+
+
+OVERFLOW_CHECKS = ("statistical_structure", "conjugate_involution", "levi_civita_average",
+                   "dual_curvature_identity")
+
+
+def overflow_manifest():
+    """g = diag(1e200, 1e200) and Γ⁰₀₀ = 1e200 on the unit square: Γ^0_00 g_00 overflows."""
+    return {"chart": {"coords": ["x", "y"], "box": [[0.0, 1.0], [0.0, 1.0]], "seed": 1},
+            "metric": [["1e200", "0"], ["0", "1e200"]],
+            "connection": [[["1e200", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+            "checks": list(OVERFLOW_CHECKS), "points": 5}
+
+
+def test_overflow_fails_with_an_infinite_residual():
+    with np.errstate(all="ignore"):
+        rows = _rows(overflow_manifest())
+    assert list(rows) == list(OVERFLOW_CHECKS)
+    assert {(row.status, row.residual) for row in rows.values()} == {("FAIL", math.inf)}
+
+
+def test_overflowing_conjugate_keeps_the_nan_of_einsum():
+    """rhs[0, 0, 0] = −Γ^0_00 g_00 = −inf, and Γ* = G⁻¹ rhs has −inf at [0, 0, 0] and NaN at
+    [1, 0, 0], where np.einsum forms the structurally zero (G⁻¹)[1, 0] times −inf.  Γ* has a
+    plan from G⁻¹'s pattern, which drops that term; the finiteness test of rhs hands the
+    contraction back, so Γ* keeps np.einsum's bits."""
+    spec = build_context(parse_manifest(overflow_manifest(), known_checks=set(CHECKS))).manifold
+    points = sample_points(spec.chart, 5)
+    g, dg, _ = spec.metric.jets(points)
+    with np.errstate(all="ignore"):
+        rhs = np.einsum("pikj->pkij", dg) - np.einsum("pmik,pmj->pkij", spec.connection.values(points), g)
+        expected = np.einsum("ptk,pkij->ptij", spec.metric.inverse.values(points), rhs)
+        star = spec.conjugate.values(points)
+    assert spec.conjugate._structure[1]["ptk,pkij->ptij"] is not None
+    assert star[0, 0, 0, 0] == -np.inf and np.isnan(star[0, 1, 0, 0])
+    np.testing.assert_array_equal(star.view(np.int64), expected.view(np.int64))

@@ -647,8 +647,9 @@ class TestInducedFiber:
         assert plan_sizes == [4]
 
     def test_plans_per_run(self, plan_sizes):
-        """One walk plan per parsed grid with a varying component, made on the first run and
-        kept on the grid, so the second run makes none; none for the fiber's fields."""
+        """One walk plan per parsed grid with a varying component, and one more per metric grid
+        for its second-derivative pattern, made on the first run and kept on the grid, so the
+        second run makes none; none for the fiber's fields."""
         manifest = load_fixture("example_5_6_k1_l1", known_checks=set(CHECKS))
         plans = []
         for _ in range(2):
@@ -656,9 +657,9 @@ class TestInducedFiber:
             report = run_suite(manifest)
             assert all(check.status != STATUS_ERROR for check in report.checks)
             plans.append(len(plan_sizes))
-        # total g, ∇ and base g, ∇; P and the base's P are all constant, and ĝ and
-        # P̂ read the total g and P
-        assert plans == [4, 0]
+        # total g, ∇ and base g, ∇, and the second-derivative patterns of total g and base g;
+        # P and the base's P are all constant, and ĝ and P̂ read the total g and P
+        assert plans == [6, 0]
 
     def test_derived_structure_is_restricted(self):
         """P̂ of an adjoint structure is the fiber block of P* at the embedded points."""
