@@ -68,8 +68,9 @@ _INTERIOR_MARGIN = 0.01
 _BLOCK_ENTRIES = 1 << 15
 # _contract hands a contraction to np.einsum when more than this share of its terms is kept.
 _SPARSE_SHARE = 1 / 8
-# Contraction plans kept, by subscripts, operand shapes and patterns, and rule sets (_apply).  A
-# pass of the benchmark's curvature workload makes 92 plans and 20 rule sets, a second pass none.
+# Contraction plans kept, by subscripts, operand shapes and patterns, rule sets (_apply) and bracket
+# plans.  A pass of the benchmark's curvature workload makes 92 plans, 20 rule sets and 8 bracket
+# plans, a second pass none.
 _PLAN_CACHE_SIZE = 256
 
 
@@ -426,12 +427,107 @@ def _if_finite(plans: dict, *arrays) -> dict:
     return plans if not any(plans.values()) or all(np.isfinite(a).all() for a in arrays) else {}
 
 
+def _unchecked(field, *arrays) -> tuple:
+    """Those of ``arrays``, read from ``field``, that a finiteness test scans: none of an
+    :class:`ExpressionField`'s, whose batches raise on a non-finite entry, all of a derived field's."""
+    return () if isinstance(field, ExpressionField) else arrays
+
+
 def _kept_plans(owner, key, rule: tuple, patterns: tuple) -> dict:
     """The plans of ``rule`` (:func:`_apply`) over operands a, b with ``patterns``, kept on ``owner``."""
     held = owner.__dict__.setdefault("_kept_plans", {})
     if key not in held:
         held[key] = _apply((rule,), ("a b",), (patterns,))[1]
     return held[key]
+
+
+# The terms of the para-Kähler space-form bracket over [l,i,j,k], in the order the dense formula adds
+# them: g_jk δ^l_i − g_ik δ^l_j + q_kj P^l_i − q_ki P^l_j + (q_ij − q_ji) P^l_k with q = gP.  Each is
+# (factor, its labels, second factor, its labels), "-g" and "-q" negated; Kurose's model is the first two.
+_BRACKET = (("g", "jk", "δ", "li"), ("-g", "ik", "δ", "lj"), ("q", "kj", "P", "li"),
+            ("-q", "ki", "P", "lj"), ("a", "ij", "P", "lk"))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _bracket_plan(n: int, metric_pattern, structure_pattern, terms: int) -> tuple:
+    """The kept terms of the first ``terms`` of ``_BRACKET`` in dimension ``n`` for g's and P's
+    patterns (:func:`_pack`; None where unknown, every entry then live): per kept term, in term
+    order and then by slot, the flat index of its first factor in [g, −g, q, −q, q − qᵀ], of its
+    second in [P, 1] (δ is 1 where the term is kept), and its slot in [l,i,j,k].  Index arrays only."""
+    full = np.ones((n, n), dtype=bool)
+    g = full if metric_pattern is None else _unpack(metric_pattern)
+    m = full if structure_pattern is None else _unpack(structure_pattern)
+    q = (g.astype(np.int64) @ m.astype(np.int64)) > 0
+    patterns = {"g": g, "-g": g, "q": q, "-q": q, "a": q | q.T, "δ": np.eye(n, dtype=bool), "P": m}
+    first, second, targets = [], [], []
+    for name, labels, other, other_labels in _BRACKET[:terms]:
+        live = np.nonzero(np.einsum(f"{labels},{other_labels}->lijk", patterns[name], patterns[other]))
+        coords = dict(zip("lijk", live))
+        first.append(("g", "-g", "q", "-q", "a").index(name) * n * n
+                     + np.ravel_multi_index([coords[c] for c in labels], (n, n)))
+        second.append(np.full(len(live[0]), n * n) if other == "δ" else
+                      np.ravel_multi_index([coords[c] for c in other_labels], (n, n)))
+        targets.append(np.ravel_multi_index(live, (n,) * 4))
+    plan = tuple(np.concatenate(index) for index in (first, second, targets))
+    for index in plan:
+        index.flags.writeable = False
+    return plan
+
+
+def _kept_bracket(owner, metric, structure=None) -> tuple:
+    """The :func:`_bracket_plan` of ``metric``'s and ``structure``'s patterns, kept on ``owner``;
+    Kurose's two terms without a structure."""
+    held = owner.__dict__.setdefault("_kept_plans", {})
+    key = ("bracket", metric, structure)
+    if key not in held:
+        held[key] = _bracket_plan(metric.dim, metric.patterns[0],
+                                  None if structure is None else structure.patterns[0],
+                                  2 if structure is None else len(_BRACKET))
+    return held[key]
+
+
+def _bracket(plan: tuple, gm: np.ndarray, m: np.ndarray | None = None, unchecked: tuple = ()) -> np.ndarray:
+    """The terms of ``plan`` (:func:`_bracket_plan`) at g = ``gm`` and P = ``m``, [l,i,j,k] over a
+    leading point axis or at one point, with the bits of :func:`_dense_bracket`.
+
+    Each kept term is one product, the terms are concatenated in term order, and one
+    ``np.bincount`` adds each slot's terms from +0.0 in that order, as the dense formula adds them.
+    A dropped term is ±0.0, which changes no nonzero sum, and neither formula ends at −0.0
+    (``np.einsum`` gives +0.0 for a zero product).  When one of ``unchecked`` (:func:`_unchecked`),
+    q = gP or q − qᵀ is non-finite, the dense formula is formed instead, so each 0 · inf stays NaN.
+    """
+    factors = (gm, -gm)
+    if m is not None:
+        q = gm @ m  # as the dense formula forms it: one point is not a stack of one to BLAS
+        a = q - np.swapaxes(q, -1, -2)
+        factors += (q, -q, a)
+        unchecked += (q, a)
+    if not all(np.isfinite(x).all() for x in unchecked):
+        return _dense_bracket(gm, m)
+    one, n = gm.ndim == 2, gm.shape[-1]
+    count = 1 if one else len(gm)
+    first, second, targets = plan
+    terms = np.concatenate([x.reshape(count, -1) for x in factors], axis=1)[:, first]
+    if m is not None:  # the δ terms read the 1.0 after P, and x · 1.0 is x
+        terms *= np.concatenate((m.reshape(count, -1), np.ones((count, 1))), axis=1)[:, second]
+    size = n ** 4
+    slots = np.arange(0, count * size, size)[:, None] + targets
+    # np.bincount gives integer zeros when no term is kept
+    out = np.bincount(slots.ravel(), terms.ravel(), count * size).astype(float, copy=False)
+    return out.reshape((n,) * 4 if one else (count,) + (n,) * 4)
+
+
+def _dense_bracket(gm: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+    """The bracket by ``np.einsum`` outer products over leading axes: Kurose's two terms without
+    ``m``, all five with it; what :func:`_bracket` hands back to on a non-finite operand."""
+    eye = np.eye(gm.shape[-1])
+    out = np.einsum("...jk,li->...lijk", gm, eye) - np.einsum("...ik,lj->...lijk", gm, eye)
+    if m is None:
+        return out
+    q = gm @ m  # q[i, j] = g(∂_i, P ∂_j)
+    return (out + np.einsum("...kj,...li->...lijk", q, m)
+            - np.einsum("...ki,...lj->...lijk", q, m)
+            + np.einsum("...ij,...lk->...lijk", q - np.swapaxes(q, -1, -2), m))
 
 
 # --------------------------------------------------------------------------
@@ -745,14 +841,15 @@ class ConjugateConnection(DerivedJets):
 
     def _derive(self, full, metric_jets, inverse_jets, base_jets, star=None):
         g, dg, ginv, gamma = metric_jets[0], metric_jets[1], inverse_jets[0], base_jets[0]
-        plans = _if_finite(self._structure[1], gamma)
+        base = self._bases[2]
+        plans = _if_finite(self._structure[1], *_unchecked(base, gamma))
         rhs = np.einsum("pikj->pkij", dg) - _contract("pmik,pmj->pkij", gamma, g, plans=plans)
         plans = _if_finite(plans, ginv, rhs)
         star = _contract("ptk,pkij->ptij", ginv, rhs, plans=plans) if star is None else star
         if not full:
             return (star,)
         d2g, dginv, dgamma = metric_jets[2], inverse_jets[1], base_jets[1]
-        plans = _if_finite(plans, dginv, dgamma)
+        plans = _if_finite(plans, dginv, *_unchecked(base, dgamma))
         drhs = (np.einsum("plikj->plkij", d2g)
                 - _contract("plmik,pmj->plkij", dgamma, g, plans=plans)
                 - _contract("pmik,plmj->plkij", gamma, dg, plans=plans))
@@ -787,7 +884,8 @@ class AdjointStructure(DerivedJets):
         dg, dginv, dm = metric_jets[1], inverse_jets[1], base_jets[1]
         # ∂P* = −(∂G⁻¹ Pᵀ G + G⁻¹ ∂Pᵀ G + G⁻¹ Pᵀ ∂G) in two-factor products: O(n⁴) per point, not
         # a three-factor einsum's O(n⁵).  ∂P vanishes for a constant P; _contract then forms no term.
-        plans = _if_finite(self._structure[1], ginv, m, dginv, dm)
+        base = self._bases[2]
+        plans = _if_finite(self._structure[1], ginv, dginv, *_unchecked(base, m, dm))
         mtg = _contract("pcb,pcd->pbd", m, g, plans=plans)
         gim = _contract("pab,pcb->pac", ginv, m, plans=plans)
         dmtg = _contract("pkcb,pcd->pkbd", dm, g, plans=plans)
@@ -923,7 +1021,8 @@ def _statistical_rows(b: Block, spec):
     gamma = b.values(spec.resolved_connection)
     torsion = max_abs(gamma - np.einsum("pkij->pkji", gamma))
     plans = _if_finite(_kept_plans(spec, _statistical_rows, ("C", "pmij,pmk->pijk a b", "pmik,pjm->pijk a b"),
-                                   (spec.resolved_connection.patterns[0], spec.metric.patterns[0])), gamma)
+                                   (spec.resolved_connection.patterns[0], spec.metric.patterns[0])),
+                       *_unchecked(spec.resolved_connection, gamma))
     # C[i,j,k] = (∇_{∂_i} g)(∂_j, ∂_k)
     cov = (dg - _contract("pmij,pmk->pijk", gamma, gm, plans=plans)
            - _contract("pmik,pjm->pijk", gamma, gm, plans=plans))
@@ -978,7 +1077,8 @@ def _curvature_of(connection, gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarr
         connection._curvature = _apply((("b", "piljk->plijk dgamma", "pmjk,plim->plijk gamma gamma"),
                                         ("R", "plijk->plijk b", "plijk->pljik b")),
                                        ("gamma dgamma",), (connection.patterns,))
-    return curvature_tensor(gamma, dgamma, _if_finite(connection._curvature[1], gamma))
+    plans = _if_finite(connection._curvature[1], *_unchecked(connection, gamma))
+    return curvature_tensor(gamma, dgamma, plans)
 
 
 def _flatness_rows(b: Block, spec):
@@ -1019,14 +1119,23 @@ def sectional_curvature(spec: ManifoldSpec, point, v, w) -> float:
 
 
 def _best_coordinate_plane(gm: np.ndarray) -> tuple[int, int, float]:
+    """(i, j, g_ii g_jj − g_ij²) of the coordinate plane with the largest |discriminant|.
+
+    A discriminant that overflows raises :class:`OverflowError` naming its plane, and one within
+    the cutoff 1e-10 · (1 + max |g|²), inf when the square overflows, :class:`DegeneratePlaneError`.
+    """
     n = gm.shape[0]
     best = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            disc = float(gm[i, i] * gm[j, j] - gm[i, j] ** 2)
-            if best is None or abs(disc) > abs(best[2]):
-                best = (i, j, disc)
-    cutoff = _DEGENERACY_CUTOFF * (1.0 + float(np.max(np.abs(gm))) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            for j in range(i + 1, n):
+                disc = float(gm[i, i] * gm[j, j] - gm[i, j] ** 2)
+                if not math.isfinite(disc):
+                    raise OverflowError(f"plane discriminant g_ii g_jj − g_ij² overflows in the "
+                                        f"coordinate plane ({i}, {j}) at the first sample point")
+                if best is None or abs(disc) > abs(best[2]):
+                    best = (i, j, disc)
+        cutoff = _DEGENERACY_CUTOFF * (1.0 + np.max(np.abs(gm)) ** 2)
     if best is None or abs(best[2]) <= cutoff:
         raise DegeneratePlaneError("no nondegenerate coordinate plane at the first sample point")
     return best
@@ -1038,10 +1147,9 @@ def _kurose_rows(b: Block, spec):
         i, j, disc = _best_coordinate_plane(gp[0])
         # g(R(e_i, e_j) e_j, e_i) = k (g_jj g_ii − g_ij g_ij)
         b.loop["kurose", spec] = float(np.einsum("l,lm->m", rp[0][:, i, j, j], gp[0])[i]) / disc
-    k_hat, eye = b.loop["kurose", spec], np.eye(spec.metric.dim)
-    # k (g_jk δ^l_i − g_ik δ^l_j) − R, formed in place: one block-sized temporary, not four
-    defect = np.einsum("pjk,li->plijk", gp, eye)
-    defect -= np.einsum("pik,lj->plijk", gp, eye)
+    k_hat = b.loop["kurose", spec]
+    # k (g_jk δ^l_i − g_ik δ^l_j) − R, formed in place from the model's kept terms (_bracket)
+    defect = _bracket(_kept_bracket(spec, spec.metric), gp, unchecked=_unchecked(spec.metric, gp))
     defect *= k_hat
     defect -= rp
     return max_abs(defect), scale_of(rp, gp), np.full(len(gp), k_hat)

@@ -35,13 +35,16 @@ from .geometry import (
     CheckResult,
     ManifoldSpec,
     _as_points,
+    _bracket,
     _contract,
     _curvature_of,
     _flatness_rows,
     _if_finite,
+    _kept_bracket,
     _kept_plans,
     _kept_slot,
     _kurose_rows,
+    _unchecked,
     block_rows,
     check_statistical_structure,
     curvature_residual,
@@ -103,7 +106,8 @@ def _parallelism_rows(b: Block, connection, structure):
     m, dm = b.read(structure, True)
     plans = _kept_plans(connection, structure, ("∇P", "pkim,pmj->pikj a b", "pmij,pkm->pikj a b"),
                         (connection.patterns[0], structure.patterns[0]))
-    return max_abs(_covariant_derivative_P(gamma, m, dm, _if_finite(plans, gamma, m))), scale_of(gamma, m)
+    plans = _if_finite(plans, *_unchecked(connection, gamma), *_unchecked(structure, m))
+    return max_abs(_covariant_derivative_P(gamma, m, dm, plans)), scale_of(gamma, m)
 
 
 def check_product_parallelism(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -147,34 +151,32 @@ def conjugate_parallelism_check(spec: ManifoldSpec, pts, tol: float = DEFAULT_TO
                                details={"primal": primal.residual, "dual": dual.residual})
 
 
-def _space_form_model(gm: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _space_form_model(spec: ManifoldSpec, structure, gm: np.ndarray, m: np.ndarray) -> np.ndarray:
     """g_jk δ^l_i − g_ik δ^l_j + g(P∂_j,∂_k) P∂_i − g(P∂_i,∂_k) P∂_j
-    + [g(∂_i,P∂_j) − g(P∂_i,∂_j)] P∂_k as an [l,i,j,k] array, over leading axes:
-    the bracket that the space-form shape with constant c scales by c/4."""
-    eye = np.eye(gm.shape[-1])
-    q = gm @ m  # q[i, j] = g(∂_i, P ∂_j)
-    return (np.einsum("...jk,li->...lijk", gm, eye)
-            - np.einsum("...ik,lj->...lijk", gm, eye)
-            + np.einsum("...kj,...li->...lijk", q, m)
-            - np.einsum("...ki,...lj->...lijk", q, m)
-            + np.einsum("...ij,...lk->...lijk", q - np.swapaxes(q, -1, -2), m))
+    + [g(∂_i,P∂_j) − g(P∂_i,∂_j)] P∂_k as an [l,i,j,k] array, over a leading point axis or at one
+    point: the bracket that the space-form shape with constant c scales by c/4, for ``structure``
+    (P or P*) of ``spec`` with values ``m``.  Only the terms that the structural patterns of g and
+    P keep are formed, by the plan of the pair kept on the spec (:func:`geometry._bracket`), with
+    the bits of the dense ``np.einsum`` outer products; those are formed where a derived P (such as
+    P*), gP or gP − (gP)ᵀ is non-finite."""
+    return _bracket(_kept_bracket(spec, spec.metric, structure), gm, m, _unchecked(structure, m))
 
 
-def _space_form_defect(gm: np.ndarray, m: np.ndarray, c: float, r: np.ndarray) -> np.ndarray:
-    """Per point, max |(c/4) bracket − R|, the bracket formed for the block and scaled in place."""
-    defect = _space_form_model(gm, m)
-    defect *= c / 4.0
-    defect -= r
-    return max_abs(defect)
+def _space_form_defect(model: np.ndarray, c: float, r: np.ndarray) -> np.ndarray:
+    """Per point, max |(c/4) bracket − R|, the block's bracket ``model`` scaled in place."""
+    model *= c / 4.0
+    model -= r
+    return max_abs(model)
 
 
 def _space_form_rows(b: Block, spec, c: float):
     gm, m = b.values(spec.metric), b.values(spec.product)
     r = b.curvature(spec.resolved_connection)
-    primal = _space_form_defect(gm, m, c, r)
+    primal = _space_form_defect(_space_form_model(spec, spec.product, gm, m), c, r)
     ms = b.values(spec.adjoint)
     r_star = b.curvature(spec.conjugate)
-    return primal, _space_form_defect(gm, ms, c, r_star), scale_of(r, r_star, gm, m)
+    dual = _space_form_defect(_space_form_model(spec, spec.adjoint, gm, ms), c, r_star)
+    return primal, dual, scale_of(r, r_star, gm, m)
 
 
 def check_space_form(spec: ManifoldSpec, c: float, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -190,7 +192,7 @@ def check_space_form(spec: ManifoldSpec, c: float, pts, tol: float = DEFAULT_TOL
 
 
 def _space_form_weights(b: Block, spec):
-    basis = _space_form_model(b.values(spec.metric), b.values(spec.product))
+    basis = _space_form_model(spec, spec.product, b.values(spec.metric), b.values(spec.product))
     return (np.einsum("plijk,plijk->p", basis, basis),)
 
 
@@ -210,7 +212,8 @@ def fit_space_form_constant(spec: ManifoldSpec, pts) -> float:
         if weight[index] == 0.0:
             store[slot] = 0.0
         else:
-            basis = _space_form_model(spec.metric.values(points)[index], spec.product.values(points)[index])
+            basis = _space_form_model(spec, spec.product, spec.metric.values(points)[index],
+                                      spec.product.values(points)[index])
             connection = spec.resolved_connection
             r = _curvature_of(connection, *(part[index] for part in connection.jets(points)))
             store[slot] = 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / float(weight[index])

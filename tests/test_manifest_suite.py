@@ -663,9 +663,9 @@ class TestDerivedFieldOwnership:
             counts["curvature"] += subscripts == "pmjk,plim->plijk"
             return contract(subscripts, *operands, **kwargs)
 
-        def count_bracket(*args):
+        def count_bracket(*args, **kwargs):
             counts["bracket"] += 1
-            return bracket(*args)
+            return bracket(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "_contract", count_contract)
         monkeypatch.setattr(product, "_space_form_model", count_bracket)

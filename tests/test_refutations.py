@@ -18,7 +18,9 @@ exponential connection Γ^(1) is exactly 0, so ∇^(1)P = ∂P = 0 for the
 constant involution P, and the mixture side ∇^(−1)P* = 0 follows by the
 identity of conjugate parallelism.  Only a code mutant refutes it.  A metric
 of 1e200 with Γ⁰₀₀ = 1e200 overflows Γ^m_ik g_mj, and every check that
-reads ∇* or Codazzi FAILs with an infinite residual.
+reads ∇* or Codazzi FAILs with an infinite residual.  The same metric with
+P⁰₁ = 1e200 and P¹₀ = 1e-200 overflows gP, so the space form FAILs with an
+infinite residual, and the Kurose fit ERRORs naming its plane discriminant.
 """
 
 import copy
@@ -228,3 +230,33 @@ def test_overflowing_conjugate_keeps_the_nan_of_einsum():
     assert spec.conjugate._structure[1]["ptk,pkij->ptij"] is not None
     assert star[0, 0, 0, 0] == -np.inf and np.isnan(star[0, 1, 0, 0])
     np.testing.assert_array_equal(star.view(np.int64), expected.view(np.int64))
+
+
+def bracket_overflow_manifest(checks=("almost_product", "space_form", "flatness")):
+    """g = diag(1e200, 1e200), P = [[0, 1e200], [1e-200, 0]] and Γ = 0 on the unit square: P² = Id,
+    but (gP)[0, 1] = 1e400 overflows, and so does the plane discriminant g_00 g_11."""
+    return {"chart": {"coords": ["x", "y"], "box": [[0.0, 1.0], [0.0, 1.0]], "seed": 1},
+            "metric": [["1e200", "0"], ["0", "1e200"]],
+            "connection": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+            "product": [["0", "1e200"], ["1e-200", "0"]],
+            "checks": list(checks), "points": 5}
+
+
+def test_overflowing_bracket_fails_the_space_form():
+    with np.errstate(all="ignore"):
+        rows = _rows(bracket_overflow_manifest())
+    assert {name: row.status for name, row in rows.items()} == {
+        "almost_product": "PASS", "space_form": "FAIL", "flatness": "PASS"}
+    assert rows["space_form"].residual == math.inf
+
+
+def test_overflowing_plane_discriminant_errors_naming_it():
+    """g_00 g_11 = 1e400 overflows: the Kurose fit ERRORs with a reason that names the plane
+    discriminant, and opens no PASS."""
+    with np.errstate(all="ignore"):
+        rows = _rows(bracket_overflow_manifest(("kurose_constant_curvature", "space_form")))
+    kurose = rows["kurose_constant_curvature"]
+    assert kurose.status == "ERROR" and kurose.residual is None
+    assert kurose.reason == ("OverflowError: plane discriminant g_ii g_jj − g_ij² overflows in the "
+                             "coordinate plane (0, 1) at the first sample point")
+    assert rows["space_form"].status == "FAIL"
