@@ -1142,13 +1142,15 @@ def _best_coordinate_plane(gm: np.ndarray) -> tuple[int, int, float]:
 
 
 def _kurose_rows(b: Block, spec):
+    """Per point, max |k (g_jk δ^l_i − g_ik δ^l_j) − R|, the scale and k, with k fitted once per
+    loop at its first point; the model is formed from the terms that g's pattern keeps, Kurose's
+    plan kept on the spec (:func:`_bracket`), and scaled and compared in place."""
     gp, rp = b.values(spec.metric), b.curvature(spec.resolved_connection)
     if ("kurose", spec) not in b.loop:  # from the first point's metric and R
         i, j, disc = _best_coordinate_plane(gp[0])
         # g(R(e_i, e_j) e_j, e_i) = k (g_jj g_ii − g_ij g_ij)
         b.loop["kurose", spec] = float(np.einsum("l,lm->m", rp[0][:, i, j, j], gp[0])[i]) / disc
     k_hat = b.loop["kurose", spec]
-    # k (g_jk δ^l_i − g_ik δ^l_j) − R, formed in place from the model's kept terms (_bracket)
     defect = _bracket(_kept_bracket(spec, spec.metric), gp, unchecked=_unchecked(spec.metric, gp))
     defect *= k_hat
     defect -= rp
