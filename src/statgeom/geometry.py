@@ -30,7 +30,14 @@ the scale (:func:`scale_of`) and any detail; the finisher is one
 (:func:`reduced_check`).  :func:`block_rows` runs the reducers a batch has
 not kept yet in one loop over its blocks, forming R and R* once per block
 for all of them (the suite hands it every R reader of a run), and keeps the
-rows on the subject for the checks of the run.  Derived fields use the loop.
+rows on the subject for the checks of the run.  R is formed only on the live
+slots of its structural pattern (:class:`Packed`, :func:`plans._curvature_plan`),
+and every R reader works on those entries, so the R readers' loop forms no
+dense 4-index array and sizes its blocks by their packed widths; a
+non-finite operand hands a block back to the dense formulas.  Derived
+fields use the loop, in blocks sized for their dense 4-index arrays.  Every
+plan is made from structural patterns alone in :mod:`plans`; this module
+applies the plans to the numbers.
 
 Every check, fit and theorem takes the :class:`ManifoldSpec` it certifies
 and returns one :class:`CheckResult`.  The spec owns the fields derived from
@@ -48,11 +55,24 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import expr as ex
+from .plans import (
+    _BRACKET,
+    _CurvaturePlan,
+    _apply,
+    _bracket_plan,
+    _bracket_union,
+    _curvature_plan,
+    _dual_plan,
+    _live,
+    _pack,
+    _planned,
+    _read_only,
+)
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_POINT_COUNT = 25
@@ -64,14 +84,9 @@ STATUS_ERROR = "ERROR"
 
 _DEGENERACY_CUTOFF = 1e-10
 _INTERIOR_MARGIN = 0.01
-# Entries of one 4-index per-point tensor (such as R) per block of points; sweep in BENCH_22.json.
+# Entries per block of the widest per-point array a block loop forms: n⁴ for a dense 4-index tensor,
+# the packed widths for the R readers (block_rows); sweep in BENCH_22.json.
 _BLOCK_ENTRIES = 1 << 15
-# _contract hands a contraction to np.einsum when more than this share of its terms is kept.
-_SPARSE_SHARE = 1 / 8
-# Contraction plans kept, by subscripts, operand shapes and patterns, rule sets (_apply) and bracket
-# plans.  A pass of the benchmark's curvature workload makes 92 plans, 20 rule sets and 8 bracket
-# plans, a second pass none.
-_PLAN_CACHE_SIZE = 256
 
 
 class ChartError(ValueError):
@@ -148,11 +163,6 @@ def _as_points(pts) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Jets at sample points
 # --------------------------------------------------------------------------
-
-def _read_only(arrays: tuple) -> tuple:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 class PointJets:
@@ -263,8 +273,9 @@ class Block:
 
     ``read`` slices a field's whole-batch store to the block's ``rows``
     (values, or jets with ``full``), and ``curvature`` forms R of a connection
-    once per block for every reducer that reads it.  ``loop`` holds what a
-    reducer keeps from block to block (the Kurose constant, a field of its own).
+    once per block for every reducer that reads it, on its live slots
+    (:class:`Packed`).  ``loop`` holds what a reducer keeps from block to block
+    (the Kurose constant, a field of its own).
     """
 
     def __init__(self, points: np.ndarray, rows: slice, loop: dict):
@@ -282,26 +293,28 @@ class Block:
         """The values of a derived field on this block alone, kept in no store."""
         return field._on_block(self, False)[0]
 
-    def curvature(self, connection) -> np.ndarray:
-        """R of ``connection`` on this block (:func:`_curvature_of`), formed on first read."""
+    def curvature(self, connection) -> Packed:
+        """R of ``connection`` on this block, on the live slots of its structural pattern
+        (:func:`_curvature_of`), formed on first read."""
         if connection not in self._curvatures:
             self._curvatures[connection] = _curvature_of(connection, *self.read(connection, True))
         return self._curvatures[connection]
 
 
-def _block_loop(points: np.ndarray, reducers, isolate: bool = False) -> list:
+def _block_loop(points: np.ndarray, reducers, isolate: bool = False, width: int | None = None) -> list:
     """The rows of each reducer, in order, from one loop over the blocks of ``points``.
 
     A reducer ``(fn, *args)`` returns ``fn(block, *args)``, a tuple of arrays
     with a leading point axis, stacked over the blocks.  A block holds about
-    ``_BLOCK_ENTRIES`` entries of a 4-index tensor in the chart dimension (at
-    least one point), so no temporary spans all points, and every point is
-    treated on its own, so the block size changes no bit.  An exception
-    propagates, or with ``isolate`` takes the place of its reducer's rows and
-    drops that reducer from the loop.
+    ``_BLOCK_ENTRIES`` entries of the widest array formed per point, ``width``
+    or by default a 4-index tensor in the chart dimension (at least one point),
+    so no temporary spans all points, and every point is treated on its own,
+    so the block size changes no bit.  An exception propagates, or with
+    ``isolate`` takes the place of its reducer's rows and drops that reducer
+    from the loop.
     """
     count, out, loop = len(points), [None] * len(reducers), {}
-    step = max(1, _BLOCK_ENTRIES // points.shape[1] ** 4)
+    step = max(1, _BLOCK_ENTRIES // max(1, points.shape[1] ** 4 if width is None else width))
     for start in range(0, count, step):
         block = Block(points, slice(start, start + step), loop)
         for i, (fn, *args) in enumerate(reducers):
@@ -333,11 +346,13 @@ def _contract(subscripts: str, *operands: np.ndarray, plans: dict | None = None)
     left to right, as ``np.einsum`` rounds each product, and added into each
     output from 0.0; no output adds more than two, and a sum of two rounds
     the same in either order.  ``plans`` maps subscripts to the plans a
-    caller made once from its operands' structural patterns (:func:`_planned`);
-    a None plan (more than two kept terms per output, or ``_SPARSE_SHARE``
+    caller made once from its operands' structural patterns (:func:`plans._planned`);
+    a None plan (more than two kept terms per output, or ``plans._SPARSE_SHARE``
     of all terms) or a failed finiteness test of the caller's (0 · inf is
     NaN; :func:`_if_finite`) leaves the call to ``np.einsum``.  Without
     ``plans`` (``submersion``, one-point callers) the operands are scanned.
+    A plan may gather from a packed operand and add into a packed output (the
+    live slots of a pattern, :class:`Packed`); its shape is then the output's.
     """
     if plans is None:  # from the operands' values
         _planned(plans := {}, subscripts, *(_pack((op != 0.0).any(axis=0)) for op in operands))
@@ -351,75 +366,10 @@ def _contract(subscripts: str, *operands: np.ndarray, plans: dict | None = None)
     for op, gather in zip(operands[1:], gathers[1:]):
         terms *= op.reshape(count, -1)[:, gather]
     size = math.prod(shape)
-    slots = np.arange(0, count * size, size)[:, None] + targets
+    slots = np.arange(count)[:, None] * size + targets  # size may be 0: nothing live
     sums = np.bincount(slots.ravel(), terms.ravel(), count * size)
     # np.bincount gives integer zeros when no term is kept
     return sums.astype(terms.dtype, copy=False).reshape((count,) + shape)
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _contraction_plan(subscripts: str, shapes: tuple, masks: tuple):
-    """(The kept terms of a contraction, or None for ``np.einsum``; the output's pattern).
-
-    ``shapes`` and ``masks`` hold each operand's shape and nonzero pattern
-    over all points, both without the point axis.  The plan is the flat
-    index of every kept term's factor in each operand and of its output,
-    ordered by the output labels and then the summed labels sorted, and the
-    output shape without the point axis; it holds no operand value.
-    """
-    inputs, output = subscripts.split("->")
-    inputs = inputs.split(",")
-    space = output[1:] + "".join(sorted(set("".join(inputs)) - set(output)))
-    patterns = [np.frombuffer(mask, dtype=bool).reshape(shape) for mask, shape in zip(masks, shapes)]
-    live = np.einsum(",".join(labels[1:] for labels in inputs) + "->" + space, *patterns)
-    coords = dict(zip(space, np.nonzero(live)))
-    shape = live.shape[:len(output) - 1]
-    pattern = _pack(live.reshape(shape + (-1,)).any(axis=-1))
-    targets = np.ravel_multi_index([coords[label] for label in output[1:]], shape)
-    # Two terms add to the same bits in either order; three need np.einsum's own order.
-    if len(targets) > _SPARSE_SHARE * live.size or np.bincount(targets, minlength=1).max() > 2:
-        return None, pattern
-    gathers = tuple(np.ravel_multi_index([coords[label] for label in labels[1:]], op_shape)
-                    for labels, op_shape in zip(inputs, shapes))
-    for index in gathers + (targets,):
-        index.flags.writeable = False
-    return (gathers, targets, shape), pattern
-
-
-def _pack(array: np.ndarray) -> tuple:
-    """A structural pattern, where a part (no point axis) can be nonzero, as bytes; None if unknown."""
-    return array.shape, array.tobytes()
-
-
-def _unpack(pattern) -> np.ndarray:
-    return np.frombuffer(pattern[1], dtype=bool).reshape(pattern[0])
-
-
-def _planned(plans: dict, subscripts: str, *patterns):
-    """The pattern of ``np.einsum(subscripts, ...)``, and of a product its plan, put in ``plans``;
-    for "closure", that of G⁻¹, 0 between two components of G's graph (paths shorter than n)."""
-    if any(pattern is None for pattern in patterns):
-        return None
-    if len(patterns) == 1:
-        one, n = _unpack(patterns[0]), patterns[0][0][0]
-        return _pack(np.linalg.matrix_power(one | np.eye(n, dtype=bool), n) if subscripts == "closure"
-                     else np.einsum(subscripts.replace("p", ""), one))
-    plans[subscripts], pattern = _contraction_plan(subscripts, *zip(*patterns))
-    return pattern
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _apply(rules, names: tuple, patterns: tuple) -> tuple[dict, dict]:
-    """The patterns of the bases' parts, by their ``names``, with those of ``rules``, and their
-    plans: a rule names an array and the terms of its sum, each subscripts and operand names
-    (:func:`_planned`); a sum's pattern is an OR.  Kept for the next run, which reads the same."""
-    known = {name: part for line, parts in zip(names, patterns) for name, part in zip(line.split(), parts)}
-    plans = {}
-    for name, *terms in rules:
-        parts = [_planned(plans, subscripts, *map(known.get, operands))
-                 for subscripts, *operands in map(str.split, terms)]
-        known[name] = None if None in parts else _pack(functools.reduce(np.logical_or, map(_unpack, parts)))
-    return known, plans
 
 
 def _if_finite(plans: dict, *arrays) -> dict:
@@ -441,54 +391,47 @@ def _kept_plans(owner, key, rule: tuple, patterns: tuple) -> dict:
     return held[key]
 
 
-# The terms of the para-Kähler space-form bracket over [l,i,j,k], in the order the dense formula adds
-# them: g_jk δ^l_i − g_ik δ^l_j + q_kj P^l_i − q_ki P^l_j + (q_ij − q_ji) P^l_k with q = gP.  Each is
-# (factor, its labels, second factor, its labels), "-g" and "-q" negated; Kurose's model is the first two.
-_BRACKET = (("g", "jk", "δ", "li"), ("-g", "ik", "δ", "lj"), ("q", "kj", "P", "li"),
-            ("-q", "ki", "P", "lj"), ("a", "ij", "P", "lk"))
+class Packed(NamedTuple):
+    """Per-point [l,i,j,k] arrays on the live slots of a structural ``pattern`` (:func:`_pack`):
+    ``values`` has a leading point axis and a column per slot of :func:`_live`, every slot for a
+    None ``pattern``.  Off its slots an array is +0.0."""
+
+    values: np.ndarray
+    pattern: tuple | None
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _bracket_plan(n: int, metric_pattern, structure_pattern, terms: int) -> tuple:
-    """The kept terms of the first ``terms`` of ``_BRACKET`` in dimension ``n`` for g's and P's
-    patterns (:func:`_pack`; None where unknown, every entry then live): per kept term, in term
-    order and then by slot, the flat index of its first factor in [g, −g, q, −q, q − qᵀ], of its
-    second in [P, 1] (δ is 1 where the term is kept), and its slot in [l,i,j,k].  Index arrays only."""
-    full = np.ones((n, n), dtype=bool)
-    g = full if metric_pattern is None else _unpack(metric_pattern)
-    m = full if structure_pattern is None else _unpack(structure_pattern)
-    q = (g.astype(np.int64) @ m.astype(np.int64)) > 0
-    patterns = {"g": g, "-g": g, "q": q, "-q": q, "a": q | q.T, "δ": np.eye(n, dtype=bool), "P": m}
-    first, second, targets = [], [], []
-    for name, labels, other, other_labels in _BRACKET[:terms]:
-        live = np.nonzero(np.einsum(f"{labels},{other_labels}->lijk", patterns[name], patterns[other]))
-        coords = dict(zip("lijk", live))
-        first.append(("g", "-g", "q", "-q", "a").index(name) * n * n
-                     + np.ravel_multi_index([coords[c] for c in labels], (n, n)))
-        second.append(np.full(len(live[0]), n * n) if other == "δ" else
-                      np.ravel_multi_index([coords[c] for c in other_labels], (n, n)))
-        targets.append(np.ravel_multi_index(live, (n,) * 4))
-    plan = tuple(np.concatenate(index) for index in (first, second, targets))
-    for index in plan:
-        index.flags.writeable = False
-    return plan
+def _unpacked(r: Packed, n: int) -> np.ndarray:
+    """The [l,i,j,k] arrays of ``r`` in dimension ``n``, over its point axis, +0.0 off its slots."""
+    out = np.zeros((len(r.values), n ** 4))
+    out[:, _live(r.pattern)] = r.values
+    return out.reshape((len(r.values),) + (n,) * 4)
 
 
-def _kept_bracket(owner, metric, structure=None) -> tuple:
+def _sized(width):
+    """Marks an R reader that forms no dense 4-index array unless a block is handed back:
+    ``width(*args)`` is the widest array it forms per point, by which :func:`block_rows` sizes blocks."""
+    def mark(fn):
+        fn.width = width
+        return fn
+    return mark
+
+
+def _kept_bracket(owner, metric, structure=None, *union) -> tuple:
     """The :func:`_bracket_plan` of ``metric``'s and ``structure``'s patterns, kept on ``owner``;
-    Kurose's two terms without a structure."""
+    Kurose's two terms without a structure.  Given R's pattern in ``union``, its :func:`_bracket_union`."""
     held = owner.__dict__.setdefault("_kept_plans", {})
-    key = ("bracket", metric, structure)
+    key = ("bracket", metric, structure, *union)
     if key not in held:
-        held[key] = _bracket_plan(metric.dim, metric.patterns[0],
-                                  None if structure is None else structure.patterns[0],
-                                  2 if structure is None else len(_BRACKET))
+        args = (metric.dim, metric.patterns[0], None if structure is None else structure.patterns[0],
+                2 if structure is None else len(_BRACKET))
+        held[key] = _bracket_union(*args, *union) if union else _bracket_plan(*args)
     return held[key]
 
 
 def _bracket(plan: tuple, gm: np.ndarray, m: np.ndarray | None = None, unchecked: tuple = ()) -> np.ndarray:
     """The terms of ``plan`` (:func:`_bracket_plan`) at g = ``gm`` and P = ``m``, [l,i,j,k] over a
-    leading point axis or at one point, with the bits of :func:`_dense_bracket`.
+    leading point axis or at one point, with the bits of :func:`_dense_bracket`; the terms of a
+    :func:`_bracket_union` plan as (points, the union's slots).
 
     Each kept term is one product, the terms are concatenated in term order, and one
     ``np.bincount`` adds each slot's terms from +0.0 in that order, as the dense formula adds them.
@@ -506,15 +449,26 @@ def _bracket(plan: tuple, gm: np.ndarray, m: np.ndarray | None = None, unchecked
         return _dense_bracket(gm, m)
     one, n = gm.ndim == 2, gm.shape[-1]
     count = 1 if one else len(gm)
-    first, second, targets = plan
+    first, second, targets, *union = plan
     terms = np.concatenate([x.reshape(count, -1) for x in factors], axis=1)[:, first]
     if m is not None:  # the δ terms read the 1.0 after P, and x · 1.0 is x
         terms *= np.concatenate((m.reshape(count, -1), np.ones((count, 1))), axis=1)[:, second]
-    size = n ** 4
-    slots = np.arange(0, count * size, size)[:, None] + targets
+    size = union[0] if union else n ** 4
+    slots = np.arange(count)[:, None] * size + targets
     # np.bincount gives integer zeros when no term is kept
     out = np.bincount(slots.ravel(), terms.ravel(), count * size).astype(float, copy=False)
-    return out.reshape((n,) * 4 if one else (count,) + (n,) * 4)
+    return out.reshape((count, size) if union else (n,) * 4 if one else (count,) + (n,) * 4)
+
+
+def _model_defect(model: np.ndarray, plan: tuple, scale: float, r: Packed) -> np.ndarray:
+    """Per point, max |scale · model − R| for the bracket ``model`` of a :func:`_bracket_union`
+    ``plan``, scaled in place; a model handed back to the dense formula holds every slot."""
+    at = plan[4]
+    if model.ndim > 2:  # handed back (_bracket)
+        model, at = model.reshape(len(model), -1), _live(r.pattern)
+    model *= scale
+    model[:, at] -= r.values
+    return max_abs(model)
 
 
 def _dense_bracket(gm: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
@@ -977,8 +931,9 @@ def block_rows(pts, *reducers) -> list[tuple[np.ndarray, ...]]:
 
     Rows are kept on the subject, keyed by the whole batch like a field's
     store, so a run forms them once for every check that reads them; those
-    not kept yet are formed together in one block loop.  A failing reducer is
-    not kept, and the first failure among ``reducers`` is raised.
+    not kept yet are formed together in one block loop, its blocks sized by the
+    widest array any of them forms per point (:func:`_width`).  A failing
+    reducer is not kept, and the first failure among ``reducers`` is raised.
     """
     points = _as_points(pts)
     batch = (points.shape, points.tobytes())
@@ -988,9 +943,10 @@ def block_rows(pts, *reducers) -> list[tuple[np.ndarray, ...]]:
         if slot not in store:
             todo.setdefault((id(store), slot), (reducer, store, slot))
     if todo:
-        failures = {}
+        failures, reducers = {}, [reducer for reducer, _, _ in todo.values()]
+        width = max(_width(reducer, points.shape[1]) for reducer in reducers)
         for key, (_, store, slot), rows in zip(todo, todo.values(), _block_loop(
-                points, [reducer for reducer, _, _ in todo.values()], isolate=True)):
+                points, reducers, isolate=True, width=width)):
             if isinstance(rows, Exception):
                 failures[key] = rows
             else:
@@ -999,6 +955,17 @@ def block_rows(pts, *reducers) -> list[tuple[np.ndarray, ...]]:
             if slot not in store:
                 raise failures[id(store), slot]
     return [store[slot] for store, slot in slots]
+
+
+def _width(reducer, n: int) -> int:
+    """The widest array ``reducer`` forms per point: its reader's width (:func:`_sized`), or n⁴."""
+    fn, *args = reducer
+    if not hasattr(fn, "width"):
+        return n ** 4
+    try:
+        return fn.width(*args)
+    except Exception:  # noqa: BLE001 - the reducer raises it again in the loop
+        return n ** 4
 
 
 def reduced_check(pts, tol: float, *reducer, details=()) -> CheckResult:
@@ -1057,33 +1024,79 @@ def check_levi_civita_average(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLE
     return reduced_check(pts, tol, _average_rows, spec)
 
 
-def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray, plans: dict | None = None) -> np.ndarray:
-    """R[l,i,j,k] = ∂_i Γ^l_jk − ∂_j Γ^l_ik + Γ^m_jk Γ^l_im − Γ^m_ik Γ^l_jm.
+def _packed_curvature(plan: _CurvaturePlan, gamma: np.ndarray, dgamma: np.ndarray, checked: tuple) -> Packed:
+    """R from the jets of a batch on the live slots of ``plan`` (:func:`_curvature_plan`).
 
-    Takes the jets of a batch, with a leading point axis, or of one point,
-    without it.  Antisymmetry in (i, j) is exact.  The quadratic term skips
-    its products with an exact-zero factor (:func:`_contract`, with ``plans``).
+    ∂Γ is gathered transposed, ΓΓ formed by the plan's kept terms added among the live slots (or
+    by ``np.einsum`` on every slot and gathered, where it keeps no plan), and R = b − b(i↔j) is two
+    gathers of b, so every slot has the bits of the dense formula (:func:`_dense_curvature`), which
+    gives +0.0 off the pattern.  Where ``plan`` has no pattern, or one of ``checked`` is non-finite
+    (0 · inf is NaN), the dense formula forms every slot.
     """
-    if gamma.ndim == 3:
-        return curvature_tensor(gamma[None], dgamma[None], plans)[0]
-    b = np.einsum("piljk->plijk", dgamma) + _contract("pmjk,plim->plijk", gamma, gamma, plans=plans)
+    count = len(gamma)
+    if plan.pattern is None or not all(np.isfinite(a).all() for a in checked):
+        return Packed(_dense_curvature(gamma, dgamma).reshape(count, -1), None)
+    b = dgamma.reshape(count, -1)[:, plan.transposed]
+    products = _contract("pmjk,plim->plijk", gamma, gamma, plans=plan.products).reshape(count, -1)
+    b += products[:, _live(plan.pattern)] if plan.products["pmjk,plim->plijk"] is None else products
+    return Packed(b - b[:, plan.swapped], plan.pattern)
+
+
+def _dense_curvature(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R over a leading point axis by ``np.einsum`` on every slot: for a full or unknown pattern,
+    and where :func:`_packed_curvature` hands a non-finite block back, so each 0 · inf stays NaN."""
+    b = np.einsum("piljk->plijk", dgamma) + np.einsum("pmjk,plim->plijk", gamma, gamma)
     return b - np.einsum("plijk->pljik", b)
 
 
-def _curvature_of(connection, gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """R of ``connection`` from its jets, planned from its patterns; the first call keeps R's
-    pattern and the plan on the connection: b = ∂Γ + ΓΓ, and R = b − b with (i, j) swapped."""
+def curvature_tensor(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R[l,i,j,k] = ∂_i Γ^l_jk − ∂_j Γ^l_ik + Γ^m_jk Γ^l_im − Γ^m_ik Γ^l_jm.
+
+    Takes the jets of a batch, with a leading point axis, or of one point,
+    without it.  Antisymmetry in (i, j) is exact.  R is formed on the live
+    slots of the structural pattern of the jets' nonzeros
+    (:func:`_packed_curvature`) and read unpacked, +0.0 off it, which is what
+    the dense formula gives there.
+    """
+    if gamma.ndim == 3:
+        return curvature_tensor(gamma[None], dgamma[None])[0]
+    plan = _curvature_plan(gamma.shape[-1], tuple(_pack((jet != 0.0).any(axis=0)) for jet in (gamma, dgamma)))
+    return _unpacked(_packed_curvature(plan, gamma, dgamma, (gamma, dgamma)), gamma.shape[-1])
+
+
+def _kept_curvature(connection) -> _CurvaturePlan:
+    """The :func:`_curvature_plan` of ``connection``'s patterns, kept on it."""
     if "_curvature" not in connection.__dict__:
-        connection._curvature = _apply((("b", "piljk->plijk dgamma", "pmjk,plim->plijk gamma gamma"),
-                                        ("R", "plijk->plijk b", "plijk->pljik b")),
-                                       ("gamma dgamma",), (connection.patterns,))
-    plans = _if_finite(connection._curvature[1], *_unchecked(connection, gamma))
-    return curvature_tensor(gamma, dgamma, plans)
+        connection._curvature = _curvature_plan(connection.dim, connection.patterns)
+    return connection._curvature
 
 
+def _curvature_of(connection, gamma: np.ndarray, dgamma: np.ndarray) -> Packed:
+    """R of ``connection`` from the jets of a batch, on the live slots of its pattern
+    (:func:`_packed_curvature`); the jets of a derived connection are tested for finiteness."""
+    checked = _unchecked(connection, gamma, dgamma)
+    return _packed_curvature(_kept_curvature(connection), gamma, dgamma, checked)
+
+
+def _curvature_at(connection, gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R of ``connection`` unpacked, +0.0 off its pattern: over a batch, or at one point without
+    the point axis."""
+    if gamma.ndim == 3:
+        return _curvature_at(connection, gamma[None], dgamma[None])[0]
+    return _unpacked(_curvature_of(connection, gamma, dgamma), gamma.shape[-1])
+
+
+def _bracket_width(spec, structure, connection) -> int:
+    """The widest array a bracket defect against R of ``connection`` forms per point."""
+    r = _kept_curvature(connection)
+    plan = _kept_bracket(spec, spec.metric, structure, r.pattern)
+    return max(r.width, len(plan[0]), plan[3])
+
+
+@_sized(lambda spec: _kept_curvature(spec.resolved_connection).width)
 def _flatness_rows(b: Block, spec):
     gm = b.values(spec.metric)
-    return max_abs(b.curvature(spec.resolved_connection)), scale_of(gm)
+    return max_abs(b.curvature(spec.resolved_connection).values), scale_of(gm)
 
 
 def curvature_residual(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -1093,8 +1106,8 @@ def curvature_residual(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) 
 
 def statistical_curvature_at(spec: ManifoldSpec, point) -> np.ndarray:
     """S = ½ (R + R*), the curvature average of the dual pair."""
-    r = _curvature_of(spec.resolved_connection, *spec.resolved_connection.jet(point))
-    r_star = _curvature_of(spec.conjugate, *spec.conjugate.jet(point))
+    r = _curvature_at(spec.resolved_connection, *spec.resolved_connection.jet(point))
+    r_star = _curvature_at(spec.conjugate, *spec.conjugate.jet(point))
     return 0.5 * (r + r_star)
 
 
@@ -1141,20 +1154,22 @@ def _best_coordinate_plane(gm: np.ndarray) -> tuple[int, int, float]:
     return best
 
 
+@_sized(lambda spec: _bracket_width(spec, None, spec.resolved_connection))
 def _kurose_rows(b: Block, spec):
     """Per point, max |k (g_jk δ^l_i − g_ik δ^l_j) − R|, the scale and k, with k fitted once per
-    loop at its first point; the model is formed from the terms that g's pattern keeps, Kurose's
-    plan kept on the spec (:func:`_bracket`), and scaled and compared in place."""
-    gp, rp = b.values(spec.metric), b.curvature(spec.resolved_connection)
+    loop at its first point, from R unpacked; the model is formed from the terms that g's pattern
+    keeps on the union of their slots and R's (:func:`_bracket_union`, kept on the spec), and
+    scaled and compared in place."""
+    gp, r = b.values(spec.metric), b.curvature(spec.resolved_connection)
     if ("kurose", spec) not in b.loop:  # from the first point's metric and R
         i, j, disc = _best_coordinate_plane(gp[0])
+        rp = _unpacked(Packed(r.values[:1], r.pattern), gp.shape[-1])[0]
         # g(R(e_i, e_j) e_j, e_i) = k (g_jj g_ii − g_ij g_ij)
-        b.loop["kurose", spec] = float(np.einsum("l,lm->m", rp[0][:, i, j, j], gp[0])[i]) / disc
+        b.loop["kurose", spec] = float(np.einsum("l,lm->m", rp[:, i, j, j], gp[0])[i]) / disc
     k_hat = b.loop["kurose", spec]
-    defect = _bracket(_kept_bracket(spec, spec.metric), gp, unchecked=_unchecked(spec.metric, gp))
-    defect *= k_hat
-    defect -= rp
-    return max_abs(defect), scale_of(rp, gp), np.full(len(gp), k_hat)
+    plan = _kept_bracket(spec, spec.metric, None, r.pattern)
+    defect = _model_defect(_bracket(plan, gp, unchecked=_unchecked(spec.metric, gp)), plan, k_hat, r)
+    return defect, scale_of(r.values, gp), np.full(len(gp), k_hat)
 
 
 def fit_kurose_constant(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -1169,17 +1184,33 @@ def fit_kurose_constant(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE)
     return reduced_check(pts, tol, _kurose_rows, spec, details=("constant",))
 
 
+def _dual_width(spec) -> int:
+    """The widest array :func:`_dual_curvature_rows` forms per point, n⁴ without a :func:`_dual_plan`."""
+    r, r_star = _kept_curvature(spec.resolved_connection), _kept_curvature(spec.conjugate)
+    plan = _dual_plan(spec.metric.patterns[0], r.pattern, r_star.pattern)
+    return max(r.width, r_star.width, spec.metric.dim ** 4 if plan is None else plan[-1])
+
+
+@_sized(_dual_width)
 def _dual_curvature_rows(b: Block, spec):
-    gm, lowered = b.values(spec.metric), []
-    for connection in (spec.resolved_connection, spec.conjugate):
-        r = b.curvature(connection)
-        plans = _kept_plans(spec, connection, ("gR", "plm,pmijk->pijkl a b"),
-                            (spec.metric.patterns[0], connection._curvature[0]["R"]))
-        lowered.append(_contract("plm,pmijk->pijkl", gm, r, plans=_if_finite(plans, r)))
-    r_cov, rs_cov = lowered
-    scale = scale_of(r_cov, rs_cov)
-    r_cov += np.einsum("pijlk->pijkl", rs_cov)  # in place: no block-sized temporary
-    return max_abs(r_cov), scale
+    """Per point, max |g(R(∂_i,∂_j)∂_k, ∂_l) + g(R*(∂_i,∂_j)∂_l, ∂_k)| and the scale, on the live
+    slots of :func:`_dual_plan`; by ``np.einsum`` over R and R* unpacked where it has no plan or R
+    or R* is non-finite, so each 0 · inf is NaN."""
+    gm, n = b.values(spec.metric), spec.metric.dim
+    r, r_star = b.curvature(spec.resolved_connection), b.curvature(spec.conjugate)
+    plan = _dual_plan(spec.metric.patterns[0], r.pattern, r_star.pattern)
+    if plan is None or not (np.isfinite(r.values).all() and np.isfinite(r_star.values).all()):
+        r_cov, rs_cov = (np.einsum("plm,pmijk->pijkl", gm, _unpacked(x, n)) for x in (r, r_star))
+        scale = scale_of(r_cov, rs_cov)
+        r_cov += np.einsum("pijlk->pijkl", rs_cov)  # in place: no block-sized temporary
+        return max_abs(r_cov), scale
+    lowerings, size, at, at_star, _ = plan
+    r_cov, rs_cov = (_contract("plm,pmijk->pijkl", gm, x.values, plans=lowering)
+                     for x, lowering in zip((r, r_star), lowerings))
+    total = np.zeros((len(gm), size))
+    total[:, at] = r_cov
+    total[:, at_star] += rs_cov
+    return max_abs(total), scale_of(r_cov, rs_cov)
 
 
 def check_dual_curvature_identity(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:

@@ -36,14 +36,17 @@ from .geometry import (
     ManifoldSpec,
     _as_points,
     _bracket,
+    _bracket_width,
     _contract,
-    _curvature_of,
+    _curvature_at,
     _flatness_rows,
     _if_finite,
     _kept_bracket,
     _kept_plans,
     _kept_slot,
     _kurose_rows,
+    _model_defect,
+    _sized,
     _unchecked,
     block_rows,
     check_statistical_structure,
@@ -151,32 +154,36 @@ def conjugate_parallelism_check(spec: ManifoldSpec, pts, tol: float = DEFAULT_TO
                                details={"primal": primal.residual, "dual": dual.residual})
 
 
-def _space_form_model(spec: ManifoldSpec, structure, gm: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _space_form_model(spec: ManifoldSpec, structure, gm: np.ndarray, m: np.ndarray, *union) -> np.ndarray:
     """g_jk δ^l_i − g_ik δ^l_j + g(P∂_j,∂_k) P∂_i − g(P∂_i,∂_k) P∂_j
     + [g(∂_i,P∂_j) − g(P∂_i,∂_j)] P∂_k as an [l,i,j,k] array, over a leading point axis or at one
     point: the bracket that the space-form shape with constant c scales by c/4, for ``structure``
     (P or P*) of ``spec`` with values ``m``.  Only the terms that the structural patterns of g and
     P keep are formed, by the plan of the pair kept on the spec (:func:`geometry._bracket`), with
     the bits of the dense ``np.einsum`` outer products; those are formed where a derived P (such as
-    P*), gP or gP − (gP)ᵀ is non-finite."""
-    return _bracket(_kept_bracket(spec, spec.metric, structure), gm, m, _unchecked(structure, m))
+    P*), gP or gP − (gP)ᵀ is non-finite.  Given R's pattern in ``union``, the terms are formed on
+    the union of their slots and R's (:func:`plans._bracket_union`)."""
+    return _bracket(_kept_bracket(spec, spec.metric, structure, *union), gm, m, _unchecked(structure, m))
 
 
-def _space_form_defect(model: np.ndarray, c: float, r: np.ndarray) -> np.ndarray:
-    """Per point, max |(c/4) bracket − R|, the block's bracket ``model`` scaled in place."""
-    model *= c / 4.0
-    model -= r
-    return max_abs(model)
+def _space_form_defect(spec: ManifoldSpec, structure, gm: np.ndarray, m: np.ndarray, c: float,
+                       r) -> np.ndarray:
+    """Per point, max |(c/4) bracket − R| for ``structure`` and R packed (:class:`geometry.Packed`),
+    the block's bracket scaled in place on the union of its slots and R's."""
+    plan = _kept_bracket(spec, spec.metric, structure, r.pattern)
+    return _model_defect(_space_form_model(spec, structure, gm, m, r.pattern), plan, c / 4.0, r)
 
 
+@_sized(lambda spec, c: max(_bracket_width(spec, spec.product, spec.resolved_connection),
+                            _bracket_width(spec, spec.adjoint, spec.conjugate)))
 def _space_form_rows(b: Block, spec, c: float):
     gm, m = b.values(spec.metric), b.values(spec.product)
     r = b.curvature(spec.resolved_connection)
-    primal = _space_form_defect(_space_form_model(spec, spec.product, gm, m), c, r)
+    primal = _space_form_defect(spec, spec.product, gm, m, c, r)
     ms = b.values(spec.adjoint)
     r_star = b.curvature(spec.conjugate)
-    dual = _space_form_defect(_space_form_model(spec, spec.adjoint, gm, ms), c, r_star)
-    return primal, dual, scale_of(r, r_star, gm, m)
+    dual = _space_form_defect(spec, spec.adjoint, gm, ms, c, r_star)
+    return primal, dual, scale_of(r.values, r_star.values, gm, m)
 
 
 def check_space_form(spec: ManifoldSpec, c: float, pts, tol: float = DEFAULT_TOLERANCE) -> CheckResult:
@@ -215,7 +222,7 @@ def fit_space_form_constant(spec: ManifoldSpec, pts) -> float:
             basis = _space_form_model(spec, spec.product, spec.metric.values(points)[index],
                                       spec.product.values(points)[index])
             connection = spec.resolved_connection
-            r = _curvature_of(connection, *(part[index] for part in connection.jets(points)))
+            r = _curvature_at(connection, *(part[index] for part in connection.jets(points)))
             store[slot] = 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / float(weight[index])
     return store[slot]
 

@@ -40,6 +40,8 @@ import dataclasses
 import functools
 import time
 
+import numpy as np
+
 from . import geometry as geo
 from . import product as prod
 from . import submersion as sub
@@ -203,42 +205,46 @@ def _error_outcome(name: str, err: Exception) -> geo.CheckResult:
 
 
 def run_suite(manifest: Manifest, seed=None, points=None, tol=None) -> VerificationReport:
-    """Execute the manifest's checks in declaration order and assemble the report."""
+    """Execute the manifest's checks in declaration order and assemble the report.
+
+    Arithmetic that overflows warns nothing on stderr: its rows carry the inf or NaN.
+    """
     start = time.perf_counter()
     effective_seed = int(seed) if seed is not None else manifest.seed
     effective_points = int(points) if points is not None else manifest.points
-    try:
-        ctx = build_context(manifest, seed=effective_seed)
-        pts = geo.sample_points(ctx.chart, effective_points)
-        if ctx.manifold is not None:
-            geo.validate_metric_on_chart(ctx.manifold.metric, ctx.chart, pts)
-        if ctx.submersion is not None:
-            base_pts = pts[:, :ctx.submersion.base_dim]
-            geo.validate_metric_on_chart(ctx.submersion.base.metric,
-                                         ctx.submersion.base.chart, base_pts)
-        if ctx.model is not None:
-            signature = geo.validate_metric_on_chart(ctx.model.fisher, ctx.chart, pts)
-            if signature != (ctx.model.dim, 0):
-                raise geo.MetricError(f"Fisher metric of {ctx.model.name!r} is not positive "
-                                      f"definite: signature {signature} at the box center")
-    except Exception as err:  # noqa: BLE001 - every failure must land in the report
-        outcomes = [_error_outcome(name, err) for name in manifest.checks]
-    else:
-        reducers = []
-        for name in manifest.checks:
-            with contextlib.suppress(Exception):  # the check raises it again when it runs
-                reducers += _CURVATURE_PLAN.get(name, lambda *_: [])(ctx, pts)
-        with contextlib.suppress(Exception):  # as does each check that reads a failing reducer
-            geo.block_rows(pts, *reducers)
-        outcomes = []
-        for name in manifest.checks:
-            try:
-                if name not in CHECKS:  # a manifest parsed without known_checks
-                    raise ManifestError(f"unknown check {name!r}")
-                check_tol = tol if tol is not None else manifest.tolerances.get(
-                    name, DEFAULT_TOLERANCES[name])
-                outcomes.extend(CHECKS[name](ctx, pts, float(check_tol)))
-            except Exception as err:  # noqa: BLE001
-                outcomes.append(_error_outcome(name, err))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            ctx = build_context(manifest, seed=effective_seed)
+            pts = geo.sample_points(ctx.chart, effective_points)
+            if ctx.manifold is not None:
+                geo.validate_metric_on_chart(ctx.manifold.metric, ctx.chart, pts)
+            if ctx.submersion is not None:
+                base_pts = pts[:, :ctx.submersion.base_dim]
+                geo.validate_metric_on_chart(ctx.submersion.base.metric,
+                                             ctx.submersion.base.chart, base_pts)
+            if ctx.model is not None:
+                signature = geo.validate_metric_on_chart(ctx.model.fisher, ctx.chart, pts)
+                if signature != (ctx.model.dim, 0):
+                    raise geo.MetricError(f"Fisher metric of {ctx.model.name!r} is not positive "
+                                          f"definite: signature {signature} at the box center")
+        except Exception as err:  # noqa: BLE001 - every failure must land in the report
+            outcomes = [_error_outcome(name, err) for name in manifest.checks]
+        else:
+            reducers = []
+            for name in manifest.checks:
+                with contextlib.suppress(Exception):  # the check raises it again when it runs
+                    reducers += _CURVATURE_PLAN.get(name, lambda *_: [])(ctx, pts)
+            with contextlib.suppress(Exception):  # as does each check that reads a failing reducer
+                geo.block_rows(pts, *reducers)
+            outcomes = []
+            for name in manifest.checks:
+                try:
+                    if name not in CHECKS:  # a manifest parsed without known_checks
+                        raise ManifestError(f"unknown check {name!r}")
+                    check_tol = tol if tol is not None else manifest.tolerances.get(
+                        name, DEFAULT_TOLERANCES[name])
+                    outcomes.extend(CHECKS[name](ctx, pts, float(check_tol)))
+                except Exception as err:  # noqa: BLE001
+                    outcomes.append(_error_outcome(name, err))
     return VerificationReport(fixture=manifest.name, seed=effective_seed, points=effective_points,
                               checks=tuple(outcomes), wall_time_s=time.perf_counter() - start)

@@ -149,6 +149,7 @@ def test_second_curvature_pass_makes_no_new_bracket_plan():
                                                         checks=CURVATURE_CHECKS), known_checks=set(CHECKS))
                  for pairs in (1, 2, 3, 4)]
     geometry._bracket_plan.cache_clear()
+    geometry._bracket_union.cache_clear()
     for manifest in manifests:
         run_suite(manifest, points=100)
     made = geometry._bracket_plan.cache_info().misses

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from conftest import CURVATURE_CHECKS, curved_manifold
-from statgeom import geometry, product
+from statgeom import geometry, plans, product
 from statgeom.expfam import exp_para_structures
 from statgeom.fixtures import curved_product_manifest, fixture_ids, load_fixture, submersion_manifest
 from statgeom.geometry import _contract, curvature_tensor, sample_points
@@ -97,7 +97,7 @@ def _operands(rng, subscripts: str, n: int, count: int, density: float):
 
 def _plan(subscripts: str, operands):
     """The plan ``_contract`` follows for these operands, or None when it calls np.einsum."""
-    return geometry._contraction_plan(subscripts, tuple(op.shape[1:] for op in operands),
+    return plans._contraction_plan(subscripts, tuple(op.shape[1:] for op in operands),
                                       tuple((op != 0.0).any(axis=0).tobytes() for op in operands))[0]
 
 
@@ -114,7 +114,7 @@ def _kept(subscripts: str, patterns) -> tuple[bool, bool]:
     lengths = {}
     for labels, pattern in zip(inputs, patterns):
         lengths.update(zip(labels[1:], pattern.shape))
-    return (per_output.sum() <= geometry._SPARSE_SHARE * math.prod(lengths.values()),
+    return (per_output.sum() <= plans._SPARSE_SHARE * math.prod(lengths.values()),
             per_output.max(initial=0) <= 2)
 
 
@@ -147,12 +147,12 @@ def _mismatches(subscripts: str, seed: int) -> tuple[int, int, int]:
 @pytest.fixture
 def every_term_kept(monkeypatch):
     """Keep the terms of every contraction whose outputs add at most two, however dense."""
-    monkeypatch.setattr(geometry, "_SPARSE_SHARE", 1.0)
-    geometry._contraction_plan.cache_clear()
-    geometry._apply.cache_clear()
+    monkeypatch.setattr(plans, "_SPARSE_SHARE", 1.0)
+    plans._contraction_plan.cache_clear()
+    plans._apply.cache_clear()
     yield
-    geometry._contraction_plan.cache_clear()
-    geometry._apply.cache_clear()
+    plans._contraction_plan.cache_clear()
+    plans._apply.cache_clear()
 
 
 def test_the_scan_finds_the_call_sites():
@@ -214,7 +214,7 @@ def test_two_kept_terms_per_output_match_einsum_in_any_loop_order(subscripts, ev
 def test_measured_traffic_adds_at_most_two_kept_terms_per_output(monkeypatch):
     """On the shipped fixtures and the benchmark's curvature and (3, 1) submersion manifests,
     no contraction within _SPARSE_SHARE goes back to np.einsum for an output of three kept terms."""
-    plan, seen, crowded = geometry._contraction_plan, set(), set()
+    plan, seen, crowded = plans._contraction_plan, set(), set()
 
     def spy(subscripts, shapes, masks):
         seen.add(subscripts)
@@ -224,7 +224,7 @@ def test_measured_traffic_adds_at_most_two_kept_terms_per_output(monkeypatch):
             crowded.add((subscripts, shapes))
         return plan(subscripts, shapes, masks)
 
-    monkeypatch.setattr(geometry, "_contraction_plan", spy)
+    monkeypatch.setattr(plans, "_contraction_plan", spy)
     known = set(CHECKS)
     manifests = [load_fixture(fixture_id, known_checks=known) for fixture_id in fixture_ids()]
     manifests += [parse_manifest(curved_product_manifest(pairs, 1.0, 2.0, [1.0] * pairs, seed=pairs,
@@ -327,22 +327,30 @@ def _submersion_manifests():
                            known_checks=set(CHECKS))]
 
 
+# The caches of plans a run reads: contraction plans, rule sets, and the maps of R on its pattern.
+PLAN_CACHES = ("_contraction_plan", "_apply", "_curvature_plan", "_live", "_bracket_union", "_dual_plan")
+
+
 def test_second_curvature_pass_makes_no_new_plan():
-    """The plans a run reads are fetched once per field or spec from two caches, the plans by
-    subscripts, shapes and patterns and the rule sets of the derived fields' patterns.  One
-    pass of the curvature workload's four manifests fills no more of either than it keeps
-    (measured: 92 plans, handed-back ones included, and 20 rule sets), so a second pass makes
-    none; a cache that evicted would make them again every pass."""
+    """The plans a run reads are fetched once per field or spec from caches: the plans by
+    subscripts, shapes and patterns, the rule sets of the derived fields' patterns, and the maps
+    of R on its live slots (R itself, the live slots of a pattern, the brackets on the union of
+    their slots and R's, and the dual identity's lowerings and union).  One pass of the curvature
+    workload's four manifests fills no more of any than it keeps (measured: 92 plans, handed-back
+    ones included, 28 rule sets, 4 R plans, 4 live sets, 8 bracket unions and 4 dual plans; R and
+    R* share their pattern there), so a second pass makes none; a cache that evicted would make
+    them again every pass."""
     manifests = _curvature_manifests()
-    geometry._contraction_plan.cache_clear()
-    geometry._apply.cache_clear()
+    caches = [getattr(plans, name) for name in PLAN_CACHES]
+    for cache in caches:
+        cache.cache_clear()
     for manifest in manifests:
         run_suite(manifest, points=100)
-    made = geometry._contraction_plan.cache_info().misses, geometry._apply.cache_info().misses
-    assert 0 < min(made) and max(made) <= geometry._PLAN_CACHE_SIZE
+    made = [cache.cache_info().misses for cache in caches]
+    assert 0 < min(made) and max(made) <= plans._PLAN_CACHE_SIZE
     for manifest in manifests:
         run_suite(manifest, points=100)
-    assert (geometry._contraction_plan.cache_info().misses, geometry._apply.cache_info().misses) == made
+    assert [cache.cache_info().misses for cache in caches] == made
 
 
 def test_curvature_pass_reads_no_operand_value_for_its_plans(monkeypatch):
@@ -393,7 +401,7 @@ def _live_union(field, points, exact: bool) -> int:
     for k, (pattern, part) in enumerate(zip(field.patterns, field.jets(points))):
         if pattern is None:
             continue
-        pattern, union = geometry._unpack(pattern), (part != 0.0).any(axis=0)
+        pattern, union = plans._unpack(pattern), (part != 0.0).any(axis=0)
         assert not (union & ~pattern).any(), (type(field).__name__, k)
         assert not exact or np.array_equal(union, pattern), (type(field).__name__, k)
         live += int(pattern.sum())
@@ -413,9 +421,9 @@ def _pattern_live(manifests, exact_grids: bool) -> int:
             for field in derived:
                 _live_union(field, points, False)
             for connection in (spec.resolved_connection, spec.conjugate):
-                r = geometry._curvature_of(connection, *connection.jets(points))
-                pattern = connection._curvature[0]["R"]
-                assert pattern is None or not ((r != 0.0).any(axis=0) & ~geometry._unpack(pattern)).any()
+                r = geometry._curvature_at(connection, *connection.jets(points))
+                pattern = geometry._kept_curvature(connection).pattern
+                assert pattern is None or not ((r != 0.0).any(axis=0) & ~plans._unpack(pattern)).any()
     return live
 
 

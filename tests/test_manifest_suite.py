@@ -637,6 +637,18 @@ class TestDerivedFieldOwnership:
         assert derives == {"∇*": [True] * blocks, "∇**": [False] * blocks}
         assert formed["star"] == 2 * blocks
 
+    @staticmethod
+    def _curvature_loops(monkeypatch) -> dict:
+        """The blocks of each loop that reads R, by the rows each starts at, while the test runs."""
+        loops, curvature = {}, geometry.Block.curvature
+
+        def record(block, connection):
+            loops.setdefault(id(block.loop), (block.loop, set()))[1].add(block.rows.start)
+            return curvature(block, connection)
+
+        monkeypatch.setattr(geometry.Block, "curvature", record)
+        return loops
+
     # Each case but the first fails without one entry of suite._CURVATURE_PLAN: R and R* are
     # formed again in the loop of a check that was left out of the plan.  On the flat product
     # both of the theorem's hypotheses hold, so it reads the Kurose rows and the flatness rows.
@@ -649,10 +661,11 @@ class TestDerivedFieldOwnership:
             "flat_dual_and_flatness_theorem"])
     def test_one_curvature_per_connection_and_block(self, monkeypatch, flat, checks, per_block,
                                                     at_fit):
-        """A dimension-8 run forms R, and R* where a check reads it, once per block for every
-        check that reads them: per_block × blocks ΓΓ contractions, plus one at the space-form
-        fit's point.  The space-form bracket is built at most 3 × blocks + 1 times: the fit's
-        weights, P and P* per block, and the fit's point."""
+        """A dimension-8 run forms R, and R* where a check reads it, once per block of one loop
+        for every check that reads them, in at most 2 blocks: per_block × blocks ΓΓ contractions,
+        plus one at the space-form fit's point.  The space-form bracket is built at most
+        dense blocks + 2 × blocks + 1 times: the fit's weights in n⁴-sized blocks, P and P* per
+        block of the R loop, and the fit's point."""
         data = (flat_product_manifest(4, 1.0, [1.0] * 4, seed=3, checks=checks) if flat else
                 curved_product_manifest(4, 1.0, 2.0, [1.0] * 4, seed=3, checks=checks))
         manifest = parse_manifest(data, known_checks=set(CHECKS))
@@ -669,15 +682,19 @@ class TestDerivedFieldOwnership:
 
         monkeypatch.setattr(geometry, "_contract", count_contract)
         monkeypatch.setattr(product, "_space_form_model", count_bracket)
+        loops = self._curvature_loops(monkeypatch)
         report = run_suite(manifest, points=100)
         assert all(check.status != STATUS_ERROR for check in report.checks)
-        blocks = -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
+        ((_, starts),) = loops.values()
+        blocks, dense_blocks = len(starts), -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
+        assert blocks <= 2
         assert counts["curvature"] == per_block * blocks + at_fit
-        assert counts["bracket"] <= 3 * blocks + 1
+        assert counts["bracket"] <= dense_blocks + 2 * blocks + 1
 
     def test_flatness_theorem_alone_forms_curvature_once_per_block(self, monkeypatch):
         """Called alone on the dimension-8 flat product, where both hypotheses hold, the
-        flatness theorem forms R once per block for its Kurose fit and its flatness rows."""
+        flatness theorem forms R once per block of its one loop for its Kurose fit and its
+        flatness rows."""
         spec = build_context(parse_manifest(flat_product_manifest(4, 1.0, [1.0] * 4, seed=3))).manifold
         pts = geometry.sample_points(spec.chart, 100)
         calls, contract = [], geometry._contract
@@ -687,8 +704,10 @@ class TestDerivedFieldOwnership:
             return contract(subscripts, *operands, **kwargs)
 
         monkeypatch.setattr(geometry, "_contract", count_contract)
+        loops = self._curvature_loops(monkeypatch)
         assert product.verify_flatness_theorem(spec, pts).passed
-        assert sum(calls) == -(-100 // max(1, geometry._BLOCK_ENTRIES // 8 ** 4))
+        ((_, starts),) = loops.values()
+        assert sum(calls) == len(starts)
 
     def test_exponential_connection_reads_no_inverse(self, monkeypatch):
         """The shipped 5.5 models at 25 points and three generated ones at 100 make 3 ∂(G⁻¹)

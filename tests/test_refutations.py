@@ -24,7 +24,9 @@ infinite residual, and the Kurose fit ERRORs naming its plane discriminant.
 """
 
 import copy
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from statgeom import expfam
 from statgeom.fixtures import curved_product_manifest, load_fixture, submersion_manifest
 from statgeom.geometry import sample_points
 from statgeom.manifest import build_context, parse_manifest
+from statgeom.report import render_report
 from statgeom.suite import CHECKS, run_suite
 
 DEFECT_CHECKS = ("product_parallelism", "para_kahler_like", "kurose_constant_curvature",
@@ -260,3 +263,16 @@ def test_overflowing_plane_discriminant_errors_naming_it():
     assert kurose.reason == ("OverflowError: plane discriminant g_ii g_jj − g_ij² overflows in the "
                              "coordinate plane (0, 1) at the first sample point")
     assert rows["space_form"].status == "FAIL"
+
+
+@pytest.mark.parametrize("data, digest", [
+    (overflow_manifest(), "26cd5be75d0ddf2307e284d5123b6f50bbf366960cf3c24cd6e541f6406f2b3b"),
+    (bracket_overflow_manifest(), "7186a37865a5cd36671a14fe2e13eca87d42bc73b1d6f32dcb8032954d8b3241"),
+], ids=["gamma_overflow", "bracket_overflow"])
+def test_overflowing_manifests_warn_nothing(data, digest):
+    """run_suite lets no numpy RuntimeWarning out, since the rows carry the inf or NaN: with the
+    warnings made errors, both overflow manifests render their reports' bytes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        text = render_report(run_suite(parse_manifest(data, known_checks=set(CHECKS))))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
