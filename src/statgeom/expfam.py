@@ -34,6 +34,7 @@ from .geometry import (
     ExpressionField,
     ManifoldSpec,
     MetricField,
+    _full,
 )
 
 BUILTIN_MODEL_NAMES = ("poisson", "normal", "multinomial", "dirichlet")
@@ -149,6 +150,7 @@ class AlphaConnection(DerivedJets):
 
     def _derive(self, full, metric_jets, inverse_jets=None):
         g, dg, d2g = metric_jets
+        d2g = _full(d2g, self._bases[0].layouts[2])  # a Fisher metric's is dense: read as it is
         if inverse_jets is None:
             count, n = g.shape[0], self.dim
             gamma = np.zeros((count, n, n, n))

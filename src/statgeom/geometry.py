@@ -52,6 +52,7 @@ inverted, so one batch is inverted once for all of them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -63,11 +64,14 @@ from . import expr as ex
 from .plans import (
     _BRACKET,
     _CurvaturePlan,
+    _Unpacked,
     _apply,
     _bracket_plan,
     _bracket_union,
+    _columns,
     _curvature_plan,
     _dual_plan,
+    _layout,
     _live,
     _pack,
     _planned,
@@ -181,13 +185,31 @@ class PointJets:
     later request for jets replaces through ``_jets_after_values``.  A racing
     recompute under threads stores the same values twice, so sharing a field
     stays safe.  ``patterns`` holds a structural pattern per jet part (:func:`_planned`).
+
+    ``layouts`` holds, per jet part, its pattern where the store keeps the part
+    packed (:func:`plans._layout`): a derivative part with four per-point
+    indices that keeps at most ``plans._SPARSE_SHARE`` of its entries is stored
+    as (points, live) columns, the live slots of its pattern in flat order, and
+    readers with a plan gather from those columns.  ``jets`` and ``jet`` return
+    every part unpacked, +0.0 off its pattern; a reader with no plan reads a
+    stored part unpacked through :func:`_full`.  A derived field's batch whose
+    operands are not finite is stored dense, so each 0 · inf stays NaN.
     """
 
     patterns = (None, None, None)
+    layouts = (None, None, None)
 
     def jets(self, points) -> tuple[np.ndarray, ...]:
-        """The jets at every point, as arrays with a leading point axis."""
-        return self._lookup(_as_points(points), True)
+        """The jets at every point, as arrays with a leading point axis, each part unpacked (kept
+        next to the store, so the same batch asked again is the same arrays)."""
+        pts = _as_points(points)
+        parts = self._lookup(pts, True)
+        if not any(layout is not None and part.ndim == 2 for part, layout in zip(parts, self.layouts)):
+            return parts
+        held, key = self.__dict__.setdefault("_unpacked", {}), (pts.shape, pts.tobytes())
+        if key not in held or held[key][0] is not parts:
+            held[key] = parts, _read_only(tuple(_full(part, layout) for part, layout in zip(parts, self.layouts)))
+        return held[key][1]
 
     def values(self, points) -> np.ndarray:
         """The values at every point, with a leading point axis."""
@@ -230,7 +252,12 @@ class DerivedJets(PointJets):
     5-index temporary spans all points.  Jets asked for after the values of
     the same batch come from ``_derive_after_values(values, *batches)``, which
     a field may override to read its stored values instead of recomputing them.
-    ``_structure``: the ``patterns`` and plans by :func:`_apply` of ``_rules`` over ``_names``.
+    ``_structure``: the ``patterns``, the plans and the ``layouts`` by :func:`_apply` of
+    ``_rules`` over ``_names``.  A packed part (the derivative of a connection whose
+    pattern is sparse, and the rule arrays ``da`` and ``drhs`` in between) is formed
+    by plans that gather from packed operands and add into its columns, in blocks
+    sized by the widest array those plans form per point; a block handed back to
+    ``np.einsum`` forms its parts dense, and then every block of the batch does.
     """
 
     _bases: tuple = ()
@@ -242,11 +269,13 @@ class DerivedJets(PointJets):
         return self._bases[0].dim
 
     @functools.cached_property
-    def _structure(self) -> tuple[tuple, dict]:
-        known, plans = _apply(self._rules, self._names, tuple(base.patterns for base in self._bases))
-        return (known.get("value"), known.get("derivative")), plans
+    def _structure(self) -> tuple[tuple, dict, tuple]:
+        known, plans, layouts = _apply(self._rules, self._names, tuple(base.patterns for base in self._bases))
+        return ((known.get("value"), known.get("derivative")), plans,
+                (layouts.get("value"), layouts.get("derivative")))
 
     patterns = property(lambda self: self._structure[0])
+    layouts = property(lambda self: self._structure[2] if self._rules else (None, None))
 
     def _derive(self, full: bool, *batches) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
@@ -259,13 +288,37 @@ class DerivedJets(PointJets):
                                     for base, need in zip(self._bases, self._value_needs, strict=True)))
 
     def _batch_jets(self, points, full):
-        return _block_loop(points, [(self._on_block, full)])[0]
+        return self._stacked(points, self._on_block, full)
 
     def _jets_after_values(self, points, values):
         def derive(block):
             return self._derive_after_values(values[block.rows],
                                              *(block.read(base, True) for base in self._bases))
-        return _block_loop(points, [(derive,)])[0]
+        return self._stacked(points, derive)
+
+    def _stacked(self, points, fn, *args) -> tuple[np.ndarray, ...]:
+        """The parts ``fn(block, *args)`` stacked over the blocks of ``points``; with a packed part,
+        in blocks of the plans' width, and dense in every block once one block is handed back."""
+        if not any(self.layouts):
+            return _block_loop(points, [(fn, *args)])[0]
+        width = self._structure[1].width
+        try:
+            return _block_loop(points, [(self._packed_block, False, fn, *args)], width=width)[0]
+        except _HandedBack:
+            return _block_loop(points, [(self._packed_block, True, fn, *args)], width=width)[0]
+
+    def _packed_block(self, block: Block, dense: bool, fn, *args) -> tuple[np.ndarray, ...]:
+        parts = fn(block, *args)
+        if dense:
+            return tuple(_full(part, layout) for part, layout in zip(parts, self.layouts))
+        if not block._whole and any(layout is not None and part.ndim > 2
+                                    for part, layout in zip(parts, self.layouts)):
+            raise _HandedBack
+        return parts
+
+
+class _HandedBack(Exception):
+    """A block of a batch with packed parts formed them dense: the batch is formed dense."""
 
 
 class Block:
@@ -352,7 +405,9 @@ def _contract(subscripts: str, *operands: np.ndarray, plans: dict | None = None)
     NaN; :func:`_if_finite`) leaves the call to ``np.einsum``.  Without
     ``plans`` (``submersion``, one-point callers) the operands are scanned.
     A plan may gather from a packed operand and add into a packed output (the
-    live slots of a pattern, :class:`Packed`); its shape is then the output's.
+    live slots of a pattern, :class:`Packed` or a packed jet part); its shape is
+    then the output's.  An :class:`plans._Unpacked` plan is ``np.einsum`` over
+    packed operands unpacked.
     """
     if plans is None:  # from the operands' values
         _planned(plans := {}, subscripts, *(_pack((op != 0.0).any(axis=0)) for op in operands))
@@ -360,6 +415,8 @@ def _contract(subscripts: str, *operands: np.ndarray, plans: dict | None = None)
     plan = plans.get(subscripts)
     if plan is None:
         return np.einsum(subscripts, *operands)
+    if isinstance(plan, _Unpacked):
+        return _einsum_unpacked(subscripts, plan, *operands)
     gathers, targets, shape = plan
     count = len(operands[0])
     terms = operands[0].reshape(count, -1)[:, gathers[0]]
@@ -372,9 +429,41 @@ def _contract(subscripts: str, *operands: np.ndarray, plans: dict | None = None)
     return sums.astype(terms.dtype, copy=False).reshape((count,) + shape)
 
 
+def _transpose(subscripts: str, operand: np.ndarray, plans: dict) -> np.ndarray:
+    """``np.einsum(subscripts, operand)`` for one operand, bit for bit: with a plan of ``plans``
+    (:func:`plans._gather`), a gather from its columns padded with +0.0, for a packed operand."""
+    plan = plans.get(subscripts)
+    if plan is None:
+        return np.einsum(subscripts, operand)
+    if isinstance(plan, _Unpacked):
+        return _einsum_unpacked(subscripts, plan, operand)
+    (index,), _, shape = plan
+    count = len(operand)
+    return np.concatenate((operand, np.zeros((count, 1))), axis=1)[:, index].reshape((count,) + shape)
+
+
+def _einsum_unpacked(subscripts: str, plan: _Unpacked, *operands) -> np.ndarray:
+    """``np.einsum`` over ``operands`` read unpacked, gathered on the live slots of a packed output."""
+    out = np.einsum(subscripts, *map(_full, operands, plan.operands))
+    return out if plan.output is None else out.reshape(len(out), -1)[:, _live(plan.output)]
+
+
 def _if_finite(plans: dict, *arrays) -> dict:
-    """``plans`` if all ``arrays`` are finite, else none, so ``np.einsum`` forms each 0 · inf as NaN."""
-    return plans if not any(plans.values()) or all(np.isfinite(a).all() for a in arrays) else {}
+    """``plans`` if all ``arrays`` are finite, else none, so ``np.einsum`` forms each 0 · inf as NaN:
+    a rule set's ``handback`` (:class:`plans._RulePlans`), which reads packed operands unpacked."""
+    if not any(plans.values()) or all(np.isfinite(a).all() for a in arrays):
+        return plans
+    return getattr(plans, "handback", {})
+
+
+def _full(part: np.ndarray, layout) -> np.ndarray:
+    """A jet part (with its point axis) read unpacked, +0.0 off the live slots of its ``layout``
+    (:attr:`PointJets.layouts`); the part itself where it is stored dense."""
+    if layout is None or part.ndim > 2:
+        return part
+    out = np.zeros((len(part), math.prod(layout[0])))
+    out[:, _live(layout)] = part
+    return out.reshape((len(part),) + layout[0])
 
 
 def _unchecked(field, *arrays) -> tuple:
@@ -402,9 +491,7 @@ class Packed(NamedTuple):
 
 def _unpacked(r: Packed, n: int) -> np.ndarray:
     """The [l,i,j,k] arrays of ``r`` in dimension ``n``, over its point axis, +0.0 off its slots."""
-    out = np.zeros((len(r.values), n ** 4))
-    out[:, _live(r.pattern)] = r.values
-    return out.reshape((len(r.values),) + (n,) * 4)
+    return r.values.reshape((len(r.values),) + (n,) * 4) if r.pattern is None else _full(r.values, r.pattern)
 
 
 def _sized(width):
@@ -497,8 +584,10 @@ class ComponentGrid:
     these, the constants (an :class:`expr.Const` root) are kept as the flat
     indices and values of their slots other than +0.0 (``constants``), and the
     ``varying`` ones with the ``slots`` each fills.  ``plan``, the walk of the
-    varying roots, is made at the first batch and kept, as are the ``patterns``.
-    A grid holds trees, numbers and bytes, no result, so one parse serves every run.
+    varying roots, is made at the first batch and kept, as are the ``patterns``,
+    the ``layouts`` of the jet parts and the ``columns`` a packed part is written
+    by.  A grid holds trees, numbers, bytes and index arrays, no result, so one
+    parse serves every run.
     """
 
     def __init__(self, components, symmetric: bool = False):
@@ -515,18 +604,18 @@ class ComponentGrid:
         self.components = _nested(grid)
         self.shape, self.symmetric = grid.shape, symmetric
         self.read, self.varying, self.slots, indices, values = [], [], [], [], []
-        for index in np.ndindex(grid.shape):
+        # one pass in flat order, the flat index counted: no np.ndindex or np.ravel_multi_index per entry
+        for flat, (index, component) in enumerate(zip(itertools.product(range(n), repeat=grid.ndim), grid.flat)):
             if symmetric and index[0] > index[1]:
                 continue
-            component = grid[index]
-            slots = (index, index[::-1]) if symmetric and index[0] != index[1] else (index,)
             self.read.append(component)
+            mirrored = symmetric and index[0] != index[1]
             if not isinstance(component.root, ex.Const):
                 self.varying.append(component)
-                self.slots.append(tuple((...,) + slot for slot in slots))
+                self.slots.append(((...,) + index, (...,) + index[::-1]) if mirrored else ((...,) + index,))
             elif component.root.value or math.copysign(1.0, component.root.value) < 0:
-                indices += [int(np.ravel_multi_index(slot, grid.shape)) for slot in slots]
-                values += [component.root.value] * len(slots)
+                indices += (flat, sum(i * n ** axis for axis, i in enumerate(index))) if mirrored else (flat,)
+                values += [component.root.value] * (1 + mirrored)
         self.read, self.varying, self.slots = tuple(self.read), tuple(self.varying), tuple(self.slots)
         self.constants = (tuple(indices), tuple(values))
 
@@ -555,6 +644,25 @@ class ComponentGrid:
             held[order] = tuple(_pack(part) for part in parts)
         return held[order]
 
+    def layouts(self, order: int) -> tuple:
+        """Per jet part up to ``order``, its pattern where the part is stored packed
+        (:func:`plans._layout`): a derivative part with four indices only; the values are dense."""
+        held = self.__dict__.setdefault("_layouts", {})
+        if order not in held:
+            held[order] = tuple(_layout(self.patterns(order)[k]) if k and k + len(self.shape) == 4 else None
+                                for k in range(order + 1))
+        return held[order]
+
+    def columns(self, order: int) -> tuple:
+        """Per jet part up to ``order``, None where it is stored dense, else the column map a
+        batch writes its varying components' jets by (:func:`plans._columns`)."""
+        held = self.__dict__.setdefault("_columns", {})
+        if order not in held:
+            slots = tuple(tuple(slot[1:] for slot in component) for component in self.slots)
+            held[order] = tuple(None if layout is None else _columns(self.shape, slots, layout)
+                                for layout in self.layouts(order))
+        return held[order]
+
 
 def _nested(grid: np.ndarray) -> tuple:
     return tuple(_nested(row) for row in grid) if grid.ndim > 1 else tuple(grid)
@@ -571,8 +679,13 @@ class ExpressionField(PointJets):
     copies the template over the point axis, starts every derivative array
     from zeros, and walks only the varying components with the grid's kept
     plan, each distinct subtree once, writing each one's jets into its slots
-    as they arrive; a structural zero is not written.  Finiteness is checked
-    once per assembled array; on a non-finite entry all components,
+    as they arrive; a structural zero is not written.  A derivative part with
+    four indices whose pattern is sparse (∂²g of a metric, ∂Γ of a connection;
+    ``layouts``) is stored packed: a (points, live) array into whose columns
+    each component's jet is written by the grid's column map
+    (:meth:`ComponentGrid.columns`), its live entries only, with no n⁴ array
+    per point.  Finiteness is checked once per assembled dense array and once
+    per jet written into columns; on a non-finite entry all components,
     constants included, are walked again through :func:`expr.eval_fields`'
     checked path, which names the first failing component's failure and point.
     """
@@ -619,23 +732,34 @@ class ExpressionField(PointJets):
         return functools.reduce(tuple.__getitem__, index, self.grid.components)
 
     patterns = property(lambda self: self.grid.patterns(self.order))
+    layouts = property(lambda self: self.grid.layouts(self.order))
 
     def _batch_jets(self, points, full):
         grid, count, order = self.grid, points.shape[0], self.order if full else 0
+        columns = grid.columns(order) if order else (None,)
         # ndarray.copy is C-ordered; np.array of the broadcast would put the point axis last
         parts = (np.broadcast_to(self._template, (count,) + grid.shape).copy(),
-                 *(np.zeros((count,) + (self.dim,) * derivatives + grid.shape)
-                   for derivatives in range(1, order + 1)))
+                 *(np.zeros((count,) + (self.dim,) * derivatives + grid.shape) if packed is None
+                   else np.zeros((count, packed[0])) for derivatives, packed in enumerate(columns[1:], 1)))
+        finite = True  # of the jets written into columns; the dense parts are tested whole
 
         def write(i, jets):  # a float broadcasts into its slots; a structural zero is there already
-            for target in grid.slots[i]:
-                for part, jet in zip(parts, jets):
-                    if jet is not None:
+            nonlocal finite
+            for k, (part, jet, packed) in enumerate(zip(parts, jets, columns)):
+                if jet is None:
+                    continue
+                if packed is None:
+                    for target in grid.slots[i]:
                         part[target] = jet
+                    continue
+                finite = finite and bool(np.isfinite(jet).all())
+                where, derivative = packed[1][i]
+                jet = np.asarray(jet) if np.ndim(jet) >= k else np.broadcast_to(jet, (self.dim,) * k)
+                part[:, where] = jet.reshape(jet.shape[:jet.ndim - k] + (-1,))[..., derivative]
 
         if grid.varying:
             ex.eval_fields(grid.varying, points, order, write, grid.plan, check_finite=False)
-        if not all(np.isfinite(part).all() for part in parts):
+        if not (finite and all(np.isfinite(part).all() for part, packed in zip(parts, columns) if packed is None)):
             # the checked walk raises with the first failing component's message and point
             ex.eval_fields(grid.read, points, order, lambda *_: None)
             raise ex.EvaluationError("non-finite derivative data" if order else "non-finite value")
@@ -686,11 +810,11 @@ def validate_metric_on_chart(g: MetricField, chart: ChartSpec, pts=None) -> tupl
 
     Raises :class:`MetricError` at the first failing sample, checking the
     singularity before the signature at each one.  It reads the samples' jets,
-    which the checks read next, and the center's value alone.  Returns the signature.
+    which the checks read next, from the store, and the center's value alone.  Returns the signature.
     """
     points = _as_points(pts if pts is not None else sample_points(chart, DEFAULT_POINT_COUNT))
     reference = metric_signature(g, chart.center)
-    matrices = g.jets(points)[0]
+    matrices = g._lookup(points, True)[0]
     eigenvalues = np.linalg.eigvalsh(matrices)
     singular = _singular(eigenvalues)
     signatures = _signatures(eigenvalues)
@@ -755,16 +879,17 @@ class LeviCivitaConnection(DerivedJets):
         self._value_needs = (True, False)
 
     def _derive(self, full, metric_jets, inverse_jets):
-        dg, d2g, ginv = metric_jets[1], metric_jets[2], inverse_jets[0]
+        dg, ginv = metric_jets[1], inverse_jets[0]
         # a[m,i,j] = ∂_i g_mj + ∂_j g_mi − ∂_m g_ij
         a = np.einsum("pimj->pmij", dg) + np.einsum("pjmi->pmij", dg) - dg
         plans = _if_finite(self._structure[1], ginv, a)
         gamma = 0.5 * _contract("pkm,pmij->pkij", ginv, a, plans=plans)
         if not full:
             return (gamma,)
-        dginv = inverse_jets[1]
-        da = (np.einsum("plimj->plmij", d2g) + np.einsum("pljmi->plmij", d2g)
-              - np.einsum("plmij->plmij", d2g))
+        d2g, dginv = metric_jets[2], inverse_jets[1]
+        # the transposes gather from packed columns (da is packed where d2g's pattern is sparse)
+        da = (_transpose("plimj->plmij", d2g, plans) + _transpose("pljmi->plmij", d2g, plans)
+              - _transpose("plmij->plmij", d2g, plans))
         plans = _if_finite(plans, dginv, da)
         dgamma = 0.5 * (_contract("plkm,pmij->plkij", dginv, a, plans=plans)
                         + _contract("pkm,plmij->plkij", ginv, da, plans=plans))
@@ -804,7 +929,7 @@ class ConjugateConnection(DerivedJets):
             return (star,)
         d2g, dginv, dgamma = metric_jets[2], inverse_jets[1], base_jets[1]
         plans = _if_finite(plans, dginv, *_unchecked(base, dgamma))
-        drhs = (np.einsum("plikj->plkij", d2g)
+        drhs = (_transpose("plikj->plkij", d2g, plans)
                 - _contract("plmik,pmj->plkij", dgamma, g, plans=plans)
                 - _contract("pmik,plmj->plkij", gamma, dg, plans=plans))
         plans = _if_finite(plans, drhs)
@@ -1027,7 +1152,7 @@ def check_levi_civita_average(spec: ManifoldSpec, pts, tol: float = DEFAULT_TOLE
 def _packed_curvature(plan: _CurvaturePlan, gamma: np.ndarray, dgamma: np.ndarray, checked: tuple) -> Packed:
     """R from the jets of a batch on the live slots of ``plan`` (:func:`_curvature_plan`).
 
-    ∂Γ is gathered transposed, ΓΓ formed by the plan's kept terms added among the live slots (or
+    ∂Γ is gathered transposed (from its columns where it is stored packed), ΓΓ formed by the plan's kept terms added among the live slots (or
     by ``np.einsum`` on every slot and gathered, where it keeps no plan), and R = b − b(i↔j) is two
     gathers of b, so every slot has the bits of the dense formula (:func:`_dense_curvature`), which
     gives +0.0 off the pattern.  Where ``plan`` has no pattern, or one of ``checked`` is non-finite
@@ -1035,8 +1160,11 @@ def _packed_curvature(plan: _CurvaturePlan, gamma: np.ndarray, dgamma: np.ndarra
     """
     count = len(gamma)
     if plan.pattern is None or not all(np.isfinite(a).all() for a in checked):
-        return Packed(_dense_curvature(gamma, dgamma).reshape(count, -1), None)
-    b = dgamma.reshape(count, -1)[:, plan.transposed]
+        return Packed(_dense_curvature(gamma, _full(dgamma, plan.layout)).reshape(count, -1), None)
+    if dgamma.ndim == 2:  # stored packed: its columns, padded with +0.0 off its pattern
+        b = np.concatenate((dgamma, np.zeros((count, 1))), axis=1)[:, plan.columns]
+    else:
+        b = dgamma.reshape(count, -1)[:, plan.transposed]
     products = _contract("pmjk,plim->plijk", gamma, gamma, plans=plan.products).reshape(count, -1)
     b += products[:, _live(plan.pattern)] if plan.products["pmjk,plim->plijk"] is None else products
     return Packed(b - b[:, plan.swapped], plan.pattern)

@@ -3,12 +3,15 @@
 A structural pattern (:func:`_pack`) says where an array without its point
 axis can be nonzero, for every point of every batch.  The functions here map
 patterns to index arrays, and hold no array value: the kept terms of a
-contraction (:func:`_contraction_plan`), the patterns and plans of a field's
-rule set (:func:`_apply`), the kept terms of the constant-curvature brackets
-(:func:`_bracket_plan`, :func:`_bracket_union`), and the maps that form R
-and its readers on R's live slots (:func:`_curvature_plan`,
-:func:`_dual_plan`).  Each is cached by its patterns, so a parsed manifest's
-runs plan once; ``geometry`` applies the plans to the numbers.
+contraction (:func:`_contraction_plan`), the patterns, layouts and plans of a
+field's rule set (:func:`_apply`), the kept terms of the constant-curvature
+brackets (:func:`_bracket_plan`, :func:`_bracket_union`), and the maps that
+form R and its readers on R's live slots (:func:`_curvature_plan`,
+:func:`_dual_plan`).  A jet part whose pattern is sparse is stored packed, as
+the columns of its live slots (:func:`_layout`), and the plans that read or
+form it gather from and add into those columns.  Each is cached by its
+patterns, so a parsed manifest's runs plan once; ``geometry`` applies the
+plans to the numbers.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import numpy as np
 
 # _contract hands a contraction to np.einsum when more than this share of its terms is kept.
 _SPARSE_SHARE = 1 / 8
-# Plans kept per cache: contractions by subscripts, operand shapes and patterns, rule sets (_apply),
-# bracket plans, and the maps of R on its pattern (R, live slots, bracket unions, the dual identity's).
-# A pass of the benchmark's curvature workload makes 92 plans, 28 rule sets, 8 bracket plans, 4 R
-# plans, 4 live sets, 8 bracket unions and 4 dual plans, a second pass none.
+# Plans kept per cache: contractions by subscripts, operand shapes and patterns, rule sets (_apply,
+# with the layouts and packed plans of the jet stores), bracket plans, and the maps of R on its pattern
+# (R, live slots, bracket unions, the dual identity's).  A pass of the benchmark's curvature workload
+# makes 92 plans, 28 rule sets, 8 bracket plans, 4 R plans, 7 live sets (R's and the packed stores'),
+# 8 bracket unions and 4 dual plans, a second pass none.
 _PLAN_CACHE_SIZE = 256
 
 
@@ -85,18 +89,119 @@ def _planned(plans: dict, subscripts: str, *patterns):
     return pattern
 
 
+def _layout(pattern):
+    """``pattern`` if a part with it is stored packed, as (points, live) columns in the order of
+    :func:`_live`: it has four per-point indices and keeps at most ``_SPARSE_SHARE`` of its
+    entries; else None, for a part stored dense."""
+    if pattern is None or len(pattern[0]) != 4:
+        return None
+    return pattern if _unpack(pattern).sum() <= _SPARSE_SHARE * math.prod(pattern[0]) else None
+
+
+def _columns(shape: tuple, slots: tuple, layout) -> tuple:
+    """How a grid of ``shape`` writes a packed part with ``layout`` (:func:`_layout`): the part's
+    width and, per varying component with its grid ``slots``, the columns it fills and the flat
+    derivative indices they take from its jet part, over its slots in turn.  Index arrays only."""
+    live = _unpack(layout).reshape(-1, math.prod(shape))
+    places = (np.cumsum(live) - 1).reshape(live.shape)
+    maps = []
+    for component in slots:
+        flat = [int(np.ravel_multi_index(slot, shape)) for slot in component]
+        taken = [np.flatnonzero(live[:, index]) for index in flat]
+        maps.append(_read_only((np.concatenate([places[d, index] for d, index in zip(taken, flat)]),
+                                np.concatenate(taken))))
+    return int(live.sum()), tuple(maps)
+
+
+class _Unpacked(NamedTuple):
+    """A product that ``np.einsum`` forms over its operands read unpacked (``geometry._full``),
+    where a packed operand or output meets no plan; its output is then gathered on the live
+    slots of ``output``, or left dense for None."""
+
+    operands: tuple  # per operand, its pattern when it is packed, else None
+    output: tuple | None
+
+
+class _RulePlans(dict):
+    """The plans of a rule set by subscripts (:func:`_apply`), with ``handback``, what each
+    product does when a block is handed back to ``np.einsum`` (0 · inf is NaN): a packed
+    operand is read unpacked and every output is dense (the hand-back of a hand-back is
+    itself).  ``width`` is the widest array a block forms per point where a rule array is
+    packed and every product keeps a plan; None where a block forms dense 4-index arrays."""
+
+    handback: dict
+    width: int | None = None
+
+
+def _gather(subscripts: str, pattern, layout, out_layout) -> tuple:
+    """One operand's transpose ``subscripts`` as a gather: per output slot (the live ones of a
+    packed ``out_layout``, else all), the operand's column, its ``layout``'s width for +0.0 where
+    a packed operand is off its pattern; the plan form of ``geometry._transpose``, no targets."""
+    source, target = (labels[1:] for labels in subscripts.split("->"))
+    shape = tuple(dict(zip(source, pattern[0]))[label] for label in target)
+    slots = np.arange(math.prod(shape)) if out_layout is None else _live(out_layout)
+    coords = dict(zip(target, np.unravel_index(slots, shape)))
+    index = np.ravel_multi_index([coords[label] for label in source], pattern[0])
+    if layout is not None:
+        live = _unpack(layout).reshape(-1)
+        index = np.where(live[index], np.cumsum(live)[index] - 1, live.sum())
+    return _read_only((index,)), None, shape if out_layout is None else (len(slots),)
+
+
+def _placed(subscripts: str, plan, patterns: tuple, layouts: tuple, out_layout):
+    """``plan`` of one term, a kept-term plan of :func:`_contraction_plan` or None, gathering from
+    the columns of packed operands and adding into those of a packed output; for one operand
+    a gather (:func:`_gather`), and :class:`_Unpacked` where a packed array meets no plan."""
+    if out_layout is None and not any(layouts):
+        return plan
+    if len(patterns) == 1:
+        return _gather(subscripts, patterns[0], layouts[0], out_layout)
+    if plan is None:
+        return _Unpacked(layouts, out_layout)
+    gathers, targets, shape = plan
+    gathers = tuple(index if layout is None else _places(_unpack(layout), index)[0]
+                    for index, layout in zip(gathers, layouts))
+    if out_layout is not None:
+        (targets,), shape = _places(_unpack(out_layout), targets), (len(_live(out_layout)),)
+    return gathers, _read_only((targets,))[0], shape
+
+
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _apply(rules, names: tuple, patterns: tuple) -> tuple[dict, dict]:
-    """The patterns of the bases' parts, by their ``names``, with those of ``rules``, and their
-    plans: a rule names an array and the terms of its sum, each subscripts and operand names
-    (:func:`_planned`); a sum's pattern is an OR.  Kept for the next run, which reads the same."""
+def _apply(rules, names: tuple, patterns: tuple) -> tuple[dict, _RulePlans, dict]:
+    """The patterns of the bases' parts, by their ``names``, with those of ``rules``, their
+    plans, and the layout of each (:func:`_layout`): a rule names an array and the terms of its
+    sum, each subscripts and operand names (:func:`_planned`); a sum's pattern is an OR.  A
+    term's plan reads its operands and forms its output in their layouts, a packed output
+    being the rule's, so its terms add column by column in their order.  Kept for the next
+    run, which reads the same."""
     known = {name: part for line, parts in zip(names, patterns) for name, part in zip(line.split(), parts)}
-    plans = {}
+    layouts = {name: _layout(part) for name, part in known.items()}
+    plans, terms_of = _RulePlans(), []
     for name, *terms in rules:
-        parts = [_planned(plans, subscripts, *map(known.get, operands))
-                 for subscripts, *operands in map(str.split, terms)]
+        terms = [(subscripts, [known.get(operand) for operand in operands],
+                  [layouts.get(operand) for operand in operands]) for subscripts, *operands in map(str.split, terms)]
+        parts = [_planned(plans, subscripts, *operand_patterns) for subscripts, operand_patterns, _ in terms]
         known[name] = None if None in parts else _pack(functools.reduce(np.logical_or, map(_unpack, parts)))
-    return known, plans
+        layouts[name] = _layout(known[name])
+        terms_of.append((name, terms))
+    plans.handback = _RulePlans()
+    plans.handback.handback = plans.handback
+    packed, widths = False, []
+    for name, terms in terms_of:
+        out_layout = layouts[name]
+        packed |= out_layout is not None
+        widths.append(None if known[name] is None else
+                      len(_live(out_layout)) if out_layout else math.prod(known[name][0]))
+        for subscripts, operand_patterns, operand_layouts in terms:
+            plan = plans[subscripts] = _placed(subscripts, plans.get(subscripts), tuple(operand_patterns),
+                                               tuple(operand_layouts), out_layout)
+            if any(operand_layouts):
+                plans.handback[subscripts] = _Unpacked(tuple(operand_layouts), None)
+            if plan is not None:  # np.einsum forms no more than the rule's array
+                widths.append(None if isinstance(plan, _Unpacked) else len(plan[0][0]))
+    if packed and None not in widths:
+        plans.width = max(widths, default=1)
+    return known, plans, layouts
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -170,26 +275,31 @@ class _CurvaturePlan(NamedTuple):
     swapped: np.ndarray  # per live slot, the place of [l,j,i,k] among them
     products: dict  # the ΓΓ plan of _contract, adding among the live slots; None for np.einsum
     width: int  # the widest array formed per point
+    layout: tuple | None = None  # ∂Γ's (_layout); when packed, ``columns`` replaces ``transposed``
+    columns: np.ndarray | None = None  # per live slot, ∂Γ[i,l,j,k]'s column, or ∂Γ's width for +0.0
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _curvature_plan(n: int, patterns: tuple) -> _CurvaturePlan:
     """How R of a connection in dimension ``n`` whose jets have ``patterns`` is formed on its live
-    slots.  Index arrays only."""
-    known, plans = _apply(_CURVATURE, ("gamma dgamma",), (patterns,))
-    pattern = known["R"]
+    slots, with ∂Γ read from its columns where it is stored packed.  Index arrays only."""
+    pattern, layout = _apply(_CURVATURE, ("gamma dgamma",), (patterns,))[0]["R"], _layout(patterns[1])
     if pattern is None or _unpack(pattern).all():
-        return _CurvaturePlan(None, None, None, None, n ** 4)
+        return _CurvaturePlan(None, None, None, None, n ** 4, layout)
     shape, live = pattern[0], _live(pattern)
     l, i, j, k = np.unravel_index(live, shape)
     transposed, swapped = _read_only((np.ravel_multi_index((i, l, j, k), shape),
                                       *_places(_unpack(pattern), np.ravel_multi_index((l, j, i, k), shape))))
-    product = plans["pmjk,plim->plijk"]
+    columns = None
+    if layout is not None:
+        kept = _unpack(layout).reshape(-1)
+        columns = _read_only((np.where(kept[transposed], np.cumsum(kept)[transposed] - 1, kept.sum()),))[0]
+    product, _ = _contraction_plan("pmjk,plim->plijk", (patterns[0][0],) * 2, (patterns[0][1],) * 2)
     if product is not None:
         gathers, targets, _ = product
         product = gathers, *_places(_unpack(pattern), targets), (len(live),)
     width = max(len(live), shape[0] ** 4 if product is None else len(product[1]))
-    return _CurvaturePlan(pattern, transposed, swapped, {"pmjk,plim->plijk": product}, width)
+    return _CurvaturePlan(pattern, transposed, swapped, {"pmjk,plim->plijk": product}, width, layout, columns)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)

@@ -221,8 +221,8 @@ def fit_space_form_constant(spec: ManifoldSpec, pts) -> float:
         else:
             basis = _space_form_model(spec, spec.product, spec.metric.values(points)[index],
                                       spec.product.values(points)[index])
-            connection = spec.resolved_connection
-            r = _curvature_at(connection, *(part[index] for part in connection.jets(points)))
+            connection = spec.resolved_connection  # its stored jets, ∂Γ packed where it is sparse
+            r = _curvature_at(connection, *(part[index] for part in connection._lookup(points, True)))
             store[slot] = 4.0 * float(np.einsum("lijk,lijk->", r, basis)) / float(weight[index])
     return store[slot]
 

@@ -50,6 +50,7 @@ from .geometry import (
     PointJets,
     _as_points,
     _contract,
+    _full,
     _singular,
     check_statistical_structure,
     curvature_residual,
@@ -383,6 +384,7 @@ class VerticalPart(DerivedJets):
 
     def _derive_after_values(self, part, vertical_jets, connection_jets):
         (v, dv), (gamma, dgamma) = vertical_jets, connection_jets
+        dgamma = _full(dgamma, self._bases[1].layouts[1])  # its values choose the terms
         return part, (_contract("pdck,pkab->pdcab", dv, gamma)
                       + _contract("pck,pdkab->pdcab", v, dgamma))
 
@@ -410,7 +412,7 @@ class FiberRestriction(PointJets):
 
     def _batch_jets(self, points, full):
         fiber = slice(len(self._base_point), None)
-        jets = self._field._lookup(_on_fiber(self._base_point, points), full)
+        jets = map(_full, self._field._lookup(_on_fiber(self._base_point, points), full), self._field.layouts)
         return tuple(np.ascontiguousarray(part[(slice(None),) + (fiber,) * (part.ndim - 1)])
                      for part in jets)
 

@@ -337,8 +337,8 @@ def test_second_curvature_pass_makes_no_new_plan():
     of R on its live slots (R itself, the live slots of a pattern, the brackets on the union of
     their slots and R's, and the dual identity's lowerings and union).  One pass of the curvature
     workload's four manifests fills no more of any than it keeps (measured: 92 plans, handed-back
-    ones included, 28 rule sets, 4 R plans, 4 live sets, 8 bracket unions and 4 dual plans; R and
-    R* share their pattern there), so a second pass makes none; a cache that evicted would make
+    ones included, 28 rule sets, 4 R plans, 7 live sets of R and the packed jet stores, 8 bracket
+    unions and 4 dual plans; R and R* share their pattern there), so a second pass makes none; a cache that evicted would make
     them again every pass."""
     manifests = _curvature_manifests()
     caches = [getattr(plans, name) for name in PLAN_CACHES]

@@ -374,7 +374,9 @@ class TestGridWalk:
         g.values([[1.0, 2.0]])
         g.jets([[0.5, 1.0], [2.0, 3.0]])
         g.jets([[1.5, 1.0]])
-        assert plans == [3]  # the upper triangle, once for all three batches
+        # the upper triangle, once for all three batches, and at the first batch of jets the walk of
+        # its second-derivative trees, whose pattern decides whether d2G is stored packed
+        assert plans == [3, 4]
 
     def test_first_order_fields_walk_gradients_only(self, monkeypatch):
         """A connection component x^1.5 has an unbounded second derivative at x = 0, which

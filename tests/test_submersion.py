@@ -643,8 +643,9 @@ class TestInducedFiber:
             for part, whole in zip(restricted.jets(points), total.jets(embedded), strict=True):
                 assert np.array_equal(part, _fiber_block(whole, nb))
                 assert part.flags.c_contiguous
-        # the varying entries of the total metric's upper triangle; P is all constant
-        assert plan_sizes == [4]
+        # the varying entries of the total metric's upper triangle, walked for their jets and for the
+        # pattern of their second derivatives, which decides whether d2G is stored packed; P is all constant
+        assert plan_sizes == [4, 4]
 
     def test_plans_per_run(self, plan_sizes):
         """One walk plan per parsed grid with a varying component, and one more per metric grid
